@@ -26,8 +26,6 @@ from .keypoints import (
     LAYOUT_JOINT_COUNT,
     Joint,
     PersonSkeleton,
-    drop_foot_joints,
-    map_body25_to_coco,
     parse_keypoint_frame,
     serialize_keypoint_frame,
 )
@@ -41,7 +39,6 @@ from .graph import (
 from .sequence import (
     SkeletonSequence,
     convert_layout,
-    from_model_input,
     load_sequence,
     to_model_input,
 )
@@ -88,12 +85,10 @@ from .train import (
     evaluate,
     lr_schedule,
     run_training,
-    sgd_step,
     train_loop,
 )
 from .metrics import (
     ClassSummary,
-    box_whisker_by_class,
     classwise_table,
     confidence_interval,
     confusion_matrix,

@@ -89,10 +89,6 @@ def cmd_train(args: argparse.Namespace) -> int:
     manifest = DatasetManifest.load(_require_file(config.manifest, "manifest"))
     split = load_split(_require_dir(args.split, "split"))
     if config.train.mode != "vanilla":
-        if not config.train.source_checkpoint:
-            raise ConfigurationError(
-                f"train.source_checkpoint: required for mode {config.train.mode!r}"
-            )
         _require_file(config.train.source_checkpoint, "checkpoint")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -8,184 +8,85 @@ Shape:
       "train": { ... TrainConfig fields, "augmentation": {...} ... }
     }
 
-Relative paths inside the file resolve against the file's own directory.
-Unknown keys and wrong types are rejected with the offending field path.
+The accepted keys of each object are the fields of its dataclass, and each
+value is checked against the field's annotation, so a new field needs no
+parser change. Relative paths inside the file resolve against the file's
+own directory. Unknown keys and wrong types are rejected with the
+offending field path.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import types
+import typing
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 from .errors import ConfigurationError
+from .manifest import resolve_relative
 from .model import ModelConfig
-from .pipeline import AugmentConfig, MoveParams
 from .train import TrainConfig
 
 
 @dataclass
 class RunConfig:
     manifest: str
-    model: ModelConfig
-    train: TrainConfig
+    model: ModelConfig = field(default_factory=ModelConfig)
+    train: TrainConfig = field(default_factory=TrainConfig)
 
     def validate(self) -> None:
         self.model.validate()
         self.train.validate()
 
 
-def _require_mapping(value, path: str) -> dict:
-    if not isinstance(value, dict):
+def from_document(cls, doc, path: str):
+    """Build dataclass ``cls`` from a JSON object; absent keys keep defaults."""
+    if not isinstance(doc, dict):
         raise ConfigurationError(f"{path}: expected an object")
-    return value
-
-
-def _reject_unknown(doc: dict, known, path: str) -> None:
+    known = {f.name: f for f in fields(cls)}
     for key in doc:
         if key not in known:
             raise ConfigurationError(f"{path}.{key}: unknown field")
+    hints = typing.get_type_hints(cls)
+    values = {}
+    for name, spec in known.items():
+        if name in doc:
+            values[name] = _convert(hints[name], doc[name], f"{path}.{name}")
+        elif spec.default is MISSING and spec.default_factory is MISSING:
+            raise ConfigurationError(f"{path}.{name}: required field is missing")
+    return cls(**values)
 
 
-def _typed(doc: dict, key: str, kinds, path: str, default):
-    if key not in doc:
-        return default
-    value = doc[key]
-    if kinds is float and isinstance(value, int) and not isinstance(value, bool):
-        value = float(value)
-    if kinds is int and isinstance(value, bool):
-        raise ConfigurationError(f"{path}.{key}: expected a number")
-    if not isinstance(value, kinds):
-        raise ConfigurationError(
-            f"{path}.{key}: expected {getattr(kinds, '__name__', kinds)}"
+def _convert(kind, value, path: str):
+    """Check one JSON value against a field annotation and convert it."""
+    if is_dataclass(kind):
+        return from_document(kind, value, path)
+    origin = typing.get_origin(kind)
+    args = typing.get_args(kind)
+    if origin in (typing.Union, types.UnionType):
+        if value is None and type(None) in args:
+            return None
+        (inner,) = [arg for arg in args if arg is not type(None)]
+        return _convert(inner, value, path)
+    if origin is tuple:
+        if not isinstance(value, list):
+            raise ConfigurationError(f"{path}: expected a list")
+        if len(args) == 2 and args[1] is Ellipsis:
+            args = (args[0],) * len(value)
+        elif len(value) != len(args):
+            raise ConfigurationError(f"{path}: expected {len(args)} values")
+        return tuple(
+            _convert(arg, item, f"{path}[{index}]")
+            for index, (arg, item) in enumerate(zip(args, value))
         )
+    # bool is an int subclass in Python but not a number in a config file.
+    if isinstance(value, bool) and kind is not bool:
+        raise ConfigurationError(f"{path}: expected {kind.__name__}")
+    if kind is float and isinstance(value, int):
+        return float(value)
+    if not isinstance(value, kind):
+        raise ConfigurationError(f"{path}: expected {kind.__name__}")
     return value
-
-
-def _parse_move(doc: dict, path: str) -> MoveParams:
-    _reject_unknown(
-        doc, ("rotation", "scale_min", "scale_max", "translation", "anchors"), path
-    )
-    defaults = MoveParams()
-    return MoveParams(
-        rotation=_typed(doc, "rotation", float, path, defaults.rotation),
-        scale_min=_typed(doc, "scale_min", float, path, defaults.scale_min),
-        scale_max=_typed(doc, "scale_max", float, path, defaults.scale_max),
-        translation=_typed(doc, "translation", float, path, defaults.translation),
-        anchors=_typed(doc, "anchors", int, path, defaults.anchors),
-    )
-
-
-def _parse_augmentation(doc: dict, path: str) -> AugmentConfig:
-    known = (
-        "window", "window_size", "window_pad_position",
-        "move", "move_params", "subsample", "drop_rate",
-    )
-    _reject_unknown(doc, known, path)
-    defaults = AugmentConfig()
-    move_params = defaults.move_params
-    if "move_params" in doc:
-        move_params = _parse_move(
-            _require_mapping(doc["move_params"], f"{path}.move_params"),
-            f"{path}.move_params",
-        )
-    return AugmentConfig(
-        window=_typed(doc, "window", bool, path, defaults.window),
-        window_size=_typed(doc, "window_size", int, path, defaults.window_size),
-        window_pad_position=_typed(
-            doc, "window_pad_position", str, path, defaults.window_pad_position
-        ),
-        move=_typed(doc, "move", bool, path, defaults.move),
-        move_params=move_params,
-        subsample=_typed(doc, "subsample", bool, path, defaults.subsample),
-        drop_rate=_typed(doc, "drop_rate", float, path, defaults.drop_rate),
-    )
-
-
-def _parse_model(doc: dict, path: str) -> ModelConfig:
-    known = (
-        "layout", "person_slots", "target_frames", "in_channels",
-        "person_pool", "zero_confidence", "dropout", "track_stats",
-        "channel_plan", "seed",
-    )
-    _reject_unknown(doc, known, path)
-    defaults = ModelConfig()
-    channel_plan = None
-    if "channel_plan" in doc and doc["channel_plan"] is not None:
-        raw = doc["channel_plan"]
-        if not isinstance(raw, list) or not raw:
-            raise ConfigurationError(
-                f"{path}.channel_plan: expected a non-empty list"
-            )
-        plan = []
-        for index, pair in enumerate(raw):
-            if (
-                not isinstance(pair, list)
-                or len(pair) != 2
-                or not all(isinstance(v, int) and not isinstance(v, bool) for v in pair)
-            ):
-                raise ConfigurationError(
-                    f"{path}.channel_plan[{index}]: expected [channels, stride]"
-                )
-            plan.append((pair[0], pair[1]))
-        channel_plan = tuple(plan)
-    return ModelConfig(
-        layout=_typed(doc, "layout", str, path, defaults.layout),
-        person_slots=_typed(doc, "person_slots", int, path, defaults.person_slots),
-        target_frames=_typed(doc, "target_frames", int, path, defaults.target_frames),
-        in_channels=_typed(doc, "in_channels", int, path, defaults.in_channels),
-        person_pool=_typed(doc, "person_pool", str, path, defaults.person_pool),
-        zero_confidence=_typed(
-            doc, "zero_confidence", bool, path, defaults.zero_confidence
-        ),
-        dropout=_typed(doc, "dropout", float, path, defaults.dropout),
-        track_stats=_typed(doc, "track_stats", bool, path, defaults.track_stats),
-        channel_plan=channel_plan,
-        seed=_typed(doc, "seed", int, path, defaults.seed),
-    )
-
-
-def _parse_train(doc: dict, path: str, base: Path) -> TrainConfig:
-    known = (
-        "mode", "base_lr", "decay_boundaries", "decay_factor", "batch_size",
-        "epochs", "seed", "momentum", "weight_decay", "source_checkpoint",
-        "augmentation",
-    )
-    _reject_unknown(doc, known, path)
-    defaults = TrainConfig()
-    boundaries = defaults.decay_boundaries
-    if "decay_boundaries" in doc:
-        raw = doc["decay_boundaries"]
-        if not isinstance(raw, list) or not all(
-            isinstance(v, int) and not isinstance(v, bool) for v in raw
-        ):
-            raise ConfigurationError(
-                f"{path}.decay_boundaries: expected a list of integers"
-            )
-        boundaries = tuple(raw)
-    augmentation = defaults.augmentation
-    if "augmentation" in doc:
-        augmentation = _parse_augmentation(
-            _require_mapping(doc["augmentation"], f"{path}.augmentation"),
-            f"{path}.augmentation",
-        )
-    source = doc.get("source_checkpoint")
-    if source is not None:
-        if not isinstance(source, str):
-            raise ConfigurationError(f"{path}.source_checkpoint: expected a string")
-        source = str(base / source) if not Path(source).is_absolute() else source
-    return TrainConfig(
-        mode=_typed(doc, "mode", str, path, defaults.mode),
-        base_lr=_typed(doc, "base_lr", float, path, defaults.base_lr),
-        decay_boundaries=boundaries,
-        decay_factor=_typed(doc, "decay_factor", float, path, defaults.decay_factor),
-        batch_size=_typed(doc, "batch_size", int, path, defaults.batch_size),
-        epochs=_typed(doc, "epochs", int, path, defaults.epochs),
-        seed=_typed(doc, "seed", int, path, defaults.seed),
-        momentum=_typed(doc, "momentum", float, path, defaults.momentum),
-        weight_decay=_typed(doc, "weight_decay", float, path, defaults.weight_decay),
-        source_checkpoint=source,
-        augmentation=augmentation,
-    )
 
 
 def load_run_config(path: str | Path) -> RunConfig:
@@ -195,20 +96,11 @@ def load_run_config(path: str | Path) -> RunConfig:
         doc = json.loads(path.read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigurationError(f"config {path}: {exc}") from exc
-    doc = _require_mapping(doc, "config")
-    _reject_unknown(doc, ("manifest", "model", "train"), "config")
-    if "manifest" not in doc or not isinstance(doc["manifest"], str):
-        raise ConfigurationError("config.manifest: expected a path string")
+    config = from_document(RunConfig, doc, "config")
     base = path.parent
-    manifest = doc["manifest"]
-    if not Path(manifest).is_absolute():
-        manifest = str(base / manifest)
-    model = _parse_model(
-        _require_mapping(doc.get("model", {}), "config.model"), "config.model"
-    )
-    train = _parse_train(
-        _require_mapping(doc.get("train", {}), "config.train"), "config.train", base
-    )
-    config = RunConfig(manifest=manifest, model=model, train=train)
+    config.manifest = resolve_relative(base, config.manifest)
+    source = config.train.source_checkpoint
+    if source is not None:
+        config.train.source_checkpoint = resolve_relative(base, source)
     config.validate()
     return config

@@ -8,12 +8,18 @@ center joint: same hop distance as the source (root), closer to the center
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConnectivityError, LayoutMismatchError
-from .keypoints import BODY25, BODY25_NO_FEET, COCO18, COCO18_MODIFIED
+from .keypoints import (
+    BODY25,
+    BODY25_NO_FEET,
+    COCO18,
+    COCO18_MODIFIED,
+    layout_joint_count,
+)
 
 # Edges follow the estimator's published limb pairs, 0-indexed.
 COCO18_EDGES = (
@@ -40,17 +46,18 @@ BODY25_EDGES = (
 )
 
 BODY25_NO_FEET_EDGES = tuple(
-    (i, j) for i, j in BODY25_EDGES if i < 19 and j < 19
+    (i, j) for i, j in BODY25_EDGES
+    if max(i, j) < layout_joint_count(BODY25_NO_FEET)
 )
 
 # The neck is joint 1 in every supported layout.
 _CENTER = 1
 
-_LAYOUT_TABLE = {
-    COCO18: (18, COCO18_EDGES),
-    COCO18_MODIFIED: (18, COCO18_MODIFIED_EDGES),
-    BODY25: (25, BODY25_EDGES),
-    BODY25_NO_FEET: (19, BODY25_NO_FEET_EDGES),
+_LAYOUT_EDGES = {
+    COCO18: COCO18_EDGES,
+    COCO18_MODIFIED: COCO18_MODIFIED_EDGES,
+    BODY25: BODY25_EDGES,
+    BODY25_NO_FEET: BODY25_NO_FEET_EDGES,
 }
 
 
@@ -93,10 +100,9 @@ class SkeletonGraph:
 
 def build_graph(layout: str) -> SkeletonGraph:
     """Build the skeleton graph for one of the named layouts."""
-    if layout not in _LAYOUT_TABLE:
-        raise LayoutMismatchError(f"unknown skeleton layout {layout!r}")
-    vertex_count, edges = _LAYOUT_TABLE[layout]
-    return SkeletonGraph(vertex_count, edges, _CENTER, layout)
+    return SkeletonGraph(
+        layout_joint_count(layout), _LAYOUT_EDGES[layout], _CENTER, layout
+    )
 
 
 def hop_distance(graph: SkeletonGraph) -> np.ndarray:
@@ -124,9 +130,6 @@ class PartitionedAdjacency:
 
     matrices: np.ndarray
     layout: str = "custom"
-    partition_names: tuple[str, ...] = field(
-        default=("root", "centripetal", "centrifugal")
-    )
 
     @property
     def partition_count(self) -> int:
@@ -173,18 +176,3 @@ def partition_spatial(
     ])
     return PartitionedAdjacency(matrices, graph.layout)
 
-
-def adjacency_to_text(adjacency: PartitionedAdjacency) -> str:
-    """Render the partition stack as plain-text matrices for inspection."""
-    lines = []
-    for k in range(adjacency.partition_count):
-        name = (
-            adjacency.partition_names[k]
-            if k < len(adjacency.partition_names)
-            else str(k)
-        )
-        lines.append(f"# partition {k} ({name})")
-        for row in adjacency.matrices[k]:
-            lines.append(" ".join(f"{value:.10f}" for value in row))
-        lines.append("")
-    return "\n".join(lines)

@@ -48,11 +48,19 @@ BODY25_NO_FEET_JOINT_NAMES = BODY25_JOINT_NAMES[:19]
 # Joint counts per layout tag. The modified 18-joint layout shares the COCO
 # joint order; only its edge structure differs.
 LAYOUT_JOINT_COUNT = {
-    COCO18: 18,
-    BODY25: 25,
-    BODY25_NO_FEET: 19,
-    COCO18_MODIFIED: 18,
+    COCO18: len(COCO18_JOINT_NAMES),
+    BODY25: len(BODY25_JOINT_NAMES),
+    BODY25_NO_FEET: len(BODY25_NO_FEET_JOINT_NAMES),
+    COCO18_MODIFIED: len(COCO18_JOINT_NAMES),
 }
+
+
+def layout_joint_count(layout: str) -> int:
+    """Joint count of a named layout; LayoutMismatchError if it is unknown."""
+    if layout not in LAYOUT_JOINT_COUNT:
+        raise LayoutMismatchError(f"unknown skeleton layout {layout!r}")
+    return LAYOUT_JOINT_COUNT[layout]
+
 
 # For each COCO-18 joint, the index of the same-named joint in the 25-joint
 # layout. Mid-hip and the foot joints have no COCO counterpart and are
@@ -84,10 +92,8 @@ class PersonSkeleton:
     layout: str
 
     def __post_init__(self):
-        if self.layout not in LAYOUT_JOINT_COUNT:
-            raise LayoutMismatchError(f"unknown skeleton layout {self.layout!r}")
+        expected = layout_joint_count(self.layout)
         self.joints = np.asarray(self.joints, dtype=np.float64)
-        expected = LAYOUT_JOINT_COUNT[self.layout]
         if self.joints.shape != (expected, 3):
             raise LayoutMismatchError(
                 f"layout {self.layout} expects joint array of shape "
@@ -121,13 +127,13 @@ class PersonSkeleton:
 def parse_keypoint_frame(data: bytes, layout: str) -> list[PersonSkeleton]:
     """Parse one per-frame keypoint file into a list of person skeletons.
 
-    Raises KeypointParseError (with a byte offset) for malformed JSON or
-    out-of-range confidences, and LayoutMismatchError when a person's value
-    count disagrees with the declared layout. An empty ``people`` list is
-    valid and yields an empty list. People keep their file order.
+    Raises KeypointParseError (with a byte offset) for malformed JSON,
+    non-finite values or out-of-range confidences, and LayoutMismatchError
+    when a person's value count disagrees with the declared layout. An
+    empty ``people`` list is valid and yields an empty list. People keep
+    their file order.
     """
-    if layout not in LAYOUT_JOINT_COUNT:
-        raise LayoutMismatchError(f"unknown skeleton layout {layout!r}")
+    joint_count = layout_joint_count(layout)
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -139,7 +145,6 @@ def parse_keypoint_frame(data: bytes, layout: str) -> list[PersonSkeleton]:
     if not isinstance(doc, dict) or not isinstance(doc.get("people"), list):
         raise KeypointParseError("expected a JSON object with a 'people' list")
 
-    joint_count = LAYOUT_JOINT_COUNT[layout]
     persons = []
     for index, entry in enumerate(doc["people"]):
         if not isinstance(entry, dict) or "pose_keypoints_2d" not in entry:
@@ -158,10 +163,12 @@ def parse_keypoint_frame(data: bytes, layout: str) -> list[PersonSkeleton]:
             )
         joints = np.asarray(flat, dtype=np.float64).reshape(joint_count, 3)
         conf = joints[:, 2]
-        if bool(((conf < 0.0) | (conf > 1.0)).any()):
-            bad = int(np.nonzero((conf < 0.0) | (conf > 1.0))[0][0])
+        valid = np.isfinite(joints).all(axis=1) & (conf >= 0.0) & (conf <= 1.0)
+        if not valid.all():
+            bad = int(np.nonzero(~valid)[0][0])
             raise KeypointParseError(
-                f"person {index}, joint {bad}: confidence outside [0, 1]"
+                f"person {index}, joint {bad}: needs finite values and a "
+                f"confidence in [0, 1]"
             )
         persons.append(PersonSkeleton(joints, layout))
     return persons
@@ -175,26 +182,3 @@ def serialize_keypoint_frame(persons: list[PersonSkeleton]) -> bytes:
         people.append({"pose_keypoints_2d": flat})
     return json.dumps({"people": people}).encode("utf-8")
 
-
-def map_body25_to_coco(person: PersonSkeleton) -> PersonSkeleton:
-    """Project a 25-joint skeleton onto the 18-joint COCO layout.
-
-    Mid-hip and foot joints are dropped; coordinates and confidences are
-    carried over unchanged.
-    """
-    if person.layout != BODY25:
-        raise LayoutMismatchError(
-            f"expected a {BODY25} skeleton, got {person.layout}"
-        )
-    rows = person.joints[list(BODY25_TO_COCO)]
-    return PersonSkeleton(rows.copy(), COCO18)
-
-
-def drop_foot_joints(person: PersonSkeleton) -> PersonSkeleton:
-    """Cut the six foot joints off a 25-joint skeleton."""
-    if person.layout != BODY25:
-        raise LayoutMismatchError(
-            f"expected a {BODY25} skeleton, got {person.layout}"
-        )
-    count = LAYOUT_JOINT_COUNT[BODY25_NO_FEET]
-    return PersonSkeleton(person.joints[:count].copy(), BODY25_NO_FEET)

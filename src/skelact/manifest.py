@@ -85,6 +85,19 @@ class DatasetManifest:
                     f"records[{record.sample_id}].performer: "
                     f"expected one of {PERFORMERS}, got {record.performer!r}"
                 )
+            if len(record.image_size) != 2 or not all(
+                isinstance(v, int) and not isinstance(v, bool) and v > 0
+                for v in record.image_size
+            ):
+                raise ConfigurationError(
+                    f"records[{record.sample_id}].image_size: expected two "
+                    f"positive integers, got {record.image_size!r}"
+                )
+            if not 0.0 < record.fps < math.inf:
+                raise ConfigurationError(
+                    f"records[{record.sample_id}].fps: must be positive, "
+                    f"got {record.fps}"
+                )
         if self.child_percentage is not None:
             for name in self.child_percentage:
                 if name not in class_set:
@@ -146,14 +159,17 @@ class DatasetManifest:
             raise ConfigurationError(f"manifest {path}: {exc}") from exc
         if not isinstance(doc, dict):
             raise ConfigurationError(f"manifest {path}: expected a JSON object")
+        base = Path(path).parent
         try:
             records = [
                 ManifestRecord(
                     sample_id=str(entry["sample_id"]),
                     class_name=str(entry["class_name"]),
                     performer=str(entry["performer"]),
-                    keypoint_path=str(entry["keypoint_path"]),
-                    image_size=tuple(int(v) for v in entry["image_size"]),
+                    keypoint_path=resolve_relative(
+                        base, str(entry["keypoint_path"])
+                    ),
+                    image_size=tuple(entry["image_size"]),
                     fps=float(entry.get("fps", 30.0)),
                 )
                 for entry in doc.get("records", [])
@@ -167,6 +183,11 @@ class DatasetManifest:
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigurationError(f"manifest {path}: {exc!r}") from exc
         return manifest
+
+
+def resolve_relative(base: Path, path: str) -> str:
+    """A path from a JSON document, resolved against the document's directory."""
+    return path if Path(path).is_absolute() else str(base / path)
 
 
 @dataclass(frozen=True)

@@ -10,12 +10,8 @@ from .errors import ConfigurationError, UndefinedCorrelationError
 from .sequence import SkeletonSequence
 
 
-def top_k_accuracy(logits: np.ndarray, labels: np.ndarray, k: int = 1) -> float:
-    """Fraction of rows whose label is among the k best-scored classes.
-
-    Ties are broken toward the lower class index, so results do not depend
-    on float noise ordering equal scores.
-    """
+def check_logits(logits, labels, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """Check (N, K) scores against N labels in [0, K) before computing ``what``."""
     logits = np.asarray(logits, dtype=np.float64)
     labels = np.asarray(labels)
     if logits.ndim != 2:
@@ -26,11 +22,24 @@ def top_k_accuracy(logits: np.ndarray, labels: np.ndarray, k: int = 1) -> float:
             f"labels shape {labels.shape} does not match {count} logit rows"
         )
     if count == 0:
-        raise ConfigurationError("accuracy of an empty batch is undefined")
-    if not 1 <= k <= class_count:
-        raise ConfigurationError(f"k must lie in [1, {class_count}], got {k}")
+        raise ConfigurationError(f"{what} of an empty batch is undefined")
     if labels.min() < 0 or labels.max() >= class_count:
-        raise ConfigurationError(f"labels must lie in [0, {class_count})")
+        raise ConfigurationError(
+            f"labels must lie in [0, {class_count}), got "
+            f"[{labels.min()}, {labels.max()}]"
+        )
+    return logits, labels
+
+
+def top_k_accuracy(logits: np.ndarray, labels: np.ndarray, k: int = 1) -> float:
+    """Fraction of rows whose label is among the k best-scored classes.
+
+    Ties are broken toward the lower class index, so results do not depend
+    on float noise ordering equal scores.
+    """
+    logits, labels = check_logits(logits, labels, "accuracy")
+    if not 1 <= k <= logits.shape[1]:
+        raise ConfigurationError(f"k must lie in [1, {logits.shape[1]}], got {k}")
     # Stable argsort of the negated scores ranks equal scores by index.
     ranked = np.argsort(-logits, axis=1, kind="stable")[:, :k]
     hits = (ranked == labels[:, None]).any(axis=1)
@@ -226,10 +235,3 @@ def five_number_summary(samples) -> FiveNumberSummary:
         float(samples.max()),
     )
 
-
-def box_whisker_by_class(samples_by_class) -> dict:
-    """Five-number summary for each class's sample list."""
-    return {
-        key: five_number_summary(values)
-        for key, values in samples_by_class.items()
-    }

@@ -47,6 +47,40 @@ CHECKPOINT_FORMAT = 1
 HEAD_ARRAYS = ("fc.weight", "fc.bias")
 
 
+def _check_network_options(
+    in_channels, person_pool, dropout, zero_confidence, channel_plan, prefix=""
+) -> tuple[tuple[int, int], ...]:
+    """Validate the network options and return the channel plan to build.
+
+    Messages start with ``prefix`` (``"model."`` for a run config).
+    """
+    if in_channels < 1:
+        raise ConfigurationError(f"{prefix}in_channels: must be at least 1")
+    if person_pool not in PERSON_POOLS:
+        raise ConfigurationError(
+            f"{prefix}person_pool: expected one of {PERSON_POOLS}, "
+            f"got {person_pool!r}"
+        )
+    if not 0.0 <= dropout < 1.0:
+        raise ConfigurationError(f"{prefix}dropout: must lie in [0, 1), got {dropout}")
+    if zero_confidence and in_channels != 3:
+        raise ConfigurationError(
+            f"{prefix}zero_confidence: needs the (x, y, confidence) channel layout"
+        )
+    plan = tuple(
+        (int(c), int(s))
+        for c, s in (channel_plan if channel_plan is not None else DEFAULT_CHANNEL_PLAN)
+    )
+    if not plan:
+        raise ConfigurationError(f"{prefix}channel_plan: needs at least one block")
+    for index, (channels, stride) in enumerate(plan):
+        if channels < 1 or stride < 1:
+            raise ConfigurationError(
+                f"{prefix}channel_plan[{index}]: channels and stride must be positive"
+            )
+    return plan
+
+
 class BatchNorm:
     """Per-channel batch normalization with tracked running statistics.
 
@@ -256,29 +290,9 @@ class StgcnNetwork:
     ):
         if num_classes < 2:
             raise ConfigurationError("num_classes: must be at least 2")
-        if in_channels < 1:
-            raise ConfigurationError("in_channels: must be at least 1")
-        if person_pool not in PERSON_POOLS:
-            raise ConfigurationError(
-                f"person_pool: expected one of {PERSON_POOLS}, got {person_pool!r}"
-            )
-        if not 0.0 <= dropout < 1.0:
-            raise ConfigurationError(f"dropout: must lie in [0, 1), got {dropout}")
-        if zero_confidence and in_channels != 3:
-            raise ConfigurationError(
-                "zero_confidence: needs the (x, y, confidence) channel layout"
-            )
-        plan = tuple(
-            (int(c), int(s))
-            for c, s in (channel_plan if channel_plan is not None else DEFAULT_CHANNEL_PLAN)
+        plan = _check_network_options(
+            in_channels, person_pool, dropout, zero_confidence, channel_plan
         )
-        if not plan:
-            raise ConfigurationError("channel_plan: needs at least one block")
-        for index, (channels, stride) in enumerate(plan):
-            if channels < 1 or stride < 1:
-                raise ConfigurationError(
-                    f"channel_plan[{index}]: channels and stride must be positive"
-                )
 
         self.layout = adjacency.layout
         self.vertex_count = adjacency.vertex_count
@@ -446,9 +460,6 @@ class StgcnNetwork:
                 )
             setattr(norms[layer_name], stat, value.copy())
 
-    def set_trainable(self, mode: str) -> None:
-        set_trainable(self, mode)
-
     def meta(self) -> dict:
         return {
             "layout": self.layout,
@@ -609,7 +620,7 @@ class ModelConfig:
     zero_confidence: bool = False
     dropout: float = 0.0
     track_stats: bool = True
-    channel_plan: tuple | None = None
+    channel_plan: tuple[tuple[int, int], ...] | None = None
     seed: int = 0
 
     def validate(self) -> None:
@@ -618,19 +629,10 @@ class ModelConfig:
             raise ConfigurationError("model.person_slots: must be at least 1")
         if self.target_frames < 1:
             raise ConfigurationError("model.target_frames: must be at least 1")
-        if self.in_channels < 1:
-            raise ConfigurationError("model.in_channels: must be at least 1")
-        if self.person_pool not in PERSON_POOLS:
-            raise ConfigurationError(
-                f"model.person_pool: expected one of {PERSON_POOLS}, "
-                f"got {self.person_pool!r}"
-            )
-        if not 0.0 <= self.dropout < 1.0:
-            raise ConfigurationError("model.dropout: must lie in [0, 1)")
-        if self.zero_confidence and self.in_channels != 3:
-            raise ConfigurationError(
-                "model.zero_confidence: needs the (x, y, confidence) layout"
-            )
+        _check_network_options(
+            self.in_channels, self.person_pool, self.dropout,
+            self.zero_confidence, self.channel_plan, prefix="model.",
+        )
 
     def build(self, num_classes: int) -> StgcnNetwork:
         self.validate()

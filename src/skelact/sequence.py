@@ -20,6 +20,7 @@ from .keypoints import (
     COCO18,
     COCO18_MODIFIED,
     LAYOUT_JOINT_COUNT,
+    layout_joint_count,
     parse_keypoint_frame,
 )
 
@@ -78,46 +79,34 @@ class SkeletonSequence:
 _DATA_LAYOUT = {COCO18_MODIFIED: COCO18}
 
 
-def data_layout(graph_layout: str) -> str:
-    return _DATA_LAYOUT.get(graph_layout, graph_layout)
+# Joint indices, in target order, for each supported (source, target) pair.
+_CONVERSIONS = {
+    (BODY25, COCO18): BODY25_TO_COCO,
+    (BODY25, BODY25_NO_FEET): tuple(range(LAYOUT_JOINT_COUNT[BODY25_NO_FEET])),
+}
 
 
 def convert_layout(seq: SkeletonSequence, target: str) -> SkeletonSequence:
     """Re-index a sequence's joints to a data-compatible target layout."""
-    target = data_layout(target)
-    if data_layout(seq.layout) == target:
+    target = _DATA_LAYOUT.get(target, target)
+    if _DATA_LAYOUT.get(seq.layout, seq.layout) == target:
         out = seq.copy()
         out.layout = target
         return out
-    if seq.layout == BODY25 and target == COCO18:
-        data = seq.data[:, :, list(BODY25_TO_COCO), :].copy()
-        return SkeletonSequence(data, COCO18, tuple(seq.image_size), seq.fps)
-    if seq.layout == BODY25 and target == BODY25_NO_FEET:
-        count = LAYOUT_JOINT_COUNT[BODY25_NO_FEET]
-        return SkeletonSequence(
-            seq.data[:, :, :count, :].copy(), BODY25_NO_FEET,
-            tuple(seq.image_size), seq.fps,
+    joints = _CONVERSIONS.get((seq.layout, target))
+    if joints is None:
+        raise LayoutMismatchError(
+            f"no conversion from layout {seq.layout} to {target}"
         )
-    raise LayoutMismatchError(
-        f"no conversion from layout {seq.layout} to {target}"
+    return SkeletonSequence(
+        seq.data[:, :, list(joints), :].copy(), target,
+        tuple(seq.image_size), seq.fps,
     )
 
 
 def to_model_input(seq: SkeletonSequence) -> np.ndarray:
     """Rearrange (T, M, V, 3) into the network input layout (3, T, V, M)."""
     return np.ascontiguousarray(seq.data.transpose(3, 0, 2, 1))
-
-
-def from_model_input(
-    array: np.ndarray, layout: str, image_size: tuple[int, int] = (0, 0)
-) -> SkeletonSequence:
-    """Inverse of to_model_input."""
-    array = np.asarray(array, dtype=np.float64)
-    if array.ndim != 4 or array.shape[0] != 3:
-        raise LayoutMismatchError(
-            f"model input must have shape (3, T, V, M), got {array.shape}"
-        )
-    return SkeletonSequence(array.transpose(1, 3, 2, 0).copy(), layout, image_size)
 
 
 def load_sequence(
@@ -154,9 +143,7 @@ def load_sequence(
     if not paths:
         raise EmptySequenceError(f"{directory} holds no keypoint files")
 
-    joint_count = LAYOUT_JOINT_COUNT.get(layout)
-    if joint_count is None:
-        raise LayoutMismatchError(f"unknown skeleton layout {layout!r}")
+    joint_count = layout_joint_count(layout)
     frames = np.zeros((len(paths), person_slots, joint_count, 3))
     for t, path in enumerate(paths):
         persons = parse_keypoint_frame(path.read_bytes(), layout)

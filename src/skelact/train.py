@@ -14,18 +14,25 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .manifest import DatasetManifest, ProtocolSplit
-from .metrics import top_k_accuracy
-from .model import ModelConfig, StgcnNetwork, load_weights, set_trainable
+from .metrics import check_logits, top_k_accuracy
+from .model import MODES, ModelConfig, StgcnNetwork, load_weights, set_trainable
 from .pipeline import AugmentConfig, augment_combined, normalize_centralize, track
 from .sequence import (
     SkeletonSequence,
     convert_layout,
-    data_layout,
     load_sequence,
     to_model_input,
 )
 
-MODES = ("vanilla", "propagation", "fine_tune", "feature_extraction")
+
+def _check_optimizer_options(momentum, weight_decay, prefix="") -> None:
+    """Validate the SGD options; messages start with ``prefix``."""
+    if not 0.0 <= momentum < 1.0:
+        raise ConfigurationError(
+            f"{prefix}momentum: must lie in [0, 1), got {momentum}"
+        )
+    if weight_decay < 0.0:
+        raise ConfigurationError(f"{prefix}weight_decay: must be non-negative")
 
 
 @dataclass
@@ -66,12 +73,11 @@ class TrainConfig:
             raise ConfigurationError("train.batch_size: must be at least 1")
         if self.epochs < 1:
             raise ConfigurationError("train.epochs: must be at least 1")
-        if not 0.0 <= self.momentum < 1.0:
+        _check_optimizer_options(self.momentum, self.weight_decay, prefix="train.")
+        if self.mode != "vanilla" and not self.source_checkpoint:
             raise ConfigurationError(
-                f"train.momentum: must lie in [0, 1), got {self.momentum}"
+                f"train.source_checkpoint: required for mode {self.mode!r}"
             )
-        if self.weight_decay < 0.0:
-            raise ConfigurationError("train.weight_decay: must be non-negative")
         self.augmentation.validate()
 
 
@@ -94,24 +100,10 @@ def cross_entropy(
     Uses the log-sum-exp shift for stability. The returned gradient is
     (softmax - onehot) / N, ready to seed the network backward pass.
     """
-    logits = np.asarray(logits, dtype=np.float64)
-    labels = np.asarray(labels)
-    if logits.ndim != 2:
-        raise ConfigurationError(f"logits must be 2D, got shape {logits.shape}")
-    count, class_count = logits.shape
-    if labels.shape != (count,):
-        raise ConfigurationError(
-            f"labels shape {labels.shape} does not match {count} logit rows"
-        )
+    logits, labels = check_logits(logits, labels, "cross entropy")
     if not np.issubdtype(labels.dtype, np.integer):
         raise ConfigurationError("labels must be integers")
-    if count == 0:
-        raise ConfigurationError("cross entropy of an empty batch is undefined")
-    if labels.min() < 0 or labels.max() >= class_count:
-        raise ConfigurationError(
-            f"labels must lie in [0, {class_count}), got "
-            f"[{labels.min()}, {labels.max()}]"
-        )
+    count = logits.shape[0]
     shifted = logits - logits.max(axis=1, keepdims=True)
     log_norm = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     log_probs = shifted - log_norm
@@ -131,11 +123,8 @@ class SGD:
     """
 
     def __init__(self, tensors, momentum: float = 0.0, weight_decay: float = 0.0):
+        _check_optimizer_options(momentum, weight_decay)
         self.tensors = list(tensors)
-        if not 0.0 <= momentum < 1.0:
-            raise ConfigurationError(f"momentum: must lie in [0, 1), got {momentum}")
-        if weight_decay < 0.0:
-            raise ConfigurationError("weight_decay: must be non-negative")
         self.momentum = momentum
         self.weight_decay = weight_decay
         self._velocity = [np.zeros_like(t.data) for t in self.tensors]
@@ -154,16 +143,6 @@ class SGD:
                     grad = velocity
                 tensor.data -= lr * grad
             tensor.zero_grad()
-
-
-def sgd_step(tensors, lr: float) -> None:
-    """One plain descent step; see SGD for the stateful variant."""
-    if lr < 0.0:
-        raise ConfigurationError(f"lr: must be non-negative, got {lr}")
-    for tensor in tensors:
-        if tensor.trainable:
-            tensor.data -= lr * tensor.grad
-        tensor.zero_grad()
 
 
 class SequenceDataset:
@@ -211,7 +190,6 @@ class SequenceDataset:
         """
         records = manifest.by_id()
         class_index = {name: i for i, name in enumerate(class_names)}
-        target = data_layout(model_config.layout)
         sequences = []
         labels = []
         for sample_id in sample_ids:
@@ -231,7 +209,7 @@ class SequenceDataset:
                 person_slots=model_config.person_slots,
                 target_frames=model_config.target_frames,
             )
-            seq = convert_layout(seq, target)
+            seq = convert_layout(seq, model_config.layout)
             seq = track(seq)
             seq = normalize_centralize(seq)
             sequences.append(seq)
@@ -368,10 +346,6 @@ def run_training(
     model_config.validate()
     if len(split.class_names) < 2:
         raise ConfigurationError("split must cover at least 2 classes")
-    if train_config.mode != "vanilla" and not train_config.source_checkpoint:
-        raise ConfigurationError(
-            f"train.source_checkpoint: required for mode {train_config.mode!r}"
-        )
     train_dataset = SequenceDataset.from_manifest(
         manifest, split.train_ids, split.class_names, model_config
     )

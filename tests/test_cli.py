@@ -102,6 +102,16 @@ def test_prepare_missing_manifest_exits_2(workspace, capsys):
     assert "does not exist" in capsys.readouterr().err
 
 
+def test_prepare_bad_manifest_values_exit_2(workspace, capsys):
+    doc = json.loads((workspace / "data" / "manifest.json").read_text())
+    doc["records"][0]["fps"] = -3
+    bad = workspace / "bad_manifest.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["prepare", "--manifest", str(bad), "--protocol", "KS-Full",
+                 "--out", str(workspace / "x")]) == 2
+    assert ".fps: must be positive" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------- train
 
 def test_train_writes_checkpoint_and_history(workspace, capsys):

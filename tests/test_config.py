@@ -1,5 +1,6 @@
 """Run configuration file parsing."""
 import json
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 import pytest
@@ -8,9 +9,11 @@ from skelact import (
     AugmentConfig,
     ConfigurationError,
     ModelConfig,
+    MoveParams,
     TrainConfig,
     load_run_config,
 )
+from skelact.config import from_document
 
 
 def write_config(tmp_path, doc, name="run.json"):
@@ -96,6 +99,57 @@ def test_full_document_round_trip(tmp_path):
     assert augmentation.move_params.anchors == 4
     assert augmentation.drop_rate == 0.25
     assert augmentation.enabled()
+
+
+def test_every_field_round_trips_with_a_non_default_value(tmp_path):
+    model = ModelConfig(layout="BODY25", person_slots=1, target_frames=64,
+                        in_channels=2, person_pool="sum", dropout=0.5,
+                        track_stats=False, channel_plan=((16, 1), (32, 2)),
+                        seed=7)
+    # zero_confidence needs the default three input channels.
+    confident = replace(model, in_channels=3, zero_confidence=True)
+    move = MoveParams(rotation=0.3, scale_min=0.8, scale_max=1.2,
+                      translation=0.2, anchors=4)
+    augmentation = AugmentConfig(window=True, window_size=48,
+                                 window_pad_position="head", move=True,
+                                 move_params=move, subsample=True,
+                                 drop_rate=0.25)
+    train = TrainConfig(mode="fine_tune", base_lr=0.05, decay_boundaries=(5, 9),
+                        decay_factor=0.5, batch_size=8, epochs=12, seed=3,
+                        momentum=0.9, weight_decay=0.0001,
+                        source_checkpoint=str(tmp_path / "base.ckpt"),
+                        augmentation=augmentation)
+    covered = ((ModelConfig(), (model, confident)), (TrainConfig(), (train,)),
+               (AugmentConfig(), (augmentation,)), (MoveParams(), (move,)))
+    for default, values in covered:
+        for spec in fields(default):
+            assert any(getattr(value, spec.name) != getattr(default, spec.name)
+                       for value in values), spec.name
+    for index, expected in enumerate((model, confident)):
+        doc = {"manifest": "m.json", "model": asdict(expected),
+               "train": dict(asdict(train), source_checkpoint="base.ckpt")}
+        config = load_run_config(write_config(tmp_path, doc, f"run{index}.json"))
+        assert config.model == expected
+        assert config.train == train
+
+
+def test_a_new_dataclass_field_loads_with_no_parser_edit():
+    @dataclass
+    class WarmupTrainConfig(TrainConfig):
+        warmup_epochs: int = 0
+        warmup_lrs: tuple[float, ...] = ()
+
+    parsed = from_document(
+        WarmupTrainConfig,
+        {"warmup_epochs": 2, "warmup_lrs": [1, 0.5], "base_lr": 0.1},
+        "config.train",
+    )
+    assert parsed == WarmupTrainConfig(warmup_epochs=2, warmup_lrs=(1.0, 0.5),
+                                       base_lr=0.1)
+    with pytest.raises(ConfigurationError,
+                       match=r"config\.train\.warmup_lrs\[1\]: expected float"):
+        from_document(WarmupTrainConfig, {"warmup_lrs": [1, "x"]},
+                      "config.train")
 
 
 def test_integers_are_accepted_for_float_fields(tmp_path):

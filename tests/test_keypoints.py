@@ -17,8 +17,6 @@ from skelact import (
     LAYOUT_JOINT_COUNT,
     LayoutMismatchError,
     PersonSkeleton,
-    drop_foot_joints,
-    map_body25_to_coco,
     parse_keypoint_frame,
     serialize_keypoint_frame,
 )
@@ -142,6 +140,17 @@ def test_parse_rejects_out_of_range_confidence():
         parse_keypoint_frame(frame_bytes([flat]), COCO18)
 
 
+def test_parse_rejects_non_finite_values():
+    for column, value in ((0, float("nan")), (1, float("inf")),
+                          (2, float("nan")), (0, float("-inf"))):
+        flat = indexed_person(18)
+        flat[3 * 5 + column] = value
+        with pytest.raises(KeypointParseError) as info:
+            parse_keypoint_frame(frame_bytes([indexed_person(18), flat]), COCO18)
+        assert "person 1" in str(info.value)
+        assert "joint 5" in str(info.value)
+
+
 def test_parse_rejects_unknown_layout():
     with pytest.raises(LayoutMismatchError):
         parse_keypoint_frame(frame_bytes([]), "coco18")
@@ -175,26 +184,3 @@ def test_person_skeleton_validates_shape_and_layout():
     with pytest.raises(LayoutMismatchError):
         PersonSkeleton(np.zeros((18, 3)), "mystery")
 
-
-def test_map_body25_to_coco_grabs_the_named_rows():
-    person = PersonSkeleton(
-        np.array(indexed_person(25)).reshape(25, 3), BODY25
-    )
-    mapped = map_body25_to_coco(person)
-    assert mapped.layout == COCO18
-    assert mapped.joints.shape == (18, 3)
-    for coco_index, body_index in enumerate(BODY25_TO_COCO):
-        assert np.array_equal(mapped.joints[coco_index], person.joints[body_index])
-    with pytest.raises(LayoutMismatchError):
-        map_body25_to_coco(mapped)
-
-
-def test_drop_foot_joints_keeps_the_first_nineteen():
-    person = PersonSkeleton(
-        np.array(indexed_person(25)).reshape(25, 3), BODY25
-    )
-    trimmed = drop_foot_joints(person)
-    assert trimmed.layout == BODY25_NO_FEET
-    assert np.array_equal(trimmed.joints, person.joints[:19])
-    with pytest.raises(LayoutMismatchError):
-        drop_foot_joints(trimmed)

@@ -3,13 +3,17 @@ import json
 
 import pytest
 
+from helpers import write_frames
+
 from skelact import (
+    COCO18,
     ConfigurationError,
     DatasetManifest,
     InsufficientDataError,
     ManifestRecord,
     PROTOCOLS,
     build_protocol,
+    load_sequence,
     load_split,
     protocol_class_names,
     save_split,
@@ -247,6 +251,50 @@ def test_manifest_validation():
         DatasetManifest(
             records=[], class_table=["a"], child_percentage={"zz": 1.0}
         )
+
+
+def record_entry(**overrides):
+    entry = {"sample_id": "s1", "class_name": "a", "performer": "child",
+             "keypoint_path": "/data/s1", "image_size": [640, 480], "fps": 30.0}
+    entry.update(overrides)
+    return entry
+
+
+def test_relative_keypoint_paths_resolve_against_the_manifest(
+        tmp_path, monkeypatch):
+    data = tmp_path / "data"
+    write_frames(data / "keypoints" / "s1", [[]])
+    doc = {"classes": ["a"], "layout": COCO18,
+           "records": [record_entry(keypoint_path="keypoints/s1"),
+                       record_entry(sample_id="s2", keypoint_path="/abs/s2")]}
+    (data / "manifest.json").write_text(json.dumps(doc))
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    monkeypatch.chdir(elsewhere)
+    manifest = DatasetManifest.load("../data/manifest.json")
+    first, second = manifest.records
+    assert first.keypoint_path == "../data/keypoints/s1"
+    assert second.keypoint_path == "/abs/s2"
+    assert load_sequence(first, COCO18, target_frames=1).frame_count == 1
+
+
+def test_manifest_rejects_bad_image_size_and_fps(tmp_path):
+    path = tmp_path / "manifest.json"
+    cases = [({"image_size": [0, -1]}, "image_size"),
+             ({"image_size": [640]}, "image_size"),
+             ({"image_size": [640, 480, 3]}, "image_size"),
+             ({"image_size": [640.5, 480]}, "image_size"),
+             ({"image_size": ["640", 480]}, "image_size"),
+             ({"image_size": [True, 480]}, "image_size"),
+             ({"fps": -3}, "fps"), ({"fps": 0}, "fps"),
+             ({"fps": float("nan")}, "fps")]
+    for overrides, name in cases:
+        doc = {"classes": ["a"], "records": [record_entry(**overrides)]}
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigurationError, match=rf"records\[s1\]\.{name}"):
+            DatasetManifest.load(path)
+    path.write_text(json.dumps({"classes": ["a"], "records": [record_entry()]}))
+    assert DatasetManifest.load(path).records[0].image_size == (640, 480)
 
 
 def test_label_index_lookup():

@@ -6,7 +6,6 @@ from skelact import (
     ConfigurationError,
     SkeletonSequence,
     UndefinedCorrelationError,
-    box_whisker_by_class,
     classwise_table,
     confidence_interval,
     confusion_matrix,
@@ -291,11 +290,3 @@ def test_five_number_summary_validation():
     with pytest.raises(ConfigurationError):
         five_number_summary(np.ones((2, 3)))
 
-
-def test_box_whisker_by_class():
-    samples = {"a": [1.0, 2.0, 3.0], "b": [4.0, 4.0]}
-    table = box_whisker_by_class(samples)
-    assert set(table) == {"a", "b"}
-    assert table["a"] == five_number_summary([1.0, 2.0, 3.0])
-    assert table["b"].median == 4.0
-    assert box_whisker_by_class({}) == {}

@@ -451,6 +451,18 @@ def test_model_config_validation():
     ModelConfig().validate()
 
 
+def test_network_and_model_config_share_one_option_check():
+    cases = [dict(in_channels=0), dict(person_pool="max"), dict(dropout=1.0),
+             dict(in_channels=2, zero_confidence=True), dict(channel_plan=()),
+             dict(channel_plan=((4, 0),))]
+    for options in cases:
+        with pytest.raises(ConfigurationError) as direct:
+            StgcnNetwork(small_adjacency(), 3, **options)
+        with pytest.raises(ConfigurationError) as configured:
+            ModelConfig(**options).validate()
+        assert str(configured.value) == "model." + str(direct.value)
+
+
 def test_meta_reports_the_structure():
     meta = small_net().meta()
     assert meta == {

@@ -18,7 +18,6 @@ from skelact import (
     partition_spatial,
     run_training,
     save_weights,
-    sgd_step,
     to_model_input,
     top_k_accuracy,
     train_loop,
@@ -121,7 +120,7 @@ def test_cross_entropy_validation():
 def test_sgd_step_moves_against_the_gradient():
     t = Tensor([1.0, 2.0], trainable=True)
     t.grad[...] = [2.0, -4.0]
-    sgd_step([t], 0.1)
+    SGD([t]).step(0.1)
     assert np.allclose(t.data, [0.8, 2.4])
     assert (t.grad == 0.0).all()
 
@@ -129,14 +128,14 @@ def test_sgd_step_moves_against_the_gradient():
 def test_sgd_step_zero_lr_is_a_no_op_that_clears_gradients():
     t = Tensor([1.0], trainable=True)
     t.grad[...] = 5.0
-    sgd_step([t], 0.0)
+    SGD([t]).step(0.0)
     assert t.data[0] == 1.0
     assert t.grad[0] == 0.0
 
 
 def test_sgd_step_rejects_negative_lr():
     with pytest.raises(ConfigurationError):
-        sgd_step([Tensor([1.0], trainable=True)], -0.1)
+        SGD([Tensor([1.0], trainable=True)]).step(-0.1)
     opt = SGD([Tensor([1.0], trainable=True)])
     with pytest.raises(ConfigurationError):
         opt.step(-1e-9)
@@ -180,17 +179,28 @@ def test_sgd_validation():
         SGD([t], weight_decay=-0.01)
 
 
+def test_sgd_and_train_config_share_one_option_check():
+    for options in (dict(momentum=1.0), dict(momentum=-0.1),
+                    dict(weight_decay=-0.01)):
+        with pytest.raises(ConfigurationError) as direct:
+            SGD([Tensor([1.0], trainable=True)], **options)
+        with pytest.raises(ConfigurationError) as configured:
+            TrainConfig(**options).validate()
+        assert str(configured.value) == "train." + str(direct.value)
+
+
 def test_five_fixed_batch_steps_strictly_reduce_the_loss():
     net = tiny_net(seed=1)
     pairs = motion_dataset(3, 12, 5, seed=5)
     batch = np.stack([to_model_input(s) for s, _ in pairs])
     labels = np.array([l for _, l in pairs])
+    optimizer = SGD(net.parameters())
     losses = []
     for _ in range(5):
         logits = net.forward(batch, training=True)
         loss, grad = cross_entropy(logits.data, labels)
         net.backward(grad)
-        sgd_step(net.parameters(), 1e-3)
+        optimizer.step(1e-3)
         losses.append(loss)
     assert all(b < a for a, b in zip(losses, losses[1:]))
 
