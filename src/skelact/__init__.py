@@ -9,6 +9,7 @@ from .errors import (
     InsufficientDataError,
     KeypointParseError,
     LayoutMismatchError,
+    NonFiniteError,
     SkelactError,
     StateError,
     UndefinedCorrelationError,

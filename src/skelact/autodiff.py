@@ -7,10 +7,12 @@ the network actually needs exist here, each with an exact analytic
 gradient; there is no graph optimization, no dtype besides float64, and no
 in-place arithmetic on tracked values.
 
-Gradients accumulate into ``Tensor.grad`` buffers. Leaf tensors marked
-non-trainable (inputs, adjacency constants, frozen weights) keep their
-gradient buffer at zero: backward skips them, which is both the freezing
-semantics and a small saving.
+Leaf gradients accumulate into ``Tensor.grad`` buffers. Leaf tensors
+marked non-trainable (inputs, adjacency constants, frozen weights) keep
+their gradient buffer at zero: backward skips them, which is both the
+freezing semantics and a small saving. An interior node's ``grad`` is
+``None`` except while ``backward`` runs: it is set when the first
+contribution arrives and dropped once the node has passed it on.
 """
 from __future__ import annotations
 
@@ -22,13 +24,12 @@ from .errors import ConfigurationError, StateError
 class Tensor:
     """A float64 array plus gradient buffer and autodiff bookkeeping."""
 
-    __slots__ = ("data", "grad", "trainable", "name", "_parents", "_backward_fn")
+    __slots__ = ("data", "grad", "trainable", "_parents", "_backward_fn")
 
-    def __init__(self, data, trainable=False, name=None, parents=(), backward_fn=None):
+    def __init__(self, data, trainable=False, parents=(), backward_fn=None):
         self.data = np.asarray(data, dtype=np.float64)
-        self.grad = np.zeros_like(self.data)
+        self.grad = None if parents else np.zeros_like(self.data)
         self.trainable = bool(trainable)
-        self.name = name
         self._parents = tuple(parents)
         self._backward_fn = backward_fn
 
@@ -64,19 +65,14 @@ class Tensor:
             )
 
         order = _topological_order(self)
-        # Interior gradients are scratch space for this pass; stale values
-        # from an earlier backward call must not feed the chain again.
-        for node in order:
-            if not node.is_leaf:
-                node.grad[...] = 0.0
         _accumulate(self, grad)
         for node in order:
             if node._backward_fn is not None:
                 node._backward_fn(node.grad)
+                node.grad = None
 
     def __repr__(self) -> str:
-        tag = f" {self.name!r}" if self.name else ""
-        return f"Tensor{tag}(shape={self.data.shape}, trainable={self.trainable})"
+        return f"Tensor(shape={self.data.shape}, trainable={self.trainable})"
 
 
 def _topological_order(root: Tensor) -> list[Tensor]:
@@ -103,9 +99,16 @@ def _topological_order(root: Tensor) -> list[Tensor]:
 def _accumulate(tensor: Tensor, grad: np.ndarray) -> None:
     # Frozen leaves take no gradient; interior nodes always do, or the
     # chain would break.
-    if tensor.is_leaf and not tensor.trainable:
+    if tensor.is_leaf:
+        if tensor.trainable:
+            tensor.grad += grad
         return
-    tensor.grad += grad
+    # Never add in place: ``add`` hands one array to both parents and
+    # ``reshape``/``transpose`` hand on views. Strided gradients are made
+    # C-contiguous, since numpy reductions round differently on them.
+    if tensor.grad is not None:
+        grad = tensor.grad + grad
+    tensor.grad = np.require(grad, requirements="C")
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:

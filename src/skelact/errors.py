@@ -42,7 +42,11 @@ class CheckpointError(SkelactError):
 
 
 class StateError(SkelactError):
-    """An operation was called out of order, e.g. backward before forward."""
+    """A call does not fit its object, e.g. an unseeded backward on a vector."""
+
+
+class NonFiniteError(SkelactError):
+    """Training produced a NaN or infinite loss or gradient."""
 
 
 class UndefinedCorrelationError(SkelactError):

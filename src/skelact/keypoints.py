@@ -117,11 +117,8 @@ class PersonSkeleton:
 
     def mean_confidence(self) -> float:
         """Mean confidence over visible joints; 0.0 when none are visible."""
-        conf = self.joints[:, 2]
-        mask = conf > 0.0
-        if not mask.any():
-            return 0.0
-        return float(conf[mask].mean())
+        mask = self.visible_mask()
+        return float(self.joints[mask, 2].mean()) if mask.any() else 0.0
 
 
 def parse_keypoint_frame(data: bytes, layout: str) -> list[PersonSkeleton]:

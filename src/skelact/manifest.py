@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -93,10 +94,14 @@ class DatasetManifest:
                     f"records[{record.sample_id}].image_size: expected two "
                     f"positive integers, got {record.image_size!r}"
                 )
-            if not 0.0 < record.fps < math.inf:
+            fps = record.fps
+            if isinstance(fps, bool) or not isinstance(fps, (int, float)):
                 raise ConfigurationError(
-                    f"records[{record.sample_id}].fps: must be positive, "
-                    f"got {record.fps}"
+                    f"records[{record.sample_id}].fps: expected a number, got {fps!r}"
+                )
+            if not 0.0 < fps < math.inf:
+                raise ConfigurationError(
+                    f"records[{record.sample_id}].fps: must be positive, got {fps}"
                 )
         if self.child_percentage is not None:
             for name in self.child_percentage:
@@ -132,6 +137,9 @@ class DatasetManifest:
         return 100.0 * children / len(members)
 
     def save(self, path: str | Path) -> None:
+        """Write the manifest as JSON, with relative keypoint paths rewritten
+        to resolve from the directory of ``path``."""
+        base = Path(path).parent
         doc = {
             "layout": self.layout,
             "classes": list(self.class_table),
@@ -140,7 +148,10 @@ class DatasetManifest:
                     "sample_id": r.sample_id,
                     "class_name": r.class_name,
                     "performer": r.performer,
-                    "keypoint_path": r.keypoint_path,
+                    "keypoint_path": (
+                        r.keypoint_path if Path(r.keypoint_path).is_absolute()
+                        else os.path.relpath(r.keypoint_path, base)
+                    ),
                     "image_size": list(r.image_size),
                     "fps": r.fps,
                 }
@@ -170,7 +181,7 @@ class DatasetManifest:
                         base, str(entry["keypoint_path"])
                     ),
                     image_size=tuple(entry["image_size"]),
-                    fps=float(entry.get("fps", 30.0)),
+                    fps=entry.get("fps", 30.0),
                 )
                 for entry in doc.get("records", [])
             ]

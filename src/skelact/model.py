@@ -23,7 +23,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import CheckpointError, ConfigurationError, StateError
+from .errors import CheckpointError, ConfigurationError
 from .graph import PartitionedAdjacency, build_graph, partition_spatial
 from .keypoints import COCO18
 
@@ -45,6 +45,12 @@ CHECKPOINT_FORMAT = 1
 # shape disagrees, so a head trained for another class count can be
 # replaced by a fresh one.
 HEAD_ARRAYS = ("fc.weight", "fc.bias")
+
+
+def check_mode(mode, prefix="") -> None:
+    """Validate a transfer mode; messages start with ``prefix``."""
+    if mode not in MODES:
+        raise ConfigurationError(f"{prefix}mode: expected one of {MODES}, got {mode!r}")
 
 
 def _check_network_options(
@@ -88,8 +94,9 @@ class BatchNorm:
     with the given momentum); evaluation uses the running statistics, so a
     sample's output does not depend on what it is batched with. With
     ``track_stats`` off the layer always normalizes with batch statistics
-    and never updates anything, a fallback for tiny runs. A frozen layer
-    always uses its running statistics and never updates them.
+    and never updates anything, a fallback for tiny runs. A frozen layer,
+    one whose ``gamma`` is not trainable, always uses its running
+    statistics and never updates them.
     """
 
     def __init__(self, channels: int, momentum: float = 0.1, eps: float = 1e-5,
@@ -101,7 +108,10 @@ class BatchNorm:
         self.momentum = momentum
         self.eps = eps
         self.track_stats = track_stats
-        self.frozen = False
+
+    @property
+    def frozen(self) -> bool:
+        return not self.gamma.trainable
 
     def forward(self, x: Tensor, training: bool) -> Tensor:
         if self.frozen or (self.track_stats and not training):
@@ -120,14 +130,6 @@ class BatchNorm:
 
     def parameters(self) -> list[tuple[str, Tensor]]:
         return [("gamma", self.gamma), ("beta", self.beta)]
-
-    def state(self) -> list[tuple[str, np.ndarray]]:
-        return [
-            ("gamma", self.gamma.data),
-            ("beta", self.beta.data),
-            ("running_mean", self.running_mean),
-            ("running_var", self.running_var),
-        ]
 
 
 def spatial_graph_conv(
@@ -199,14 +201,12 @@ class StgcnBlock:
         self.bn2 = BatchNorm(out_channels, track_stats=track_stats)
         self.stride = stride
         self.dropout = dropout
+        self.res_weight = None
+        self.res_bn = None
         if not residual:
             self.residual = "none"
-            self.res_weight = None
-            self.res_bn = None
         elif in_channels == out_channels and stride == 1:
             self.residual = "identity"
-            self.res_weight = None
-            self.res_bn = None
         else:
             self.residual = "project"
             self.res_weight = Tensor(
@@ -271,9 +271,12 @@ class StgcnNetwork:
 
     Weight initialization draws from one seeded generator in construction
     order (blocks in order; within a block the partition weights, then the
-    projection weight if any, then the temporal kernel), so a seed pins
+    temporal kernel, then the projection weight if any), so a seed pins
     every initial value. Biases start at zero, edge masks at one, batch
     norm at identity.
+
+    The network keeps no graph: ``logits.backward(grad)`` runs the backward
+    pass, and the graph is freed when the caller drops ``logits``.
     """
 
     def __init__(
@@ -301,9 +304,6 @@ class StgcnNetwork:
         self.channel_plan = plan
         self.person_pool = person_pool
         self.zero_confidence = zero_confidence
-        self.dropout = dropout
-        self.track_stats = track_stats
-        self.seed = seed
         self.mode = "vanilla"
 
         self.adjacency = [
@@ -340,7 +340,6 @@ class StgcnNetwork:
         self.fc_bias = Tensor(np.zeros(num_classes), trainable=True)
         # Initialization is done; the rest of the stream feeds dropout.
         self._forward_rng = rng
-        self._last_output: Tensor | None = None
 
     def forward(
         self,
@@ -368,12 +367,10 @@ class StgcnNetwork:
 
         if rng is None:
             rng = self._forward_rng
-        h = Tensor(x)
-        h = ad.transpose(h, (0, 4, 1, 2, 3))
-        h = ad.reshape(h, (samples * slots, channels, frames, vertices))
-        # Normalize per joint-channel pair over the batch and time.
-        h = ad.transpose(h, (0, 3, 1, 2))
-        h = ad.reshape(h, (samples * slots, vertices * channels, frames, 1))
+        # Normalize per joint-channel pair over the batch and time. The
+        # input is a constant, so it is rearranged outside the graph.
+        h = Tensor(x.transpose(0, 4, 3, 1, 2).reshape(
+            samples * slots, vertices * channels, frames, 1))
         h = self.input_bn.forward(h, training)
         h = ad.reshape(h, (samples * slots, vertices, channels, frames))
         h = ad.transpose(h, (0, 2, 3, 1))
@@ -385,17 +382,9 @@ class StgcnNetwork:
             h = ad.mean(h, axes=(1,))
         else:
             h = ad.reduce_sum(h, axes=(1,))
-        logits = ad.add(ad.matmul_last(h, self.fc_weight), self.fc_bias)
-        self._last_output = logits
-        return logits
+        return ad.add(ad.matmul_last(h, self.fc_weight), self.fc_bias)
 
     __call__ = forward
-
-    def backward(self, grad: np.ndarray) -> None:
-        """Push a loss gradient through the most recent forward pass."""
-        if self._last_output is None:
-            raise StateError("backward() called before forward()")
-        self._last_output.backward(grad)
 
     def named_parameters(self) -> dict[str, Tensor]:
         named: dict[str, Tensor] = {}
@@ -410,9 +399,6 @@ class StgcnNetwork:
 
     def parameters(self) -> list[Tensor]:
         return list(self.named_parameters().values())
-
-    def trainable_parameters(self) -> list[Tensor]:
-        return [t for t in self.parameters() if t.trainable]
 
     def batch_norm_layers(self) -> list[tuple[str, BatchNorm]]:
         layers = [("input_bn", self.input_bn)]
@@ -436,29 +422,19 @@ class StgcnNetwork:
         return state
 
     def load_state_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        """Copy values into the network's arrays, matched by name."""
+        """Copy values into the network's arrays, matched by name.
+
+        Names and shapes must be ones ``state_arrays`` returns; a checkpoint
+        goes through ``load_weights``, which checks them.
+        """
         named = self.named_parameters()
         norms = dict(self.batch_norm_layers())
         for name, value in arrays.items():
-            value = np.asarray(value, dtype=np.float64)
             if name in named:
-                if named[name].data.shape != value.shape:
-                    raise CheckpointError(
-                        f"array {name} has shape {value.shape}, network "
-                        f"expects {named[name].data.shape}"
-                    )
                 named[name].data[...] = value
-                continue
-            layer_name, _, stat = name.rpartition(".")
-            if layer_name not in norms or stat not in ("running_mean", "running_var"):
-                raise CheckpointError(f"unknown array {name!r}")
-            current = getattr(norms[layer_name], stat)
-            if current.shape != value.shape:
-                raise CheckpointError(
-                    f"array {name} has shape {value.shape}, network "
-                    f"expects {current.shape}"
-                )
-            setattr(norms[layer_name], stat, value.copy())
+            else:
+                layer_name, _, stat = name.rpartition(".")
+                setattr(norms[layer_name], stat, np.array(value, dtype=np.float64))
 
     def meta(self) -> dict:
         return {
@@ -482,10 +458,7 @@ def set_trainable(net: StgcnNetwork, mode: str) -> None:
     whose parameters are frozen also stop updating their running
     statistics and always normalize with them.
     """
-    if mode not in MODES:
-        raise ConfigurationError(
-            f"mode: expected one of {MODES}, got {mode!r}"
-        )
+    check_mode(mode)
     if mode in ("vanilla", "propagation"):
         prefixes: tuple[str, ...] | None = None
     elif mode == "fine_tune":
@@ -494,8 +467,6 @@ def set_trainable(net: StgcnNetwork, mode: str) -> None:
         prefixes = ("fc.",)
     for name, tensor in net.named_parameters().items():
         tensor.trainable = prefixes is None or name.startswith(prefixes)
-    for _, bn in net.batch_norm_layers():
-        bn.frozen = not bn.gamma.trainable
     net.mode = mode
 
 

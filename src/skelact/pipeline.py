@@ -156,6 +156,20 @@ def pad_sequence(seq: SkeletonSequence, target_frames: int) -> SkeletonSequence:
 PAD_POSITIONS = ("tail", "head")
 
 
+def _check_pad_position(pad_position, name="pad_position") -> None:
+    if pad_position not in PAD_POSITIONS:
+        raise ConfigurationError(
+            f"{name}: expected one of {PAD_POSITIONS}, got {pad_position!r}"
+        )
+
+
+def _check_drop_rate(drop_rate, prefix="") -> None:
+    if not 0.0 <= drop_rate < 1.0:
+        raise ConfigurationError(
+            f"{prefix}drop_rate: must lie in [0, 1), got {drop_rate}"
+        )
+
+
 def random_frame_window(
     seq: SkeletonSequence,
     window: int,
@@ -169,10 +183,7 @@ def random_frame_window(
     remainder zero-padded (or to the back with ``pad_position="head"``).
     """
     total = seq.frame_count
-    if pad_position not in PAD_POSITIONS:
-        raise ConfigurationError(
-            f"pad_position: expected one of {PAD_POSITIONS}, got {pad_position!r}"
-        )
+    _check_pad_position(pad_position)
     if not 1 <= window <= total:
         raise WindowError(
             f"window: need 1 <= window <= {total} frames, got {window}"
@@ -276,10 +287,7 @@ def subsample_frames(
     empty frames so the length never changes. A drop rate of zero keeps
     the sequence identical.
     """
-    if not 0.0 <= drop_rate < 1.0:
-        raise ConfigurationError(
-            f"drop_rate: must lie in [0, 1), got {drop_rate}"
-        )
+    _check_drop_rate(drop_rate)
     keep = rng.random(seq.frame_count) >= drop_rate
     data = np.zeros_like(seq.data)
     survivors = seq.data[keep]
@@ -305,16 +313,9 @@ class AugmentConfig:
     def validate(self) -> None:
         if self.window_size < 1:
             raise ConfigurationError("augment.window_size: must be positive")
-        if self.window_pad_position not in PAD_POSITIONS:
-            raise ConfigurationError(
-                "augment.window_pad_position: expected one of "
-                f"{PAD_POSITIONS}, got {self.window_pad_position!r}"
-            )
+        _check_pad_position(self.window_pad_position, "augment.window_pad_position")
         self.move_params.validate()
-        if not 0.0 <= self.drop_rate < 1.0:
-            raise ConfigurationError(
-                f"augment.drop_rate: must lie in [0, 1), got {self.drop_rate}"
-            )
+        _check_drop_rate(self.drop_rate, prefix="augment.")
 
 
 def split_rng(rng: np.random.Generator, count: int) -> list[np.random.Generator]:
@@ -339,9 +340,9 @@ def augment_combined(
     one child generator derived from ``rng`` whether or not the stage is
     enabled, so enabling one stage never shifts the draws of another.
     Outside training, or with everything disabled, the input is returned
-    unchanged (as a copy).
+    unchanged (as a copy). The config is not validated here; each stage
+    checks its own arguments.
     """
-    config.validate()
     if not training or not config.enabled():
         return seq.copy()
     window_rng, move_rng, subsample_rng = split_rng(rng, 3)
@@ -355,6 +356,4 @@ def augment_combined(
         out = random_move(out, config.move_params, move_rng)
     if config.subsample:
         out = subsample_frames(out, config.drop_rate, subsample_rng)
-    if out is seq:
-        out = seq.copy()
     return out

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, EmptySequenceError, LayoutMismatchError
+from .errors import EmptySequenceError, LayoutMismatchError
 from .keypoints import (
     BODY25,
     BODY25_NO_FEET,
@@ -65,9 +65,7 @@ class SkeletonSequence:
         return self.data[..., 2] > 0.0
 
     def copy(self) -> "SkeletonSequence":
-        return SkeletonSequence(
-            self.data.copy(), self.layout, tuple(self.image_size), self.fps
-        )
+        return self.replace_data(self.data.copy())
 
     def replace_data(self, data: np.ndarray) -> "SkeletonSequence":
         """New sequence with the same metadata but different frames."""
@@ -134,8 +132,6 @@ def load_sequence(
         image_size = tuple(source.image_size)
         fps = source.fps
         source = source.keypoint_path
-    if person_slots < 1:
-        raise ConfigurationError("person_slots: must be at least 1")
     directory = Path(source)
     if not directory.is_dir():
         raise EmptySequenceError(f"{directory} is not a directory")

@@ -8,14 +8,15 @@ batch size nor evaluation order can shift anything.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, NonFiniteError
 from .manifest import DatasetManifest, ProtocolSplit
 from .metrics import check_logits, top_k_accuracy
-from .model import MODES, ModelConfig, StgcnNetwork, load_weights, set_trainable
+from .model import ModelConfig, StgcnNetwork, check_mode, load_weights, set_trainable
 from .pipeline import AugmentConfig, augment_combined, normalize_centralize, track
 from .sequence import (
     SkeletonSequence,
@@ -52,10 +53,7 @@ class TrainConfig:
     augmentation: AugmentConfig = field(default_factory=AugmentConfig)
 
     def validate(self) -> None:
-        if self.mode not in MODES:
-            raise ConfigurationError(
-                f"train.mode: expected one of {MODES}, got {self.mode!r}"
-            )
+        check_mode(self.mode, prefix="train.")
         if not self.base_lr > 0.0:
             raise ConfigurationError(
                 f"train.base_lr: must be positive, got {self.base_lr}"
@@ -258,6 +256,17 @@ class TrainHistory:
         return "\n".join(lines) + "\n"
 
 
+def _check_finite(loss: float, net: StgcnNetwork, epoch: int, batch: int) -> None:
+    """Fail before the optimizer step if the loss or a gradient is not finite."""
+    if not math.isfinite(loss):
+        raise NonFiniteError(f"epoch {epoch}, batch {batch}: loss is {loss}")
+    for name, tensor in net.named_parameters().items():
+        if tensor.trainable and not np.isfinite(tensor.grad).all():
+            raise NonFiniteError(
+                f"epoch {epoch}, batch {batch}: gradient of {name} is not finite"
+            )
+
+
 def train_loop(
     net: StgcnNetwork,
     train_dataset: SequenceDataset,
@@ -270,7 +279,9 @@ def train_loop(
     The weights with the best test accuracy seen so far are snapshotted
     into the history (ties keep the earlier epoch). ``stop_when``, if
     given, sees the history after each epoch and may end training early.
-    The network is left in its final state, not the best one.
+    The network is left in its final state, not the best one. A NaN or
+    infinite loss or gradient raises ``NonFiniteError`` before the step
+    that would apply it.
     """
     config.validate()
     if len(train_dataset) == 0:
@@ -311,10 +322,13 @@ def train_loop(
             labels = train_dataset.labels[chosen]
             logits = net.forward(batch, training=True)
             loss, loss_grad = cross_entropy(logits.data, labels)
-            net.backward(loss_grad)
+            logits.backward(loss_grad)
+            hits += int((np.argmax(logits.data, axis=1) == labels).sum())
+            # The step's graph must be gone before the next forward builds.
+            del logits
+            _check_finite(loss, net, epoch, start // config.batch_size)
             optimizer.step(lr)
             loss_sum += loss * len(chosen)
-            hits += int((np.argmax(logits.data, axis=1) == labels).sum())
         test_top1, _ = evaluate(net, test_dataset, config.batch_size)
         history.records.append(
             EpochRecord(epoch, lr, loss_sum / count, hits / count, test_top1)

@@ -88,7 +88,7 @@ def test_1_gradients_match_finite_differences(report):
 
     logits = net.forward(x, training=True)
     _, grad = cross_entropy(logits.data, labels)
-    net.backward(grad)
+    logits.backward(grad)
     named = net.named_parameters()
     worst = max(
         max_rel_err(tensor.grad, numeric_grad(loss_value, tensor, eps=1e-4))
@@ -191,7 +191,7 @@ def test_5_transfer_modes_freeze_exactly_the_documented_tensors(report):
         for _ in range(10):
             logits = net.forward(batch, training=True)
             _, grad = cross_entropy(logits.data, labels)
-            net.backward(grad)
+            logits.backward(grad)
             optimizer.step(0.01)
         changed = {name for name, tensor in net.named_parameters().items()
                    if not np.array_equal(before[name], tensor.data)}

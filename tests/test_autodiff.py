@@ -79,7 +79,9 @@ def test_repeated_backward_accumulates():
     x = Tensor(2.0, trainable=True)
     y = mul(x, x)
     y.backward()
+    assert y.grad is None
     y.backward()
+    assert y.grad is None
     assert x.grad == pytest.approx(8.0)
     x.zero_grad()
     assert x.grad == 0.0

@@ -112,6 +112,16 @@ def test_prepare_bad_manifest_values_exit_2(workspace, capsys):
     assert ".fps: must be positive" in capsys.readouterr().err
 
 
+def test_prepare_non_number_fps_exits_2(workspace, capsys):
+    doc = json.loads((workspace / "data" / "manifest.json").read_text())
+    doc["records"][0]["fps"] = "30"
+    bad = workspace / "string_fps_manifest.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["prepare", "--manifest", str(bad), "--protocol", "KS-Full",
+                 "--out", str(workspace / "x")]) == 2
+    assert ".fps: expected a number, got '30'" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------- train
 
 def test_train_writes_checkpoint_and_history(workspace, capsys):
@@ -160,6 +170,20 @@ def test_train_transfer_mode_without_checkpoint_exits_2(workspace, capsys):
                  "--split", str(workspace / "split"),
                  "--out", str(workspace / "x")]) == 2
     assert "source_checkpoint" in capsys.readouterr().err
+
+
+def test_train_divergence_exits_3_and_writes_nothing(workspace, capsys):
+    doc = json.loads((workspace / "run.json").read_text())
+    doc["train"]["base_lr"] = 1e300
+    config = workspace / "diverge.json"
+    config.write_text(json.dumps(doc))
+    with np.errstate(all="ignore"):
+        code = main(["train", "--config", str(config),
+                     "--split", str(workspace / "split"),
+                     "--out", str(workspace / "diverged")])
+    assert code == 3
+    assert "epoch 0, batch 1: gradient of" in capsys.readouterr().err
+    assert not (workspace / "diverged" / "checkpoint.ckpt").exists()
 
 
 # ----------------------------------------------------------------------- eval

@@ -297,6 +297,35 @@ def test_manifest_rejects_bad_image_size_and_fps(tmp_path):
     assert DatasetManifest.load(path).records[0].image_size == (640, 480)
 
 
+def test_manifest_rejects_a_non_number_fps(tmp_path):
+    path = tmp_path / "manifest.json"
+    for fps in ["30", True, None, [30]]:
+        doc = {"classes": ["a"], "records": [record_entry(fps=fps)]}
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigurationError,
+                           match=r"records\[s1\]\.fps: expected a number"):
+            DatasetManifest.load(path)
+
+
+def test_saved_relative_keypoint_paths_resolve_from_the_new_file(
+        tmp_path, monkeypatch):
+    data = tmp_path / "data"
+    write_frames(data / "keypoints" / "s1", [[]])
+    doc = {"classes": ["a"], "layout": COCO18,
+           "records": [record_entry(keypoint_path="keypoints/s1"),
+                       record_entry(sample_id="s2", keypoint_path="/abs/s2")]}
+    (data / "manifest.json").write_text(json.dumps(doc))
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    monkeypatch.chdir(elsewhere)
+    (data / "sub").mkdir()
+    DatasetManifest.load("../data/manifest.json").save("../data/sub/copy.json")
+    first, second = DatasetManifest.load("../data/sub/copy.json").records
+    assert (elsewhere / first.keypoint_path).resolve() == data / "keypoints" / "s1"
+    assert second.keypoint_path == "/abs/s2"
+    assert load_sequence(first, COCO18, target_frames=1).frame_count == 1
+
+
 def test_label_index_lookup():
     manifest = DatasetManifest(records=[], class_table=["x", "y"])
     assert manifest.label_index("y") == 1

@@ -1,6 +1,7 @@
 """Network assembly, forward pass, transfer modes, checkpoints."""
 import json
 import struct
+import weakref
 
 import numpy as np
 import pytest
@@ -10,13 +11,15 @@ from skelact import (
     CheckpointError,
     ConfigurationError,
     ModelConfig,
-    StateError,
+    SequenceDataset,
+    TrainConfig,
     build_graph,
     load_weights,
     partition_spatial,
     read_checkpoint,
     save_weights,
     set_trainable,
+    train_loop,
 )
 from skelact.autodiff import Tensor, mul, reduce_sum
 from skelact.model import (
@@ -25,7 +28,7 @@ from skelact.model import (
     StgcnNetwork,
     spatial_graph_conv,
 )
-from helpers import max_rel_err, numeric_grad, path_graph
+from helpers import max_rel_err, motion_dataset, numeric_grad, path_graph
 
 
 PLAN = ((4, 1), (8, 2))
@@ -222,14 +225,36 @@ def test_zero_confidence_blinds_the_third_channel():
 
 def test_backward_needs_a_forward_first():
     net = small_net()
-    with pytest.raises(StateError):
-        net.backward(np.ones((2, 3)))
     logits = net.forward(small_input(np.random.default_rng(7)), training=True)
-    net.backward(np.ones(logits.shape))
+    logits.backward(np.ones(logits.shape))
     fc = net.named_parameters()["fc.weight"]
     assert not (fc.grad == 0.0).all()
     net.zero_grad()
     assert (fc.grad == 0.0).all()
+
+
+def test_previous_step_graph_is_gone_when_the_next_training_forward_starts():
+    # Tensor has __slots__ and takes no weak reference; its data array does,
+    # and only the logits tensor, the root of the step's graph, holds it.
+    net = small_net()
+    forward = net.forward
+    previous = []
+    still_alive = []
+
+    def watched(x, training=False, rng=None):
+        if training and previous:
+            still_alive.append(previous[-1]() is not None)
+        logits = forward(x, training, rng)
+        if training:
+            previous.append(weakref.ref(logits.data))
+        return logits
+
+    net.forward = watched
+    pairs = motion_dataset(2, 8, 5, seed=4)
+    data = SequenceDataset([s for s, _ in pairs], [l for _, l in pairs])
+    train_loop(net, data, data, TrainConfig(batch_size=2, epochs=2))
+    assert len(still_alive) == 5
+    assert not any(still_alive)
 
 
 def test_training_updates_running_stats_and_eval_does_not():

@@ -9,6 +9,7 @@ from skelact import (
     ConfigurationError,
     DatasetManifest,
     ModelConfig,
+    NonFiniteError,
     ProtocolSplit,
     SequenceDataset,
     TrainConfig,
@@ -199,7 +200,7 @@ def test_five_fixed_batch_steps_strictly_reduce_the_loss():
     for _ in range(5):
         logits = net.forward(batch, training=True)
         loss, grad = cross_entropy(logits.data, labels)
-        net.backward(grad)
+        logits.backward(grad)
         optimizer.step(1e-3)
         losses.append(loss)
     assert all(b < a for a, b in zip(losses, losses[1:]))
@@ -343,6 +344,29 @@ def test_train_loop_stop_when_ends_early():
                          loop_config(epochs=10),
                          stop_when=lambda h: len(h.records) == 2)
     assert len(history.records) == 2
+
+
+def test_train_loop_fails_on_non_finite_values_before_any_weight_moves():
+    train, test = tiny_datasets()
+    # ReLU maps NaN to zero, so NaN inputs give finite logits and loss; only
+    # the gradients upstream of the first ReLU carry the NaN.
+    poisoned = SequenceDataset(
+        [s.replace_data(np.full_like(s.data, np.nan)) for s in train.sequences],
+        train.labels)
+    net = tiny_net()
+    before = {n: t.data.copy() for n, t in net.named_parameters().items()}
+    with np.errstate(all="ignore"), pytest.raises(
+            NonFiniteError,
+            match=r"^epoch 0, batch 0: gradient of input_bn\.gamma is not finite$"):
+        train_loop(net, poisoned, test, loop_config())
+    for name, tensor in net.named_parameters().items():
+        assert np.array_equal(tensor.data, before[name]), name
+
+    net = tiny_net()
+    net.fc_bias.data[0] = np.inf
+    with np.errstate(all="ignore"), pytest.raises(
+            NonFiniteError, match=r"^epoch 0, batch 0: loss is nan$"):
+        train_loop(net, train, test, loop_config())
 
 
 def test_train_loop_with_augmentation_is_deterministic():
