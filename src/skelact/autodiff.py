@@ -152,9 +152,10 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def relu(x: Tensor) -> Tensor:
+    """max(x, 0); NaN passes through, so a non-finite input stays visible."""
     x = _as_tensor(x)
     mask = x.data > 0.0
-    out_data = np.where(mask, x.data, 0.0)
+    out_data = np.where(x.data <= 0.0, 0.0, x.data)
 
     def backward_fn(grad):
         _accumulate(x, grad * mask)
@@ -240,12 +241,15 @@ def temporal_subsample(x: Tensor, stride: int) -> Tensor:
     return Tensor(out_data, parents=(x,), backward_fn=backward_fn)
 
 
-def temporal_conv(x: Tensor, kernel: Tensor, stride: int = 1) -> Tensor:
+def temporal_conv(
+    x: Tensor, kernel: Tensor, stride: int = 1, bias: Tensor | None = None
+) -> Tensor:
     """Depthwise convolution over the frame axis of a (B, C, T, V) tensor.
 
     ``kernel`` has shape (C, K) with K odd; the input is zero padded by
     (K - 1) / 2 on both sides, so with stride 1 the frame count is
-    preserved and with stride s it becomes ceil(T / s).
+    preserved and with stride s it becomes ceil(T / s). ``bias`` (C,), if
+    given, is added per channel.
     """
     x, kernel = _as_tensor(x), _as_tensor(kernel)
     if x.data.ndim != 4:
@@ -271,8 +275,12 @@ def temporal_conv(x: Tensor, kernel: Tensor, stride: int = 1) -> Tensor:
     for tap in range(taps):
         segment = padded[:, :, tap:tap + span:stride, :]
         out_data += segment * kernel.data[None, :, tap, None, None]
+    if bias is not None:
+        out_data += bias.data[:, None, None]
 
     def backward_fn(grad):
+        if bias is not None:
+            _accumulate(bias, grad.sum(axis=(0, 2, 3)))
         grad_padded = np.zeros_like(padded)
         grad_kernel = np.zeros_like(kernel.data)
         for tap in range(taps):
@@ -284,7 +292,108 @@ def temporal_conv(x: Tensor, kernel: Tensor, stride: int = 1) -> Tensor:
         _accumulate(kernel, grad_kernel)
         _accumulate(x, grad_padded[:, :, pad:pad + frames, :])
 
-    return Tensor(out_data, parents=(x, kernel), backward_fn=backward_fn)
+    parents = (x, kernel) if bias is None else (x, kernel, bias)
+    return Tensor(out_data, parents=parents, backward_fn=backward_fn)
+
+
+def _batch_outer(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """sum_b left[b] @ right[b].T, without a (B, M, P) intermediate."""
+    total = left[0] @ right[0].T
+    for b in range(1, left.shape[0]):
+        total += left[b] @ right[b].T
+    return total
+
+
+def graph_conv(
+    x: Tensor,
+    adjacency: list[Tensor],
+    weights: list[Tensor],
+    masks: list[Tensor],
+    bias: Tensor | None = None,
+) -> Tensor:
+    """Spatial graph convolution over the joint axis of a (B, C, T, V) tensor.
+
+    Partition k aggregates the input over joints with the gated adjacency
+    ``A_k * M_k`` (V, V) and mixes channels with ``W_k`` (C, D); the
+    partitions are summed and ``bias`` (D,), if given, is added:
+
+        y[b, d, t, w] = sum_k sum_v sum_c x[b, c, t, v] (A_k * M_k)[v, w] W_k[c, d]
+
+    One matmul per partition fills a (B, K, C, T, V) aggregate, then one
+    batched GEMM with the stacked (K·C, D) weight writes the output, so no
+    activation is transposed. Aggregating before mixing is the cheaper
+    order while C <= D. The backward pass contracts against the saved
+    aggregate.
+    """
+    x = _as_tensor(x)
+    partitions = len(adjacency)
+    if not partitions == len(weights) == len(masks):
+        raise ConfigurationError(
+            "adjacency, weights and edge_importance must have equal length"
+        )
+    if x.data.ndim != 4:
+        raise ConfigurationError("graph_conv expects a (B, C, T, V) input")
+    batch, channels, frames, vertices = x.data.shape
+    gated = [a.data * m.data for a, m in zip(adjacency, masks)]
+    stacked = np.stack([w.data for w in weights]).reshape(partitions * channels, -1)
+    out_channels = stacked.shape[1]
+
+    # Row block k of a sample's (K·C, T·V) aggregate holds x[b] @ gated[k].
+    columns = x.data.reshape(batch, channels * frames, vertices)
+    aggregated = np.empty((batch, partitions, channels * frames, vertices))
+    for k in range(partitions):
+        np.matmul(columns, gated[k], out=aggregated[:, k])
+    aggregated = aggregated.reshape(batch, partitions * channels, frames * vertices)
+    out_data = np.matmul(stacked.T, aggregated)
+    out_data = out_data.reshape(batch, out_channels, frames, vertices)
+    if bias is not None:
+        out_data += bias.data[:, None, None]
+
+    def backward_fn(grad):
+        if bias is not None:
+            _accumulate(bias, grad.sum(axis=(0, 2, 3)))
+        grad_flat = grad.reshape(batch, out_channels, frames * vertices)
+        grad_stacked = _batch_outer(aggregated, grad_flat)
+        grad_aggregated = np.matmul(stacked, grad_flat).reshape(
+            batch, partitions, channels * frames, vertices
+        )
+        grad_columns = np.zeros_like(columns)
+        for k in range(partitions):
+            slab = grad_aggregated[:, k]
+            grad_columns += slab @ gated[k].T
+            grad_gated = _batch_outer(
+                columns.transpose(0, 2, 1), slab.transpose(0, 2, 1)
+            )
+            _accumulate(weights[k], grad_stacked[k * channels:(k + 1) * channels])
+            _accumulate(masks[k], grad_gated * adjacency[k].data)
+            _accumulate(adjacency[k], grad_gated * masks[k].data)
+        _accumulate(x, grad_columns.reshape(x.data.shape))
+
+    parents = (x, *adjacency, *weights, *masks) + (() if bias is None else (bias,))
+    return Tensor(out_data, parents=parents, backward_fn=backward_fn)
+
+
+def pointwise_conv(x: Tensor, weight: Tensor) -> Tensor:
+    """Mix the channels of a (B, C, T, V) tensor with a (C, D) weight.
+
+    A 1x1 convolution without bias: ``W.T @ x[b]`` on each sample's
+    (C, T·V) matrix, so the output is (B, D, T, V) with no transpose.
+    """
+    x, weight = _as_tensor(x), _as_tensor(weight)
+    if x.data.ndim != 4 or weight.data.ndim != 2:
+        raise ConfigurationError(
+            "pointwise_conv needs a (B, C, T, V) input and a 2D weight"
+        )
+    batch, channels, frames, vertices = x.data.shape
+    flat = x.data.reshape(batch, channels, frames * vertices)
+    out_data = np.matmul(weight.data.T, flat).reshape(batch, -1, frames, vertices)
+
+    def backward_fn(grad):
+        grad_flat = grad.reshape(batch, -1, frames * vertices)
+        _accumulate(weight, _batch_outer(flat, grad_flat))
+        _accumulate(x, np.matmul(weight.data, grad_flat).reshape(x.data.shape))
+
+    return Tensor(out_data, parents=(x, weight), backward_fn=backward_fn)
 
 
 _BN_AXES = (0, 2, 3)

@@ -46,7 +46,7 @@ class StateError(SkelactError):
 
 
 class NonFiniteError(SkelactError):
-    """Training produced a NaN or infinite loss or gradient."""
+    """A NaN or infinite loss, gradient or logit in training or evaluation."""
 
 
 class UndefinedCorrelationError(SkelactError):

@@ -146,21 +146,10 @@ def spatial_graph_conv(
     ``W_k``; the partition results are summed:
 
         y[b, d, t, w] = sum_k sum_v sum_c x[b, c, t, v] (A_k * M_k)[v, w] W_k[c, d]
+
+    The whole convolution, bias included, is one autodiff node.
     """
-    if not len(adjacency) == len(weights) == len(edge_importance):
-        raise ConfigurationError(
-            "adjacency, weights and edge_importance must have equal length"
-        )
-    out: Tensor | None = None
-    for a_k, w_k, m_k in zip(adjacency, weights, edge_importance):
-        aggregated = ad.matmul_last(x, ad.mul(a_k, m_k))
-        mixed = ad.transpose(aggregated, (0, 2, 3, 1))
-        mixed = ad.matmul_last(mixed, w_k)
-        mixed = ad.transpose(mixed, (0, 3, 1, 2))
-        out = mixed if out is None else ad.add(out, mixed)
-    if bias is not None:
-        out = ad.add(out, ad.reshape(bias, (1, -1, 1, 1)))
-    return out
+    return ad.graph_conv(x, adjacency, weights, edge_importance, bias)
 
 
 class StgcnBlock:
@@ -227,8 +216,7 @@ class StgcnBlock:
         )
         y = self.bn1.forward(y, training)
         y = ad.relu(y)
-        y = ad.temporal_conv(y, self.tcn_kernel, self.stride)
-        y = ad.add(y, ad.reshape(self.tcn_bias, (1, -1, 1, 1)))
+        y = ad.temporal_conv(y, self.tcn_kernel, self.stride, self.tcn_bias)
         y = self.bn2.forward(y, training)
         if training and self.dropout > 0.0:
             y = ad.dropout(y, self.dropout, rng)
@@ -236,9 +224,7 @@ class StgcnBlock:
             y = ad.add(y, x)
         elif self.residual == "project":
             shortcut = x if self.stride == 1 else ad.temporal_subsample(x, self.stride)
-            shortcut = ad.transpose(shortcut, (0, 2, 3, 1))
-            shortcut = ad.matmul_last(shortcut, self.res_weight)
-            shortcut = ad.transpose(shortcut, (0, 3, 1, 2))
+            shortcut = ad.pointwise_conv(shortcut, self.res_weight)
             shortcut = self.res_bn.forward(shortcut, training)
             y = ad.add(y, shortcut)
         return ad.relu(y)

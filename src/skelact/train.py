@@ -218,7 +218,10 @@ class SequenceDataset:
 def evaluate(
     net: StgcnNetwork, dataset: SequenceDataset, batch_size: int = 4
 ) -> tuple[float, np.ndarray]:
-    """Top-1 accuracy and the full logit matrix, in dataset order."""
+    """Top-1 accuracy and the full logit matrix, in dataset order.
+
+    A NaN or infinite logit raises ``NonFiniteError`` naming its batch.
+    """
     if len(dataset) == 0:
         raise ConfigurationError("cannot evaluate an empty dataset")
     logits = np.zeros((len(dataset), net.num_classes))
@@ -226,6 +229,10 @@ def evaluate(
         stop = min(start + batch_size, len(dataset))
         batch = np.stack([dataset.input(i) for i in range(start, stop)])
         logits[start:stop] = net.forward(batch, training=False).data
+        if not np.isfinite(logits[start:stop]).all():
+            raise NonFiniteError(
+                f"evaluation batch {start // batch_size}: logits are not finite"
+            )
     return top_k_accuracy(logits, dataset.labels, 1), logits
 
 

@@ -9,9 +9,11 @@ from skelact.autodiff import (
     batch_norm_batch,
     batch_norm_given,
     dropout,
+    graph_conv,
     matmul_last,
     mean,
     mul,
+    pointwise_conv,
     reduce_sum,
     relu,
     reshape,
@@ -162,6 +164,14 @@ def test_relu_forward_and_mask_gradient():
     assert np.array_equal(x.grad, [0.0, 0.0, 0.0, 1.0, 1.0])
 
 
+def test_relu_passes_nan_through_and_keeps_finite_bits():
+    x = np.array([np.nan, -np.inf, -1.0, -0.0, 0.0, 1e-300, 2.0, np.inf])
+    out = relu(Tensor(x)).data
+    assert np.isnan(out[0])
+    finite = ~np.isnan(x)
+    assert out[finite].tobytes() == np.where(x > 0, x, 0.0)[finite].tobytes()
+
+
 def test_relu_gradcheck_away_from_the_kink():
     rng = np.random.default_rng(2)
     x = Tensor(np.concatenate([rng.uniform(0.5, 1.5, 10),
@@ -294,6 +304,92 @@ def test_temporal_conv_validation():
         temporal_conv(Tensor(np.ones((3, 5, 4))), Tensor(np.ones((3, 3))))
     with pytest.raises(ConfigurationError):
         temporal_conv(x, Tensor(np.ones((3, 3))), stride=0)
+
+
+def test_temporal_conv_bias_is_added_per_channel():
+    rng = np.random.default_rng(16)
+    x = leaf(rng, (2, 3, 5, 4))
+    kernel = leaf(rng, (3, 3))
+    bias = leaf(rng, (3,))
+    plain = temporal_conv(x, kernel, stride=2)
+    biased = temporal_conv(x, kernel, stride=2, bias=bias)
+    assert np.array_equal(biased.data, plain.data + bias.data[None, :, None, None])
+
+    def build():
+        out = temporal_conv(x, kernel, stride=2, bias=bias)
+        return reduce_sum(mul(out, out), (0, 1, 2, 3))
+
+    check_grads(build, [x, kernel, bias])
+
+
+# ------------------------------------------------------------- channel mixing
+
+def graph_conv_operands(rng, c_in, c_out, partitions=3, vertices=5):
+    x = leaf(rng, (2, c_in, 3, vertices))
+    adjacency = [Tensor(rng.uniform(0.0, 1.0, (vertices, vertices)))
+                 for _ in range(partitions)]
+    weights = [leaf(rng, (c_in, c_out)) for _ in range(partitions)]
+    masks = [leaf(rng, (vertices, vertices), offset=1.0) for _ in range(partitions)]
+    return x, adjacency, weights, masks
+
+
+# test_model's spatial graph conv gradcheck covers C < D with a bias.
+@pytest.mark.parametrize("c_in,c_out,with_bias", [(4, 2, True), (3, 3, False)])
+def test_graph_conv_gradcheck(c_in, c_out, with_bias):
+    rng = np.random.default_rng(17)
+    x, adjacency, weights, masks = graph_conv_operands(rng, c_in, c_out)
+    bias = leaf(rng, (c_out,)) if with_bias else None
+
+    def build():
+        out = graph_conv(x, adjacency, weights, masks, bias)
+        return reduce_sum(mul(out, out), (0, 1, 2, 3))
+
+    tensors = [x, weights[0], weights[2], masks[0], masks[1]]
+    check_grads(build, tensors + ([bias] if with_bias else []))
+
+
+def test_graph_conv_frozen_weight_and_mask_keep_zero_gradients():
+    rng = np.random.default_rng(19)
+    x, adjacency, weights, masks = graph_conv_operands(rng, 2, 4)
+    weights[1].trainable = False
+    masks[2].trainable = False
+    out = graph_conv(x, adjacency, weights, masks)
+    out.backward(rng.uniform(-1.0, 1.0, out.shape))
+    assert (weights[1].grad == 0.0).all()
+    assert (masks[2].grad == 0.0).all()
+    assert all((t.grad == 0.0).all() for t in adjacency)
+    for tensor in (x, weights[0], weights[2], masks[0], masks[1]):
+        assert not (tensor.grad == 0.0).all()
+
+
+def test_graph_conv_rejects_a_non_4d_input():
+    rng = np.random.default_rng(20)
+    _, adjacency, weights, masks = graph_conv_operands(rng, 2, 4)
+    with pytest.raises(ConfigurationError):
+        graph_conv(Tensor(np.ones((2, 3, 5))), adjacency, weights, masks)
+
+
+def test_pointwise_conv_gradcheck():
+    rng = np.random.default_rng(21)
+    x = leaf(rng, (2, 3, 4, 5))
+    weight = leaf(rng, (3, 6))
+    out = pointwise_conv(x, weight)
+    assert out.shape == (2, 6, 4, 5)
+    assert np.allclose(out.data, np.einsum("bctv,cd->bdtv", x.data, weight.data),
+                       atol=1e-12)
+
+    def build():
+        out = pointwise_conv(x, weight)
+        return reduce_sum(mul(out, out), (0, 1, 2, 3))
+
+    check_grads(build, [x, weight])
+
+
+def test_pointwise_conv_validation():
+    with pytest.raises(ConfigurationError):
+        pointwise_conv(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((3, 2))))
+    with pytest.raises(ConfigurationError):
+        pointwise_conv(Tensor(np.ones((2, 3, 4, 5))), Tensor(np.ones(3)))
 
 
 # ----------------------------------------------------------------- batch norm

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from skelact import load_split
+from skelact import load_run_config, load_split, load_weights, save_weights
 from skelact.cli import main
 from helpers import build_manifest_tree
 
@@ -182,11 +182,29 @@ def test_train_divergence_exits_3_and_writes_nothing(workspace, capsys):
                      "--split", str(workspace / "split"),
                      "--out", str(workspace / "diverged")])
     assert code == 3
-    assert "epoch 0, batch 1: gradient of" in capsys.readouterr().err
+    assert "epoch 0, batch 1: loss is nan" in capsys.readouterr().err
     assert not (workspace / "diverged" / "checkpoint.ckpt").exists()
 
 
 # ----------------------------------------------------------------------- eval
+
+def test_eval_of_a_nan_checkpoint_exits_3_and_writes_no_scores(workspace, capsys):
+    config = load_run_config(workspace / "run.json")
+    net = config.model.build(3)
+    load_weights(net, workspace / "run1" / "checkpoint.ckpt")
+    net.named_parameters()["blocks.0.gcn_weight.0"].data[0, 0] = np.nan
+    poisoned = workspace / "nan.ckpt"
+    save_weights(net, poisoned)
+    with np.errstate(all="ignore"):
+        code = main(["eval", "--config", str(workspace / "run.json"),
+                     "--checkpoint", str(poisoned),
+                     "--split", str(workspace / "split"),
+                     "--out", str(workspace / "eval_nan")])
+    assert code == 3
+    assert "evaluation batch 0: logits are not finite" in capsys.readouterr().err
+    assert not (workspace / "eval_nan" / "predictions.csv").exists()
+    assert not (workspace / "eval_nan" / "metrics.csv").exists()
+
 
 def test_eval_outputs_are_internally_consistent(workspace):
     split = load_split(workspace / "split")

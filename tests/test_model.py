@@ -25,6 +25,7 @@ from skelact.autodiff import Tensor, mul, reduce_sum
 from skelact.model import (
     CHECKPOINT_MAGIC,
     DEFAULT_CHANNEL_PLAN,
+    StgcnBlock,
     StgcnNetwork,
     spatial_graph_conv,
 )
@@ -114,6 +115,54 @@ def test_spatial_graph_conv_length_mismatch():
     masks = [Tensor(np.ones((5, 5))) for _ in range(3)]
     with pytest.raises(ConfigurationError):
         spatial_graph_conv(x, adjacency, weights, masks)
+
+
+# ---------------------------------------------------------------------- blocks
+
+def small_block(in_channels, out_channels, stride, seed=0):
+    return StgcnBlock(in_channels, out_channels, 5, 3,
+                      np.random.default_rng(seed), stride=stride)
+
+
+def test_stride_two_projection_matches_a_loop_oracle():
+    block = small_block(3, 6, stride=2)
+    assert block.residual == "project"
+    # A zero bn2 silences the main path, so the block emits
+    # relu(res_bn(projection of every second frame)).
+    block.bn2.gamma.data[...] = 0.0
+    rng = np.random.default_rng(13)
+    x = rng.uniform(-1.0, 1.0, (2, 3, 7, 5))
+    adjacency = [Tensor(m) for m in small_adjacency().matrices]
+    out = block.forward(Tensor(x), adjacency, training=False, rng=None)
+
+    weight = block.res_weight.data
+    expected = np.zeros((2, 6, 4, 5))
+    for b in range(2):
+        for d in range(6):
+            for t in range(4):
+                for v in range(5):
+                    for c in range(3):
+                        expected[b, d, t, v] += x[b, c, 2 * t, v] * weight[c, d]
+    expected = np.maximum(expected / np.sqrt(1.0 + block.res_bn.eps), 0.0)
+    assert np.allclose(out.data, expected, atol=1e-12)
+
+
+@pytest.mark.parametrize("in_channels,stride", [(8, 1), (4, 2)])
+def test_block_forward_builds_at_most_ten_nodes(in_channels, stride, monkeypatch):
+    block = small_block(in_channels, 8, stride)
+    assert block.residual == ("identity" if stride == 1 else "project")
+    adjacency = [Tensor(m) for m in small_adjacency().matrices]
+    x = Tensor(np.random.default_rng(14).uniform(-1.0, 1.0, (2, in_channels, 6, 5)))
+    built = []
+    init = Tensor.__init__
+
+    def counting(tensor, *args, **kwargs):
+        init(tensor, *args, **kwargs)
+        built.append(tensor)
+
+    monkeypatch.setattr(Tensor, "__init__", counting)
+    block.forward(x, adjacency, training=True, rng=None)
+    assert len(built) <= 10
 
 
 # ----------------------------------------------------------------- structure

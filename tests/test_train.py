@@ -346,21 +346,35 @@ def test_train_loop_stop_when_ends_early():
     assert len(history.records) == 2
 
 
-def test_train_loop_fails_on_non_finite_values_before_any_weight_moves():
+def test_train_loop_fails_on_non_finite_values_before_any_weight_moves(monkeypatch):
     train, test = tiny_datasets()
-    # ReLU maps NaN to zero, so NaN inputs give finite logits and loss; only
-    # the gradients upstream of the first ReLU carry the NaN.
+    # NaN passes through every op, ReLU included, so NaN inputs give a NaN loss.
     poisoned = SequenceDataset(
         [s.replace_data(np.full_like(s.data, np.nan)) for s in train.sequences],
         train.labels)
     net = tiny_net()
     before = {n: t.data.copy() for n, t in net.named_parameters().items()}
     with np.errstate(all="ignore"), pytest.raises(
-            NonFiniteError,
-            match=r"^epoch 0, batch 0: gradient of input_bn\.gamma is not finite$"):
+            NonFiniteError, match=r"^epoch 0, batch 0: loss is nan$"):
         train_loop(net, poisoned, test, loop_config())
     for name, tensor in net.named_parameters().items():
         assert np.array_equal(tensor.data, before[name]), name
+
+    # A finite loss with an infinite seed gradient: the first parameter named
+    # in the network's order is reported.
+    def infinite_seed(logits, labels):
+        loss, grad = cross_entropy(logits, labels)
+        return loss, np.full_like(grad, np.inf)
+
+    monkeypatch.setattr("skelact.train.cross_entropy", infinite_seed)
+    net = tiny_net()
+    with np.errstate(all="ignore"), pytest.raises(
+            NonFiniteError,
+            match=r"^epoch 0, batch 0: gradient of input_bn\.gamma is not finite$"):
+        train_loop(net, train, test, loop_config())
+    for name, tensor in net.named_parameters().items():
+        assert np.array_equal(tensor.data, before[name]), name
+    monkeypatch.undo()
 
     net = tiny_net()
     net.fc_bias.data[0] = np.inf
