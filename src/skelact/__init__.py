@@ -75,7 +75,6 @@ from .model import (
     load_weights,
     save_weights,
     set_trainable,
-    spatial_graph_conv,
 )
 from .train import (
     SGD,

@@ -399,27 +399,32 @@ def pointwise_conv(x: Tensor, weight: Tensor) -> Tensor:
 _BN_AXES = (0, 2, 3)
 
 
-def batch_norm_batch(
-    x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5
-) -> Tensor:
-    """Normalize a (B, C, T, V) tensor with its own batch statistics.
-
-    The backward pass accounts for the dependence of mean and variance on
-    the input, so gradients are exact in training mode.
-    """
-    x, gamma, beta = _as_tensor(x), _as_tensor(gamma), _as_tensor(beta)
+def _batch_norm_input(x: Tensor) -> Tensor:
+    x = _as_tensor(x)
     if x.data.ndim != 4:
         raise ConfigurationError("batch_norm expects a (B, C, T, V) input")
-    mu = x.data.mean(axis=_BN_AXES, keepdims=True)
-    var = ((x.data - mu) ** 2).mean(axis=_BN_AXES, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + eps)
+    return x
+
+
+def _normalize(x, gamma, beta, mu, inv_std, batch_stats: bool) -> Tensor:
+    """``gamma * (x - mu) * inv_std + beta`` per channel, as one node.
+
+    ``mu`` and ``inv_std`` are (1, C, 1, 1). With ``batch_stats`` they were
+    computed from ``x`` and the input gradient accounts for that; otherwise
+    they are constants and the input gradient is a per-channel scale.
+    """
+    gamma, beta = _as_tensor(gamma), _as_tensor(beta)
+    scale = gamma.data[None, :, None, None]
     normalized = (x.data - mu) * inv_std
-    out_data = gamma.data[None, :, None, None] * normalized + beta.data[None, :, None, None]
+    out_data = scale * normalized + beta.data[None, :, None, None]
 
     def backward_fn(grad):
         _accumulate(beta, grad.sum(axis=_BN_AXES))
         _accumulate(gamma, (grad * normalized).sum(axis=_BN_AXES))
-        grad_normalized = grad * gamma.data[None, :, None, None]
+        if not batch_stats:
+            _accumulate(x, grad * (scale * inv_std))
+            return
+        grad_normalized = grad * scale
         mean_grad = grad_normalized.mean(axis=_BN_AXES, keepdims=True)
         mean_grad_normalized = (grad_normalized * normalized).mean(
             axis=_BN_AXES, keepdims=True
@@ -432,6 +437,23 @@ def batch_norm_batch(
     return Tensor(out_data, parents=(x, gamma, beta), backward_fn=backward_fn)
 
 
+def batch_norm_batch(
+    x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5
+) -> tuple[Tensor, np.ndarray, np.ndarray]:
+    """Normalize a (B, C, T, V) tensor with its own batch statistics.
+
+    Returns the output with the per-channel batch mean and biased variance
+    it used, (C,) each, so a caller can track running statistics without a
+    second pass. Gradients are exact: the backward pass accounts for the
+    dependence of mean and variance on the input.
+    """
+    x = _batch_norm_input(x)
+    mu = x.data.mean(axis=_BN_AXES, keepdims=True)
+    var = ((x.data - mu) ** 2).mean(axis=_BN_AXES, keepdims=True)
+    out = _normalize(x, gamma, beta, mu, 1.0 / np.sqrt(var + eps), batch_stats=True)
+    return out, mu.reshape(-1), var.reshape(-1)
+
+
 def batch_norm_given(
     x: Tensor,
     gamma: Tensor,
@@ -440,27 +462,12 @@ def batch_norm_given(
     running_var: np.ndarray,
     eps: float = 1e-5,
 ) -> Tensor:
-    """Normalize with fixed statistics, the evaluation and frozen path.
-
-    The statistics enter as constants, so the backward pass is a plain
-    per-channel affine map.
-    """
-    x, gamma, beta = _as_tensor(x), _as_tensor(gamma), _as_tensor(beta)
-    if x.data.ndim != 4:
-        raise ConfigurationError("batch_norm expects a (B, C, T, V) input")
+    """Normalize with fixed (C,) statistics, the evaluation and frozen path."""
+    x = _batch_norm_input(x)
     inv_std = 1.0 / np.sqrt(np.asarray(running_var, dtype=np.float64) + eps)
     mu = np.asarray(running_mean, dtype=np.float64)
-    normalized = (x.data - mu[None, :, None, None]) * inv_std[None, :, None, None]
-    out_data = gamma.data[None, :, None, None] * normalized + beta.data[None, :, None, None]
-
-    def backward_fn(grad):
-        _accumulate(beta, grad.sum(axis=_BN_AXES))
-        _accumulate(gamma, (grad * normalized).sum(axis=_BN_AXES))
-        _accumulate(
-            x, grad * (gamma.data * inv_std)[None, :, None, None]
-        )
-
-    return Tensor(out_data, parents=(x, gamma, beta), backward_fn=backward_fn)
+    return _normalize(x, gamma, beta, mu[None, :, None, None],
+                      inv_std[None, :, None, None], batch_stats=False)
 
 
 def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:

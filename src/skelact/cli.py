@@ -201,13 +201,18 @@ def _read_predictions(path: Path) -> tuple[list[str], np.ndarray, np.ndarray, np
     confidence_columns = [
         i for i, name in enumerate(header) if name.startswith("confidence_")
     ]
-    ids = [row[0] for row in rows]
-    labels = np.array([int(row[1]) for row in rows], dtype=np.int64)
-    predictions = np.array([int(row[2]) for row in rows], dtype=np.int64)
-    confidences = np.array(
-        [[float(row[i]) for i in confidence_columns] for row in rows]
-    )
-    return ids, labels, predictions, confidences
+    ids, labels, predictions, confidences = [], [], [], []
+    # Row 1 is the header.
+    for number, row in enumerate(rows, start=2):
+        try:
+            labels.append(int(row[1]))
+            predictions.append(int(row[2]))
+            confidences.append([float(row[i]) for i in confidence_columns])
+        except (IndexError, ValueError) as exc:
+            raise ConfigurationError(f"{path} row {number}: {exc}") from None
+        ids.append(row[0])
+    return (ids, np.array(labels, dtype=np.int64),
+            np.array(predictions, dtype=np.int64), np.array(confidences))
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import KeypointParseError, LayoutMismatchError
+from .errors import ConfigurationError, KeypointParseError, LayoutMismatchError
 
 COCO18 = "COCO18"
 BODY25 = "BODY25"
@@ -53,6 +53,12 @@ LAYOUT_JOINT_COUNT = {
     BODY25_NO_FEET: len(BODY25_NO_FEET_JOINT_NAMES),
     COCO18_MODIFIED: len(COCO18_JOINT_NAMES),
 }
+
+
+def check_layout(layout, field: str) -> None:
+    """Reject an unknown layout tag as a configuration error naming ``field``."""
+    if layout not in LAYOUT_JOINT_COUNT:
+        raise ConfigurationError(f"{field}: unknown skeleton layout {layout!r}")
 
 
 def layout_joint_count(layout: str) -> int:

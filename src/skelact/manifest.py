@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigurationError, InsufficientDataError
-from .keypoints import BODY25, LAYOUT_JOINT_COUNT
+from .keypoints import BODY25, check_layout
 
 PERFORMER_CHILD = "child"
 PERFORMER_ADULT = "adult"
@@ -64,8 +64,7 @@ class DatasetManifest:
     child_percentage: dict[str, float] | None = None
 
     def __post_init__(self):
-        if self.layout not in LAYOUT_JOINT_COUNT:
-            raise ConfigurationError(f"layout: unknown skeleton layout {self.layout!r}")
+        check_layout(self.layout, "layout")
         if len(set(self.class_table)) != len(self.class_table):
             raise ConfigurationError("classes: duplicate class name")
         class_set = set(self.class_table)
@@ -104,10 +103,20 @@ class DatasetManifest:
                     f"records[{record.sample_id}].fps: must be positive, got {fps}"
                 )
         if self.child_percentage is not None:
-            for name in self.child_percentage:
+            if not isinstance(self.child_percentage, dict):
+                raise ConfigurationError(
+                    "child_percentage: expected an object from class to percent"
+                )
+            for name, share in self.child_percentage.items():
                 if name not in class_set:
                     raise ConfigurationError(
                         f"child_percentage: unknown class {name!r}"
+                    )
+                if isinstance(share, bool) or not isinstance(share, (int, float)) \
+                        or not 0.0 <= share <= 100.0:
+                    raise ConfigurationError(
+                        f"child_percentage[{name}]: expected a number in "
+                        f"[0, 100], got {share!r}"
                     )
 
     def __len__(self) -> int:
@@ -191,6 +200,8 @@ class DatasetManifest:
                 layout=str(doc.get("layout", BODY25)),
                 child_percentage=doc.get("child_percentage"),
             )
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"manifest {path}: {exc}") from exc
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigurationError(f"manifest {path}: {exc!r}") from exc
         return manifest
@@ -254,6 +265,8 @@ def build_protocol(
         raise ConfigurationError(
             f"unknown protocol {protocol!r}; expected one of {', '.join(PROTOCOLS)}"
         )
+    if seed < 0:
+        raise ConfigurationError(f"seed: must be non-negative, got {seed}")
     family, variant = protocol.split("-", 1)
     performer = PERFORMER_ADULT if variant == "Small-A" else PERFORMER_CHILD
     class_names = protocol_class_names(manifest, protocol)
@@ -348,8 +361,9 @@ def save_split(
 def load_split(directory: str | Path) -> ProtocolSplit:
     """Read a split previously written by save_split."""
     directory = Path(directory)
+    summary_path = directory / "summary.json"
     try:
-        summary = json.loads((directory / "summary.json").read_text())
+        summary = json.loads(summary_path.read_text())
         train_ids = [
             line for line in (directory / "train.txt").read_text().splitlines()
             if line
@@ -360,10 +374,15 @@ def load_split(directory: str | Path) -> ProtocolSplit:
         ]
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigurationError(f"split {directory}: {exc}") from exc
-    return ProtocolSplit(
-        protocol=str(summary.get("protocol", "")),
-        seed=int(summary.get("seed", 0)),
-        class_names=tuple(summary.get("classes", [])),
-        train_ids=tuple(train_ids),
-        test_ids=tuple(test_ids),
-    )
+    if not isinstance(summary, dict):
+        raise ConfigurationError(f"split {summary_path}: expected a JSON object")
+    try:
+        return ProtocolSplit(
+            protocol=str(summary.get("protocol", "")),
+            seed=int(summary.get("seed", 0)),
+            class_names=tuple(summary.get("classes", [])),
+            train_ids=tuple(train_ids),
+            test_ids=tuple(test_ids),
+        )
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"split {summary_path}: {exc}") from exc

@@ -25,7 +25,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import CheckpointError, ConfigurationError
 from .graph import PartitionedAdjacency, build_graph, partition_spatial
-from .keypoints import COCO18
+from .keypoints import COCO18, check_layout
 
 TEMPORAL_KERNEL = 9
 
@@ -54,7 +54,7 @@ def check_mode(mode, prefix="") -> None:
 
 
 def _check_network_options(
-    in_channels, person_pool, dropout, zero_confidence, channel_plan, prefix=""
+    in_channels, person_pool, dropout, zero_confidence, channel_plan, seed, prefix=""
 ) -> tuple[tuple[int, int], ...]:
     """Validate the network options and return the channel plan to build.
 
@@ -62,6 +62,8 @@ def _check_network_options(
     """
     if in_channels < 1:
         raise ConfigurationError(f"{prefix}in_channels: must be at least 1")
+    if seed < 0:
+        raise ConfigurationError(f"{prefix}seed: must be non-negative, got {seed}")
     if person_pool not in PERSON_POOLS:
         raise ConfigurationError(
             f"{prefix}person_pool: expected one of {PERSON_POOLS}, "
@@ -90,66 +92,40 @@ def _check_network_options(
 class BatchNorm:
     """Per-channel batch normalization with tracked running statistics.
 
-    Training uses batch statistics (and folds them into the running ones
-    with the given momentum); evaluation uses the running statistics, so a
-    sample's output does not depend on what it is batched with. With
-    ``track_stats`` off the layer always normalizes with batch statistics
-    and never updates anything, a fallback for tiny runs. A frozen layer,
-    one whose ``gamma`` is not trainable, always uses its running
-    statistics and never updates them.
+    Training normalizes with the batch statistics and folds them into the
+    running ones with momentum ``MOMENTUM``. Evaluation, and any frozen
+    layer (one whose ``gamma`` is not trainable), normalizes with the
+    running statistics and leaves them alone, so a sample's output does
+    not depend on what it is batched with.
     """
 
-    def __init__(self, channels: int, momentum: float = 0.1, eps: float = 1e-5,
-                 track_stats: bool = True):
+    MOMENTUM = 0.1
+    EPS = 1e-5
+
+    def __init__(self, channels: int):
         self.gamma = Tensor(np.ones(channels), trainable=True)
         self.beta = Tensor(np.zeros(channels), trainable=True)
         self.running_mean = np.zeros(channels)
         self.running_var = np.ones(channels)
-        self.momentum = momentum
-        self.eps = eps
-        self.track_stats = track_stats
 
     @property
     def frozen(self) -> bool:
         return not self.gamma.trainable
 
     def forward(self, x: Tensor, training: bool) -> Tensor:
-        if self.frozen or (self.track_stats and not training):
+        if self.frozen or not training:
             return ad.batch_norm_given(
                 x, self.gamma, self.beta,
-                self.running_mean, self.running_var, self.eps,
+                self.running_mean, self.running_var, self.EPS,
             )
-        if self.track_stats:
-            # Biased variance, matching what the normalization itself uses.
-            mu = x.data.mean(axis=(0, 2, 3))
-            var = x.data.var(axis=(0, 2, 3))
-            m = self.momentum
-            self.running_mean = (1.0 - m) * self.running_mean + m * mu
-            self.running_var = (1.0 - m) * self.running_var + m * var
-        return ad.batch_norm_batch(x, self.gamma, self.beta, self.eps)
+        out, mu, var = ad.batch_norm_batch(x, self.gamma, self.beta, self.EPS)
+        m = self.MOMENTUM
+        self.running_mean = (1.0 - m) * self.running_mean + m * mu
+        self.running_var = (1.0 - m) * self.running_var + m * var
+        return out
 
     def parameters(self) -> list[tuple[str, Tensor]]:
         return [("gamma", self.gamma), ("beta", self.beta)]
-
-
-def spatial_graph_conv(
-    x: Tensor,
-    adjacency: list[Tensor],
-    weights: list[Tensor],
-    edge_importance: list[Tensor],
-    bias: Tensor | None = None,
-) -> Tensor:
-    """Graph convolution over the joint axis of a (B, C, T, V) tensor.
-
-    For each partition k the input is aggregated over the joint axis with
-    the gated adjacency ``A_k * M_k`` and mixed across channels with
-    ``W_k``; the partition results are summed:
-
-        y[b, d, t, w] = sum_k sum_v sum_c x[b, c, t, v] (A_k * M_k)[v, w] W_k[c, d]
-
-    The whole convolution, bias included, is one autodiff node.
-    """
-    return ad.graph_conv(x, adjacency, weights, edge_importance, bias)
 
 
 class StgcnBlock:
@@ -165,7 +141,6 @@ class StgcnBlock:
         stride: int = 1,
         residual: bool = True,
         dropout: float = 0.0,
-        track_stats: bool = True,
     ):
         gcn_bound = 1.0 / np.sqrt(in_channels)
         self.gcn_weights = [
@@ -180,14 +155,14 @@ class StgcnBlock:
             Tensor(np.ones((vertex_count, vertex_count)), trainable=True)
             for _ in range(partition_count)
         ]
-        self.bn1 = BatchNorm(out_channels, track_stats=track_stats)
+        self.bn1 = BatchNorm(out_channels)
         tcn_bound = 1.0 / np.sqrt(TEMPORAL_KERNEL)
         self.tcn_kernel = Tensor(
             rng.uniform(-tcn_bound, tcn_bound, (out_channels, TEMPORAL_KERNEL)),
             trainable=True,
         )
         self.tcn_bias = Tensor(np.zeros(out_channels), trainable=True)
-        self.bn2 = BatchNorm(out_channels, track_stats=track_stats)
+        self.bn2 = BatchNorm(out_channels)
         self.stride = stride
         self.dropout = dropout
         self.res_weight = None
@@ -202,7 +177,7 @@ class StgcnBlock:
                 rng.uniform(-gcn_bound, gcn_bound, (in_channels, out_channels)),
                 trainable=True,
             )
-            self.res_bn = BatchNorm(out_channels, track_stats=track_stats)
+            self.res_bn = BatchNorm(out_channels)
 
     def forward(
         self,
@@ -211,7 +186,7 @@ class StgcnBlock:
         training: bool,
         rng: np.random.Generator | None,
     ) -> Tensor:
-        y = spatial_graph_conv(
+        y = ad.graph_conv(
             x, adjacency, self.gcn_weights, self.edge_masks, self.gcn_bias
         )
         y = self.bn1.forward(y, training)
@@ -274,13 +249,12 @@ class StgcnNetwork:
         person_pool: str = "mean",
         zero_confidence: bool = False,
         dropout: float = 0.0,
-        track_stats: bool = True,
         seed: int = 0,
     ):
         if num_classes < 2:
             raise ConfigurationError("num_classes: must be at least 2")
         plan = _check_network_options(
-            in_channels, person_pool, dropout, zero_confidence, channel_plan
+            in_channels, person_pool, dropout, zero_confidence, channel_plan, seed
         )
 
         self.layout = adjacency.layout
@@ -297,9 +271,7 @@ class StgcnNetwork:
         ]
 
         rng = np.random.default_rng(seed)
-        self.input_bn = BatchNorm(
-            self.vertex_count * in_channels, track_stats=track_stats
-        )
+        self.input_bn = BatchNorm(self.vertex_count * in_channels)
         self.blocks: list[StgcnBlock] = []
         previous = in_channels
         for index, (channels, stride) in enumerate(plan):
@@ -313,7 +285,6 @@ class StgcnNetwork:
                     stride=stride,
                     residual=index > 0,
                     dropout=dropout,
-                    track_stats=track_stats,
                 )
             )
             previous = channels
@@ -576,19 +547,18 @@ class ModelConfig:
     person_pool: str = "mean"
     zero_confidence: bool = False
     dropout: float = 0.0
-    track_stats: bool = True
     channel_plan: tuple[tuple[int, int], ...] | None = None
     seed: int = 0
 
     def validate(self) -> None:
-        build_graph(self.layout)
+        check_layout(self.layout, "model.layout")
         if self.person_slots < 1:
             raise ConfigurationError("model.person_slots: must be at least 1")
         if self.target_frames < 1:
             raise ConfigurationError("model.target_frames: must be at least 1")
         _check_network_options(
             self.in_channels, self.person_pool, self.dropout,
-            self.zero_confidence, self.channel_plan, prefix="model.",
+            self.zero_confidence, self.channel_plan, self.seed, prefix="model.",
         )
 
     def build(self, num_classes: int) -> StgcnNetwork:
@@ -602,6 +572,5 @@ class ModelConfig:
             person_pool=self.person_pool,
             zero_confidence=self.zero_confidence,
             dropout=self.dropout,
-            track_stats=self.track_stats,
             seed=self.seed,
         )

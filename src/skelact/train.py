@@ -71,6 +71,8 @@ class TrainConfig:
             raise ConfigurationError("train.batch_size: must be at least 1")
         if self.epochs < 1:
             raise ConfigurationError("train.epochs: must be at least 1")
+        if self.seed < 0:
+            raise ConfigurationError(f"train.seed: must be non-negative, got {self.seed}")
         _check_optimizer_options(self.momentum, self.weight_decay, prefix="train.")
         if self.mode != "vanilla" and not self.source_checkpoint:
             raise ConfigurationError(

@@ -333,12 +333,33 @@ def graph_conv_operands(rng, c_in, c_out, partitions=3, vertices=5):
     return x, adjacency, weights, masks
 
 
-# test_model's spatial graph conv gradcheck covers C < D with a bias.
-@pytest.mark.parametrize("c_in,c_out,with_bias", [(4, 2, True), (3, 3, False)])
+def oracle_graph_conv(x, adjacency, weights, masks, bias):
+    batch, channels, frames, vertices = x.shape
+    out = np.zeros((batch, weights[0].shape[1], frames, vertices))
+    for k in range(len(adjacency)):
+        gated = adjacency[k] * masks[k]
+        for b in range(batch):
+            for t in range(frames):
+                for w in range(vertices):
+                    for v in range(vertices):
+                        for c in range(channels):
+                            out[b, :, t, w] += x[b, c, t, v] * gated[v, w] * weights[k][c]
+    return out if bias is None else out + bias[:, None, None]
+
+
+@pytest.mark.parametrize("c_in,c_out,with_bias",
+                         [(4, 2, True), (3, 3, False), (2, 4, True)])
 def test_graph_conv_gradcheck(c_in, c_out, with_bias):
     rng = np.random.default_rng(17)
     x, adjacency, weights, masks = graph_conv_operands(rng, c_in, c_out)
     bias = leaf(rng, (c_out,)) if with_bias else None
+    out = graph_conv(x, adjacency, weights, masks, bias)
+    expected = oracle_graph_conv(
+        x.data, [a.data for a in adjacency], [w.data for w in weights],
+        [m.data for m in masks], None if bias is None else bias.data,
+    )
+    assert out.shape == (2, c_out, 3, 5)
+    assert np.allclose(out.data, expected, atol=1e-10)
 
     def build():
         out = graph_conv(x, adjacency, weights, masks, bias)
@@ -367,6 +388,13 @@ def test_graph_conv_rejects_a_non_4d_input():
     _, adjacency, weights, masks = graph_conv_operands(rng, 2, 4)
     with pytest.raises(ConfigurationError):
         graph_conv(Tensor(np.ones((2, 3, 5))), adjacency, weights, masks)
+
+
+def test_graph_conv_rejects_unequal_operand_lists():
+    rng = np.random.default_rng(20)
+    x, adjacency, weights, masks = graph_conv_operands(rng, 2, 4)
+    with pytest.raises(ConfigurationError):
+        graph_conv(x, adjacency, weights[:2], masks)
 
 
 def test_pointwise_conv_gradcheck():
@@ -399,9 +427,12 @@ def test_batch_norm_batch_standardizes():
     x = leaf(rng, (4, 3, 5, 2), offset=2.0)
     gamma = Tensor(np.ones(3), trainable=True)
     beta = Tensor(np.zeros(3), trainable=True)
-    out = batch_norm_batch(x, gamma, beta, eps=1e-12)
+    out, mu, var = batch_norm_batch(x, gamma, beta, eps=1e-12)
     assert np.allclose(out.data.mean(axis=(0, 2, 3)), 0.0, atol=1e-10)
     assert np.allclose(out.data.var(axis=(0, 2, 3)), 1.0, atol=1e-6)
+    # The statistics it returns are the ones it normalized with.
+    assert np.array_equal(mu, x.data.mean(axis=(0, 2, 3)))
+    assert np.array_equal(var, x.data.var(axis=(0, 2, 3)))
 
 
 def test_batch_norm_batch_gradcheck():
@@ -412,7 +443,7 @@ def test_batch_norm_batch_gradcheck():
     target = rng.uniform(-1.0, 1.0, (3, 2, 4, 2))
 
     def build():
-        out = batch_norm_batch(x, gamma, beta)
+        out, _, _ = batch_norm_batch(x, gamma, beta)
         diff = add(out, Tensor(-target))
         return reduce_sum(mul(diff, diff), (0, 1, 2, 3))
 

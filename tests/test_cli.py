@@ -1,6 +1,7 @@
 """Command line workflows: prepare, train, eval, analyze."""
 import csv
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -399,3 +400,86 @@ def test_analyze_full_chain_on_real_eval_output(workspace):
     assert -1.0 <= report["spearman"] <= 1.0
     assert {entry["name"] for entry in report["classes"]} == \
         {"wave", "jump", "spin"}
+
+
+# ------------------------------------------------------- boundary rejections
+
+def train_with(section, key, value):
+    def argv(workspace, tmp_path):
+        doc = json.loads((workspace / "run.json").read_text())
+        doc["manifest"] = str(workspace / "data" / "manifest.json")
+        doc[section][key] = value
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(doc))
+        return ["train", "--config", str(config), "--split",
+                str(workspace / "split"), "--out", str(tmp_path / "out")]
+    return argv
+
+
+def prepare_with(seed=0, shares=None):
+    def argv(workspace, tmp_path):
+        manifest = workspace / "data" / "manifest.json"
+        if shares is not None:
+            doc = json.loads(manifest.read_text())
+            doc["child_percentage"] = shares
+            manifest = tmp_path / "manifest.json"
+            manifest.write_text(json.dumps(doc))
+        return ["prepare", "--manifest", str(manifest), "--protocol", "KS-Small-C",
+                "--seed", str(seed), "--out", str(tmp_path / "out")]
+    return argv
+
+
+def analyze_with(row=None, summary=None):
+    def argv(workspace, tmp_path):
+        split = workspace / "split"
+        if summary is not None:
+            split = tmp_path / "split"
+            shutil.copytree(workspace / "split", split)
+            (split / "summary.json").write_text(summary)
+        predictions = workspace / "eval1" / "predictions.csv"
+        if row is not None:
+            predictions = tmp_path / "predictions.csv"
+            predictions.write_text(
+                "sample_id,label,prediction,confidence_0\n" + row + "\n")
+        return ["analyze", "--predictions", str(predictions), "--split", str(split),
+                "--out", str(tmp_path / "out")]
+    return argv
+
+
+BOUNDARY_CASES = {
+    "unknown-model-layout": (train_with("model", "layout", "FOO"),
+                             "model.layout: unknown skeleton layout 'FOO'"),
+    "negative-model-seed": (train_with("model", "seed", -1),
+                            "model.seed: must be non-negative"),
+    "negative-train-seed": (train_with("train", "seed", -1),
+                            "train.seed: must be non-negative"),
+    "negative-prepare-seed": (prepare_with(seed=-1), "seed: must be non-negative"),
+    "string-child-share": (prepare_with(shares={"wave": "high"}),
+                           "manifest.json: child_percentage[wave]"),
+    "list-child-share": (prepare_with(shares={"wave": [50]}),
+                         "manifest.json: child_percentage[wave]"),
+    "NaN-child-share": (prepare_with(shares={"spin": float("nan")}),
+                        "manifest.json: child_percentage[spin]"),
+    "negative-child-share": (prepare_with(shares={"jump": -5}),
+                             "manifest.json: child_percentage[jump]"),
+    "child-share-above-100": (prepare_with(shares={"jump": 250}),
+                              "manifest.json: child_percentage[jump]"),
+    "non-integer-label": (analyze_with(row="wave_000,zero,0,0.5"),
+                          "predictions.csv row 2"),
+    "short-prediction-row": (analyze_with(row="wave_000,0"),
+                             "predictions.csv row 2"),
+    "split-summary-not-an-object": (analyze_with(summary="[1, 2]"),
+                                    "summary.json: expected a JSON object"),
+    "split-summary-seed-not-a-number": (analyze_with(summary='{"seed": "x"}'),
+                                        "summary.json: invalid literal"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BOUNDARY_CASES))
+def test_bad_input_exits_2_naming_the_problem(case, workspace, tmp_path, capsys):
+    argv, fragment = BOUNDARY_CASES[case]
+    assert main(argv(workspace, tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert fragment in err
+    assert not (tmp_path / "out").exists()

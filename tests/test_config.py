@@ -60,7 +60,6 @@ def test_full_document_round_trip(tmp_path):
             "person_pool": "sum",
             "zero_confidence": True,
             "dropout": 0.5,
-            "track_stats": False,
             "channel_plan": [[16, 1], [32, 2]],
             "seed": 7,
         },
@@ -104,7 +103,7 @@ def test_full_document_round_trip(tmp_path):
 def test_every_field_round_trips_with_a_non_default_value(tmp_path):
     model = ModelConfig(layout="BODY25", person_slots=1, target_frames=64,
                         in_channels=2, person_pool="sum", dropout=0.5,
-                        track_stats=False, channel_plan=((16, 1), (32, 2)),
+                        channel_plan=((16, 1), (32, 2)),
                         seed=7)
     # zero_confidence needs the default three input channels.
     confident = replace(model, in_channels=3, zero_confidence=True)

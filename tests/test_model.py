@@ -21,15 +21,15 @@ from skelact import (
     set_trainable,
     train_loop,
 )
-from skelact.autodiff import Tensor, mul, reduce_sum
+from skelact.autodiff import Tensor
 from skelact.model import (
     CHECKPOINT_MAGIC,
     DEFAULT_CHANNEL_PLAN,
+    BatchNorm,
     StgcnBlock,
     StgcnNetwork,
-    spatial_graph_conv,
 )
-from helpers import max_rel_err, motion_dataset, numeric_grad, path_graph
+from helpers import motion_dataset, path_graph
 
 
 PLAN = ((4, 1), (8, 2))
@@ -46,75 +46,6 @@ def small_net(num_classes=3, seed=0, **kwargs):
 
 def small_input(rng, samples=2, frames=8, slots=2):
     return rng.uniform(-1.0, 1.0, (samples, 3, frames, 5, slots))
-
-
-# --------------------------------------------------------- spatial graph conv
-
-def oracle_spatial_conv(x, adjacency, weights, masks, bias):
-    batch, channels, frames, vertices = x.shape
-    out_channels = weights[0].shape[1]
-    out = np.zeros((batch, out_channels, frames, vertices))
-    for k in range(len(adjacency)):
-        gated = adjacency[k] * masks[k]
-        for b in range(batch):
-            for d in range(out_channels):
-                for t in range(frames):
-                    for w in range(vertices):
-                        for v in range(vertices):
-                            for c in range(channels):
-                                out[b, d, t, w] += (
-                                    x[b, c, t, v] * gated[v, w] * weights[k][c, d]
-                                )
-    return out + bias[None, :, None, None]
-
-
-def test_spatial_graph_conv_matches_loop_oracle():
-    rng = np.random.default_rng(0)
-    adjacency = small_adjacency()
-    x = rng.uniform(-1.0, 1.0, (2, 3, 4, 5))
-    weights = [rng.uniform(-1.0, 1.0, (3, 6)) for _ in range(3)]
-    masks = [rng.uniform(0.5, 1.5, (5, 5)) for _ in range(3)]
-    bias = rng.uniform(-0.5, 0.5, 6)
-    out = spatial_graph_conv(
-        Tensor(x),
-        [Tensor(m) for m in adjacency.matrices],
-        [Tensor(w) for w in weights],
-        [Tensor(m) for m in masks],
-        Tensor(bias),
-    )
-    expected = oracle_spatial_conv(x, adjacency.matrices, weights, masks, bias)
-    assert out.shape == (2, 6, 4, 5)
-    assert np.allclose(out.data, expected, atol=1e-10)
-
-
-def test_spatial_graph_conv_gradcheck():
-    rng = np.random.default_rng(1)
-    adjacency = [Tensor(m) for m in small_adjacency().matrices]
-    x = Tensor(rng.uniform(-1.0, 1.0, (1, 2, 3, 5)), trainable=True)
-    weights = [Tensor(rng.uniform(-1.0, 1.0, (2, 4)), trainable=True)
-               for _ in range(3)]
-    masks = [Tensor(rng.uniform(0.5, 1.5, (5, 5)), trainable=True)
-             for _ in range(3)]
-    bias = Tensor(rng.uniform(-0.5, 0.5, 4), trainable=True)
-
-    def build():
-        out = spatial_graph_conv(x, adjacency, weights, masks, bias)
-        return reduce_sum(mul(out, out), (0, 1, 2, 3))
-
-    build().backward()
-    for tensor in [x, weights[0], weights[2], masks[1], bias]:
-        estimate = numeric_grad(lambda: float(build().data), tensor)
-        assert max_rel_err(tensor.grad, estimate) < 1e-5
-        tensor.zero_grad()
-
-
-def test_spatial_graph_conv_length_mismatch():
-    adjacency = [Tensor(m) for m in small_adjacency().matrices]
-    x = Tensor(np.ones((1, 2, 3, 5)))
-    weights = [Tensor(np.ones((2, 4))) for _ in range(2)]
-    masks = [Tensor(np.ones((5, 5))) for _ in range(3)]
-    with pytest.raises(ConfigurationError):
-        spatial_graph_conv(x, adjacency, weights, masks)
 
 
 # ---------------------------------------------------------------------- blocks
@@ -143,7 +74,7 @@ def test_stride_two_projection_matches_a_loop_oracle():
                 for v in range(5):
                     for c in range(3):
                         expected[b, d, t, v] += x[b, c, 2 * t, v] * weight[c, d]
-    expected = np.maximum(expected / np.sqrt(1.0 + block.res_bn.eps), 0.0)
+    expected = np.maximum(expected / np.sqrt(1.0 + BatchNorm.EPS), 0.0)
     assert np.allclose(out.data, expected, atol=1e-12)
 
 
@@ -316,12 +247,18 @@ def test_training_updates_running_stats_and_eval_does_not():
     assert not np.array_equal(net.input_bn.running_mean, before)
 
 
-def test_track_stats_off_never_updates():
-    net = small_net(track_stats=False)
-    x = small_input(np.random.default_rng(9))
-    net.forward(x, training=True)
-    assert (net.input_bn.running_mean == 0.0).all()
-    assert (net.input_bn.running_var == 1.0).all()
+def test_training_forward_folds_the_batch_statistics_in_with_momentum():
+    rng = np.random.default_rng(9)
+    bn = BatchNorm(3)
+    bn.running_mean = rng.uniform(-1.0, 1.0, 3)
+    bn.running_var = rng.uniform(0.5, 2.0, 3)
+    old_mean, old_var = bn.running_mean.copy(), bn.running_var.copy()
+    x = rng.uniform(-1.0, 3.0, (4, 3, 5, 2))
+    bn.forward(Tensor(x), training=True)
+    assert np.array_equal(bn.running_mean,
+                          0.9 * old_mean + 0.1 * x.mean(axis=(0, 2, 3)))
+    assert np.array_equal(bn.running_var,
+                          0.9 * old_var + 0.1 * x.var(axis=(0, 2, 3)))
 
 
 # ------------------------------------------------------------- transfer modes
@@ -510,7 +447,7 @@ def test_model_config_builds_a_working_network():
 
 
 def test_model_config_validation():
-    with pytest.raises((ConfigurationError, Exception)):
+    with pytest.raises(ConfigurationError, match=r"model\.layout"):
         ModelConfig(layout="hexapod").validate()
     with pytest.raises(ConfigurationError):
         ModelConfig(person_slots=0).validate()
