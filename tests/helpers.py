@@ -175,6 +175,21 @@ def max_rel_err(a, b, floor=1e-6) -> float:
     return float((np.abs(a - b) / scale).max())
 
 
+def oracle_graph_conv(x, adjacency, weights, masks, bias):
+    """Partitioned graph convolution as explicit loops over every index."""
+    batch, channels, frames, vertices = x.shape
+    out = np.zeros((batch, weights[0].shape[1], frames, vertices))
+    for k in range(len(adjacency)):
+        gated = adjacency[k] * masks[k]
+        for b in range(batch):
+            for t in range(frames):
+                for w in range(vertices):
+                    for v in range(vertices):
+                        for c in range(channels):
+                            out[b, :, t, w] += x[b, c, t, v] * gated[v, w] * weights[k][c]
+    return out if bias is None else out + bias[:, None, None]
+
+
 # ---------------------------------------------------------- tracking oracle
 
 def oracle_slot_cost(a, b) -> float:

@@ -21,7 +21,7 @@ from skelact.autodiff import (
     temporal_subsample,
     transpose,
 )
-from helpers import max_rel_err, numeric_grad
+from helpers import max_rel_err, numeric_grad, oracle_graph_conv
 
 
 def leaf(rng, shape, offset=0.0):
@@ -331,20 +331,6 @@ def graph_conv_operands(rng, c_in, c_out, partitions=3, vertices=5):
     weights = [leaf(rng, (c_in, c_out)) for _ in range(partitions)]
     masks = [leaf(rng, (vertices, vertices), offset=1.0) for _ in range(partitions)]
     return x, adjacency, weights, masks
-
-
-def oracle_graph_conv(x, adjacency, weights, masks, bias):
-    batch, channels, frames, vertices = x.shape
-    out = np.zeros((batch, weights[0].shape[1], frames, vertices))
-    for k in range(len(adjacency)):
-        gated = adjacency[k] * masks[k]
-        for b in range(batch):
-            for t in range(frames):
-                for w in range(vertices):
-                    for v in range(vertices):
-                        for c in range(channels):
-                            out[b, :, t, w] += x[b, c, t, v] * gated[v, w] * weights[k][c]
-    return out if bias is None else out + bias[:, None, None]
 
 
 @pytest.mark.parametrize("c_in,c_out,with_bias",

@@ -21,7 +21,7 @@ from skelact import (
     set_trainable,
     train_loop,
 )
-from skelact.autodiff import Tensor
+from skelact.autodiff import Tensor, graph_conv, mul, reduce_sum
 from skelact.model import (
     CHECKPOINT_MAGIC,
     DEFAULT_CHANNEL_PLAN,
@@ -29,7 +29,13 @@ from skelact.model import (
     StgcnBlock,
     StgcnNetwork,
 )
-from helpers import motion_dataset, path_graph
+from helpers import (
+    max_rel_err,
+    motion_dataset,
+    numeric_grad,
+    oracle_graph_conv,
+    path_graph,
+)
 
 
 PLAN = ((4, 1), (8, 2))
@@ -46,6 +52,48 @@ def small_net(num_classes=3, seed=0, **kwargs):
 
 def small_input(rng, samples=2, frames=8, slots=2):
     return rng.uniform(-1.0, 1.0, (samples, 3, frames, 5, slots))
+
+
+# ---------------------------------------------------------- spatial graph conv
+
+def test_spatial_graph_conv_matches_loop_oracle():
+    rng = np.random.default_rng(0)
+    adjacency = small_adjacency()
+    x = rng.uniform(-1.0, 1.0, (2, 3, 4, 5))
+    weights = [rng.uniform(-1.0, 1.0, (3, 6)) for _ in range(3)]
+    masks = [rng.uniform(0.5, 1.5, (5, 5)) for _ in range(3)]
+    bias = rng.uniform(-0.5, 0.5, 6)
+    out = graph_conv(
+        Tensor(x),
+        [Tensor(m) for m in adjacency.matrices],
+        [Tensor(w) for w in weights],
+        [Tensor(m) for m in masks],
+        Tensor(bias),
+    )
+    expected = oracle_graph_conv(x, adjacency.matrices, weights, masks, bias)
+    assert out.shape == (2, 6, 4, 5)
+    assert np.allclose(out.data, expected, atol=1e-10)
+
+
+def test_spatial_graph_conv_gradcheck():
+    rng = np.random.default_rng(1)
+    adjacency = [Tensor(m) for m in small_adjacency().matrices]
+    x = Tensor(rng.uniform(-1.0, 1.0, (1, 2, 3, 5)), trainable=True)
+    weights = [Tensor(rng.uniform(-1.0, 1.0, (2, 4)), trainable=True)
+               for _ in range(3)]
+    masks = [Tensor(rng.uniform(0.5, 1.5, (5, 5)), trainable=True)
+             for _ in range(3)]
+    bias = Tensor(rng.uniform(-0.5, 0.5, 4), trainable=True)
+
+    def build():
+        out = graph_conv(x, adjacency, weights, masks, bias)
+        return reduce_sum(mul(out, out), (0, 1, 2, 3))
+
+    build().backward()
+    for tensor in [x, weights[0], weights[2], masks[1], bias]:
+        estimate = numeric_grad(lambda: float(build().data), tensor)
+        assert max_rel_err(tensor.grad, estimate) < 1e-5
+        tensor.zero_grad()
 
 
 # ---------------------------------------------------------------------- blocks
