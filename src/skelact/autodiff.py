@@ -17,6 +17,7 @@ contribution arrives and dropped once the node has passed it on.
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigurationError, StateError
 
@@ -151,16 +152,36 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return Tensor(out_data, parents=(a, b), backward_fn=backward_fn)
 
 
+def _rectify(data: np.ndarray) -> np.ndarray:
+    """max(data, 0) in place, returning where data > 0; NaN stays visible."""
+    mask = data > 0.0
+    np.maximum(data, 0.0, out=data)
+    return mask
+
+
 def relu(x: Tensor) -> Tensor:
-    """max(x, 0); NaN passes through, so a non-finite input stays visible."""
     x = _as_tensor(x)
-    mask = x.data > 0.0
-    out_data = np.where(x.data <= 0.0, 0.0, x.data)
+    out_data = x.data.copy()
+    mask = _rectify(out_data)
 
     def backward_fn(grad):
         _accumulate(x, grad * mask)
 
     return Tensor(out_data, parents=(x,), backward_fn=backward_fn)
+
+
+def add_relu(a: Tensor, b: Tensor) -> Tensor:
+    """relu(a + b) as one node: the end of a residual block."""
+    a, b = _as_tensor(a), _as_tensor(b)
+    out_data = a.data + b.data
+    mask = _rectify(out_data)
+
+    def backward_fn(grad):
+        masked = grad * mask
+        _accumulate(a, _unbroadcast(masked, a.data.shape))
+        _accumulate(b, _unbroadcast(masked, b.data.shape))
+
+    return Tensor(out_data, parents=(a, b), backward_fn=backward_fn)
 
 
 def matmul_last(x: Tensor, w: Tensor) -> Tensor:
@@ -241,6 +262,25 @@ def temporal_subsample(x: Tensor, stride: int) -> Tensor:
     return Tensor(out_data, parents=(x,), backward_fn=backward_fn)
 
 
+def _tap_windows(padded: np.ndarray, taps: int, stride: int) -> np.ndarray:
+    """The (B, C, K, T_out, V) view ``padded[b, c, stride * t + k, v]``."""
+    return np.moveaxis(sliding_window_view(padded, taps, axis=2)[:, :, ::stride], -1, 2)
+
+
+def _correlate(padded: np.ndarray, kernel: np.ndarray, stride: int) -> np.ndarray:
+    """out[b, c, t, v] = sum_k kernel[c, k] * padded[b, c, stride * t + k, v].
+
+    einsum without ``optimize`` adds the taps in order in one fixed loop, so
+    the result has the bits of a tap-by-tap loop. With stride 1 the
+    (T_out, V) axes fold into one without a copy: one long inner loop.
+    """
+    windows = _tap_windows(padded, kernel.shape[1], stride)
+    if stride > 1:
+        return np.einsum("ck,bcktv->bctv", kernel, windows)
+    out = np.einsum("ck,bckn->bcn", kernel, windows.reshape(*windows.shape[:3], -1))
+    return out.reshape(windows.shape[:2] + windows.shape[3:])
+
+
 def temporal_conv(
     x: Tensor, kernel: Tensor, stride: int = 1, bias: Tensor | None = None
 ) -> Tensor:
@@ -249,7 +289,8 @@ def temporal_conv(
     ``kernel`` has shape (C, K) with K odd; the input is zero padded by
     (K - 1) / 2 on both sides, so with stride 1 the frame count is
     preserved and with stride s it becomes ceil(T / s). ``bias`` (C,), if
-    given, is added per channel.
+    given, is added per channel. The input gradient is the same windowed
+    sum of the stride-dilated gradient with the flipped kernel.
     """
     x, kernel = _as_tensor(x), _as_tensor(kernel)
     if x.data.ndim != 4:
@@ -268,29 +309,18 @@ def temporal_conv(
     pad = (taps - 1) // 2
     padded = np.zeros((batch, channels, frames + 2 * pad, vertices))
     padded[:, :, pad:pad + frames, :] = x.data
-    out_frames = (frames + 2 * pad - taps) // stride + 1
-    span = stride * (out_frames - 1) + 1
-
-    out_data = np.zeros((batch, channels, out_frames, vertices))
-    for tap in range(taps):
-        segment = padded[:, :, tap:tap + span:stride, :]
-        out_data += segment * kernel.data[None, :, tap, None, None]
+    out_data = _correlate(padded, kernel.data, stride)
     if bias is not None:
         out_data += bias.data[:, None, None]
 
     def backward_fn(grad):
         if bias is not None:
             _accumulate(bias, grad.sum(axis=(0, 2, 3)))
-        grad_padded = np.zeros_like(padded)
-        grad_kernel = np.zeros_like(kernel.data)
-        for tap in range(taps):
-            segment = padded[:, :, tap:tap + span:stride, :]
-            grad_kernel[:, tap] = (segment * grad).sum(axis=(0, 2, 3))
-            grad_padded[:, :, tap:tap + span:stride, :] += (
-                grad * kernel.data[None, :, tap, None, None]
-            )
-        _accumulate(kernel, grad_kernel)
-        _accumulate(x, grad_padded[:, :, pad:pad + frames, :])
+        windows = _tap_windows(padded, taps, stride)
+        _accumulate(kernel, np.einsum("bcktv,bctv->ck", windows, grad))
+        dilated = np.zeros_like(padded)
+        dilated[:, :, pad:pad + stride * grad.shape[2]:stride, :] = grad
+        _accumulate(x, _correlate(dilated, kernel.data[:, ::-1], 1))
 
     parents = (x, kernel) if bias is None else (x, kernel, bias)
     return Tensor(out_data, parents=parents, backward_fn=backward_fn)
@@ -406,24 +436,33 @@ def _batch_norm_input(x: Tensor) -> Tensor:
     return x
 
 
-def _normalize(x, gamma, beta, mu, inv_std, batch_stats: bool) -> Tensor:
+def _normalize(x, gamma, beta, mu, inv_std, batch_stats: bool, relu: bool) -> Tensor:
     """``gamma * (x - mu) * inv_std + beta`` per channel, as one node.
 
     ``mu`` and ``inv_std`` are (1, C, 1, 1). With ``batch_stats`` they were
     computed from ``x`` and the input gradient accounts for that; otherwise
-    they are constants and the input gradient is a per-channel scale.
+    they are constants, the output is the folded map ``x * a + b`` and the
+    input gradient is a per-channel scale. ``relu`` fuses a ReLU onto it.
     """
     gamma, beta = _as_tensor(gamma), _as_tensor(beta)
     scale = gamma.data[None, :, None, None]
-    normalized = (x.data - mu) * inv_std
-    out_data = scale * normalized + beta.data[None, :, None, None]
+    if batch_stats:
+        normalized = (x.data - mu) * inv_std
+        out_data = scale * normalized + beta.data[None, :, None, None]
+    else:
+        a = scale * inv_std
+        out_data = x.data * a + (beta.data[None, :, None, None] - mu * a)
+    mask = _rectify(out_data) if relu else None
 
     def backward_fn(grad):
+        if mask is not None:
+            grad = grad * mask
         _accumulate(beta, grad.sum(axis=_BN_AXES))
-        _accumulate(gamma, (grad * normalized).sum(axis=_BN_AXES))
         if not batch_stats:
-            _accumulate(x, grad * (scale * inv_std))
+            _accumulate(gamma, (grad * ((x.data - mu) * inv_std)).sum(axis=_BN_AXES))
+            _accumulate(x, grad * a)
             return
+        _accumulate(gamma, (grad * normalized).sum(axis=_BN_AXES))
         grad_normalized = grad * scale
         mean_grad = grad_normalized.mean(axis=_BN_AXES, keepdims=True)
         mean_grad_normalized = (grad_normalized * normalized).mean(
@@ -438,7 +477,7 @@ def _normalize(x, gamma, beta, mu, inv_std, batch_stats: bool) -> Tensor:
 
 
 def batch_norm_batch(
-    x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5
+    x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5, relu: bool = False
 ) -> tuple[Tensor, np.ndarray, np.ndarray]:
     """Normalize a (B, C, T, V) tensor with its own batch statistics.
 
@@ -450,7 +489,8 @@ def batch_norm_batch(
     x = _batch_norm_input(x)
     mu = x.data.mean(axis=_BN_AXES, keepdims=True)
     var = ((x.data - mu) ** 2).mean(axis=_BN_AXES, keepdims=True)
-    out = _normalize(x, gamma, beta, mu, 1.0 / np.sqrt(var + eps), batch_stats=True)
+    inv_std = 1.0 / np.sqrt(var + eps)
+    out = _normalize(x, gamma, beta, mu, inv_std, batch_stats=True, relu=relu)
     return out, mu.reshape(-1), var.reshape(-1)
 
 
@@ -461,13 +501,14 @@ def batch_norm_given(
     running_mean: np.ndarray,
     running_var: np.ndarray,
     eps: float = 1e-5,
+    relu: bool = False,
 ) -> Tensor:
     """Normalize with fixed (C,) statistics, the evaluation and frozen path."""
     x = _batch_norm_input(x)
     inv_std = 1.0 / np.sqrt(np.asarray(running_var, dtype=np.float64) + eps)
     mu = np.asarray(running_mean, dtype=np.float64)
     return _normalize(x, gamma, beta, mu[None, :, None, None],
-                      inv_std[None, :, None, None], batch_stats=False)
+                      inv_std[None, :, None, None], batch_stats=False, relu=relu)
 
 
 def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:

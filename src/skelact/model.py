@@ -112,13 +112,13 @@ class BatchNorm:
     def frozen(self) -> bool:
         return not self.gamma.trainable
 
-    def forward(self, x: Tensor, training: bool) -> Tensor:
+    def forward(self, x: Tensor, training: bool, relu: bool = False) -> Tensor:
         if self.frozen or not training:
             return ad.batch_norm_given(
                 x, self.gamma, self.beta,
-                self.running_mean, self.running_var, self.EPS,
+                self.running_mean, self.running_var, self.EPS, relu,
             )
-        out, mu, var = ad.batch_norm_batch(x, self.gamma, self.beta, self.EPS)
+        out, mu, var = ad.batch_norm_batch(x, self.gamma, self.beta, self.EPS, relu)
         m = self.MOMENTUM
         self.running_mean = (1.0 - m) * self.running_mean + m * mu
         self.running_var = (1.0 - m) * self.running_var + m * var
@@ -189,19 +189,18 @@ class StgcnBlock:
         y = ad.graph_conv(
             x, adjacency, self.gcn_weights, self.edge_masks, self.gcn_bias
         )
-        y = self.bn1.forward(y, training)
-        y = ad.relu(y)
+        y = self.bn1.forward(y, training, relu=True)
         y = ad.temporal_conv(y, self.tcn_kernel, self.stride, self.tcn_bias)
         y = self.bn2.forward(y, training)
         if training and self.dropout > 0.0:
             y = ad.dropout(y, self.dropout, rng)
         if self.residual == "identity":
-            y = ad.add(y, x)
-        elif self.residual == "project":
+            return ad.add_relu(y, x)
+        if self.residual == "project":
             shortcut = x if self.stride == 1 else ad.temporal_subsample(x, self.stride)
             shortcut = ad.pointwise_conv(shortcut, self.res_weight)
             shortcut = self.res_bn.forward(shortcut, training)
-            y = ad.add(y, shortcut)
+            return ad.add_relu(y, shortcut)
         return ad.relu(y)
 
     def parameters(self) -> list[tuple[str, Tensor]]:
@@ -562,7 +561,7 @@ class ModelConfig:
         )
 
     def build(self, num_classes: int) -> StgcnNetwork:
-        self.validate()
+        """Build the network of an already validated config."""
         adjacency = partition_spatial(build_graph(self.layout))
         return StgcnNetwork(
             adjacency,

@@ -290,9 +290,8 @@ def train_loop(
     given, sees the history after each epoch and may end training early.
     The network is left in its final state, not the best one. A NaN or
     infinite loss or gradient raises ``NonFiniteError`` before the step
-    that would apply it.
+    that would apply it. ``config`` must already be validated.
     """
-    config.validate()
     if len(train_dataset) == 0:
         raise ConfigurationError("training dataset is empty")
     optimizer = SGD(

@@ -6,6 +6,7 @@ from skelact import ConfigurationError, StateError
 from skelact.autodiff import (
     Tensor,
     add,
+    add_relu,
     batch_norm_batch,
     batch_norm_given,
     dropout,
@@ -179,6 +180,49 @@ def test_relu_gradcheck_away_from_the_kink():
     check_grads(lambda: reduce_sum(mul(relu(x), relu(x)), (0,)), [x])
 
 
+def test_add_relu_has_the_bits_of_relu_of_add():
+    rng = np.random.default_rng(3)
+    a = np.concatenate([[-0.0, 0.0, -0.0, 0.0, 1e-300, -1.0, np.inf],
+                        rng.uniform(-1.0, 1.0, 9)])
+    b = np.concatenate([[-0.0, -0.0, 0.0, 0.0, -1e-300, 1.0, -1.0],
+                        rng.uniform(-1.0, 1.0, 9)])
+    seed = rng.uniform(-1.0, 1.0, a.shape)
+    runs = []
+    for op in (add_relu, lambda x, y: relu(add(x, y))):
+        x, y = Tensor(a, trainable=True), Tensor(b, trainable=True)
+        out = op(x, y)
+        out.backward(seed)
+        runs.append([out.data.tobytes(), x.grad.tobytes(), y.grad.tobytes()])
+    assert runs[0] == runs[1]
+    assert not np.signbit(add_relu(Tensor(a), Tensor(b)).data).any()
+
+
+def test_add_relu_gradcheck_away_from_the_kink():
+    rng = np.random.default_rng(4)
+    signs = np.where(rng.random((2, 3, 4, 2)) < 0.5, -1.0, 1.0)
+    a = Tensor(signs * rng.uniform(0.5, 1.5, signs.shape), trainable=True)
+    b = leaf(rng, signs.shape)
+    b.data *= 0.2
+    check_grads(lambda: reduce_sum(mul(add_relu(a, b), add_relu(a, b)),
+                                   (0, 1, 2, 3)), [a, b])
+
+
+def test_fused_relu_nodes_pass_nan_through():
+    rng = np.random.default_rng(5)
+    x = rng.uniform(-1.0, 1.0, (2, 3, 4, 2))
+    x[1, 2, 3, 0] = np.nan
+    gamma, beta = Tensor(np.ones(3)), Tensor(np.zeros(3))
+    out, _, _ = batch_norm_batch(Tensor(x), gamma, beta, relu=True)
+    # A NaN in the batch makes its channel's statistics NaN.
+    assert np.isnan(out.data[:, 2]).all()
+    assert not np.isnan(out.data[:, :2]).any()
+    given = batch_norm_given(Tensor(x), gamma, beta, np.zeros(3), np.ones(3),
+                             relu=True)
+    assert np.array_equal(np.isnan(given.data), np.isnan(x))
+    summed = add_relu(Tensor(x), Tensor(np.ones_like(x)))
+    assert np.array_equal(np.isnan(summed.data), np.isnan(x))
+
+
 # ------------------------------------------------------------ structural ops
 
 def test_matmul_last_batched():
@@ -271,8 +315,8 @@ def test_temporal_conv_matches_loop_oracle(stride, frames):
     kernel = leaf(rng, (3, 3))
     out = temporal_conv(x, kernel, stride=stride)
     expected = oracle_temporal_conv(x.data, kernel.data, stride)
-    assert out.shape == expected.shape
-    assert np.allclose(out.data, expected, atol=1e-12)
+    # Both add the taps in order, so the bits agree.
+    assert np.array_equal(out.data, expected)
 
 
 def test_temporal_conv_stride_one_keeps_frame_count():
@@ -284,14 +328,19 @@ def test_temporal_conv_stride_one_keeps_frame_count():
 
 def test_temporal_conv_gradcheck():
     rng = np.random.default_rng(10)
-    x = leaf(rng, (2, 2, 6, 3))
-    kernel = leaf(rng, (2, 3))
+    # With a 3-tap kernel, stride 3 and 9 frames, the last frame reaches no
+    # output window.
+    for stride, frames in [(1, 6), (2, 6), (3, 9)]:
+        x = leaf(rng, (2, 2, frames, 3))
+        kernel = leaf(rng, (2, 3))
 
-    def build():
-        out = temporal_conv(x, kernel, stride=2)
-        return reduce_sum(mul(out, out), (0, 1, 2, 3))
+        def build():
+            out = temporal_conv(x, kernel, stride=stride)
+            return reduce_sum(mul(out, out), (0, 1, 2, 3))
 
-    check_grads(build, [x, kernel])
+        check_grads(build, [x, kernel])
+        build().backward()
+        assert (x.grad[:, :, -1] == 0.0).all() == (stride == 3)
 
 
 def test_temporal_conv_validation():
@@ -469,6 +518,67 @@ def test_batch_norm_given_gradcheck():
         return reduce_sum(mul(out, out), (0, 1, 2, 3))
 
     check_grads(build, [x, gamma, beta])
+
+
+# The tolerances are those of the unfused gradchecks above.
+@pytest.mark.parametrize("batch_stats,seed,tol", [(True, 5, 1e-4), (False, 6, 1e-5)])
+def test_batch_norm_relu_gradcheck_away_from_the_kink(batch_stats, seed, tol):
+    rng = np.random.default_rng(seed)
+    x = leaf(rng, (3, 2, 4, 2))
+    gamma = Tensor(rng.uniform(0.5, 1.5, 2), trainable=True)
+    beta = Tensor(rng.uniform(-0.5, 0.5, 2), trainable=True)
+    mu = rng.uniform(-0.2, 0.2, 2)
+    var = rng.uniform(0.5, 2.0, 2)
+    target = rng.uniform(-1.0, 1.0, x.shape)
+
+    def normalize(relu_out):
+        if batch_stats:
+            return batch_norm_batch(x, gamma, beta, relu=relu_out)[0]
+        return batch_norm_given(x, gamma, beta, mu, var, relu=relu_out)
+
+    # Every pre-activation is far from zero next to the difference step.
+    assert np.abs(normalize(False).data).min() > 0.05
+    assert np.array_equal(normalize(True).data, np.maximum(normalize(False).data, 0))
+
+    def build():
+        diff = add(normalize(True), Tensor(-target))
+        return reduce_sum(mul(diff, diff), (0, 1, 2, 3))
+
+    check_grads(build, [x, gamma, beta], tol=tol)
+
+
+def test_batch_norm_relu_has_the_bits_of_relu_of_batch_norm():
+    rng = np.random.default_rng(15)
+    x = rng.uniform(-1.0, 1.0, (2, 3, 2, 2))
+    x[:, 0] = np.array([0.0, -0.0])  # mean 0, so every (x - mu) is a zero
+    x[0, 1, 0] = [-0.0, 0.0]
+    gamma = np.array([-1.0, 0.5, 2.0])
+    beta = np.array([-0.0, 0.0, -0.0])
+    seed = rng.uniform(-1.0, 1.0, x.shape)
+    runs = []
+    for fused in (True, False):
+        leaves = [Tensor(v, trainable=True) for v in (x, gamma, beta)]
+        out, _, _ = batch_norm_batch(*leaves, relu=fused)
+        if not fused:
+            out = relu(out)
+        out.backward(seed)
+        runs.append([out.data.tobytes()] + [t.grad.tobytes() for t in leaves])
+    assert runs[0] == runs[1]
+
+
+def test_batch_norm_given_folds_into_one_affine_map():
+    rng = np.random.default_rng(17)
+    x = leaf(rng, (4, 3, 5, 2))
+    gamma = Tensor(rng.uniform(-1.5, 1.5, 3), trainable=True)
+    beta = Tensor(rng.uniform(-0.5, 0.5, 3), trainable=True)
+    mu = rng.uniform(-0.2, 0.2, 3)[None, :, None, None]
+    var = rng.uniform(0.5, 2.0, 3)
+    inv_std = 1.0 / np.sqrt(var + 1e-5)[None, :, None, None]
+    unfused = (gamma.data[None, :, None, None] * ((x.data - mu) * inv_std)
+               + beta.data[None, :, None, None])
+    for fused_relu, expected in [(False, unfused), (True, np.maximum(unfused, 0))]:
+        out = batch_norm_given(x, gamma, beta, mu.reshape(-1), var, relu=fused_relu)
+        assert np.abs(out.data - expected).max() <= 1e-15 * np.abs(expected).max()
 
 
 def test_batch_norm_rejects_non_4d_input():

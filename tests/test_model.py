@@ -126,8 +126,9 @@ def test_stride_two_projection_matches_a_loop_oracle():
     assert np.allclose(out.data, expected, atol=1e-12)
 
 
-@pytest.mark.parametrize("in_channels,stride", [(8, 1), (4, 2)])
-def test_block_forward_builds_at_most_ten_nodes(in_channels, stride, monkeypatch):
+@pytest.mark.parametrize("in_channels,stride,nodes", [(8, 1, 5), (4, 2, 8)])
+def test_block_forward_builds_five_nodes_eight_with_a_strided_projection(
+        in_channels, stride, nodes, monkeypatch):
     block = small_block(in_channels, 8, stride)
     assert block.residual == ("identity" if stride == 1 else "project")
     adjacency = [Tensor(m) for m in small_adjacency().matrices]
@@ -141,7 +142,7 @@ def test_block_forward_builds_at_most_ten_nodes(in_channels, stride, monkeypatch
 
     monkeypatch.setattr(Tensor, "__init__", counting)
     block.forward(x, adjacency, training=True, rng=None)
-    assert len(built) <= 10
+    assert len(built) == nodes
 
 
 # ----------------------------------------------------------------- structure

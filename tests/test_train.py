@@ -25,7 +25,7 @@ from skelact import (
 )
 from skelact.autodiff import Tensor
 from skelact.model import StgcnNetwork
-from skelact.train import SGD, EpochRecord, TrainHistory
+from skelact.train import SGD, EpochRecord, TrainHistory, load_sequence
 from helpers import build_manifest_tree, motion_dataset, path_graph
 
 
@@ -465,6 +465,35 @@ def test_run_training_vanilla(manifest_tree):
     assert net.num_classes == 3
     assert len(history.records) == 2
     assert history.best_state is not None
+
+
+def test_run_training_validates_each_config_once_before_reading_keypoints(
+        manifest_tree, monkeypatch):
+    events = []
+    for cls in (ModelConfig, TrainConfig):
+        def counting(self, validate=cls.validate, name=cls.__name__):
+            events.append(name)
+            validate(self)
+        monkeypatch.setattr(cls, "validate", counting)
+
+    def loading(*args, **kwargs):
+        events.append("load")
+        return load_sequence(*args, **kwargs)
+
+    monkeypatch.setattr("skelact.train.load_sequence", loading)
+    split = full_split(manifest_tree)
+    run_training(manifest_tree, split, small_model_config(), run_config(epochs=1))
+    assert sorted(events[:2]) == ["ModelConfig", "TrainConfig"]
+    assert set(events[2:]) == {"load"}
+
+    del events[:]
+    with pytest.raises(ConfigurationError, match=r"train\.batch_size"):
+        run_training(manifest_tree, split, small_model_config(),
+                     run_config(batch_size=0))
+    with pytest.raises(ConfigurationError, match=r"model\.person_slots"):
+        run_training(manifest_tree, split,
+                     ModelConfig(person_slots=0), run_config())
+    assert "load" not in events
 
 
 def test_run_training_requires_a_checkpoint_for_transfer(manifest_tree):
