@@ -2,10 +2,13 @@
 
 Every operation builds a new Tensor that remembers its parents and a
 closure propagating the output gradient to them. ``Tensor.backward`` walks
-the recorded graph once in reverse topological order. Only the operations
-the network actually needs exist here, each with an exact analytic
-gradient; there is no graph optimization, no dtype besides float64, and no
-in-place arithmetic on tracked values.
+the recorded graph once in reverse topological order. Inside ``no_grad``
+nothing is recorded: every operation returns a bare leaf with no
+gradient buffer, and the arrays a backward pass would need are freed as
+soon as the operation returns. Only the operations the network actually
+needs exist here, each with an exact analytic gradient; there is no graph
+optimization, no dtype besides float64, and no in-place arithmetic on
+tracked values.
 
 Leaf gradients accumulate into ``Tensor.grad`` buffers. Leaf tensors
 marked non-trainable (inputs, adjacency constants, frozen weights) keep
@@ -16,23 +19,48 @@ contribution arrives and dropped once the node has passed it on.
 """
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
+
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigurationError, StateError
 
+_recording = ContextVar("recording", default=True)
+
+
+@contextmanager
+def no_grad():
+    """Run operations without recording a graph; contexts nest.
+
+    Each Tensor built inside, an operation's output or a leaf, has no
+    parents, no backward closure and no gradient buffer. The previous
+    state comes back on exit, also when the body raises.
+    """
+    token = _recording.set(False)
+    try:
+        yield
+    finally:
+        _recording.reset(token)
+
 
 class Tensor:
-    """A float64 array plus gradient buffer and autodiff bookkeeping."""
+    """A float64 array plus gradient buffer and autodiff bookkeeping.
+
+    Under ``no_grad`` the parents and backward closure are dropped and no
+    gradient buffer is made.
+    """
 
     __slots__ = ("data", "grad", "trainable", "_parents", "_backward_fn")
 
     def __init__(self, data, trainable=False, parents=(), backward_fn=None):
+        recording = _recording.get()
         self.data = np.asarray(data, dtype=np.float64)
-        self.grad = None if parents else np.zeros_like(self.data)
+        self.grad = np.zeros_like(self.data) if recording and not parents else None
         self.trainable = bool(trainable)
-        self._parents = tuple(parents)
-        self._backward_fn = backward_fn
+        self._parents = tuple(parents) if recording else ()
+        self._backward_fn = backward_fn if recording else None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -152,9 +180,12 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return Tensor(out_data, parents=(a, b), backward_fn=backward_fn)
 
 
-def _rectify(data: np.ndarray) -> np.ndarray:
-    """max(data, 0) in place, returning where data > 0; NaN stays visible."""
-    mask = data > 0.0
+def _rectify(data: np.ndarray) -> np.ndarray | None:
+    """max(data, 0) in place; NaN stays visible.
+
+    Returns where data > 0, the backward mask, or None under ``no_grad``.
+    """
+    mask = data > 0.0 if _recording.get() else None
     np.maximum(data, 0.0, out=data)
     return mask
 
@@ -403,27 +434,38 @@ def graph_conv(
     return Tensor(out_data, parents=parents, backward_fn=backward_fn)
 
 
-def pointwise_conv(x: Tensor, weight: Tensor) -> Tensor:
+def pointwise_conv(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     """Mix the channels of a (B, C, T, V) tensor with a (C, D) weight.
 
-    A 1x1 convolution without bias: ``W.T @ x[b]`` on each sample's
-    (C, T·V) matrix, so the output is (B, D, T, V) with no transpose.
+    A 1x1 convolution: ``W.T @ x[b]`` on each sample's (C, T·V) matrix, so
+    the output is (B, D, T, V) with no transpose. ``bias`` (D,), if given,
+    is added per channel.
     """
     x, weight = _as_tensor(x), _as_tensor(weight)
     if x.data.ndim != 4 or weight.data.ndim != 2:
         raise ConfigurationError(
             "pointwise_conv needs a (B, C, T, V) input and a 2D weight"
         )
+    if bias is not None and bias.data.shape != weight.data.shape[1:]:
+        raise ConfigurationError(
+            f"pointwise_conv bias has shape {bias.data.shape}, "
+            f"expected ({weight.data.shape[1]},)"
+        )
     batch, channels, frames, vertices = x.data.shape
     flat = x.data.reshape(batch, channels, frames * vertices)
     out_data = np.matmul(weight.data.T, flat).reshape(batch, -1, frames, vertices)
+    if bias is not None:
+        out_data += bias.data[:, None, None]
 
     def backward_fn(grad):
+        if bias is not None:
+            _accumulate(bias, grad.sum(axis=(0, 2, 3)))
         grad_flat = grad.reshape(batch, -1, frames * vertices)
         _accumulate(weight, _batch_outer(flat, grad_flat))
         _accumulate(x, np.matmul(weight.data, grad_flat).reshape(x.data.shape))
 
-    return Tensor(out_data, parents=(x, weight), backward_fn=backward_fn)
+    parents = (x, weight) if bias is None else (x, weight, bias)
+    return Tensor(out_data, parents=parents, backward_fn=backward_fn)
 
 
 _BN_AXES = (0, 2, 3)
@@ -436,6 +478,18 @@ def _batch_norm_input(x: Tensor) -> Tensor:
     return x
 
 
+def fold_batch_norm(gamma, beta, mean, inv_std) -> tuple[np.ndarray, np.ndarray]:
+    """Batch norm with fixed statistics as the per-channel map ``x * a + b``.
+
+    Returns ``a = gamma * inv_std`` and ``b = beta - mean * a``; the
+    arguments are arrays that broadcast against each other. A convolution
+    followed by this map is the convolution with its output channels
+    scaled by ``a`` and its bias mapped through it.
+    """
+    a = gamma * inv_std
+    return a, beta - mean * a
+
+
 def _normalize(x, gamma, beta, mu, inv_std, batch_stats: bool, relu: bool) -> Tensor:
     """``gamma * (x - mu) * inv_std + beta`` per channel, as one node.
 
@@ -446,12 +500,13 @@ def _normalize(x, gamma, beta, mu, inv_std, batch_stats: bool, relu: bool) -> Te
     """
     gamma, beta = _as_tensor(gamma), _as_tensor(beta)
     scale = gamma.data[None, :, None, None]
+    shift = beta.data[None, :, None, None]
     if batch_stats:
         normalized = (x.data - mu) * inv_std
-        out_data = scale * normalized + beta.data[None, :, None, None]
+        out_data = scale * normalized + shift
     else:
-        a = scale * inv_std
-        out_data = x.data * a + (beta.data[None, :, None, None] - mu * a)
+        a, b = fold_batch_norm(scale, shift, mu, inv_std)
+        out_data = x.data * a + b
     mask = _rectify(out_data) if relu else None
 
     def backward_fn(grad):

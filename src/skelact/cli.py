@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .atomic import open_atomic
 from .config import load_run_config
 from .errors import (
     CheckpointError,
@@ -97,7 +98,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     if history.best_state is not None:
         net.load_state_arrays(history.best_state)
     save_weights(net, out / "checkpoint.ckpt")
-    (out / "history.csv").write_text(history.to_csv())
+    with open_atomic(out / "history.csv") as handle:
+        handle.write(history.to_csv())
     best = history.best_test_top1
     print(
         f"trained {config.train.epochs} epochs; best test top-1 "
@@ -137,7 +139,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     class_count = len(split.class_names)
     top5 = top_k_accuracy(logits, dataset.labels, min(5, class_count))
 
-    with open(out / "predictions.csv", "w", newline="") as handle:
+    with open_atomic(out / "predictions.csv", "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(
             ["sample_id", "label", "prediction"]
@@ -151,14 +153,14 @@ def cmd_eval(args: argparse.Namespace) -> int:
                 + [repr(float(v)) for v in logits[row]]
             )
 
-    with open(out / "metrics.csv", "w", newline="") as handle:
+    with open_atomic(out / "metrics.csv", "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["metric", "value"])
         writer.writerow(["top1", repr(top1)])
         writer.writerow(["top5", repr(top5)])
 
     matrix = confusion_matrix(predictions, dataset.labels, class_count)
-    with open(out / "confusion.csv", "w", newline="") as handle:
+    with open_atomic(out / "confusion.csv", "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["class"] + list(split.class_names))
         for index, name in enumerate(split.class_names):
@@ -167,7 +169,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     table = classwise_table(
         dataset.labels, predictions, confidences, split.class_names
     )
-    with open(out / "classwise.csv", "w", newline="") as handle:
+    with open_atomic(out / "classwise.csv", "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(
             ["class_index", "class_name", "support", "accuracy"]
@@ -258,8 +260,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             for row in table
         ],
     }
-    (out / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True))
-    with open(out / "scatter.csv", "w", newline="") as handle:
+    with open_atomic(out / "report.json") as handle:
+        handle.write(json.dumps(report, indent=2, sort_keys=True))
+    with open_atomic(out / "scatter.csv", "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["class_index", "class_name", "accuracy", "confidence"])
         for row in table:

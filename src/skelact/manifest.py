@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .atomic import open_atomic
 from .errors import ConfigurationError, InsufficientDataError
 from .keypoints import BODY25, check_layout
 
@@ -169,7 +170,8 @@ class DatasetManifest:
         }
         if self.child_percentage is not None:
             doc["child_percentage"] = dict(self.child_percentage)
-        Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True))
+        with open_atomic(path) as handle:
+            handle.write(json.dumps(doc, indent=2, sort_keys=True))
 
     @classmethod
     def load(cls, path: str | Path) -> "DatasetManifest":
@@ -338,12 +340,9 @@ def save_split(
     """Write train.txt, test.txt and a summary.json into a directory."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    (directory / "train.txt").write_text(
-        "".join(f"{i}\n" for i in split.train_ids)
-    )
-    (directory / "test.txt").write_text(
-        "".join(f"{i}\n" for i in split.test_ids)
-    )
+    for name, ids in (("train.txt", split.train_ids), ("test.txt", split.test_ids)):
+        with open_atomic(directory / name) as handle:
+            handle.write("".join(f"{i}\n" for i in ids))
     summary = {
         "protocol": split.protocol,
         "seed": split.seed,
@@ -353,9 +352,8 @@ def save_split(
     }
     if manifest is not None:
         summary["class_counts"] = split_class_counts(split, manifest)
-    (directory / "summary.json").write_text(
-        json.dumps(summary, indent=2, sort_keys=True)
-    )
+    with open_atomic(directory / "summary.json") as handle:
+        handle.write(json.dumps(summary, indent=2, sort_keys=True))
 
 
 def load_split(directory: str | Path) -> ProtocolSplit:

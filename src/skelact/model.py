@@ -16,12 +16,14 @@ from __future__ import annotations
 
 import json
 import struct
+from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import autodiff as ad
+from .atomic import open_atomic
 from .autodiff import Tensor
 from .errors import CheckpointError, ConfigurationError
 from .graph import PartitionedAdjacency, build_graph, partition_spatial
@@ -124,6 +126,13 @@ class BatchNorm:
         self.running_var = (1.0 - m) * self.running_var + m * var
         return out
 
+    def folded(self) -> tuple[np.ndarray, np.ndarray]:
+        """The (C,) scale and shift of the evaluation map ``x * a + b``."""
+        inv_std = 1.0 / np.sqrt(self.running_var + self.EPS)
+        return ad.fold_batch_norm(
+            self.gamma.data, self.beta.data, self.running_mean, inv_std
+        )
+
     def parameters(self) -> list[tuple[str, Tensor]]:
         return [("gamma", self.gamma), ("beta", self.beta)]
 
@@ -186,22 +195,57 @@ class StgcnBlock:
         training: bool,
         rng: np.random.Generator | None,
     ) -> Tensor:
+        """Run the block; evaluation records no graph and folds every BN."""
+        if not training:
+            with ad.no_grad():
+                return self._forward_folded(x, adjacency)
         y = ad.graph_conv(
             x, adjacency, self.gcn_weights, self.edge_masks, self.gcn_bias
         )
         y = self.bn1.forward(y, training, relu=True)
         y = ad.temporal_conv(y, self.tcn_kernel, self.stride, self.tcn_bias)
         y = self.bn2.forward(y, training)
-        if training and self.dropout > 0.0:
+        if self.dropout > 0.0:
             y = ad.dropout(y, self.dropout, rng)
+        shortcut = self._shortcut(x, training)
+        return ad.relu(y) if shortcut is None else ad.add_relu(y, shortcut)
+
+    def _forward_folded(self, x: Tensor, adjacency: list[Tensor]) -> Tensor:
+        """The evaluation forward: each BN is folded into the conv before it.
+
+        bn1 scales the graph convolution's output channels and maps its
+        bias, so the convolution's fresh output is rectified in place; bn2
+        does the same to the temporal kernel rows and bias.
+        """
+        a, b = self.bn1.folded()
+        y = ad.graph_conv(
+            x, adjacency, [Tensor(w.data * a) for w in self.gcn_weights],
+            self.edge_masks, Tensor(self.gcn_bias.data * a + b),
+        )
+        np.maximum(y.data, 0.0, out=y.data)
+        a, b = self.bn2.folded()
+        y = ad.temporal_conv(y, Tensor(self.tcn_kernel.data * a[:, None]), self.stride,
+                             Tensor(self.tcn_bias.data * a + b))
+        shortcut = self._shortcut(x, training=False)
+        return ad.relu(y) if shortcut is None else ad.add_relu(y, shortcut)
+
+    def _shortcut(self, x: Tensor, training: bool) -> Tensor | None:
+        """The residual branch: none, ``x`` itself, or its projection.
+
+        In evaluation res_bn is folded into the projection weight, and its
+        shift becomes the projection's bias.
+        """
+        if self.residual == "none":
+            return None
         if self.residual == "identity":
-            return ad.add_relu(y, x)
-        if self.residual == "project":
-            shortcut = x if self.stride == 1 else ad.temporal_subsample(x, self.stride)
-            shortcut = ad.pointwise_conv(shortcut, self.res_weight)
-            shortcut = self.res_bn.forward(shortcut, training)
-            return ad.add_relu(y, shortcut)
-        return ad.relu(y)
+            return x
+        shortcut = x if self.stride == 1 else ad.temporal_subsample(x, self.stride)
+        if training:
+            return self.res_bn.forward(
+                ad.pointwise_conv(shortcut, self.res_weight), training
+            )
+        a, b = self.res_bn.folded()
+        return ad.pointwise_conv(shortcut, Tensor(self.res_weight.data * a), Tensor(b))
 
     def parameters(self) -> list[tuple[str, Tensor]]:
         named: list[tuple[str, Tensor]] = []
@@ -236,7 +280,9 @@ class StgcnNetwork:
     norm at identity.
 
     The network keeps no graph: ``logits.backward(grad)`` runs the backward
-    pass, and the graph is freed when the caller drops ``logits``.
+    pass of a training forward, and the graph is freed when the caller
+    drops ``logits``. An evaluation forward runs under ``autodiff.no_grad``
+    and returns a leaf.
     """
 
     def __init__(
@@ -323,22 +369,25 @@ class StgcnNetwork:
 
         if rng is None:
             rng = self._forward_rng
-        # Normalize per joint-channel pair over the batch and time. The
-        # input is a constant, so it is rearranged outside the graph.
-        h = Tensor(x.transpose(0, 4, 3, 1, 2).reshape(
-            samples * slots, vertices * channels, frames, 1))
-        h = self.input_bn.forward(h, training)
-        h = ad.reshape(h, (samples * slots, vertices, channels, frames))
-        h = ad.transpose(h, (0, 2, 3, 1))
-        for block in self.blocks:
-            h = block.forward(h, self.adjacency, training, rng)
-        h = ad.mean(h, axes=(2, 3))
-        h = ad.reshape(h, (samples, slots, self.channel_plan[-1][0]))
-        if self.person_pool == "mean":
-            h = ad.mean(h, axes=(1,))
-        else:
-            h = ad.reduce_sum(h, axes=(1,))
-        return ad.add(ad.matmul_last(h, self.fc_weight), self.fc_bias)
+        # An evaluation forward records nothing, so nothing outlives it
+        # but the logits.
+        with nullcontext() if training else ad.no_grad():
+            # Normalize per joint-channel pair over the batch and time. The
+            # input is a constant, so it is rearranged outside the graph.
+            h = Tensor(x.transpose(0, 4, 3, 1, 2).reshape(
+                samples * slots, vertices * channels, frames, 1))
+            h = self.input_bn.forward(h, training)
+            h = ad.reshape(h, (samples * slots, vertices, channels, frames))
+            h = ad.transpose(h, (0, 2, 3, 1))
+            for block in self.blocks:
+                h = block.forward(h, self.adjacency, training, rng)
+            h = ad.mean(h, axes=(2, 3))
+            h = ad.reshape(h, (samples, slots, self.channel_plan[-1][0]))
+            if self.person_pool == "mean":
+                h = ad.mean(h, axes=(1,))
+            else:
+                h = ad.reduce_sum(h, axes=(1,))
+            return ad.add(ad.matmul_last(h, self.fc_weight), self.fc_bias)
 
     __call__ = forward
 
@@ -432,7 +481,8 @@ def save_weights(net: StgcnNetwork, path: str | Path) -> None:
     The format is a magic string, a little-endian uint64 header length, a
     JSON header (sorted keys, no indentation) describing the arrays and
     the network structure, then the raw float64 buffers in header order.
-    Identical state produces identical bytes.
+    Identical state produces identical bytes, and the file is replaced
+    whole (``atomic.open_atomic``).
     """
     arrays = net.state_arrays()
     entries = []
@@ -449,7 +499,7 @@ def save_weights(net: StgcnNetwork, path: str | Path) -> None:
         "arrays": entries,
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as handle:
+    with open_atomic(path, "wb") as handle:
         handle.write(CHECKPOINT_MAGIC)
         handle.write(struct.pack("<Q", len(blob)))
         handle.write(blob)

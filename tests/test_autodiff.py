@@ -14,6 +14,7 @@ from skelact.autodiff import (
     matmul_last,
     mean,
     mul,
+    no_grad,
     pointwise_conv,
     reduce_sum,
     relu,
@@ -448,11 +449,31 @@ def test_pointwise_conv_gradcheck():
     check_grads(build, [x, weight])
 
 
+def test_pointwise_conv_bias_gradcheck():
+    rng = np.random.default_rng(22)
+    x = leaf(rng, (2, 3, 4, 5))
+    weight = leaf(rng, (3, 6))
+    bias = leaf(rng, (6,))
+    plain = pointwise_conv(x, weight)
+    biased = pointwise_conv(x, weight, bias)
+    assert np.array_equal(biased.data, plain.data + bias.data[None, :, None, None])
+
+    def build():
+        out = pointwise_conv(x, weight, bias)
+        return reduce_sum(mul(out, out), (0, 1, 2, 3))
+
+    check_grads(build, [x, weight, bias])
+
+
 def test_pointwise_conv_validation():
     with pytest.raises(ConfigurationError):
         pointwise_conv(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((3, 2))))
     with pytest.raises(ConfigurationError):
         pointwise_conv(Tensor(np.ones((2, 3, 4, 5))), Tensor(np.ones(3)))
+    for shape in [(3,), (2, 1), ()]:
+        with pytest.raises(ConfigurationError, match="bias"):
+            pointwise_conv(Tensor(np.ones((2, 3, 4, 5))), Tensor(np.ones((3, 2))),
+                           Tensor(np.ones(shape)))
 
 
 # ----------------------------------------------------------------- batch norm
@@ -625,3 +646,91 @@ def test_dropout_scaling_preserves_the_mean():
     kept = out.data[out.data > 0]
     assert np.allclose(kept, 1.0 / 0.7)
     assert abs(out.data.mean() - 1.0) < 0.02
+
+
+# ------------------------------------------------------------------- no_grad
+
+def _op_cases():
+    """(name, operands, op): every public op, called on fresh operands."""
+    rng = np.random.default_rng(40)
+    x4 = rng.uniform(-1.0, 1.0, (2, 3, 7, 5))
+    other = rng.uniform(-1.0, 1.0, (2, 3, 7, 5))
+    gamma, beta = rng.uniform(0.5, 1.5, 3), rng.uniform(-0.5, 0.5, 3)
+    mu, var = rng.uniform(-0.2, 0.2, 3), rng.uniform(0.5, 2.0, 3)
+    adjacency = [rng.uniform(0.0, 1.0, (5, 5)) for _ in range(3)]
+    weights = [rng.uniform(-1.0, 1.0, (3, 4)) for _ in range(3)]
+    masks = [rng.uniform(0.5, 1.5, (5, 5)) for _ in range(3)]
+    bias = rng.uniform(-0.5, 0.5, 4)
+    return [
+        ("add", (x4, other), add),
+        ("mul", (x4, other), mul),
+        ("relu", (x4,), relu),
+        ("add_relu", (x4, other), add_relu),
+        ("matmul_last", (x4, adjacency[0]), matmul_last),
+        ("transpose", (x4,), lambda a: transpose(a, (0, 2, 3, 1))),
+        ("reshape", (x4,), lambda a: reshape(a, (6, 35))),
+        ("reduce_sum", (x4,), lambda a: reduce_sum(a, (2, 3))),
+        ("mean", (x4,), lambda a: mean(a, (0, 2))),
+        ("temporal_subsample", (x4,), lambda a: temporal_subsample(a, 2)),
+        ("temporal_conv", (x4, rng.uniform(-1.0, 1.0, (3, 3)), gamma),
+         lambda a, k, b: temporal_conv(a, k, 2, b)),
+        ("graph_conv", (x4, *adjacency, *weights, *masks, bias),
+         lambda a, *rest: graph_conv(a, list(rest[0:3]), list(rest[3:6]),
+                                     list(rest[6:9]), rest[9])),
+        ("pointwise_conv", (x4, weights[0], bias), pointwise_conv),
+        ("batch_norm_batch", (x4, gamma, beta),
+         lambda a, g, b: batch_norm_batch(a, g, b)[0]),
+        ("batch_norm_batch_relu", (x4, gamma, beta),
+         lambda a, g, b: batch_norm_batch(a, g, b, relu=True)[0]),
+        ("batch_norm_given", (x4, gamma, beta),
+         lambda a, g, b: batch_norm_given(a, g, b, mu, var)),
+        ("batch_norm_given_relu", (x4, gamma, beta),
+         lambda a, g, b: batch_norm_given(a, g, b, mu, var, relu=True)),
+        ("dropout", (x4,), lambda a: dropout(a, 0.4, np.random.default_rng(41))),
+    ]
+
+
+OP_CASES = _op_cases()
+
+
+@pytest.mark.parametrize("name,operands,op", OP_CASES, ids=[c[0] for c in OP_CASES])
+def test_no_grad_outputs_have_the_bits_of_recorded_ones_and_are_bare_leaves(
+        name, operands, op):
+    recorded = op(*[Tensor(v, trainable=True) for v in operands])
+    assert not recorded.is_leaf
+    with no_grad():
+        bare = op(*[Tensor(v, trainable=True) for v in operands])
+    assert bare.data.tobytes() == recorded.data.tobytes()
+    assert bare.is_leaf and bare.grad is None and bare._backward_fn is None
+
+
+def test_tensors_built_under_no_grad_have_no_gradient_buffer():
+    with no_grad():
+        built = Tensor(np.ones((2, 3)), trainable=True)
+    assert built.is_leaf and built.grad is None
+    assert (Tensor(np.ones((2, 3))).grad == 0.0).all()
+
+
+def test_no_grad_nests_and_restores_recording_on_exit_and_on_error():
+    x = Tensor(np.ones(3), trainable=True)
+
+    def records() -> bool:
+        return not relu(x).is_leaf
+
+    with no_grad():
+        with no_grad():
+            assert not records()
+        assert not records()
+    assert records()
+    with pytest.raises(ValueError):
+        with no_grad():
+            raise ValueError("inside")
+    assert records()
+    with pytest.raises(ConfigurationError):
+        with no_grad():
+            with no_grad():
+                dropout(x, 2.0, np.random.default_rng(0))
+    assert records()
+    out = mul(x, x)
+    out.backward(np.ones(3))
+    assert np.array_equal(x.grad, [2.0, 2.0, 2.0])

@@ -1,6 +1,7 @@
 """Network assembly, forward pass, transfer modes, checkpoints."""
 import json
 import struct
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -21,7 +22,22 @@ from skelact import (
     set_trainable,
     train_loop,
 )
-from skelact.autodiff import Tensor, graph_conv, mul, reduce_sum
+from skelact.autodiff import (
+    Tensor,
+    add,
+    add_relu,
+    graph_conv,
+    matmul_last,
+    mean,
+    mul,
+    pointwise_conv,
+    reduce_sum,
+    relu,
+    reshape,
+    temporal_conv,
+    temporal_subsample,
+    transpose,
+)
 from skelact.model import (
     CHECKPOINT_MAGIC,
     DEFAULT_CHANNEL_PLAN,
@@ -124,6 +140,92 @@ def test_stride_two_projection_matches_a_loop_oracle():
                         expected[b, d, t, v] += x[b, c, 2 * t, v] * weight[c, d]
     expected = np.maximum(expected / np.sqrt(1.0 + BatchNorm.EPS), 0.0)
     assert np.allclose(out.data, expected, atol=1e-12)
+
+
+def perturb_batch_norms(layers, rng):
+    """Move running statistics, gamma and beta away from their start."""
+    for bn in layers:
+        bn.running_mean = rng.uniform(-0.5, 0.5, bn.running_mean.shape)
+        bn.running_var = rng.uniform(0.3, 3.0, bn.running_var.shape)
+        bn.gamma.data[...] = rng.uniform(-1.5, 1.5, bn.gamma.shape)
+        bn.beta.data[...] = rng.uniform(-0.5, 0.5, bn.beta.shape)
+
+
+def unfused_block(block, x, adjacency):
+    """The block in evaluation as separate ops, each BN by batch_norm_given."""
+    y = graph_conv(x, adjacency, block.gcn_weights, block.edge_masks, block.gcn_bias)
+    y = block.bn1.forward(y, training=False, relu=True)
+    y = temporal_conv(y, block.tcn_kernel, block.stride, block.tcn_bias)
+    y = block.bn2.forward(y, training=False)
+    if block.residual == "identity":
+        return add_relu(y, x)
+    if block.residual == "project":
+        shortcut = x if block.stride == 1 else temporal_subsample(x, block.stride)
+        shortcut = block.res_bn.forward(pointwise_conv(shortcut, block.res_weight),
+                                        training=False)
+        return add_relu(y, shortcut)
+    return relu(y)
+
+
+def unfused_logits(net, x):
+    samples, channels, frames, vertices, slots = x.shape
+    h = Tensor(x.transpose(0, 4, 3, 1, 2).reshape(
+        samples * slots, vertices * channels, frames, 1))
+    h = net.input_bn.forward(h, training=False)
+    h = transpose(reshape(h, (samples * slots, vertices, channels, frames)),
+                  (0, 2, 3, 1))
+    for block in net.blocks:
+        h = unfused_block(block, h, net.adjacency)
+    h = reshape(mean(h, axes=(2, 3)), (samples, slots, net.channel_plan[-1][0]))
+    return add(matmul_last(mean(h, axes=(1,)), net.fc_weight), net.fc_bias).data
+
+
+@pytest.mark.parametrize("in_channels,stride,residual", [
+    (8, 1, True), (4, 2, True), (4, 1, False)], ids=["identity", "project", "none"])
+def test_folded_eval_block_matches_the_unfused_batch_norm_chain(
+        in_channels, stride, residual):
+    block = StgcnBlock(in_channels, 8, 5, 3, np.random.default_rng(30),
+                       stride=stride, residual=residual)
+    assert block.residual == {True: "identity" if stride == 1 else "project",
+                              False: "none"}[residual]
+    rng = np.random.default_rng(31)
+    perturb_batch_norms([bn for _, bn in block.batch_norms()], rng)
+    block.gcn_bias.data[...] = rng.uniform(-0.5, 0.5, 8)
+    block.tcn_bias.data[...] = rng.uniform(-0.5, 0.5, 8)
+    adjacency = [Tensor(m) for m in small_adjacency().matrices]
+    x = Tensor(rng.uniform(-1.0, 1.0, (2, in_channels, 7, 5)))
+    expected = unfused_block(block, x, adjacency).data
+    out = block.forward(x, adjacency, training=False, rng=None)
+    assert out.is_leaf and out.grad is None
+    assert (expected > 0).mean() > 0.2
+    assert np.abs(out.data - expected).max() <= 1e-14 * np.abs(expected).max()
+
+
+def test_folded_eval_network_matches_the_unfused_batch_norm_chain():
+    net = small_net(seed=4)
+    rng = np.random.default_rng(32)
+    perturb_batch_norms([bn for _, bn in net.batch_norm_layers()], rng)
+    x = small_input(rng)
+    expected = unfused_logits(net, x)
+    logits = net.forward(x)
+    assert np.abs(logits.data - expected).max() <= 1e-15 * np.abs(expected).max()
+
+
+def test_eval_forward_at_the_paper_shape_keeps_no_graph_and_little_memory():
+    # One T=300 sample through the 10-block plan. Recording a graph kept
+    # every block's aggregate, padded input and masks alive: a 273 MiB
+    # peak. Without one, only a few layer-sized arrays are alive at once.
+    net = StgcnNetwork(partition_spatial(build_graph(COCO18)), 10, seed=0)
+    x = np.random.default_rng(33).uniform(-1.0, 1.0, (1, 3, 300, 18, 1))
+    net.forward(x)
+    tracemalloc.start()
+    try:
+        logits = net.forward(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert logits.is_leaf and logits.grad is None
+    assert peak < 64 * 2**20
 
 
 @pytest.mark.parametrize("in_channels,stride,nodes", [(8, 1, 5), (4, 2, 8)])
