@@ -90,9 +90,7 @@ from .train import (
 from .metrics import (
     ClassSummary,
     classwise_table,
-    confidence_interval,
     confusion_matrix,
-    five_number_summary,
     pearson,
     sequence_confidence,
     spearman,

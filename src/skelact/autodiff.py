@@ -293,6 +293,33 @@ def temporal_subsample(x: Tensor, stride: int) -> Tensor:
     return Tensor(out_data, parents=(x,), backward_fn=backward_fn)
 
 
+_BN_AXES = (0, 2, 3)
+
+
+def _channel_sum(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
+    """Per-channel sum of a (B, C, T, V) array, or of ``a * b``, as (C,).
+
+    The product is summed one sample at a time through a (C, T, V)
+    buffer. On C-contiguous arrays that is the order in which numpy's own
+    ``(a * b).sum(axis=(0, 2, 3))`` adds, so the result has its bits
+    without a full-size temporary.
+    """
+    if b is None:
+        return a.sum(axis=_BN_AXES)
+    total = np.zeros(a.shape[1])
+    product = np.empty(a.shape[1:])
+    for a_sample, b_sample in zip(a, b):
+        total += np.multiply(a_sample, b_sample, out=product).sum(axis=(1, 2))
+    return total
+
+
+def _check_bias(op: str, bias: Tensor | None, channels: int) -> None:
+    if bias is not None and bias.data.shape != (channels,):
+        raise ConfigurationError(
+            f"{op} bias has shape {bias.data.shape}, expected ({channels},)"
+        )
+
+
 def _tap_windows(padded: np.ndarray, taps: int, stride: int) -> np.ndarray:
     """The (B, C, K, T_out, V) view ``padded[b, c, stride * t + k, v]``."""
     return np.moveaxis(sliding_window_view(padded, taps, axis=2)[:, :, ::stride], -1, 2)
@@ -335,6 +362,7 @@ def temporal_conv(
         raise ConfigurationError(f"kernel size must be odd, got {taps}")
     if stride < 1:
         raise ConfigurationError(f"stride: must be positive, got {stride}")
+    _check_bias("temporal_conv", bias, channels)
 
     batch, _, frames, vertices = x.data.shape
     pad = (taps - 1) // 2
@@ -346,7 +374,7 @@ def temporal_conv(
 
     def backward_fn(grad):
         if bias is not None:
-            _accumulate(bias, grad.sum(axis=(0, 2, 3)))
+            _accumulate(bias, _channel_sum(grad))
         windows = _tap_windows(padded, taps, stride)
         _accumulate(kernel, np.einsum("bcktv,bctv->ck", windows, grad))
         dilated = np.zeros_like(padded)
@@ -398,6 +426,7 @@ def graph_conv(
     gated = [a.data * m.data for a, m in zip(adjacency, masks)]
     stacked = np.stack([w.data for w in weights]).reshape(partitions * channels, -1)
     out_channels = stacked.shape[1]
+    _check_bias("graph_conv", bias, out_channels)
 
     # Row block k of a sample's (K·C, T·V) aggregate holds x[b] @ gated[k].
     columns = x.data.reshape(batch, channels * frames, vertices)
@@ -412,7 +441,7 @@ def graph_conv(
 
     def backward_fn(grad):
         if bias is not None:
-            _accumulate(bias, grad.sum(axis=(0, 2, 3)))
+            _accumulate(bias, _channel_sum(grad))
         grad_flat = grad.reshape(batch, out_channels, frames * vertices)
         grad_stacked = _batch_outer(aggregated, grad_flat)
         grad_aggregated = np.matmul(stacked, grad_flat).reshape(
@@ -446,11 +475,7 @@ def pointwise_conv(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Ten
         raise ConfigurationError(
             "pointwise_conv needs a (B, C, T, V) input and a 2D weight"
         )
-    if bias is not None and bias.data.shape != weight.data.shape[1:]:
-        raise ConfigurationError(
-            f"pointwise_conv bias has shape {bias.data.shape}, "
-            f"expected ({weight.data.shape[1]},)"
-        )
+    _check_bias("pointwise_conv", bias, weight.data.shape[1])
     batch, channels, frames, vertices = x.data.shape
     flat = x.data.reshape(batch, channels, frames * vertices)
     out_data = np.matmul(weight.data.T, flat).reshape(batch, -1, frames, vertices)
@@ -459,16 +484,13 @@ def pointwise_conv(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Ten
 
     def backward_fn(grad):
         if bias is not None:
-            _accumulate(bias, grad.sum(axis=(0, 2, 3)))
+            _accumulate(bias, _channel_sum(grad))
         grad_flat = grad.reshape(batch, -1, frames * vertices)
         _accumulate(weight, _batch_outer(flat, grad_flat))
         _accumulate(x, np.matmul(weight.data, grad_flat).reshape(x.data.shape))
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     return Tensor(out_data, parents=parents, backward_fn=backward_fn)
-
-
-_BN_AXES = (0, 2, 3)
 
 
 def _batch_norm_input(x: Tensor) -> Tensor:
@@ -490,43 +512,48 @@ def fold_batch_norm(gamma, beta, mean, inv_std) -> tuple[np.ndarray, np.ndarray]
     return a, beta - mean * a
 
 
-def _normalize(x, gamma, beta, mu, inv_std, batch_stats: bool, relu: bool) -> Tensor:
+def _normalize(x, gamma, beta, mu, inv_std, centered, relu: bool) -> Tensor:
     """``gamma * (x - mu) * inv_std + beta`` per channel, as one node.
 
-    ``mu`` and ``inv_std`` are (1, C, 1, 1). With ``batch_stats`` they were
-    computed from ``x`` and the input gradient accounts for that; otherwise
+    ``mu`` and ``inv_std`` are (1, C, 1, 1). With batch statistics the
+    caller passes ``centered = x - mu``, the one full-size array the node
+    keeps besides the ReLU mask, and the input gradient accounts for the
+    dependence of ``mu`` and ``inv_std`` on ``x``. With ``centered`` None
     they are constants, the output is the folded map ``x * a + b`` and the
     input gradient is a per-channel scale. ``relu`` fuses a ReLU onto it.
     """
     gamma, beta = _as_tensor(gamma), _as_tensor(beta)
-    scale = gamma.data[None, :, None, None]
     shift = beta.data[None, :, None, None]
-    if batch_stats:
-        normalized = (x.data - mu) * inv_std
-        out_data = scale * normalized + shift
-    else:
-        a, b = fold_batch_norm(scale, shift, mu, inv_std)
+    a, b = fold_batch_norm(gamma.data[None, :, None, None], shift, mu, inv_std)
+    if centered is None:
         out_data = x.data * a + b
+    else:
+        out_data = centered * a
+        out_data += shift
     mask = _rectify(out_data) if relu else None
 
     def backward_fn(grad):
+        # ``grad`` may also be a sibling's gradient (``add`` and ``add_relu``
+        # hand one array to both parents), so only the masked copy is
+        # written in place.
         if mask is not None:
             grad = grad * mask
-        _accumulate(beta, grad.sum(axis=_BN_AXES))
-        if not batch_stats:
-            _accumulate(gamma, (grad * ((x.data - mu) * inv_std)).sum(axis=_BN_AXES))
+        grad_sum = _channel_sum(grad)
+        _accumulate(beta, grad_sum)
+        if centered is None:
+            _accumulate(gamma, _channel_sum(grad, (x.data - mu) * inv_std))
             _accumulate(x, grad * a)
             return
-        _accumulate(gamma, (grad * normalized).sum(axis=_BN_AXES))
-        grad_normalized = grad * scale
-        mean_grad = grad_normalized.mean(axis=_BN_AXES, keepdims=True)
-        mean_grad_normalized = (grad_normalized * normalized).mean(
-            axis=_BN_AXES, keepdims=True
-        )
-        _accumulate(
-            x,
-            inv_std * (grad_normalized - mean_grad - normalized * mean_grad_normalized),
-        )
+        grad_centered_sum = _channel_sum(grad, centered)
+        _accumulate(gamma, grad_centered_sum * inv_std.reshape(-1))
+        count = grad.size // grad.shape[1]
+        mean_grad = (grad_sum / count)[None, :, None, None]
+        mean_grad_centered = (grad_centered_sum / count)[None, :, None, None]
+        # dx = a * (g - mean(g) - centered * inv_std**2 * mean(g * centered))
+        grad_x = centered * (-a * inv_std ** 2 * mean_grad_centered)
+        grad_x -= a * mean_grad
+        grad_x += np.multiply(grad, a, out=grad) if mask is not None else grad * a
+        _accumulate(x, grad_x)
 
     return Tensor(out_data, parents=(x, gamma, beta), backward_fn=backward_fn)
 
@@ -543,10 +570,11 @@ def batch_norm_batch(
     """
     x = _batch_norm_input(x)
     mu = x.data.mean(axis=_BN_AXES, keepdims=True)
-    var = ((x.data - mu) ** 2).mean(axis=_BN_AXES, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + eps)
-    out = _normalize(x, gamma, beta, mu, inv_std, batch_stats=True, relu=relu)
-    return out, mu.reshape(-1), var.reshape(-1)
+    centered = x.data - mu
+    var = _channel_sum(centered, centered) / (centered.size // centered.shape[1])
+    inv_std = 1.0 / np.sqrt(var + eps)[None, :, None, None]
+    out = _normalize(x, gamma, beta, mu, inv_std, centered, relu)
+    return out, mu.reshape(-1), var
 
 
 def batch_norm_given(
@@ -563,7 +591,7 @@ def batch_norm_given(
     inv_std = 1.0 / np.sqrt(np.asarray(running_var, dtype=np.float64) + eps)
     mu = np.asarray(running_mean, dtype=np.float64)
     return _normalize(x, gamma, beta, mu[None, :, None, None],
-                      inv_std[None, :, None, None], batch_stats=False, relu=relu)
+                      inv_std[None, :, None, None], None, relu)
 
 
 def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:

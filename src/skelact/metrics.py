@@ -1,7 +1,6 @@
-"""Accuracy metrics, per-class summaries, and small-sample statistics."""
+"""Accuracy metrics, per-class summaries, and correlations."""
 from __future__ import annotations
 
-import statistics
 from dataclasses import dataclass
 
 import numpy as np
@@ -187,51 +186,3 @@ def spearman(x, y) -> float:
     """Spearman correlation: Pearson over midranks."""
     x, y = _clean_pair(x, y)
     return pearson(_midranks(x), _midranks(y))
-
-
-@dataclass(frozen=True)
-class ConfidenceInterval:
-    mean: float
-    lower: float
-    upper: float
-    level: float
-
-
-def confidence_interval(samples, level: float = 0.95) -> ConfidenceInterval:
-    """Gaussian-approximation interval for the mean.
-
-    Uses the population standard deviation and the two-sided normal
-    quantile for ``level``, i.e. mean +- z * sd / sqrt(n).
-    """
-    samples = np.asarray(samples, dtype=np.float64)
-    if samples.ndim != 1 or samples.size < 2:
-        raise ConfigurationError("samples must be a 1D array of at least 2 values")
-    if not 0.0 < level < 1.0:
-        raise ConfigurationError(f"level must lie in (0, 1), got {level}")
-    mean = float(samples.mean())
-    sd = float(samples.std(ddof=0))
-    z = statistics.NormalDist().inv_cdf(0.5 + level / 2.0)
-    half = z * sd / np.sqrt(samples.size)
-    return ConfidenceInterval(mean, mean - half, mean + half, level)
-
-
-@dataclass(frozen=True)
-class FiveNumberSummary:
-    minimum: float
-    q1: float
-    median: float
-    q3: float
-    maximum: float
-
-
-def five_number_summary(samples) -> FiveNumberSummary:
-    """Min, quartiles (linear interpolation), and max."""
-    samples = np.asarray(samples, dtype=np.float64)
-    if samples.ndim != 1 or samples.size == 0:
-        raise ConfigurationError("samples must be a non-empty 1D array")
-    q1, median, q3 = np.percentile(samples, [25.0, 50.0, 75.0])
-    return FiveNumberSummary(
-        float(samples.min()), float(q1), float(median), float(q3),
-        float(samples.max()),
-    )
-

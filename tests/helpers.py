@@ -6,12 +6,15 @@ from the package internals, so tests compare two independent derivations.
 import itertools
 import json
 import math
+import statistics
+from dataclasses import dataclass
 from pathlib import Path
 
 import mpmath as mp
 import numpy as np
 
 from skelact import (
+    ConfigurationError,
     DatasetManifest,
     ManifestRecord,
     SkeletonGraph,
@@ -190,6 +193,43 @@ def oracle_graph_conv(x, adjacency, weights, masks, bias):
     return out if bias is None else out + bias[:, None, None]
 
 
+def oracle_batch_norm(x, gamma, beta, eps, relu, seed):
+    """Training batch norm and its gradients by the textbook chain rule.
+
+    Follows Ioffe & Szegedy (2015), Algorithm 1 and its backward pass,
+    through the normalized input, the variance and the mean in turn.
+    Returns (out, mean, var, grad_gamma, grad_beta, grad_x) for the output
+    gradient ``seed``.
+    """
+    axes = (0, 2, 3)
+    count = x.size // x.shape[1]
+
+    def per_channel(v):
+        return v[None, :, None, None]
+
+    mean = x.mean(axis=axes)
+    var = ((x - per_channel(mean)) ** 2).mean(axis=axes)
+    std = np.sqrt(var + eps)
+    normalized = (x - per_channel(mean)) / per_channel(std)
+    out = per_channel(gamma) * normalized + per_channel(beta)
+    grad_out = seed
+    if relu:
+        grad_out = np.where(out > 0.0, seed, 0.0)
+        out = np.maximum(out, 0.0)
+    grad_normalized = grad_out * per_channel(gamma)
+    grad_var = (grad_normalized * (x - per_channel(mean))).sum(axis=axes) * (
+        -0.5 * std ** -3
+    )
+    grad_mean = (-grad_normalized / per_channel(std)).sum(axis=axes) + grad_var * (
+        -2.0 * (x - per_channel(mean)).mean(axis=axes)
+    )
+    grad_x = (grad_normalized / per_channel(std)
+              + per_channel(grad_var) * 2.0 * (x - per_channel(mean)) / count
+              + per_channel(grad_mean) / count)
+    return (out, mean, var, (grad_out * normalized).sum(axis=axes),
+            grad_out.sum(axis=axes), grad_x)
+
+
 # ---------------------------------------------------------- tracking oracle
 
 def oracle_slot_cost(a, b) -> float:
@@ -316,3 +356,55 @@ def mp_five_numbers(samples):
         quantile("0.75"),
         float(xs[-1]),
     )
+
+
+# ------------------------------------------------- small-sample statistics
+# Checked against the mpmath references above by acceptance 7; the
+# package itself reports no interval or quartiles.
+
+@dataclass(frozen=True)
+class ConfidenceInterval:
+    mean: float
+    lower: float
+    upper: float
+    level: float
+
+
+def confidence_interval(samples, level: float = 0.95) -> ConfidenceInterval:
+    """Gaussian-approximation interval for the mean.
+
+    Uses the population standard deviation and the two-sided normal
+    quantile for ``level``, i.e. mean +- z * sd / sqrt(n).
+    """
+    samples = np.asarray(samples, dtype=np.float64)
+    if samples.ndim != 1 or samples.size < 2:
+        raise ConfigurationError("samples must be a 1D array of at least 2 values")
+    if not 0.0 < level < 1.0:
+        raise ConfigurationError(f"level must lie in (0, 1), got {level}")
+    mean = float(samples.mean())
+    sd = float(samples.std(ddof=0))
+    z = statistics.NormalDist().inv_cdf(0.5 + level / 2.0)
+    half = z * sd / np.sqrt(samples.size)
+    return ConfidenceInterval(mean, mean - half, mean + half, level)
+
+
+@dataclass(frozen=True)
+class FiveNumberSummary:
+    minimum: float
+    q1: float
+    median: float
+    q3: float
+    maximum: float
+
+
+def five_number_summary(samples) -> FiveNumberSummary:
+    """Min, quartiles (linear interpolation), and max."""
+    samples = np.asarray(samples, dtype=np.float64)
+    if samples.ndim != 1 or samples.size == 0:
+        raise ConfigurationError("samples must be a non-empty 1D array")
+    q1, median, q3 = np.percentile(samples, [25.0, 50.0, 75.0])
+    return FiveNumberSummary(
+        float(samples.min()), float(q1), float(median), float(q3),
+        float(samples.max()),
+    )
+

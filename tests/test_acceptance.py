@@ -26,9 +26,7 @@ from skelact import (
     augment_combined,
     build_graph,
     build_protocol,
-    confidence_interval,
     cross_entropy,
-    five_number_summary,
     normalize_centralize,
     pad_sequence,
     partition_spatial,
@@ -44,6 +42,8 @@ from skelact import (
 from skelact.cli import main
 from helpers import (
     build_manifest_tree,
+    confidence_interval,
+    five_number_summary,
     max_rel_err,
     motion_dataset,
     mp_five_numbers,

@@ -1,4 +1,6 @@
 """Reverse-mode differentiation engine."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -23,7 +25,7 @@ from skelact.autodiff import (
     temporal_subsample,
     transpose,
 )
-from helpers import max_rel_err, numeric_grad, oracle_graph_conv
+from helpers import max_rel_err, numeric_grad, oracle_batch_norm, oracle_graph_conv
 
 
 def leaf(rng, shape, offset=0.0):
@@ -433,6 +435,16 @@ def test_graph_conv_rejects_unequal_operand_lists():
         graph_conv(x, adjacency, weights[:2], masks)
 
 
+@pytest.mark.parametrize("shape", [(1,), (5,)])
+def test_graph_and_temporal_conv_reject_a_bias_not_one_per_channel(shape):
+    rng = np.random.default_rng(23)
+    x, adjacency, weights, masks = graph_conv_operands(rng, 2, 4)
+    with pytest.raises(ConfigurationError, match="graph_conv bias"):
+        graph_conv(x, adjacency, weights, masks, Tensor(np.ones(shape)))
+    with pytest.raises(ConfigurationError, match="temporal_conv bias"):
+        temporal_conv(x, Tensor(np.ones((2, 3))), bias=Tensor(np.ones(shape)))
+
+
 def test_pointwise_conv_gradcheck():
     rng = np.random.default_rng(21)
     x = leaf(rng, (2, 3, 4, 5))
@@ -489,6 +501,42 @@ def test_batch_norm_batch_standardizes():
     # The statistics it returns are the ones it normalized with.
     assert np.array_equal(mu, x.data.mean(axis=(0, 2, 3)))
     assert np.array_equal(var, x.data.var(axis=(0, 2, 3)))
+
+
+# The shape of a bn1 layer in the first block of a T=30, B=4, M=2 run.
+@pytest.mark.parametrize("relu", [False, True])
+def test_batch_norm_batch_matches_the_textbook_chain_rule(relu):
+    rng = np.random.default_rng(24)
+    shape = (8, 64, 30, 18)
+    x = rng.normal(rng.uniform(-2.0, 2.0, (1, 64, 1, 1)),
+                   rng.uniform(0.1, 3.0, (1, 64, 1, 1)), shape)
+    gamma = rng.uniform(-1.5, 1.5, 64)
+    beta = rng.uniform(-0.5, 0.5, 64)
+    seed = rng.uniform(-1.0, 1.0, shape)
+    leaves = [Tensor(v, trainable=True) for v in (x, gamma, beta)]
+    out, mu, var = batch_norm_batch(*leaves, relu=relu)
+    out.backward(seed)
+    expected = oracle_batch_norm(x, gamma, beta, 1e-5, relu, seed)
+    got = (out.data, mu, var, leaves[1].grad, leaves[2].grad, leaves[0].grad)
+    for value, reference in zip(got, expected):
+        assert np.abs(value - reference).max() <= 1e-12 * np.abs(reference).max()
+
+
+def test_batch_norm_batch_forward_keeps_one_input_sized_array_besides_its_output():
+    rng = np.random.default_rng(25)
+    x = Tensor(rng.standard_normal((8, 64, 30, 18)), trainable=True)
+    gamma = Tensor(rng.uniform(0.5, 1.5, 64), trainable=True)
+    beta = Tensor(rng.uniform(-0.5, 0.5, 64), trainable=True)
+    tracemalloc.start()
+    try:
+        out, _, _ = batch_norm_batch(x, gamma, beta, relu=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # x - mu and the output, one input size each, plus the bool ReLU mask
+    # (1/8) and at most one per-sample buffer.
+    assert out.shape == x.shape
+    assert peak <= 2.2 * x.data.nbytes
 
 
 def test_batch_norm_batch_gradcheck():

@@ -7,15 +7,20 @@ from skelact import (
     SkeletonSequence,
     UndefinedCorrelationError,
     classwise_table,
-    confidence_interval,
     confusion_matrix,
-    five_number_summary,
     pearson,
     sequence_confidence,
     spearman,
     top_k_accuracy,
 )
-from helpers import mp_five_numbers, mp_interval, mp_pearson, mp_spearman
+from helpers import (
+    confidence_interval,
+    five_number_summary,
+    mp_five_numbers,
+    mp_interval,
+    mp_pearson,
+    mp_spearman,
+)
 
 
 # ------------------------------------------------------------- top-k accuracy
