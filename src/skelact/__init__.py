@@ -25,8 +25,6 @@ from .keypoints import (
     COCO18_JOINT_NAMES,
     COCO18_MODIFIED,
     LAYOUT_JOINT_COUNT,
-    Joint,
-    PersonSkeleton,
     parse_keypoint_frame,
     serialize_keypoint_frame,
 )

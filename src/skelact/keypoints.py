@@ -9,8 +9,6 @@ exactly as ``(0.0, 0.0, 0.0)``.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -74,67 +72,53 @@ def layout_joint_count(layout: str) -> int:
 BODY25_TO_COCO = (0, 1, 2, 3, 4, 5, 6, 7, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18)
 
 
-class Joint(NamedTuple):
-    """One 2D keypoint with its detector confidence."""
-
-    x: float
-    y: float
-    c: float
-
-    @property
-    def visible(self) -> bool:
-        return self.c > 0.0
+# The one value type a keypoint list may hold: every JSON number is read as
+# a float (see _int_as_float), and ``true``/``false`` stay ``bool``.
+_NUMBER_TYPES = {float}
 
 
-@dataclass
-class PersonSkeleton:
-    """All joints of one detected person as a ``(V, 3)`` float array.
+def _int_as_float(literal: str) -> float:
+    """Read a JSON integer as float64.
 
-    Columns are ``(x, y, confidence)``. The row order follows the layout's
-    published joint order.
+    A literal too large for float64 becomes ``inf``, which the value check
+    then rejects, instead of an OverflowError (or, past 4,300 digits, a
+    ValueError inside the JSON decoder). Adding 0.0 maps ``-0`` to 0.0, as
+    converting the integer would.
     """
-
-    joints: np.ndarray
-    layout: str
-
-    def __post_init__(self):
-        expected = layout_joint_count(self.layout)
-        self.joints = np.asarray(self.joints, dtype=np.float64)
-        if self.joints.shape != (expected, 3):
-            raise LayoutMismatchError(
-                f"layout {self.layout} expects joint array of shape "
-                f"({expected}, 3), got {self.joints.shape}"
-            )
-
-    @property
-    def joint_count(self) -> int:
-        return self.joints.shape[0]
-
-    def joint(self, index: int) -> Joint:
-        x, y, c = self.joints[index]
-        return Joint(float(x), float(y), float(c))
-
-    def visible_mask(self) -> np.ndarray:
-        """Boolean mask over joints with nonzero detector confidence."""
-        return self.joints[:, 2] > 0.0
-
-    def is_empty(self) -> bool:
-        return not bool(self.visible_mask().any())
-
-    def mean_confidence(self) -> float:
-        """Mean confidence over visible joints; 0.0 when none are visible."""
-        mask = self.visible_mask()
-        return float(self.joints[mask, 2].mean()) if mask.any() else 0.0
+    return float(literal) + 0.0
 
 
-def parse_keypoint_frame(data: bytes, layout: str) -> list[PersonSkeleton]:
-    """Parse one per-frame keypoint file into a list of person skeletons.
+_DECODER = json.JSONDecoder(parse_int=_int_as_float)
 
-    Raises KeypointParseError (with a byte offset) for malformed JSON,
-    non-finite values or out-of-range confidences, and LayoutMismatchError
-    when a person's value count disagrees with the declared layout. An
-    empty ``people`` list is valid and yields an empty list. People keep
-    their file order.
+# Per-channel bounds of a valid (x, y, confidence) triple. NaN fails every
+# comparison, and only inf lies beyond the largest finite float.
+_LARGEST = np.finfo(np.float64).max
+_LOW = np.array([-_LARGEST, -_LARGEST, 0.0])
+_HIGH = np.array([_LARGEST, _LARGEST, 1.0])
+
+
+def _check_values(people: np.ndarray) -> None:
+    """Reject the first joint, in file order, with a non-finite value or a
+    confidence outside [0, 1]."""
+    valid = (people >= _LOW) & (people <= _HIGH)
+    if not valid.all():
+        person, joint = np.argwhere(~valid.all(axis=2))[0]
+        raise KeypointParseError(
+            f"person {person}, joint {joint}: needs finite values and a "
+            f"confidence in [0, 1]"
+        )
+
+
+def parse_keypoint_frame(data: bytes, layout: str) -> np.ndarray:
+    """Parse one per-frame keypoint file into a ``(P, V, 3)`` float array.
+
+    Rows are people in file order; columns are ``(x, y, confidence)`` per
+    joint in the layout's published order. An empty ``people`` list gives
+    shape ``(0, V, 3)``. Raises KeypointParseError (with a byte offset) for
+    malformed JSON, non-finite values (an integer literal too large for
+    float64 counts as one) or out-of-range confidences, and
+    LayoutMismatchError when a person's value count disagrees with the
+    declared layout. The error names the first faulty person in file order.
     """
     joint_count = layout_joint_count(layout)
     try:
@@ -142,46 +126,42 @@ def parse_keypoint_frame(data: bytes, layout: str) -> list[PersonSkeleton]:
     except UnicodeDecodeError as exc:
         raise KeypointParseError("file is not valid UTF-8", offset=exc.start) from exc
     try:
-        doc = json.loads(text)
+        doc = _DECODER.decode(text)
     except json.JSONDecodeError as exc:
         raise KeypointParseError(exc.msg, offset=exc.pos) from exc
     if not isinstance(doc, dict) or not isinstance(doc.get("people"), list):
         raise KeypointParseError("expected a JSON object with a 'people' list")
 
-    persons = []
-    for index, entry in enumerate(doc["people"]):
-        if not isinstance(entry, dict) or "pose_keypoints_2d" not in entry:
-            raise KeypointParseError(f"person {index} lacks 'pose_keypoints_2d'")
-        flat = entry["pose_keypoints_2d"]
-        if not isinstance(flat, list) or not all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) for v in flat
-        ):
-            raise KeypointParseError(
-                f"person {index}: 'pose_keypoints_2d' must be a flat number list"
-            )
-        if len(flat) != 3 * joint_count:
-            raise LayoutMismatchError(
-                f"person {index}: layout {layout} expects {3 * joint_count} "
-                f"values, got {len(flat)}"
-            )
-        joints = np.asarray(flat, dtype=np.float64).reshape(joint_count, 3)
-        conf = joints[:, 2]
-        valid = np.isfinite(joints).all(axis=1) & (conf >= 0.0) & (conf <= 1.0)
-        if not valid.all():
-            bad = int(np.nonzero(~valid)[0][0])
-            raise KeypointParseError(
-                f"person {index}, joint {bad}: needs finite values and a "
-                f"confidence in [0, 1]"
-            )
-        persons.append(PersonSkeleton(joints, layout))
-    return persons
+    rows = []
+    try:
+        for index, entry in enumerate(doc["people"]):
+            if not isinstance(entry, dict) or "pose_keypoints_2d" not in entry:
+                raise KeypointParseError(f"person {index} lacks 'pose_keypoints_2d'")
+            flat = entry["pose_keypoints_2d"]
+            if not isinstance(flat, list) or not set(map(type, flat)) <= _NUMBER_TYPES:
+                raise KeypointParseError(
+                    f"person {index}: 'pose_keypoints_2d' must be a flat number list"
+                )
+            if len(flat) != 3 * joint_count:
+                raise LayoutMismatchError(
+                    f"person {index}: layout {layout} expects {3 * joint_count} "
+                    f"values, got {len(flat)}"
+                )
+            rows.append(flat)
+    except (KeypointParseError, LayoutMismatchError):
+        # A bad value in an earlier person is the first fault in file order.
+        _check_values(np.array(rows, dtype=np.float64).reshape(-1, joint_count, 3))
+        raise
+    people = np.array(rows, dtype=np.float64).reshape(-1, joint_count, 3)
+    _check_values(people)
+    return people
 
 
-def serialize_keypoint_frame(persons: list[PersonSkeleton]) -> bytes:
-    """Inverse of parse_keypoint_frame, used to write fixtures and exports."""
-    people = []
-    for person in persons:
-        flat = [float(v) for v in person.joints.reshape(-1)]
-        people.append({"pose_keypoints_2d": flat})
-    return json.dumps({"people": people}).encode("utf-8")
-
+def serialize_keypoint_frame(people: np.ndarray) -> bytes:
+    """Inverse of parse_keypoint_frame for a ``(P, V, 3)`` array, used to
+    write fixtures and exports."""
+    doc = {"people": [
+        {"pose_keypoints_2d": person.reshape(-1).tolist()}
+        for person in np.asarray(people, dtype=np.float64)
+    ]}
+    return json.dumps(doc).encode("utf-8")

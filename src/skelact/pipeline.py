@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, WindowError
-from .keypoints import PersonSkeleton
 from .sequence import SkeletonSequence
 
 # Slot distance assigned when two non-empty skeletons share no visible
@@ -21,37 +20,40 @@ from .sequence import SkeletonSequence
 MISMATCH_COST = 1e6
 
 
-def select_persons(
-    persons: list[PersonSkeleton], slots: int, joint_count: int | None = None
-) -> np.ndarray:
-    """Keep the ``slots`` most confident people of one frame.
+def select_persons(frames: list[np.ndarray], slots: int) -> np.ndarray:
+    """Keep the ``slots`` most confident people of every frame.
 
-    Ranking is by mean confidence over visible joints, descending; the
-    sort is stable, so equally confident people keep their detector order.
-    Unused slots stay all-zero. Returns an array of shape
-    ``(slots, V, 3)``.
+    ``frames`` holds one ``(P, V, 3)`` array per frame, people in detector
+    order, as ``parse_keypoint_frame`` returns them. Ranking is by mean
+    confidence over visible joints, descending, 0.0 for a person with none;
+    the sort is stable, so equally confident people keep their detector
+    order. Unused slots stay all-zero. Returns an array of shape
+    ``(T, slots, V, 3)``.
     """
     if slots < 1:
         raise ConfigurationError("slots: must be at least 1")
-    if joint_count is None:
-        if not persons:
-            raise ConfigurationError(
-                "joint_count is required when the person list is empty"
-            )
-        joint_count = persons[0].joint_count
-    out = np.zeros((slots, joint_count, 3))
-    if not persons:
-        return out
-    scores = np.array([p.mean_confidence() for p in persons])
-    order = np.argsort(-scores, kind="stable")
-    for slot, index in enumerate(order[:slots]):
-        person = persons[index]
-        if person.joint_count != joint_count:
-            raise ConfigurationError(
-                f"person {index} has {person.joint_count} joints, expected "
-                f"{joint_count}"
-            )
-        out[slot] = person.joints
+    shape_error = "frames: need (P, V, 3) arrays with one joint count V"
+    try:
+        people = np.concatenate(frames)
+    except ValueError as exc:
+        raise ConfigurationError(shape_error) from exc
+    if people.ndim != 3 or people.shape[2] != 3:
+        raise ConfigurationError(shape_error)
+    counts = np.array([len(frame) for frame in frames])
+    frame_of = np.repeat(np.arange(len(frames)), counts)
+    conf = people[:, :, 2]
+    visible = conf > 0.0
+    # Summed joint by joint, so people whose visible confidences are equal
+    # in order get equal scores, wherever the hidden joints sit.
+    total = np.zeros(len(people))
+    for v in range(conf.shape[1]):
+        total += np.where(visible[:, v], conf[:, v], 0.0)
+    score = total / np.maximum(visible.sum(axis=1), 1)
+    order = np.lexsort((-score, frame_of))
+    rank = np.arange(len(people)) - (np.cumsum(counts) - counts)[frame_of]
+    keep = rank < slots
+    out = np.zeros((len(frames), slots) + people.shape[1:])
+    out[frame_of[keep], rank[keep]] = people[order[keep]]
     return out
 
 

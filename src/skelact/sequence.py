@@ -7,12 +7,13 @@ joint is ``(0, 0, 0)``.
 """
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import EmptySequenceError, LayoutMismatchError
+from .errors import EmptySequenceError, KeypointParseError, LayoutMismatchError
 from .keypoints import (
     BODY25,
     BODY25_NO_FEET,
@@ -20,7 +21,6 @@ from .keypoints import (
     COCO18,
     COCO18_MODIFIED,
     LAYOUT_JOINT_COUNT,
-    layout_joint_count,
     parse_keypoint_frame,
 )
 
@@ -124,7 +124,9 @@ def load_sequence(
     numbers in names must be zero padded. Each frame keeps at most
     ``person_slots`` people, the most confident first; the sequence is then
     zero padded or tail truncated to exactly ``target_frames``. Frames
-    whose joint count disagrees with ``layout`` raise LayoutMismatchError.
+    whose joint count disagrees with ``layout`` raise LayoutMismatchError;
+    a ``.json`` entry that cannot be read raises KeypointParseError naming
+    it.
     """
     from .pipeline import pad_sequence, select_persons
 
@@ -135,17 +137,31 @@ def load_sequence(
     directory = Path(source)
     if not directory.is_dir():
         raise EmptySequenceError(f"{directory} is not a directory")
-    paths = sorted(p for p in directory.iterdir() if p.suffix == ".json")
-    if not paths:
+    # A bare ".json" has no suffix, as in pathlib.
+    names = sorted(
+        entry.name for entry in os.scandir(directory)
+        if entry.name.endswith(".json") and entry.name != ".json"
+    )
+    if not names:
         raise EmptySequenceError(f"{directory} holds no keypoint files")
 
-    joint_count = layout_joint_count(layout)
-    frames = np.zeros((len(paths), person_slots, joint_count, 3))
-    for t, path in enumerate(paths):
-        persons = parse_keypoint_frame(path.read_bytes(), layout)
-        frames[t] = select_persons(persons, person_slots, joint_count)
-
-    seq = SkeletonSequence(frames, layout, image_size, fps)
+    frames = [
+        parse_keypoint_frame(_read_frame(os.path.join(directory, name)), layout)
+        for name in names
+    ]
+    seq = SkeletonSequence(
+        select_persons(frames, person_slots), layout, image_size, fps
+    )
     if target_frames != seq.frame_count:
         seq = pad_sequence(seq, target_frames)
     return seq
+
+
+def _read_frame(path: str) -> bytes:
+    try:
+        with open(path, "rb") as handle:
+            return handle.read()
+    except OSError as exc:
+        raise KeypointParseError(
+            f"{path}: cannot read keypoint file ({exc.strerror})"
+        ) from exc

@@ -62,6 +62,28 @@ def person_flat(rng, joints, size=(640, 480), hidden=()):
     return flat
 
 
+def oracle_select_persons(frames, slots, joints):
+    """Person selection one frame and one person at a time.
+
+    ``frames`` lists each frame's people as flat value lists in file order.
+    A person's score is the mean confidence of its visible joints (0.0
+    with none); a stable sort per frame puts the highest first. Returns
+    (T, slots, V, 3).
+    """
+    out = np.zeros((len(frames), slots, joints, 3))
+    for t, people in enumerate(frames):
+        persons = [np.asarray(flat, dtype=np.float64).reshape(joints, 3)
+                   for flat in people]
+        scores = []
+        for person in persons:
+            visible = person[:, 2] > 0.0
+            scores.append(float(person[visible, 2].mean()) if visible.any() else 0.0)
+        order = np.argsort(-np.array(scores), kind="stable")
+        for slot, index in enumerate(order[:slots]):
+            out[t, slot] = persons[index]
+    return out
+
+
 # --------------------------------------------------------- synthetic motion
 
 def motion_sequence(rng, label, frames, joints, image_size=(640, 480)):

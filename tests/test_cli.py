@@ -187,6 +187,44 @@ def test_train_divergence_exits_3_and_writes_nothing(workspace, capsys):
     assert not (workspace / "diverged" / "checkpoint.ckpt").exists()
 
 
+def oversized_integer(sample):
+    """Frame 3 gets a 400-digit integer in place of person 0's first x."""
+    path = sample / "000003.json"
+    doc = json.loads(path.read_text())
+    doc["people"][0]["pose_keypoints_2d"][0] = "BIG"
+    path.write_text(json.dumps(doc).replace('"BIG"', "9" * 400))
+
+
+def directory_frame(sample):
+    (sample / "000030.json").mkdir()
+
+
+@pytest.mark.parametrize("breaker, fragment", [
+    (oversized_integer, "person 0, joint 0"),
+    (directory_frame, "000030.json: cannot read keypoint file"),
+])
+def test_train_on_a_broken_frame_exits_3_naming_it(breaker, fragment, workspace,
+                                                    tmp_path, capsys):
+    doc = json.loads((workspace / "data" / "manifest.json").read_text())
+    sample_id = load_split(workspace / "split").train_ids[0]
+    for record in doc["records"]:
+        if record["sample_id"] == sample_id:
+            shutil.copytree(record["keypoint_path"], tmp_path / sample_id)
+            record["keypoint_path"] = str(tmp_path / sample_id)
+    breaker(tmp_path / sample_id)
+    (tmp_path / "manifest.json").write_text(json.dumps(doc))
+    config = json.loads((workspace / "run.json").read_text())
+    config["manifest"] = str(tmp_path / "manifest.json")
+    (tmp_path / "run.json").write_text(json.dumps(config))
+    assert main(["train", "--config", str(tmp_path / "run.json"),
+                 "--split", str(workspace / "split"),
+                 "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert fragment in err
+    assert not (tmp_path / "out" / "checkpoint.ckpt").exists()
+
+
 # ----------------------------------------------------------------------- eval
 
 def test_eval_of_a_nan_checkpoint_exits_3_and_writes_no_scores(workspace, capsys):

@@ -16,8 +16,8 @@ from skelact import (
     KeypointParseError,
     LAYOUT_JOINT_COUNT,
     LayoutMismatchError,
-    PersonSkeleton,
     parse_keypoint_frame,
+    select_persons,
     serialize_keypoint_frame,
 )
 from helpers import frame_bytes
@@ -50,28 +50,28 @@ def test_index_map_matches_joint_names():
 
 def test_parse_single_person_values():
     flat = indexed_person(18)
-    persons = parse_keypoint_frame(frame_bytes([flat]), COCO18)
-    assert len(persons) == 1
-    person = persons[0]
-    assert person.layout == COCO18
-    assert person.joints.shape == (18, 3)
+    people = parse_keypoint_frame(frame_bytes([flat]), COCO18)
+    assert people.dtype == np.float64
+    assert people.shape == (1, LAYOUT_JOINT_COUNT[COCO18], 3)
     for v in range(18):
-        assert person.joints[v, 0] == v
-        assert person.joints[v, 1] == 100.0 + v
-    assert person.joint(3).x == 3.0
+        assert people[0, v, 0] == v
+        assert people[0, v, 1] == 100.0 + v
+    assert people[0, 3, 0] == 3.0
 
 
 def test_parse_keeps_people_in_file_order():
     first = indexed_person(18)
     second = [v + 1000.0 if i % 3 == 0 else v for i, v in enumerate(indexed_person(18))]
     second = [min(v, 1.0) if i % 3 == 2 else v for i, v in enumerate(second)]
-    persons = parse_keypoint_frame(frame_bytes([first, second]), COCO18)
-    assert persons[0].joints[0, 0] == 0.0
-    assert persons[1].joints[0, 0] == 1000.0
+    people = parse_keypoint_frame(frame_bytes([first, second]), COCO18)
+    assert people[0, 0, 0] == 0.0
+    assert people[1, 0, 0] == 1000.0
 
 
 def test_parse_empty_people_list():
-    assert parse_keypoint_frame(frame_bytes([]), COCO18) == []
+    people = parse_keypoint_frame(frame_bytes([]), COCO18)
+    assert people.shape == (0, 18, 3)
+    assert people.dtype == np.float64
 
 
 def test_round_trip_through_serializer():
@@ -80,9 +80,11 @@ def test_round_trip_through_serializer():
         float(v) for _ in range(25)
         for v in (rng.uniform(0, 640), rng.uniform(0, 480), rng.uniform(0, 1))
     ]
-    persons = parse_keypoint_frame(frame_bytes([flat]), BODY25)
-    again = parse_keypoint_frame(serialize_keypoint_frame(persons), BODY25)
-    assert np.array_equal(persons[0].joints, again[0].joints)
+    people = parse_keypoint_frame(frame_bytes([flat]), BODY25)
+    again = parse_keypoint_frame(serialize_keypoint_frame(people), BODY25)
+    assert np.array_equal(people, again)
+    empty = parse_keypoint_frame(frame_bytes([]), BODY25)
+    assert parse_keypoint_frame(serialize_keypoint_frame(empty), BODY25).shape == (0, 25, 3)
 
 
 def test_parse_rejects_bad_utf8_with_offset():
@@ -160,27 +162,65 @@ def test_zero_triplet_means_missing():
     flat = indexed_person(18)
     flat[0:3] = [0.0, 0.0, 0.0]
     person = parse_keypoint_frame(frame_bytes([flat]), COCO18)[0]
-    mask = person.visible_mask()
+    mask = person[:, 2] > 0.0
     assert not mask[0]
     assert mask[1:].all()
-    assert not person.joint(0).visible
-    assert not person.is_empty()
+    assert (person[0] == 0.0).all()
+    assert mask.any()
 
 
 def test_mean_confidence_ignores_missing_joints():
-    joints = np.zeros((18, 3))
-    joints[2] = (5.0, 5.0, 0.4)
-    joints[3] = (6.0, 6.0, 0.8)
-    person = PersonSkeleton(joints, COCO18)
-    assert person.mean_confidence() == pytest.approx(0.6)
-    empty = PersonSkeleton(np.zeros((18, 3)), COCO18)
-    assert empty.mean_confidence() == 0.0
-    assert empty.is_empty()
+    # Two visible joints at mean 0.6 outrank 18 at 0.55 (a larger sum);
+    # a person with no visible joint ranks last.
+    sparse = np.zeros((18, 3))
+    sparse[2] = (5.0, 5.0, 0.4)
+    sparse[3] = (6.0, 6.0, 0.8)
+    dense = np.full((18, 3), 0.55)
+    empty = np.zeros((18, 3))
+    frame = np.stack([empty, dense, sparse])
+    out = select_persons([frame], 3)[0]
+    assert np.array_equal(out, frame[[2, 1, 0]])
 
 
-def test_person_skeleton_validates_shape_and_layout():
-    with pytest.raises(LayoutMismatchError):
-        PersonSkeleton(np.zeros((17, 3)), COCO18)
-    with pytest.raises(LayoutMismatchError):
-        PersonSkeleton(np.zeros((18, 3)), "mystery")
+def test_parse_accepts_integer_values_as_floats():
+    flat = [int(v) if i % 3 != 2 else v for i, v in enumerate(indexed_person(18))]
+    data = json.dumps({"people": [{"pose_keypoints_2d": flat}]}).encode()
+    assert b"[0, 100, " in data
+    people = parse_keypoint_frame(data, COCO18)
+    assert np.array_equal(people[0], np.reshape(flat, (18, 3)))
+    # "-0" is the integer zero, not a negative float zero.
+    text = json.dumps({"people": [{"pose_keypoints_2d": ["Z"] + flat[1:]}]})
+    people = parse_keypoint_frame(text.replace('"Z"', "-0").encode(), COCO18)
+    assert people[0, 0, 0] == 0.0 and not np.signbit(people[0, 0, 0])
 
+
+@pytest.mark.parametrize("digits", [400, 5000])
+def test_parse_rejects_an_integer_too_large_for_float64(digits):
+    flat = indexed_person(18)
+    flat[3 * 4] = "BIG"
+    text = json.dumps({"people": [{"pose_keypoints_2d": indexed_person(18)},
+                                  {"pose_keypoints_2d": flat}]})
+    data = text.replace('"BIG"', "9" * digits).encode()
+    with pytest.raises(KeypointParseError) as info:
+        parse_keypoint_frame(data, COCO18)
+    assert "person 1, joint 4" in str(info.value)
+
+
+def test_parse_names_the_first_faulty_person_across_error_kinds():
+    good = indexed_person(18)
+    non_finite = indexed_person(18)
+    non_finite[1] = float("nan")
+    short = indexed_person(18)[:-3]
+    with pytest.raises(KeypointParseError, match="person 0, joint 0"):
+        parse_keypoint_frame(frame_bytes([non_finite, short]), COCO18)
+    with pytest.raises(KeypointParseError, match="person 1, joint 0"):
+        parse_keypoint_frame(frame_bytes([good, non_finite, short]), COCO18)
+    with pytest.raises(LayoutMismatchError, match="person 1:"):
+        parse_keypoint_frame(frame_bytes([good, short, non_finite]), COCO18)
+    typed = {"pose_keypoints_2d": [True] * 54}
+    doc = {"people": [{"pose_keypoints_2d": non_finite}, typed]}
+    with pytest.raises(KeypointParseError, match="person 0, joint 0"):
+        parse_keypoint_frame(json.dumps(doc).encode(), COCO18)
+    doc = {"people": [typed, {"pose_keypoints_2d": non_finite}]}
+    with pytest.raises(KeypointParseError, match="person 0: 'pose_keypoints_2d'"):
+        parse_keypoint_frame(json.dumps(doc).encode(), COCO18)

@@ -10,6 +10,7 @@ from skelact import (
     COCO18_MODIFIED,
     ConfigurationError,
     EmptySequenceError,
+    KeypointParseError,
     LayoutMismatchError,
     ManifestRecord,
     SkeletonSequence,
@@ -17,7 +18,7 @@ from skelact import (
     load_sequence,
     to_model_input,
 )
-from helpers import person_flat, write_frames
+from helpers import oracle_select_persons, person_flat, write_frames
 
 
 def coded_frames(frames, joints, slots=2):
@@ -122,6 +123,54 @@ def test_load_sequence_error_cases(tmp_path):
         load_sequence(directory, "bones")
     with pytest.raises(LayoutMismatchError):
         load_sequence(directory, BODY25)
+
+
+def crowd_frames(rng, frames, joints=18):
+    """Three people per frame with hidden joints, some empty frames, and
+    people who copy an earlier person's confidences, in place or shifted
+    to other joints."""
+    payload = []
+    for _ in range(frames):
+        if rng.random() < 0.1:
+            payload.append([])
+            continue
+        people = []
+        for _ in range(3):
+            hidden = set(np.nonzero(rng.random(joints) < 0.3)[0])
+            people.append(person_flat(rng, joints, hidden=hidden))
+        if rng.random() < 0.3:
+            conf = [c for c in people[0][2::3] if c > 0.0]
+            copy = [0.0] * (3 * joints)
+            start = int(rng.integers(0, joints - len(conf) + 1))
+            for k, c in enumerate(conf):
+                copy[3 * (start + k):3 * (start + k) + 3] = [1.0 + k, 2.0 + k, c]
+            people.insert(int(rng.integers(0, 2)), copy)
+        payload.append(people)
+    return payload
+
+
+@pytest.mark.parametrize("slots", [1, 2, 3])
+def test_load_sequence_selects_people_as_the_per_frame_oracle(tmp_path, slots):
+    rng = np.random.default_rng(slots)
+    payload = crowd_frames(rng, 40)
+    directory = write_frames(tmp_path / "clip", payload)
+    seq = load_sequence(directory, COCO18, person_slots=slots, target_frames=40)
+    expected = oracle_select_persons(payload, slots, 18)
+    assert seq.data.tobytes() == expected.tobytes()
+
+
+def test_load_sequence_of_empty_frames_is_all_zero(tmp_path):
+    directory = write_frames(tmp_path / "clip", [[]] * 5)
+    seq = load_sequence(directory, COCO18, person_slots=2, target_frames=7)
+    assert seq.data.shape == (7, 2, 18, 3)
+    assert (seq.data == 0.0).all()
+
+
+def test_load_sequence_rejects_an_unreadable_frame_entry(tmp_path):
+    directory = write_frames(tmp_path / "clip", coded_frames(3, 18))
+    (directory / "000030.json").mkdir()
+    with pytest.raises(KeypointParseError, match="000030.json: cannot read"):
+        load_sequence(directory, COCO18, target_frames=3)
 
 
 def test_convert_body25_to_coco_reindexes_joints():
