@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from contextvars import ContextVar
+from typing import Callable, NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -202,7 +203,7 @@ def relu(x: Tensor) -> Tensor:
 
 
 def add_relu(a: Tensor, b: Tensor) -> Tensor:
-    """relu(a + b) as one node: the end of a residual block."""
+    """relu(a + b) as one node."""
     a, b = _as_tensor(a), _as_tensor(b)
     out_data = a.data + b.data
     mask = _rectify(out_data)
@@ -320,6 +321,171 @@ def _check_bias(op: str, bias: Tensor | None, channels: int) -> None:
         )
 
 
+def _dropout_mask(shape: tuple[int, ...], rate: float, rng) -> np.ndarray:
+    """The inverted-dropout multiplier: 0 or 1 / (1 - rate) per element."""
+    if not 0.0 <= rate < 1.0:
+        raise ConfigurationError(f"dropout rate must lie in [0, 1), got {rate}")
+    if rate == 0.0:
+        return np.ones(shape)
+    return (rng.random(shape) >= rate) / (1.0 - rate)
+
+
+def fold_batch_norm(gamma, beta, mean, inv_std) -> tuple[np.ndarray, np.ndarray]:
+    """Batch norm with fixed statistics as the per-channel map ``x * a + b``.
+
+    Returns ``a = gamma * inv_std`` and ``b = beta - mean * a``; the
+    arguments are arrays that broadcast against each other. A convolution
+    followed by this map is the convolution with its output channels
+    scaled by ``a`` and its bias mapped through it.
+    """
+    a = gamma * inv_std
+    return a, beta - mean * a
+
+
+class Norm(NamedTuple):
+    """A batch norm run as the epilogue of the node before it.
+
+    With ``running`` None it normalizes with the batch's own mean and
+    biased variance and hands them, (C,) each, to ``track``. A
+    ``(mean, var)`` pair of (C,) arrays normalizes with those fixed
+    statistics instead.
+    """
+
+    gamma: Tensor
+    beta: Tensor
+    eps: float = 1e-5
+    running: tuple[np.ndarray, np.ndarray] | None = None
+    track: Callable[[np.ndarray, np.ndarray], None] | None = None
+
+
+def _per_channel(values: np.ndarray) -> np.ndarray:
+    return values[None, :, None, None]
+
+
+class _Epilogue:
+    """The elementwise tail of a node: bias, batch norm, dropout, residual
+    add and ReLU, in that order, each optional.
+
+    ``apply`` runs it on a fresh (B, C, T, V) array; ``backward`` takes
+    the gradient of the result back to that array, accumulating the bias,
+    batch norm and shortcut gradients on the way. Only what the backward
+    reads is kept: with batch statistics the centered input, with fixed
+    ones the input while gamma trains, and the dropout and ReLU masks.
+    """
+
+    def __init__(self, bias: Tensor | None = None, norm: Norm | None = None,
+                 dropout: float = 0.0, rng=None, shortcut: Tensor | None = None,
+                 relu: bool = False):
+        self.bias, self.norm, self.shortcut = bias, norm, shortcut
+        self.dropout, self.rng, self.relu = dropout, rng, relu
+        self.centered = self.source = self.keep = self.mask = None
+
+    def apply(self, out: np.ndarray, dest: np.ndarray | None = None) -> np.ndarray:
+        """Run the tail on ``out``, the caller's fresh array, and return the result.
+
+        The result is written to ``dest`` if given. Otherwise it goes over
+        ``out`` when no backward reads ``out``, and to a new array when one
+        does.
+        """
+        if self.norm is not None:
+            if self.bias is not None:
+                out += _per_channel(self.bias.data)
+            result = self._normalize(out, dest)
+        else:
+            result = out if dest is None else dest
+            if self.bias is not None:
+                np.add(out, _per_channel(self.bias.data), out=result)
+            elif result is not out:
+                result[...] = out
+        if self.dropout:
+            self.keep = _dropout_mask(result.shape, self.dropout, self.rng)
+            result *= self.keep
+        if self.shortcut is not None:
+            result += self.shortcut.data
+        if self.relu:
+            self.mask = _rectify(result)
+        return result
+
+    def _normalize(self, out, dest) -> np.ndarray:
+        norm = self.norm
+        gamma, shift = _per_channel(norm.gamma.data), _per_channel(norm.beta.data)
+        if norm.running is None:
+            mu = out.mean(axis=_BN_AXES, keepdims=True)
+            centered = np.subtract(out, mu, out=out)
+            var = _channel_sum(centered, centered) / (centered.size // centered.shape[1])
+            self.inv_std = 1.0 / _per_channel(np.sqrt(var + norm.eps))
+            self.a = gamma * self.inv_std
+            self.centered = centered
+            if norm.track is not None:
+                norm.track(mu.reshape(-1), var)
+            result = np.multiply(centered, self.a, out=dest)
+            result += shift
+            return result
+        mean, var = (np.asarray(s, dtype=np.float64) for s in norm.running)
+        self.mu = _per_channel(mean)
+        self.inv_std = _per_channel(1.0 / np.sqrt(var + norm.eps))
+        self.a, b = fold_batch_norm(gamma, shift, self.mu, self.inv_std)
+        if norm.gamma.trainable:
+            self.source = out
+        elif dest is None:
+            dest = out
+        result = np.multiply(out, self.a, out=dest)
+        result += b
+        return result
+
+    def backward(self, grad: np.ndarray) -> np.ndarray:
+        """The gradient of the array ``apply`` ran on.
+
+        ``grad`` may also be a sibling's gradient, so only masked copies
+        are written in place.
+        """
+        writable = False
+        if self.mask is not None:
+            grad = grad * self.mask
+            writable = True
+        if self.shortcut is not None:
+            _accumulate(self.shortcut, grad)
+            writable = False
+        if self.keep is not None:
+            grad = grad * self.keep
+            writable = True
+        if self.norm is not None:
+            grad = self._normalize_backward(grad, writable)
+        if self.bias is not None:
+            _accumulate(self.bias, _channel_sum(grad))
+        return grad
+
+    def _normalize_backward(self, grad, writable) -> np.ndarray:
+        gamma, beta, a, inv_std = self.norm.gamma, self.norm.beta, self.a, self.inv_std
+        if self.centered is None:
+            # Fixed statistics: the map is x * a + b.
+            if beta.trainable:
+                _accumulate(beta, _channel_sum(grad))
+            if self.source is not None:
+                _accumulate(gamma, _channel_sum(grad, (self.source - self.mu) * inv_std))
+            return np.multiply(grad, a, out=grad) if writable else grad * a
+        centered = self.centered
+        grad_sum = _channel_sum(grad)
+        _accumulate(beta, grad_sum)
+        grad_centered_sum = _channel_sum(grad, centered)
+        _accumulate(gamma, grad_centered_sum * inv_std.reshape(-1))
+        count = grad.size // grad.shape[1]
+        mean_grad = _per_channel(grad_sum / count)
+        mean_grad_centered = _per_channel(grad_centered_sum / count)
+        # dx = a * (g - mean(g) - centered * inv_std**2 * mean(g * centered))
+        grad_x = centered * (-a * inv_std ** 2 * mean_grad_centered)
+        grad_x -= a * mean_grad
+        grad_x += np.multiply(grad, a, out=grad) if writable else grad * a
+        return grad_x
+
+    def parents(self) -> tuple[Tensor, ...]:
+        """The tensors the tail reads besides the node's own operands."""
+        extra = () if self.bias is None else (self.bias,)
+        if self.norm is not None:
+            extra += (self.norm.gamma, self.norm.beta)
+        return extra + (() if self.shortcut is None else (self.shortcut,))
+
+
 def _tap_windows(padded: np.ndarray, taps: int, stride: int) -> np.ndarray:
     """The (B, C, K, T_out, V) view ``padded[b, c, stride * t + k, v]``."""
     return np.moveaxis(sliding_window_view(padded, taps, axis=2)[:, :, ::stride], -1, 2)
@@ -340,15 +506,32 @@ def _correlate(padded: np.ndarray, kernel: np.ndarray, stride: int) -> np.ndarra
 
 
 def temporal_conv(
-    x: Tensor, kernel: Tensor, stride: int = 1, bias: Tensor | None = None
+    x: Tensor,
+    kernel: Tensor,
+    stride: int = 1,
+    bias: Tensor | None = None,
+    *,
+    padded: bool = False,
+    norm: Norm | None = None,
+    dropout: float = 0.0,
+    rng: np.random.Generator | None = None,
+    shortcut: Tensor | None = None,
+    relu: bool = False,
 ) -> Tensor:
     """Depthwise convolution over the frame axis of a (B, C, T, V) tensor.
 
     ``kernel`` has shape (C, K) with K odd; the input is zero padded by
     (K - 1) / 2 on both sides, so with stride 1 the frame count is
-    preserved and with stride s it becomes ceil(T / s). ``bias`` (C,), if
-    given, is added per channel. The input gradient is the same windowed
-    sum of the stride-dilated gradient with the flipped kernel.
+    preserved and with stride s it becomes ceil(T / s). With ``padded``
+    the input already carries that zero border, as ``graph_conv(pad=...)``
+    writes it, and is read in place; the border is padding, not input, so
+    the input gradient covers the inner frames only.
+
+    The epilogue runs in this node, in order: ``bias`` (C,), batch norm
+    ``norm``, inverted dropout at rate ``dropout`` drawn from ``rng``, the
+    residual add of ``shortcut`` (a tensor of the output's shape), ReLU.
+    The input gradient is the same windowed sum of the stride-dilated
+    gradient with the flipped kernel.
     """
     x, kernel = _as_tensor(x), _as_tensor(kernel)
     if x.data.ndim != 4:
@@ -366,23 +549,34 @@ def temporal_conv(
 
     batch, _, frames, vertices = x.data.shape
     pad = (taps - 1) // 2
-    padded = np.zeros((batch, channels, frames + 2 * pad, vertices))
-    padded[:, :, pad:pad + frames, :] = x.data
-    out_data = _correlate(padded, kernel.data, stride)
-    if bias is not None:
-        out_data += bias.data[:, None, None]
+    if padded:
+        frames -= 2 * pad
+        if frames < 1:
+            raise ConfigurationError(
+                f"padded input has {x.data.shape[2]} frames, needs more than {2 * pad}"
+            )
+        padded_data = x.data
+    else:
+        padded_data = np.zeros((batch, channels, frames + 2 * pad, vertices))
+        padded_data[:, :, pad:pad + frames, :] = x.data
+    out_data = _correlate(padded_data, kernel.data, stride)
+    if shortcut is not None and shortcut.data.shape != out_data.shape:
+        raise ConfigurationError(
+            f"shortcut has shape {shortcut.data.shape}, output has {out_data.shape}"
+        )
+    epilogue = _Epilogue(bias, norm, dropout, rng, shortcut, relu)
+    out_data = epilogue.apply(out_data)
 
     def backward_fn(grad):
-        if bias is not None:
-            _accumulate(bias, _channel_sum(grad))
-        windows = _tap_windows(padded, taps, stride)
+        grad = epilogue.backward(grad)
+        windows = _tap_windows(padded_data, taps, stride)
         _accumulate(kernel, np.einsum("bcktv,bctv->ck", windows, grad))
-        dilated = np.zeros_like(padded)
+        dilated = np.zeros_like(padded_data)
         dilated[:, :, pad:pad + stride * grad.shape[2]:stride, :] = grad
         _accumulate(x, _correlate(dilated, kernel.data[:, ::-1], 1))
 
-    parents = (x, kernel) if bias is None else (x, kernel, bias)
-    return Tensor(out_data, parents=parents, backward_fn=backward_fn)
+    return Tensor(out_data, parents=(x, kernel) + epilogue.parents(),
+                  backward_fn=backward_fn)
 
 
 def _batch_outer(left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -399,6 +593,10 @@ def graph_conv(
     weights: list[Tensor],
     masks: list[Tensor],
     bias: Tensor | None = None,
+    *,
+    norm: Norm | None = None,
+    relu: bool = False,
+    pad: int = 0,
 ) -> Tensor:
     """Spatial graph convolution over the joint axis of a (B, C, T, V) tensor.
 
@@ -413,6 +611,12 @@ def graph_conv(
     activation is transposed. Aggregating before mixing is the cheaper
     order while C <= D. The backward pass contracts against the saved
     aggregate.
+
+    Batch norm ``norm`` and ReLU run as the node's epilogue. With ``pad``
+    the output gets ``pad`` zero frames on both sides of the frame axis,
+    written in place of a copy, for ``temporal_conv(padded=True)``. The
+    border is constant, so the gradient handed back may cover the inner
+    frames only, as that op's does.
     """
     x = _as_tensor(x)
     partitions = len(adjacency)
@@ -422,6 +626,8 @@ def graph_conv(
         )
     if x.data.ndim != 4:
         raise ConfigurationError("graph_conv expects a (B, C, T, V) input")
+    if pad < 0:
+        raise ConfigurationError(f"pad: must be non-negative, got {pad}")
     batch, channels, frames, vertices = x.data.shape
     gated = [a.data * m.data for a, m in zip(adjacency, masks)]
     stacked = np.stack([w.data for w in weights]).reshape(partitions * channels, -1)
@@ -436,12 +642,22 @@ def graph_conv(
     aggregated = aggregated.reshape(batch, partitions * channels, frames * vertices)
     out_data = np.matmul(stacked.T, aggregated)
     out_data = out_data.reshape(batch, out_channels, frames, vertices)
-    if bias is not None:
-        out_data += bias.data[:, None, None]
+    if not _recording.get():
+        # No backward reads the aggregate: free it before the bordered
+        # output is allocated, or both are alive at once.
+        aggregated = None
+    epilogue = _Epilogue(bias, norm, relu=relu)
+    if pad:
+        bordered = np.zeros((batch, out_channels, frames + 2 * pad, vertices))
+        epilogue.apply(out_data, bordered[:, :, pad:pad + frames])
+        out_data = bordered
+    else:
+        out_data = epilogue.apply(out_data)
 
     def backward_fn(grad):
-        if bias is not None:
-            _accumulate(bias, _channel_sum(grad))
+        if grad.shape[2] != frames:
+            grad = grad[:, :, pad:pad + frames]
+        grad = epilogue.backward(grad)
         grad_flat = grad.reshape(batch, out_channels, frames * vertices)
         grad_stacked = _batch_outer(aggregated, grad_flat)
         grad_aggregated = np.matmul(stacked, grad_flat).reshape(
@@ -459,16 +675,18 @@ def graph_conv(
             _accumulate(adjacency[k], grad_gated * masks[k].data)
         _accumulate(x, grad_columns.reshape(x.data.shape))
 
-    parents = (x, *adjacency, *weights, *masks) + (() if bias is None else (bias,))
+    parents = (x, *adjacency, *weights, *masks) + epilogue.parents()
     return Tensor(out_data, parents=parents, backward_fn=backward_fn)
 
 
-def pointwise_conv(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
+def pointwise_conv(
+    x: Tensor, weight: Tensor, bias: Tensor | None = None, *, norm: Norm | None = None
+) -> Tensor:
     """Mix the channels of a (B, C, T, V) tensor with a (C, D) weight.
 
     A 1x1 convolution: ``W.T @ x[b]`` on each sample's (C, T·V) matrix, so
     the output is (B, D, T, V) with no transpose. ``bias`` (D,), if given,
-    is added per channel.
+    is added per channel, and batch norm ``norm`` runs as the epilogue.
     """
     x, weight = _as_tensor(x), _as_tensor(weight)
     if x.data.ndim != 4 or weight.data.ndim != 2:
@@ -479,83 +697,30 @@ def pointwise_conv(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Ten
     batch, channels, frames, vertices = x.data.shape
     flat = x.data.reshape(batch, channels, frames * vertices)
     out_data = np.matmul(weight.data.T, flat).reshape(batch, -1, frames, vertices)
-    if bias is not None:
-        out_data += bias.data[:, None, None]
+    epilogue = _Epilogue(bias, norm)
+    out_data = epilogue.apply(out_data)
 
     def backward_fn(grad):
-        if bias is not None:
-            _accumulate(bias, _channel_sum(grad))
+        grad = epilogue.backward(grad)
         grad_flat = grad.reshape(batch, -1, frames * vertices)
         _accumulate(weight, _batch_outer(flat, grad_flat))
         _accumulate(x, np.matmul(weight.data, grad_flat).reshape(x.data.shape))
 
-    parents = (x, weight) if bias is None else (x, weight, bias)
-    return Tensor(out_data, parents=parents, backward_fn=backward_fn)
+    return Tensor(out_data, parents=(x, weight) + epilogue.parents(),
+                  backward_fn=backward_fn)
 
 
-def _batch_norm_input(x: Tensor) -> Tensor:
+def _batch_norm(x: Tensor, norm: Norm, relu: bool) -> Tensor:
     x = _as_tensor(x)
     if x.data.ndim != 4:
         raise ConfigurationError("batch_norm expects a (B, C, T, V) input")
-    return x
-
-
-def fold_batch_norm(gamma, beta, mean, inv_std) -> tuple[np.ndarray, np.ndarray]:
-    """Batch norm with fixed statistics as the per-channel map ``x * a + b``.
-
-    Returns ``a = gamma * inv_std`` and ``b = beta - mean * a``; the
-    arguments are arrays that broadcast against each other. A convolution
-    followed by this map is the convolution with its output channels
-    scaled by ``a`` and its bias mapped through it.
-    """
-    a = gamma * inv_std
-    return a, beta - mean * a
-
-
-def _normalize(x, gamma, beta, mu, inv_std, centered, relu: bool) -> Tensor:
-    """``gamma * (x - mu) * inv_std + beta`` per channel, as one node.
-
-    ``mu`` and ``inv_std`` are (1, C, 1, 1). With batch statistics the
-    caller passes ``centered = x - mu``, the one full-size array the node
-    keeps besides the ReLU mask, and the input gradient accounts for the
-    dependence of ``mu`` and ``inv_std`` on ``x``. With ``centered`` None
-    they are constants, the output is the folded map ``x * a + b`` and the
-    input gradient is a per-channel scale. ``relu`` fuses a ReLU onto it.
-    """
-    gamma, beta = _as_tensor(gamma), _as_tensor(beta)
-    shift = beta.data[None, :, None, None]
-    a, b = fold_batch_norm(gamma.data[None, :, None, None], shift, mu, inv_std)
-    if centered is None:
-        out_data = x.data * a + b
-    else:
-        out_data = centered * a
-        out_data += shift
-    mask = _rectify(out_data) if relu else None
+    epilogue = _Epilogue(norm=norm, relu=relu)
+    out_data = epilogue.apply(x.data.copy())
 
     def backward_fn(grad):
-        # ``grad`` may also be a sibling's gradient (``add`` and ``add_relu``
-        # hand one array to both parents), so only the masked copy is
-        # written in place.
-        if mask is not None:
-            grad = grad * mask
-        grad_sum = _channel_sum(grad)
-        _accumulate(beta, grad_sum)
-        if centered is None:
-            _accumulate(gamma, _channel_sum(grad, (x.data - mu) * inv_std))
-            _accumulate(x, grad * a)
-            return
-        grad_centered_sum = _channel_sum(grad, centered)
-        _accumulate(gamma, grad_centered_sum * inv_std.reshape(-1))
-        count = grad.size // grad.shape[1]
-        mean_grad = (grad_sum / count)[None, :, None, None]
-        mean_grad_centered = (grad_centered_sum / count)[None, :, None, None]
-        # dx = a * (g - mean(g) - centered * inv_std**2 * mean(g * centered))
-        grad_x = centered * (-a * inv_std ** 2 * mean_grad_centered)
-        grad_x -= a * mean_grad
-        grad_x += np.multiply(grad, a, out=grad) if mask is not None else grad * a
-        _accumulate(x, grad_x)
+        _accumulate(x, epilogue.backward(grad))
 
-    return Tensor(out_data, parents=(x, gamma, beta), backward_fn=backward_fn)
+    return Tensor(out_data, parents=(x,) + epilogue.parents(), backward_fn=backward_fn)
 
 
 def batch_norm_batch(
@@ -566,15 +731,14 @@ def batch_norm_batch(
     Returns the output with the per-channel batch mean and biased variance
     it used, (C,) each, so a caller can track running statistics without a
     second pass. Gradients are exact: the backward pass accounts for the
-    dependence of mean and variance on the input.
+    dependence of mean and variance on the input. ``relu`` fuses a ReLU
+    onto the output.
     """
-    x = _batch_norm_input(x)
-    mu = x.data.mean(axis=_BN_AXES, keepdims=True)
-    centered = x.data - mu
-    var = _channel_sum(centered, centered) / (centered.size // centered.shape[1])
-    inv_std = 1.0 / np.sqrt(var + eps)[None, :, None, None]
-    out = _normalize(x, gamma, beta, mu, inv_std, centered, relu)
-    return out, mu.reshape(-1), var
+    statistics = []
+    out = _batch_norm(
+        x, Norm(_as_tensor(gamma), _as_tensor(beta), eps,
+                track=lambda mu, var: statistics.extend((mu, var))), relu)
+    return out, *statistics
 
 
 def batch_norm_given(
@@ -587,22 +751,14 @@ def batch_norm_given(
     relu: bool = False,
 ) -> Tensor:
     """Normalize with fixed (C,) statistics, the evaluation and frozen path."""
-    x = _batch_norm_input(x)
-    inv_std = 1.0 / np.sqrt(np.asarray(running_var, dtype=np.float64) + eps)
-    mu = np.asarray(running_mean, dtype=np.float64)
-    return _normalize(x, gamma, beta, mu[None, :, None, None],
-                      inv_std[None, :, None, None], None, relu)
+    norm = Norm(_as_tensor(gamma), _as_tensor(beta), eps, (running_mean, running_var))
+    return _batch_norm(x, norm, relu)
 
 
 def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
     """Inverted dropout; scaling keeps the expectation unchanged."""
     x = _as_tensor(x)
-    if not 0.0 <= rate < 1.0:
-        raise ConfigurationError(f"dropout rate must lie in [0, 1), got {rate}")
-    if rate == 0.0:
-        mask = np.ones_like(x.data)
-    else:
-        mask = (rng.random(x.data.shape) >= rate) / (1.0 - rate)
+    mask = _dropout_mask(x.data.shape, rate, rng)
     out_data = x.data * mask
 
     def backward_fn(grad):

@@ -117,7 +117,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     manifest = DatasetManifest.load(_require_file(config.manifest, "manifest"))
     split = load_split(_require_dir(args.split, "split"))
     checkpoint = _require_file(args.checkpoint, "checkpoint")
-    meta, _ = read_checkpoint(checkpoint)
+    meta, arrays = read_checkpoint(checkpoint)
     if meta.get("layout") != config.model.layout:
         raise CheckpointError(
             f"checkpoint graph {meta.get('layout')!r} does not match "
@@ -130,7 +130,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         manifest, split.test_ids, split.class_names, config.model
     )
     net = config.model.build(len(split.class_names))
-    load_weights(net, checkpoint, strict_head=True)
+    load_weights(net, checkpoint, strict_head=True, arrays=arrays)
     top1, logits = evaluate(net, dataset, config.train.batch_size)
     predictions = np.argsort(-logits, axis=1, kind="stable")[:, 0]
     confidences = np.stack(

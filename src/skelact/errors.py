@@ -6,10 +6,16 @@ class SkelactError(Exception):
 
 
 class KeypointParseError(SkelactError):
-    """A keypoint file is malformed. Carries the byte offset of the failure."""
+    """A keypoint file is malformed.
 
-    def __init__(self, message: str, offset: int = 0):
-        super().__init__(f"{message} (byte offset {offset})")
+    ``offset`` is the byte offset of the failure where one is known (bad
+    UTF-8 or JSON syntax), else None; the message names it only when known.
+    """
+
+    def __init__(self, message: str, offset: int | None = None):
+        suffix = "" if offset is None else f" (byte offset {offset})"
+        super().__init__(message + suffix)
+        self.message = message
         self.offset = offset
 
 

@@ -114,8 +114,8 @@ def parse_keypoint_frame(data: bytes, layout: str) -> np.ndarray:
 
     Rows are people in file order; columns are ``(x, y, confidence)`` per
     joint in the layout's published order. An empty ``people`` list gives
-    shape ``(0, V, 3)``. Raises KeypointParseError (with a byte offset) for
-    malformed JSON, non-finite values (an integer literal too large for
+    shape ``(0, V, 3)``. Raises KeypointParseError for malformed UTF-8 or
+    JSON (with the byte offset of the fault), non-finite values (an integer literal too large for
     float64 counts as one) or out-of-range confidences, and
     LayoutMismatchError when a person's value count disagrees with the
     declared layout. The error names the first faulty person in file order.

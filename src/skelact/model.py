@@ -114,24 +114,43 @@ class BatchNorm:
     def frozen(self) -> bool:
         return not self.gamma.trainable
 
-    def forward(self, x: Tensor, training: bool, relu: bool = False) -> Tensor:
+    def forward(self, x: Tensor, training: bool) -> Tensor:
         if self.frozen or not training:
             return ad.batch_norm_given(
                 x, self.gamma, self.beta,
-                self.running_mean, self.running_var, self.EPS, relu,
+                self.running_mean, self.running_var, self.EPS,
             )
-        out, mu, var = ad.batch_norm_batch(x, self.gamma, self.beta, self.EPS, relu)
+        out, mu, var = ad.batch_norm_batch(x, self.gamma, self.beta, self.EPS)
+        self._track(mu, var)
+        return out
+
+    def _track(self, mu: np.ndarray, var: np.ndarray) -> None:
+        """Fold a training batch's statistics into the running ones."""
         m = self.MOMENTUM
         self.running_mean = (1.0 - m) * self.running_mean + m * mu
         self.running_var = (1.0 - m) * self.running_var + m * var
-        return out
 
-    def folded(self) -> tuple[np.ndarray, np.ndarray]:
-        """The (C,) scale and shift of the evaluation map ``x * a + b``."""
+    def fuse(self, weights: list[Tensor], bias: Tensor | None, training: bool,
+             axis: int = -1) -> tuple[list[Tensor], Tensor | None, ad.Norm | None]:
+        """The weights, bias and epilogue of the convolution this layer follows.
+
+        In training the layer runs as the convolution node's epilogue
+        (``autodiff.Norm``). In evaluation it folds into the convolution as
+        the map ``x * a + b``: the output channels of each weight, on
+        ``axis``, are scaled by ``a``, the bias becomes ``bias * a + b``,
+        and no epilogue is left.
+        """
+        if training:
+            running = (self.running_mean, self.running_var) if self.frozen else None
+            return weights, bias, ad.Norm(self.gamma, self.beta, self.EPS, running,
+                                          self._track)
         inv_std = 1.0 / np.sqrt(self.running_var + self.EPS)
-        return ad.fold_batch_norm(
+        a, b = ad.fold_batch_norm(
             self.gamma.data, self.beta.data, self.running_mean, inv_std
         )
+        scale = a if axis == -1 else a[:, None]
+        folded = [Tensor(w.data * scale) for w in weights]
+        return folded, Tensor(b if bias is None else bias.data * a + b), None
 
     def parameters(self) -> list[tuple[str, Tensor]]:
         return [("gamma", self.gamma), ("beta", self.beta)]
@@ -195,57 +214,40 @@ class StgcnBlock:
         training: bool,
         rng: np.random.Generator | None,
     ) -> Tensor:
-        """Run the block; evaluation records no graph and folds every BN."""
-        if not training:
-            with ad.no_grad():
-                return self._forward_folded(x, adjacency)
-        y = ad.graph_conv(
-            x, adjacency, self.gcn_weights, self.edge_masks, self.gcn_bias
-        )
-        y = self.bn1.forward(y, training, relu=True)
-        y = ad.temporal_conv(y, self.tcn_kernel, self.stride, self.tcn_bias)
-        y = self.bn2.forward(y, training)
-        if self.dropout > 0.0:
-            y = ad.dropout(y, self.dropout, rng)
-        shortcut = self._shortcut(x, training)
-        return ad.relu(y) if shortcut is None else ad.add_relu(y, shortcut)
+        """Run the block as two nodes, three or four with a projection.
 
-    def _forward_folded(self, x: Tensor, adjacency: list[Tensor]) -> Tensor:
-        """The evaluation forward: each BN is folded into the conv before it.
-
-        bn1 scales the graph convolution's output channels and maps its
-        bias, so the convolution's fresh output is rectified in place; bn2
-        does the same to the temporal kernel rows and bias.
+        Node A is the graph convolution with bn1 and ReLU as its epilogue;
+        it writes into the zero-bordered buffer that node B, the temporal
+        convolution, reads in place. B's epilogue is bn2, dropout, the
+        residual add and ReLU. Evaluation records no graph and folds each
+        batch norm into its convolution, so only the residual add and ReLU
+        are left as epilogues.
         """
-        a, b = self.bn1.folded()
-        y = ad.graph_conv(
-            x, adjacency, [Tensor(w.data * a) for w in self.gcn_weights],
-            self.edge_masks, Tensor(self.gcn_bias.data * a + b),
-        )
-        np.maximum(y.data, 0.0, out=y.data)
-        a, b = self.bn2.folded()
-        y = ad.temporal_conv(y, Tensor(self.tcn_kernel.data * a[:, None]), self.stride,
-                             Tensor(self.tcn_bias.data * a + b))
-        shortcut = self._shortcut(x, training=False)
-        return ad.relu(y) if shortcut is None else ad.add_relu(y, shortcut)
+        with nullcontext() if training else ad.no_grad():
+            weights, bias, norm = self.bn1.fuse(self.gcn_weights, self.gcn_bias, training)
+            h = ad.graph_conv(x, adjacency, weights, self.edge_masks, bias,
+                              norm=norm, relu=True, pad=TEMPORAL_KERNEL // 2)
+            (kernel,), bias, norm = self.bn2.fuse(
+                [self.tcn_kernel], self.tcn_bias, training, axis=0)
+            return ad.temporal_conv(
+                h, kernel, self.stride, bias, padded=True, norm=norm,
+                dropout=self.dropout if training else 0.0, rng=rng,
+                shortcut=self._shortcut(x, training), relu=True,
+            )
 
     def _shortcut(self, x: Tensor, training: bool) -> Tensor | None:
         """The residual branch: none, ``x`` itself, or its projection.
 
-        In evaluation res_bn is folded into the projection weight, and its
-        shift becomes the projection's bias.
+        The projection is one pointwise convolution node with res_bn as its
+        epilogue, or folded into its weight in evaluation.
         """
         if self.residual == "none":
             return None
         if self.residual == "identity":
             return x
         shortcut = x if self.stride == 1 else ad.temporal_subsample(x, self.stride)
-        if training:
-            return self.res_bn.forward(
-                ad.pointwise_conv(shortcut, self.res_weight), training
-            )
-        a, b = self.res_bn.folded()
-        return ad.pointwise_conv(shortcut, Tensor(self.res_weight.data * a), Tensor(b))
+        (weight,), bias, norm = self.res_bn.fuse([self.res_weight], None, training)
+        return ad.pointwise_conv(shortcut, weight, bias, norm=norm)
 
     def parameters(self) -> list[tuple[str, Tensor]]:
         named: list[tuple[str, Tensor]] = []
@@ -544,16 +546,22 @@ def read_checkpoint(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
 
 
 def load_weights(
-    net: StgcnNetwork, path: str | Path, strict_head: bool = True
+    net: StgcnNetwork,
+    path: str | Path,
+    strict_head: bool = True,
+    arrays: dict[str, np.ndarray] | None = None,
 ) -> list[str]:
     """Load a checkpoint into a network, matching arrays by name.
 
     Every array must exist on both sides with an equal shape, except that
     with ``strict_head`` off the classifier head may disagree in shape and
     is then left at its current values (the transfer-learning entry
-    point). Returns the names of skipped arrays.
+    point). ``arrays``, if given, are the ones ``read_checkpoint`` already
+    returned for ``path``, which is then not read again. Returns the names
+    of skipped arrays.
     """
-    _, arrays = read_checkpoint(path)
+    if arrays is None:
+        _, arrays = read_checkpoint(path)
     state = net.state_arrays()
     missing = sorted(set(state) - set(arrays))
     unexpected = sorted(set(arrays) - set(state))

@@ -124,9 +124,9 @@ def load_sequence(
     numbers in names must be zero padded. Each frame keeps at most
     ``person_slots`` people, the most confident first; the sequence is then
     zero padded or tail truncated to exactly ``target_frames``. Frames
-    whose joint count disagrees with ``layout`` raise LayoutMismatchError;
-    a ``.json`` entry that cannot be read raises KeypointParseError naming
-    it.
+    whose joint count disagrees with ``layout`` raise LayoutMismatchError,
+    and a ``.json`` entry that cannot be read or parsed raises
+    KeypointParseError; both name the file.
     """
     from .pipeline import pad_sequence, select_persons
 
@@ -145,16 +145,24 @@ def load_sequence(
     if not names:
         raise EmptySequenceError(f"{directory} holds no keypoint files")
 
-    frames = [
-        parse_keypoint_frame(_read_frame(os.path.join(directory, name)), layout)
-        for name in names
-    ]
+    frames = [_load_frame(os.path.join(directory, name), layout) for name in names]
     seq = SkeletonSequence(
         select_persons(frames, person_slots), layout, image_size, fps
     )
     if target_frames != seq.frame_count:
         seq = pad_sequence(seq, target_frames)
     return seq
+
+
+def _load_frame(path: str, layout: str) -> np.ndarray:
+    """Parse one frame file; a parse error names the file."""
+    data = _read_frame(path)
+    try:
+        return parse_keypoint_frame(data, layout)
+    except KeypointParseError as exc:
+        raise KeypointParseError(f"{path}: {exc.message}", exc.offset) from exc
+    except LayoutMismatchError as exc:
+        raise LayoutMismatchError(f"{path}: {exc}") from exc
 
 
 def _read_frame(path: str) -> bytes:

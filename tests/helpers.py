@@ -21,6 +21,19 @@ from skelact import (
     SkeletonSequence,
     normalize_centralize,
 )
+from skelact.autodiff import (
+    Tensor,
+    add_relu,
+    batch_norm_batch,
+    batch_norm_given,
+    dropout,
+    graph_conv,
+    no_grad,
+    pointwise_conv,
+    relu,
+    temporal_conv,
+    temporal_subsample,
+)
 
 mp.mp.dps = 50
 
@@ -250,6 +263,71 @@ def oracle_batch_norm(x, gamma, beta, eps, relu, seed):
               + per_channel(grad_mean) / count)
     return (out, mean, var, (grad_out * normalized).sum(axis=axes),
             grad_out.sum(axis=axes), grad_x)
+
+
+def _oracle_norm(bn, y, training, relu=False):
+    """One batch norm layer as its own node, tracking statistics as
+    documented: momentum 0.1 in training, none when frozen or evaluating."""
+    if bn.frozen or not training:
+        return batch_norm_given(y, bn.gamma, bn.beta, bn.running_mean,
+                                bn.running_var, bn.EPS, relu)
+    out, mu, var = batch_norm_batch(y, bn.gamma, bn.beta, bn.EPS, relu)
+    m = bn.MOMENTUM
+    bn.running_mean = (1.0 - m) * bn.running_mean + m * mu
+    bn.running_var = (1.0 - m) * bn.running_var + m * var
+    return out
+
+
+def oracle_block(block, x, adjacency, training, rng=None):
+    """An ST-GCN block as a chain of separate autodiff nodes.
+
+    Graph conv, bn1 with ReLU, temporal conv, bn2, dropout (training only),
+    then relu(y + shortcut): the chain the fused block must reproduce bit
+    for bit in training. In evaluation every batch norm uses its running
+    statistics unfolded.
+    """
+    y = graph_conv(x, adjacency, block.gcn_weights, block.edge_masks, block.gcn_bias)
+    y = _oracle_norm(block.bn1, y, training, relu=True)
+    y = temporal_conv(y, block.tcn_kernel, block.stride, block.tcn_bias)
+    y = _oracle_norm(block.bn2, y, training)
+    if training and block.dropout > 0.0:
+        y = dropout(y, block.dropout, rng)
+    if block.residual == "none":
+        return relu(y)
+    shortcut = x
+    if block.residual == "project":
+        shortcut = x if block.stride == 1 else temporal_subsample(x, block.stride)
+        shortcut = _oracle_norm(
+            block.res_bn, pointwise_conv(shortcut, block.res_weight), training)
+    return add_relu(y, shortcut)
+
+
+def _folded(bn):
+    """The evaluation map of a batch norm layer: y = x * a + b per channel."""
+    a = bn.gamma.data * (1.0 / np.sqrt(bn.running_var + bn.EPS))
+    return a, bn.beta.data - bn.running_mean * a
+
+
+def oracle_folded_block(block, x, adjacency):
+    """An ST-GCN block in evaluation with each batch norm folded into the
+    convolution before it, as separate nodes: the evaluation chain whose
+    bits the fused block must reproduce."""
+    with no_grad():
+        a, b = _folded(block.bn1)
+        y = relu(graph_conv(x, adjacency, [Tensor(w.data * a) for w in block.gcn_weights],
+                            block.edge_masks, Tensor(block.gcn_bias.data * a + b)))
+        a, b = _folded(block.bn2)
+        y = temporal_conv(y, Tensor(block.tcn_kernel.data * a[:, None]), block.stride,
+                          Tensor(block.tcn_bias.data * a + b))
+        if block.residual == "none":
+            return relu(y)
+        shortcut = x
+        if block.residual == "project":
+            shortcut = x if block.stride == 1 else temporal_subsample(x, block.stride)
+            a, b = _folded(block.res_bn)
+            shortcut = pointwise_conv(shortcut, Tensor(block.res_weight.data * a),
+                                      Tensor(b))
+        return add_relu(y, shortcut)
 
 
 # ---------------------------------------------------------- tracking oracle

@@ -6,6 +6,7 @@ import pytest
 
 from skelact import ConfigurationError, StateError
 from skelact.autodiff import (
+    Norm,
     Tensor,
     add,
     add_relu,
@@ -660,6 +661,96 @@ def test_batch_norm_rejects_non_4d_input():
         batch_norm_given(flat, ones, zeros, np.zeros(3), np.ones(3))
 
 
+# ---------------------------------------------------------------- fused nodes
+
+def norm_leaves(rng, channels, batch_stats):
+    """A trainable batch norm epilogue, with batch or fixed statistics."""
+    gamma = Tensor(rng.uniform(0.5, 1.5, channels), trainable=True)
+    beta = Tensor(rng.uniform(-0.5, 0.5, channels), trainable=True)
+    running = None if batch_stats else (rng.uniform(-0.2, 0.2, channels),
+                                        rng.uniform(0.5, 2.0, channels))
+    return Norm(gamma, beta, running=running)
+
+
+def graph_conv_node(rng, in_channels, frames, batch_stats):
+    """Node A's operands and a call of it on them: graph conv, batch norm,
+    ReLU, written with a one-frame zero border."""
+    adjacency = [Tensor(rng.uniform(0.0, 1.0, (5, 5))) for _ in range(3)]
+    x = leaf(rng, (2, in_channels, frames, 5))
+    weights = [leaf(rng, (in_channels, 3)) for _ in range(3)]
+    masks = [Tensor(rng.uniform(0.5, 1.5, (5, 5)), trainable=True) for _ in range(3)]
+    bias = leaf(rng, (3,))
+    norm = norm_leaves(rng, 3, batch_stats)
+
+    def node(relu_out=True):
+        return graph_conv(x, adjacency, weights, masks, bias, norm=norm,
+                          relu=relu_out, pad=1)
+
+    return node, [x, *weights, *masks, bias, norm.gamma, norm.beta]
+
+
+def squared_error(out, target):
+    diff = add(out, Tensor(-target))
+    return reduce_sum(mul(diff, diff), (0, 1, 2, 3))
+
+
+# Seeds whose pre-activations all lie at least 0.02 from the ReLU kink.
+@pytest.mark.parametrize("batch_stats,seed", [(True, 64), (False, 66)],
+                         ids=["batch_statistics", "fixed_statistics"])
+def test_graph_conv_node_with_batch_norm_relu_and_border_gradcheck(batch_stats, seed):
+    rng = np.random.default_rng(seed)
+    node, leaves = graph_conv_node(rng, 2, 3, batch_stats)
+    pre = node(relu_out=False).data
+    assert pre.shape == (2, 3, 5, 5)
+    assert not pre[:, :, [0, -1]].any()
+    assert np.abs(pre[:, :, 1:-1]).min() > 0.02
+    target = rng.uniform(-1.0, 1.0, pre.shape)
+    check_grads(lambda: squared_error(node(), target), leaves, tol=1e-3)
+
+
+@pytest.mark.parametrize("batch_stats,seed", [(True, 62), (False, 61)],
+                         ids=["batch_statistics", "fixed_statistics"])
+def test_temporal_conv_node_fed_by_the_graph_conv_node_gradcheck(batch_stats, seed):
+    # Node B reads node A's bordered output in place, with dropout and a
+    # strided projection shortcut (its own node, batch norm as epilogue).
+    rng = np.random.default_rng(seed)
+    node, leaves = graph_conv_node(rng, 2, 5, batch_stats)
+    x = leaves[0]
+    kernel, bias = leaf(rng, (3, 3)), leaf(rng, (3,))
+    norm = norm_leaves(rng, 3, batch_stats)
+    res_weight = leaf(rng, (2, 3))
+    res_norm = norm_leaves(rng, 3, batch_stats)
+
+    def block(relu_out=True):
+        shortcut = pointwise_conv(temporal_subsample(x, 2), res_weight, norm=res_norm)
+        return temporal_conv(node(), kernel, 2, bias, padded=True, norm=norm,
+                             dropout=0.3, rng=np.random.default_rng(64),
+                             shortcut=shortcut, relu=relu_out)
+
+    assert np.abs(node(relu_out=False).data[:, :, 1:-1]).min() > 0.02
+    pre = block(relu_out=False).data
+    assert pre.shape == (2, 3, 3, 5)
+    assert np.abs(pre).min() > 0.02
+    target = rng.uniform(-1.0, 1.0, pre.shape)
+    check_grads(lambda: squared_error(block(), target),
+                leaves + [kernel, bias, norm.gamma, norm.beta, res_weight,
+                          res_norm.gamma, res_norm.beta], tol=1e-3)
+
+
+def test_fused_node_validation():
+    x = Tensor(np.ones((2, 3, 4, 5)))
+    kernel = Tensor(np.ones((3, 5)))
+    with pytest.raises(ConfigurationError, match="padded input"):
+        temporal_conv(x, kernel, padded=True)
+    with pytest.raises(ConfigurationError, match="shortcut"):
+        temporal_conv(x, kernel, 2, shortcut=x)
+    with pytest.raises(ConfigurationError, match="pad"):
+        graph_conv(x, [Tensor(np.eye(5))], [Tensor(np.ones((3, 3)))],
+                   [Tensor(np.ones((5, 5)))], pad=-1)
+    with pytest.raises(ConfigurationError, match="dropout"):
+        temporal_conv(x, kernel, dropout=1.0, rng=np.random.default_rng(0))
+
+
 # -------------------------------------------------------------------- dropout
 
 def test_dropout_mask_is_reproducible_from_the_seed():
@@ -726,6 +817,18 @@ def _op_cases():
          lambda a, *rest: graph_conv(a, list(rest[0:3]), list(rest[3:6]),
                                      list(rest[6:9]), rest[9])),
         ("pointwise_conv", (x4, weights[0], bias), pointwise_conv),
+        ("graph_conv_batch_norm_relu_border", (x4, *adjacency, *weights, *masks, bias,
+                                               bias[::-1], bias + 0.5),
+         lambda a, *rest: graph_conv(a, list(rest[0:3]), list(rest[3:6]),
+                                     list(rest[6:9]), rest[9],
+                                     norm=Norm(rest[10], rest[11]), relu=True, pad=1)),
+        ("temporal_conv_bordered_epilogue", (x4, rng.uniform(-1.0, 1.0, (3, 3)), beta,
+                                             gamma, beta, other[:, :, :3]),
+         lambda a, k, b, g, shift, shortcut: temporal_conv(
+             a, k, 2, b, padded=True, norm=Norm(g, shift, running=(mu, var)),
+             dropout=0.4, rng=np.random.default_rng(41), shortcut=shortcut, relu=True)),
+        ("pointwise_conv_batch_norm", (x4, weights[0], bias, bias[::-1]),
+         lambda a, w, g, b: pointwise_conv(a, w, norm=Norm(g, b))),
         ("batch_norm_batch", (x4, gamma, beta),
          lambda a, g, b: batch_norm_batch(a, g, b)[0]),
         ("batch_norm_batch_relu", (x4, gamma, beta),
@@ -750,6 +853,26 @@ def test_no_grad_outputs_have_the_bits_of_recorded_ones_and_are_bare_leaves(
         bare = op(*[Tensor(v, trainable=True) for v in operands])
     assert bare.data.tobytes() == recorded.data.tobytes()
     assert bare.is_leaf and bare.grad is None and bare._backward_fn is None
+
+
+def test_graph_conv_under_no_grad_frees_its_aggregate_before_the_bordered_output():
+    # The (B, K·C, T·V) aggregate is 3x the input; the convolution output
+    # and its zero-bordered copy are about 1x each. Alive at once they
+    # would peak near 5.2x.
+    rng = np.random.default_rng(44)
+    x = Tensor(rng.uniform(-1.0, 1.0, (2, 16, 40, 18)))
+    adjacency = [Tensor(rng.uniform(0.0, 1.0, (18, 18))) for _ in range(3)]
+    weights = [Tensor(rng.uniform(-1.0, 1.0, (16, 16))) for _ in range(3)]
+    masks = [Tensor(np.ones((18, 18))) for _ in range(3)]
+    with no_grad():
+        tracemalloc.start()
+        try:
+            out = graph_conv(x, adjacency, weights, masks, relu=True, pad=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert out.shape == (2, 16, 48, 18)
+    assert peak <= 4.5 * x.data.nbytes
 
 
 def test_tensors_built_under_no_grad_have_no_gradient_buffer():

@@ -6,6 +6,8 @@ import shutil
 import numpy as np
 import pytest
 
+import skelact.cli
+import skelact.model
 from skelact import load_run_config, load_split, load_weights, save_weights
 from skelact.cli import main
 from helpers import build_manifest_tree
@@ -193,10 +195,12 @@ def oversized_integer(sample):
     doc = json.loads(path.read_text())
     doc["people"][0]["pose_keypoints_2d"][0] = "BIG"
     path.write_text(json.dumps(doc).replace('"BIG"', "9" * 400))
+    return path.name
 
 
 def directory_frame(sample):
     (sample / "000030.json").mkdir()
+    return "000030.json"
 
 
 @pytest.mark.parametrize("breaker, fragment", [
@@ -211,7 +215,7 @@ def test_train_on_a_broken_frame_exits_3_naming_it(breaker, fragment, workspace,
         if record["sample_id"] == sample_id:
             shutil.copytree(record["keypoint_path"], tmp_path / sample_id)
             record["keypoint_path"] = str(tmp_path / sample_id)
-    breaker(tmp_path / sample_id)
+    broken = breaker(tmp_path / sample_id)
     (tmp_path / "manifest.json").write_text(json.dumps(doc))
     config = json.loads((workspace / "run.json").read_text())
     config["manifest"] = str(tmp_path / "manifest.json")
@@ -222,6 +226,7 @@ def test_train_on_a_broken_frame_exits_3_naming_it(breaker, fragment, workspace,
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert fragment in err
+    assert f"{sample_id}/{broken}" in err
     assert not (tmp_path / "out" / "checkpoint.ckpt").exists()
 
 
@@ -294,6 +299,25 @@ def test_eval_rerun_is_byte_identical(workspace):
                  "classwise.csv"):
         assert (workspace / "eval1" / name).read_bytes() == \
             (workspace / "eval2" / name).read_bytes()
+
+
+def test_eval_reads_the_checkpoint_once(workspace, tmp_path, monkeypatch):
+    calls = []
+    read = skelact.model.read_checkpoint
+
+    def counting(path):
+        calls.append(path)
+        return read(path)
+
+    monkeypatch.setattr(skelact.cli, "read_checkpoint", counting)
+    monkeypatch.setattr(skelact.model, "read_checkpoint", counting)
+    assert main(["eval", "--config", str(workspace / "run.json"),
+                 "--checkpoint", str(workspace / "run1" / "checkpoint.ckpt"),
+                 "--split", str(workspace / "split"),
+                 "--out", str(tmp_path / "eval")]) == 0
+    assert len(calls) == 1
+    assert (tmp_path / "eval" / "predictions.csv").read_bytes() == \
+        (workspace / "eval1" / "predictions.csv").read_bytes()
 
 
 def test_eval_layout_mismatch_exits_2(workspace, capsys):

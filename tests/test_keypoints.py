@@ -102,6 +102,15 @@ def test_parse_rejects_bad_json_with_offset():
     assert info.value.offset == 12
 
 
+def test_a_value_error_claims_no_byte_offset():
+    flat = [1.0, 2.0, 1.5] + [0.0] * (3 * 17)
+    with pytest.raises(KeypointParseError) as info:
+        parse_keypoint_frame(frame_bytes([flat]), COCO18)
+    assert info.value.offset is None
+    assert "person 0, joint 0" in str(info.value)
+    assert "byte offset" not in str(info.value)
+
+
 def test_parse_rejects_non_object_documents():
     for payload in (b"[]", b'"people"', b'{"persons": []}', b'{"people": 3}'):
         with pytest.raises(KeypointParseError):

@@ -25,17 +25,12 @@ from skelact import (
 from skelact.autodiff import (
     Tensor,
     add,
-    add_relu,
     graph_conv,
     matmul_last,
     mean,
     mul,
-    pointwise_conv,
     reduce_sum,
-    relu,
     reshape,
-    temporal_conv,
-    temporal_subsample,
     transpose,
 )
 from skelact.model import (
@@ -49,6 +44,8 @@ from helpers import (
     max_rel_err,
     motion_dataset,
     numeric_grad,
+    oracle_block,
+    oracle_folded_block,
     oracle_graph_conv,
     path_graph,
 )
@@ -151,22 +148,6 @@ def perturb_batch_norms(layers, rng):
         bn.beta.data[...] = rng.uniform(-0.5, 0.5, bn.beta.shape)
 
 
-def unfused_block(block, x, adjacency):
-    """The block in evaluation as separate ops, each BN by batch_norm_given."""
-    y = graph_conv(x, adjacency, block.gcn_weights, block.edge_masks, block.gcn_bias)
-    y = block.bn1.forward(y, training=False, relu=True)
-    y = temporal_conv(y, block.tcn_kernel, block.stride, block.tcn_bias)
-    y = block.bn2.forward(y, training=False)
-    if block.residual == "identity":
-        return add_relu(y, x)
-    if block.residual == "project":
-        shortcut = x if block.stride == 1 else temporal_subsample(x, block.stride)
-        shortcut = block.res_bn.forward(pointwise_conv(shortcut, block.res_weight),
-                                        training=False)
-        return add_relu(y, shortcut)
-    return relu(y)
-
-
 def unfused_logits(net, x):
     samples, channels, frames, vertices, slots = x.shape
     h = Tensor(x.transpose(0, 4, 3, 1, 2).reshape(
@@ -175,30 +156,130 @@ def unfused_logits(net, x):
     h = transpose(reshape(h, (samples * slots, vertices, channels, frames)),
                   (0, 2, 3, 1))
     for block in net.blocks:
-        h = unfused_block(block, h, net.adjacency)
+        h = oracle_block(block, h, net.adjacency, training=False)
     h = reshape(mean(h, axes=(2, 3)), (samples, slots, net.channel_plan[-1][0]))
     return add(matmul_last(mean(h, axes=(1,)), net.fc_weight), net.fc_bias).data
 
 
-@pytest.mark.parametrize("in_channels,stride,residual", [
-    (8, 1, True), (4, 2, True), (4, 1, False)], ids=["identity", "project", "none"])
-def test_folded_eval_block_matches_the_unfused_batch_norm_chain(
-        in_channels, stride, residual):
-    block = StgcnBlock(in_channels, 8, 5, 3, np.random.default_rng(30),
-                       stride=stride, residual=residual)
-    assert block.residual == {True: "identity" if stride == 1 else "project",
-                              False: "none"}[residual]
-    rng = np.random.default_rng(31)
+def perturbed_block(in_channels, stride, residual=True, dropout=0.0, seed=30):
+    """A block whose batch norms and biases have moved away from their start."""
+    block = StgcnBlock(in_channels, 8, 5, 3, np.random.default_rng(seed),
+                       stride=stride, residual=residual, dropout=dropout)
+    rng = np.random.default_rng(seed + 1)
     perturb_batch_norms([bn for _, bn in block.batch_norms()], rng)
     block.gcn_bias.data[...] = rng.uniform(-0.5, 0.5, 8)
     block.tcn_bias.data[...] = rng.uniform(-0.5, 0.5, 8)
+    return block
+
+
+RESIDUAL_KINDS = {"identity": (8, 1, True), "project": (4, 2, True),
+                  "none": (4, 1, False)}
+
+
+@pytest.mark.parametrize("in_channels,stride,residual", RESIDUAL_KINDS.values(),
+                         ids=RESIDUAL_KINDS.keys())
+def test_folded_eval_block_matches_the_unfused_batch_norm_chain(
+        in_channels, stride, residual):
+    block = perturbed_block(in_channels, stride, residual)
+    assert block.residual == {True: "identity" if stride == 1 else "project",
+                              False: "none"}[residual]
     adjacency = [Tensor(m) for m in small_adjacency().matrices]
-    x = Tensor(rng.uniform(-1.0, 1.0, (2, in_channels, 7, 5)))
-    expected = unfused_block(block, x, adjacency).data
+    x = Tensor(np.random.default_rng(32).uniform(-1.0, 1.0, (2, in_channels, 7, 5)))
+    expected = oracle_block(block, x, adjacency, training=False).data
     out = block.forward(x, adjacency, training=False, rng=None)
     assert out.is_leaf and out.grad is None
     assert (expected > 0).mean() > 0.2
     assert np.abs(out.data - expected).max() <= 1e-14 * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("frames", [6, 7])
+@pytest.mark.parametrize("in_channels,stride,residual", RESIDUAL_KINDS.values(),
+                         ids=RESIDUAL_KINDS.keys())
+def test_eval_block_has_the_bits_of_the_folded_chain(in_channels, stride, residual,
+                                                     frames):
+    block = perturbed_block(in_channels, stride, residual)
+    adjacency = [Tensor(m) for m in small_adjacency().matrices]
+    x = Tensor(np.random.default_rng(33).uniform(-1.0, 1.0,
+                                                 (2, in_channels, frames, 5)))
+    expected = oracle_folded_block(block, x, adjacency).data
+    out = block.forward(x, adjacency, training=False, rng=None)
+    assert (expected > 0).mean() > 0.2
+    assert out.data.tobytes() == expected.tobytes()
+
+
+# (in_channels, stride, residual, frames, frozen batch norms, dropout rate)
+TRAINING_CASES = {
+    "none": (4, 1, False, 6, False, 0.0),
+    "identity": (8, 1, True, 6, False, 0.0),
+    "project": (4, 1, True, 6, False, 0.0),
+    "strided_project": (4, 2, True, 6, False, 0.0),
+    "odd_frames": (4, 2, True, 7, False, 0.0),
+    "frozen": (4, 2, True, 7, True, 0.0),
+    "dropout": (8, 1, True, 6, False, 0.3),
+}
+
+
+def training_run(block, forward, x_data, frozen):
+    """Outputs, gradients and running statistics of one training step."""
+    if frozen:
+        for _, bn in block.batch_norms():
+            bn.gamma.trainable = bn.beta.trainable = False
+    adjacency = [Tensor(m) for m in small_adjacency().matrices]
+    x = Tensor(x_data, trainable=True)
+    out = forward(block, x, adjacency, True, np.random.default_rng(34))
+    out.backward(np.random.default_rng(35).uniform(-1.0, 1.0, out.shape))
+    grads = {name: t.grad for name, t in block.parameters()}
+    stats = [a for _, bn in block.batch_norms()
+             for a in (bn.running_mean, bn.running_var)]
+    return out.data, x.grad, grads, stats
+
+
+@pytest.mark.parametrize("in_channels,stride,residual,frames,frozen,rate",
+                         TRAINING_CASES.values(), ids=TRAINING_CASES.keys())
+def test_training_block_has_the_bits_of_the_unfused_chain(
+        in_channels, stride, residual, frames, frozen, rate):
+    x = np.random.default_rng(36).uniform(-1.0, 1.0, (2, in_channels, frames, 5))
+    fused = training_run(perturbed_block(in_channels, stride, residual, rate),
+                         StgcnBlock.forward, x, frozen)
+    chain = training_run(perturbed_block(in_channels, stride, residual, rate),
+                         oracle_block, x, frozen)
+    out, x_grad, grads, stats = fused
+    assert 0.2 < (out > 0).mean() < 0.9
+    assert out.tobytes() == chain[0].tobytes()
+    assert x_grad.tobytes() == chain[1].tobytes()
+    assert grads.keys() == chain[2].keys()
+    for name, grad in grads.items():
+        assert grad.tobytes() == chain[2][name].tobytes(), name
+    assert [a.tobytes() for a in stats] == [a.tobytes() for a in chain[3]]
+    # Gradients reached the convolutions, through frozen batch norms too.
+    assert np.abs(grads["gcn_weight.0"]).max() > 0.0
+    assert (np.abs(grads["bn1.gamma"]).max() == 0.0) == frozen
+
+
+@pytest.mark.parametrize("stride,bound", [(1, 8.0), (2, 14.0)],
+                         ids=["identity", "strided_projection"])
+def test_training_block_forward_holds_few_input_sizes(stride, bound):
+    # One training forward at (8, 64, 30, 18), the shape of a first-stage
+    # block of a T=30, B=4, M=2 run. Held: the aggregate (3x the input),
+    # both nodes' centered conv outputs, the zero-bordered buffer node B
+    # reads, the bool ReLU masks and the output; with a projection also the
+    # subsampled input and its node's centered output and result.
+    channels = 64
+    block = StgcnBlock(channels, channels * stride, 18, 3,
+                       np.random.default_rng(37), stride=stride)
+    assert block.residual == ("identity" if stride == 1 else "project")
+    adjacency = [Tensor(m) for m in partition_spatial(build_graph(COCO18)).matrices]
+    x = Tensor(np.random.default_rng(38).standard_normal((8, channels, 30, 18)),
+               trainable=True)
+    block.forward(x, adjacency, training=True, rng=None)
+    tracemalloc.start()
+    try:
+        out = block.forward(x, adjacency, training=True, rng=None)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert not out.is_leaf
+    assert held <= bound * x.data.nbytes
 
 
 def test_folded_eval_network_matches_the_unfused_batch_norm_chain():
@@ -228,9 +309,12 @@ def test_eval_forward_at_the_paper_shape_keeps_no_graph_and_little_memory():
     assert peak < 64 * 2**20
 
 
-@pytest.mark.parametrize("in_channels,stride,nodes", [(8, 1, 5), (4, 2, 8)])
-def test_block_forward_builds_five_nodes_eight_with_a_strided_projection(
+@pytest.mark.parametrize("in_channels,stride,nodes", [(8, 1, 2), (4, 2, 4)])
+def test_block_forward_builds_two_nodes_four_with_a_strided_projection(
         in_channels, stride, nodes, monkeypatch):
+    # Node A (graph conv) and node B (temporal conv) carry the block's
+    # batch norms, ReLUs and residual add; a strided projection adds the
+    # subsample and one pointwise conv node.
     block = small_block(in_channels, 8, stride)
     assert block.residual == ("identity" if stride == 1 else "project")
     adjacency = [Tensor(m) for m in small_adjacency().matrices]
