@@ -280,7 +280,7 @@ def mean(x: Tensor, axes: tuple[int, ...]) -> Tensor:
 
 
 def temporal_subsample(x: Tensor, stride: int) -> Tensor:
-    """Keep every stride-th frame of a (B, C, T, V) tensor."""
+    """Keep every stride-th frame of a (C, B, T, V) tensor."""
     x = _as_tensor(x)
     if stride < 1:
         raise ConfigurationError(f"stride: must be positive, got {stride}")
@@ -294,23 +294,32 @@ def temporal_subsample(x: Tensor, stride: int) -> Tensor:
     return Tensor(out_data, parents=(x,), backward_fn=backward_fn)
 
 
-_BN_AXES = (0, 2, 3)
+_BN_AXES = (1, 2, 3)
+# Bytes of the buffer ``_channel_sum`` multiplies whole channel rows into.
+_PRODUCT_BYTES = 1 << 18
 
 
 def _channel_sum(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
-    """Per-channel sum of a (B, C, T, V) array, or of ``a * b``, as (C,).
+    """Per-channel sum of a (C, B, T, V) array, or of ``a * b``, as (C,).
 
-    The product is summed one sample at a time through a (C, T, V)
-    buffer. On C-contiguous arrays that is the order in which numpy's own
-    ``(a * b).sum(axis=(0, 2, 3))`` adds, so the result has its bits
-    without a full-size temporary.
+    Each channel is one row of B·T·V values, summed as numpy sums a
+    contiguous row. The product is formed a few whole rows at a time in a
+    buffer of at most ``_PRODUCT_BYTES`` (one row if a row is larger), so
+    ``a * b`` is never held whole and each row's sum has the bits of
+    ``(a * b).sum(axis=(1, 2, 3))``.
     """
+    rows = a.reshape(a.shape[0], -1)
     if b is None:
-        return a.sum(axis=_BN_AXES)
-    total = np.zeros(a.shape[1])
-    product = np.empty(a.shape[1:])
-    for a_sample, b_sample in zip(a, b):
-        total += np.multiply(a_sample, b_sample, out=product).sum(axis=(1, 2))
+        return rows.sum(axis=1)
+    others = b.reshape(rows.shape)
+    total = np.empty(rows.shape[0])
+    step = max(1, _PRODUCT_BYTES // rows[0].nbytes)
+    buffer = np.empty((min(step, rows.shape[0]), rows.shape[1]))
+    for start in range(0, rows.shape[0], step):
+        stop = min(start + step, rows.shape[0])
+        product = np.multiply(rows[start:stop], others[start:stop],
+                              out=buffer[:stop - start])
+        product.sum(axis=1, out=total[start:stop])
     return total
 
 
@@ -321,13 +330,26 @@ def _check_bias(op: str, bias: Tensor | None, channels: int) -> None:
         )
 
 
-def _dropout_mask(shape: tuple[int, ...], rate: float, rng) -> np.ndarray:
-    """The inverted-dropout multiplier: 0 or 1 / (1 - rate) per element."""
+def _dropout_mask(shape: tuple[int, ...], rate: float, rng) -> tuple[np.ndarray, float]:
+    """Inverted dropout as a bool keep mask and one scale, 1 / (1 - rate).
+
+    Multiplying by the mask, then by the scale, has the bits of multiplying
+    by 0 or 1 / (1 - rate), signed zeros included.
+    """
     if not 0.0 <= rate < 1.0:
         raise ConfigurationError(f"dropout rate must lie in [0, 1), got {rate}")
     if rate == 0.0:
-        return np.ones(shape)
-    return (rng.random(shape) >= rate) / (1.0 - rate)
+        return np.ones(shape, dtype=bool), 1.0
+    return rng.random(shape) >= rate, 1.0 / (1.0 - rate)
+
+
+def _bordered(shape: tuple[int, ...], pad: int) -> np.ndarray:
+    """An uninitialized array whose first and last ``pad`` frames, on axis
+    2, are zero: the inner frames are the caller's to write."""
+    out = np.empty(shape)
+    out[:, :, :pad] = 0.0
+    out[:, :, shape[2] - pad:] = 0.0
+    return out
 
 
 def fold_batch_norm(gamma, beta, mean, inv_std) -> tuple[np.ndarray, np.ndarray]:
@@ -359,14 +381,14 @@ class Norm(NamedTuple):
 
 
 def _per_channel(values: np.ndarray) -> np.ndarray:
-    return values[None, :, None, None]
+    return values[:, None, None, None]
 
 
 class _Epilogue:
     """The elementwise tail of a node: bias, batch norm, dropout, residual
     add and ReLU, in that order, each optional.
 
-    ``apply`` runs it on a fresh (B, C, T, V) array; ``backward`` takes
+    ``apply`` runs it on a fresh (C, B, T, V) array; ``backward`` takes
     the gradient of the result back to that array, accumulating the bias,
     batch norm and shortcut gradients on the way. Only what the backward
     reads is kept: with batch statistics the centered input, with fixed
@@ -398,8 +420,9 @@ class _Epilogue:
             elif result is not out:
                 result[...] = out
         if self.dropout:
-            self.keep = _dropout_mask(result.shape, self.dropout, self.rng)
+            self.keep, self.scale = _dropout_mask(result.shape, self.dropout, self.rng)
             result *= self.keep
+            result *= self.scale
         if self.shortcut is not None:
             result += self.shortcut.data
         if self.relu:
@@ -412,7 +435,7 @@ class _Epilogue:
         if norm.running is None:
             mu = out.mean(axis=_BN_AXES, keepdims=True)
             centered = np.subtract(out, mu, out=out)
-            var = _channel_sum(centered, centered) / (centered.size // centered.shape[1])
+            var = _channel_sum(centered, centered) / (centered.size // centered.shape[0])
             self.inv_std = 1.0 / _per_channel(np.sqrt(var + norm.eps))
             self.a = gamma * self.inv_std
             self.centered = centered
@@ -448,6 +471,7 @@ class _Epilogue:
             writable = False
         if self.keep is not None:
             grad = grad * self.keep
+            grad *= self.scale
             writable = True
         if self.norm is not None:
             grad = self._normalize_backward(grad, writable)
@@ -469,7 +493,7 @@ class _Epilogue:
         _accumulate(beta, grad_sum)
         grad_centered_sum = _channel_sum(grad, centered)
         _accumulate(gamma, grad_centered_sum * inv_std.reshape(-1))
-        count = grad.size // grad.shape[1]
+        count = grad.size // grad.shape[0]
         mean_grad = _per_channel(grad_sum / count)
         mean_grad_centered = _per_channel(grad_centered_sum / count)
         # dx = a * (g - mean(g) - centered * inv_std**2 * mean(g * centered))
@@ -487,12 +511,12 @@ class _Epilogue:
 
 
 def _tap_windows(padded: np.ndarray, taps: int, stride: int) -> np.ndarray:
-    """The (B, C, K, T_out, V) view ``padded[b, c, stride * t + k, v]``."""
+    """The (C, B, K, T_out, V) view ``padded[c, b, stride * t + k, v]``."""
     return np.moveaxis(sliding_window_view(padded, taps, axis=2)[:, :, ::stride], -1, 2)
 
 
 def _correlate(padded: np.ndarray, kernel: np.ndarray, stride: int) -> np.ndarray:
-    """out[b, c, t, v] = sum_k kernel[c, k] * padded[b, c, stride * t + k, v].
+    """out[c, b, t, v] = sum_k kernel[c, k] * padded[c, b, stride * t + k, v].
 
     einsum without ``optimize`` adds the taps in order in one fixed loop, so
     the result has the bits of a tap-by-tap loop. With stride 1 the
@@ -500,8 +524,8 @@ def _correlate(padded: np.ndarray, kernel: np.ndarray, stride: int) -> np.ndarra
     """
     windows = _tap_windows(padded, kernel.shape[1], stride)
     if stride > 1:
-        return np.einsum("ck,bcktv->bctv", kernel, windows)
-    out = np.einsum("ck,bckn->bcn", kernel, windows.reshape(*windows.shape[:3], -1))
+        return np.einsum("ck,cbktv->cbtv", kernel, windows)
+    out = np.einsum("ck,cbkn->cbn", kernel, windows.reshape(*windows.shape[:3], -1))
     return out.reshape(windows.shape[:2] + windows.shape[3:])
 
 
@@ -518,7 +542,7 @@ def temporal_conv(
     shortcut: Tensor | None = None,
     relu: bool = False,
 ) -> Tensor:
-    """Depthwise convolution over the frame axis of a (B, C, T, V) tensor.
+    """Depthwise convolution over the frame axis of a (C, B, T, V) tensor.
 
     ``kernel`` has shape (C, K) with K odd; the input is zero padded by
     (K - 1) / 2 on both sides, so with stride 1 the frame count is
@@ -535,11 +559,11 @@ def temporal_conv(
     """
     x, kernel = _as_tensor(x), _as_tensor(kernel)
     if x.data.ndim != 4:
-        raise ConfigurationError("temporal_conv expects a (B, C, T, V) input")
+        raise ConfigurationError("temporal_conv expects a (C, B, T, V) input")
     channels, taps = kernel.data.shape
-    if channels != x.data.shape[1]:
+    if channels != x.data.shape[0]:
         raise ConfigurationError(
-            f"kernel has {channels} channels, input has {x.data.shape[1]}"
+            f"kernel has {channels} channels, input has {x.data.shape[0]}"
         )
     if taps % 2 != 1:
         raise ConfigurationError(f"kernel size must be odd, got {taps}")
@@ -547,7 +571,7 @@ def temporal_conv(
         raise ConfigurationError(f"stride: must be positive, got {stride}")
     _check_bias("temporal_conv", bias, channels)
 
-    batch, _, frames, vertices = x.data.shape
+    _, batch, frames, vertices = x.data.shape
     pad = (taps - 1) // 2
     if padded:
         frames -= 2 * pad
@@ -557,8 +581,8 @@ def temporal_conv(
             )
         padded_data = x.data
     else:
-        padded_data = np.zeros((batch, channels, frames + 2 * pad, vertices))
-        padded_data[:, :, pad:pad + frames, :] = x.data
+        padded_data = _bordered((channels, batch, frames + 2 * pad, vertices), pad)
+        padded_data[:, :, pad:pad + frames] = x.data
     out_data = _correlate(padded_data, kernel.data, stride)
     if shortcut is not None and shortcut.data.shape != out_data.shape:
         raise ConfigurationError(
@@ -570,21 +594,18 @@ def temporal_conv(
     def backward_fn(grad):
         grad = epilogue.backward(grad)
         windows = _tap_windows(padded_data, taps, stride)
-        _accumulate(kernel, np.einsum("bcktv,bctv->ck", windows, grad))
-        dilated = np.zeros_like(padded_data)
-        dilated[:, :, pad:pad + stride * grad.shape[2]:stride, :] = grad
+        _accumulate(kernel, np.einsum("cbktv,cbtv->ck", windows, grad))
+        # Stride 1 writes every inner frame; a larger stride leaves gaps
+        # that must be zero too.
+        if stride == 1:
+            dilated = _bordered(padded_data.shape, pad)
+        else:
+            dilated = np.zeros_like(padded_data)
+        dilated[:, :, pad:pad + stride * grad.shape[2]:stride] = grad
         _accumulate(x, _correlate(dilated, kernel.data[:, ::-1], 1))
 
     return Tensor(out_data, parents=(x, kernel) + epilogue.parents(),
                   backward_fn=backward_fn)
-
-
-def _batch_outer(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """sum_b left[b] @ right[b].T, without a (B, M, P) intermediate."""
-    total = left[0] @ right[0].T
-    for b in range(1, left.shape[0]):
-        total += left[b] @ right[b].T
-    return total
 
 
 def graph_conv(
@@ -598,19 +619,20 @@ def graph_conv(
     relu: bool = False,
     pad: int = 0,
 ) -> Tensor:
-    """Spatial graph convolution over the joint axis of a (B, C, T, V) tensor.
+    """Spatial graph convolution over the joint axis of a (C, B, T, V) tensor.
 
     Partition k aggregates the input over joints with the gated adjacency
     ``A_k * M_k`` (V, V) and mixes channels with ``W_k`` (C, D); the
     partitions are summed and ``bias`` (D,), if given, is added:
 
-        y[b, d, t, w] = sum_k sum_v sum_c x[b, c, t, v] (A_k * M_k)[v, w] W_k[c, d]
+        y[d, b, t, w] = sum_k sum_v sum_c x[c, b, t, v] (A_k * M_k)[v, w] W_k[c, d]
 
-    One matmul per partition fills a (B, K, C, T, V) aggregate, then one
-    batched GEMM with the stacked (K·C, D) weight writes the output, so no
-    activation is transposed. Aggregating before mixing is the cheaper
-    order while C <= D. The backward pass contracts against the saved
-    aggregate.
+    One matmul per partition on the (C·B·T, V) input fills a (K·C, B·T·V)
+    aggregate, then one GEMM with the stacked (K·C, D) weight writes the
+    output, so no activation is transposed and the whole batch is one
+    call. Aggregating before mixing is the cheaper order while C <= D. The
+    backward pass contracts against the saved aggregate: the weight and
+    aggregate gradients are one GEMM each over the whole batch.
 
     Batch norm ``norm`` and ReLU run as the node's epilogue. With ``pad``
     the output gets ``pad`` zero frames on both sides of the frame axis,
@@ -625,30 +647,29 @@ def graph_conv(
             "adjacency, weights and edge_importance must have equal length"
         )
     if x.data.ndim != 4:
-        raise ConfigurationError("graph_conv expects a (B, C, T, V) input")
+        raise ConfigurationError("graph_conv expects a (C, B, T, V) input")
     if pad < 0:
         raise ConfigurationError(f"pad: must be non-negative, got {pad}")
-    batch, channels, frames, vertices = x.data.shape
+    channels, batch, frames, vertices = x.data.shape
     gated = [a.data * m.data for a, m in zip(adjacency, masks)]
     stacked = np.stack([w.data for w in weights]).reshape(partitions * channels, -1)
     out_channels = stacked.shape[1]
     _check_bias("graph_conv", bias, out_channels)
 
-    # Row block k of a sample's (K·C, T·V) aggregate holds x[b] @ gated[k].
-    columns = x.data.reshape(batch, channels * frames, vertices)
-    aggregated = np.empty((batch, partitions, channels * frames, vertices))
+    # Row block k of the (K·C, B·T·V) aggregate holds x @ gated[k].
+    columns = x.data.reshape(channels * batch * frames, vertices)
+    aggregated = np.empty((partitions, channels * batch * frames, vertices))
     for k in range(partitions):
-        np.matmul(columns, gated[k], out=aggregated[:, k])
-    aggregated = aggregated.reshape(batch, partitions * channels, frames * vertices)
-    out_data = np.matmul(stacked.T, aggregated)
-    out_data = out_data.reshape(batch, out_channels, frames, vertices)
+        np.matmul(columns, gated[k], out=aggregated[k])
+    aggregated = aggregated.reshape(partitions * channels, batch * frames * vertices)
+    out_data = (stacked.T @ aggregated).reshape(out_channels, batch, frames, vertices)
     if not _recording.get():
         # No backward reads the aggregate: free it before the bordered
         # output is allocated, or both are alive at once.
         aggregated = None
     epilogue = _Epilogue(bias, norm, relu=relu)
     if pad:
-        bordered = np.zeros((batch, out_channels, frames + 2 * pad, vertices))
+        bordered = _bordered((out_channels, batch, frames + 2 * pad, vertices), pad)
         epilogue.apply(out_data, bordered[:, :, pad:pad + frames])
         out_data = bordered
     else:
@@ -658,18 +679,22 @@ def graph_conv(
         if grad.shape[2] != frames:
             grad = grad[:, :, pad:pad + frames]
         grad = epilogue.backward(grad)
-        grad_flat = grad.reshape(batch, out_channels, frames * vertices)
-        grad_stacked = _batch_outer(aggregated, grad_flat)
-        grad_aggregated = np.matmul(stacked, grad_flat).reshape(
-            batch, partitions, channels * frames, vertices
+        grad_flat = grad.reshape(out_channels, batch * frames * vertices)
+        grad_stacked = aggregated @ grad_flat.T
+        grad_aggregated = (stacked @ grad_flat).reshape(
+            partitions, channels * batch * frames, vertices
         )
-        grad_columns = np.zeros_like(columns)
+        by_channel = columns.reshape(channels, -1, vertices).transpose(0, 2, 1)
         for k in range(partitions):
-            slab = grad_aggregated[:, k]
-            grad_columns += slab @ gated[k].T
-            grad_gated = _batch_outer(
-                columns.transpose(0, 2, 1), slab.transpose(0, 2, 1)
-            )
+            slab = grad_aggregated[k]
+            if k == 0:
+                grad_columns = slab @ gated[k].T
+            else:
+                grad_columns += slab @ gated[k].T
+            # One product per input channel, summed: a single (V, C·B·T)
+            # @ (C·B·T, V) product runs BLAS at a fraction of its rate.
+            grad_gated = np.matmul(by_channel,
+                                   slab.reshape(channels, -1, vertices)).sum(axis=0)
             _accumulate(weights[k], grad_stacked[k * channels:(k + 1) * channels])
             _accumulate(masks[k], grad_gated * adjacency[k].data)
             _accumulate(adjacency[k], grad_gated * masks[k].data)
@@ -682,29 +707,28 @@ def graph_conv(
 def pointwise_conv(
     x: Tensor, weight: Tensor, bias: Tensor | None = None, *, norm: Norm | None = None
 ) -> Tensor:
-    """Mix the channels of a (B, C, T, V) tensor with a (C, D) weight.
+    """Mix the channels of a (C, B, T, V) tensor with a (C, D) weight.
 
-    A 1x1 convolution: ``W.T @ x[b]`` on each sample's (C, T·V) matrix, so
-    the output is (B, D, T, V) with no transpose. ``bias`` (D,), if given,
+    A 1x1 convolution: one GEMM ``W.T @ x`` on the (C, B·T·V) matrix, so
+    the output is (D, B, T, V) with no transpose. ``bias`` (D,), if given,
     is added per channel, and batch norm ``norm`` runs as the epilogue.
     """
     x, weight = _as_tensor(x), _as_tensor(weight)
     if x.data.ndim != 4 or weight.data.ndim != 2:
         raise ConfigurationError(
-            "pointwise_conv needs a (B, C, T, V) input and a 2D weight"
+            "pointwise_conv needs a (C, B, T, V) input and a 2D weight"
         )
     _check_bias("pointwise_conv", bias, weight.data.shape[1])
-    batch, channels, frames, vertices = x.data.shape
-    flat = x.data.reshape(batch, channels, frames * vertices)
-    out_data = np.matmul(weight.data.T, flat).reshape(batch, -1, frames, vertices)
+    flat = x.data.reshape(x.data.shape[0], -1)
+    out_data = (weight.data.T @ flat).reshape(-1, *x.data.shape[1:])
     epilogue = _Epilogue(bias, norm)
     out_data = epilogue.apply(out_data)
 
     def backward_fn(grad):
         grad = epilogue.backward(grad)
-        grad_flat = grad.reshape(batch, -1, frames * vertices)
-        _accumulate(weight, _batch_outer(flat, grad_flat))
-        _accumulate(x, np.matmul(weight.data, grad_flat).reshape(x.data.shape))
+        grad_flat = grad.reshape(grad.shape[0], -1)
+        _accumulate(weight, flat @ grad_flat.T)
+        _accumulate(x, (weight.data @ grad_flat).reshape(x.data.shape))
 
     return Tensor(out_data, parents=(x, weight) + epilogue.parents(),
                   backward_fn=backward_fn)
@@ -713,7 +737,7 @@ def pointwise_conv(
 def _batch_norm(x: Tensor, norm: Norm, relu: bool) -> Tensor:
     x = _as_tensor(x)
     if x.data.ndim != 4:
-        raise ConfigurationError("batch_norm expects a (B, C, T, V) input")
+        raise ConfigurationError("batch_norm expects a (C, B, T, V) input")
     epilogue = _Epilogue(norm=norm, relu=relu)
     out_data = epilogue.apply(x.data.copy())
 
@@ -726,7 +750,7 @@ def _batch_norm(x: Tensor, norm: Norm, relu: bool) -> Tensor:
 def batch_norm_batch(
     x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5, relu: bool = False
 ) -> tuple[Tensor, np.ndarray, np.ndarray]:
-    """Normalize a (B, C, T, V) tensor with its own batch statistics.
+    """Normalize a (C, B, T, V) tensor with its own batch statistics.
 
     Returns the output with the per-channel batch mean and biased variance
     it used, (C,) each, so a caller can track running statistics without a
@@ -758,10 +782,13 @@ def batch_norm_given(
 def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
     """Inverted dropout; scaling keeps the expectation unchanged."""
     x = _as_tensor(x)
-    mask = _dropout_mask(x.data.shape, rate, rng)
-    out_data = x.data * mask
+    keep, scale = _dropout_mask(x.data.shape, rate, rng)
+    out_data = x.data * keep
+    out_data *= scale
 
     def backward_fn(grad):
-        _accumulate(x, grad * mask)
+        grad = grad * keep
+        grad *= scale
+        _accumulate(x, grad)
 
     return Tensor(out_data, parents=(x,), backward_fn=backward_fn)

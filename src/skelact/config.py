@@ -11,12 +11,13 @@ Shape:
 The accepted keys of each object are the fields of its dataclass, and each
 value is checked against the field's annotation, so a new field needs no
 parser change. Relative paths inside the file resolve against the file's
-own directory. Unknown keys and wrong types are rejected with the
-offending field path.
+own directory. Unknown keys, wrong types and non-finite numbers are
+rejected with the offending field path.
 """
 from __future__ import annotations
 
 import json
+import math
 import types
 import typing
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
@@ -83,9 +84,15 @@ def _convert(kind, value, path: str):
     if isinstance(value, bool) and kind is not bool:
         raise ConfigurationError(f"{path}: expected {kind.__name__}")
     if kind is float and isinstance(value, int):
-        return float(value)
+        try:
+            value = float(value)
+        except OverflowError:
+            value = math.inf
     if not isinstance(value, kind):
         raise ConfigurationError(f"{path}: expected {kind.__name__}")
+    # json.loads accepts NaN and Infinity; no float setting means either.
+    if kind is float and not math.isfinite(value):
+        raise ConfigurationError(f"{path}: must be a finite number, got {value}")
     return value
 
 

@@ -3,7 +3,10 @@
 The network takes a batch shaped ``(N, C, T, V, M)``: samples, coordinate
 channels, frames, joints, person slots. Person slots are folded into the
 batch so every person runs through the same weights, and their features
-are pooled again just before the classifier.
+are pooled again just before the classifier. From the input batch norm to
+the pooling, activations are laid out channels first, (C, N·M, T, V): each
+channel's values over the whole batch are one contiguous row, so each
+channel mix is one GEMM over the batch and each batch-norm sum one row.
 
 Each block applies a spatial graph convolution (one weight matrix per
 adjacency partition, each partition gated by a learnable edge-importance
@@ -376,19 +379,21 @@ class StgcnNetwork:
         with nullcontext() if training else ad.no_grad():
             # Normalize per joint-channel pair over the batch and time. The
             # input is a constant, so it is rearranged outside the graph.
-            h = Tensor(x.transpose(0, 4, 3, 1, 2).reshape(
-                samples * slots, vertices * channels, frames, 1))
+            h = Tensor(x.transpose(3, 1, 0, 4, 2).reshape(
+                vertices * channels, samples * slots, frames, 1))
             h = self.input_bn.forward(h, training)
-            h = ad.reshape(h, (samples * slots, vertices, channels, frames))
-            h = ad.transpose(h, (0, 2, 3, 1))
+            # Channels first from here to the pooling: (C, N·M, T, V).
+            h = ad.reshape(h, (vertices, channels, samples * slots, frames))
+            h = ad.transpose(h, (1, 2, 3, 0))
             for block in self.blocks:
                 h = block.forward(h, self.adjacency, training, rng)
             h = ad.mean(h, axes=(2, 3))
-            h = ad.reshape(h, (samples, slots, self.channel_plan[-1][0]))
+            h = ad.reshape(h, (self.channel_plan[-1][0], samples, slots))
             if self.person_pool == "mean":
-                h = ad.mean(h, axes=(1,))
+                h = ad.mean(h, axes=(2,))
             else:
-                h = ad.reduce_sum(h, axes=(1,))
+                h = ad.reduce_sum(h, axes=(2,))
+            h = ad.transpose(h, (1, 0))
             return ad.add(ad.matmul_last(h, self.fc_weight), self.fc_bias)
 
     __call__ = forward

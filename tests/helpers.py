@@ -214,9 +214,10 @@ def max_rel_err(a, b, floor=1e-6) -> float:
 
 
 def oracle_graph_conv(x, adjacency, weights, masks, bias):
-    """Partitioned graph convolution as explicit loops over every index."""
-    batch, channels, frames, vertices = x.shape
-    out = np.zeros((batch, weights[0].shape[1], frames, vertices))
+    """Partitioned graph convolution on a (C, B, T, V) input as explicit
+    loops over every index."""
+    channels, batch, frames, vertices = x.shape
+    out = np.zeros((weights[0].shape[1], batch, frames, vertices))
     for k in range(len(adjacency)):
         gated = adjacency[k] * masks[k]
         for b in range(batch):
@@ -224,23 +225,24 @@ def oracle_graph_conv(x, adjacency, weights, masks, bias):
                 for w in range(vertices):
                     for v in range(vertices):
                         for c in range(channels):
-                            out[b, :, t, w] += x[b, c, t, v] * gated[v, w] * weights[k][c]
-    return out if bias is None else out + bias[:, None, None]
+                            out[:, b, t, w] += x[c, b, t, v] * gated[v, w] * weights[k][c]
+    return out if bias is None else out + bias[:, None, None, None]
 
 
 def oracle_batch_norm(x, gamma, beta, eps, relu, seed):
-    """Training batch norm and its gradients by the textbook chain rule.
+    """Training batch norm of a (C, B, T, V) input and its gradients by
+    the textbook chain rule.
 
     Follows Ioffe & Szegedy (2015), Algorithm 1 and its backward pass,
     through the normalized input, the variance and the mean in turn.
     Returns (out, mean, var, grad_gamma, grad_beta, grad_x) for the output
     gradient ``seed``.
     """
-    axes = (0, 2, 3)
-    count = x.size // x.shape[1]
+    axes = (1, 2, 3)
+    count = x.size // x.shape[0]
 
     def per_channel(v):
-        return v[None, :, None, None]
+        return v[:, None, None, None]
 
     mean = x.mean(axis=axes)
     var = ((x - per_channel(mean)) ** 2).mean(axis=axes)
@@ -279,7 +281,8 @@ def _oracle_norm(bn, y, training, relu=False):
 
 
 def oracle_block(block, x, adjacency, training, rng=None):
-    """An ST-GCN block as a chain of separate autodiff nodes.
+    """An ST-GCN block on a (C, B, T, V) input as a chain of separate
+    autodiff nodes.
 
     Graph conv, bn1 with ReLU, temporal conv, bn2, dropout (training only),
     then relu(y + shortcut): the chain the fused block must reproduce bit

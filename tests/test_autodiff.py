@@ -33,6 +33,12 @@ def leaf(rng, shape, offset=0.0):
     return Tensor(rng.uniform(-1.0, 1.0, shape) + offset, trainable=True)
 
 
+def channels_first(tensor):
+    """The (C, B, T, V) leaf holding the values of a (B, C, T, V) one."""
+    return Tensor(np.ascontiguousarray(tensor.data.swapaxes(0, 1)),
+                  trainable=tensor.trainable)
+
+
 def check_grads(build, tensors, tol=1e-5):
     """Compare analytic gradients against central differences."""
     loss = build()
@@ -213,13 +219,13 @@ def test_add_relu_gradcheck_away_from_the_kink():
 
 def test_fused_relu_nodes_pass_nan_through():
     rng = np.random.default_rng(5)
-    x = rng.uniform(-1.0, 1.0, (2, 3, 4, 2))
-    x[1, 2, 3, 0] = np.nan
+    x = rng.uniform(-1.0, 1.0, (3, 2, 4, 2))
+    x[2, 1, 3, 0] = np.nan
     gamma, beta = Tensor(np.ones(3)), Tensor(np.zeros(3))
     out, _, _ = batch_norm_batch(Tensor(x), gamma, beta, relu=True)
     # A NaN in the batch makes its channel's statistics NaN.
-    assert np.isnan(out.data[:, 2]).all()
-    assert not np.isnan(out.data[:, :2]).any()
+    assert np.isnan(out.data[2]).all()
+    assert not np.isnan(out.data[:2]).any()
     given = batch_norm_given(Tensor(x), gamma, beta, np.zeros(3), np.ones(3),
                              relu=True)
     assert np.array_equal(np.isnan(given.data), np.isnan(x))
@@ -294,20 +300,20 @@ def test_temporal_subsample_picks_every_stride_th_frame():
 
 
 def oracle_temporal_conv(x, kernel, stride):
-    batch, channels, frames, vertices = x.shape
+    channels, batch, frames, vertices = x.shape
     taps = kernel.shape[1]
     pad = (taps - 1) // 2
-    padded = np.zeros((batch, channels, frames + 2 * pad, vertices))
+    padded = np.zeros((channels, batch, frames + 2 * pad, vertices))
     padded[:, :, pad:pad + frames] = x
     out_frames = (frames + 2 * pad - taps) // stride + 1
-    out = np.zeros((batch, channels, out_frames, vertices))
-    for n in range(batch):
-        for c in range(channels):
+    out = np.zeros((channels, batch, out_frames, vertices))
+    for c in range(channels):
+        for n in range(batch):
             for t in range(out_frames):
                 for v in range(vertices):
                     for k in range(taps):
-                        out[n, c, t, v] += (
-                            padded[n, c, stride * t + k, v] * kernel[c, k]
+                        out[c, n, t, v] += (
+                            padded[c, n, stride * t + k, v] * kernel[c, k]
                         )
     return out
 
@@ -315,7 +321,7 @@ def oracle_temporal_conv(x, kernel, stride):
 @pytest.mark.parametrize("stride,frames", [(1, 7), (2, 7), (2, 8), (3, 10)])
 def test_temporal_conv_matches_loop_oracle(stride, frames):
     rng = np.random.default_rng(8)
-    x = leaf(rng, (2, 3, frames, 4))
+    x = leaf(rng, (3, 2, frames, 4))
     kernel = leaf(rng, (3, 3))
     out = temporal_conv(x, kernel, stride=stride)
     expected = oracle_temporal_conv(x.data, kernel.data, stride)
@@ -325,9 +331,9 @@ def test_temporal_conv_matches_loop_oracle(stride, frames):
 
 def test_temporal_conv_stride_one_keeps_frame_count():
     rng = np.random.default_rng(9)
-    x = leaf(rng, (1, 2, 9, 3))
+    x = leaf(rng, (2, 1, 9, 3))
     kernel = leaf(rng, (2, 5))
-    assert temporal_conv(x, kernel).shape == (1, 2, 9, 3)
+    assert temporal_conv(x, kernel).shape == (2, 1, 9, 3)
 
 
 def test_temporal_conv_gradcheck():
@@ -348,7 +354,7 @@ def test_temporal_conv_gradcheck():
 
 
 def test_temporal_conv_validation():
-    x = Tensor(np.ones((2, 3, 5, 4)))
+    x = Tensor(np.ones((3, 2, 5, 4)))
     with pytest.raises(ConfigurationError):
         temporal_conv(x, Tensor(np.ones((3, 4))))
     with pytest.raises(ConfigurationError):
@@ -361,12 +367,12 @@ def test_temporal_conv_validation():
 
 def test_temporal_conv_bias_is_added_per_channel():
     rng = np.random.default_rng(16)
-    x = leaf(rng, (2, 3, 5, 4))
+    x = leaf(rng, (3, 2, 5, 4))
     kernel = leaf(rng, (3, 3))
     bias = leaf(rng, (3,))
     plain = temporal_conv(x, kernel, stride=2)
     biased = temporal_conv(x, kernel, stride=2, bias=bias)
-    assert np.array_equal(biased.data, plain.data + bias.data[None, :, None, None])
+    assert np.array_equal(biased.data, plain.data + bias.data[:, None, None, None])
 
     def build():
         out = temporal_conv(x, kernel, stride=2, bias=bias)
@@ -378,7 +384,7 @@ def test_temporal_conv_bias_is_added_per_channel():
 # ------------------------------------------------------------- channel mixing
 
 def graph_conv_operands(rng, c_in, c_out, partitions=3, vertices=5):
-    x = leaf(rng, (2, c_in, 3, vertices))
+    x = leaf(rng, (c_in, 2, 3, vertices))
     adjacency = [Tensor(rng.uniform(0.0, 1.0, (vertices, vertices)))
                  for _ in range(partitions)]
     weights = [leaf(rng, (c_in, c_out)) for _ in range(partitions)]
@@ -397,7 +403,7 @@ def test_graph_conv_gradcheck(c_in, c_out, with_bias):
         x.data, [a.data for a in adjacency], [w.data for w in weights],
         [m.data for m in masks], None if bias is None else bias.data,
     )
-    assert out.shape == (2, c_out, 3, 5)
+    assert out.shape == (c_out, 2, 3, 5)
     assert np.allclose(out.data, expected, atol=1e-10)
 
     def build():
@@ -448,11 +454,11 @@ def test_graph_and_temporal_conv_reject_a_bias_not_one_per_channel(shape):
 
 def test_pointwise_conv_gradcheck():
     rng = np.random.default_rng(21)
-    x = leaf(rng, (2, 3, 4, 5))
+    x = leaf(rng, (3, 2, 4, 5))
     weight = leaf(rng, (3, 6))
     out = pointwise_conv(x, weight)
-    assert out.shape == (2, 6, 4, 5)
-    assert np.allclose(out.data, np.einsum("bctv,cd->bdtv", x.data, weight.data),
+    assert out.shape == (6, 2, 4, 5)
+    assert np.allclose(out.data, np.einsum("cbtv,cd->dbtv", x.data, weight.data),
                        atol=1e-12)
 
     def build():
@@ -464,12 +470,12 @@ def test_pointwise_conv_gradcheck():
 
 def test_pointwise_conv_bias_gradcheck():
     rng = np.random.default_rng(22)
-    x = leaf(rng, (2, 3, 4, 5))
+    x = leaf(rng, (3, 2, 4, 5))
     weight = leaf(rng, (3, 6))
     bias = leaf(rng, (6,))
     plain = pointwise_conv(x, weight)
     biased = pointwise_conv(x, weight, bias)
-    assert np.array_equal(biased.data, plain.data + bias.data[None, :, None, None])
+    assert np.array_equal(biased.data, plain.data + bias.data[:, None, None, None])
 
     def build():
         out = pointwise_conv(x, weight, bias)
@@ -482,10 +488,10 @@ def test_pointwise_conv_validation():
     with pytest.raises(ConfigurationError):
         pointwise_conv(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((3, 2))))
     with pytest.raises(ConfigurationError):
-        pointwise_conv(Tensor(np.ones((2, 3, 4, 5))), Tensor(np.ones(3)))
+        pointwise_conv(Tensor(np.ones((3, 2, 4, 5))), Tensor(np.ones(3)))
     for shape in [(3,), (2, 1), ()]:
         with pytest.raises(ConfigurationError, match="bias"):
-            pointwise_conv(Tensor(np.ones((2, 3, 4, 5))), Tensor(np.ones((3, 2))),
+            pointwise_conv(Tensor(np.ones((3, 2, 4, 5))), Tensor(np.ones((3, 2))),
                            Tensor(np.ones(shape)))
 
 
@@ -493,24 +499,24 @@ def test_pointwise_conv_validation():
 
 def test_batch_norm_batch_standardizes():
     rng = np.random.default_rng(11)
-    x = leaf(rng, (4, 3, 5, 2), offset=2.0)
+    x = leaf(rng, (3, 4, 5, 2), offset=2.0)
     gamma = Tensor(np.ones(3), trainable=True)
     beta = Tensor(np.zeros(3), trainable=True)
     out, mu, var = batch_norm_batch(x, gamma, beta, eps=1e-12)
-    assert np.allclose(out.data.mean(axis=(0, 2, 3)), 0.0, atol=1e-10)
-    assert np.allclose(out.data.var(axis=(0, 2, 3)), 1.0, atol=1e-6)
+    assert np.allclose(out.data.mean(axis=(1, 2, 3)), 0.0, atol=1e-10)
+    assert np.allclose(out.data.var(axis=(1, 2, 3)), 1.0, atol=1e-6)
     # The statistics it returns are the ones it normalized with.
-    assert np.array_equal(mu, x.data.mean(axis=(0, 2, 3)))
-    assert np.array_equal(var, x.data.var(axis=(0, 2, 3)))
+    assert np.array_equal(mu, x.data.mean(axis=(1, 2, 3)))
+    assert np.array_equal(var, x.data.var(axis=(1, 2, 3)))
 
 
 # The shape of a bn1 layer in the first block of a T=30, B=4, M=2 run.
 @pytest.mark.parametrize("relu", [False, True])
 def test_batch_norm_batch_matches_the_textbook_chain_rule(relu):
     rng = np.random.default_rng(24)
-    shape = (8, 64, 30, 18)
-    x = rng.normal(rng.uniform(-2.0, 2.0, (1, 64, 1, 1)),
-                   rng.uniform(0.1, 3.0, (1, 64, 1, 1)), shape)
+    shape = (64, 8, 30, 18)
+    x = rng.normal(rng.uniform(-2.0, 2.0, (64, 1, 1, 1)),
+                   rng.uniform(0.1, 3.0, (64, 1, 1, 1)), shape)
     gamma = rng.uniform(-1.5, 1.5, 64)
     beta = rng.uniform(-0.5, 0.5, 64)
     seed = rng.uniform(-1.0, 1.0, shape)
@@ -525,7 +531,7 @@ def test_batch_norm_batch_matches_the_textbook_chain_rule(relu):
 
 def test_batch_norm_batch_forward_keeps_one_input_sized_array_besides_its_output():
     rng = np.random.default_rng(25)
-    x = Tensor(rng.standard_normal((8, 64, 30, 18)), trainable=True)
+    x = Tensor(rng.standard_normal((64, 8, 30, 18)), trainable=True)
     gamma = Tensor(rng.uniform(0.5, 1.5, 64), trainable=True)
     beta = Tensor(rng.uniform(-0.5, 0.5, 64), trainable=True)
     tracemalloc.start()
@@ -535,17 +541,17 @@ def test_batch_norm_batch_forward_keeps_one_input_sized_array_besides_its_output
     finally:
         tracemalloc.stop()
     # x - mu and the output, one input size each, plus the bool ReLU mask
-    # (1/8) and at most one per-sample buffer.
+    # (1/8); the variance's product buffer is freed before the output.
     assert out.shape == x.shape
     assert peak <= 2.2 * x.data.nbytes
 
 
 def test_batch_norm_batch_gradcheck():
     rng = np.random.default_rng(12)
-    x = leaf(rng, (3, 2, 4, 2))
+    x = leaf(rng, (2, 3, 4, 2))
     gamma = Tensor(rng.uniform(0.5, 1.5, 2), trainable=True)
     beta = Tensor(rng.uniform(-0.5, 0.5, 2), trainable=True)
-    target = rng.uniform(-1.0, 1.0, (3, 2, 4, 2))
+    target = rng.uniform(-1.0, 1.0, (2, 3, 4, 2))
 
     def build():
         out, _, _ = batch_norm_batch(x, gamma, beta)
@@ -557,21 +563,21 @@ def test_batch_norm_batch_gradcheck():
 
 def test_batch_norm_given_is_a_per_channel_affine_map():
     rng = np.random.default_rng(13)
-    x = leaf(rng, (2, 3, 4, 2))
+    x = leaf(rng, (3, 2, 4, 2))
     gamma = Tensor(rng.uniform(0.5, 1.5, 3), trainable=True)
     beta = Tensor(rng.uniform(-0.5, 0.5, 3), trainable=True)
     mu = rng.uniform(-0.2, 0.2, 3)
     var = rng.uniform(0.5, 2.0, 3)
     eps = 1e-5
     out = batch_norm_given(x, gamma, beta, mu, var, eps=eps)
-    expected = (gamma.data / np.sqrt(var + eps))[None, :, None, None] * (
-        x.data - mu[None, :, None, None]
-    ) + beta.data[None, :, None, None]
+    expected = (gamma.data / np.sqrt(var + eps))[:, None, None, None] * (
+        x.data - mu[:, None, None, None]
+    ) + beta.data[:, None, None, None]
     assert np.allclose(out.data, expected, atol=1e-12)
     out.backward(np.ones(out.shape))
     scale = gamma.data / np.sqrt(var + eps)
     assert np.allclose(
-        x.grad, np.broadcast_to(scale[None, :, None, None], x.shape)
+        x.grad, np.broadcast_to(scale[:, None, None, None], x.shape)
     )
 
 
@@ -594,7 +600,7 @@ def test_batch_norm_given_gradcheck():
 @pytest.mark.parametrize("batch_stats,seed,tol", [(True, 5, 1e-4), (False, 6, 1e-5)])
 def test_batch_norm_relu_gradcheck_away_from_the_kink(batch_stats, seed, tol):
     rng = np.random.default_rng(seed)
-    x = leaf(rng, (3, 2, 4, 2))
+    x = channels_first(leaf(rng, (3, 2, 4, 2)))
     gamma = Tensor(rng.uniform(0.5, 1.5, 2), trainable=True)
     beta = Tensor(rng.uniform(-0.5, 0.5, 2), trainable=True)
     mu = rng.uniform(-0.2, 0.2, 2)
@@ -619,9 +625,9 @@ def test_batch_norm_relu_gradcheck_away_from_the_kink(batch_stats, seed, tol):
 
 def test_batch_norm_relu_has_the_bits_of_relu_of_batch_norm():
     rng = np.random.default_rng(15)
-    x = rng.uniform(-1.0, 1.0, (2, 3, 2, 2))
-    x[:, 0] = np.array([0.0, -0.0])  # mean 0, so every (x - mu) is a zero
-    x[0, 1, 0] = [-0.0, 0.0]
+    x = rng.uniform(-1.0, 1.0, (3, 2, 2, 2))
+    x[0] = np.array([0.0, -0.0])  # mean 0, so every (x - mu) is a zero
+    x[1, 0, 0] = [-0.0, 0.0]
     gamma = np.array([-1.0, 0.5, 2.0])
     beta = np.array([-0.0, 0.0, -0.0])
     seed = rng.uniform(-1.0, 1.0, x.shape)
@@ -638,14 +644,14 @@ def test_batch_norm_relu_has_the_bits_of_relu_of_batch_norm():
 
 def test_batch_norm_given_folds_into_one_affine_map():
     rng = np.random.default_rng(17)
-    x = leaf(rng, (4, 3, 5, 2))
+    x = leaf(rng, (3, 4, 5, 2))
     gamma = Tensor(rng.uniform(-1.5, 1.5, 3), trainable=True)
     beta = Tensor(rng.uniform(-0.5, 0.5, 3), trainable=True)
-    mu = rng.uniform(-0.2, 0.2, 3)[None, :, None, None]
+    mu = rng.uniform(-0.2, 0.2, 3)[:, None, None, None]
     var = rng.uniform(0.5, 2.0, 3)
-    inv_std = 1.0 / np.sqrt(var + 1e-5)[None, :, None, None]
-    unfused = (gamma.data[None, :, None, None] * ((x.data - mu) * inv_std)
-               + beta.data[None, :, None, None])
+    inv_std = 1.0 / np.sqrt(var + 1e-5)[:, None, None, None]
+    unfused = (gamma.data[:, None, None, None] * ((x.data - mu) * inv_std)
+               + beta.data[:, None, None, None])
     for fused_relu, expected in [(False, unfused), (True, np.maximum(unfused, 0))]:
         out = batch_norm_given(x, gamma, beta, mu.reshape(-1), var, relu=fused_relu)
         assert np.abs(out.data - expected).max() <= 1e-15 * np.abs(expected).max()
@@ -676,7 +682,7 @@ def graph_conv_node(rng, in_channels, frames, batch_stats):
     """Node A's operands and a call of it on them: graph conv, batch norm,
     ReLU, written with a one-frame zero border."""
     adjacency = [Tensor(rng.uniform(0.0, 1.0, (5, 5))) for _ in range(3)]
-    x = leaf(rng, (2, in_channels, frames, 5))
+    x = channels_first(leaf(rng, (2, in_channels, frames, 5)))
     weights = [leaf(rng, (in_channels, 3)) for _ in range(3)]
     masks = [Tensor(rng.uniform(0.5, 1.5, (5, 5)), trainable=True) for _ in range(3)]
     bias = leaf(rng, (3,))
@@ -701,7 +707,7 @@ def test_graph_conv_node_with_batch_norm_relu_and_border_gradcheck(batch_stats, 
     rng = np.random.default_rng(seed)
     node, leaves = graph_conv_node(rng, 2, 3, batch_stats)
     pre = node(relu_out=False).data
-    assert pre.shape == (2, 3, 5, 5)
+    assert pre.shape == (3, 2, 5, 5)
     assert not pre[:, :, [0, -1]].any()
     assert np.abs(pre[:, :, 1:-1]).min() > 0.02
     target = rng.uniform(-1.0, 1.0, pre.shape)
@@ -729,7 +735,7 @@ def test_temporal_conv_node_fed_by_the_graph_conv_node_gradcheck(batch_stats, se
 
     assert np.abs(node(relu_out=False).data[:, :, 1:-1]).min() > 0.02
     pre = block(relu_out=False).data
-    assert pre.shape == (2, 3, 3, 5)
+    assert pre.shape == (3, 2, 3, 5)
     assert np.abs(pre).min() > 0.02
     target = rng.uniform(-1.0, 1.0, pre.shape)
     check_grads(lambda: squared_error(block(), target),
@@ -738,7 +744,7 @@ def test_temporal_conv_node_fed_by_the_graph_conv_node_gradcheck(batch_stats, se
 
 
 def test_fused_node_validation():
-    x = Tensor(np.ones((2, 3, 4, 5)))
+    x = Tensor(np.ones((3, 2, 4, 5)))
     kernel = Tensor(np.ones((3, 5)))
     with pytest.raises(ConfigurationError, match="padded input"):
         temporal_conv(x, kernel, padded=True)
@@ -792,8 +798,8 @@ def test_dropout_scaling_preserves_the_mean():
 def _op_cases():
     """(name, operands, op): every public op, called on fresh operands."""
     rng = np.random.default_rng(40)
-    x4 = rng.uniform(-1.0, 1.0, (2, 3, 7, 5))
-    other = rng.uniform(-1.0, 1.0, (2, 3, 7, 5))
+    x4 = rng.uniform(-1.0, 1.0, (3, 2, 7, 5))
+    other = rng.uniform(-1.0, 1.0, (3, 2, 7, 5))
     gamma, beta = rng.uniform(0.5, 1.5, 3), rng.uniform(-0.5, 0.5, 3)
     mu, var = rng.uniform(-0.2, 0.2, 3), rng.uniform(0.5, 2.0, 3)
     adjacency = [rng.uniform(0.0, 1.0, (5, 5)) for _ in range(3)]
@@ -856,11 +862,11 @@ def test_no_grad_outputs_have_the_bits_of_recorded_ones_and_are_bare_leaves(
 
 
 def test_graph_conv_under_no_grad_frees_its_aggregate_before_the_bordered_output():
-    # The (B, K·C, T·V) aggregate is 3x the input; the convolution output
+    # The (K·C, B·T·V) aggregate is 3x the input; the convolution output
     # and its zero-bordered copy are about 1x each. Alive at once they
     # would peak near 5.2x.
     rng = np.random.default_rng(44)
-    x = Tensor(rng.uniform(-1.0, 1.0, (2, 16, 40, 18)))
+    x = Tensor(rng.uniform(-1.0, 1.0, (16, 2, 40, 18)))
     adjacency = [Tensor(rng.uniform(0.0, 1.0, (18, 18))) for _ in range(3)]
     weights = [Tensor(rng.uniform(-1.0, 1.0, (16, 16))) for _ in range(3)]
     masks = [Tensor(np.ones((18, 18))) for _ in range(3)]
@@ -871,7 +877,7 @@ def test_graph_conv_under_no_grad_frees_its_aggregate_before_the_bordered_output
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    assert out.shape == (2, 16, 48, 18)
+    assert out.shape == (16, 2, 48, 18)
     assert peak <= 4.5 * x.data.nbytes
 
 

@@ -189,6 +189,38 @@ def test_train_divergence_exits_3_and_writes_nothing(workspace, capsys):
     assert not (workspace / "diverged" / "checkpoint.ckpt").exists()
 
 
+NON_FINITE_FIELDS = {
+    "weight_decay-NaN": (("train", "weight_decay"), float("nan")),
+    "weight_decay-Infinity": (("train", "weight_decay"), float("inf")),
+    "base_lr-Infinity": (("train", "base_lr"), float("inf")),
+    "rotation-NaN": (("train", "augmentation", "move_params", "rotation"), float("nan")),
+    "translation-NaN": (("train", "augmentation", "move_params", "translation"),
+                        float("nan")),
+}
+
+
+@pytest.mark.parametrize("keys, value", NON_FINITE_FIELDS.values(),
+                         ids=NON_FINITE_FIELDS.keys())
+def test_train_rejects_a_non_finite_config_number_with_exit_2(keys, value, workspace,
+                                                               tmp_path, capsys):
+    doc = json.loads((workspace / "run.json").read_text())
+    doc["manifest"] = str(workspace / "data" / "manifest.json")
+    doc["train"]["augmentation"] = {"move": True}
+    section = doc
+    for key in keys[:-1]:
+        section = section.setdefault(key, {})
+    section[keys[-1]] = value
+    config = tmp_path / "run.json"
+    # json writes the NaN and Infinity literals that json.loads accepts.
+    config.write_text(json.dumps(doc))
+    assert main(["train", "--config", str(config), "--split",
+                 str(workspace / "split"), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "config." + ".".join(keys) + ": must be a finite number" in err
+    assert not (tmp_path / "out" / "checkpoint.ckpt").exists()
+
+
 def oversized_integer(sample):
     """Frame 3 gets a 400-digit integer in place of person 0's first x."""
     path = sample / "000003.json"

@@ -22,6 +22,7 @@ from skelact import (
     set_trainable,
     train_loop,
 )
+from skelact import autodiff as ad
 from skelact.autodiff import (
     Tensor,
     add,
@@ -72,7 +73,7 @@ def small_input(rng, samples=2, frames=8, slots=2):
 def test_spatial_graph_conv_matches_loop_oracle():
     rng = np.random.default_rng(0)
     adjacency = small_adjacency()
-    x = rng.uniform(-1.0, 1.0, (2, 3, 4, 5))
+    x = rng.uniform(-1.0, 1.0, (3, 2, 4, 5))
     weights = [rng.uniform(-1.0, 1.0, (3, 6)) for _ in range(3)]
     masks = [rng.uniform(0.5, 1.5, (5, 5)) for _ in range(3)]
     bias = rng.uniform(-0.5, 0.5, 6)
@@ -84,14 +85,14 @@ def test_spatial_graph_conv_matches_loop_oracle():
         Tensor(bias),
     )
     expected = oracle_graph_conv(x, adjacency.matrices, weights, masks, bias)
-    assert out.shape == (2, 6, 4, 5)
+    assert out.shape == (6, 2, 4, 5)
     assert np.allclose(out.data, expected, atol=1e-10)
 
 
 def test_spatial_graph_conv_gradcheck():
     rng = np.random.default_rng(1)
     adjacency = [Tensor(m) for m in small_adjacency().matrices]
-    x = Tensor(rng.uniform(-1.0, 1.0, (1, 2, 3, 5)), trainable=True)
+    x = Tensor(rng.uniform(-1.0, 1.0, (2, 1, 3, 5)), trainable=True)
     weights = [Tensor(rng.uniform(-1.0, 1.0, (2, 4)), trainable=True)
                for _ in range(3)]
     masks = [Tensor(rng.uniform(0.5, 1.5, (5, 5)), trainable=True)
@@ -123,18 +124,18 @@ def test_stride_two_projection_matches_a_loop_oracle():
     # relu(res_bn(projection of every second frame)).
     block.bn2.gamma.data[...] = 0.0
     rng = np.random.default_rng(13)
-    x = rng.uniform(-1.0, 1.0, (2, 3, 7, 5))
+    x = rng.uniform(-1.0, 1.0, (3, 2, 7, 5))
     adjacency = [Tensor(m) for m in small_adjacency().matrices]
     out = block.forward(Tensor(x), adjacency, training=False, rng=None)
 
     weight = block.res_weight.data
-    expected = np.zeros((2, 6, 4, 5))
+    expected = np.zeros((6, 2, 4, 5))
     for b in range(2):
         for d in range(6):
             for t in range(4):
                 for v in range(5):
                     for c in range(3):
-                        expected[b, d, t, v] += x[b, c, 2 * t, v] * weight[c, d]
+                        expected[d, b, t, v] += x[c, b, 2 * t, v] * weight[c, d]
     expected = np.maximum(expected / np.sqrt(1.0 + BatchNorm.EPS), 0.0)
     assert np.allclose(out.data, expected, atol=1e-12)
 
@@ -150,15 +151,16 @@ def perturb_batch_norms(layers, rng):
 
 def unfused_logits(net, x):
     samples, channels, frames, vertices, slots = x.shape
-    h = Tensor(x.transpose(0, 4, 3, 1, 2).reshape(
-        samples * slots, vertices * channels, frames, 1))
+    h = Tensor(x.transpose(3, 1, 0, 4, 2).reshape(
+        vertices * channels, samples * slots, frames, 1))
     h = net.input_bn.forward(h, training=False)
-    h = transpose(reshape(h, (samples * slots, vertices, channels, frames)),
-                  (0, 2, 3, 1))
+    h = transpose(reshape(h, (vertices, channels, samples * slots, frames)),
+                  (1, 2, 3, 0))
     for block in net.blocks:
         h = oracle_block(block, h, net.adjacency, training=False)
-    h = reshape(mean(h, axes=(2, 3)), (samples, slots, net.channel_plan[-1][0]))
-    return add(matmul_last(mean(h, axes=(1,)), net.fc_weight), net.fc_bias).data
+    h = reshape(mean(h, axes=(2, 3)), (net.channel_plan[-1][0], samples, slots))
+    h = transpose(mean(h, axes=(2,)), (1, 0))
+    return add(matmul_last(h, net.fc_weight), net.fc_bias).data
 
 
 def perturbed_block(in_channels, stride, residual=True, dropout=0.0, seed=30):
@@ -184,7 +186,7 @@ def test_folded_eval_block_matches_the_unfused_batch_norm_chain(
     assert block.residual == {True: "identity" if stride == 1 else "project",
                               False: "none"}[residual]
     adjacency = [Tensor(m) for m in small_adjacency().matrices]
-    x = Tensor(np.random.default_rng(32).uniform(-1.0, 1.0, (2, in_channels, 7, 5)))
+    x = Tensor(np.random.default_rng(32).uniform(-1.0, 1.0, (in_channels, 2, 7, 5)))
     expected = oracle_block(block, x, adjacency, training=False).data
     out = block.forward(x, adjacency, training=False, rng=None)
     assert out.is_leaf and out.grad is None
@@ -200,7 +202,7 @@ def test_eval_block_has_the_bits_of_the_folded_chain(in_channels, stride, residu
     block = perturbed_block(in_channels, stride, residual)
     adjacency = [Tensor(m) for m in small_adjacency().matrices]
     x = Tensor(np.random.default_rng(33).uniform(-1.0, 1.0,
-                                                 (2, in_channels, frames, 5)))
+                                                 (in_channels, 2, frames, 5)))
     expected = oracle_folded_block(block, x, adjacency).data
     out = block.forward(x, adjacency, training=False, rng=None)
     assert (expected > 0).mean() > 0.2
@@ -238,48 +240,95 @@ def training_run(block, forward, x_data, frozen):
                          TRAINING_CASES.values(), ids=TRAINING_CASES.keys())
 def test_training_block_has_the_bits_of_the_unfused_chain(
         in_channels, stride, residual, frames, frozen, rate):
-    x = np.random.default_rng(36).uniform(-1.0, 1.0, (2, in_channels, frames, 5))
+    x = np.random.default_rng(36).uniform(-1.0, 1.0, (in_channels, 2, frames, 5))
     fused = training_run(perturbed_block(in_channels, stride, residual, rate),
                          StgcnBlock.forward, x, frozen)
     chain = training_run(perturbed_block(in_channels, stride, residual, rate),
                          oracle_block, x, frozen)
-    out, x_grad, grads, stats = fused
+    assert_same_training_bits(fused, chain)
+    out, _, grads, _ = fused
     assert 0.2 < (out > 0).mean() < 0.9
+    # Gradients reached the convolutions, through frozen batch norms too.
+    assert np.abs(grads["gcn_weight.0"]).max() > 0.0
+    assert (np.abs(grads["bn1.gamma"]).max() == 0.0) == frozen
+
+
+def assert_same_training_bits(fused, chain):
+    out, x_grad, grads, stats = fused
     assert out.tobytes() == chain[0].tobytes()
     assert x_grad.tobytes() == chain[1].tobytes()
     assert grads.keys() == chain[2].keys()
     for name, grad in grads.items():
         assert grad.tobytes() == chain[2][name].tobytes(), name
     assert [a.tobytes() for a in stats] == [a.tobytes() for a in chain[3]]
-    # Gradients reached the convolutions, through frozen batch norms too.
-    assert np.abs(grads["gcn_weight.0"]).max() > 0.0
-    assert (np.abs(grads["bn1.gamma"]).max() == 0.0) == frozen
+
+
+@pytest.mark.parametrize("in_channels,stride,residual,frames,frozen,rate",
+                         TRAINING_CASES.values(), ids=TRAINING_CASES.keys())
+def test_block_reads_no_uninitialized_memory(in_channels, stride, residual, frames,
+                                             frozen, rate, monkeypatch):
+    # The zero borders around the frames are written explicitly; every
+    # other element of an np.empty array must be written before it is read.
+    x = np.random.default_rng(36).uniform(-1.0, 1.0, (in_channels, 2, frames, 5))
+    adjacency = [Tensor(m) for m in small_adjacency().matrices]
+    chain = training_run(perturbed_block(in_channels, stride, residual, rate),
+                         oracle_block, x, frozen)
+    expected = oracle_folded_block(perturbed_block(in_channels, stride, residual),
+                                   Tensor(x), adjacency).data
+    empty = np.empty
+
+    def nan_filled(*args, **kwargs):
+        out = empty(*args, **kwargs)
+        if out.dtype.kind == "f":
+            out.fill(np.nan)
+        return out
+
+    monkeypatch.setattr(ad.np, "empty", nan_filled)
+    assert np.isnan(ad.np.empty(3)).all()
+    fused = training_run(perturbed_block(in_channels, stride, residual, rate),
+                         StgcnBlock.forward, x, frozen)
+    evaluated = perturbed_block(in_channels, stride, residual).forward(
+        Tensor(x), adjacency, training=False, rng=None).data
+    assert_same_training_bits(fused, chain)
+    assert evaluated.tobytes() == expected.tobytes()
+
+
+def held_by_a_training_forward(stride, dropout=0.0):
+    """What one warm training forward of a first-stage block of a T=30,
+    B=4, M=2 run, at (64, 8, 30, 18), keeps alive, in input sizes."""
+    channels = 64
+    block = StgcnBlock(channels, channels * stride, 18, 3,
+                       np.random.default_rng(37), stride=stride, dropout=dropout)
+    assert block.residual == ("identity" if stride == 1 else "project")
+    adjacency = [Tensor(m) for m in partition_spatial(build_graph(COCO18)).matrices]
+    x = Tensor(np.random.default_rng(38).standard_normal((channels, 8, 30, 18)),
+               trainable=True)
+    rng = np.random.default_rng(39)
+    block.forward(x, adjacency, training=True, rng=rng)
+    tracemalloc.start()
+    try:
+        out = block.forward(x, adjacency, training=True, rng=rng)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert not out.is_leaf
+    return held / x.data.nbytes
 
 
 @pytest.mark.parametrize("stride,bound", [(1, 8.0), (2, 14.0)],
                          ids=["identity", "strided_projection"])
 def test_training_block_forward_holds_few_input_sizes(stride, bound):
-    # One training forward at (8, 64, 30, 18), the shape of a first-stage
-    # block of a T=30, B=4, M=2 run. Held: the aggregate (3x the input),
-    # both nodes' centered conv outputs, the zero-bordered buffer node B
-    # reads, the bool ReLU masks and the output; with a projection also the
-    # subsampled input and its node's centered output and result.
-    channels = 64
-    block = StgcnBlock(channels, channels * stride, 18, 3,
-                       np.random.default_rng(37), stride=stride)
-    assert block.residual == ("identity" if stride == 1 else "project")
-    adjacency = [Tensor(m) for m in partition_spatial(build_graph(COCO18)).matrices]
-    x = Tensor(np.random.default_rng(38).standard_normal((8, channels, 30, 18)),
-               trainable=True)
-    block.forward(x, adjacency, training=True, rng=None)
-    tracemalloc.start()
-    try:
-        out = block.forward(x, adjacency, training=True, rng=None)
-        held = tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
-    assert not out.is_leaf
-    assert held <= bound * x.data.nbytes
+    # Held: the aggregate (3x the input), both nodes' centered conv
+    # outputs, the zero-bordered buffer node B reads, the bool ReLU masks
+    # and the output; with a projection also the subsampled input and its
+    # node's centered output and result.
+    assert held_by_a_training_forward(stride) <= bound
+
+
+def test_training_block_forward_keeps_the_dropout_mask_as_bools():
+    # Dropout adds one bool per element, 1/8 of the input, to the 7.57x an
+    # identity block holds without it; a float64 mask added 1x.
+    assert held_by_a_training_forward(1, dropout=0.3) <= 7.8
 
 
 def test_folded_eval_network_matches_the_unfused_batch_norm_chain():
@@ -318,7 +367,7 @@ def test_block_forward_builds_two_nodes_four_with_a_strided_projection(
     block = small_block(in_channels, 8, stride)
     assert block.residual == ("identity" if stride == 1 else "project")
     adjacency = [Tensor(m) for m in small_adjacency().matrices]
-    x = Tensor(np.random.default_rng(14).uniform(-1.0, 1.0, (2, in_channels, 6, 5)))
+    x = Tensor(np.random.default_rng(14).uniform(-1.0, 1.0, (in_channels, 2, 6, 5)))
     built = []
     init = Tensor.__init__
 
@@ -488,12 +537,12 @@ def test_training_forward_folds_the_batch_statistics_in_with_momentum():
     bn.running_mean = rng.uniform(-1.0, 1.0, 3)
     bn.running_var = rng.uniform(0.5, 2.0, 3)
     old_mean, old_var = bn.running_mean.copy(), bn.running_var.copy()
-    x = rng.uniform(-1.0, 3.0, (4, 3, 5, 2))
+    x = rng.uniform(-1.0, 3.0, (3, 4, 5, 2))
     bn.forward(Tensor(x), training=True)
     assert np.array_equal(bn.running_mean,
-                          0.9 * old_mean + 0.1 * x.mean(axis=(0, 2, 3)))
+                          0.9 * old_mean + 0.1 * x.mean(axis=(1, 2, 3)))
     assert np.array_equal(bn.running_var,
-                          0.9 * old_var + 0.1 * x.var(axis=(0, 2, 3)))
+                          0.9 * old_var + 0.1 * x.var(axis=(1, 2, 3)))
 
 
 # ------------------------------------------------------------- transfer modes
