@@ -11,9 +11,9 @@ optimization, no dtype besides float64, and no in-place arithmetic on
 tracked values.
 
 Leaf gradients accumulate into ``Tensor.grad`` buffers. Leaf tensors
-marked non-trainable (inputs, adjacency constants, frozen weights) keep
-their gradient buffer at zero: backward skips them, which is both the
-freezing semantics and a small saving. An interior node's ``grad`` is
+marked non-trainable (inputs, frozen weights) keep their gradient buffer
+at zero: backward skips them, which is both the freezing semantics and a
+small saving. An interior node's ``grad`` is
 ``None`` except while ``backward`` runs: it is set when the first
 contribution arrives and dropped once the node has passed it on.
 """
@@ -202,20 +202,6 @@ def relu(x: Tensor) -> Tensor:
     return Tensor(out_data, parents=(x,), backward_fn=backward_fn)
 
 
-def add_relu(a: Tensor, b: Tensor) -> Tensor:
-    """relu(a + b) as one node."""
-    a, b = _as_tensor(a), _as_tensor(b)
-    out_data = a.data + b.data
-    mask = _rectify(out_data)
-
-    def backward_fn(grad):
-        masked = grad * mask
-        _accumulate(a, _unbroadcast(masked, a.data.shape))
-        _accumulate(b, _unbroadcast(masked, b.data.shape))
-
-    return Tensor(out_data, parents=(a, b), backward_fn=backward_fn)
-
-
 def matmul_last(x: Tensor, w: Tensor) -> Tensor:
     """Contract the last axis of ``x`` with the first axis of 2D ``w``."""
     x, w = _as_tensor(x), _as_tensor(w)
@@ -392,7 +378,8 @@ class _Epilogue:
     the gradient of the result back to that array, accumulating the bias,
     batch norm and shortcut gradients on the way. Only what the backward
     reads is kept: with batch statistics the centered input, with fixed
-    ones the input while gamma trains, and the dropout and ReLU masks.
+    ones the input while gamma trains and a graph is recorded, and the
+    dropout and ReLU masks.
     """
 
     def __init__(self, bias: Tensor | None = None, norm: Norm | None = None,
@@ -448,7 +435,7 @@ class _Epilogue:
         self.mu = _per_channel(mean)
         self.inv_std = _per_channel(1.0 / np.sqrt(var + norm.eps))
         self.a, b = fold_batch_norm(gamma, shift, self.mu, self.inv_std)
-        if norm.gamma.trainable:
+        if norm.gamma.trainable and _recording.get():
             self.source = out
         elif dest is None:
             dest = out
@@ -610,7 +597,7 @@ def temporal_conv(
 
 def graph_conv(
     x: Tensor,
-    adjacency: list[Tensor],
+    adjacency: np.ndarray,
     weights: list[Tensor],
     masks: list[Tensor],
     bias: Tensor | None = None,
@@ -626,6 +613,8 @@ def graph_conv(
     partitions are summed and ``bias`` (D,), if given, is added:
 
         y[d, b, t, w] = sum_k sum_v sum_c x[c, b, t, v] (A_k * M_k)[v, w] W_k[c, d]
+
+    ``adjacency`` holds the constant A_k, (K, V, V), which take no gradient.
 
     One matmul per partition on the (C·B·T, V) input fills a (K·C, B·T·V)
     aggregate, then one GEMM with the stacked (K·C, D) weight writes the
@@ -651,7 +640,7 @@ def graph_conv(
     if pad < 0:
         raise ConfigurationError(f"pad: must be non-negative, got {pad}")
     channels, batch, frames, vertices = x.data.shape
-    gated = [a.data * m.data for a, m in zip(adjacency, masks)]
+    gated = [a * m.data for a, m in zip(adjacency, masks)]
     stacked = np.stack([w.data for w in weights]).reshape(partitions * channels, -1)
     out_channels = stacked.shape[1]
     _check_bias("graph_conv", bias, out_channels)
@@ -696,11 +685,10 @@ def graph_conv(
             grad_gated = np.matmul(by_channel,
                                    slab.reshape(channels, -1, vertices)).sum(axis=0)
             _accumulate(weights[k], grad_stacked[k * channels:(k + 1) * channels])
-            _accumulate(masks[k], grad_gated * adjacency[k].data)
-            _accumulate(adjacency[k], grad_gated * masks[k].data)
+            _accumulate(masks[k], grad_gated * adjacency[k])
         _accumulate(x, grad_columns.reshape(x.data.shape))
 
-    parents = (x, *adjacency, *weights, *masks) + epilogue.parents()
+    parents = (x, *weights, *masks) + epilogue.parents()
     return Tensor(out_data, parents=parents, backward_fn=backward_fn)
 
 

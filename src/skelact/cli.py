@@ -212,6 +212,13 @@ def _read_predictions(path: Path) -> tuple[list[str], np.ndarray, np.ndarray, np
             confidences.append([float(row[i]) for i in confidence_columns])
         except (IndexError, ValueError) as exc:
             raise ConfigurationError(f"{path} row {number}: {exc}") from None
+        for column, value in zip(confidence_columns, confidences[-1]):
+            # NaN fails the comparison too.
+            if not 0.0 <= value <= 1.0:
+                raise ConfigurationError(
+                    f"{path} row {number}: {header[column]} must lie in [0, 1], "
+                    f"got {value}"
+                )
         ids.append(row[0])
     return (ids, np.array(labels, dtype=np.int64),
             np.array(predictions, dtype=np.int64), np.array(confidences))

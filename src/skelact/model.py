@@ -45,7 +45,12 @@ MODES = ("vanilla", "propagation", "fine_tune", "feature_extraction")
 PERSON_POOLS = ("mean", "sum")
 
 CHECKPOINT_MAGIC = b"SKGC0001"
-CHECKPOINT_FORMAT = 1
+CHECKPOINT_FORMAT = 2
+# Format 1 also stored a bias in front of each block's bn1 and bn2. Batch
+# norm cancels a constant added before it, so ``read_checkpoint`` folds
+# each one into the running mean after it:
+# (y + c - m) * a + beta = (y - (m - c)) * a + beta.
+FORMAT_1_BIASES = {"gcn_bias": "bn1", "tcn_bias": "bn2"}
 # Classifier arrays skipped by load_weights(strict_head=False) when their
 # shape disagrees, so a head trained for another class count can be
 # replaced by a fresh one.
@@ -133,19 +138,19 @@ class BatchNorm:
         self.running_mean = (1.0 - m) * self.running_mean + m * mu
         self.running_var = (1.0 - m) * self.running_var + m * var
 
-    def fuse(self, weights: list[Tensor], bias: Tensor | None, training: bool,
+    def fuse(self, weights: list[Tensor], training: bool,
              axis: int = -1) -> tuple[list[Tensor], Tensor | None, ad.Norm | None]:
         """The weights, bias and epilogue of the convolution this layer follows.
 
         In training the layer runs as the convolution node's epilogue
-        (``autodiff.Norm``). In evaluation it folds into the convolution as
-        the map ``x * a + b``: the output channels of each weight, on
-        ``axis``, are scaled by ``a``, the bias becomes ``bias * a + b``,
+        (``autodiff.Norm``) and there is no bias. In evaluation it folds
+        into the convolution as the map ``x * a + b``: the output channels
+        of each weight, on ``axis``, are scaled by ``a``, ``b`` is the bias,
         and no epilogue is left.
         """
         if training:
             running = (self.running_mean, self.running_var) if self.frozen else None
-            return weights, bias, ad.Norm(self.gamma, self.beta, self.EPS, running,
+            return weights, None, ad.Norm(self.gamma, self.beta, self.EPS, running,
                                           self._track)
         inv_std = 1.0 / np.sqrt(self.running_var + self.EPS)
         a, b = ad.fold_batch_norm(
@@ -153,7 +158,7 @@ class BatchNorm:
         )
         scale = a if axis == -1 else a[:, None]
         folded = [Tensor(w.data * scale) for w in weights]
-        return folded, Tensor(b if bias is None else bias.data * a + b), None
+        return folded, Tensor(b), None
 
     def parameters(self) -> list[tuple[str, Tensor]]:
         return [("gamma", self.gamma), ("beta", self.beta)]
@@ -181,7 +186,6 @@ class StgcnBlock:
             )
             for _ in range(partition_count)
         ]
-        self.gcn_bias = Tensor(np.zeros(out_channels), trainable=True)
         self.edge_masks = [
             Tensor(np.ones((vertex_count, vertex_count)), trainable=True)
             for _ in range(partition_count)
@@ -192,7 +196,6 @@ class StgcnBlock:
             rng.uniform(-tcn_bound, tcn_bound, (out_channels, TEMPORAL_KERNEL)),
             trainable=True,
         )
-        self.tcn_bias = Tensor(np.zeros(out_channels), trainable=True)
         self.bn2 = BatchNorm(out_channels)
         self.stride = stride
         self.dropout = dropout
@@ -213,7 +216,7 @@ class StgcnBlock:
     def forward(
         self,
         x: Tensor,
-        adjacency: list[Tensor],
+        adjacency: np.ndarray,
         training: bool,
         rng: np.random.Generator | None,
     ) -> Tensor:
@@ -227,11 +230,10 @@ class StgcnBlock:
         are left as epilogues.
         """
         with nullcontext() if training else ad.no_grad():
-            weights, bias, norm = self.bn1.fuse(self.gcn_weights, self.gcn_bias, training)
+            weights, bias, norm = self.bn1.fuse(self.gcn_weights, training)
             h = ad.graph_conv(x, adjacency, weights, self.edge_masks, bias,
                               norm=norm, relu=True, pad=TEMPORAL_KERNEL // 2)
-            (kernel,), bias, norm = self.bn2.fuse(
-                [self.tcn_kernel], self.tcn_bias, training, axis=0)
+            (kernel,), bias, norm = self.bn2.fuse([self.tcn_kernel], training, axis=0)
             return ad.temporal_conv(
                 h, kernel, self.stride, bias, padded=True, norm=norm,
                 dropout=self.dropout if training else 0.0, rng=rng,
@@ -249,19 +251,17 @@ class StgcnBlock:
         if self.residual == "identity":
             return x
         shortcut = x if self.stride == 1 else ad.temporal_subsample(x, self.stride)
-        (weight,), bias, norm = self.res_bn.fuse([self.res_weight], None, training)
+        (weight,), bias, norm = self.res_bn.fuse([self.res_weight], training)
         return ad.pointwise_conv(shortcut, weight, bias, norm=norm)
 
     def parameters(self) -> list[tuple[str, Tensor]]:
         named: list[tuple[str, Tensor]] = []
         for k, weight in enumerate(self.gcn_weights):
             named.append((f"gcn_weight.{k}", weight))
-        named.append(("gcn_bias", self.gcn_bias))
         for k, mask in enumerate(self.edge_masks):
             named.append((f"edge_mask.{k}", mask))
         named.extend((f"bn1.{n}", t) for n, t in self.bn1.parameters())
         named.append(("tcn_kernel", self.tcn_kernel))
-        named.append(("tcn_bias", self.tcn_bias))
         named.extend((f"bn2.{n}", t) for n, t in self.bn2.parameters())
         if self.residual == "project":
             named.append(("res_weight", self.res_weight))
@@ -281,8 +281,9 @@ class StgcnNetwork:
     Weight initialization draws from one seeded generator in construction
     order (blocks in order; within a block the partition weights, then the
     temporal kernel, then the projection weight if any), so a seed pins
-    every initial value. Biases start at zero, edge masks at one, batch
-    norm at identity.
+    every initial value. The classifier bias starts at zero, edge masks at
+    one, batch norm at identity. The convolutions have no bias: each feeds
+    a batch norm, which would cancel it.
 
     The network keeps no graph: ``logits.backward(grad)`` runs the backward
     pass of a training forward, and the graph is freed when the caller
@@ -316,9 +317,7 @@ class StgcnNetwork:
         self.zero_confidence = zero_confidence
         self.mode = "vanilla"
 
-        self.adjacency = [
-            Tensor(adjacency.matrices[k]) for k in range(adjacency.partition_count)
-        ]
+        self.adjacency = adjacency.matrices
 
         rng = np.random.default_rng(seed)
         self.input_bn = BatchNorm(self.vertex_count * in_channels)
@@ -515,7 +514,10 @@ def save_weights(net: StgcnNetwork, path: str | Path) -> None:
 
 
 def read_checkpoint(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
-    """Read a checkpoint's metadata and arrays without needing a network."""
+    """Read a checkpoint's metadata and arrays without needing a network.
+
+    A format-1 file's conv biases come back folded (``FORMAT_1_BIASES``).
+    """
     try:
         raw = Path(path).read_bytes()
     except OSError as exc:
@@ -531,10 +533,10 @@ def read_checkpoint(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
         header = json.loads(raw[header_start:payload_start].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"{path} has a corrupt header") from exc
-    if header.get("format") != CHECKPOINT_FORMAT:
+    if header.get("format") not in (1, CHECKPOINT_FORMAT):
         raise CheckpointError(
             f"{path} uses checkpoint format {header.get('format')!r}, "
-            f"expected {CHECKPOINT_FORMAT}"
+            f"expected 1 or {CHECKPOINT_FORMAT}"
         )
     arrays: dict[str, np.ndarray] = {}
     for entry in header.get("arrays", []):
@@ -547,6 +549,13 @@ def read_checkpoint(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
         arrays[str(entry["name"])] = np.frombuffer(
             raw[start:end], dtype=np.float64
         ).reshape(shape).copy()
+    if header["format"] == 1:
+        for name in [n for n in arrays if n.rpartition(".")[2] in FORMAT_1_BIASES]:
+            block, _, kind = name.rpartition(".")
+            mean = f"{block}.{FORMAT_1_BIASES[kind]}.running_mean"
+            if mean not in arrays or arrays[mean].shape != arrays[name].shape:
+                raise CheckpointError(f"{path}: {name} has no {mean} of its shape")
+            arrays[mean] = arrays[mean] - arrays.pop(name)
     return header.get("meta", {}), arrays
 
 

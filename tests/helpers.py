@@ -7,6 +7,7 @@ import itertools
 import json
 import math
 import statistics
+import struct
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -23,7 +24,8 @@ from skelact import (
 )
 from skelact.autodiff import (
     Tensor,
-    add_relu,
+    _accumulate,
+    _unbroadcast,
     batch_norm_batch,
     batch_norm_given,
     dropout,
@@ -229,6 +231,21 @@ def oracle_graph_conv(x, adjacency, weights, masks, bias):
     return out if bias is None else out + bias[:, None, None, None]
 
 
+def add_relu(a, b):
+    """relu(a + b) as one autodiff node, for the oracle chains: a block's
+    residual add and final ReLU. It has the bits of ``relu(add(a, b))``."""
+    out = a.data + b.data
+    mask = out > 0.0
+    np.maximum(out, 0.0, out=out)
+
+    def backward_fn(grad):
+        masked = grad * mask
+        _accumulate(a, _unbroadcast(masked, a.data.shape))
+        _accumulate(b, _unbroadcast(masked, b.data.shape))
+
+    return Tensor(out, parents=(a, b), backward_fn=backward_fn)
+
+
 def oracle_batch_norm(x, gamma, beta, eps, relu, seed):
     """Training batch norm of a (C, B, T, V) input and its gradients by
     the textbook chain rule.
@@ -289,9 +306,9 @@ def oracle_block(block, x, adjacency, training, rng=None):
     for bit in training. In evaluation every batch norm uses its running
     statistics unfolded.
     """
-    y = graph_conv(x, adjacency, block.gcn_weights, block.edge_masks, block.gcn_bias)
+    y = graph_conv(x, adjacency, block.gcn_weights, block.edge_masks)
     y = _oracle_norm(block.bn1, y, training, relu=True)
-    y = temporal_conv(y, block.tcn_kernel, block.stride, block.tcn_bias)
+    y = temporal_conv(y, block.tcn_kernel, block.stride)
     y = _oracle_norm(block.bn2, y, training)
     if training and block.dropout > 0.0:
         y = dropout(y, block.dropout, rng)
@@ -318,10 +335,10 @@ def oracle_folded_block(block, x, adjacency):
     with no_grad():
         a, b = _folded(block.bn1)
         y = relu(graph_conv(x, adjacency, [Tensor(w.data * a) for w in block.gcn_weights],
-                            block.edge_masks, Tensor(block.gcn_bias.data * a + b)))
+                            block.edge_masks, Tensor(b)))
         a, b = _folded(block.bn2)
         y = temporal_conv(y, Tensor(block.tcn_kernel.data * a[:, None]), block.stride,
-                          Tensor(block.tcn_bias.data * a + b))
+                          Tensor(b))
         if block.residual == "none":
             return relu(y)
         shortcut = x
@@ -331,6 +348,24 @@ def oracle_folded_block(block, x, adjacency):
             shortcut = pointwise_conv(shortcut, Tensor(block.res_weight.data * a),
                                       Tensor(b))
         return add_relu(y, shortcut)
+
+
+def rewrite_checkpoint(source, target, fmt, extra):
+    """Copy a checkpoint file with its header's format set to ``fmt`` and the
+    float64 arrays in ``extra`` (name -> array) appended, following the
+    documented layout: magic, uint64 header length, JSON header, payload."""
+    raw = Path(source).read_bytes()
+    start = 16
+    end = start + struct.unpack_from("<Q", raw, 8)[0]
+    header = json.loads(raw[start:end])
+    header["format"] = fmt
+    payload = raw[end:]
+    for name, value in extra.items():
+        header["arrays"].append({"name": name, "shape": list(value.shape),
+                                 "offset": len(payload)})
+        payload += np.asarray(value, dtype="<f8").tobytes()
+    blob = json.dumps(header).encode()
+    Path(target).write_bytes(raw[:8] + struct.pack("<Q", len(blob)) + blob + payload)
 
 
 # ---------------------------------------------------------- tracking oracle

@@ -1,15 +1,18 @@
 """Reverse-mode differentiation engine."""
+import ast
+import inspect
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from skelact import ConfigurationError, StateError
+from skelact import autodiff as ad
 from skelact.autodiff import (
     Norm,
     Tensor,
     add,
-    add_relu,
     batch_norm_batch,
     batch_norm_given,
     dropout,
@@ -26,7 +29,13 @@ from skelact.autodiff import (
     temporal_subsample,
     transpose,
 )
-from helpers import max_rel_err, numeric_grad, oracle_batch_norm, oracle_graph_conv
+from helpers import (
+    add_relu,
+    max_rel_err,
+    numeric_grad,
+    oracle_batch_norm,
+    oracle_graph_conv,
+)
 
 
 def leaf(rng, shape, offset=0.0):
@@ -385,8 +394,7 @@ def test_temporal_conv_bias_is_added_per_channel():
 
 def graph_conv_operands(rng, c_in, c_out, partitions=3, vertices=5):
     x = leaf(rng, (c_in, 2, 3, vertices))
-    adjacency = [Tensor(rng.uniform(0.0, 1.0, (vertices, vertices)))
-                 for _ in range(partitions)]
+    adjacency = rng.uniform(0.0, 1.0, (partitions, vertices, vertices))
     weights = [leaf(rng, (c_in, c_out)) for _ in range(partitions)]
     masks = [leaf(rng, (vertices, vertices), offset=1.0) for _ in range(partitions)]
     return x, adjacency, weights, masks
@@ -400,7 +408,7 @@ def test_graph_conv_gradcheck(c_in, c_out, with_bias):
     bias = leaf(rng, (c_out,)) if with_bias else None
     out = graph_conv(x, adjacency, weights, masks, bias)
     expected = oracle_graph_conv(
-        x.data, [a.data for a in adjacency], [w.data for w in weights],
+        x.data, adjacency, [w.data for w in weights],
         [m.data for m in masks], None if bias is None else bias.data,
     )
     assert out.shape == (c_out, 2, 3, 5)
@@ -423,7 +431,6 @@ def test_graph_conv_frozen_weight_and_mask_keep_zero_gradients():
     out.backward(rng.uniform(-1.0, 1.0, out.shape))
     assert (weights[1].grad == 0.0).all()
     assert (masks[2].grad == 0.0).all()
-    assert all((t.grad == 0.0).all() for t in adjacency)
     for tensor in (x, weights[0], weights[2], masks[0], masks[1]):
         assert not (tensor.grad == 0.0).all()
 
@@ -681,7 +688,7 @@ def norm_leaves(rng, channels, batch_stats):
 def graph_conv_node(rng, in_channels, frames, batch_stats):
     """Node A's operands and a call of it on them: graph conv, batch norm,
     ReLU, written with a one-frame zero border."""
-    adjacency = [Tensor(rng.uniform(0.0, 1.0, (5, 5))) for _ in range(3)]
+    adjacency = rng.uniform(0.0, 1.0, (3, 5, 5))
     x = channels_first(leaf(rng, (2, in_channels, frames, 5)))
     weights = [leaf(rng, (in_channels, 3)) for _ in range(3)]
     masks = [Tensor(rng.uniform(0.5, 1.5, (5, 5)), trainable=True) for _ in range(3)]
@@ -751,7 +758,7 @@ def test_fused_node_validation():
     with pytest.raises(ConfigurationError, match="shortcut"):
         temporal_conv(x, kernel, 2, shortcut=x)
     with pytest.raises(ConfigurationError, match="pad"):
-        graph_conv(x, [Tensor(np.eye(5))], [Tensor(np.ones((3, 3)))],
+        graph_conv(x, [np.eye(5)], [Tensor(np.ones((3, 3)))],
                    [Tensor(np.ones((5, 5)))], pad=-1)
     with pytest.raises(ConfigurationError, match="dropout"):
         temporal_conv(x, kernel, dropout=1.0, rng=np.random.default_rng(0))
@@ -819,15 +826,15 @@ def _op_cases():
         ("temporal_subsample", (x4,), lambda a: temporal_subsample(a, 2)),
         ("temporal_conv", (x4, rng.uniform(-1.0, 1.0, (3, 3)), gamma),
          lambda a, k, b: temporal_conv(a, k, 2, b)),
-        ("graph_conv", (x4, *adjacency, *weights, *masks, bias),
-         lambda a, *rest: graph_conv(a, list(rest[0:3]), list(rest[3:6]),
-                                     list(rest[6:9]), rest[9])),
+        ("graph_conv", (x4, *weights, *masks, bias),
+         lambda a, *rest: graph_conv(a, adjacency, list(rest[0:3]), list(rest[3:6]),
+                                     rest[6])),
         ("pointwise_conv", (x4, weights[0], bias), pointwise_conv),
-        ("graph_conv_batch_norm_relu_border", (x4, *adjacency, *weights, *masks, bias,
+        ("graph_conv_batch_norm_relu_border", (x4, *weights, *masks, bias,
                                                bias[::-1], bias + 0.5),
-         lambda a, *rest: graph_conv(a, list(rest[0:3]), list(rest[3:6]),
-                                     list(rest[6:9]), rest[9],
-                                     norm=Norm(rest[10], rest[11]), relu=True, pad=1)),
+         lambda a, *rest: graph_conv(a, adjacency, list(rest[0:3]), list(rest[3:6]),
+                                     rest[6], norm=Norm(rest[7], rest[8]),
+                                     relu=True, pad=1)),
         ("temporal_conv_bordered_epilogue", (x4, rng.uniform(-1.0, 1.0, (3, 3)), beta,
                                              gamma, beta, other[:, :, :3]),
          lambda a, k, b, g, shift, shortcut: temporal_conv(
@@ -867,7 +874,7 @@ def test_graph_conv_under_no_grad_frees_its_aggregate_before_the_bordered_output
     # would peak near 5.2x.
     rng = np.random.default_rng(44)
     x = Tensor(rng.uniform(-1.0, 1.0, (16, 2, 40, 18)))
-    adjacency = [Tensor(rng.uniform(0.0, 1.0, (18, 18))) for _ in range(3)]
+    adjacency = rng.uniform(0.0, 1.0, (3, 18, 18))
     weights = [Tensor(rng.uniform(-1.0, 1.0, (16, 16))) for _ in range(3)]
     masks = [Tensor(np.ones((18, 18))) for _ in range(3)]
     with no_grad():
@@ -879,6 +886,28 @@ def test_graph_conv_under_no_grad_frees_its_aggregate_before_the_bordered_output
             tracemalloc.stop()
     assert out.shape == (16, 2, 48, 18)
     assert peak <= 4.5 * x.data.nbytes
+
+
+def test_fixed_statistics_batch_norm_under_no_grad_normalizes_in_place():
+    # A recorded node with a trainable gamma keeps its input for gamma's
+    # gradient, so it writes its output to a second array. Under no_grad
+    # nothing reads the input back: the eval input batch norm's copy of
+    # the batch is normalized in place. The shape is one T=300 COCO18
+    # sample with two person slots, as (V·C, N·M, T, 1).
+    rng = np.random.default_rng(45)
+    x = Tensor(rng.uniform(-1.0, 1.0, (54, 2, 300, 1)))
+    gamma = Tensor(rng.uniform(0.5, 1.5, 54), trainable=True)
+    beta = Tensor(rng.uniform(-0.5, 0.5, 54), trainable=True)
+    mu, var = rng.uniform(-0.2, 0.2, 54), rng.uniform(0.5, 2.0, 54)
+    with no_grad():
+        tracemalloc.start()
+        try:
+            out = batch_norm_given(x, gamma, beta, mu, var)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert out.shape == x.shape
+    assert peak <= 1.5 * x.data.nbytes
 
 
 def test_tensors_built_under_no_grad_have_no_gradient_buffer():
@@ -911,3 +940,44 @@ def test_no_grad_nests_and_restores_recording_on_exit_and_on_error():
     out = mul(x, x)
     out.backward(np.ones(3))
     assert np.array_equal(x.grad, [2.0, 2.0, 2.0])
+
+
+# ------------------------------------------------------------------- op set
+
+def _benchmark_traced_ops() -> set[str]:
+    """The op names ``perfbench/tracer.py`` wraps, read without importing it."""
+    tracer = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    for node in ast.parse(tracer.read_text()).body:
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None)
+                                             for t in node.targets] == ["OPS"]:
+            return set(ast.literal_eval(node.value))
+    raise AssertionError(f"{tracer} assigns no OPS")
+
+
+def _names_used_from_autodiff() -> set[str]:
+    """Names other src/skelact modules import from autodiff or read off it."""
+    used: set[str] = set()
+    for path in Path(ad.__file__).parent.glob("*.py"):
+        if path.name == "autodiff.py":
+            continue
+        tree = ast.parse(path.read_text())
+        aliases = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "autodiff":
+                used.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module is None:
+                aliases.update(alias.asname or alias.name for alias in node.names
+                               if alias.name == "autodiff")
+        used.update(node.attr for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name) and node.value.id in aliases)
+    return used
+
+
+def test_every_public_autodiff_function_has_a_caller():
+    # A function no other module uses and the benchmark does not trace is
+    # dead code; test-only ops live in tests/helpers.py.
+    public = {name for name, value in inspect.getmembers(ad, inspect.isfunction)
+              if not name.startswith("_") and value.__module__ == ad.__name__}
+    assert "graph_conv" in public and "no_grad" in public
+    assert public - _names_used_from_autodiff() - _benchmark_traced_ops() == set()

@@ -10,7 +10,7 @@ import skelact.cli
 import skelact.model
 from skelact import load_run_config, load_split, load_weights, save_weights
 from skelact.cli import main
-from helpers import build_manifest_tree
+from helpers import build_manifest_tree, rewrite_checkpoint
 
 
 @pytest.fixture(scope="module")
@@ -364,6 +364,19 @@ def test_eval_layout_mismatch_exits_2(workspace, capsys):
     assert "BODY25" in capsys.readouterr().err
 
 
+def test_eval_rejects_a_format_2_checkpoint_with_a_conv_bias(workspace, tmp_path,
+                                                           capsys):
+    # Format 2 has no conv biases; only a format-1 file's are folded away.
+    stray = tmp_path / "stray.ckpt"
+    rewrite_checkpoint(workspace / "run1" / "checkpoint.ckpt", stray, 2,
+                       {"blocks.0.gcn_bias": np.zeros(4)})
+    assert main(["eval", "--config", str(workspace / "run.json"),
+                 "--checkpoint", str(stray), "--split", str(workspace / "split"),
+                 "--out", str(tmp_path / "eval")]) == 2
+    assert "unexpected ['blocks.0.gcn_bias']" in capsys.readouterr().err
+    assert not (tmp_path / "eval" / "predictions.csv").exists()
+
+
 def test_eval_missing_checkpoint_exits_2(workspace):
     assert main(["eval", "--config", str(workspace / "run.json"),
                  "--checkpoint", str(workspace / "ghost.ckpt"),
@@ -468,6 +481,25 @@ def test_analyze_degenerate_correlation_exits_3(workspace, capsys):
                  "--split", str(workspace / "split"),
                  "--out", str(workspace / "x")]) == 3
     assert "constant" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1.5"])
+def test_analyze_rejects_a_confidence_outside_0_1_before_writing(value, workspace,
+                                                                 tmp_path, capsys):
+    split = load_split(workspace / "split")
+    predictions = write_predictions(
+        tmp_path / "predictions.csv", split,
+        {"wave": 1.0, "jump": 0.5, "spin": 0.0},
+        {"wave": 0.9, "jump": float(value), "spin": 0.3},
+    )
+    assert main(["analyze", "--predictions", str(predictions),
+                 "--split", str(workspace / "split"),
+                 "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "predictions.csv row " in err
+    assert f"confidence_0 must lie in [0, 1], got {float(value)}" in err
+    assert not (tmp_path / "out" / "report.json").exists()
+    assert not (tmp_path / "out").exists()
 
 
 def test_analyze_rejects_malformed_predictions(workspace, capsys):

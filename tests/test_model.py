@@ -3,6 +3,7 @@ import json
 import struct
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -49,6 +50,7 @@ from helpers import (
     oracle_folded_block,
     oracle_graph_conv,
     path_graph,
+    rewrite_checkpoint,
 )
 
 
@@ -79,7 +81,7 @@ def test_spatial_graph_conv_matches_loop_oracle():
     bias = rng.uniform(-0.5, 0.5, 6)
     out = graph_conv(
         Tensor(x),
-        [Tensor(m) for m in adjacency.matrices],
+        adjacency.matrices,
         [Tensor(w) for w in weights],
         [Tensor(m) for m in masks],
         Tensor(bias),
@@ -91,7 +93,7 @@ def test_spatial_graph_conv_matches_loop_oracle():
 
 def test_spatial_graph_conv_gradcheck():
     rng = np.random.default_rng(1)
-    adjacency = [Tensor(m) for m in small_adjacency().matrices]
+    adjacency = small_adjacency().matrices
     x = Tensor(rng.uniform(-1.0, 1.0, (2, 1, 3, 5)), trainable=True)
     weights = [Tensor(rng.uniform(-1.0, 1.0, (2, 4)), trainable=True)
                for _ in range(3)]
@@ -125,7 +127,7 @@ def test_stride_two_projection_matches_a_loop_oracle():
     block.bn2.gamma.data[...] = 0.0
     rng = np.random.default_rng(13)
     x = rng.uniform(-1.0, 1.0, (3, 2, 7, 5))
-    adjacency = [Tensor(m) for m in small_adjacency().matrices]
+    adjacency = small_adjacency().matrices
     out = block.forward(Tensor(x), adjacency, training=False, rng=None)
 
     weight = block.res_weight.data
@@ -164,13 +166,11 @@ def unfused_logits(net, x):
 
 
 def perturbed_block(in_channels, stride, residual=True, dropout=0.0, seed=30):
-    """A block whose batch norms and biases have moved away from their start."""
+    """A block whose batch norms have moved away from their start."""
     block = StgcnBlock(in_channels, 8, 5, 3, np.random.default_rng(seed),
                        stride=stride, residual=residual, dropout=dropout)
-    rng = np.random.default_rng(seed + 1)
-    perturb_batch_norms([bn for _, bn in block.batch_norms()], rng)
-    block.gcn_bias.data[...] = rng.uniform(-0.5, 0.5, 8)
-    block.tcn_bias.data[...] = rng.uniform(-0.5, 0.5, 8)
+    perturb_batch_norms([bn for _, bn in block.batch_norms()],
+                        np.random.default_rng(seed + 1))
     return block
 
 
@@ -185,7 +185,7 @@ def test_folded_eval_block_matches_the_unfused_batch_norm_chain(
     block = perturbed_block(in_channels, stride, residual)
     assert block.residual == {True: "identity" if stride == 1 else "project",
                               False: "none"}[residual]
-    adjacency = [Tensor(m) for m in small_adjacency().matrices]
+    adjacency = small_adjacency().matrices
     x = Tensor(np.random.default_rng(32).uniform(-1.0, 1.0, (in_channels, 2, 7, 5)))
     expected = oracle_block(block, x, adjacency, training=False).data
     out = block.forward(x, adjacency, training=False, rng=None)
@@ -200,7 +200,7 @@ def test_folded_eval_block_matches_the_unfused_batch_norm_chain(
 def test_eval_block_has_the_bits_of_the_folded_chain(in_channels, stride, residual,
                                                      frames):
     block = perturbed_block(in_channels, stride, residual)
-    adjacency = [Tensor(m) for m in small_adjacency().matrices]
+    adjacency = small_adjacency().matrices
     x = Tensor(np.random.default_rng(33).uniform(-1.0, 1.0,
                                                  (in_channels, 2, frames, 5)))
     expected = oracle_folded_block(block, x, adjacency).data
@@ -226,7 +226,7 @@ def training_run(block, forward, x_data, frozen):
     if frozen:
         for _, bn in block.batch_norms():
             bn.gamma.trainable = bn.beta.trainable = False
-    adjacency = [Tensor(m) for m in small_adjacency().matrices]
+    adjacency = small_adjacency().matrices
     x = Tensor(x_data, trainable=True)
     out = forward(block, x, adjacency, True, np.random.default_rng(34))
     out.backward(np.random.default_rng(35).uniform(-1.0, 1.0, out.shape))
@@ -270,7 +270,7 @@ def test_block_reads_no_uninitialized_memory(in_channels, stride, residual, fram
     # The zero borders around the frames are written explicitly; every
     # other element of an np.empty array must be written before it is read.
     x = np.random.default_rng(36).uniform(-1.0, 1.0, (in_channels, 2, frames, 5))
-    adjacency = [Tensor(m) for m in small_adjacency().matrices]
+    adjacency = small_adjacency().matrices
     chain = training_run(perturbed_block(in_channels, stride, residual, rate),
                          oracle_block, x, frozen)
     expected = oracle_folded_block(perturbed_block(in_channels, stride, residual),
@@ -300,7 +300,7 @@ def held_by_a_training_forward(stride, dropout=0.0):
     block = StgcnBlock(channels, channels * stride, 18, 3,
                        np.random.default_rng(37), stride=stride, dropout=dropout)
     assert block.residual == ("identity" if stride == 1 else "project")
-    adjacency = [Tensor(m) for m in partition_spatial(build_graph(COCO18)).matrices]
+    adjacency = partition_spatial(build_graph(COCO18)).matrices
     x = Tensor(np.random.default_rng(38).standard_normal((channels, 8, 30, 18)),
                trainable=True)
     rng = np.random.default_rng(39)
@@ -366,7 +366,7 @@ def test_block_forward_builds_two_nodes_four_with_a_strided_projection(
     # subsample and one pointwise conv node.
     block = small_block(in_channels, 8, stride)
     assert block.residual == ("identity" if stride == 1 else "project")
-    adjacency = [Tensor(m) for m in small_adjacency().matrices]
+    adjacency = small_adjacency().matrices
     x = Tensor(np.random.default_rng(14).uniform(-1.0, 1.0, (in_channels, 2, 6, 5)))
     built = []
     init = Tensor.__init__
@@ -391,10 +391,9 @@ def test_default_channel_plan():
 
 def test_parameter_names_for_a_two_block_net():
     net = small_net()
-    block = ["gcn_weight.0", "gcn_weight.1", "gcn_weight.2", "gcn_bias",
+    block = ["gcn_weight.0", "gcn_weight.1", "gcn_weight.2",
              "edge_mask.0", "edge_mask.1", "edge_mask.2",
-             "bn1.gamma", "bn1.beta", "tcn_kernel", "tcn_bias",
-             "bn2.gamma", "bn2.beta"]
+             "bn1.gamma", "bn1.beta", "tcn_kernel", "bn2.gamma", "bn2.beta"]
     expected = ["input_bn.gamma", "input_bn.beta"]
     expected += [f"blocks.0.{n}" for n in block]
     expected += [f"blocks.1.{n}" for n in block]
@@ -623,6 +622,7 @@ def test_checkpoint_header_is_compact_sorted_json(tmp_path):
     header = json.loads(blob)
     assert blob == json.dumps(header, sort_keys=True,
                               separators=(",", ":")).encode()
+    assert header["format"] == 2
     assert header["meta"]["num_classes"] == 3
     assert header["meta"]["layout"] == "path"
     names = [entry["name"] for entry in header["arrays"]]
@@ -717,6 +717,53 @@ def test_corrupt_checkpoints_are_rejected(tmp_path):
 
     with pytest.raises(CheckpointError):
         read_checkpoint(tmp_path / "absent.ckpt")
+
+
+DATA = Path(__file__).parent / "data"
+
+
+def test_a_format_1_checkpoint_loads_with_its_conv_biases_folded_away(tmp_path):
+    # format1.ckpt holds a 2-block net whose conv biases, running statistics
+    # and edge masks are far from their start; the JSON next to it has the
+    # logits the code that wrote it gave.
+    reference = json.loads((DATA / "format1_logits.json").read_text())
+    expected = np.array(reference["logits"])
+    x = (np.random.default_rng(7).uniform(-1.0, 1.0, (4, 3, 8, 5, 2))
+         + np.random.default_rng(8).uniform(-3.0, 3.0, (4, 3, 1, 1, 1)))
+    _, arrays = read_checkpoint(DATA / "format1.ckpt")
+    assert not [name for name in arrays if name.endswith(("gcn_bias", "tcn_bias"))]
+    net = small_net(num_classes=4)
+    assert load_weights(net, DATA / "format1.ckpt") == []
+    logits = net.forward(x).data
+    assert np.abs(logits - expected).max() <= 1e-12 * np.abs(expected).max()
+    assert list(logits.argmax(axis=1)) == list(expected.argmax(axis=1)) == [2, 2, 0, 1]
+
+    # Saved again, it is a format-2 file with the same outputs.
+    resaved = tmp_path / "format2.ckpt"
+    save_weights(net, resaved)
+    again = small_net(num_classes=4, seed=1)
+    load_weights(again, resaved)
+    assert again.forward(x).data.tobytes() == logits.tobytes()
+
+
+def test_a_format_1_bias_folds_into_the_running_mean_after_it(tmp_path):
+    net = small_net()
+    net.blocks[1].bn2.running_mean = np.linspace(-1.0, 1.0, 8)
+    saved = tmp_path / "net.ckpt"
+    save_weights(net, saved)
+    old = tmp_path / "old.ckpt"
+    bias = np.linspace(0.5, -0.2, 8)
+    rewrite_checkpoint(saved, old, 1, {"blocks.1.tcn_bias": bias})
+    _, arrays = read_checkpoint(old)
+    assert "blocks.1.tcn_bias" not in arrays
+    assert np.array_equal(arrays["blocks.1.bn2.running_mean"],
+                          np.linspace(-1.0, 1.0, 8) - bias)
+    assert np.array_equal(arrays["blocks.1.bn1.running_mean"], np.zeros(8))
+
+    misfit = tmp_path / "misfit.ckpt"
+    rewrite_checkpoint(saved, misfit, 1, {"blocks.0.gcn_bias": np.zeros(3)})
+    with pytest.raises(CheckpointError, match="blocks.0.gcn_bias"):
+        read_checkpoint(misfit)
 
 
 # ----------------------------------------------------------------- ModelConfig
