@@ -181,20 +181,12 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return Tensor(out_data, parents=(a, b), backward_fn=backward_fn)
 
 
-def _rectify(data: np.ndarray) -> np.ndarray | None:
-    """max(data, 0) in place; NaN stays visible.
-
-    Returns where data > 0, the backward mask, or None under ``no_grad``.
-    """
-    mask = data > 0.0 if _recording.get() else None
-    np.maximum(data, 0.0, out=data)
-    return mask
-
-
 def relu(x: Tensor) -> Tensor:
+    """max(x, 0); NaN stays visible. The node keeps a bool mask of x > 0."""
     x = _as_tensor(x)
+    mask = x.data > 0.0 if _recording.get() else None
     out_data = x.data.copy()
-    mask = _rectify(out_data)
+    np.maximum(out_data, 0.0, out=out_data)
 
     def backward_fn(grad):
         _accumulate(x, grad * mask)
@@ -379,7 +371,11 @@ class _Epilogue:
     batch norm and shortcut gradients on the way. Only what the backward
     reads is kept: with batch statistics the centered input, with fixed
     ones the input while gamma trains and a graph is recorded, and the
-    dropout and ReLU masks.
+    dropout mask. ReLU keeps no mask: the backward reads where the
+    rectified result is > 0, which is where its input was, NaN and both
+    zeros giving False either way. The result is the node's output or a
+    buffer the next node reads, so it stays alive, and nothing writes into
+    it once the node has returned.
     """
 
     def __init__(self, bias: Tensor | None = None, norm: Norm | None = None,
@@ -387,7 +383,7 @@ class _Epilogue:
                  relu: bool = False):
         self.bias, self.norm, self.shortcut = bias, norm, shortcut
         self.dropout, self.rng, self.relu = dropout, rng, relu
-        self.centered = self.source = self.keep = self.mask = None
+        self.centered = self.source = self.keep = self.rectified = None
 
     def apply(self, out: np.ndarray, dest: np.ndarray | None = None) -> np.ndarray:
         """Run the tail on ``out``, the caller's fresh array, and return the result.
@@ -413,7 +409,7 @@ class _Epilogue:
         if self.shortcut is not None:
             result += self.shortcut.data
         if self.relu:
-            self.mask = _rectify(result)
+            self.rectified = np.maximum(result, 0.0, out=result)
         return result
 
     def _normalize(self, out, dest) -> np.ndarray:
@@ -450,8 +446,8 @@ class _Epilogue:
         are written in place.
         """
         writable = False
-        if self.mask is not None:
-            grad = grad * self.mask
+        if self.rectified is not None:
+            grad = grad * (self.rectified > 0.0)
             writable = True
         if self.shortcut is not None:
             _accumulate(self.shortcut, grad)
@@ -620,8 +616,10 @@ def graph_conv(
     aggregate, then one GEMM with the stacked (K·C, D) weight writes the
     output, so no activation is transposed and the whole batch is one
     call. Aggregating before mixing is the cheaper order while C <= D. The
-    backward pass contracts against the saved aggregate: the weight and
-    aggregate gradients are one GEMM each over the whole batch.
+    aggregate, 3x the input for K = 3, is freed as soon as the output is
+    mixed, and the backward pass builds it again from the input by the
+    same matmuls, so with the same bits, for the weight gradient. The
+    weight and aggregate gradients are one GEMM each over the whole batch.
 
     Batch norm ``norm`` and ReLU run as the node's epilogue. With ``pad``
     the output gets ``pad`` zero frames on both sides of the frame axis,
@@ -645,17 +643,18 @@ def graph_conv(
     out_channels = stacked.shape[1]
     _check_bias("graph_conv", bias, out_channels)
 
-    # Row block k of the (K·C, B·T·V) aggregate holds x @ gated[k].
     columns = x.data.reshape(channels * batch * frames, vertices)
-    aggregated = np.empty((partitions, channels * batch * frames, vertices))
-    for k in range(partitions):
-        np.matmul(columns, gated[k], out=aggregated[k])
-    aggregated = aggregated.reshape(partitions * channels, batch * frames * vertices)
-    out_data = (stacked.T @ aggregated).reshape(out_channels, batch, frames, vertices)
-    if not _recording.get():
-        # No backward reads the aggregate: free it before the bordered
-        # output is allocated, or both are alive at once.
-        aggregated = None
+
+    def aggregate() -> np.ndarray:
+        # Row block k of the (K·C, B·T·V) aggregate holds x @ gated[k].
+        out = np.empty((partitions, channels * batch * frames, vertices))
+        for k in range(partitions):
+            np.matmul(columns, gated[k], out=out[k])
+        return out.reshape(partitions * channels, batch * frames * vertices)
+
+    # The aggregate dies with this product, before the bordered output is
+    # allocated, so the two are never alive at once.
+    out_data = (stacked.T @ aggregate()).reshape(out_channels, batch, frames, vertices)
     epilogue = _Epilogue(bias, norm, relu=relu)
     if pad:
         bordered = _bordered((out_channels, batch, frames + 2 * pad, vertices), pad)
@@ -669,7 +668,7 @@ def graph_conv(
             grad = grad[:, :, pad:pad + frames]
         grad = epilogue.backward(grad)
         grad_flat = grad.reshape(out_channels, batch * frames * vertices)
-        grad_stacked = aggregated @ grad_flat.T
+        grad_stacked = aggregate() @ grad_flat.T
         grad_aggregated = (stacked @ grad_flat).reshape(
             partitions, channels * batch * frames, vertices
         )

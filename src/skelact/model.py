@@ -18,6 +18,7 @@ class scores.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -513,10 +514,30 @@ def save_weights(net: StgcnNetwork, path: str | Path) -> None:
             handle.write(buffer)
 
 
+def _entry_layout(path, index: int, entry, offset: int) -> tuple[str, tuple[int, ...]]:
+    """The name and shape of header entry ``index``, which must start at ``offset``."""
+    if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
+        raise CheckpointError(f"{path}: array entry {index} has no string name")
+    name, shape, start = entry["name"], entry.get("shape"), entry.get("offset")
+    # JSON booleans parse as bool, a subclass of int; neither is a size.
+    if not isinstance(shape, list) or any(type(d) is not int or d < 0 for d in shape):
+        raise CheckpointError(
+            f"{path}: array {name!r} has shape {shape!r}, not a list of sizes"
+        )
+    if type(start) is not int or start != offset:
+        raise CheckpointError(
+            f"{path}: array {name!r} has offset {start!r}, expected {offset}"
+        )
+    return name, tuple(shape)
+
+
 def read_checkpoint(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
     """Read a checkpoint's metadata and arrays without needing a network.
 
-    A format-1 file's conv biases come back folded (``FORMAT_1_BIASES``).
+    The header's array entries must tile the payload as ``save_weights``
+    writes it: unique names, each array starting where the one before
+    ends, the first at 0 and the last ending with the file. A format-1
+    file's conv biases come back folded (``FORMAT_1_BIASES``).
     """
     try:
         raw = Path(path).read_bytes()
@@ -533,30 +554,44 @@ def read_checkpoint(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
         header = json.loads(raw[header_start:payload_start].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"{path} has a corrupt header") from exc
-    if header.get("format") not in (1, CHECKPOINT_FORMAT):
+    if not isinstance(header, dict):
+        raise CheckpointError(f"{path} has a corrupt header: not an object")
+    fmt = header.get("format")
+    if type(fmt) is not int or fmt not in (1, CHECKPOINT_FORMAT):
         raise CheckpointError(
-            f"{path} uses checkpoint format {header.get('format')!r}, "
-            f"expected 1 or {CHECKPOINT_FORMAT}"
+            f"{path} uses checkpoint format {fmt!r}, expected 1 or {CHECKPOINT_FORMAT}"
         )
+    entries, meta = header.get("arrays", []), header.get("meta", {})
+    if not isinstance(entries, list) or not isinstance(meta, dict):
+        raise CheckpointError(
+            f"{path} has a corrupt header: arrays must be a list, meta an object"
+        )
+    payload_size = len(raw) - payload_start
     arrays: dict[str, np.ndarray] = {}
-    for entry in header.get("arrays", []):
-        shape = tuple(int(v) for v in entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        start = payload_start + int(entry["offset"])
-        end = start + 8 * count
-        if end > len(raw):
-            raise CheckpointError(f"{path} is truncated")
-        arrays[str(entry["name"])] = np.frombuffer(
-            raw[start:end], dtype=np.float64
+    end = 0
+    for index, entry in enumerate(entries):
+        name, shape = _entry_layout(path, index, entry, end)
+        if name in arrays:
+            raise CheckpointError(f"{path}: array {name!r} appears twice")
+        count = math.prod(shape)
+        if end + 8 * count > payload_size:
+            raise CheckpointError(f"{path} is truncated within array {name!r}")
+        arrays[name] = np.frombuffer(
+            raw, dtype=np.float64, count=count, offset=payload_start + end
         ).reshape(shape).copy()
-    if header["format"] == 1:
+        end += 8 * count
+    if end != payload_size:
+        raise CheckpointError(
+            f"{path} has {payload_size - end} bytes after its last array"
+        )
+    if fmt == 1:
         for name in [n for n in arrays if n.rpartition(".")[2] in FORMAT_1_BIASES]:
             block, _, kind = name.rpartition(".")
             mean = f"{block}.{FORMAT_1_BIASES[kind]}.running_mean"
             if mean not in arrays or arrays[mean].shape != arrays[name].shape:
                 raise CheckpointError(f"{path}: {name} has no {mean} of its shape")
             arrays[mean] = arrays[mean] - arrays.pop(name)
-    return header.get("meta", {}), arrays
+    return meta, arrays
 
 
 def load_weights(

@@ -631,6 +631,8 @@ def test_batch_norm_relu_gradcheck_away_from_the_kink(batch_stats, seed, tol):
 
 
 def test_batch_norm_relu_has_the_bits_of_relu_of_batch_norm():
+    # The fused node masks the gradient by its rectified output; the
+    # unfused ``relu`` keeps the mask of its input, so it is the oracle.
     rng = np.random.default_rng(15)
     x = rng.uniform(-1.0, 1.0, (3, 2, 2, 2))
     x[0] = np.array([0.0, -0.0])  # mean 0, so every (x - mu) is a zero
@@ -638,15 +640,34 @@ def test_batch_norm_relu_has_the_bits_of_relu_of_batch_norm():
     gamma = np.array([-1.0, 0.5, 2.0])
     beta = np.array([-0.0, 0.0, -0.0])
     seed = rng.uniform(-1.0, 1.0, x.shape)
-    runs = []
-    for fused in (True, False):
-        leaves = [Tensor(v, trainable=True) for v in (x, gamma, beta)]
-        out, _, _ = batch_norm_batch(*leaves, relu=fused)
-        if not fused:
-            out = relu(out)
-        out.backward(seed)
-        runs.append([out.data.tobytes()] + [t.grad.tobytes() for t in leaves])
-    assert runs[0] == runs[1]
+    # Fixed statistics with a = 1 and b = -0.0 on channel 0: its
+    # pre-activations are its inputs, the edge values of the rule.
+    edges = rng.uniform(-1.0, 1.0, x.shape)
+    edges[0] = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 1e-300, -1e-300, 0.5]
+                        ).reshape(2, 2, 2)
+    running = (np.array([0.0, 0.1, -0.2]), np.array([1.0 - 1e-5, 0.5, 2.0]))
+
+    edge_operands = (edges, np.array([1.0, -0.5, 2.0]), np.array([-0.0, 0.1, -0.3]))
+
+    def batch(*leaves, relu):
+        return batch_norm_batch(*leaves, relu=relu)[0]
+
+    def given(*leaves, relu):
+        return batch_norm_given(*leaves, *running, relu=relu)
+
+    pre = given(*map(Tensor, edge_operands), relu=False).data
+    assert pre[0].tobytes() == edges[0].tobytes()
+    for operands, normalize in [((x, gamma, beta), batch), (edge_operands, given)]:
+        runs = []
+        for fused in (True, False):
+            leaves = [Tensor(v, trainable=True) for v in operands]
+            out = normalize(*leaves, relu=fused)
+            if not fused:
+                out = relu(out)
+            with np.errstate(invalid="ignore"):  # gamma's gradient meets 0 * inf
+                out.backward(seed)
+            runs.append([out.data.tobytes()] + [t.grad.tobytes() for t in leaves])
+        assert runs[0] == runs[1]
 
 
 def test_batch_norm_given_folds_into_one_affine_map():
