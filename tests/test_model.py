@@ -323,21 +323,20 @@ def test_training_block_forward_holds_few_input_sizes(stride, bound):
     # is node B's; with a projection also the subsampled input and its
     # node's centered output and result. The graph conv's aggregate (3x
     # the input) is rebuilt in backward, and no ReLU keeps a bool mask:
-    # 4.32x and 9.13x, against 7.57x and 12.51x when both were kept.
+    # 4.32x and 9.13x.
     assert held_by_a_training_forward(stride) <= bound
 
 
 def test_training_block_forward_keeps_the_dropout_mask_as_bools():
     # Dropout adds one bool per element, 1/8 of the input, to the 4.32x an
-    # identity block holds without it; a float64 mask added 1x.
+    # identity block holds without it: 4.44x.
     assert held_by_a_training_forward(1, dropout=0.3) <= 4.6
 
 
 def test_training_forward_of_the_paper_plan_holds_what_backward_needs():
     # One warm training forward at the benchmark's train shape (N=4, T=30,
     # M=2, COCO18, 10-block plan), input batch norm, projections and
-    # pooling included. It keeps 123 MiB; with each graph conv's aggregate
-    # and the ReLU masks kept as well it was 187 MiB.
+    # pooling included. It keeps 123 MiB.
     net = StgcnNetwork(partition_spatial(build_graph(COCO18)), 10, seed=0)
     x = np.random.default_rng(40).uniform(-1.0, 1.0, (4, 3, 30, 18, 2))
     rng = np.random.default_rng(41)
