@@ -301,13 +301,6 @@ def _channel_sum(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
     return total
 
 
-def _check_bias(op: str, bias: Tensor | None, channels: int) -> None:
-    if bias is not None and bias.data.shape != (channels,):
-        raise ConfigurationError(
-            f"{op} bias has shape {bias.data.shape}, expected ({channels},)"
-        )
-
-
 def _dropout_mask(shape: tuple[int, ...], rate: float, rng) -> tuple[np.ndarray, float]:
     """Inverted dropout as a bool keep mask and one scale, 1 / (1 - rate).
 
@@ -328,18 +321,6 @@ def _bordered(shape: tuple[int, ...], pad: int) -> np.ndarray:
     out[:, :, :pad] = 0.0
     out[:, :, shape[2] - pad:] = 0.0
     return out
-
-
-def fold_batch_norm(gamma, beta, mean, inv_std) -> tuple[np.ndarray, np.ndarray]:
-    """Batch norm with fixed statistics as the per-channel map ``x * a + b``.
-
-    Returns ``a = gamma * inv_std`` and ``b = beta - mean * a``; the
-    arguments are arrays that broadcast against each other. A convolution
-    followed by this map is the convolution with its output channels
-    scaled by ``a`` and its bias mapped through it.
-    """
-    a = gamma * inv_std
-    return a, beta - mean * a
 
 
 class Norm(NamedTuple):
@@ -363,12 +344,12 @@ def _per_channel(values: np.ndarray) -> np.ndarray:
 
 
 class _Epilogue:
-    """The elementwise tail of a node: bias, batch norm, dropout, residual
-    add and ReLU, in that order, each optional.
+    """The elementwise tail of a node: batch norm, dropout, residual add
+    and ReLU, in that order, each optional.
 
     ``apply`` runs it on a fresh (C, B, T, V) array; ``backward`` takes
-    the gradient of the result back to that array, accumulating the bias,
-    batch norm and shortcut gradients on the way. Only what the backward
+    the gradient of the result back to that array, accumulating the batch
+    norm and shortcut gradients on the way. Only what the backward
     reads is kept: with batch statistics the centered input, with fixed
     ones the input while gamma trains and a graph is recorded, and the
     dropout mask. ReLU keeps no mask: the backward reads where the
@@ -378,10 +359,9 @@ class _Epilogue:
     it once the node has returned.
     """
 
-    def __init__(self, bias: Tensor | None = None, norm: Norm | None = None,
-                 dropout: float = 0.0, rng=None, shortcut: Tensor | None = None,
-                 relu: bool = False):
-        self.bias, self.norm, self.shortcut = bias, norm, shortcut
+    def __init__(self, norm: Norm | None = None, dropout: float = 0.0, rng=None,
+                 shortcut: Tensor | None = None, relu: bool = False):
+        self.norm, self.shortcut = norm, shortcut
         self.dropout, self.rng, self.relu = dropout, rng, relu
         self.centered = self.source = self.keep = self.rectified = None
 
@@ -392,25 +372,20 @@ class _Epilogue:
         ``out`` when no backward reads ``out``, and to a new array when one
         does.
         """
-        if self.norm is not None:
-            if self.bias is not None:
-                out += _per_channel(self.bias.data)
-            result = self._normalize(out, dest)
-        else:
-            result = out if dest is None else dest
-            if self.bias is not None:
-                np.add(out, _per_channel(self.bias.data), out=result)
-            elif result is not out:
-                result[...] = out
+        result = out if self.norm is None else self._normalize(out, dest)
         if self.dropout:
             self.keep, self.scale = _dropout_mask(result.shape, self.dropout, self.rng)
             result *= self.keep
             result *= self.scale
         if self.shortcut is not None:
             result += self.shortcut.data
+        if dest is None:
+            dest = result
         if self.relu:
-            self.rectified = np.maximum(result, 0.0, out=result)
-        return result
+            self.rectified = np.maximum(result, 0.0, out=dest)
+        elif dest is not result:
+            dest[...] = result
+        return dest
 
     def _normalize(self, out, dest) -> np.ndarray:
         norm = self.norm
@@ -430,10 +405,13 @@ class _Epilogue:
         mean, var = (np.asarray(s, dtype=np.float64) for s in norm.running)
         self.mu = _per_channel(mean)
         self.inv_std = _per_channel(1.0 / np.sqrt(var + norm.eps))
-        self.a, b = fold_batch_norm(gamma, shift, self.mu, self.inv_std)
+        self.a = gamma * self.inv_std
+        b = shift - self.mu * self.a
+        # Unless the backward reads ``out``, the map runs over it in place,
+        # contiguous, and ``apply`` writes the finished tail to ``dest``.
         if norm.gamma.trainable and _recording.get():
             self.source = out
-        elif dest is None:
+        else:
             dest = out
         result = np.multiply(out, self.a, out=dest)
         result += b
@@ -458,8 +436,6 @@ class _Epilogue:
             writable = True
         if self.norm is not None:
             grad = self._normalize_backward(grad, writable)
-        if self.bias is not None:
-            _accumulate(self.bias, _channel_sum(grad))
         return grad
 
     def _normalize_backward(self, grad, writable) -> np.ndarray:
@@ -487,9 +463,7 @@ class _Epilogue:
 
     def parents(self) -> tuple[Tensor, ...]:
         """The tensors the tail reads besides the node's own operands."""
-        extra = () if self.bias is None else (self.bias,)
-        if self.norm is not None:
-            extra += (self.norm.gamma, self.norm.beta)
+        extra = () if self.norm is None else (self.norm.gamma, self.norm.beta)
         return extra + (() if self.shortcut is None else (self.shortcut,))
 
 
@@ -516,7 +490,6 @@ def temporal_conv(
     x: Tensor,
     kernel: Tensor,
     stride: int = 1,
-    bias: Tensor | None = None,
     *,
     padded: bool = False,
     norm: Norm | None = None,
@@ -534,8 +507,8 @@ def temporal_conv(
     writes it, and is read in place; the border is padding, not input, so
     the input gradient covers the inner frames only.
 
-    The epilogue runs in this node, in order: ``bias`` (C,), batch norm
-    ``norm``, inverted dropout at rate ``dropout`` drawn from ``rng``, the
+    The epilogue runs in this node, in order: batch norm ``norm``,
+    inverted dropout at rate ``dropout`` drawn from ``rng``, the
     residual add of ``shortcut`` (a tensor of the output's shape), ReLU.
     The input gradient is the same windowed sum of the stride-dilated
     gradient with the flipped kernel.
@@ -552,7 +525,6 @@ def temporal_conv(
         raise ConfigurationError(f"kernel size must be odd, got {taps}")
     if stride < 1:
         raise ConfigurationError(f"stride: must be positive, got {stride}")
-    _check_bias("temporal_conv", bias, channels)
 
     _, batch, frames, vertices = x.data.shape
     pad = (taps - 1) // 2
@@ -571,7 +543,7 @@ def temporal_conv(
         raise ConfigurationError(
             f"shortcut has shape {shortcut.data.shape}, output has {out_data.shape}"
         )
-    epilogue = _Epilogue(bias, norm, dropout, rng, shortcut, relu)
+    epilogue = _Epilogue(norm, dropout, rng, shortcut, relu)
     out_data = epilogue.apply(out_data)
 
     def backward_fn(grad):
@@ -596,7 +568,6 @@ def graph_conv(
     adjacency: np.ndarray,
     weights: list[Tensor],
     masks: list[Tensor],
-    bias: Tensor | None = None,
     *,
     norm: Norm | None = None,
     relu: bool = False,
@@ -606,7 +577,7 @@ def graph_conv(
 
     Partition k aggregates the input over joints with the gated adjacency
     ``A_k * M_k`` (V, V) and mixes channels with ``W_k`` (C, D); the
-    partitions are summed and ``bias`` (D,), if given, is added:
+    partitions are summed:
 
         y[d, b, t, w] = sum_k sum_v sum_c x[c, b, t, v] (A_k * M_k)[v, w] W_k[c, d]
 
@@ -641,7 +612,6 @@ def graph_conv(
     gated = [a * m.data for a, m in zip(adjacency, masks)]
     stacked = np.stack([w.data for w in weights]).reshape(partitions * channels, -1)
     out_channels = stacked.shape[1]
-    _check_bias("graph_conv", bias, out_channels)
 
     columns = x.data.reshape(channels * batch * frames, vertices)
 
@@ -655,7 +625,7 @@ def graph_conv(
     # The aggregate dies with this product, before the bordered output is
     # allocated, so the two are never alive at once.
     out_data = (stacked.T @ aggregate()).reshape(out_channels, batch, frames, vertices)
-    epilogue = _Epilogue(bias, norm, relu=relu)
+    epilogue = _Epilogue(norm, relu=relu)
     if pad:
         bordered = _bordered((out_channels, batch, frames + 2 * pad, vertices), pad)
         epilogue.apply(out_data, bordered[:, :, pad:pad + frames])
@@ -691,24 +661,21 @@ def graph_conv(
     return Tensor(out_data, parents=parents, backward_fn=backward_fn)
 
 
-def pointwise_conv(
-    x: Tensor, weight: Tensor, bias: Tensor | None = None, *, norm: Norm | None = None
-) -> Tensor:
+def pointwise_conv(x: Tensor, weight: Tensor, *, norm: Norm | None = None) -> Tensor:
     """Mix the channels of a (C, B, T, V) tensor with a (C, D) weight.
 
     A 1x1 convolution: one GEMM ``W.T @ x`` on the (C, B·T·V) matrix, so
-    the output is (D, B, T, V) with no transpose. ``bias`` (D,), if given,
-    is added per channel, and batch norm ``norm`` runs as the epilogue.
+    the output is (D, B, T, V) with no transpose. Batch norm ``norm`` runs
+    as the epilogue.
     """
     x, weight = _as_tensor(x), _as_tensor(weight)
     if x.data.ndim != 4 or weight.data.ndim != 2:
         raise ConfigurationError(
             "pointwise_conv needs a (C, B, T, V) input and a 2D weight"
         )
-    _check_bias("pointwise_conv", bias, weight.data.shape[1])
     flat = x.data.reshape(x.data.shape[0], -1)
     out_data = (weight.data.T @ flat).reshape(-1, *x.data.shape[1:])
-    epilogue = _Epilogue(bias, norm)
+    epilogue = _Epilogue(norm)
     out_data = epilogue.apply(out_data)
 
     def backward_fn(grad):

@@ -39,7 +39,7 @@ from .metrics import (
     spearman,
     top_k_accuracy,
 )
-from .model import load_weights, read_checkpoint, save_weights
+from .model import load_weights, save_weights
 from .train import SequenceDataset, evaluate, run_training
 
 _VALIDATION_ERRORS = (
@@ -116,21 +116,14 @@ def cmd_eval(args: argparse.Namespace) -> int:
     config = load_run_config(_require_file(args.config, "config"))
     manifest = DatasetManifest.load(_require_file(config.manifest, "manifest"))
     split = load_split(_require_dir(args.split, "split"))
-    checkpoint = _require_file(args.checkpoint, "checkpoint")
-    meta, arrays = read_checkpoint(checkpoint)
-    if meta.get("layout") != config.model.layout:
-        raise CheckpointError(
-            f"checkpoint graph {meta.get('layout')!r} does not match "
-            f"configured graph {config.model.layout!r}"
-        )
+    net = config.model.build(len(split.class_names))
+    load_weights(net, _require_file(args.checkpoint, "checkpoint"))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
     dataset = SequenceDataset.from_manifest(
         manifest, split.test_ids, split.class_names, config.model
     )
-    net = config.model.build(len(split.class_names))
-    load_weights(net, checkpoint, strict_head=True, arrays=arrays)
     top1, logits = evaluate(net, dataset, config.train.batch_size)
     predictions = np.argsort(-logits, axis=1, kind="stable")[:, 0]
     confidences = np.stack(

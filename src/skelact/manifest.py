@@ -374,13 +374,36 @@ def load_split(directory: str | Path) -> ProtocolSplit:
         raise ConfigurationError(f"split {directory}: {exc}") from exc
     if not isinstance(summary, dict):
         raise ConfigurationError(f"split {summary_path}: expected a JSON object")
-    try:
-        return ProtocolSplit(
-            protocol=str(summary.get("protocol", "")),
-            seed=int(summary.get("seed", 0)),
-            class_names=tuple(summary.get("classes", [])),
-            train_ids=tuple(train_ids),
-            test_ids=tuple(test_ids),
+    protocol = summary.get("protocol", "")
+    seed = summary.get("seed", 0)
+    classes = summary.get("classes", [])
+    if not isinstance(protocol, str):
+        raise ConfigurationError(
+            f"split {summary_path}: protocol must be a string, got {protocol!r}"
         )
-    except (TypeError, ValueError) as exc:
-        raise ConfigurationError(f"split {summary_path}: {exc}") from exc
+    # JSON true and false parse as bool, a subclass of int; they are no seed.
+    if type(seed) is not int:
+        raise ConfigurationError(
+            f"split {summary_path}: seed must be an integer, got {seed!r}"
+        )
+    if (not isinstance(classes, list) or not all(isinstance(c, str) for c in classes)
+            or len(set(classes)) != len(classes)):
+        raise ConfigurationError(
+            f"split {summary_path}: classes must be a list of distinct strings, "
+            f"got {classes!r}"
+        )
+    for name, ids in (("train.txt", train_ids), ("test.txt", test_ids)):
+        if len(set(ids)) != len(ids):
+            repeated = sorted({i for i in ids if ids.count(i) > 1})
+            raise ConfigurationError(
+                f"split {directory}: {name} lists {', '.join(repeated)} more than once"
+            )
+    shared = sorted(set(train_ids) & set(test_ids))
+    if shared:
+        raise ConfigurationError(
+            f"split {directory}: {', '.join(shared)} appear in both train.txt "
+            "and test.txt"
+        )
+    return ProtocolSplit(
+        protocol, seed, tuple(classes), tuple(train_ids), tuple(test_ids)
+    )

@@ -139,27 +139,17 @@ class BatchNorm:
         self.running_mean = (1.0 - m) * self.running_mean + m * mu
         self.running_var = (1.0 - m) * self.running_var + m * var
 
-    def fuse(self, weights: list[Tensor], training: bool,
-             axis: int = -1) -> tuple[list[Tensor], Tensor | None, ad.Norm | None]:
-        """The weights, bias and epilogue of the convolution this layer follows.
+    def norm(self, training: bool) -> ad.Norm:
+        """This layer as the epilogue of the convolution node before it.
 
-        In training the layer runs as the convolution node's epilogue
-        (``autodiff.Norm``) and there is no bias. In evaluation it folds
-        into the convolution as the map ``x * a + b``: the output channels
-        of each weight, on ``axis``, are scaled by ``a``, ``b`` is the bias,
-        and no epilogue is left.
+        Training a layer that is not frozen normalizes with the batch
+        statistics and tracks them; evaluation and a frozen layer use the
+        running statistics, the fixed map ``x * a + b``.
         """
-        if training:
-            running = (self.running_mean, self.running_var) if self.frozen else None
-            return weights, None, ad.Norm(self.gamma, self.beta, self.EPS, running,
-                                          self._track)
-        inv_std = 1.0 / np.sqrt(self.running_var + self.EPS)
-        a, b = ad.fold_batch_norm(
-            self.gamma.data, self.beta.data, self.running_mean, inv_std
-        )
-        scale = a if axis == -1 else a[:, None]
-        folded = [Tensor(w.data * scale) for w in weights]
-        return folded, Tensor(b), None
+        running = None
+        if self.frozen or not training:
+            running = (self.running_mean, self.running_var)
+        return ad.Norm(self.gamma, self.beta, self.EPS, running, self._track)
 
     def parameters(self) -> list[tuple[str, Tensor]]:
         return [("gamma", self.gamma), ("beta", self.beta)]
@@ -226,17 +216,18 @@ class StgcnBlock:
         Node A is the graph convolution with bn1 and ReLU as its epilogue;
         it writes into the zero-bordered buffer that node B, the temporal
         convolution, reads in place. B's epilogue is bn2, dropout, the
-        residual add and ReLU. Evaluation records no graph and folds each
-        batch norm into its convolution, so only the residual add and ReLU
-        are left as epilogues.
+        residual add and ReLU. Evaluation makes the same calls on the same
+        weights, with no dropout and every batch norm on its running
+        statistics, as a frozen layer in training; it records no graph, so
+        each norm writes over the convolution output in place.
         """
         with nullcontext() if training else ad.no_grad():
-            weights, bias, norm = self.bn1.fuse(self.gcn_weights, training)
-            h = ad.graph_conv(x, adjacency, weights, self.edge_masks, bias,
-                              norm=norm, relu=True, pad=TEMPORAL_KERNEL // 2)
-            (kernel,), bias, norm = self.bn2.fuse([self.tcn_kernel], training, axis=0)
+            h = ad.graph_conv(x, adjacency, self.gcn_weights, self.edge_masks,
+                              norm=self.bn1.norm(training), relu=True,
+                              pad=TEMPORAL_KERNEL // 2)
             return ad.temporal_conv(
-                h, kernel, self.stride, bias, padded=True, norm=norm,
+                h, self.tcn_kernel, self.stride, padded=True,
+                norm=self.bn2.norm(training),
                 dropout=self.dropout if training else 0.0, rng=rng,
                 shortcut=self._shortcut(x, training), relu=True,
             )
@@ -245,15 +236,15 @@ class StgcnBlock:
         """The residual branch: none, ``x`` itself, or its projection.
 
         The projection is one pointwise convolution node with res_bn as its
-        epilogue, or folded into its weight in evaluation.
+        epilogue.
         """
         if self.residual == "none":
             return None
         if self.residual == "identity":
             return x
         shortcut = x if self.stride == 1 else ad.temporal_subsample(x, self.stride)
-        (weight,), bias, norm = self.res_bn.fuse([self.res_weight], training)
-        return ad.pointwise_conv(shortcut, weight, bias, norm=norm)
+        return ad.pointwise_conv(shortcut, self.res_weight,
+                                 norm=self.res_bn.norm(training))
 
     def parameters(self) -> list[tuple[str, Tensor]]:
         named: list[tuple[str, Tensor]] = []
@@ -289,7 +280,8 @@ class StgcnNetwork:
     The network keeps no graph: ``logits.backward(grad)`` runs the backward
     pass of a training forward, and the graph is freed when the caller
     drops ``logits``. An evaluation forward runs under ``autodiff.no_grad``
-    and returns a leaf.
+    and returns a leaf; its only difference from a training forward is no
+    dropout and every batch norm on its running statistics.
     """
 
     def __init__(
@@ -595,22 +587,25 @@ def read_checkpoint(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
 
 
 def load_weights(
-    net: StgcnNetwork,
-    path: str | Path,
-    strict_head: bool = True,
-    arrays: dict[str, np.ndarray] | None = None,
+    net: StgcnNetwork, path: str | Path, strict_head: bool = True
 ) -> list[str]:
     """Load a checkpoint into a network, matching arrays by name.
 
-    Every array must exist on both sides with an equal shape, except that
-    with ``strict_head`` off the classifier head may disagree in shape and
-    is then left at its current values (the transfer-learning entry
-    point). ``arrays``, if given, are the ones ``read_checkpoint`` already
-    returned for ``path``, which is then not read again. Returns the names
+    The checkpoint's ``meta`` must equal the network's in every key but
+    ``num_classes``: a channel plan or person pool that differs changes the
+    logits without changing a single array shape. Every array must exist on
+    both sides with an equal shape, except that with ``strict_head`` off
+    the classifier head may disagree in shape and is then left at its
+    current values (the transfer-learning entry point). Returns the names
     of skipped arrays.
     """
-    if arrays is None:
-        _, arrays = read_checkpoint(path)
+    meta, arrays = read_checkpoint(path)
+    for key, expected in net.meta().items():
+        if key != "num_classes" and meta.get(key) != expected:
+            raise CheckpointError(
+                f"{path}: checkpoint {key} is {meta.get(key)!r}, "
+                f"network {key} is {expected!r}"
+            )
     state = net.state_arrays()
     missing = sorted(set(state) - set(arrays))
     unexpected = sorted(set(arrays) - set(state))

@@ -222,9 +222,10 @@ def evaluate(
 ) -> tuple[float, np.ndarray]:
     """Top-1 accuracy and the full logit matrix, in dataset order.
 
-    Each batch is an evaluation forward: it records no graph and runs
-    every block with its batch norms folded into the convolutions. A NaN
-    or infinite logit raises ``NonFiniteError`` naming its batch.
+    Each batch is an evaluation forward: it records no graph, and every
+    batch norm uses its running statistics, as a frozen one does in
+    training. A NaN or infinite logit raises ``NonFiniteError`` naming
+    its batch.
     """
     if len(dataset) == 0:
         raise ConfigurationError("cannot evaluate an empty dataset")

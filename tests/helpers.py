@@ -30,7 +30,6 @@ from skelact.autodiff import (
     batch_norm_given,
     dropout,
     graph_conv,
-    no_grad,
     pointwise_conv,
     relu,
     temporal_conv,
@@ -215,7 +214,7 @@ def max_rel_err(a, b, floor=1e-6) -> float:
     return float((np.abs(a - b) / scale).max())
 
 
-def oracle_graph_conv(x, adjacency, weights, masks, bias):
+def oracle_graph_conv(x, adjacency, weights, masks):
     """Partitioned graph convolution on a (C, B, T, V) input as explicit
     loops over every index."""
     channels, batch, frames, vertices = x.shape
@@ -228,7 +227,7 @@ def oracle_graph_conv(x, adjacency, weights, masks, bias):
                     for v in range(vertices):
                         for c in range(channels):
                             out[:, b, t, w] += x[c, b, t, v] * gated[v, w] * weights[k][c]
-    return out if bias is None else out + bias[:, None, None, None]
+    return out
 
 
 def add_relu(a, b):
@@ -303,8 +302,8 @@ def oracle_block(block, x, adjacency, training, rng=None):
 
     Graph conv, bn1 with ReLU, temporal conv, bn2, dropout (training only),
     then relu(y + shortcut): the chain the fused block must reproduce bit
-    for bit in training. In evaluation every batch norm uses its running
-    statistics unfolded.
+    for bit. In evaluation, and for a frozen layer, a batch norm uses its
+    running statistics.
     """
     y = graph_conv(x, adjacency, block.gcn_weights, block.edge_masks)
     y = _oracle_norm(block.bn1, y, training, relu=True)
@@ -320,34 +319,6 @@ def oracle_block(block, x, adjacency, training, rng=None):
         shortcut = _oracle_norm(
             block.res_bn, pointwise_conv(shortcut, block.res_weight), training)
     return add_relu(y, shortcut)
-
-
-def _folded(bn):
-    """The evaluation map of a batch norm layer: y = x * a + b per channel."""
-    a = bn.gamma.data * (1.0 / np.sqrt(bn.running_var + bn.EPS))
-    return a, bn.beta.data - bn.running_mean * a
-
-
-def oracle_folded_block(block, x, adjacency):
-    """An ST-GCN block in evaluation with each batch norm folded into the
-    convolution before it, as separate nodes: the evaluation chain whose
-    bits the fused block must reproduce."""
-    with no_grad():
-        a, b = _folded(block.bn1)
-        y = relu(graph_conv(x, adjacency, [Tensor(w.data * a) for w in block.gcn_weights],
-                            block.edge_masks, Tensor(b)))
-        a, b = _folded(block.bn2)
-        y = temporal_conv(y, Tensor(block.tcn_kernel.data * a[:, None]), block.stride,
-                          Tensor(b))
-        if block.residual == "none":
-            return relu(y)
-        shortcut = x
-        if block.residual == "project":
-            shortcut = x if block.stride == 1 else temporal_subsample(x, block.stride)
-            a, b = _folded(block.res_bn)
-            shortcut = pointwise_conv(shortcut, Tensor(block.res_weight.data * a),
-                                      Tensor(b))
-        return add_relu(y, shortcut)
 
 
 def rewrite_checkpoint(source, target, fmt, extra):

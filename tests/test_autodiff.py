@@ -374,22 +374,6 @@ def test_temporal_conv_validation():
         temporal_conv(x, Tensor(np.ones((3, 3))), stride=0)
 
 
-def test_temporal_conv_bias_is_added_per_channel():
-    rng = np.random.default_rng(16)
-    x = leaf(rng, (3, 2, 5, 4))
-    kernel = leaf(rng, (3, 3))
-    bias = leaf(rng, (3,))
-    plain = temporal_conv(x, kernel, stride=2)
-    biased = temporal_conv(x, kernel, stride=2, bias=bias)
-    assert np.array_equal(biased.data, plain.data + bias.data[:, None, None, None])
-
-    def build():
-        out = temporal_conv(x, kernel, stride=2, bias=bias)
-        return reduce_sum(mul(out, out), (0, 1, 2, 3))
-
-    check_grads(build, [x, kernel, bias])
-
-
 # ------------------------------------------------------------- channel mixing
 
 def graph_conv_operands(rng, c_in, c_out, partitions=3, vertices=5):
@@ -400,26 +384,22 @@ def graph_conv_operands(rng, c_in, c_out, partitions=3, vertices=5):
     return x, adjacency, weights, masks
 
 
-@pytest.mark.parametrize("c_in,c_out,with_bias",
-                         [(4, 2, True), (3, 3, False), (2, 4, True)])
-def test_graph_conv_gradcheck(c_in, c_out, with_bias):
+@pytest.mark.parametrize("c_in,c_out", [(4, 2), (3, 3), (2, 4)])
+def test_graph_conv_gradcheck(c_in, c_out):
     rng = np.random.default_rng(17)
     x, adjacency, weights, masks = graph_conv_operands(rng, c_in, c_out)
-    bias = leaf(rng, (c_out,)) if with_bias else None
-    out = graph_conv(x, adjacency, weights, masks, bias)
+    out = graph_conv(x, adjacency, weights, masks)
     expected = oracle_graph_conv(
-        x.data, adjacency, [w.data for w in weights],
-        [m.data for m in masks], None if bias is None else bias.data,
+        x.data, adjacency, [w.data for w in weights], [m.data for m in masks]
     )
     assert out.shape == (c_out, 2, 3, 5)
     assert np.allclose(out.data, expected, atol=1e-10)
 
     def build():
-        out = graph_conv(x, adjacency, weights, masks, bias)
+        out = graph_conv(x, adjacency, weights, masks)
         return reduce_sum(mul(out, out), (0, 1, 2, 3))
 
-    tensors = [x, weights[0], weights[2], masks[0], masks[1]]
-    check_grads(build, tensors + ([bias] if with_bias else []))
+    check_grads(build, [x, weights[0], weights[2], masks[0], masks[1]])
 
 
 def test_graph_conv_frozen_weight_and_mask_keep_zero_gradients():
@@ -449,16 +429,6 @@ def test_graph_conv_rejects_unequal_operand_lists():
         graph_conv(x, adjacency, weights[:2], masks)
 
 
-@pytest.mark.parametrize("shape", [(1,), (5,)])
-def test_graph_and_temporal_conv_reject_a_bias_not_one_per_channel(shape):
-    rng = np.random.default_rng(23)
-    x, adjacency, weights, masks = graph_conv_operands(rng, 2, 4)
-    with pytest.raises(ConfigurationError, match="graph_conv bias"):
-        graph_conv(x, adjacency, weights, masks, Tensor(np.ones(shape)))
-    with pytest.raises(ConfigurationError, match="temporal_conv bias"):
-        temporal_conv(x, Tensor(np.ones((2, 3))), bias=Tensor(np.ones(shape)))
-
-
 def test_pointwise_conv_gradcheck():
     rng = np.random.default_rng(21)
     x = leaf(rng, (3, 2, 4, 5))
@@ -475,31 +445,11 @@ def test_pointwise_conv_gradcheck():
     check_grads(build, [x, weight])
 
 
-def test_pointwise_conv_bias_gradcheck():
-    rng = np.random.default_rng(22)
-    x = leaf(rng, (3, 2, 4, 5))
-    weight = leaf(rng, (3, 6))
-    bias = leaf(rng, (6,))
-    plain = pointwise_conv(x, weight)
-    biased = pointwise_conv(x, weight, bias)
-    assert np.array_equal(biased.data, plain.data + bias.data[:, None, None, None])
-
-    def build():
-        out = pointwise_conv(x, weight, bias)
-        return reduce_sum(mul(out, out), (0, 1, 2, 3))
-
-    check_grads(build, [x, weight, bias])
-
-
 def test_pointwise_conv_validation():
     with pytest.raises(ConfigurationError):
         pointwise_conv(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((3, 2))))
     with pytest.raises(ConfigurationError):
         pointwise_conv(Tensor(np.ones((3, 2, 4, 5))), Tensor(np.ones(3)))
-    for shape in [(3,), (2, 1), ()]:
-        with pytest.raises(ConfigurationError, match="bias"):
-            pointwise_conv(Tensor(np.ones((3, 2, 4, 5))), Tensor(np.ones((3, 2))),
-                           Tensor(np.ones(shape)))
 
 
 # ----------------------------------------------------------------- batch norm
@@ -716,14 +666,12 @@ def graph_conv_node(rng, in_channels, frames, batch_stats):
     x = channels_first(leaf(rng, (2, in_channels, frames, 5)))
     weights = [leaf(rng, (in_channels, 3)) for _ in range(3)]
     masks = [Tensor(rng.uniform(0.5, 1.5, (5, 5)), trainable=True) for _ in range(3)]
-    bias = leaf(rng, (3,))
     norm = norm_leaves(rng, 3, batch_stats)
 
     def node(relu_out=True):
-        return graph_conv(x, adjacency, weights, masks, bias, norm=norm,
-                          relu=relu_out, pad=1)
+        return graph_conv(x, adjacency, weights, masks, norm=norm, relu=relu_out, pad=1)
 
-    return node, [x, *weights, *masks, bias, norm.gamma, norm.beta]
+    return node, [x, *weights, *masks, norm.gamma, norm.beta]
 
 
 def squared_error(out, target):
@@ -732,7 +680,7 @@ def squared_error(out, target):
 
 
 # Seeds whose pre-activations all lie at least 0.02 from the ReLU kink.
-@pytest.mark.parametrize("batch_stats,seed", [(True, 64), (False, 66)],
+@pytest.mark.parametrize("batch_stats,seed", [(True, 60), (False, 62)],
                          ids=["batch_statistics", "fixed_statistics"])
 def test_graph_conv_node_with_batch_norm_relu_and_border_gradcheck(batch_stats, seed):
     rng = np.random.default_rng(seed)
@@ -745,7 +693,7 @@ def test_graph_conv_node_with_batch_norm_relu_and_border_gradcheck(batch_stats, 
     check_grads(lambda: squared_error(node(), target), leaves, tol=1e-3)
 
 
-@pytest.mark.parametrize("batch_stats,seed", [(True, 62), (False, 61)],
+@pytest.mark.parametrize("batch_stats,seed", [(True, 73), (False, 236)],
                          ids=["batch_statistics", "fixed_statistics"])
 def test_temporal_conv_node_fed_by_the_graph_conv_node_gradcheck(batch_stats, seed):
     # Node B reads node A's bordered output in place, with dropout and a
@@ -753,14 +701,14 @@ def test_temporal_conv_node_fed_by_the_graph_conv_node_gradcheck(batch_stats, se
     rng = np.random.default_rng(seed)
     node, leaves = graph_conv_node(rng, 2, 5, batch_stats)
     x = leaves[0]
-    kernel, bias = leaf(rng, (3, 3)), leaf(rng, (3,))
+    kernel = leaf(rng, (3, 3))
     norm = norm_leaves(rng, 3, batch_stats)
     res_weight = leaf(rng, (2, 3))
     res_norm = norm_leaves(rng, 3, batch_stats)
 
     def block(relu_out=True):
         shortcut = pointwise_conv(temporal_subsample(x, 2), res_weight, norm=res_norm)
-        return temporal_conv(node(), kernel, 2, bias, padded=True, norm=norm,
+        return temporal_conv(node(), kernel, 2, padded=True, norm=norm,
                              dropout=0.3, rng=np.random.default_rng(64),
                              shortcut=shortcut, relu=relu_out)
 
@@ -770,7 +718,7 @@ def test_temporal_conv_node_fed_by_the_graph_conv_node_gradcheck(batch_stats, se
     assert np.abs(pre).min() > 0.02
     target = rng.uniform(-1.0, 1.0, pre.shape)
     check_grads(lambda: squared_error(block(), target),
-                leaves + [kernel, bias, norm.gamma, norm.beta, res_weight,
+                leaves + [kernel, norm.gamma, norm.beta, res_weight,
                           res_norm.gamma, res_norm.beta], tol=1e-3)
 
 
@@ -836,7 +784,8 @@ def _op_cases():
     adjacency = [rng.uniform(0.0, 1.0, (5, 5)) for _ in range(3)]
     weights = [rng.uniform(-1.0, 1.0, (3, 4)) for _ in range(3)]
     masks = [rng.uniform(0.5, 1.5, (5, 5)) for _ in range(3)]
-    bias = rng.uniform(-0.5, 0.5, 4)
+    # Batch norm coefficients of the 4-channel outputs.
+    coefficients = rng.uniform(-0.5, 0.5, 4)
     return [
         ("add", (x4, other), add),
         ("mul", (x4, other), mul),
@@ -848,23 +797,21 @@ def _op_cases():
         ("reduce_sum", (x4,), lambda a: reduce_sum(a, (2, 3))),
         ("mean", (x4,), lambda a: mean(a, (0, 2))),
         ("temporal_subsample", (x4,), lambda a: temporal_subsample(a, 2)),
-        ("temporal_conv", (x4, rng.uniform(-1.0, 1.0, (3, 3)), gamma),
-         lambda a, k, b: temporal_conv(a, k, 2, b)),
-        ("graph_conv", (x4, *weights, *masks, bias),
+        ("temporal_conv", (x4, rng.uniform(-1.0, 1.0, (3, 3))),
+         lambda a, k: temporal_conv(a, k, 2)),
+        ("graph_conv", (x4, *weights, *masks),
+         lambda a, *rest: graph_conv(a, adjacency, list(rest[0:3]), list(rest[3:6]))),
+        ("pointwise_conv", (x4, weights[0]), pointwise_conv),
+        ("graph_conv_batch_norm_relu_border", (x4, *weights, *masks,
+                                               coefficients[::-1], coefficients + 0.5),
          lambda a, *rest: graph_conv(a, adjacency, list(rest[0:3]), list(rest[3:6]),
-                                     rest[6])),
-        ("pointwise_conv", (x4, weights[0], bias), pointwise_conv),
-        ("graph_conv_batch_norm_relu_border", (x4, *weights, *masks, bias,
-                                               bias[::-1], bias + 0.5),
-         lambda a, *rest: graph_conv(a, adjacency, list(rest[0:3]), list(rest[3:6]),
-                                     rest[6], norm=Norm(rest[7], rest[8]),
-                                     relu=True, pad=1)),
-        ("temporal_conv_bordered_epilogue", (x4, rng.uniform(-1.0, 1.0, (3, 3)), beta,
+                                     norm=Norm(rest[6], rest[7]), relu=True, pad=1)),
+        ("temporal_conv_bordered_epilogue", (x4, rng.uniform(-1.0, 1.0, (3, 3)),
                                              gamma, beta, other[:, :, :3]),
-         lambda a, k, b, g, shift, shortcut: temporal_conv(
-             a, k, 2, b, padded=True, norm=Norm(g, shift, running=(mu, var)),
+         lambda a, k, g, shift, shortcut: temporal_conv(
+             a, k, 2, padded=True, norm=Norm(g, shift, running=(mu, var)),
              dropout=0.4, rng=np.random.default_rng(41), shortcut=shortcut, relu=True)),
-        ("pointwise_conv_batch_norm", (x4, weights[0], bias, bias[::-1]),
+        ("pointwise_conv_batch_norm", (x4, weights[0], coefficients, coefficients[::-1]),
          lambda a, w, g, b: pointwise_conv(a, w, norm=Norm(g, b))),
         ("batch_norm_batch", (x4, gamma, beta),
          lambda a, g, b: batch_norm_batch(a, g, b)[0]),

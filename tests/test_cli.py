@@ -341,7 +341,6 @@ def test_eval_reads_the_checkpoint_once(workspace, tmp_path, monkeypatch):
         calls.append(path)
         return read(path)
 
-    monkeypatch.setattr(skelact.cli, "read_checkpoint", counting)
     monkeypatch.setattr(skelact.model, "read_checkpoint", counting)
     assert main(["eval", "--config", str(workspace / "run.json"),
                  "--checkpoint", str(workspace / "run1" / "checkpoint.ckpt"),
@@ -362,6 +361,7 @@ def test_eval_layout_mismatch_exits_2(workspace, capsys):
                  "--split", str(workspace / "split"),
                  "--out", str(workspace / "x")]) == 2
     assert "BODY25" in capsys.readouterr().err
+    assert not (workspace / "x").exists()
 
 
 def test_eval_rejects_a_format_2_checkpoint_with_a_conv_bias(workspace, tmp_path,
@@ -597,7 +597,7 @@ BOUNDARY_CASES = {
     "split-summary-not-an-object": (analyze_with(summary="[1, 2]"),
                                     "summary.json: expected a JSON object"),
     "split-summary-seed-not-a-number": (analyze_with(summary='{"seed": "x"}'),
-                                        "summary.json: invalid literal"),
+                                        "summary.json: seed must be an integer"),
 }
 
 

@@ -218,6 +218,48 @@ def test_load_split_tolerates_blank_lines(tmp_path):
     assert load_split(tmp_path / "split").train_ids == split.train_ids
 
 
+def set_summary(key, value):
+    def edit(directory):
+        path = directory / "summary.json"
+        summary = json.loads(path.read_text())
+        summary[key] = value
+        path.write_text(json.dumps(summary))
+    return edit
+
+
+def append_id(part, source):
+    """Append to ``part`` the first id of ``source``."""
+    def edit(directory):
+        first = (directory / source).read_text().splitlines()[0]
+        with open(directory / part, "a") as handle:
+            handle.write(first + "\n")
+    return edit
+
+
+MALFORMED_SPLITS = {
+    "classes-a-string": (set_summary("classes", "wave"), "classes"),
+    "classes-repeated": (set_summary("classes", ["f", "g", "f"]), "classes"),
+    "classes-not-strings": (set_summary("classes", ["f", 7, "h"]), "classes"),
+    "seed-a-bool": (set_summary("seed", True), "seed"),
+    "seed-a-string": (set_summary("seed", "9"), "seed"),
+    "protocol-not-a-string": (set_summary("protocol", 5), "protocol"),
+    "train-id-repeated": (append_id("train.txt", "train.txt"), "train.txt"),
+    "test-id-repeated": (append_id("test.txt", "test.txt"), "test.txt"),
+    "test-id-in-train": (append_id("train.txt", "test.txt"), "both"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_SPLITS)
+def test_load_split_rejects_a_malformed_split(case, tmp_path):
+    edit, fragment = MALFORMED_SPLITS[case]
+    manifest = big_manifest()
+    save_split(build_protocol(manifest, "KS-Small-C", seed=9), tmp_path / "split",
+               manifest)
+    edit(tmp_path / "split")
+    with pytest.raises(ConfigurationError, match=fragment):
+        load_split(tmp_path / "split")
+
+
 def test_load_split_reports_missing_files(tmp_path):
     with pytest.raises(ConfigurationError):
         load_split(tmp_path / "nowhere")

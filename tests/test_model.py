@@ -14,6 +14,7 @@ from skelact import (
     ConfigurationError,
     ModelConfig,
     SequenceDataset,
+    SkeletonGraph,
     TrainConfig,
     build_graph,
     load_weights,
@@ -47,7 +48,6 @@ from helpers import (
     motion_dataset,
     numeric_grad,
     oracle_block,
-    oracle_folded_block,
     oracle_graph_conv,
     path_graph,
     rewrite_checkpoint,
@@ -78,15 +78,13 @@ def test_spatial_graph_conv_matches_loop_oracle():
     x = rng.uniform(-1.0, 1.0, (3, 2, 4, 5))
     weights = [rng.uniform(-1.0, 1.0, (3, 6)) for _ in range(3)]
     masks = [rng.uniform(0.5, 1.5, (5, 5)) for _ in range(3)]
-    bias = rng.uniform(-0.5, 0.5, 6)
     out = graph_conv(
         Tensor(x),
         adjacency.matrices,
         [Tensor(w) for w in weights],
         [Tensor(m) for m in masks],
-        Tensor(bias),
     )
-    expected = oracle_graph_conv(x, adjacency.matrices, weights, masks, bias)
+    expected = oracle_graph_conv(x, adjacency.matrices, weights, masks)
     assert out.shape == (6, 2, 4, 5)
     assert np.allclose(out.data, expected, atol=1e-10)
 
@@ -99,14 +97,13 @@ def test_spatial_graph_conv_gradcheck():
                for _ in range(3)]
     masks = [Tensor(rng.uniform(0.5, 1.5, (5, 5)), trainable=True)
              for _ in range(3)]
-    bias = Tensor(rng.uniform(-0.5, 0.5, 4), trainable=True)
 
     def build():
-        out = graph_conv(x, adjacency, weights, masks, bias)
+        out = graph_conv(x, adjacency, weights, masks)
         return reduce_sum(mul(out, out), (0, 1, 2, 3))
 
     build().backward()
-    for tensor in [x, weights[0], weights[2], masks[1], bias]:
+    for tensor in [x, weights[0], weights[2], masks[1]]:
         estimate = numeric_grad(lambda: float(build().data), tensor)
         assert max_rel_err(tensor.grad, estimate) < 1e-5
         tensor.zero_grad()
@@ -203,10 +200,51 @@ def test_eval_block_has_the_bits_of_the_folded_chain(in_channels, stride, residu
     adjacency = small_adjacency().matrices
     x = Tensor(np.random.default_rng(33).uniform(-1.0, 1.0,
                                                  (in_channels, 2, frames, 5)))
-    expected = oracle_folded_block(block, x, adjacency).data
+    expected = oracle_block(block, x, adjacency, training=False).data
     out = block.forward(x, adjacency, training=False, rng=None)
     assert (expected > 0).mean() > 0.2
     assert out.data.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("frames", [6, 7])
+@pytest.mark.parametrize("in_channels,stride,residual", RESIDUAL_KINDS.values(),
+                         ids=RESIDUAL_KINDS.keys())
+def test_frozen_block_trains_with_the_bits_of_its_eval_forward(
+        in_channels, stride, residual, frames):
+    block = perturbed_block(in_channels, stride, residual)
+    for _, bn in block.batch_norms():
+        bn.gamma.trainable = bn.beta.trainable = False
+    adjacency = small_adjacency().matrices
+    x = np.random.default_rng(33).uniform(-1.0, 1.0, (in_channels, 2, frames, 5))
+    trained = block.forward(Tensor(x, trainable=True), adjacency, training=True,
+                            rng=np.random.default_rng(34))
+    evaluated = block.forward(Tensor(x), adjacency, training=False, rng=None)
+    assert not trained.is_leaf and evaluated.is_leaf
+    assert trained.data.tobytes() == evaluated.data.tobytes()
+
+
+# The outputs of graph_conv and temporal_conv, and on the strided
+# projection of temporal_subsample and pointwise_conv; no weight is copied.
+EVAL_TENSORS = {"identity": 2, "project": 4, "none": 2}
+
+
+@pytest.mark.parametrize("kind", RESIDUAL_KINDS)
+def test_eval_block_builds_only_its_ops_outputs(kind, monkeypatch):
+    in_channels, stride, residual = RESIDUAL_KINDS[kind]
+    block = perturbed_block(in_channels, stride, residual)
+    adjacency = small_adjacency().matrices
+    x = Tensor(np.random.default_rng(33).uniform(-1.0, 1.0, (in_channels, 2, 7, 5)))
+    constructed = []
+    init = Tensor.__init__
+
+    def counting(self, *args, **kwargs):
+        constructed.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Tensor, "__init__", counting)
+    out = block.forward(x, adjacency, training=False, rng=None)
+    assert out is constructed[-1]
+    assert len(constructed) == EVAL_TENSORS[kind]
 
 
 # (in_channels, stride, residual, frames, frozen batch norms, dropout rate)
@@ -273,8 +311,8 @@ def test_block_reads_no_uninitialized_memory(in_channels, stride, residual, fram
     adjacency = small_adjacency().matrices
     chain = training_run(perturbed_block(in_channels, stride, residual, rate),
                          oracle_block, x, frozen)
-    expected = oracle_folded_block(perturbed_block(in_channels, stride, residual),
-                                   Tensor(x), adjacency).data
+    expected = oracle_block(perturbed_block(in_channels, stride, residual),
+                            Tensor(x), adjacency, training=False).data
     empty = np.empty
 
     def nan_filled(*args, **kwargs):
@@ -359,7 +397,7 @@ def test_folded_eval_network_matches_the_unfused_batch_norm_chain():
     x = small_input(rng)
     expected = unfused_logits(net, x)
     logits = net.forward(x)
-    assert np.abs(logits.data - expected).max() <= 1e-15 * np.abs(expected).max()
+    assert logits.data.tobytes() == expected.tobytes()
 
 
 def test_eval_forward_at_the_paper_shape_keeps_no_graph_and_little_memory():
@@ -702,6 +740,45 @@ def test_structure_mismatch_is_rejected(tmp_path):
     save_weights(shallow, path)
     with pytest.raises(CheckpointError):
         load_weights(small_net(), path)
+
+
+def star_adjacency():
+    """Five joints, like ``small_adjacency``, under another layout name."""
+    return partition_spatial(SkeletonGraph(5, ((0, 1), (0, 2), (0, 3), (0, 4)), 0,
+                                           "star"))
+
+
+# Saved and loaded networks whose arrays all have equal shapes, so only the
+# checkpoint's meta tells them apart.
+META_MISMATCHES = {
+    "stride": (dict(channel_plan=((8, 1), (16, 2))),
+               dict(channel_plan=((8, 1), (16, 1))), "channel_plan"),
+    "pool": (dict(person_pool="sum"), dict(person_pool="mean"), "person_pool"),
+    "layout": (dict(adjacency=star_adjacency()), dict(), "layout"),
+}
+
+
+@pytest.mark.parametrize("saved,loaded,key", META_MISMATCHES.values(),
+                         ids=META_MISMATCHES.keys())
+def test_load_weights_rejects_a_checkpoint_of_another_structure(saved, loaded, key,
+                                                                tmp_path):
+    def build(options):
+        options = {"adjacency": small_adjacency(), "channel_plan": PLAN, **options}
+        return StgcnNetwork(options.pop("adjacency"), 3, seed=2, **options)
+
+    source, target = build(saved), build(loaded)
+    assert {n: a.shape for n, a in source.state_arrays().items()} == \
+        {n: a.shape for n, a in target.state_arrays().items()}
+    path = tmp_path / "source.ckpt"
+    save_weights(source, path)
+    before = {n: a.copy() for n, a in target.state_arrays().items()}
+    with pytest.raises(CheckpointError) as caught:
+        load_weights(target, path, strict_head=False)
+    message = str(caught.value)
+    assert key in message
+    assert repr(source.meta()[key]) in message and repr(target.meta()[key]) in message
+    for name, array in target.state_arrays().items():
+        assert np.array_equal(array, before[name]), name
 
 
 def test_corrupt_checkpoints_are_rejected(tmp_path):
