@@ -5,10 +5,12 @@ closure propagating the output gradient to them. ``Tensor.backward`` walks
 the recorded graph once in reverse topological order. Inside ``no_grad``
 nothing is recorded: every operation returns a bare leaf with no
 gradient buffer, and the arrays a backward pass would need are freed as
-soon as the operation returns. Only the operations the network actually
-needs exist here, each with an exact analytic gradient; there is no graph
-optimization, no dtype besides float64, and no in-place arithmetic on
-tracked values.
+soon as the operation returns. An operation none of whose operands is a
+trainable leaf or a recorded node returns such a leaf too, since no
+gradient through it reaches a trainable tensor: frozen layers record
+nothing. Only the operations the network actually needs exist here, each
+with an exact analytic gradient; there is no graph optimization, no dtype
+besides float64, and no in-place arithmetic on tracked values.
 
 Leaf gradients accumulate into ``Tensor.grad`` buffers. Leaf tensors
 marked non-trainable (inputs, frozen weights) keep their gradient buffer
@@ -49,14 +51,16 @@ def no_grad():
 class Tensor:
     """A float64 array plus gradient buffer and autodiff bookkeeping.
 
-    Under ``no_grad`` the parents and backward closure are dropped and no
-    gradient buffer is made.
+    Under ``no_grad``, and for an operation output none of whose parents
+    is a trainable leaf or a recorded node, the parents and backward
+    closure are dropped and no gradient buffer is made.
     """
 
     __slots__ = ("data", "grad", "trainable", "_parents", "_backward_fn")
 
     def __init__(self, data, trainable=False, parents=(), backward_fn=None):
-        recording = _recording.get()
+        recording = _recording.get() and (
+            not parents or any(p.trainable or p._parents for p in parents))
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = np.zeros_like(self.data) if recording and not parents else None
         self.trainable = bool(trainable)
@@ -688,7 +692,8 @@ def pointwise_conv(x: Tensor, weight: Tensor, *, norm: Norm | None = None) -> Te
                   backward_fn=backward_fn)
 
 
-def _batch_norm(x: Tensor, norm: Norm, relu: bool) -> Tensor:
+def batch_norm(x: Tensor, norm: Norm, relu: bool = False) -> Tensor:
+    """Batch norm ``norm`` of a (C, B, T, V) tensor as one node; ``relu`` fuses a ReLU."""
     x = _as_tensor(x)
     if x.data.ndim != 4:
         raise ConfigurationError("batch_norm expects a (C, B, T, V) input")
@@ -713,7 +718,7 @@ def batch_norm_batch(
     onto the output.
     """
     statistics = []
-    out = _batch_norm(
+    out = batch_norm(
         x, Norm(_as_tensor(gamma), _as_tensor(beta), eps,
                 track=lambda mu, var: statistics.extend((mu, var))), relu)
     return out, *statistics
@@ -730,7 +735,7 @@ def batch_norm_given(
 ) -> Tensor:
     """Normalize with fixed (C,) statistics, the evaluation and frozen path."""
     norm = Norm(_as_tensor(gamma), _as_tensor(beta), eps, (running_mean, running_var))
-    return _batch_norm(x, norm, relu)
+    return batch_norm(x, norm, relu)
 
 
 def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:

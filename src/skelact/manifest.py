@@ -185,21 +185,28 @@ class DatasetManifest:
         try:
             records = [
                 ManifestRecord(
-                    sample_id=str(entry["sample_id"]),
-                    class_name=str(entry["class_name"]),
-                    performer=str(entry["performer"]),
+                    sample_id=_string(entry["sample_id"], f"records[{index}].sample_id"),
+                    class_name=_string(entry["class_name"],
+                                       f"records[{index}].class_name"),
+                    performer=_string(entry["performer"], f"records[{index}].performer"),
                     keypoint_path=resolve_relative(
-                        base, str(entry["keypoint_path"])
+                        base, _string(entry["keypoint_path"],
+                                      f"records[{index}].keypoint_path")
                     ),
                     image_size=tuple(entry["image_size"]),
                     fps=entry.get("fps", 30.0),
                 )
-                for entry in doc.get("records", [])
+                for index, entry in enumerate(doc.get("records", []))
             ]
+            classes = doc["classes"]
+            if not isinstance(classes, list):
+                raise ConfigurationError(
+                    f"classes: expected a list of strings, got {classes!r}"
+                )
             manifest = cls(
                 records=records,
-                class_table=[str(c) for c in doc["classes"]],
-                layout=str(doc.get("layout", BODY25)),
+                class_table=[_string(c, f"classes[{i}]") for i, c in enumerate(classes)],
+                layout=_string(doc.get("layout", BODY25), "layout"),
                 child_percentage=doc.get("child_percentage"),
             )
         except ConfigurationError as exc:
@@ -207,6 +214,14 @@ class DatasetManifest:
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigurationError(f"manifest {path}: {exc!r}") from exc
         return manifest
+
+
+def _string(value, field: str) -> str:
+    """``value`` itself if it is a JSON string; a value of another type is
+    rejected, not converted, with an error naming ``field``."""
+    if not isinstance(value, str):
+        raise ConfigurationError(f"{field}: expected a string, got {value!r}")
+    return value
 
 
 def resolve_relative(base: Path, path: str) -> str:
@@ -296,21 +311,16 @@ def build_protocol(
             )
         per_class[name] = ids
 
+    groups = [per_class[name] for name in class_names]
+    if not stratified:
+        groups = [[i for ids in groups for i in ids]]
     train_ids: list[str] = []
     test_ids: list[str] = []
-    if stratified:
-        for name in class_names:
-            ids = per_class[name]
-            order = rng.permutation(len(ids))
-            cut = math.floor(TRAIN_FRACTION * len(ids))
-            train_ids.extend(ids[i] for i in order[:cut])
-            test_ids.extend(ids[i] for i in order[cut:])
-    else:
-        pooled = [i for name in class_names for i in per_class[name]]
-        order = rng.permutation(len(pooled))
-        cut = math.floor(TRAIN_FRACTION * len(pooled))
-        train_ids.extend(pooled[i] for i in order[:cut])
-        test_ids.extend(pooled[i] for i in order[cut:])
+    for ids in groups:
+        order = rng.permutation(len(ids))
+        cut = math.floor(TRAIN_FRACTION * len(ids))
+        train_ids.extend(ids[i] for i in order[:cut])
+        test_ids.extend(ids[i] for i in order[cut:])
 
     return ProtocolSplit(
         protocol=protocol,
@@ -374,13 +384,9 @@ def load_split(directory: str | Path) -> ProtocolSplit:
         raise ConfigurationError(f"split {directory}: {exc}") from exc
     if not isinstance(summary, dict):
         raise ConfigurationError(f"split {summary_path}: expected a JSON object")
-    protocol = summary.get("protocol", "")
+    protocol = _string(summary.get("protocol", ""), f"split {summary_path}: protocol")
     seed = summary.get("seed", 0)
     classes = summary.get("classes", [])
-    if not isinstance(protocol, str):
-        raise ConfigurationError(
-            f"split {summary_path}: protocol must be a string, got {protocol!r}"
-        )
     # JSON true and false parse as bool, a subclass of int; they are no seed.
     if type(seed) is not int:
         raise ConfigurationError(

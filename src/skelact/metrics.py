@@ -168,18 +168,12 @@ def pearson(x, y) -> float:
 
 def _midranks(values: np.ndarray) -> np.ndarray:
     """Ranks starting at 1; ties share their average rank."""
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(values.shape[0])
-    sorted_values = values[order]
-    start = 0
-    while start < len(sorted_values):
-        stop = start
-        while stop + 1 < len(sorted_values) and sorted_values[stop + 1] == sorted_values[start]:
-            stop += 1
-        # Average of the occupied rank positions start+1 .. stop+1.
-        ranks[order[start:stop + 1]] = (start + stop) / 2.0 + 1.0
-        start = stop + 1
-    return ranks
+    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True,
+                                   equal_nan=False)
+    stops = np.cumsum(counts) - 1
+    starts = stops - counts + 1
+    # Average of the occupied rank positions start+1 .. stop+1.
+    return ((starts + stops) / 2.0 + 1.0)[inverse]
 
 
 def spearman(x, y) -> float:

@@ -123,16 +123,6 @@ class BatchNorm:
     def frozen(self) -> bool:
         return not self.gamma.trainable
 
-    def forward(self, x: Tensor, training: bool) -> Tensor:
-        if self.frozen or not training:
-            return ad.batch_norm_given(
-                x, self.gamma, self.beta,
-                self.running_mean, self.running_var, self.EPS,
-            )
-        out, mu, var = ad.batch_norm_batch(x, self.gamma, self.beta, self.EPS)
-        self._track(mu, var)
-        return out
-
     def _track(self, mu: np.ndarray, var: np.ndarray) -> None:
         """Fold a training batch's statistics into the running ones."""
         m = self.MOMENTUM
@@ -140,7 +130,7 @@ class BatchNorm:
         self.running_var = (1.0 - m) * self.running_var + m * var
 
     def norm(self, training: bool) -> ad.Norm:
-        """This layer as the epilogue of the convolution node before it.
+        """This layer as the epilogue of a convolution node, or as its own node.
 
         Training a layer that is not frozen normalizes with the batch
         statistics and tracks them; evaluation and a frozen layer use the
@@ -373,7 +363,7 @@ class StgcnNetwork:
             # input is a constant, so it is rearranged outside the graph.
             h = Tensor(x.transpose(3, 1, 0, 4, 2).reshape(
                 vertices * channels, samples * slots, frames, 1))
-            h = self.input_bn.forward(h, training)
+            h = ad.batch_norm(h, self.input_bn.norm(training))
             # Channels first from here to the pooling: (C, N·M, T, V).
             h = ad.reshape(h, (vertices, channels, samples * slots, frames))
             h = ad.transpose(h, (1, 2, 3, 0))
@@ -411,10 +401,6 @@ class StgcnNetwork:
                 layers.append((f"blocks.{index}.{suffix}", bn))
         return layers
 
-    def zero_grad(self) -> None:
-        for tensor in self.parameters():
-            tensor.zero_grad()
-
     def state_arrays(self) -> dict[str, np.ndarray]:
         """Every persistent array: parameters plus running statistics."""
         state: dict[str, np.ndarray] = {
@@ -449,6 +435,7 @@ class StgcnNetwork:
             "in_channels": self.in_channels,
             "channel_plan": [list(pair) for pair in self.channel_plan],
             "person_pool": self.person_pool,
+            "zero_confidence": self.zero_confidence,
         }
 
 
@@ -592,14 +579,16 @@ def load_weights(
     """Load a checkpoint into a network, matching arrays by name.
 
     The checkpoint's ``meta`` must equal the network's in every key but
-    ``num_classes``: a channel plan or person pool that differs changes the
-    logits without changing a single array shape. Every array must exist on
-    both sides with an equal shape, except that with ``strict_head`` off
-    the classifier head may disagree in shape and is then left at its
-    current values (the transfer-learning entry point). Returns the names
-    of skipped arrays.
+    ``num_classes``: a channel plan, person pool or ``zero_confidence`` that
+    differs changes the logits without changing a single array shape. A
+    checkpoint from before ``zero_confidence`` was recorded reads as false.
+    Every array must exist on both sides with an equal shape, except that
+    with ``strict_head`` off the classifier head may disagree in shape and
+    is then left at its current values (the transfer-learning entry point).
+    Returns the names of skipped arrays.
     """
     meta, arrays = read_checkpoint(path)
+    meta.setdefault("zero_confidence", False)
     for key, expected in net.meta().items():
         if key != "num_classes" and meta.get(key) != expected:
             raise CheckpointError(

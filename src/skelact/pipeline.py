@@ -145,9 +145,7 @@ def pad_sequence(seq: SkeletonSequence, target_frames: int) -> SkeletonSequence:
         raise ConfigurationError(
             f"target_frames: must be positive, got {target_frames}"
         )
-    if target_frames == seq.frame_count:
-        return seq.copy()
-    if target_frames < seq.frame_count:
+    if target_frames <= seq.frame_count:
         return seq.replace_data(seq.data[:target_frames].copy())
     tail = np.zeros(
         (target_frames - seq.frame_count,) + seq.data.shape[1:]
@@ -192,10 +190,8 @@ def random_frame_window(
         )
     start = int(rng.integers(0, total - window + 1))
     data = np.zeros_like(seq.data)
-    if pad_position == "tail":
-        data[:window] = seq.data[start:start + window]
-    else:
-        data[total - window:] = seq.data[start:start + window]
+    offset = 0 if pad_position == "tail" else total - window
+    data[offset:offset + window] = seq.data[start:start + window]
     return seq.replace_data(data)
 
 
@@ -243,24 +239,20 @@ def random_move(
     """
     params.validate()
     anchors = params.anchors
-    angles = rng.uniform(-params.rotation, params.rotation, anchors)
-    scales = rng.uniform(params.scale_min, params.scale_max, anchors)
-    shifts_x = rng.uniform(-params.translation, params.translation, anchors)
-    shifts_y = rng.uniform(-params.translation, params.translation, anchors)
+    ranges = ((-params.rotation, params.rotation),
+              (params.scale_min, params.scale_max),
+              (-params.translation, params.translation),
+              (-params.translation, params.translation))
+    draws = [rng.uniform(low, high, anchors) for low, high in ranges]
 
     total = seq.frame_count
     if anchors == 1 or total == 1:
-        frame_angles = np.full(total, angles[0])
-        frame_scales = np.full(total, scales[0])
-        frame_sx = np.full(total, shifts_x[0])
-        frame_sy = np.full(total, shifts_y[0])
+        per_frame = [np.full(total, values[0]) for values in draws]
     else:
         positions = np.linspace(0.0, max(total - 1, 0), anchors)
         frames = np.arange(total, dtype=np.float64)
-        frame_angles = np.interp(frames, positions, angles)
-        frame_scales = np.interp(frames, positions, scales)
-        frame_sx = np.interp(frames, positions, shifts_x)
-        frame_sy = np.interp(frames, positions, shifts_y)
+        per_frame = [np.interp(frames, positions, values) for values in draws]
+    frame_angles, frame_scales, frame_sx, frame_sy = per_frame
 
     cos = np.cos(frame_angles)
     sin = np.sin(frame_angles)

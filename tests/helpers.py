@@ -321,15 +321,18 @@ def oracle_block(block, x, adjacency, training, rng=None):
     return add_relu(y, shortcut)
 
 
-def rewrite_checkpoint(source, target, fmt, extra):
-    """Copy a checkpoint file with its header's format set to ``fmt`` and the
-    float64 arrays in ``extra`` (name -> array) appended, following the
-    documented layout: magic, uint64 header length, JSON header, payload."""
+def rewrite_checkpoint(source, target, fmt, extra, meta=None):
+    """Copy a checkpoint file with its header's format set to ``fmt``, its
+    meta replaced by ``meta`` if given, and the float64 arrays in ``extra``
+    (name -> array) appended, following the documented layout: magic, uint64
+    header length, JSON header, payload."""
     raw = Path(source).read_bytes()
     start = 16
     end = start + struct.unpack_from("<Q", raw, 8)[0]
     header = json.loads(raw[start:end])
     header["format"] = fmt
+    if meta is not None:
+        header["meta"] = meta
     payload = raw[end:]
     for name, value in extra.items():
         header["arrays"].append({"name": name, "shape": list(value.shape),

@@ -364,6 +364,20 @@ def test_eval_layout_mismatch_exits_2(workspace, capsys):
     assert not (workspace / "x").exists()
 
 
+def test_eval_zero_confidence_mismatch_exits_2(workspace, capsys):
+    # The run1 checkpoint was trained on all three channels.
+    doc = json.loads((workspace / "run.json").read_text())
+    doc["model"]["zero_confidence"] = True
+    config = workspace / "zero_confidence.json"
+    config.write_text(json.dumps(doc))
+    assert main(["eval", "--config", str(config),
+                 "--checkpoint", str(workspace / "run1" / "checkpoint.ckpt"),
+                 "--split", str(workspace / "split"),
+                 "--out", str(workspace / "x")]) == 2
+    assert "checkpoint zero_confidence is False" in capsys.readouterr().err
+    assert not (workspace / "x").exists()
+
+
 def test_eval_rejects_a_format_2_checkpoint_with_a_conv_bias(workspace, tmp_path,
                                                            capsys):
     # Format 2 has no conv biases; only a format-1 file's are folded away.

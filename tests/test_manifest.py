@@ -1,5 +1,6 @@
 """Dataset manifests, protocol selection, and split persistence."""
 import json
+import re
 
 import pytest
 
@@ -347,6 +348,31 @@ def test_manifest_rejects_a_non_number_fps(tmp_path):
         with pytest.raises(ConfigurationError,
                            match=r"records\[s1\]\.fps: expected a number"):
             DatasetManifest.load(path)
+
+
+# A value of another JSON type in each string field, and the field the
+# error names. Converted with str(), each would have loaded or failed
+# later under another message; "wave" made the four classes w, a, v, e.
+NON_STRING_FIELDS = {
+    "sample_id": ({"records": [record_entry(sample_id=7)]}, "records[0].sample_id"),
+    "class_name": ({"records": [record_entry(class_name=["a"])]},
+                   "records[0].class_name"),
+    "performer": ({"records": [record_entry(performer=None)]}, "records[0].performer"),
+    "keypoint_path": ({"records": [record_entry(keypoint_path=5)]},
+                      "records[0].keypoint_path"),
+    "layout": ({"layout": [COCO18]}, "layout"),
+    "classes": ({"classes": "wave"}, "classes"),
+    "class_table_entry": ({"classes": ["a", 7]}, "classes[1]"),
+}
+
+
+@pytest.mark.parametrize("case", NON_STRING_FIELDS)
+def test_manifest_load_rejects_a_field_that_is_not_a_string(case, tmp_path):
+    edit, field = NON_STRING_FIELDS[case]
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({"classes": ["a"], "records": [record_entry()], **edit}))
+    with pytest.raises(ConfigurationError, match=re.escape(f"{field}: expected a")):
+        DatasetManifest.load(path)
 
 
 def test_saved_relative_keypoint_paths_resolve_from_the_new_file(

@@ -13,6 +13,7 @@ from skelact import (
     CheckpointError,
     ConfigurationError,
     ModelConfig,
+    SGD,
     SequenceDataset,
     SkeletonGraph,
     TrainConfig,
@@ -44,6 +45,7 @@ from skelact.model import (
     StgcnNetwork,
 )
 from helpers import (
+    _oracle_norm,
     max_rel_err,
     motion_dataset,
     numeric_grad,
@@ -152,7 +154,7 @@ def unfused_logits(net, x):
     samples, channels, frames, vertices, slots = x.shape
     h = Tensor(x.transpose(3, 1, 0, 4, 2).reshape(
         vertices * channels, samples * slots, frames, 1))
-    h = net.input_bn.forward(h, training=False)
+    h = _oracle_norm(net.input_bn, h, training=False)
     h = transpose(reshape(h, (vertices, channels, samples * slots, frames)),
                   (1, 2, 3, 0))
     for block in net.blocks:
@@ -175,33 +177,20 @@ RESIDUAL_KINDS = {"identity": (8, 1, True), "project": (4, 2, True),
                   "none": (4, 1, False)}
 
 
-@pytest.mark.parametrize("in_channels,stride,residual", RESIDUAL_KINDS.values(),
-                         ids=RESIDUAL_KINDS.keys())
-def test_folded_eval_block_matches_the_unfused_batch_norm_chain(
-        in_channels, stride, residual):
-    block = perturbed_block(in_channels, stride, residual)
-    assert block.residual == {True: "identity" if stride == 1 else "project",
-                              False: "none"}[residual]
-    adjacency = small_adjacency().matrices
-    x = Tensor(np.random.default_rng(32).uniform(-1.0, 1.0, (in_channels, 2, 7, 5)))
-    expected = oracle_block(block, x, adjacency, training=False).data
-    out = block.forward(x, adjacency, training=False, rng=None)
-    assert out.is_leaf and out.grad is None
-    assert (expected > 0).mean() > 0.2
-    assert np.abs(out.data - expected).max() <= 1e-14 * np.abs(expected).max()
-
-
 @pytest.mark.parametrize("frames", [6, 7])
 @pytest.mark.parametrize("in_channels,stride,residual", RESIDUAL_KINDS.values(),
                          ids=RESIDUAL_KINDS.keys())
-def test_eval_block_has_the_bits_of_the_folded_chain(in_channels, stride, residual,
-                                                     frames):
+def test_eval_block_has_the_bits_of_the_unfused_chain(in_channels, stride, residual,
+                                                      frames):
     block = perturbed_block(in_channels, stride, residual)
+    assert block.residual == {True: "identity" if stride == 1 else "project",
+                              False: "none"}[residual]
     adjacency = small_adjacency().matrices
     x = Tensor(np.random.default_rng(33).uniform(-1.0, 1.0,
                                                  (in_channels, 2, frames, 5)))
     expected = oracle_block(block, x, adjacency, training=False).data
     out = block.forward(x, adjacency, training=False, rng=None)
+    assert out.is_leaf and out.grad is None
     assert (expected > 0).mean() > 0.2
     assert out.data.tobytes() == expected.tobytes()
 
@@ -390,11 +379,13 @@ def test_training_forward_of_the_paper_plan_holds_what_backward_needs():
     assert held <= 130 * 2**20
 
 
-def test_folded_eval_network_matches_the_unfused_batch_norm_chain():
+def test_eval_network_has_the_bits_of_the_unfused_chain():
+    # At 9 frames a weight fold, which scaled each weight by its batch
+    # norm's factor, differs from this chain in the last bits.
     net = small_net(seed=4)
     rng = np.random.default_rng(32)
     perturb_batch_norms([bn for _, bn in net.batch_norm_layers()], rng)
-    x = small_input(rng)
+    x = small_input(rng, frames=9)
     expected = unfused_logits(net, x)
     logits = net.forward(x)
     assert logits.data.tobytes() == expected.tobytes()
@@ -437,6 +428,54 @@ def test_block_forward_builds_two_nodes_four_with_a_strided_projection(
     monkeypatch.setattr(Tensor, "__init__", counting)
     block.forward(x, adjacency, training=True, rng=None)
     assert len(built) == nodes
+
+
+def test_feature_extraction_training_forward_records_only_the_head(monkeypatch):
+    # Only the classifier trains, so the ops before it take no trainable
+    # operand and return bare leaves: the graph is the head's two nodes.
+    net = small_net()
+    set_trainable(net, "feature_extraction")
+    recorded = []
+    init = Tensor.__init__
+
+    def recording(tensor, *args, **kwargs):
+        init(tensor, *args, **kwargs)
+        if not tensor.is_leaf:
+            recorded.append(tensor)
+
+    monkeypatch.setattr(Tensor, "__init__", recording)
+    logits = net.forward(small_input(np.random.default_rng(15)), training=True)
+    assert len(recorded) == 2 and recorded[-1] is logits
+    logits.backward(np.ones(logits.shape))
+    assert np.abs(net.fc_weight.grad).max() > 0.0
+
+
+def test_fine_tune_training_forward_keeps_no_array_of_a_frozen_block(monkeypatch):
+    # Blocks 0 and 1 are frozen. Of every array built before block 2 runs,
+    # only block 1's output, the input block 2 trains on, outlives the
+    # forward.
+    net = StgcnNetwork(small_adjacency(), 3, channel_plan=((4, 1), (4, 1), (8, 2)))
+    set_trainable(net, "fine_tune")
+    built, frozen, trained_input = [], [], []
+    init = Tensor.__init__
+
+    def watched(tensor, *args, **kwargs):
+        init(tensor, *args, **kwargs)
+        built.append(weakref.ref(tensor.data))
+
+    last = net.blocks[-1]
+
+    def last_block(x, *args):
+        frozen.extend(built)
+        trained_input.append(x.data)
+        return StgcnBlock.forward(last, x, *args)
+
+    monkeypatch.setattr(Tensor, "__init__", watched)
+    monkeypatch.setattr(last, "forward", last_block, raising=False)
+    logits = net.forward(small_input(np.random.default_rng(16)), training=True)
+    assert not logits.is_leaf and len(frozen) == 8
+    alive = [ref() for ref in frozen if ref() is not None]
+    assert len(alive) == 1 and alive[0] is trained_input.pop()
 
 
 # ----------------------------------------------------------------- structure
@@ -551,8 +590,9 @@ def test_backward_needs_a_forward_first():
     logits.backward(np.ones(logits.shape))
     fc = net.named_parameters()["fc.weight"]
     assert not (fc.grad == 0.0).all()
-    net.zero_grad()
-    assert (fc.grad == 0.0).all()
+    before = fc.data.copy()
+    SGD(net.parameters()).step(0.0)
+    assert (fc.grad == 0.0).all() and np.array_equal(fc.data, before)
 
 
 def test_previous_step_graph_is_gone_when_the_next_training_forward_starts():
@@ -596,7 +636,7 @@ def test_training_forward_folds_the_batch_statistics_in_with_momentum():
     bn.running_var = rng.uniform(0.5, 2.0, 3)
     old_mean, old_var = bn.running_mean.copy(), bn.running_var.copy()
     x = rng.uniform(-1.0, 3.0, (3, 4, 5, 2))
-    bn.forward(Tensor(x), training=True)
+    ad.batch_norm(Tensor(x), bn.norm(training=True))
     assert np.array_equal(bn.running_mean,
                           0.9 * old_mean + 0.1 * x.mean(axis=(1, 2, 3)))
     assert np.array_equal(bn.running_var,
@@ -900,6 +940,20 @@ def test_a_format_1_checkpoint_loads_with_its_conv_biases_folded_away(tmp_path):
     assert again.forward(x).data.tobytes() == logits.tobytes()
 
 
+def test_a_checkpoint_without_zero_confidence_reads_as_false(tmp_path):
+    # Checkpoints written before the key existed, format1.ckpt among them,
+    # load into a network without zero_confidence and no other.
+    net = small_net(seed=2)
+    saved, old = tmp_path / "net.ckpt", tmp_path / "old.ckpt"
+    save_weights(net, saved)
+    assert read_checkpoint(saved)[0]["zero_confidence"] is False
+    meta = {k: v for k, v in net.meta().items() if k != "zero_confidence"}
+    rewrite_checkpoint(saved, old, 2, {}, meta=meta)
+    assert load_weights(small_net(), old) == []
+    with pytest.raises(CheckpointError, match="checkpoint zero_confidence is False"):
+        load_weights(small_net(zero_confidence=True), old)
+
+
 def test_a_format_1_bias_folds_into_the_running_mean_after_it(tmp_path):
     net = small_net()
     net.blocks[1].bn2.running_mean = np.linspace(-1.0, 1.0, 8)
@@ -969,4 +1023,5 @@ def test_meta_reports_the_structure():
         "in_channels": 3,
         "channel_plan": [[4, 1], [8, 2]],
         "person_pool": "mean",
+        "zero_confidence": False,
     }
