@@ -177,14 +177,30 @@ RESIDUAL_KINDS = {"identity": (8, 1, True), "project": (4, 2, True),
                   "none": (4, 1, False)}
 
 
-@pytest.mark.parametrize("frames", [6, 7])
+# "Folded" names the eval block's batch norms, run as the epilogues of
+# their convolutions; the oracle runs each batch norm as its own node.
 @pytest.mark.parametrize("in_channels,stride,residual", RESIDUAL_KINDS.values(),
                          ids=RESIDUAL_KINDS.keys())
-def test_eval_block_has_the_bits_of_the_unfused_chain(in_channels, stride, residual,
-                                                      frames):
+def test_folded_eval_block_matches_the_unfused_batch_norm_chain(
+        in_channels, stride, residual):
     block = perturbed_block(in_channels, stride, residual)
     assert block.residual == {True: "identity" if stride == 1 else "project",
                               False: "none"}[residual]
+    adjacency = small_adjacency().matrices
+    x = Tensor(np.random.default_rng(32).uniform(-1.0, 1.0, (in_channels, 2, 7, 5)))
+    expected = oracle_block(block, x, adjacency, training=False).data
+    out = block.forward(x, adjacency, training=False, rng=None)
+    assert out.is_leaf and out.grad is None
+    assert (expected > 0).mean() > 0.2
+    assert np.abs(out.data - expected).max() <= 1e-14 * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("frames", [6, 7])
+@pytest.mark.parametrize("in_channels,stride,residual", RESIDUAL_KINDS.values(),
+                         ids=RESIDUAL_KINDS.keys())
+def test_eval_block_has_the_bits_of_the_folded_chain(in_channels, stride, residual,
+                                                     frames):
+    block = perturbed_block(in_channels, stride, residual)
     adjacency = small_adjacency().matrices
     x = Tensor(np.random.default_rng(33).uniform(-1.0, 1.0,
                                                  (in_channels, 2, frames, 5)))
