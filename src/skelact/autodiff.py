@@ -10,7 +10,15 @@ trainable leaf or a recorded node returns such a leaf too, since no
 gradient through it reaches a trainable tensor: frozen layers record
 nothing. Only the operations the network actually needs exist here, each
 with an exact analytic gradient; there is no graph optimization, no dtype
-besides float64, and no in-place arithmetic on tracked values.
+besides float64, and no in-place arithmetic on tracked values but one:
+``temporal_conv``'s prologue normalizes its input over the input's own
+array.
+
+An ST-GCN block is two nodes. ``graph_conv`` returns its raw channel mix.
+``temporal_conv`` runs bn1 and a ReLU on that mix as its prologue, into a
+zero-bordered buffer it convolves and drops, and bn2, dropout, the
+residual add and ReLU as its epilogue. The prologue may write over its
+input because ``graph_conv``'s backward never reads its output.
 
 Leaf gradients accumulate into ``Tensor.grad`` buffers. Leaf tensors
 marked non-trainable (inputs, frozen weights) keep their gradient buffer
@@ -60,7 +68,7 @@ class Tensor:
 
     def __init__(self, data, trainable=False, parents=(), backward_fn=None):
         recording = _recording.get() and (
-            not parents or any(p.trainable or p._parents for p in parents))
+            not parents or any(_needs_grad(p) for p in parents))
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = np.zeros_like(self.data) if recording and not parents else None
         self.trainable = bool(trainable)
@@ -128,6 +136,11 @@ def _topological_order(root: Tensor) -> list[Tensor]:
                 stack.append((parent, False))
     order.reverse()
     return order
+
+
+def _needs_grad(tensor: Tensor) -> bool:
+    """Whether a gradient handed to ``tensor`` reaches a trainable leaf."""
+    return tensor.trainable or bool(tensor._parents)
 
 
 def _accumulate(tensor: Tensor, grad: np.ndarray) -> None:
@@ -277,7 +290,8 @@ def temporal_subsample(x: Tensor, stride: int) -> Tensor:
 
 
 _BN_AXES = (1, 2, 3)
-# Bytes of the buffer ``_channel_sum`` multiplies whole channel rows into.
+# Bytes of the buffer ``_channel_sum`` and ``_rectified_affine`` compute
+# whole channel rows into.
 _PRODUCT_BYTES = 1 << 18
 
 
@@ -305,6 +319,27 @@ def _channel_sum(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
     return total
 
 
+def _rectified_affine(x: np.ndarray, a: np.ndarray, b: np.ndarray,
+                      dest: np.ndarray) -> None:
+    """Write ``max(x * a + b, 0)`` to ``dest`` for a (C, B, T, V) ``x`` and
+    per-channel (C, 1, 1, 1) ``a`` and ``b``.
+
+    The multiply and add run a few whole channels at a time in a
+    contiguous buffer of at most ``_PRODUCT_BYTES`` (one channel if a
+    channel is larger), so only the ReLU writes to ``dest``, which may be
+    a strided view; numpy runs elementwise ops on strided operands at a
+    fraction of their contiguous rate. Each element has the bits of
+    ``np.maximum(x * a + b, 0)``.
+    """
+    step = max(1, _PRODUCT_BYTES // x[0].nbytes)
+    buffer = np.empty((min(step, len(x)),) + x.shape[1:])
+    for start in range(0, len(x), step):
+        stop = min(start + step, len(x))
+        part = np.multiply(x[start:stop], a[start:stop], out=buffer[:stop - start])
+        part += b[start:stop]
+        np.maximum(part, 0.0, out=dest[start:stop])
+
+
 def _dropout_mask(shape: tuple[int, ...], rate: float, rng) -> tuple[np.ndarray, float]:
     """Inverted dropout as a bool keep mask and one scale, 1 / (1 - rate).
 
@@ -328,7 +363,8 @@ def _bordered(shape: tuple[int, ...], pad: int) -> np.ndarray:
 
 
 class Norm(NamedTuple):
-    """A batch norm run as the epilogue of the node before it.
+    """A batch norm run inside a node: as the epilogue of its output or,
+    in ``temporal_conv``, as the prologue of its input.
 
     With ``running`` None it normalizes with the batch's own mean and
     biased variance and hands them, (C,) each, to ``track``. A
@@ -358,9 +394,11 @@ class _Epilogue:
     ones the input while gamma trains and a graph is recorded, and the
     dropout mask. ReLU keeps no mask: the backward reads where the
     rectified result is > 0, which is where its input was, NaN and both
-    zeros giving False either way. The result is the node's output or a
-    buffer the next node reads, so it stays alive, and nothing writes into
-    it once the node has returned.
+    zeros giving False either way. The result is the node's output, so it
+    stays alive, and nothing writes into it once the node has returned.
+
+    ``fit``, ``rectify`` and ``normalize_backward`` are the batch norm
+    and a ReLU alone, for a prologue.
     """
 
     def __init__(self, norm: Norm | None = None, dropout: float = 0.0, rng=None,
@@ -369,57 +407,73 @@ class _Epilogue:
         self.dropout, self.rng, self.relu = dropout, rng, relu
         self.centered = self.source = self.keep = self.rectified = None
 
-    def apply(self, out: np.ndarray, dest: np.ndarray | None = None) -> np.ndarray:
+    def apply(self, out: np.ndarray) -> np.ndarray:
         """Run the tail on ``out``, the caller's fresh array, and return the result.
 
-        The result is written to ``dest`` if given. Otherwise it goes over
-        ``out`` when no backward reads ``out``, and to a new array when one
-        does.
+        The result goes over ``out`` when no backward reads ``out``, and to
+        a new array when one does.
         """
-        result = out if self.norm is None else self._normalize(out, dest)
+        result = out if self.norm is None else self.normalize(out)
         if self.dropout:
             self.keep, self.scale = _dropout_mask(result.shape, self.dropout, self.rng)
             result *= self.keep
             result *= self.scale
         if self.shortcut is not None:
             result += self.shortcut.data
-        if dest is None:
-            dest = result
         if self.relu:
-            self.rectified = np.maximum(result, 0.0, out=dest)
-        elif dest is not result:
-            dest[...] = result
-        return dest
+            self.rectified = np.maximum(result, 0.0, out=result)
+        return result
 
-    def _normalize(self, out, dest) -> np.ndarray:
+    def normalize(self, out: np.ndarray) -> np.ndarray:
+        """Batch-normalize ``out`` and return the result: ``out`` itself
+        if the map ran over it in place (see ``fit``), else a new array."""
+        self.fit(out)
+        if self.in_place:
+            return out
+        result = np.multiply(out, self.a)
+        result += self.b
+        return result
+
+    def fit(self, out: np.ndarray) -> None:
+        """Find the batch norm's map ``x * a + b`` for ``out``.
+
+        With batch statistics ``out`` is centered in place, and the map
+        reads it from there. With fixed ones the map runs over ``out`` in
+        place, contiguous (``in_place``), unless the backward reads ``out``
+        because gamma trains in a recorded graph.
+        """
         norm = self.norm
         gamma, shift = _per_channel(norm.gamma.data), _per_channel(norm.beta.data)
+        self.in_place = False
         if norm.running is None:
             mu = out.mean(axis=_BN_AXES, keepdims=True)
             centered = np.subtract(out, mu, out=out)
             var = _channel_sum(centered, centered) / (centered.size // centered.shape[0])
             self.inv_std = 1.0 / _per_channel(np.sqrt(var + norm.eps))
-            self.a = gamma * self.inv_std
+            self.a, self.b = gamma * self.inv_std, shift
             self.centered = centered
             if norm.track is not None:
                 norm.track(mu.reshape(-1), var)
-            result = np.multiply(centered, self.a, out=dest)
-            result += shift
-            return result
+            return
         mean, var = (np.asarray(s, dtype=np.float64) for s in norm.running)
         self.mu = _per_channel(mean)
         self.inv_std = _per_channel(1.0 / np.sqrt(var + norm.eps))
         self.a = gamma * self.inv_std
-        b = shift - self.mu * self.a
-        # Unless the backward reads ``out``, the map runs over it in place,
-        # contiguous, and ``apply`` writes the finished tail to ``dest``.
+        self.b = shift - self.mu * self.a
         if norm.gamma.trainable and _recording.get():
             self.source = out
+            return
+        out *= self.a
+        out += self.b
+        self.in_place = True
+
+    def rectify(self, out: np.ndarray, dest: np.ndarray) -> None:
+        """Write the ReLU of the batch norm's result to ``dest``, from what
+        ``fit`` left in ``out``; every call writes the same bits."""
+        if self.in_place:
+            np.maximum(out, 0.0, out=dest)
         else:
-            dest = out
-        result = np.multiply(out, self.a, out=dest)
-        result += b
-        return result
+            _rectified_affine(out, self.a, self.b, dest)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         """The gradient of the array ``apply`` ran on.
@@ -439,10 +493,12 @@ class _Epilogue:
             grad *= self.scale
             writable = True
         if self.norm is not None:
-            grad = self._normalize_backward(grad, writable)
+            grad = self.normalize_backward(grad, writable)
         return grad
 
-    def _normalize_backward(self, grad, writable) -> np.ndarray:
+    def normalize_backward(self, grad: np.ndarray, writable: bool) -> np.ndarray:
+        """The gradient of the batch norm's input; ``grad`` is overwritten
+        if ``writable``."""
         gamma, beta, a, inv_std = self.norm.gamma, self.norm.beta, self.a, self.inv_std
         if self.centered is None:
             # Fixed statistics: the map is x * a + b.
@@ -495,7 +551,7 @@ def temporal_conv(
     kernel: Tensor,
     stride: int = 1,
     *,
-    padded: bool = False,
+    prologue: Norm | None = None,
     norm: Norm | None = None,
     dropout: float = 0.0,
     rng: np.random.Generator | None = None,
@@ -506,10 +562,23 @@ def temporal_conv(
 
     ``kernel`` has shape (C, K) with K odd; the input is zero padded by
     (K - 1) / 2 on both sides, so with stride 1 the frame count is
-    preserved and with stride s it becomes ceil(T / s). With ``padded``
-    the input already carries that zero border, as ``graph_conv(pad=...)``
-    writes it, and is read in place; the border is padding, not input, so
-    the input gradient covers the inner frames only.
+    preserved and with stride s it becomes ceil(T / s).
+
+    With ``prologue``, batch norm ``prologue`` and a ReLU run on the input
+    before the convolution. The batch norm runs over the input's own
+    array: the batch mean is subtracted in place, and the fixed map
+    ``x * a + b`` runs in place unless gamma trains in a recorded graph.
+    So the input's data must be an array no one reads afterwards, as
+    ``graph_conv``'s output is: that op's backward never reads it, and
+    under ``no_grad`` nothing does.
+
+    The padded input, rectified if there is a prologue, goes to a
+    zero-bordered buffer the node owns and drops once it has convolved;
+    only the prologue's ReLU writes into it (``_rectified_affine``). The
+    backward pass builds the buffer again from what the forward left in
+    the input's array, by the same operations, so with the same bits, for
+    the kernel gradient and the ReLU mask, and then reuses it for the
+    stride-dilated output gradient.
 
     The epilogue runs in this node, in order: batch norm ``norm``,
     inverted dropout at rate ``dropout`` drawn from ``rng``, the
@@ -531,39 +600,52 @@ def temporal_conv(
         raise ConfigurationError(f"stride: must be positive, got {stride}")
 
     _, batch, frames, vertices = x.data.shape
-    pad = (taps - 1) // 2
-    if padded:
-        frames -= 2 * pad
-        if frames < 1:
-            raise ConfigurationError(
-                f"padded input has {x.data.shape[2]} frames, needs more than {2 * pad}"
-            )
-        padded_data = x.data
-    else:
-        padded_data = _bordered((channels, batch, frames + 2 * pad, vertices), pad)
-        padded_data[:, :, pad:pad + frames] = x.data
-    out_data = _correlate(padded_data, kernel.data, stride)
-    if shortcut is not None and shortcut.data.shape != out_data.shape:
+    out_shape = (channels, batch, -(-frames // stride), vertices)
+    if shortcut is not None and shortcut.data.shape != out_shape:
         raise ConfigurationError(
-            f"shortcut has shape {shortcut.data.shape}, output has {out_data.shape}"
+            f"shortcut has shape {shortcut.data.shape}, output has {out_shape}"
         )
+    pad = (taps - 1) // 2
+    entry = None if prologue is None else _Epilogue(prologue)
+
+    def padded_input() -> np.ndarray:
+        # The array the kernel slides over: the input, or its rectified
+        # batch norm, inside a zero border.
+        padded = _bordered((channels, batch, frames + 2 * pad, vertices), pad)
+        inner = padded[:, :, pad:pad + frames]
+        if entry is None:
+            inner[...] = x.data
+        else:
+            entry.rectify(x.data, inner)
+        return padded
+
+    if entry is not None:
+        entry.fit(x.data)
+    out_data = _correlate(padded_input(), kernel.data, stride)
     epilogue = _Epilogue(norm, dropout, rng, shortcut, relu)
     out_data = epilogue.apply(out_data)
 
     def backward_fn(grad):
         grad = epilogue.backward(grad)
-        windows = _tap_windows(padded_data, taps, stride)
+        padded = padded_input()
+        inner = padded[:, :, pad:pad + frames]
+        windows = _tap_windows(padded, taps, stride)
         _accumulate(kernel, np.einsum("cbktv,cbtv->ck", windows, grad))
-        # Stride 1 writes every inner frame; a larger stride leaves gaps
-        # that must be zero too.
-        if stride == 1:
-            dilated = _bordered(padded_data.shape, pad)
-        else:
-            dilated = np.zeros_like(padded_data)
-        dilated[:, :, pad:pad + stride * grad.shape[2]:stride] = grad
-        _accumulate(x, _correlate(dilated, kernel.data[:, ::-1], 1))
+        positive = None if entry is None else inner > 0.0
+        # The buffer becomes the dilated gradient: its border is zero, stride
+        # 1 writes every inner frame, and a larger stride leaves gaps that
+        # must be zero too.
+        if stride > 1:
+            inner[...] = 0.0
+        padded[:, :, pad:pad + stride * grad.shape[2]:stride] = grad
+        grad_x = _correlate(padded, kernel.data[:, ::-1], 1)
+        if entry is not None:
+            grad_x *= positive
+            grad_x = entry.normalize_backward(grad_x, writable=True)
+        _accumulate(x, grad_x)
 
-    return Tensor(out_data, parents=(x, kernel) + epilogue.parents(),
+    parents = (x, kernel) + (() if entry is None else entry.parents())
+    return Tensor(out_data, parents=parents + epilogue.parents(),
                   backward_fn=backward_fn)
 
 
@@ -572,10 +654,6 @@ def graph_conv(
     adjacency: np.ndarray,
     weights: list[Tensor],
     masks: list[Tensor],
-    *,
-    norm: Norm | None = None,
-    relu: bool = False,
-    pad: int = 0,
 ) -> Tensor:
     """Spatial graph convolution over the joint axis of a (C, B, T, V) tensor.
 
@@ -594,13 +672,12 @@ def graph_conv(
     aggregate, 3x the input for K = 3, is freed as soon as the output is
     mixed, and the backward pass builds it again from the input by the
     same matmuls, so with the same bits, for the weight gradient. The
-    weight and aggregate gradients are one GEMM each over the whole batch.
+    weight and aggregate gradients are one GEMM each over the whole batch;
+    the input gradient, K more products, is computed only if a gradient
+    of the input reaches a trainable tensor.
 
-    Batch norm ``norm`` and ReLU run as the node's epilogue. With ``pad``
-    the output gets ``pad`` zero frames on both sides of the frame axis,
-    written in place of a copy, for ``temporal_conv(padded=True)``. The
-    border is constant, so the gradient handed back may cover the inner
-    frames only, as that op's does.
+    The backward pass never reads the output, so the next node may write
+    over it, as ``temporal_conv``'s prologue does.
     """
     x = _as_tensor(x)
     partitions = len(adjacency)
@@ -610,8 +687,6 @@ def graph_conv(
         )
     if x.data.ndim != 4:
         raise ConfigurationError("graph_conv expects a (C, B, T, V) input")
-    if pad < 0:
-        raise ConfigurationError(f"pad: must be non-negative, got {pad}")
     channels, batch, frames, vertices = x.data.shape
     gated = [a * m.data for a, m in zip(adjacency, masks)]
     stacked = np.stack([w.data for w in weights]).reshape(partitions * channels, -1)
@@ -626,32 +701,21 @@ def graph_conv(
             np.matmul(columns, gated[k], out=out[k])
         return out.reshape(partitions * channels, batch * frames * vertices)
 
-    # The aggregate dies with this product, before the bordered output is
-    # allocated, so the two are never alive at once.
     out_data = (stacked.T @ aggregate()).reshape(out_channels, batch, frames, vertices)
-    epilogue = _Epilogue(norm, relu=relu)
-    if pad:
-        bordered = _bordered((out_channels, batch, frames + 2 * pad, vertices), pad)
-        epilogue.apply(out_data, bordered[:, :, pad:pad + frames])
-        out_data = bordered
-    else:
-        out_data = epilogue.apply(out_data)
 
     def backward_fn(grad):
-        if grad.shape[2] != frames:
-            grad = grad[:, :, pad:pad + frames]
-        grad = epilogue.backward(grad)
         grad_flat = grad.reshape(out_channels, batch * frames * vertices)
         grad_stacked = aggregate() @ grad_flat.T
         grad_aggregated = (stacked @ grad_flat).reshape(
             partitions, channels * batch * frames, vertices
         )
         by_channel = columns.reshape(channels, -1, vertices).transpose(0, 2, 1)
+        needs_input = _needs_grad(x)
         for k in range(partitions):
             slab = grad_aggregated[k]
-            if k == 0:
+            if needs_input and k == 0:
                 grad_columns = slab @ gated[k].T
-            else:
+            elif needs_input:
                 grad_columns += slab @ gated[k].T
             # One product per input channel, summed: a single (V, C·B·T)
             # @ (C·B·T, V) product runs BLAS at a fraction of its rate.
@@ -659,10 +723,10 @@ def graph_conv(
                                    slab.reshape(channels, -1, vertices)).sum(axis=0)
             _accumulate(weights[k], grad_stacked[k * channels:(k + 1) * channels])
             _accumulate(masks[k], grad_gated * adjacency[k])
-        _accumulate(x, grad_columns.reshape(x.data.shape))
+        if needs_input:
+            _accumulate(x, grad_columns.reshape(x.data.shape))
 
-    parents = (x, *weights, *masks) + epilogue.parents()
-    return Tensor(out_data, parents=parents, backward_fn=backward_fn)
+    return Tensor(out_data, parents=(x, *weights, *masks), backward_fn=backward_fn)
 
 
 def pointwise_conv(x: Tensor, weight: Tensor, *, norm: Norm | None = None) -> Tensor:

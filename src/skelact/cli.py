@@ -8,7 +8,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -321,7 +323,36 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# glibc's mallopt parameters and the values set for them. Temporaries
+# below 32 MiB come from the heap, not from a fresh mmap whose pages fault
+# in on every step; memory freed below the 2 GiB trim threshold, the
+# ceiling of mallopt's C int, stays with the process for the next step.
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
+ALLOCATOR_THRESHOLDS = ((M_MMAP_THRESHOLD, 32 << 20), (M_TRIM_THRESHOLD, 2**31 - 1))
+ALLOCATOR_VARIABLES = ("MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_")
+
+
+def set_allocator_thresholds() -> None:
+    """Set ``ALLOCATOR_THRESHOLDS`` through the C library's ``mallopt``.
+
+    Nothing changes where the C library has no ``mallopt``, or when the
+    user has set either of glibc's ``ALLOCATOR_VARIABLES``: then both
+    settings are theirs.
+    """
+    if any(name in os.environ for name in ALLOCATOR_VARIABLES):
+        return
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    for parameter, value in ALLOCATOR_THRESHOLDS:
+        mallopt(parameter, value)
+
+
 def main(argv=None) -> int:
+    set_allocator_thresholds()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -183,6 +183,16 @@ class DatasetManifest:
             raise ConfigurationError(f"manifest {path}: expected a JSON object")
         base = Path(path).parent
         try:
+            entries = doc.get("records", [])
+            if not isinstance(entries, list):
+                raise ConfigurationError(
+                    f"records: expected a list of objects, got {entries!r}"
+                )
+            for index, entry in enumerate(entries):
+                if not isinstance(entry, dict):
+                    raise ConfigurationError(
+                        f"records[{index}]: expected an object, got {entry!r}"
+                    )
             records = [
                 ManifestRecord(
                     sample_id=_string(entry["sample_id"], f"records[{index}].sample_id"),
@@ -196,7 +206,7 @@ class DatasetManifest:
                     image_size=tuple(entry["image_size"]),
                     fps=entry.get("fps", 30.0),
                 )
-                for index, entry in enumerate(doc.get("records", []))
+                for index, entry in enumerate(entries)
             ]
             classes = doc["classes"]
             if not isinstance(classes, list):

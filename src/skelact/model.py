@@ -11,9 +11,12 @@ channel mix is one GEMM over the batch and each batch-norm sum one row.
 Each block applies a spatial graph convolution (one weight matrix per
 adjacency partition, each partition gated by a learnable edge-importance
 mask), batch normalization, ReLU, a depthwise temporal convolution, batch
-normalization, and a residual connection. Channels widen and frames thin
-out along the stack; global average pooling and a linear head produce the
-class scores.
+normalization, and a residual connection. It runs as two autodiff nodes:
+the graph convolution, and the temporal convolution with the first batch
+norm and ReLU as its prologue and the rest as its epilogue. The prologue
+normalizes the graph convolution's output in place, which that node's
+backward never reads. Channels widen and frames thin out along the stack;
+global average pooling and a linear head produce the class scores.
 """
 from __future__ import annotations
 
@@ -203,20 +206,21 @@ class StgcnBlock:
     ) -> Tensor:
         """Run the block as two nodes, three or four with a projection.
 
-        Node A is the graph convolution with bn1 and ReLU as its epilogue;
-        it writes into the zero-bordered buffer that node B, the temporal
-        convolution, reads in place. B's epilogue is bn2, dropout, the
-        residual add and ReLU. Evaluation makes the same calls on the same
-        weights, with no dropout and every batch norm on its running
-        statistics, as a frozen layer in training; it records no graph, so
-        each norm writes over the convolution output in place.
+        Node A is the graph convolution; it returns the raw channel mix.
+        Node B, the temporal convolution, runs bn1 and ReLU on that mix as
+        its prologue, normalizing over A's output array in place, which is
+        safe because A's backward never reads its output. B writes the
+        rectified result into a zero-bordered buffer that it convolves and
+        drops; its backward builds the buffer again. B's epilogue is bn2,
+        dropout, the residual add and ReLU. Evaluation makes the same calls
+        on the same weights, with no dropout and every batch norm on its
+        running statistics, as a frozen layer in training; it records no
+        graph, so each norm writes over its input in place.
         """
         with nullcontext() if training else ad.no_grad():
-            h = ad.graph_conv(x, adjacency, self.gcn_weights, self.edge_masks,
-                              norm=self.bn1.norm(training), relu=True,
-                              pad=TEMPORAL_KERNEL // 2)
+            h = ad.graph_conv(x, adjacency, self.gcn_weights, self.edge_masks)
             return ad.temporal_conv(
-                h, self.tcn_kernel, self.stride, padded=True,
+                h, self.tcn_kernel, self.stride, prologue=self.bn1.norm(training),
                 norm=self.bn2.norm(training),
                 dropout=self.dropout if training else 0.0, rng=rng,
                 shortcut=self._shortcut(x, training), relu=True,

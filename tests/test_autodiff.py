@@ -13,6 +13,7 @@ from skelact.autodiff import (
     Norm,
     Tensor,
     add,
+    batch_norm,
     batch_norm_batch,
     batch_norm_given,
     dropout,
@@ -651,7 +652,8 @@ def test_batch_norm_rejects_non_4d_input():
 # ---------------------------------------------------------------- fused nodes
 
 def norm_leaves(rng, channels, batch_stats):
-    """A trainable batch norm epilogue, with batch or fixed statistics."""
+    """A trainable batch norm for a prologue or an epilogue, with batch or
+    fixed statistics."""
     gamma = Tensor(rng.uniform(0.5, 1.5, channels), trainable=True)
     beta = Tensor(rng.uniform(-0.5, 0.5, channels), trainable=True)
     running = None if batch_stats else (rng.uniform(-0.2, 0.2, channels),
@@ -660,18 +662,18 @@ def norm_leaves(rng, channels, batch_stats):
 
 
 def graph_conv_node(rng, in_channels, frames, batch_stats):
-    """Node A's operands and a call of it on them: graph conv, batch norm,
-    ReLU, written with a one-frame zero border."""
+    """Node A's operands, a call of it on them, and the batch norm the
+    temporal node's prologue runs on A's output before a ReLU."""
     adjacency = rng.uniform(0.0, 1.0, (3, 5, 5))
     x = channels_first(leaf(rng, (2, in_channels, frames, 5)))
     weights = [leaf(rng, (in_channels, 3)) for _ in range(3)]
     masks = [Tensor(rng.uniform(0.5, 1.5, (5, 5)), trainable=True) for _ in range(3)]
     norm = norm_leaves(rng, 3, batch_stats)
 
-    def node(relu_out=True):
-        return graph_conv(x, adjacency, weights, masks, norm=norm, relu=relu_out, pad=1)
+    def node():
+        return graph_conv(x, adjacency, weights, masks)
 
-    return node, [x, *weights, *masks, norm.gamma, norm.beta]
+    return node, norm, [x, *weights, *masks, norm.gamma, norm.beta]
 
 
 def squared_error(out, target):
@@ -682,24 +684,28 @@ def squared_error(out, target):
 # Seeds whose pre-activations all lie at least 0.02 from the ReLU kink.
 @pytest.mark.parametrize("batch_stats,seed", [(True, 60), (False, 62)],
                          ids=["batch_statistics", "fixed_statistics"])
-def test_graph_conv_node_with_batch_norm_relu_and_border_gradcheck(batch_stats, seed):
+def test_temporal_conv_prologue_on_the_graph_conv_node_gradcheck(batch_stats, seed):
+    # The prologue normalizes node A's output in place and rectifies it
+    # into a buffer with a one-frame zero border; backward rebuilds it.
     rng = np.random.default_rng(seed)
-    node, leaves = graph_conv_node(rng, 2, 3, batch_stats)
-    pre = node(relu_out=False).data
-    assert pre.shape == (3, 2, 5, 5)
-    assert not pre[:, :, [0, -1]].any()
-    assert np.abs(pre[:, :, 1:-1]).min() > 0.02
+    node, norm, leaves = graph_conv_node(rng, 2, 3, batch_stats)
+    pre = batch_norm(node(), norm).data
+    assert pre.shape == (3, 2, 3, 5)
+    assert np.abs(pre).min() > 0.02
+    kernel = leaf(rng, (3, 3))
     target = rng.uniform(-1.0, 1.0, pre.shape)
-    check_grads(lambda: squared_error(node(), target), leaves, tol=1e-3)
+    check_grads(lambda: squared_error(temporal_conv(node(), kernel, prologue=norm),
+                                      target), leaves + [kernel], tol=1e-3)
 
 
 @pytest.mark.parametrize("batch_stats,seed", [(True, 73), (False, 236)],
                          ids=["batch_statistics", "fixed_statistics"])
 def test_temporal_conv_node_fed_by_the_graph_conv_node_gradcheck(batch_stats, seed):
-    # Node B reads node A's bordered output in place, with dropout and a
-    # strided projection shortcut (its own node, batch norm as epilogue).
+    # Node B runs bn1 and ReLU on node A's output as its prologue, with
+    # dropout and a strided projection shortcut (its own node, batch norm
+    # as epilogue).
     rng = np.random.default_rng(seed)
-    node, leaves = graph_conv_node(rng, 2, 5, batch_stats)
+    node, norm_in, leaves = graph_conv_node(rng, 2, 5, batch_stats)
     x = leaves[0]
     kernel = leaf(rng, (3, 3))
     norm = norm_leaves(rng, 3, batch_stats)
@@ -708,11 +714,11 @@ def test_temporal_conv_node_fed_by_the_graph_conv_node_gradcheck(batch_stats, se
 
     def block(relu_out=True):
         shortcut = pointwise_conv(temporal_subsample(x, 2), res_weight, norm=res_norm)
-        return temporal_conv(node(), kernel, 2, padded=True, norm=norm,
+        return temporal_conv(node(), kernel, 2, prologue=norm_in, norm=norm,
                              dropout=0.3, rng=np.random.default_rng(64),
                              shortcut=shortcut, relu=relu_out)
 
-    assert np.abs(node(relu_out=False).data[:, :, 1:-1]).min() > 0.02
+    assert np.abs(batch_norm(node(), norm_in).data).min() > 0.02
     pre = block(relu_out=False).data
     assert pre.shape == (3, 2, 3, 5)
     assert np.abs(pre).min() > 0.02
@@ -723,15 +729,15 @@ def test_temporal_conv_node_fed_by_the_graph_conv_node_gradcheck(batch_stats, se
 
 
 def test_fused_node_validation():
-    x = Tensor(np.ones((3, 2, 4, 5)))
+    x = Tensor(np.arange(120.0).reshape(3, 2, 4, 5))
     kernel = Tensor(np.ones((3, 5)))
-    with pytest.raises(ConfigurationError, match="padded input"):
-        temporal_conv(x, kernel, padded=True)
     with pytest.raises(ConfigurationError, match="shortcut"):
         temporal_conv(x, kernel, 2, shortcut=x)
-    with pytest.raises(ConfigurationError, match="pad"):
-        graph_conv(x, [np.eye(5)], [Tensor(np.ones((3, 3)))],
-                   [Tensor(np.ones((5, 5)))], pad=-1)
+    # The check runs before the prologue writes over the input.
+    with pytest.raises(ConfigurationError, match="shortcut"):
+        temporal_conv(x, kernel, 2, prologue=Norm(Tensor(np.ones(3)),
+                                                  Tensor(np.zeros(3))), shortcut=x)
+    assert np.array_equal(x.data, np.arange(120.0).reshape(3, 2, 4, 5))
     with pytest.raises(ConfigurationError, match="dropout"):
         temporal_conv(x, kernel, dropout=1.0, rng=np.random.default_rng(0))
 
@@ -784,8 +790,12 @@ def _op_cases():
     adjacency = [rng.uniform(0.0, 1.0, (5, 5)) for _ in range(3)]
     weights = [rng.uniform(-1.0, 1.0, (3, 4)) for _ in range(3)]
     masks = [rng.uniform(0.5, 1.5, (5, 5)) for _ in range(3)]
-    # Batch norm coefficients of the 4-channel outputs.
+    # Batch norm coefficients and statistics, kernel and shortcut of the
+    # 4-channel outputs.
     coefficients = rng.uniform(-0.5, 0.5, 4)
+    running = (coefficients[::-1], coefficients + 1.0)
+    kernel = rng.uniform(-1.0, 1.0, (4, 3))
+    shortcut = rng.uniform(-1.0, 1.0, (4, 2, 4, 5))
     return [
         ("add", (x4, other), add),
         ("mul", (x4, other), mul),
@@ -802,15 +812,20 @@ def _op_cases():
         ("graph_conv", (x4, *weights, *masks),
          lambda a, *rest: graph_conv(a, adjacency, list(rest[0:3]), list(rest[3:6]))),
         ("pointwise_conv", (x4, weights[0]), pointwise_conv),
-        ("graph_conv_batch_norm_relu_border", (x4, *weights, *masks,
-                                               coefficients[::-1], coefficients + 0.5),
-         lambda a, *rest: graph_conv(a, adjacency, list(rest[0:3]), list(rest[3:6]),
-                                     norm=Norm(rest[6], rest[7]), relu=True, pad=1)),
-        ("temporal_conv_bordered_epilogue", (x4, rng.uniform(-1.0, 1.0, (3, 3)),
-                                             gamma, beta, other[:, :, :3]),
-         lambda a, k, g, shift, shortcut: temporal_conv(
-             a, k, 2, padded=True, norm=Norm(g, shift, running=(mu, var)),
-             dropout=0.4, rng=np.random.default_rng(41), shortcut=shortcut, relu=True)),
+        # The prologue writes over its input, so each call gets a fresh
+        # graph_conv output.
+        ("graph_conv_then_temporal_conv_prologue",
+         (x4, *weights, *masks, kernel, coefficients[::-1], coefficients + 0.5),
+         lambda a, *rest: temporal_conv(
+             graph_conv(a, adjacency, list(rest[0:3]), list(rest[3:6])), rest[6],
+             prologue=Norm(rest[7], rest[8]))),
+        ("temporal_conv_prologue_and_epilogue",
+         (x4, *weights, *masks, kernel, coefficients, coefficients[::-1], shortcut),
+         lambda a, *rest: temporal_conv(
+             graph_conv(a, adjacency, list(rest[0:3]), list(rest[3:6])), rest[6], 2,
+             prologue=Norm(rest[7], rest[8], running=running),
+             norm=Norm(rest[8], rest[7], running=running), dropout=0.4,
+             rng=np.random.default_rng(41), shortcut=rest[9], relu=True)),
         ("pointwise_conv_batch_norm", (x4, weights[0], coefficients, coefficients[::-1]),
          lambda a, w, g, b: pointwise_conv(a, w, norm=Norm(g, b))),
         ("batch_norm_batch", (x4, gamma, beta),
@@ -840,22 +855,28 @@ def test_no_grad_outputs_have_the_bits_of_recorded_ones_and_are_bare_leaves(
 
 
 def test_graph_conv_under_no_grad_frees_its_aggregate_before_the_bordered_output():
-    # The (K·C, B·T·V) aggregate is 3x the input; the convolution output
-    # and its zero-bordered copy are about 1x each. Alive at once they
-    # would peak near 5.2x.
+    # The (K·C, B·T·V) aggregate is 3x the input; the graph conv output and
+    # the zero-bordered buffer the temporal conv's prologue writes are
+    # about 1x and 1.2x. Alive at once they would peak near 5.2x. The
+    # prologue normalizes the graph conv output in place, so it adds no
+    # third array of that size.
     rng = np.random.default_rng(44)
     x = Tensor(rng.uniform(-1.0, 1.0, (16, 2, 40, 18)))
     adjacency = rng.uniform(0.0, 1.0, (3, 18, 18))
     weights = [Tensor(rng.uniform(-1.0, 1.0, (16, 16))) for _ in range(3)]
     masks = [Tensor(np.ones((18, 18))) for _ in range(3)]
+    kernel = Tensor(rng.uniform(-1.0, 1.0, (16, 9)))
+    norm = Norm(Tensor(np.ones(16)), Tensor(np.zeros(16)),
+                running=(np.zeros(16), np.ones(16)))
     with no_grad():
         tracemalloc.start()
         try:
-            out = graph_conv(x, adjacency, weights, masks, relu=True, pad=4)
+            out = temporal_conv(graph_conv(x, adjacency, weights, masks), kernel,
+                                prologue=norm)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    assert out.shape == (16, 2, 48, 18)
+    assert out.shape == (16, 2, 40, 18)
     assert peak <= 4.5 * x.data.nbytes
 
 

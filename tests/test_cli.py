@@ -623,3 +623,64 @@ def test_bad_input_exits_2_naming_the_problem(case, workspace, tmp_path, capsys)
     assert err.startswith("error:")
     assert fragment in err
     assert not (tmp_path / "out").exists()
+
+
+# ------------------------------------------------------------------ allocator
+
+class FakeLibc:
+    """A C library whose ``mallopt`` records its calls."""
+
+    def __init__(self):
+        self.calls = []
+
+        def mallopt(parameter, value):
+            self.calls.append((parameter, value))
+            return 1
+
+        self.mallopt = mallopt
+
+
+def run_a_failing_command(tmp_path):
+    return main(["prepare", "--manifest", str(tmp_path / "missing.json"),
+                 "--protocol", "KS-Full", "--out", str(tmp_path / "split")])
+
+
+@pytest.fixture
+def no_allocator_variables(monkeypatch):
+    for name in skelact.cli.ALLOCATOR_VARIABLES:
+        monkeypatch.delenv(name, raising=False)
+
+
+@pytest.fixture
+def fake_libc(no_allocator_variables, monkeypatch):
+    libc = FakeLibc()
+    monkeypatch.setattr(skelact.cli.ctypes, "CDLL", lambda name: libc)
+    return libc
+
+
+def test_main_sets_each_allocator_threshold_once(fake_libc, tmp_path):
+    assert run_a_failing_command(tmp_path) == 2
+    assert fake_libc.calls == [(-3, 32 * 2**20), (-1, 2**31 - 1)]
+    # mallopt takes a C int, so the trim threshold is that type's ceiling.
+    assert skelact.cli.ctypes.c_int(2**31 - 1).value == 2**31 - 1
+
+
+@pytest.mark.parametrize("variable", ["MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_"])
+def test_main_leaves_the_allocator_to_a_user_who_set_a_variable(
+        variable, fake_libc, tmp_path, monkeypatch):
+    monkeypatch.setenv(variable, "0")
+    assert run_a_failing_command(tmp_path) == 2
+    assert fake_libc.calls == []
+
+
+@pytest.mark.parametrize("libc", [object(), OSError("no C library")],
+                         ids=["no_mallopt", "no_library"])
+def test_main_runs_where_mallopt_is_missing(libc, no_allocator_variables, tmp_path,
+                                            monkeypatch):
+    def load(name):
+        if isinstance(libc, Exception):
+            raise libc
+        return libc
+
+    monkeypatch.setattr(skelact.cli.ctypes, "CDLL", load)
+    assert run_a_failing_command(tmp_path) == 2

@@ -375,6 +375,25 @@ def test_manifest_load_rejects_a_field_that_is_not_a_string(case, tmp_path):
         DatasetManifest.load(path)
 
 
+# A malformed records value, and the field the error names. Each failed
+# with a TypeError that named no field.
+MALFORMED_RECORDS = {
+    "object": ({"sample_id": "s1"}, r"records: expected a list of objects"),
+    "string": ("abc", r"records: expected a list of objects"),
+    "record_list": ([record_entry(), ["s2", "a"]], r"records\[1\]: expected an object"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_RECORDS)
+def test_manifest_load_names_a_malformed_records_field(case, tmp_path):
+    records, message = MALFORMED_RECORDS[case]
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({"classes": ["a"], "records": records}))
+    prefix = re.escape(f"manifest {path}: ")
+    with pytest.raises(ConfigurationError, match=f"^{prefix}{message}"):
+        DatasetManifest.load(path)
+
+
 def test_saved_relative_keypoint_paths_resolve_from_the_new_file(
         tmp_path, monkeypatch):
     data = tmp_path / "data"

@@ -177,8 +177,9 @@ RESIDUAL_KINDS = {"identity": (8, 1, True), "project": (4, 2, True),
                   "none": (4, 1, False)}
 
 
-# "Folded" names the eval block's batch norms, run as the epilogues of
-# their convolutions; the oracle runs each batch norm as its own node.
+# "Folded" names the eval block's batch norms, run inside their
+# convolutions' nodes (bn1 as the temporal conv's prologue, the others as
+# epilogues); the oracle runs each batch norm as its own node.
 @pytest.mark.parametrize("in_channels,stride,residual", RESIDUAL_KINDS.values(),
                          ids=RESIDUAL_KINDS.keys())
 def test_folded_eval_block_matches_the_unfused_batch_norm_chain(
@@ -358,28 +359,55 @@ def held_by_a_training_forward(stride, dropout=0.0):
     return held / x.data.nbytes
 
 
-@pytest.mark.parametrize("stride,bound", [(1, 4.5), (2, 9.5)],
+@pytest.mark.parametrize("stride,bound", [(1, 3.3), (2, 7.0)],
                          ids=["identity", "strided_projection"])
 def test_training_block_forward_holds_few_input_sizes(stride, bound):
-    # Held: both nodes' centered conv outputs, the zero-bordered buffer
-    # node B reads, which is also node A's ReLU mask, and the output, which
-    # is node B's; with a projection also the subsampled input and its
-    # node's centered output and result. The graph conv's aggregate (3x
-    # the input) is rebuilt in backward, and no ReLU keeps a bool mask:
-    # 4.32x and 9.13x.
+    # Held: node A's output, which node B's prologue centered in place for
+    # bn1, node B's centered conv output for bn2, and the output, which is
+    # node B's; with a projection also the subsampled input and its node's
+    # centered output and result. The graph conv's aggregate (3x the
+    # input) and the zero-bordered buffer node B convolves are rebuilt in
+    # backward, and no ReLU keeps a bool mask: 3.05x and 6.60x.
     assert held_by_a_training_forward(stride) <= bound
 
 
 def test_training_block_forward_keeps_the_dropout_mask_as_bools():
-    # Dropout adds one bool per element, 1/8 of the input, to the 4.32x an
-    # identity block holds without it: 4.44x.
-    assert held_by_a_training_forward(1, dropout=0.3) <= 4.6
+    # Dropout adds one bool per element, 1/8 of the input, to the 3.05x an
+    # identity block holds without it: 3.18x.
+    assert held_by_a_training_forward(1, dropout=0.3) <= 3.3
+
+
+@pytest.mark.parametrize("frozen", [False, True], ids=["batch_statistics", "frozen"])
+def test_training_block_keeps_no_bordered_buffer_after_its_forward(frozen, monkeypatch):
+    # Node B writes bn1's rectified output into a zero-bordered buffer,
+    # convolves it and drops it; backward builds it again. With a frozen
+    # bn1 the prologue's fixed map runs over node A's output in place.
+    block = small_block(4, 8, 2)
+    if frozen:
+        block.bn1.gamma.trainable = block.bn1.beta.trainable = False
+    built, shapes = [], []
+    bordered = ad._bordered
+
+    def watched(*args):
+        out = bordered(*args)
+        built.append(weakref.ref(out))
+        shapes.append(out.shape)
+        return out
+
+    monkeypatch.setattr(ad, "_bordered", watched)
+    x = Tensor(np.random.default_rng(17).uniform(-1.0, 1.0, (4, 2, 6, 5)),
+               trainable=True)
+    out = block.forward(x, small_adjacency().matrices, training=True, rng=None)
+    assert not out.is_leaf and shapes == [(8, 2, 6 + 8, 5)]
+    assert built[0]() is None
+    out.backward(np.ones(out.shape))
+    assert np.abs(block.tcn_kernel.grad).max() > 0.0
 
 
 def test_training_forward_of_the_paper_plan_holds_what_backward_needs():
     # One warm training forward at the benchmark's train shape (N=4, T=30,
     # M=2, COCO18, 10-block plan), input batch norm, projections and
-    # pooling included. It keeps 123 MiB.
+    # pooling included. It keeps 85.3 MiB.
     net = StgcnNetwork(partition_spatial(build_graph(COCO18)), 10, seed=0)
     x = np.random.default_rng(40).uniform(-1.0, 1.0, (4, 3, 30, 18, 2))
     rng = np.random.default_rng(41)
@@ -392,7 +420,7 @@ def test_training_forward_of_the_paper_plan_holds_what_backward_needs():
     finally:
         tracemalloc.stop()
     assert not logits.is_leaf
-    assert held <= 130 * 2**20
+    assert held <= 92 * 2**20
 
 
 def test_eval_network_has_the_bits_of_the_unfused_chain():
@@ -427,9 +455,9 @@ def test_eval_forward_at_the_paper_shape_keeps_no_graph_and_little_memory():
 @pytest.mark.parametrize("in_channels,stride,nodes", [(8, 1, 2), (4, 2, 4)])
 def test_block_forward_builds_two_nodes_four_with_a_strided_projection(
         in_channels, stride, nodes, monkeypatch):
-    # Node A (graph conv) and node B (temporal conv) carry the block's
-    # batch norms, ReLUs and residual add; a strided projection adds the
-    # subsample and one pointwise conv node.
+    # Node A (graph conv) and node B (temporal conv, bn1 and ReLU as its
+    # prologue) carry the block's batch norms, ReLUs and residual add; a
+    # strided projection adds the subsample and one pointwise conv node.
     block = small_block(in_channels, 8, stride)
     assert block.residual == ("identity" if stride == 1 else "project")
     adjacency = small_adjacency().matrices
@@ -492,6 +520,45 @@ def test_fine_tune_training_forward_keeps_no_array_of_a_frozen_block(monkeypatch
     assert not logits.is_leaf and len(frozen) == 8
     alive = [ref() for ref in frozen if ref() is not None]
     assert len(alive) == 1 and alive[0] is trained_input.pop()
+
+
+def test_fine_tune_step_computes_no_gradient_for_a_frozen_blocks_output(
+        monkeypatch, tmp_path):
+    # The last block trains on block 1's output, a bare leaf, so its graph
+    # conv's backward skips the K products of an input gradient. A step in
+    # which that input is made trainable, so that its gradient is
+    # computed, saves the same checkpoint bytes.
+    x = small_input(np.random.default_rng(16))
+    accumulated = []
+    accumulate = ad._accumulate
+
+    def watched(tensor, grad):
+        accumulated.append(tensor)
+        accumulate(tensor, grad)
+
+    monkeypatch.setattr(ad, "_accumulate", watched)
+
+    def step(trainable_input, path):
+        net = StgcnNetwork(small_adjacency(), 3, channel_plan=((4, 1), (4, 1), (8, 2)))
+        set_trainable(net, "fine_tune")
+        last, inputs = net.blocks[-1], []
+
+        def last_block(h, *args):
+            inputs.append(Tensor(h.data, trainable=True) if trainable_input else h)
+            return StgcnBlock.forward(last, inputs[0], *args)
+
+        monkeypatch.setattr(last, "forward", last_block, raising=False)
+        accumulated.clear()
+        logits = net.forward(x, training=True)
+        logits.backward(np.random.default_rng(17).uniform(-1.0, 1.0, logits.shape))
+        SGD(net.parameters(), momentum=0.9).step(0.1)
+        save_weights(net, path)
+        return any(t is inputs[0] for t in accumulated)
+
+    assert not step(False, tmp_path / "skipped.ckpt")
+    assert step(True, tmp_path / "computed.ckpt")
+    assert ((tmp_path / "skipped.ckpt").read_bytes()
+            == (tmp_path / "computed.ckpt").read_bytes())
 
 
 # ----------------------------------------------------------------- structure
