@@ -94,6 +94,6 @@ from .metrics import (
     spearman,
     top_k_accuracy,
 )
-from .config import RunConfig, load_run_config
+from .cli import RunConfig, load_run_config
 
 __version__ = "0.1.0"

@@ -750,7 +750,8 @@ def pointwise_conv(x: Tensor, weight: Tensor, *, norm: Norm | None = None) -> Te
         grad = epilogue.backward(grad)
         grad_flat = grad.reshape(grad.shape[0], -1)
         _accumulate(weight, flat @ grad_flat.T)
-        _accumulate(x, (weight.data @ grad_flat).reshape(x.data.shape))
+        if _needs_grad(x):
+            _accumulate(x, (weight.data @ grad_flat).reshape(x.data.shape))
 
     return Tensor(out_data, parents=(x, weight) + epilogue.parents(),
                   backward_fn=backward_fn)

@@ -12,12 +12,13 @@ import ctypes
 import json
 import os
 import sys
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .atomic import open_atomic
-from .config import load_run_config
+from .config import read_document, resolve_relative
 from .errors import (
     CheckpointError,
     ConfigurationError,
@@ -41,8 +42,8 @@ from .metrics import (
     spearman,
     top_k_accuracy,
 )
-from .model import load_weights, save_weights
-from .train import SequenceDataset, evaluate, run_training
+from .model import ModelConfig, load_weights, save_weights
+from .train import SequenceDataset, TrainConfig, evaluate, run_training
 
 _VALIDATION_ERRORS = (
     ConfigurationError,
@@ -50,6 +51,30 @@ _VALIDATION_ERRORS = (
     CheckpointError,
     CoverageError,
 )
+
+
+@dataclass
+class RunConfig:
+    """A run configuration file: the manifest path plus the ``model`` and
+    ``train`` objects, whose keys are ModelConfig's and TrainConfig's fields."""
+
+    manifest: str
+    model: ModelConfig = field(default_factory=ModelConfig)
+    train: TrainConfig = field(default_factory=TrainConfig)
+
+    def __post_init__(self):
+        self.model.validate()
+        self.train.validate()
+
+
+def load_run_config(path: str | Path) -> RunConfig:
+    """Parse and validate a run config; its paths resolve from its directory."""
+    config = read_document(RunConfig, path, "config")
+    base = Path(path).parent
+    config.manifest = resolve_relative(base, config.manifest)
+    config.train.source_checkpoint = resolve_relative(
+        base, config.train.source_checkpoint)
+    return config
 
 
 def _fail(message: str, code: int) -> int:

@@ -1,60 +1,75 @@
-"""Run configuration files: one JSON document driving train and eval.
+"""JSON documents read into dataclasses: run configs, manifests, split summaries.
 
-Shape:
-
-    {
-      "manifest": "path/to/manifest.json",
-      "model": { ... ModelConfig fields ... },
-      "train": { ... TrainConfig fields, "augmentation": {...} ... }
-    }
-
-The accepted keys of each object are the fields of its dataclass, and each
-value is checked against the field's annotation, so a new field needs no
-parser change. Relative paths inside the file resolve against the file's
-own directory. Unknown keys, wrong types and non-finite numbers are
-rejected with the offending field path.
+The accepted keys of each object are the fields of its dataclass (a field
+may name its JSON key with ``metadata={"key": ...}``), and each value is
+checked against the field's annotation, so a new field needs no parser
+change. Unknown keys, missing required keys, wrong types and non-finite
+numbers are rejected with the offending field path.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
+import os
 import types
 import typing
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from dataclasses import MISSING, fields, is_dataclass
 from pathlib import Path
 
 from .errors import ConfigurationError
-from .manifest import resolve_relative
-from .model import ModelConfig
-from .train import TrainConfig
 
 
-@dataclass
-class RunConfig:
-    manifest: str
-    model: ModelConfig = field(default_factory=ModelConfig)
-    train: TrainConfig = field(default_factory=TrainConfig)
+def read_document(cls, path: str | Path, label: str):
+    """Read JSON file ``path`` into dataclass ``cls``. Every error, its
+    ``__post_init__``'s too, reads ``<label> <path>: <field path>: <problem>``."""
+    try:
+        doc = json.loads(Path(path).read_text())
+    # ValueError covers bad UTF-8 and bad JSON syntax.
+    except (OSError, ValueError) as exc:
+        raise ConfigurationError(f"{label} {path}: {exc}") from exc
+    try:
+        return from_document(cls, doc)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{label} {path}: {exc}") from exc
 
-    def validate(self) -> None:
-        self.model.validate()
-        self.train.validate()
+
+def resolve_relative(base: Path, path: str | None) -> str | None:
+    """A path from a JSON document, resolved against the document's
+    directory; None, for a path the document leaves out, stays None."""
+    return path if path is None or os.path.isabs(path) else os.path.join(base, path)
 
 
-def from_document(cls, doc, path: str):
+@functools.cache
+def _fields(cls) -> dict[str, tuple[str, object, bool]]:
+    """JSON key -> (field name, annotation, required) of dataclass ``cls``;
+    cached, as resolving the annotations costs more than converting a record."""
+    hints = typing.get_type_hints(cls)
+    return {
+        spec.metadata.get("key", spec.name): (
+            spec.name, hints[spec.name],
+            spec.default is MISSING and spec.default_factory is MISSING,
+        )
+        for spec in fields(cls)
+    }
+
+
+def from_document(cls, doc, path: str = ""):
     """Build dataclass ``cls`` from a JSON object; absent keys keep defaults."""
     if not isinstance(doc, dict):
-        raise ConfigurationError(f"{path}: expected an object")
-    known = {f.name: f for f in fields(cls)}
+        raise ConfigurationError(f"{path}: expected an object" if path
+                                 else "expected an object")
+    known = _fields(cls)
+    prefix = f"{path}." if path else ""
     for key in doc:
         if key not in known:
-            raise ConfigurationError(f"{path}.{key}: unknown field")
-    hints = typing.get_type_hints(cls)
+            raise ConfigurationError(f"{prefix}{key}: unknown field")
     values = {}
-    for name, spec in known.items():
-        if name in doc:
-            values[name] = _convert(hints[name], doc[name], f"{path}.{name}")
-        elif spec.default is MISSING and spec.default_factory is MISSING:
-            raise ConfigurationError(f"{path}.{name}: required field is missing")
+    for key, (name, kind, required) in known.items():
+        if key in doc:
+            values[name] = _convert(kind, doc[key], prefix + key)
+        elif required:
+            raise ConfigurationError(f"{prefix}{key}: required field is missing")
     return cls(**values)
 
 
@@ -69,14 +84,19 @@ def _convert(kind, value, path: str):
             return None
         (inner,) = [arg for arg in args if arg is not type(None)]
         return _convert(inner, value, path)
-    if origin is tuple:
+    if origin is dict:
+        if not isinstance(value, dict):
+            raise ConfigurationError(f"{path}: expected an object")
+        return {key: _convert(args[1], item, f"{path}[{key}]")
+                for key, item in value.items()}
+    if origin in (list, tuple):
         if not isinstance(value, list):
             raise ConfigurationError(f"{path}: expected a list")
-        if len(args) == 2 and args[1] is Ellipsis:
+        if origin is list or (len(args) == 2 and args[1] is Ellipsis):
             args = (args[0],) * len(value)
         elif len(value) != len(args):
             raise ConfigurationError(f"{path}: expected {len(args)} values")
-        return tuple(
+        return origin(
             _convert(arg, item, f"{path}[{index}]")
             for index, (arg, item) in enumerate(zip(args, value))
         )
@@ -94,20 +114,3 @@ def _convert(kind, value, path: str):
     if kind is float and not math.isfinite(value):
         raise ConfigurationError(f"{path}: must be a finite number, got {value}")
     return value
-
-
-def load_run_config(path: str | Path) -> RunConfig:
-    """Parse and validate a run configuration file."""
-    path = Path(path)
-    try:
-        doc = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigurationError(f"config {path}: {exc}") from exc
-    config = from_document(RunConfig, doc, "config")
-    base = path.parent
-    config.manifest = resolve_relative(base, config.manifest)
-    source = config.train.source_checkpoint
-    if source is not None:
-        config.train.source_checkpoint = resolve_relative(base, source)
-    config.validate()
-    return config

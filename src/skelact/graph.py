@@ -144,29 +144,21 @@ class PartitionedAdjacency:
         return self.matrices.sum(axis=0)
 
 
-def partition_spatial(
-    graph: SkeletonGraph, center: int | None = None
-) -> PartitionedAdjacency:
+def partition_spatial(graph: SkeletonGraph) -> PartitionedAdjacency:
     """Split the normalized adjacency into the three spatial partitions.
 
     Normalization divides each column of ``A + I`` by its degree, so the
     partition stack sums to a column-stochastic matrix. Each nonzero entry
     lands in exactly one partition according to the hop distance of its
-    endpoints from the center joint (``graph.center`` unless overridden);
-    self links always land in the root partition.
+    endpoints from the center joint ``graph.center``; self links always
+    land in the root partition.
     """
     n = graph.vertex_count
-    if center is None:
-        center = graph.center
-    if not 0 <= center < n:
-        raise LayoutMismatchError(
-            f"center {center} outside [0, {n})"
-        )
     linked = graph.adjacency() + np.eye(n)
     degree = linked.sum(axis=0)
     normalized = linked / degree[np.newaxis, :]
 
-    center_hops = hop_distance(graph)[:, center]
+    center_hops = hop_distance(graph)[:, graph.center]
     source = center_hops[:, np.newaxis]
     target = center_hops[np.newaxis, :]
     matrices = np.stack([

@@ -10,12 +10,13 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from .atomic import open_atomic
+from .config import read_document, resolve_relative
 from .errors import ConfigurationError, InsufficientDataError
 from .keypoints import BODY25, check_layout
 
@@ -60,7 +61,7 @@ class DatasetManifest:
     """
 
     records: list[ManifestRecord]
-    class_table: list[str]
+    class_table: list[str] = field(metadata={"key": "classes"})
     layout: str = BODY25
     child_percentage: dict[str, float] | None = None
 
@@ -70,55 +71,39 @@ class DatasetManifest:
             raise ConfigurationError("classes: duplicate class name")
         class_set = set(self.class_table)
         seen = set()
-        for record in self.records:
+        for index, record in enumerate(self.records):
+            where = f"records[{index}]"
             if record.sample_id in seen:
                 raise ConfigurationError(
-                    f"records: duplicate sample id {record.sample_id!r}"
+                    f"{where}.sample_id: duplicate sample id {record.sample_id!r}"
                 )
             seen.add(record.sample_id)
             if record.class_name not in class_set:
                 raise ConfigurationError(
-                    f"records[{record.sample_id}].class_name: "
-                    f"{record.class_name!r} not in class table"
+                    f"{where}.class_name: {record.class_name!r} not in class table"
                 )
             if record.performer not in PERFORMERS:
                 raise ConfigurationError(
-                    f"records[{record.sample_id}].performer: "
+                    f"{where}.performer: "
                     f"expected one of {PERFORMERS}, got {record.performer!r}"
                 )
-            if len(record.image_size) != 2 or not all(
-                isinstance(v, int) and not isinstance(v, bool) and v > 0
-                for v in record.image_size
-            ):
+            if not all(v > 0 for v in record.image_size):
                 raise ConfigurationError(
-                    f"records[{record.sample_id}].image_size: expected two "
-                    f"positive integers, got {record.image_size!r}"
+                    f"{where}.image_size: expected two positive integers, "
+                    f"got {record.image_size!r}"
                 )
-            fps = record.fps
-            if isinstance(fps, bool) or not isinstance(fps, (int, float)):
+            if not 0.0 < record.fps < math.inf:
                 raise ConfigurationError(
-                    f"records[{record.sample_id}].fps: expected a number, got {fps!r}"
+                    f"{where}.fps: must be positive, got {record.fps}"
                 )
-            if not 0.0 < fps < math.inf:
+        for name, share in (self.child_percentage or {}).items():
+            if name not in class_set:
+                raise ConfigurationError(f"child_percentage: unknown class {name!r}")
+            if not 0.0 <= share <= 100.0:
                 raise ConfigurationError(
-                    f"records[{record.sample_id}].fps: must be positive, got {fps}"
+                    f"child_percentage[{name}]: expected a number in "
+                    f"[0, 100], got {share!r}"
                 )
-        if self.child_percentage is not None:
-            if not isinstance(self.child_percentage, dict):
-                raise ConfigurationError(
-                    "child_percentage: expected an object from class to percent"
-                )
-            for name, share in self.child_percentage.items():
-                if name not in class_set:
-                    raise ConfigurationError(
-                        f"child_percentage: unknown class {name!r}"
-                    )
-                if isinstance(share, bool) or not isinstance(share, (int, float)) \
-                        or not 0.0 <= share <= 100.0:
-                    raise ConfigurationError(
-                        f"child_percentage[{name}]: expected a number in "
-                        f"[0, 100], got {share!r}"
-                    )
 
     def __len__(self) -> int:
         return len(self.records)
@@ -154,17 +139,10 @@ class DatasetManifest:
             "layout": self.layout,
             "classes": list(self.class_table),
             "records": [
-                {
-                    "sample_id": r.sample_id,
-                    "class_name": r.class_name,
-                    "performer": r.performer,
-                    "keypoint_path": (
-                        r.keypoint_path if Path(r.keypoint_path).is_absolute()
-                        else os.path.relpath(r.keypoint_path, base)
-                    ),
-                    "image_size": list(r.image_size),
-                    "fps": r.fps,
-                }
+                dict(asdict(r), keypoint_path=(
+                    r.keypoint_path if Path(r.keypoint_path).is_absolute()
+                    else os.path.relpath(r.keypoint_path, base)
+                ))
                 for r in self.records
             ],
         }
@@ -175,68 +153,14 @@ class DatasetManifest:
 
     @classmethod
     def load(cls, path: str | Path) -> "DatasetManifest":
-        try:
-            doc = json.loads(Path(path).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigurationError(f"manifest {path}: {exc}") from exc
-        if not isinstance(doc, dict):
-            raise ConfigurationError(f"manifest {path}: expected a JSON object")
+        """Read a manifest; relative keypoint paths resolve from its directory."""
+        manifest = read_document(cls, path, "manifest")
         base = Path(path).parent
-        try:
-            entries = doc.get("records", [])
-            if not isinstance(entries, list):
-                raise ConfigurationError(
-                    f"records: expected a list of objects, got {entries!r}"
-                )
-            for index, entry in enumerate(entries):
-                if not isinstance(entry, dict):
-                    raise ConfigurationError(
-                        f"records[{index}]: expected an object, got {entry!r}"
-                    )
-            records = [
-                ManifestRecord(
-                    sample_id=_string(entry["sample_id"], f"records[{index}].sample_id"),
-                    class_name=_string(entry["class_name"],
-                                       f"records[{index}].class_name"),
-                    performer=_string(entry["performer"], f"records[{index}].performer"),
-                    keypoint_path=resolve_relative(
-                        base, _string(entry["keypoint_path"],
-                                      f"records[{index}].keypoint_path")
-                    ),
-                    image_size=tuple(entry["image_size"]),
-                    fps=entry.get("fps", 30.0),
-                )
-                for index, entry in enumerate(entries)
-            ]
-            classes = doc["classes"]
-            if not isinstance(classes, list):
-                raise ConfigurationError(
-                    f"classes: expected a list of strings, got {classes!r}"
-                )
-            manifest = cls(
-                records=records,
-                class_table=[_string(c, f"classes[{i}]") for i, c in enumerate(classes)],
-                layout=_string(doc.get("layout", BODY25), "layout"),
-                child_percentage=doc.get("child_percentage"),
-            )
-        except ConfigurationError as exc:
-            raise ConfigurationError(f"manifest {path}: {exc}") from exc
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigurationError(f"manifest {path}: {exc!r}") from exc
+        manifest.records = [
+            replace(r, keypoint_path=resolve_relative(base, r.keypoint_path))
+            for r in manifest.records
+        ]
         return manifest
-
-
-def _string(value, field: str) -> str:
-    """``value`` itself if it is a JSON string; a value of another type is
-    rejected, not converted, with an error naming ``field``."""
-    if not isinstance(value, str):
-        raise ConfigurationError(f"{field}: expected a string, got {value!r}")
-    return value
-
-
-def resolve_relative(base: Path, path: str) -> str:
-    """A path from a JSON document, resolved against the document's directory."""
-    return path if Path(path).is_absolute() else str(base / path)
 
 
 @dataclass(frozen=True)
@@ -376,39 +300,38 @@ def save_split(
         handle.write(json.dumps(summary, indent=2, sort_keys=True))
 
 
+@dataclass(frozen=True)
+class _SplitSummary:
+    """The summary.json that save_split writes beside the id files."""
+
+    protocol: str
+    seed: int
+    classes: list[str]
+    train_count: int
+    test_count: int
+    class_counts: dict[str, int] | None = None
+
+
 def load_split(directory: str | Path) -> ProtocolSplit:
     """Read a split previously written by save_split."""
     directory = Path(directory)
     summary_path = directory / "summary.json"
+    summary = read_document(_SplitSummary, summary_path, "split")
     try:
-        summary = json.loads(summary_path.read_text())
-        train_ids = [
-            line for line in (directory / "train.txt").read_text().splitlines()
-            if line
-        ]
-        test_ids = [
-            line for line in (directory / "test.txt").read_text().splitlines()
-            if line
-        ]
-    except (OSError, json.JSONDecodeError) as exc:
+        train_ids, test_ids = (
+            [line for line in (directory / name).read_text().splitlines() if line]
+            for name in ("train.txt", "test.txt")
+        )
+    except OSError as exc:
         raise ConfigurationError(f"split {directory}: {exc}") from exc
-    if not isinstance(summary, dict):
-        raise ConfigurationError(f"split {summary_path}: expected a JSON object")
-    protocol = _string(summary.get("protocol", ""), f"split {summary_path}: protocol")
-    seed = summary.get("seed", 0)
-    classes = summary.get("classes", [])
-    # JSON true and false parse as bool, a subclass of int; they are no seed.
-    if type(seed) is not int:
+    if len(set(summary.classes)) != len(summary.classes):
         raise ConfigurationError(
-            f"split {summary_path}: seed must be an integer, got {seed!r}"
+            f"split {summary_path}: classes: expected distinct names, "
+            f"got {summary.classes!r}"
         )
-    if (not isinstance(classes, list) or not all(isinstance(c, str) for c in classes)
-            or len(set(classes)) != len(classes)):
-        raise ConfigurationError(
-            f"split {summary_path}: classes must be a list of distinct strings, "
-            f"got {classes!r}"
-        )
-    for name, ids in (("train.txt", train_ids), ("test.txt", test_ids)):
+    parts = (("train.txt", train_ids, summary.train_count),
+             ("test.txt", test_ids, summary.test_count))
+    for name, ids, _ in parts:
         if len(set(ids)) != len(ids):
             repeated = sorted({i for i in ids if ids.count(i) > 1})
             raise ConfigurationError(
@@ -420,6 +343,11 @@ def load_split(directory: str | Path) -> ProtocolSplit:
             f"split {directory}: {', '.join(shared)} appear in both train.txt "
             "and test.txt"
         )
-    return ProtocolSplit(
-        protocol, seed, tuple(classes), tuple(train_ids), tuple(test_ids)
-    )
+    for name, ids, count in parts:
+        if len(ids) != count:
+            raise ConfigurationError(
+                f"split {directory}: summary.json counts {count} ids in {name}, "
+                f"which lists {len(ids)}"
+            )
+    return ProtocolSplit(summary.protocol, summary.seed, tuple(summary.classes),
+                         tuple(train_ids), tuple(test_ids))

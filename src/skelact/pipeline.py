@@ -111,22 +111,18 @@ def track(seq: SkeletonSequence) -> SkeletonSequence:
     return seq.replace_data(data)
 
 
-def normalize_centralize(
-    seq: SkeletonSequence, image_size: tuple[int, int] | None = None
-) -> SkeletonSequence:
+def normalize_centralize(seq: SkeletonSequence) -> SkeletonSequence:
     """Scale pixel coordinates into [0, 1] and center them on the frame.
 
-    ``x`` is divided by the image width and ``y`` by the height, then 0.5
-    is subtracted from both, so coordinates inside the frame land in
-    [-0.5, 0.5]. Only visible joints are touched; missing joints stay
+    ``x`` is divided by the sequence's image width and ``y`` by its
+    height, then 0.5 is subtracted from both, so coordinates inside the
+    frame land in [-0.5, 0.5]. Only visible joints are touched; missing joints stay
     exactly (0, 0, 0). Confidences are unchanged.
     """
-    if image_size is None:
-        image_size = seq.image_size
-    width, height = image_size
+    width, height = seq.image_size
     if width <= 0 or height <= 0:
         raise ConfigurationError(
-            f"image_size: needs positive width and height, got {image_size}"
+            f"image_size: needs positive width and height, got {seq.image_size}"
         )
     data = seq.data.copy()
     visible = data[..., 2] > 0.0
@@ -326,18 +322,16 @@ def augment_combined(
     seq: SkeletonSequence,
     config: AugmentConfig,
     rng: np.random.Generator,
-    training: bool = True,
 ) -> SkeletonSequence:
     """Apply the configured augmentations in their fixed order.
 
     Order is window cut, camera move, frame subsampling. Each stage owns
     one child generator derived from ``rng`` whether or not the stage is
     enabled, so enabling one stage never shifts the draws of another.
-    Outside training, or with everything disabled, the input is returned
-    unchanged (as a copy). The config is not validated here; each stage
-    checks its own arguments.
+    With everything disabled, the input is returned unchanged (as a copy).
+    The config is not validated here; each stage checks its own arguments.
     """
-    if not training or not config.enabled():
+    if not config.enabled():
         return seq.copy()
     window_rng, move_rng, subsample_rng = split_rng(rng, 3)
     out = seq

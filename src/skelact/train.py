@@ -325,9 +325,7 @@ def train_loop(
                             [config.seed, epoch, int(dataset_index)]
                         )
                     )
-                    seq = augment_combined(
-                        seq, config.augmentation, sample_rng, training=True
-                    )
+                    seq = augment_combined(seq, config.augmentation, sample_rng)
                 inputs.append(to_model_input(seq))
             batch = np.stack(inputs)
             labels = train_dataset.labels[chosen]

@@ -122,7 +122,7 @@ def test_prepare_non_number_fps_exits_2(workspace, capsys):
     bad.write_text(json.dumps(doc))
     assert main(["prepare", "--manifest", str(bad), "--protocol", "KS-Full",
                  "--out", str(workspace / "x")]) == 2
-    assert ".fps: expected a number, got '30'" in capsys.readouterr().err
+    assert "records[0].fps: expected float" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------- train
@@ -217,7 +217,7 @@ def test_train_rejects_a_non_finite_config_number_with_exit_2(keys, value, works
                  str(workspace / "split"), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:")
-    assert "config." + ".".join(keys) + ": must be a finite number" in err
+    assert f"config {config}: {'.'.join(keys)}: must be a finite number" in err
     assert not (tmp_path / "out" / "checkpoint.ckpt").exists()
 
 
@@ -609,9 +609,12 @@ BOUNDARY_CASES = {
     "short-prediction-row": (analyze_with(row="wave_000,0"),
                              "predictions.csv row 2"),
     "split-summary-not-an-object": (analyze_with(summary="[1, 2]"),
-                                    "summary.json: expected a JSON object"),
-    "split-summary-seed-not-a-number": (analyze_with(summary='{"seed": "x"}'),
-                                        "summary.json: seed must be an integer"),
+                                    "summary.json: expected an object"),
+    "split-summary-seed-not-a-number": (
+        analyze_with(summary='{"protocol": "KS-Full", "seed": "x", "classes": '
+                             '["wave", "jump", "spin"], "train_count": 18, '
+                             '"test_count": 6}'),
+        "summary.json: seed: expected int"),
 }
 
 

@@ -1,6 +1,6 @@
 """Run configuration file parsing."""
 import json
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 import pytest
@@ -151,6 +151,20 @@ def test_a_new_dataclass_field_loads_with_no_parser_edit():
                       "config.train")
 
 
+def test_lists_objects_and_renamed_keys_load():
+    @dataclass
+    class Table:
+        names: list[str] = field(default_factory=list, metadata={"key": "classes"})
+        shares: dict[str, float] = field(default_factory=dict)
+
+    assert (from_document(Table, {"classes": ["a"], "shares": {"a": 1}})
+            == Table(["a"], {"a": 1.0}))
+    with pytest.raises(ConfigurationError, match=r"^shares\[a\]: expected float$"):
+        from_document(Table, {"shares": {"a": "x"}})
+    with pytest.raises(ConfigurationError, match=r"^names: unknown field$"):
+        from_document(Table, {"names": []})
+
+
 def test_integers_are_accepted_for_float_fields(tmp_path):
     doc = minimal_doc()
     doc["train"] = {"base_lr": 1, "weight_decay": 0}
@@ -162,36 +176,36 @@ def test_integers_are_accepted_for_float_fields(tmp_path):
 def test_unknown_fields_name_their_path(tmp_path):
     doc = minimal_doc()
     doc["train"] = {"learning_rate": 0.1}
-    with pytest.raises(ConfigurationError, match=r"config\.train\.learning_rate"):
+    with pytest.raises(ConfigurationError, match=r"\.json: train\.learning_rate"):
         load_run_config(write_config(tmp_path, doc))
     doc = minimal_doc()
     doc["extra"] = 1
-    with pytest.raises(ConfigurationError, match=r"config\.extra"):
+    with pytest.raises(ConfigurationError, match=r"\.json: extra"):
         load_run_config(write_config(tmp_path, doc, "b.json"))
     doc = minimal_doc()
     doc["model"] = {"vertex_count": 18}
-    with pytest.raises(ConfigurationError, match=r"config\.model\.vertex_count"):
+    with pytest.raises(ConfigurationError, match=r"\.json: model\.vertex_count"):
         load_run_config(write_config(tmp_path, doc, "c.json"))
     doc = minimal_doc()
     doc["train"] = {"augmentation": {"windows": True}}
     with pytest.raises(ConfigurationError,
-                       match=r"config\.train\.augmentation\.windows"):
+                       match=r"\.json: train\.augmentation\.windows"):
         load_run_config(write_config(tmp_path, doc, "d.json"))
 
 
 def test_type_errors_name_their_path(tmp_path):
     cases = [
-        ({"model": {"layout": 18}}, r"config\.model\.layout"),
-        ({"model": {"person_slots": "two"}}, r"config\.model\.person_slots"),
+        ({"model": {"layout": 18}}, r"\.json: model\.layout"),
+        ({"model": {"person_slots": "two"}}, r"\.json: model\.person_slots"),
         ({"model": {"zero_confidence": "yes"}},
-         r"config\.model\.zero_confidence"),
-        ({"train": {"base_lr": "fast"}}, r"config\.train\.base_lr"),
+         r"\.json: model\.zero_confidence"),
+        ({"train": {"base_lr": "fast"}}, r"\.json: train\.base_lr"),
         ({"train": {"decay_boundaries": [5, "x"]}},
-         r"config\.train\.decay_boundaries"),
+         r"\.json: train\.decay_boundaries"),
         ({"train": {"augmentation": {"drop_rate": "half"}}},
-         r"config\.train\.augmentation\.drop_rate"),
+         r"\.json: train\.augmentation\.drop_rate"),
         ({"train": {"source_checkpoint": 3}},
-         r"config\.train\.source_checkpoint"),
+         r"\.json: train\.source_checkpoint"),
         ({"train": {"augmentation": {"move_params": {"anchors": 2.5}}}},
          r"move_params\.anchors"),
     ]
@@ -205,7 +219,7 @@ def test_type_errors_name_their_path(tmp_path):
 def test_booleans_are_not_integers(tmp_path):
     doc = minimal_doc()
     doc["train"] = {"epochs": True}
-    with pytest.raises(ConfigurationError, match=r"config\.train\.epochs"):
+    with pytest.raises(ConfigurationError, match=r"\.json: train\.epochs"):
         load_run_config(write_config(tmp_path, doc))
     doc = minimal_doc()
     doc["train"] = {"decay_boundaries": [True]}
@@ -249,11 +263,11 @@ def test_document_level_errors(tmp_path):
     array.write_text("[1, 2]")
     with pytest.raises(ConfigurationError):
         load_run_config(array)
-    with pytest.raises(ConfigurationError, match=r"config\.manifest"):
+    with pytest.raises(ConfigurationError, match=r"\.json: manifest"):
         load_run_config(write_config(tmp_path, {"model": {}}))
-    with pytest.raises(ConfigurationError, match=r"config\.manifest"):
+    with pytest.raises(ConfigurationError, match=r"\.json: manifest"):
         load_run_config(write_config(tmp_path, {"manifest": 5}, "b.json"))
-    with pytest.raises(ConfigurationError, match=r"config\.model"):
+    with pytest.raises(ConfigurationError, match=r"\.json: model"):
         load_run_config(write_config(tmp_path, {"manifest": "m", "model": 5},
                                      "c.json"))
 

@@ -187,18 +187,17 @@ def test_triangle_puts_equal_hop_neighbors_in_the_root_partition():
 
 
 def test_partition_center_override():
-    graph = path_graph(5, 2)
-    end = partition_spatial(graph, center=0)
+    end = partition_spatial(path_graph(5, 0))
     # With the center at vertex 0 nothing is centripetal seen from 0.
     assert (end.matrices[1][:, 1:].sum(axis=0) > 0).any()
     assert end.matrices[2][0, 1] > 0.0
     assert np.abs(end.combined().sum(axis=0) - 1.0).max() < 1e-12
-    default = partition_spatial(graph)
-    assert not np.array_equal(default.matrices, end.matrices)
+    middle = partition_spatial(path_graph(5, 2))
+    assert not np.array_equal(middle.matrices, end.matrices)
     with pytest.raises(LayoutMismatchError):
-        partition_spatial(graph, center=5)
+        path_graph(5, 5)
     with pytest.raises(LayoutMismatchError):
-        partition_spatial(graph, center=-1)
+        path_graph(5, -1)
 
 
 def test_disconnected_graph_is_rejected():

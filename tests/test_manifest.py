@@ -228,6 +228,22 @@ def set_summary(key, value):
     return edit
 
 
+def drop_summary_key(key):
+    def edit(directory):
+        path = directory / "summary.json"
+        summary = json.loads(path.read_text())
+        del summary[key]
+        path.write_text(json.dumps(summary))
+    return edit
+
+
+def keep_first_id(part):
+    def edit(directory):
+        path = directory / part
+        path.write_text(path.read_text().splitlines()[0] + "\n")
+    return edit
+
+
 def append_id(part, source):
     """Append to ``part`` the first id of ``source``."""
     def edit(directory):
@@ -247,6 +263,12 @@ MALFORMED_SPLITS = {
     "train-id-repeated": (append_id("train.txt", "train.txt"), "train.txt"),
     "test-id-repeated": (append_id("test.txt", "test.txt"), "test.txt"),
     "test-id-in-train": (append_id("train.txt", "test.txt"), "both"),
+    "misspelled-key": (set_summary("protcol", "KS-Small-C"),
+                       "summary.json: protcol: unknown field"),
+    "protocol-absent": (drop_summary_key("protocol"),
+                        "summary.json: protocol: required field is missing"),
+    "train-cut-short": (keep_first_id("train.txt"),
+                        "summary.json counts 66 ids in train.txt, which lists 1"),
 }
 
 
@@ -334,7 +356,7 @@ def test_manifest_rejects_bad_image_size_and_fps(tmp_path):
     for overrides, name in cases:
         doc = {"classes": ["a"], "records": [record_entry(**overrides)]}
         path.write_text(json.dumps(doc))
-        with pytest.raises(ConfigurationError, match=rf"records\[s1\]\.{name}"):
+        with pytest.raises(ConfigurationError, match=rf"records\[0\]\.{name}"):
             DatasetManifest.load(path)
     path.write_text(json.dumps({"classes": ["a"], "records": [record_entry()]}))
     assert DatasetManifest.load(path).records[0].image_size == (640, 480)
@@ -346,7 +368,7 @@ def test_manifest_rejects_a_non_number_fps(tmp_path):
         doc = {"classes": ["a"], "records": [record_entry(fps=fps)]}
         path.write_text(json.dumps(doc))
         with pytest.raises(ConfigurationError,
-                           match=r"records\[s1\]\.fps: expected a number"):
+                           match=r"records\[0\]\.fps: expected float"):
             DatasetManifest.load(path)
 
 
@@ -354,33 +376,42 @@ def test_manifest_rejects_a_non_number_fps(tmp_path):
 # error names. Converted with str(), each would have loaded or failed
 # later under another message; "wave" made the four classes w, a, v, e.
 NON_STRING_FIELDS = {
-    "sample_id": ({"records": [record_entry(sample_id=7)]}, "records[0].sample_id"),
+    "sample_id": ({"records": [record_entry(sample_id=7)]},
+                  "records[0].sample_id: expected str"),
     "class_name": ({"records": [record_entry(class_name=["a"])]},
-                   "records[0].class_name"),
-    "performer": ({"records": [record_entry(performer=None)]}, "records[0].performer"),
+                   "records[0].class_name: expected str"),
+    "performer": ({"records": [record_entry(performer=None)]},
+                  "records[0].performer: expected str"),
     "keypoint_path": ({"records": [record_entry(keypoint_path=5)]},
-                      "records[0].keypoint_path"),
-    "layout": ({"layout": [COCO18]}, "layout"),
-    "classes": ({"classes": "wave"}, "classes"),
-    "class_table_entry": ({"classes": ["a", 7]}, "classes[1]"),
+                      "records[0].keypoint_path: expected str"),
+    "layout": ({"layout": [COCO18]}, "layout: expected str"),
+    "classes": ({"classes": "wave"}, "classes: expected a list"),
+    "class_table_entry": ({"classes": ["a", 7]}, "classes[1]: expected str"),
 }
 
 
 @pytest.mark.parametrize("case", NON_STRING_FIELDS)
 def test_manifest_load_rejects_a_field_that_is_not_a_string(case, tmp_path):
-    edit, field = NON_STRING_FIELDS[case]
+    edit, fragment = NON_STRING_FIELDS[case]
     path = tmp_path / "manifest.json"
     path.write_text(json.dumps({"classes": ["a"], "records": [record_entry()], **edit}))
-    with pytest.raises(ConfigurationError, match=re.escape(f"{field}: expected a")):
+    with pytest.raises(ConfigurationError, match=re.escape(fragment)):
         DatasetManifest.load(path)
 
 
 # A malformed records value, and the field the error names. Each failed
-# with a TypeError that named no field.
+# naming no field, or, for the misspelled "fsp", loaded with fps 30.
 MALFORMED_RECORDS = {
-    "object": ({"sample_id": "s1"}, r"records: expected a list of objects"),
-    "string": ("abc", r"records: expected a list of objects"),
+    "object": ({"sample_id": "s1"}, r"records: expected a list"),
+    "string": ("abc", r"records: expected a list"),
     "record_list": ([record_entry(), ["s2", "a"]], r"records\[1\]: expected an object"),
+    "image_size-a-number": ([record_entry(image_size=5)],
+                            r"records\[0\]\.image_size: expected a list$"),
+    "record-without-id": (
+        [{key: value for key, value in record_entry().items() if key != "sample_id"}],
+        r"records\[0\]\.sample_id: required field is missing$"),
+    "misspelled-record-key": ([record_entry(fsp=25)],
+                              r"records\[0\]\.fsp: unknown field$"),
 }
 
 
@@ -430,4 +461,10 @@ def test_manifest_load_rejects_garbage(tmp_path):
         DatasetManifest.load(path)
     path.write_text(json.dumps({"records": []}))
     with pytest.raises(ConfigurationError):
+        DatasetManifest.load(path)
+    path.write_text(json.dumps({"classes": ["a"]}))
+    with pytest.raises(ConfigurationError, match="records: required field is missing"):
+        DatasetManifest.load(path)
+    path.write_text(json.dumps({"classes": ["a"], "records": [], "layuot": COCO18}))
+    with pytest.raises(ConfigurationError, match="layuot: unknown field"):
         DatasetManifest.load(path)

@@ -522,41 +522,62 @@ def test_fine_tune_training_forward_keeps_no_array_of_a_frozen_block(monkeypatch
     assert len(alive) == 1 and alive[0] is trained_input.pop()
 
 
-def test_fine_tune_step_computes_no_gradient_for_a_frozen_blocks_output(
-        monkeypatch, tmp_path):
-    # The last block trains on block 1's output, a bare leaf, so its graph
-    # conv's backward skips the K products of an input gradient. A step in
-    # which that input is made trainable, so that its gradient is
-    # computed, saves the same checkpoint bytes.
-    x = small_input(np.random.default_rng(16))
+def fine_tune_step(path, trainable_input=False):
+    """One SGD step of a fine_tune net whose last block, the one that
+    trains, has a strided projection shortcut; saves the checkpoint to
+    ``path``. ``trainable_input`` makes the block's input a trainable leaf,
+    so that every input gradient is computed. Returns that input and each
+    (tensor, gradient shape) handed to ``_accumulate``."""
     accumulated = []
     accumulate = ad._accumulate
 
     def watched(tensor, grad):
-        accumulated.append(tensor)
+        accumulated.append((tensor, grad.shape))
         accumulate(tensor, grad)
 
-    monkeypatch.setattr(ad, "_accumulate", watched)
+    net = StgcnNetwork(small_adjacency(), 3, channel_plan=((4, 1), (4, 1), (8, 2)))
+    set_trainable(net, "fine_tune")
+    last, inputs = net.blocks[-1], []
 
-    def step(trainable_input, path):
-        net = StgcnNetwork(small_adjacency(), 3, channel_plan=((4, 1), (4, 1), (8, 2)))
-        set_trainable(net, "fine_tune")
-        last, inputs = net.blocks[-1], []
+    def last_block(h, *args):
+        inputs.append(Tensor(h.data, trainable=True) if trainable_input else h)
+        return StgcnBlock.forward(last, inputs[0], *args)
 
-        def last_block(h, *args):
-            inputs.append(Tensor(h.data, trainable=True) if trainable_input else h)
-            return StgcnBlock.forward(last, inputs[0], *args)
-
-        monkeypatch.setattr(last, "forward", last_block, raising=False)
-        accumulated.clear()
-        logits = net.forward(x, training=True)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ad, "_accumulate", watched)
+        patch.setattr(last, "forward", last_block, raising=False)
+        logits = net.forward(small_input(np.random.default_rng(16)), training=True)
         logits.backward(np.random.default_rng(17).uniform(-1.0, 1.0, logits.shape))
-        SGD(net.parameters(), momentum=0.9).step(0.1)
-        save_weights(net, path)
-        return any(t is inputs[0] for t in accumulated)
+    SGD(net.parameters(), momentum=0.9).step(0.1)
+    save_weights(net, path)
+    return inputs[0], accumulated
 
-    assert not step(False, tmp_path / "skipped.ckpt")
-    assert step(True, tmp_path / "computed.ckpt")
+
+def test_fine_tune_step_computes_no_gradient_for_a_frozen_blocks_output(tmp_path):
+    # The last block trains on block 1's output, a bare leaf, so its graph
+    # conv's backward skips the K products of an input gradient. A step in
+    # which that input is made trainable, so that its gradient is
+    # computed, saves the same checkpoint bytes.
+    skipped, accumulated = fine_tune_step(tmp_path / "skipped.ckpt")
+    assert not any(tensor is skipped for tensor, _ in accumulated)
+    computed, accumulated = fine_tune_step(tmp_path / "computed.ckpt",
+                                           trainable_input=True)
+    assert any(tensor is computed for tensor, _ in accumulated)
+    assert ((tmp_path / "skipped.ckpt").read_bytes()
+            == (tmp_path / "computed.ckpt").read_bytes())
+
+
+def test_fine_tune_step_hands_no_gradient_to_a_frozen_leaf(tmp_path):
+    # The projection shortcut reads block 1's output subsampled in time, a
+    # bare leaf, so pointwise_conv's backward skips its input gradient too.
+    # Computing every input gradient saves the same checkpoint bytes.
+    _, accumulated = fine_tune_step(tmp_path / "skipped.ckpt")
+    assert [shape for tensor, shape in accumulated
+            if tensor.is_leaf and not tensor.trainable] == []
+    _, accumulated = fine_tune_step(tmp_path / "computed.ckpt",
+                                    trainable_input=True)
+    assert (4, 4, 4, 5) in [shape for tensor, shape in accumulated
+                            if not tensor.is_leaf]
     assert ((tmp_path / "skipped.ckpt").read_bytes()
             == (tmp_path / "computed.ckpt").read_bytes())
 
