@@ -26,7 +26,6 @@ from .keypoints import (
     COCO18_MODIFIED,
     LAYOUT_JOINT_COUNT,
     parse_keypoint_frame,
-    serialize_keypoint_frame,
 )
 from .graph import (
     PartitionedAdjacency,

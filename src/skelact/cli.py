@@ -207,7 +207,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
-def _read_predictions(path: Path) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray]:
+def _read_predictions(path: Path) -> tuple[dict, np.ndarray, np.ndarray, np.ndarray]:
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
         try:
@@ -223,8 +223,9 @@ def _read_predictions(path: Path) -> tuple[list[str], np.ndarray, np.ndarray, np
     confidence_columns = [
         i for i, name in enumerate(header) if name.startswith("confidence_")
     ]
-    ids, labels, predictions, confidences = [], [], [], []
-    # Row 1 is the header.
+    # Each sample id's index into the returned arrays.
+    row_by_id, labels, predictions, confidences = {}, [], [], []
+    # Row 1 is the header, so row ``number`` has index ``number - 2``.
     for number, row in enumerate(rows, start=2):
         try:
             labels.append(int(row[1]))
@@ -239,16 +240,20 @@ def _read_predictions(path: Path) -> tuple[list[str], np.ndarray, np.ndarray, np
                     f"{path} row {number}: {header[column]} must lie in [0, 1], "
                     f"got {value}"
                 )
-        ids.append(row[0])
-    return (ids, np.array(labels, dtype=np.int64),
+        if row[0] in row_by_id:
+            raise ConfigurationError(
+                f"{path} row {number}: sample_id {row[0]!r} repeats row "
+                f"{row_by_id[row[0]] + 2}"
+            )
+        row_by_id[row[0]] = number - 2
+    return (row_by_id, np.array(labels, dtype=np.int64),
             np.array(predictions, dtype=np.int64), np.array(confidences))
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     predictions_path = _require_file(args.predictions, "predictions")
     split = load_split(_require_dir(args.split, "split"))
-    ids, labels, predictions, confidences = _read_predictions(predictions_path)
-    row_by_id = {sample_id: row for row, sample_id in enumerate(ids)}
+    row_by_id, labels, predictions, confidences = _read_predictions(predictions_path)
     missing = [i for i in split.test_ids if i not in row_by_id]
     if missing:
         raise CoverageError(

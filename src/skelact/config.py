@@ -24,14 +24,25 @@ def read_document(cls, path: str | Path, label: str):
     """Read JSON file ``path`` into dataclass ``cls``. Every error, its
     ``__post_init__``'s too, reads ``<label> <path>: <field path>: <problem>``."""
     try:
-        doc = json.loads(Path(path).read_text())
-    # ValueError covers bad UTF-8 and bad JSON syntax.
+        doc = json.loads(Path(path).read_text(), object_pairs_hook=unique_keys)
+    # ValueError covers bad UTF-8, bad JSON syntax and a repeated key.
     except (OSError, ValueError) as exc:
         raise ConfigurationError(f"{label} {path}: {exc}") from exc
     try:
         return from_document(cls, doc)
     except ConfigurationError as exc:
         raise ConfigurationError(f"{label} {path}: {exc}") from exc
+
+
+def unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A ``json.loads`` object hook that rejects a key repeated in one
+    object, which ``json`` would otherwise resolve to the last value."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ValueError(f"duplicate key {key!r}")
+        doc[key] = value
+    return doc
 
 
 def resolve_relative(base: Path, path: str | None) -> str | None:

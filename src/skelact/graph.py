@@ -139,10 +139,6 @@ class PartitionedAdjacency:
     def vertex_count(self) -> int:
         return self.matrices.shape[-1]
 
-    def combined(self) -> np.ndarray:
-        """Sum over partitions; column sums equal one on connected graphs."""
-        return self.matrices.sum(axis=0)
-
 
 def partition_spatial(graph: SkeletonGraph) -> PartitionedAdjacency:
     """Split the normalized adjacency into the three spatial partitions.

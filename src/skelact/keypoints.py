@@ -155,13 +155,3 @@ def parse_keypoint_frame(data: bytes, layout: str) -> np.ndarray:
     people = np.array(rows, dtype=np.float64).reshape(-1, joint_count, 3)
     _check_values(people)
     return people
-
-
-def serialize_keypoint_frame(people: np.ndarray) -> bytes:
-    """Inverse of parse_keypoint_frame for a ``(P, V, 3)`` array, used to
-    write fixtures and exports."""
-    doc = {"people": [
-        {"pose_keypoints_2d": person.reshape(-1).tolist()}
-        for person in np.asarray(people, dtype=np.float64)
-    ]}
-    return json.dumps(doc).encode("utf-8")

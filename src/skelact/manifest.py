@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-import os
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -105,15 +104,6 @@ class DatasetManifest:
                     f"[0, 100], got {share!r}"
                 )
 
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def label_index(self, class_name: str) -> int:
-        try:
-            return self.class_table.index(class_name)
-        except ValueError:
-            raise ConfigurationError(f"unknown class {class_name!r}") from None
-
     def by_id(self) -> dict[str, ManifestRecord]:
         return {record.sample_id: record for record in self.records}
 
@@ -130,26 +120,6 @@ class DatasetManifest:
             return 0.0
         children = sum(1 for r in members if r.performer == PERFORMER_CHILD)
         return 100.0 * children / len(members)
-
-    def save(self, path: str | Path) -> None:
-        """Write the manifest as JSON, with relative keypoint paths rewritten
-        to resolve from the directory of ``path``."""
-        base = Path(path).parent
-        doc = {
-            "layout": self.layout,
-            "classes": list(self.class_table),
-            "records": [
-                dict(asdict(r), keypoint_path=(
-                    r.keypoint_path if Path(r.keypoint_path).is_absolute()
-                    else os.path.relpath(r.keypoint_path, base)
-                ))
-                for r in self.records
-            ],
-        }
-        if self.child_percentage is not None:
-            doc["child_percentage"] = dict(self.child_percentage)
-        with open_atomic(path) as handle:
-            handle.write(json.dumps(doc, indent=2, sort_keys=True))
 
     @classmethod
     def load(cls, path: str | Path) -> "DatasetManifest":
@@ -279,7 +249,7 @@ def split_class_counts(
 def save_split(
     split: ProtocolSplit,
     directory: str | Path,
-    manifest: DatasetManifest | None = None,
+    manifest: DatasetManifest,
 ) -> None:
     """Write train.txt, test.txt and a summary.json into a directory."""
     directory = Path(directory)
@@ -293,9 +263,8 @@ def save_split(
         "classes": list(split.class_names),
         "train_count": len(split.train_ids),
         "test_count": len(split.test_ids),
+        "class_counts": split_class_counts(split, manifest),
     }
-    if manifest is not None:
-        summary["class_counts"] = split_class_counts(split, manifest)
     with open_atomic(directory / "summary.json") as handle:
         handle.write(json.dumps(summary, indent=2, sort_keys=True))
 
@@ -309,7 +278,7 @@ class _SplitSummary:
     classes: list[str]
     train_count: int
     test_count: int
-    class_counts: dict[str, int] | None = None
+    class_counts: dict[str, int]
 
 
 def load_split(directory: str | Path) -> ProtocolSplit:

@@ -32,6 +32,7 @@ import numpy as np
 from . import autodiff as ad
 from .atomic import open_atomic
 from .autodiff import Tensor
+from .config import unique_keys
 from .errors import CheckpointError, ConfigurationError
 from .graph import PartitionedAdjacency, build_graph, partition_spatial
 from .keypoints import COCO18, check_layout
@@ -534,9 +535,10 @@ def read_checkpoint(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
     if payload_start > len(raw):
         raise CheckpointError(f"{path} is truncated")
     try:
-        header = json.loads(raw[header_start:payload_start].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CheckpointError(f"{path} has a corrupt header") from exc
+        header = json.loads(raw[header_start:payload_start].decode("utf-8"),
+                            object_pairs_hook=unique_keys)
+    except ValueError as exc:  # bad UTF-8, bad JSON syntax or a repeated key
+        raise CheckpointError(f"{path} has a corrupt header: {exc}") from exc
     if not isinstance(header, dict):
         raise CheckpointError(f"{path} has a corrupt header: not an object")
     fmt = header.get("format")

@@ -32,7 +32,6 @@ class SkeletonSequence:
     data: np.ndarray
     layout: str
     image_size: tuple[int, int] = (0, 0)
-    fps: float = 30.0
 
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=np.float64)
@@ -56,20 +55,12 @@ class SkeletonSequence:
     def person_slots(self) -> int:
         return self.data.shape[1]
 
-    @property
-    def joint_count(self) -> int:
-        return self.data.shape[2]
-
-    def visible_mask(self) -> np.ndarray:
-        """Boolean array (T, M, V): joints with nonzero confidence."""
-        return self.data[..., 2] > 0.0
-
     def copy(self) -> "SkeletonSequence":
         return self.replace_data(self.data.copy())
 
     def replace_data(self, data: np.ndarray) -> "SkeletonSequence":
         """New sequence with the same metadata but different frames."""
-        return SkeletonSequence(data, self.layout, tuple(self.image_size), self.fps)
+        return SkeletonSequence(data, self.layout, tuple(self.image_size))
 
 
 # Data-compatible source layout per graph layout. The modified 18-joint
@@ -88,17 +79,14 @@ def convert_layout(seq: SkeletonSequence, target: str) -> SkeletonSequence:
     """Re-index a sequence's joints to a data-compatible target layout."""
     target = _DATA_LAYOUT.get(target, target)
     if _DATA_LAYOUT.get(seq.layout, seq.layout) == target:
-        out = seq.copy()
-        out.layout = target
-        return out
+        return SkeletonSequence(seq.data.copy(), target, tuple(seq.image_size))
     joints = _CONVERSIONS.get((seq.layout, target))
     if joints is None:
         raise LayoutMismatchError(
             f"no conversion from layout {seq.layout} to {target}"
         )
     return SkeletonSequence(
-        seq.data[:, :, list(joints), :].copy(), target,
-        tuple(seq.image_size), seq.fps,
+        seq.data[:, :, list(joints), :].copy(), target, tuple(seq.image_size)
     )
 
 
@@ -108,18 +96,14 @@ def to_model_input(seq: SkeletonSequence) -> np.ndarray:
 
 
 def load_sequence(
-    source,
+    directory: str | Path,
     layout: str,
     person_slots: int = 2,
     target_frames: int = 300,
     image_size: tuple[int, int] = (0, 0),
-    fps: float = 30.0,
 ) -> SkeletonSequence:
-    """Load one sample's keypoint files into a sequence.
+    """Load a directory of per-frame ``.json`` keypoint files into a sequence.
 
-    ``source`` is a directory of per-frame ``.json`` files, or any object
-    with ``keypoint_path``, ``image_size``, and ``fps`` attributes (a
-    manifest record), in which case those fields override the arguments.
     Frame order is the lexicographic order of the file names, so frame
     numbers in names must be zero padded. Each frame keeps at most
     ``person_slots`` people, the most confident first; the sequence is then
@@ -130,11 +114,7 @@ def load_sequence(
     """
     from .pipeline import pad_sequence, select_persons
 
-    if hasattr(source, "keypoint_path"):
-        image_size = tuple(source.image_size)
-        fps = source.fps
-        source = source.keypoint_path
-    directory = Path(source)
+    directory = Path(directory)
     if not directory.is_dir():
         raise EmptySequenceError(f"{directory} is not a directory")
     # A bare ".json" has no suffix, as in pathlib.
@@ -146,9 +126,7 @@ def load_sequence(
         raise EmptySequenceError(f"{directory} holds no keypoint files")
 
     frames = [_load_frame(os.path.join(directory, name), layout) for name in names]
-    seq = SkeletonSequence(
-        select_persons(frames, person_slots), layout, image_size, fps
-    )
+    seq = SkeletonSequence(select_persons(frames, person_slots), layout, image_size)
     if target_frames != seq.frame_count:
         seq = pad_sequence(seq, target_frames)
     return seq

@@ -152,7 +152,7 @@ class SequenceDataset:
         self,
         sequences: list[SkeletonSequence],
         labels,
-        sample_ids: list[str] | None = None,
+        sample_ids: list[str],
     ):
         self.sequences = list(sequences)
         self.labels = np.asarray(labels, dtype=np.int64)
@@ -163,8 +163,6 @@ class SequenceDataset:
             )
         if len(self.sequences) and self.labels.min() < 0:
             raise ConfigurationError("labels must be non-negative")
-        if sample_ids is None:
-            sample_ids = [str(i) for i in range(len(self.sequences))]
         if len(sample_ids) != len(self.sequences):
             raise ConfigurationError("sample_ids must match the sequence count")
         self.sample_ids = list(sample_ids)
@@ -204,10 +202,11 @@ class SequenceDataset:
                     f"outside the split's classes"
                 )
             seq = load_sequence(
-                record,
+                record.keypoint_path,
                 manifest.layout,
                 person_slots=model_config.person_slots,
                 target_frames=model_config.target_frames,
+                image_size=record.image_size,
             )
             seq = convert_layout(seq, model_config.layout)
             seq = track(seq)

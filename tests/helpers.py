@@ -16,8 +16,7 @@ import numpy as np
 
 from skelact import (
     ConfigurationError,
-    DatasetManifest,
-    ManifestRecord,
+    SequenceDataset,
     SkeletonGraph,
     SkeletonSequence,
     normalize_centralize,
@@ -49,6 +48,12 @@ def frame_bytes(people) -> bytes:
         ]
     }
     return json.dumps(doc).encode("utf-8")
+
+
+def serialize_keypoint_frame(people) -> bytes:
+    """Frame bytes for a ``(P, V, 3)`` array, the inverse of
+    parse_keypoint_frame."""
+    return frame_bytes([person.reshape(-1) for person in np.asarray(people)])
 
 
 def write_frames(directory, frames) -> Path:
@@ -143,6 +148,20 @@ def motion_dataset(per_class, frames, joints, seed, classes=3,
     return [pairs[i] for i in order]
 
 
+def record_entry(**overrides) -> dict:
+    """One manifest record as JSON, with ``overrides`` applied."""
+    entry = {"sample_id": "s1", "class_name": "a", "performer": "child",
+             "keypoint_path": "/data/s1", "image_size": [640, 480], "fps": 30.0}
+    entry.update(overrides)
+    return entry
+
+
+def pair_dataset(pairs) -> SequenceDataset:
+    """A dataset of (sequence, label) pairs; sample ids are "0", "1", ..."""
+    return SequenceDataset([seq for seq, _ in pairs], [label for _, label in pairs],
+                           [str(i) for i in range(len(pairs))])
+
+
 def build_manifest_tree(root, classes=("wave", "jump", "spin"), per_class=8,
                         frames=12, layout="COCO18", seed=0,
                         image_size=(640, 480)):
@@ -163,18 +182,12 @@ def build_manifest_tree(root, classes=("wave", "jump", "spin"), per_class=8,
             data = motion_sequence(rng, label % 3, frames, joints, image_size)
             payload = [[data[t, 0].reshape(-1).tolist()] for t in range(frames)]
             directory = write_frames(root / "keypoints" / sample_id, payload)
-            records.append(ManifestRecord(
-                sample_id=sample_id,
-                class_name=name,
-                performer="child",
-                keypoint_path=str(directory),
-                image_size=image_size,
-            ))
-    manifest = DatasetManifest(
-        records=records, class_table=list(classes), layout=layout
-    )
+            records.append(record_entry(sample_id=sample_id, class_name=name,
+                                        keypoint_path=str(directory),
+                                        image_size=list(image_size)))
     path = root / "manifest.json"
-    manifest.save(path)
+    doc = {"classes": list(classes), "layout": layout, "records": records}
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True))
     return path
 
 

@@ -19,7 +19,6 @@ from skelact import (
     ManifestRecord,
     MoveParams,
     SGD,
-    SequenceDataset,
     SkeletonSequence,
     StgcnNetwork,
     TrainConfig,
@@ -52,6 +51,7 @@ from helpers import (
     mp_spearman,
     numeric_grad,
     oracle_track,
+    pair_dataset,
     path_graph,
     random_tracking_data,
 )
@@ -112,7 +112,7 @@ def test_2_adjacency_invariants_hold_for_every_layout(report):
         graph = build_graph(layout)
         assert graph.vertex_count == vertices
         adjacency = partition_spatial(graph)
-        column_sums = adjacency.combined().sum(axis=0)
+        column_sums = adjacency.matrices.sum(axis=(0, 1))
         worst_sum = max(worst_sum, float(np.abs(column_sums - 1.0).max()))
         occupied = (adjacency.matrices != 0.0).sum(axis=0)
         exclusive = exclusive and bool((occupied <= 1).all())
@@ -144,10 +144,7 @@ def test_3_greedy_tracking_equals_brute_force_on_1000_sequences(report):
 def test_4_synthetic_three_class_dataset_is_learned(report):
     started = time.monotonic()
     pairs = motion_dataset(per_class=20, frames=24, joints=5, seed=3)
-    train = SequenceDataset([s for s, _ in pairs[:45]],
-                            [l for _, l in pairs[:45]])
-    test = SequenceDataset([s for s, _ in pairs[45:]],
-                           [l for _, l in pairs[45:]])
+    train, test = pair_dataset(pairs[:45]), pair_dataset(pairs[45:])
     adjacency = partition_spatial(path_graph(5, center=0))
     net = StgcnNetwork(adjacency, 3,
                        channel_plan=((16, 1), (32, 2), (32, 1)), seed=0)

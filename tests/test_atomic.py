@@ -6,6 +6,8 @@ import stat
 import pytest
 
 from skelact import (
+    DatasetManifest,
+    ManifestRecord,
     ProtocolSplit,
     StgcnNetwork,
     atomic,
@@ -44,7 +46,9 @@ def write_checkpoint(directory, seed):
 def write_split(directory, seed):
     split = ProtocolSplit(protocol="custom", seed=seed, class_names=("a", "b"),
                           train_ids=(f"t{seed}", "u"), test_ids=(f"v{seed}",))
-    save_split(split, directory)
+    records = [ManifestRecord(sample_id, name, "child", "/data", (640, 480))
+               for sample_id, name in ((f"t{seed}", "a"), ("u", "b"), (f"v{seed}", "a"))]
+    save_split(split, directory, DatasetManifest(records, ["a", "b"]))
 
 
 @pytest.mark.parametrize("write", [write_checkpoint, write_split])

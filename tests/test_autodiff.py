@@ -1,14 +1,10 @@
 """Reverse-mode differentiation engine."""
-import ast
-import inspect
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from skelact import ConfigurationError, StateError
-from skelact import autodiff as ad
 from skelact.autodiff import (
     Norm,
     Tensor,
@@ -932,44 +928,3 @@ def test_no_grad_nests_and_restores_recording_on_exit_and_on_error():
     out = mul(x, x)
     out.backward(np.ones(3))
     assert np.array_equal(x.grad, [2.0, 2.0, 2.0])
-
-
-# ------------------------------------------------------------------- op set
-
-def _benchmark_traced_ops() -> set[str]:
-    """The op names ``perfbench/tracer.py`` wraps, read without importing it."""
-    tracer = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
-    for node in ast.parse(tracer.read_text()).body:
-        if isinstance(node, ast.Assign) and [getattr(t, "id", None)
-                                             for t in node.targets] == ["OPS"]:
-            return set(ast.literal_eval(node.value))
-    raise AssertionError(f"{tracer} assigns no OPS")
-
-
-def _names_used_from_autodiff() -> set[str]:
-    """Names other src/skelact modules import from autodiff or read off it."""
-    used: set[str] = set()
-    for path in Path(ad.__file__).parent.glob("*.py"):
-        if path.name == "autodiff.py":
-            continue
-        tree = ast.parse(path.read_text())
-        aliases = set()
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom) and node.module == "autodiff":
-                used.update(alias.name for alias in node.names)
-            elif isinstance(node, ast.ImportFrom) and node.module is None:
-                aliases.update(alias.asname or alias.name for alias in node.names
-                               if alias.name == "autodiff")
-        used.update(node.attr for node in ast.walk(tree)
-                    if isinstance(node, ast.Attribute)
-                    and isinstance(node.value, ast.Name) and node.value.id in aliases)
-    return used
-
-
-def test_every_public_autodiff_function_has_a_caller():
-    # A function no other module uses and the benchmark does not trace is
-    # dead code; test-only ops live in tests/helpers.py.
-    public = {name for name, value in inspect.getmembers(ad, inspect.isfunction)
-              if not name.startswith("_") and value.__module__ == ad.__name__}
-    assert "graph_conv" in public and "no_grad" in public
-    assert public - _names_used_from_autodiff() - _benchmark_traced_ops() == set()

@@ -125,6 +125,16 @@ def test_prepare_non_number_fps_exits_2(workspace, capsys):
     assert "records[0].fps: expected float" in capsys.readouterr().err
 
 
+def test_prepare_repeated_manifest_key_exits_2(workspace, tmp_path, capsys):
+    # json.loads keeps the last of two equal keys: this record read as fps 30.
+    text = (workspace / "data" / "manifest.json").read_text()
+    bad = tmp_path / "manifest.json"
+    bad.write_text(text.replace('"fps": 30.0', '"fps": 25, "fps": 30.0', 1))
+    assert main(["prepare", "--manifest", str(bad), "--protocol", "KS-Full",
+                 "--out", str(tmp_path / "out")]) == 2
+    assert f"manifest {bad}: duplicate key 'fps'" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------- train
 
 def test_train_writes_checkpoint_and_history(workspace, capsys):
@@ -608,6 +618,8 @@ BOUNDARY_CASES = {
                           "predictions.csv row 2"),
     "short-prediction-row": (analyze_with(row="wave_000,0"),
                              "predictions.csv row 2"),
+    "repeated-sample-id": (analyze_with(row="wave_000,0,0,0.9\nwave_000,0,1,0.1"),
+                           "predictions.csv row 3: sample_id 'wave_000' repeats row 2"),
     "split-summary-not-an-object": (analyze_with(summary="[1, 2]"),
                                     "summary.json: expected an object"),
     "split-summary-seed-not-a-number": (

@@ -157,7 +157,7 @@ def test_partition_entries_match_per_pair_rule(graph):
 @pytest.mark.parametrize("layout", LAYOUTS)
 def test_partition_column_sums_and_exclusivity(layout):
     parts = partition_spatial(build_graph(layout))
-    sums = parts.combined().sum(axis=0)
+    sums = parts.matrices.sum(axis=(0, 1))
     assert np.abs(sums - 1.0).max() < 1e-12
     # No entry may appear in two partitions.
     occupied = (parts.matrices != 0.0).sum(axis=0)
@@ -183,7 +183,7 @@ def test_triangle_puts_equal_hop_neighbors_in_the_root_partition():
     assert centripetal[2, 0] == pytest.approx(third)
     assert centrifugal[0, 1] == pytest.approx(third)
     assert centrifugal[0, 2] == pytest.approx(third)
-    assert parts.combined().sum(axis=0) == pytest.approx(np.ones(3))
+    assert parts.matrices.sum(axis=(0, 1)) == pytest.approx(np.ones(3))
 
 
 def test_partition_center_override():
@@ -191,7 +191,7 @@ def test_partition_center_override():
     # With the center at vertex 0 nothing is centripetal seen from 0.
     assert (end.matrices[1][:, 1:].sum(axis=0) > 0).any()
     assert end.matrices[2][0, 1] > 0.0
-    assert np.abs(end.combined().sum(axis=0) - 1.0).max() < 1e-12
+    assert np.abs(end.matrices.sum(axis=(0, 1)) - 1.0).max() < 1e-12
     middle = partition_spatial(path_graph(5, 2))
     assert not np.array_equal(middle.matrices, end.matrices)
     with pytest.raises(LayoutMismatchError):

@@ -18,9 +18,8 @@ from skelact import (
     LayoutMismatchError,
     parse_keypoint_frame,
     select_persons,
-    serialize_keypoint_frame,
 )
-from helpers import frame_bytes
+from helpers import frame_bytes, serialize_keypoint_frame
 
 
 def indexed_person(joints):

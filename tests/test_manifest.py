@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from helpers import write_frames
+from helpers import record_entry, write_frames
 
 from skelact import (
     COCO18,
@@ -213,7 +213,7 @@ def test_save_and_load_split_round_trip(tmp_path):
 def test_load_split_tolerates_blank_lines(tmp_path):
     manifest = big_manifest()
     split = build_protocol(manifest, "KS-Small-C", seed=9)
-    save_split(split, tmp_path / "split")
+    save_split(split, tmp_path / "split", manifest)
     train = tmp_path / "split" / "train.txt"
     train.write_text(train.read_text() + "\n\n")
     assert load_split(tmp_path / "split").train_ids == split.train_ids
@@ -288,16 +288,6 @@ def test_load_split_reports_missing_files(tmp_path):
         load_split(tmp_path / "nowhere")
 
 
-def test_manifest_save_load_round_trip(tmp_path):
-    manifest = big_manifest(child_top=4, child_bottom=3, adult_bottom=2)
-    manifest.save(tmp_path / "manifest.json")
-    loaded = DatasetManifest.load(tmp_path / "manifest.json")
-    assert loaded.class_table == manifest.class_table
-    assert loaded.layout == manifest.layout
-    assert loaded.child_percentage == manifest.child_percentage
-    assert loaded.records == manifest.records
-
-
 def test_manifest_validation():
     record = ManifestRecord("s1", "a", "child", "/data/s1", (640, 480))
     clone = ManifestRecord("s1", "a", "child", "/data/s1b", (640, 480))
@@ -318,13 +308,6 @@ def test_manifest_validation():
         )
 
 
-def record_entry(**overrides):
-    entry = {"sample_id": "s1", "class_name": "a", "performer": "child",
-             "keypoint_path": "/data/s1", "image_size": [640, 480], "fps": 30.0}
-    entry.update(overrides)
-    return entry
-
-
 def test_relative_keypoint_paths_resolve_against_the_manifest(
         tmp_path, monkeypatch):
     data = tmp_path / "data"
@@ -340,7 +323,7 @@ def test_relative_keypoint_paths_resolve_against_the_manifest(
     first, second = manifest.records
     assert first.keypoint_path == "../data/keypoints/s1"
     assert second.keypoint_path == "/abs/s2"
-    assert load_sequence(first, COCO18, target_frames=1).frame_count == 1
+    assert load_sequence(first.keypoint_path, COCO18, target_frames=1).frame_count == 1
 
 
 def test_manifest_rejects_bad_image_size_and_fps(tmp_path):
@@ -423,32 +406,6 @@ def test_manifest_load_names_a_malformed_records_field(case, tmp_path):
     prefix = re.escape(f"manifest {path}: ")
     with pytest.raises(ConfigurationError, match=f"^{prefix}{message}"):
         DatasetManifest.load(path)
-
-
-def test_saved_relative_keypoint_paths_resolve_from_the_new_file(
-        tmp_path, monkeypatch):
-    data = tmp_path / "data"
-    write_frames(data / "keypoints" / "s1", [[]])
-    doc = {"classes": ["a"], "layout": COCO18,
-           "records": [record_entry(keypoint_path="keypoints/s1"),
-                       record_entry(sample_id="s2", keypoint_path="/abs/s2")]}
-    (data / "manifest.json").write_text(json.dumps(doc))
-    elsewhere = tmp_path / "elsewhere"
-    elsewhere.mkdir()
-    monkeypatch.chdir(elsewhere)
-    (data / "sub").mkdir()
-    DatasetManifest.load("../data/manifest.json").save("../data/sub/copy.json")
-    first, second = DatasetManifest.load("../data/sub/copy.json").records
-    assert (elsewhere / first.keypoint_path).resolve() == data / "keypoints" / "s1"
-    assert second.keypoint_path == "/abs/s2"
-    assert load_sequence(first, COCO18, target_frames=1).frame_count == 1
-
-
-def test_label_index_lookup():
-    manifest = DatasetManifest(records=[], class_table=["x", "y"])
-    assert manifest.label_index("y") == 1
-    with pytest.raises(ConfigurationError):
-        manifest.label_index("zz")
 
 
 def test_manifest_load_rejects_garbage(tmp_path):

@@ -14,7 +14,6 @@ from skelact import (
     ConfigurationError,
     ModelConfig,
     SGD,
-    SequenceDataset,
     SkeletonGraph,
     TrainConfig,
     build_graph,
@@ -51,6 +50,7 @@ from helpers import (
     numeric_grad,
     oracle_block,
     oracle_graph_conv,
+    pair_dataset,
     path_graph,
     rewrite_checkpoint,
 )
@@ -717,7 +717,7 @@ def test_previous_step_graph_is_gone_when_the_next_training_forward_starts():
 
     net.forward = watched
     pairs = motion_dataset(2, 8, 5, seed=4)
-    data = SequenceDataset([s for s, _ in pairs], [l for _, l in pairs])
+    data = pair_dataset(pairs)
     train_loop(net, data, data, TrainConfig(batch_size=2, epochs=2))
     assert len(still_alive) == 5
     assert not any(still_alive)
@@ -959,6 +959,21 @@ def test_corrupt_checkpoints_are_rejected(tmp_path):
 
     with pytest.raises(CheckpointError):
         read_checkpoint(tmp_path / "absent.ckpt")
+
+
+def test_a_checkpoint_header_with_a_repeated_key_is_rejected(tmp_path):
+    good = tmp_path / "good.ckpt"
+    save_weights(small_net(), good)
+    raw = good.read_bytes()
+    start = len(CHECKPOINT_MAGIC) + 8
+    end = start + struct.unpack_from("<Q", raw, len(CHECKPOINT_MAGIC))[0]
+    # json.loads keeps the last of two equal keys: this header read as format 2.
+    blob = raw[start:end].replace(b'"format":2', b'"format":1,"format":2')
+    assert blob != raw[start:end]
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(CHECKPOINT_MAGIC + struct.pack("<Q", len(blob)) + blob + raw[end:])
+    with pytest.raises(CheckpointError, match="corrupt header: duplicate key 'format'"):
+        read_checkpoint(bad)
 
 
 def entry_edit(index, drop=None, **fields):

@@ -329,7 +329,7 @@ def test_move_matches_a_replicated_draw():
     for t in range(5):
         rot = s[t] * np.array([[np.cos(a[t]), -np.sin(a[t])],
                                [np.sin(a[t]), np.cos(a[t])]])
-        for v in range(seq.joint_count):
+        for v in range(seq.data.shape[2]):
             expected = rot @ seq.data[t, 0, v, :2] + (tx[t], ty[t])
             assert np.allclose(out.data[t, 0, v, :2], expected, atol=1e-12)
 

@@ -12,7 +12,6 @@ from skelact import (
     EmptySequenceError,
     KeypointParseError,
     LayoutMismatchError,
-    ManifestRecord,
     SkeletonSequence,
     convert_layout,
     load_sequence,
@@ -36,12 +35,9 @@ def coded_frames(frames, joints, slots=2):
 
 
 def test_sequence_shape_and_accessors():
-    seq = SkeletonSequence(np.zeros((4, 2, 18, 3)), COCO18, (640, 480), 25.0)
+    seq = SkeletonSequence(np.zeros((4, 2, 18, 3)), COCO18, (640, 480))
     assert seq.frame_count == 4
     assert seq.person_slots == 2
-    assert seq.joint_count == 18
-    assert seq.fps == 25.0
-    assert not seq.visible_mask().any()
 
 
 def test_sequence_validates_shape_against_layout():
@@ -94,19 +90,6 @@ def test_load_sequence_ranks_people_by_confidence(tmp_path):
     seq = load_sequence(directory, COCO18, person_slots=1, target_frames=1)
     assert seq.person_slots == 1
     assert seq.data[0, 0, 0, 0] == strong[0]
-
-
-def test_load_sequence_accepts_a_manifest_record(tmp_path):
-    directory = write_frames(tmp_path / "clip", coded_frames(3, 18))
-    record = ManifestRecord(
-        sample_id="s", class_name="c", performer="child",
-        keypoint_path=str(directory), image_size=(320, 240), fps=15.0,
-    )
-    seq = load_sequence(record, COCO18, target_frames=3, image_size=(999, 999))
-    # The record's own metadata wins over the arguments.
-    assert seq.image_size == (320, 240)
-    assert seq.fps == 15.0
-    assert seq.data[2, 0, 0, 0] == 2000.0
 
 
 def test_load_sequence_error_cases(tmp_path):
@@ -179,7 +162,7 @@ def test_convert_body25_to_coco_reindexes_joints():
     seq = SkeletonSequence(data, BODY25, (640, 480))
     converted = convert_layout(seq, COCO18)
     assert converted.layout == COCO18
-    assert converted.joint_count == 18
+    assert converted.data.shape[2] == 18
     for coco_index, body_index in enumerate(BODY25_TO_COCO):
         assert np.array_equal(
             converted.data[:, :, coco_index], data[:, :, body_index]
@@ -192,7 +175,7 @@ def test_convert_body25_to_no_feet_truncates():
     data[..., 2] = 0.5
     seq = SkeletonSequence(data, BODY25)
     converted = convert_layout(seq, BODY25_NO_FEET)
-    assert converted.joint_count == 19
+    assert converted.data.shape[2] == 19
     assert np.array_equal(converted.data, data[:, :, :19])
 
 

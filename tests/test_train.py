@@ -1,4 +1,5 @@
 """Loss, optimizer, schedule, datasets, and the training loop."""
+import json
 import math
 
 import numpy as np
@@ -26,7 +27,15 @@ from skelact import (
 from skelact.autodiff import Tensor
 from skelact.model import StgcnNetwork
 from skelact.train import SGD, EpochRecord, TrainHistory, load_sequence
-from helpers import build_manifest_tree, motion_dataset, path_graph
+from helpers import (
+    build_manifest_tree,
+    motion_dataset,
+    pair_dataset,
+    path_graph,
+    person_flat,
+    record_entry,
+    write_frames,
+)
 
 
 def tiny_net(num_classes=3, seed=0, plan=((8, 1), (8, 1))):
@@ -37,11 +46,7 @@ def tiny_net(num_classes=3, seed=0, plan=((8, 1), (8, 1))):
 def tiny_datasets(per_class=4, frames=12, seed=3):
     pairs = motion_dataset(per_class, frames, 5, seed)
     split = 3 * per_class * 3 // 4
-    train = SequenceDataset([s for s, _ in pairs[:split]],
-                            [l for _, l in pairs[:split]])
-    test = SequenceDataset([s for s, _ in pairs[split:]],
-                           [l for _, l in pairs[split:]])
-    return train, test
+    return pair_dataset(pairs[:split]), pair_dataset(pairs[split:])
 
 
 # ------------------------------------------------------------------- schedule
@@ -212,17 +217,18 @@ def test_dataset_validation_and_inputs():
     pairs = motion_dataset(2, 8, 5, seed=0)
     sequences = [s for s, _ in pairs]
     labels = [l for _, l in pairs]
-    data = SequenceDataset(sequences, labels)
+    ids = [f"s{i}" for i in range(6)]
+    data = SequenceDataset(sequences, labels, ids)
     assert len(data) == 6
-    assert data.sample_ids == [str(i) for i in range(6)]
+    assert data.sample_ids == ids
     assert data.input(0).shape == (3, 8, 5, 1)
     assert np.array_equal(data.input(2), to_model_input(sequences[2]))
     with pytest.raises(ConfigurationError):
-        SequenceDataset(sequences, labels[:-1])
+        SequenceDataset(sequences, labels[:-1], ids)
     with pytest.raises(ConfigurationError):
-        SequenceDataset(sequences, [-1] + labels[1:])
+        SequenceDataset(sequences, [-1] + labels[1:], ids)
     with pytest.raises(ConfigurationError):
-        SequenceDataset(sequences, labels, sample_ids=["a"])
+        SequenceDataset(sequences, labels, ["a"])
 
 
 def test_dataset_from_manifest_maps_labels_to_split_classes(tmp_path):
@@ -242,6 +248,26 @@ def test_dataset_from_manifest_maps_labels_to_split_classes(tmp_path):
     assert seq.frame_count == 10
     assert seq.person_slots == 1
     assert abs(seq.data[..., 0]).max() <= 0.5
+
+
+def test_dataset_from_manifest_normalizes_each_sample_by_its_records_image_size(
+        tmp_path):
+    sizes = ((640, 480), (320, 240))
+    clip = write_frames(tmp_path / "clip",
+                        [[person_flat(np.random.default_rng(t), 18)] for t in range(4)])
+    records = [record_entry(sample_id=f"s{width}", keypoint_path=str(clip),
+                            image_size=[width, height]) for width, height in sizes]
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({"classes": ["a"], "layout": "COCO18", "records": records}))
+    config = ModelConfig(layout="COCO18", person_slots=1, target_frames=4,
+                         channel_plan=((4, 1),))
+    data = SequenceDataset.from_manifest(DatasetManifest.load(path),
+                                         ["s640", "s320"], ("a",), config)
+    raw = load_sequence(clip, "COCO18", person_slots=1, target_frames=4).data
+    for seq, (width, height) in zip(data.sequences, sizes):
+        assert seq.image_size == (width, height)
+        assert np.array_equal(seq.data[..., 0], raw[..., 0] / width - 0.5)
+        assert np.array_equal(seq.data[..., 1], raw[..., 1] / height - 0.5)
 
 
 def test_dataset_from_manifest_rejects_foreign_samples(tmp_path):
@@ -274,7 +300,7 @@ def test_evaluate_returns_logits_in_dataset_order():
 
 def test_evaluate_rejects_an_empty_dataset():
     with pytest.raises(ConfigurationError):
-        evaluate(tiny_net(), SequenceDataset([], []))
+        evaluate(tiny_net(), SequenceDataset([], [], []))
 
 
 # -------------------------------------------------------------------- history
@@ -351,7 +377,7 @@ def test_train_loop_fails_on_non_finite_values_before_any_weight_moves(monkeypat
     # NaN passes through every op, ReLU included, so NaN inputs give a NaN loss.
     poisoned = SequenceDataset(
         [s.replace_data(np.full_like(s.data, np.nan)) for s in train.sequences],
-        train.labels)
+        train.labels, train.sample_ids)
     net = tiny_net()
     before = {n: t.data.copy() for n, t in net.named_parameters().items()}
     with np.errstate(all="ignore"), pytest.raises(
@@ -398,7 +424,7 @@ def test_train_loop_with_augmentation_is_deterministic():
 def test_train_loop_rejects_an_empty_training_set():
     _, test = tiny_datasets(per_class=2)
     with pytest.raises(ConfigurationError):
-        train_loop(tiny_net(), SequenceDataset([], []), test, loop_config())
+        train_loop(tiny_net(), SequenceDataset([], [], []), test, loop_config())
 
 
 def test_train_config_validation():
