@@ -17,8 +17,13 @@ array.
 An ST-GCN block is two nodes. ``graph_conv`` returns its raw channel mix.
 ``temporal_conv`` runs bn1 and a ReLU on that mix as its prologue, into a
 zero-bordered buffer it convolves and drops, and bn2, dropout, the
-residual add and ReLU as its epilogue. The prologue may write over its
-input because ``graph_conv``'s backward never reads its output.
+residual add and ReLU as its epilogue, with a ``Projection`` shortcut
+computed there too. The prologue may write over its input because
+``graph_conv``'s backward never reads its output. Between forward and
+backward a block holds only what a backward reads: that output, bn2's
+and a projection's centered inputs, the dropout mask and the node's
+output. Each batch norm's backward runs a few channels at a time
+(``_chunks``), so its only full-size array is dx.
 
 Leaf gradients accumulate into ``Tensor.grad`` buffers. Leaf tensors
 marked non-trainable (inputs, frozen weights) keep their gradient buffer
@@ -74,10 +79,6 @@ class Tensor:
         self.trainable = bool(trainable)
         self._parents = tuple(parents) if recording else ()
         self._backward_fn = backward_fn if recording else None
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.data.shape
 
     @property
     def is_leaf(self) -> bool:
@@ -290,54 +291,26 @@ def temporal_subsample(x: Tensor, stride: int) -> Tensor:
 
 
 _BN_AXES = (1, 2, 3)
-# Bytes of the buffer ``_channel_sum`` and ``_rectified_affine`` compute
-# whole channel rows into.
+# Bytes of the scratch buffer ``_chunks`` hands out with each run of channels.
 _PRODUCT_BYTES = 1 << 18
 
 
-def _channel_sum(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
-    """Per-channel sum of a (C, B, T, V) array, or of ``a * b``, as (C,).
-
-    Each channel is one row of B·T·V values, summed as numpy sums a
-    contiguous row. The product is formed a few whole rows at a time in a
-    buffer of at most ``_PRODUCT_BYTES`` (one row if a row is larger), so
-    ``a * b`` is never held whole and each row's sum has the bits of
-    ``(a * b).sum(axis=(1, 2, 3))``.
-    """
-    rows = a.reshape(a.shape[0], -1)
-    if b is None:
-        return rows.sum(axis=1)
-    others = b.reshape(rows.shape)
-    total = np.empty(rows.shape[0])
-    step = max(1, _PRODUCT_BYTES // rows[0].nbytes)
-    buffer = np.empty((min(step, rows.shape[0]), rows.shape[1]))
-    for start in range(0, rows.shape[0], step):
-        stop = min(start + step, rows.shape[0])
-        product = np.multiply(rows[start:stop], others[start:stop],
-                              out=buffer[:stop - start])
-        product.sum(axis=1, out=total[start:stop])
-    return total
+def _chunks(a: np.ndarray):
+    """(slice, buffer) for each run of whole channels of a (C, ...) array
+    that fits in ``_PRODUCT_BYTES`` (one channel if a channel is larger),
+    with a contiguous scratch buffer of the run's shape. An elementwise
+    chain over a run stays in cache and gives each element the bits of
+    whole-array code; a channel's sum is numpy's sum of one contiguous row."""
+    step = max(1, _PRODUCT_BYTES // a[0].nbytes)
+    buffer = np.empty((min(step, len(a)),) + a.shape[1:])
+    for start in range(0, len(a), step):
+        stop = min(start + step, len(a))
+        yield slice(start, stop), buffer[:stop - start]
 
 
-def _rectified_affine(x: np.ndarray, a: np.ndarray, b: np.ndarray,
-                      dest: np.ndarray) -> None:
-    """Write ``max(x * a + b, 0)`` to ``dest`` for a (C, B, T, V) ``x`` and
-    per-channel (C, 1, 1, 1) ``a`` and ``b``.
-
-    The multiply and add run a few whole channels at a time in a
-    contiguous buffer of at most ``_PRODUCT_BYTES`` (one channel if a
-    channel is larger), so only the ReLU writes to ``dest``, which may be
-    a strided view; numpy runs elementwise ops on strided operands at a
-    fraction of their contiguous rate. Each element has the bits of
-    ``np.maximum(x * a + b, 0)``.
-    """
-    step = max(1, _PRODUCT_BYTES // x[0].nbytes)
-    buffer = np.empty((min(step, len(x)),) + x.shape[1:])
-    for start in range(0, len(x), step):
-        stop = min(start + step, len(x))
-        part = np.multiply(x[start:stop], a[start:stop], out=buffer[:stop - start])
-        part += b[start:stop]
-        np.maximum(part, 0.0, out=dest[start:stop])
+def _row_sum(a: np.ndarray, out: np.ndarray) -> None:
+    """Sum each channel of a contiguous (k, ...) run into (k,) ``out``."""
+    a.reshape(len(a), -1).sum(axis=1, out=out)
 
 
 def _dropout_mask(shape: tuple[int, ...], rate: float, rng) -> tuple[np.ndarray, float]:
@@ -379,6 +352,18 @@ class Norm(NamedTuple):
     track: Callable[[np.ndarray, np.ndarray], None] | None = None
 
 
+class Projection(NamedTuple):
+    """A residual branch run inside a node's epilogue: every ``stride``-th
+    frame of ``x``, (C, B, T, V), mixed by a (C, D) ``weight``, then batch
+    norm ``norm``. Its input frames and output are temporaries; backward
+    subsamples ``x`` again for the weight gradient."""
+
+    x: Tensor
+    weight: Tensor
+    norm: Norm
+    stride: int
+
+
 def _per_channel(values: np.ndarray) -> np.ndarray:
     return values[:, None, None, None]
 
@@ -389,20 +374,22 @@ class _Epilogue:
 
     ``apply`` runs it on a fresh (C, B, T, V) array; ``backward`` takes
     the gradient of the result back to that array, accumulating the batch
-    norm and shortcut gradients on the way. Only what the backward
-    reads is kept: with batch statistics the centered input, with fixed
-    ones the input while gamma trains and a graph is recorded, and the
-    dropout mask. ReLU keeps no mask: the backward reads where the
-    rectified result is > 0, which is where its input was, NaN and both
-    zeros giving False either way. The result is the node's output, so it
-    stays alive, and nothing writes into it once the node has returned.
+    norm and shortcut gradients on the way. The shortcut is a tensor or a
+    ``Projection``, which the tail computes for the add and drops. Only
+    what the backward reads is kept: with batch statistics the centered
+    input, with fixed ones the input while gamma trains and a graph is
+    recorded, the dropout mask, and the same for a projection's batch
+    norm. ReLU keeps no mask: the backward reads where the rectified
+    result is > 0, which is where its input was, NaN and both zeros giving
+    False either way. The result is the node's output, so it stays alive,
+    and nothing writes into it once the node has returned.
 
-    ``fit``, ``rectify`` and ``normalize_backward`` are the batch norm
-    and a ReLU alone, for a prologue.
+    ``fit``, ``rectify``, ``affine`` and ``normalize_backward`` are the
+    batch norm and a ReLU alone, for a prologue.
     """
 
     def __init__(self, norm: Norm | None = None, dropout: float = 0.0, rng=None,
-                 shortcut: Tensor | None = None, relu: bool = False):
+                 shortcut: Tensor | Projection | None = None, relu: bool = False):
         self.norm, self.shortcut = norm, shortcut
         self.dropout, self.rng, self.relu = dropout, rng, relu
         self.centered = self.source = self.keep = self.rectified = None
@@ -418,8 +405,15 @@ class _Epilogue:
             self.keep, self.scale = _dropout_mask(result.shape, self.dropout, self.rng)
             result *= self.keep
             result *= self.scale
-        if self.shortcut is not None:
-            result += self.shortcut.data
+        branch = self.shortcut
+        if isinstance(branch, Projection):
+            self.branch = _Epilogue(branch.norm)
+            columns = np.ascontiguousarray(branch.x.data[:, :, ::branch.stride])
+            mixed = branch.weight.data.T @ columns.reshape(len(columns), -1)
+            del columns
+            result += self.branch.apply(mixed.reshape(-1, *result.shape[1:]))
+        elif branch is not None:
+            result += branch.data
         if self.relu:
             self.rectified = np.maximum(result, 0.0, out=result)
         return result
@@ -448,7 +442,10 @@ class _Epilogue:
         if norm.running is None:
             mu = out.mean(axis=_BN_AXES, keepdims=True)
             centered = np.subtract(out, mu, out=out)
-            var = _channel_sum(centered, centered) / (centered.size // centered.shape[0])
+            var = np.empty(len(out))
+            for part, buffer in _chunks(out):
+                _row_sum(np.square(centered[part], out=buffer), var[part])
+            var /= centered[0].size
             self.inv_std = 1.0 / _per_channel(np.sqrt(var + norm.eps))
             self.a, self.b = gamma * self.inv_std, shift
             self.centered = centered
@@ -467,64 +464,108 @@ class _Epilogue:
         out += self.b
         self.in_place = True
 
-    def rectify(self, out: np.ndarray, dest: np.ndarray) -> None:
-        """Write the ReLU of the batch norm's result to ``dest``, from what
-        ``fit`` left in ``out``; every call writes the same bits."""
+    def affine(self, out: np.ndarray, part: slice, buffer: np.ndarray) -> np.ndarray:
+        """The batch norm's result on channels ``part``, from what ``fit``
+        left in ``out``: ``out[part]`` if the map ran in place, else
+        ``out[part] * a + b`` written to ``buffer``."""
         if self.in_place:
-            np.maximum(out, 0.0, out=dest)
-        else:
-            _rectified_affine(out, self.a, self.b, dest)
+            return out[part]
+        result = np.multiply(out[part], self.a[part], out=buffer)
+        result += self.b[part]
+        return result
+
+    def rectify(self, out: np.ndarray, dest: np.ndarray) -> None:
+        """Write the ReLU of the batch norm's result to ``dest``, which may
+        be a strided view, a run of channels at a time; every call writes
+        the same bits."""
+        for part, buffer in _chunks(out):
+            np.maximum(self.affine(out, part, buffer), 0.0, out=dest[part])
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        """The gradient of the array ``apply`` ran on.
-
-        ``grad`` may also be a sibling's gradient, so only masked copies
-        are written in place.
-        """
-        writable = False
-        if self.rectified is not None:
+        """The gradient of the array ``apply`` ran on. ``grad`` may also be
+        a sibling's gradient, so it is never written; the ReLU mask is made
+        whole only if a shortcut reads the masked gradient."""
+        relu, branch = None, self.shortcut
+        if self.rectified is not None and branch is None:
+            relu = lambda part, _: self.rectified[part] > 0.0
+        elif self.rectified is not None:
             grad = grad * (self.rectified > 0.0)
-            writable = True
-        if self.shortcut is not None:
-            _accumulate(self.shortcut, grad)
-            writable = False
-        if self.keep is not None:
-            grad = grad * self.keep
-            grad *= self.scale
-            writable = True
-        if self.norm is not None:
-            grad = self.normalize_backward(grad, writable)
-        return grad
+        if isinstance(branch, Projection):
+            self.project_backward(grad)
+        elif branch is not None:
+            _accumulate(branch, grad)
+        # Once a projection has read it, the masked copy is this tail's own.
+        own = isinstance(branch, Projection) and self.rectified is not None
+        return self.normalize_backward(grad, grad if own else None, relu)
 
-    def normalize_backward(self, grad: np.ndarray, writable: bool) -> np.ndarray:
-        """The gradient of the batch norm's input; ``grad`` is overwritten
-        if ``writable``."""
-        gamma, beta, a, inv_std = self.norm.gamma, self.norm.beta, self.a, self.inv_std
-        if self.centered is None:
-            # Fixed statistics: the map is x * a + b.
-            if beta.trainable:
-                _accumulate(beta, _channel_sum(grad))
-            if self.source is not None:
-                _accumulate(gamma, _channel_sum(grad, (self.source - self.mu) * inv_std))
-            return np.multiply(grad, a, out=grad) if writable else grad * a
-        centered = self.centered
-        grad_sum = _channel_sum(grad)
-        _accumulate(beta, grad_sum)
-        grad_centered_sum = _channel_sum(grad, centered)
-        _accumulate(gamma, grad_centered_sum * inv_std.reshape(-1))
-        count = grad.size // grad.shape[0]
-        mean_grad = _per_channel(grad_sum / count)
-        mean_grad_centered = _per_channel(grad_centered_sum / count)
-        # dx = a * (g - mean(g) - centered * inv_std**2 * mean(g * centered))
-        grad_x = centered * (-a * inv_std ** 2 * mean_grad_centered)
-        grad_x -= a * mean_grad
-        grad_x += np.multiply(grad, a, out=grad) if writable else grad * a
-        return grad_x
+    def project_backward(self, grad: np.ndarray) -> None:
+        """Accumulate the projection shortcut's gradients; ``grad`` is read only."""
+        branch = self.shortcut
+        grad_rows = self.branch.backward(grad).reshape(len(grad), -1)
+        columns = np.ascontiguousarray(branch.x.data[:, :, ::branch.stride])
+        _accumulate(branch.weight, columns.reshape(len(columns), -1) @ grad_rows.T)
+        if not _needs_grad(branch.x):
+            return
+        grad_x = (branch.weight.data @ grad_rows).reshape(columns.shape)
+        if branch.stride > 1:
+            grad_x, strided = np.zeros_like(branch.x.data), grad_x
+            grad_x[:, :, ::branch.stride] = strided
+        _accumulate(branch.x, grad_x)
+
+    def normalize_backward(self, grad: np.ndarray, dest: np.ndarray | None,
+                           relu: Callable | None) -> np.ndarray:
+        """dx of the batch norm from ``grad``, the gradient of the tail's
+        result with the shortcut's part taken: one pass per run of whole
+        channels applies the ReLU mask ``relu(part, buffer)``, if given, and
+        the dropout mask, takes both per-channel sums and writes dx to
+        ``dest`` (``grad`` itself, or a new array if None)."""
+        norm, batch = self.norm, self.centered is not None
+        if norm is None and relu is None and self.keep is None:
+            return grad
+        dest = np.empty(grad.shape) if dest is None else dest
+        sums = np.empty((2, len(grad)))  # of g and of g times the normalized input
+        for part, buffer in _chunks(grad):
+            g = grad[part]
+            if relu is not None:
+                g = np.multiply(g, relu(part, buffer), out=dest[part])
+            if self.keep is not None:
+                g = np.multiply(g, self.keep[part], out=dest[part])
+                g *= self.scale
+            if norm is None:
+                continue
+            _row_sum(g, sums[0, part])
+            a = self.a[part]
+            if not batch:
+                # Fixed statistics: the map is x * a + b.
+                if self.source is not None:
+                    normalized = np.subtract(self.source[part], self.mu[part], out=buffer)
+                    normalized *= self.inv_std[part]
+                    _row_sum(np.multiply(g, normalized, out=buffer), sums[1, part])
+                np.multiply(g, a, out=dest[part])
+                continue
+            centered = self.centered[part]
+            _row_sum(np.multiply(g, centered, out=buffer), sums[1, part])
+            mean_grad = _per_channel(sums[0, part] / g[0].size)
+            mean_grad_centered = _per_channel(sums[1, part] / g[0].size)
+            # dx = a * (g - mean(g) - centered * inv_std**2 * mean(g * centered))
+            coefficient = -a * self.inv_std[part] ** 2 * mean_grad_centered
+            term = np.multiply(centered, coefficient, out=buffer)
+            term -= a * mean_grad
+            np.add(term, np.multiply(g, a, out=dest[part]), out=dest[part])
+        if norm is not None:
+            _accumulate(norm.beta, sums[0])
+            if batch or self.source is not None:
+                _accumulate(norm.gamma, sums[1] * self.inv_std.reshape(-1) if batch
+                            else sums[1])
+        return dest
 
     def parents(self) -> tuple[Tensor, ...]:
         """The tensors the tail reads besides the node's own operands."""
         extra = () if self.norm is None else (self.norm.gamma, self.norm.beta)
-        return extra + (() if self.shortcut is None else (self.shortcut,))
+        branch = self.shortcut
+        if isinstance(branch, Projection):
+            return extra + (branch.x, branch.weight, branch.norm.gamma, branch.norm.beta)
+        return extra + (() if branch is None else (branch,))
 
 
 def _tap_windows(padded: np.ndarray, taps: int, stride: int) -> np.ndarray:
@@ -555,7 +596,7 @@ def temporal_conv(
     norm: Norm | None = None,
     dropout: float = 0.0,
     rng: np.random.Generator | None = None,
-    shortcut: Tensor | None = None,
+    shortcut: Tensor | Projection | None = None,
     relu: bool = False,
 ) -> Tensor:
     """Depthwise convolution over the frame axis of a (C, B, T, V) tensor.
@@ -574,17 +615,18 @@ def temporal_conv(
 
     The padded input, rectified if there is a prologue, goes to a
     zero-bordered buffer the node owns and drops once it has convolved;
-    only the prologue's ReLU writes into it (``_rectified_affine``). The
-    backward pass builds the buffer again from what the forward left in
-    the input's array, by the same operations, so with the same bits, for
-    the kernel gradient and the ReLU mask, and then reuses it for the
-    stride-dilated output gradient.
+    only the prologue's ReLU writes into it. The backward pass builds the
+    buffer again from what the forward left in the input's array, by the
+    same operations, so with the same bits, for the kernel gradient, then
+    reuses it for the stride-dilated output gradient. The input gradient
+    is the windowed sum of that buffer with the flipped kernel; the
+    prologue's backward rebuilds its ReLU mask a run of channels at a
+    time and writes dx over that sum.
 
     The epilogue runs in this node, in order: batch norm ``norm``,
     inverted dropout at rate ``dropout`` drawn from ``rng``, the
-    residual add of ``shortcut`` (a tensor of the output's shape), ReLU.
-    The input gradient is the same windowed sum of the stride-dilated
-    gradient with the flipped kernel.
+    residual add of ``shortcut``, ReLU. The shortcut is a tensor of the
+    output's shape or a ``Projection`` to that shape.
     """
     x, kernel = _as_tensor(x), _as_tensor(kernel)
     if x.data.ndim != 4:
@@ -601,9 +643,14 @@ def temporal_conv(
 
     _, batch, frames, vertices = x.data.shape
     out_shape = (channels, batch, -(-frames // stride), vertices)
-    if shortcut is not None and shortcut.data.shape != out_shape:
+    if isinstance(shortcut, Projection):
+        shortcut_shape = (shortcut.weight.data.shape[1:]
+                          + shortcut.x.data[:, :, ::shortcut.stride].shape[1:])
+    else:
+        shortcut_shape = out_shape if shortcut is None else shortcut.data.shape
+    if shortcut_shape != out_shape:
         raise ConfigurationError(
-            f"shortcut has shape {shortcut.data.shape}, output has {out_shape}"
+            f"shortcut has shape {shortcut_shape}, output has {out_shape}"
         )
     pad = (taps - 1) // 2
     entry = None if prologue is None else _Epilogue(prologue)
@@ -628,20 +675,21 @@ def temporal_conv(
     def backward_fn(grad):
         grad = epilogue.backward(grad)
         padded = padded_input()
-        inner = padded[:, :, pad:pad + frames]
         windows = _tap_windows(padded, taps, stride)
         _accumulate(kernel, np.einsum("cbktv,cbtv->ck", windows, grad))
-        positive = None if entry is None else inner > 0.0
         # The buffer becomes the dilated gradient: its border is zero, stride
         # 1 writes every inner frame, and a larger stride leaves gaps that
         # must be zero too.
         if stride > 1:
-            inner[...] = 0.0
+            padded[:, :, pad:pad + frames] = 0.0
         padded[:, :, pad:pad + stride * grad.shape[2]:stride] = grad
+        del grad, windows
         grad_x = _correlate(padded, kernel.data[:, ::-1], 1)
+        del padded
         if entry is not None:
-            grad_x *= positive
-            grad_x = entry.normalize_backward(grad_x, writable=True)
+            # The ReLU mask: where the rectified input was > 0.
+            entry.normalize_backward(
+                grad_x, grad_x, lambda part, buf: entry.affine(x.data, part, buf) > 0.0)
         _accumulate(x, grad_x)
 
     parents = (x, kernel) + (() if entry is None else entry.parents())
@@ -669,12 +717,12 @@ def graph_conv(
     aggregate, then one GEMM with the stacked (K·C, D) weight writes the
     output, so no activation is transposed and the whole batch is one
     call. Aggregating before mixing is the cheaper order while C <= D. The
-    aggregate, 3x the input for K = 3, is freed as soon as the output is
-    mixed, and the backward pass builds it again from the input by the
-    same matmuls, so with the same bits, for the weight gradient. The
-    weight and aggregate gradients are one GEMM each over the whole batch;
-    the input gradient, K more products, is computed only if a gradient
-    of the input reaches a trainable tensor.
+    aggregate, 3x the input for K = 3, and the stacked weight are freed as
+    soon as the output is mixed, and the backward pass builds both again,
+    by the same operations, so with the same bits. The weight and
+    aggregate gradients are one GEMM each over the whole batch; the input
+    gradient, K more products, is computed only if a gradient of the input
+    reaches a trainable tensor.
 
     The backward pass never reads the output, so the next node may write
     over it, as ``temporal_conv``'s prologue does.
@@ -689,10 +737,12 @@ def graph_conv(
         raise ConfigurationError("graph_conv expects a (C, B, T, V) input")
     channels, batch, frames, vertices = x.data.shape
     gated = [a * m.data for a, m in zip(adjacency, masks)]
-    stacked = np.stack([w.data for w in weights]).reshape(partitions * channels, -1)
-    out_channels = stacked.shape[1]
+    out_channels = weights[0].data.shape[1]
 
     columns = x.data.reshape(channels * batch * frames, vertices)
+
+    def stacked() -> np.ndarray:
+        return np.stack([w.data for w in weights]).reshape(partitions * channels, -1)
 
     def aggregate() -> np.ndarray:
         # Row block k of the (K·C, B·T·V) aggregate holds x @ gated[k].
@@ -701,12 +751,12 @@ def graph_conv(
             np.matmul(columns, gated[k], out=out[k])
         return out.reshape(partitions * channels, batch * frames * vertices)
 
-    out_data = (stacked.T @ aggregate()).reshape(out_channels, batch, frames, vertices)
+    out_data = (stacked().T @ aggregate()).reshape(out_channels, batch, frames, vertices)
 
     def backward_fn(grad):
         grad_flat = grad.reshape(out_channels, batch * frames * vertices)
         grad_stacked = aggregate() @ grad_flat.T
-        grad_aggregated = (stacked @ grad_flat).reshape(
+        grad_aggregated = (stacked() @ grad_flat).reshape(
             partitions, channels * batch * frames, vertices
         )
         by_channel = columns.reshape(channels, -1, vertices).transpose(0, 2, 1)
@@ -727,34 +777,6 @@ def graph_conv(
             _accumulate(x, grad_columns.reshape(x.data.shape))
 
     return Tensor(out_data, parents=(x, *weights, *masks), backward_fn=backward_fn)
-
-
-def pointwise_conv(x: Tensor, weight: Tensor, *, norm: Norm | None = None) -> Tensor:
-    """Mix the channels of a (C, B, T, V) tensor with a (C, D) weight.
-
-    A 1x1 convolution: one GEMM ``W.T @ x`` on the (C, B·T·V) matrix, so
-    the output is (D, B, T, V) with no transpose. Batch norm ``norm`` runs
-    as the epilogue.
-    """
-    x, weight = _as_tensor(x), _as_tensor(weight)
-    if x.data.ndim != 4 or weight.data.ndim != 2:
-        raise ConfigurationError(
-            "pointwise_conv needs a (C, B, T, V) input and a 2D weight"
-        )
-    flat = x.data.reshape(x.data.shape[0], -1)
-    out_data = (weight.data.T @ flat).reshape(-1, *x.data.shape[1:])
-    epilogue = _Epilogue(norm)
-    out_data = epilogue.apply(out_data)
-
-    def backward_fn(grad):
-        grad = epilogue.backward(grad)
-        grad_flat = grad.reshape(grad.shape[0], -1)
-        _accumulate(weight, flat @ grad_flat.T)
-        if _needs_grad(x):
-            _accumulate(x, (weight.data @ grad_flat).reshape(x.data.shape))
-
-    return Tensor(out_data, parents=(x, weight) + epilogue.parents(),
-                  backward_fn=backward_fn)
 
 
 def batch_norm(x: Tensor, norm: Norm, relu: bool = False) -> Tensor:

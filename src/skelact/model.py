@@ -205,7 +205,7 @@ class StgcnBlock:
         training: bool,
         rng: np.random.Generator | None,
     ) -> Tensor:
-        """Run the block as two nodes, three or four with a projection.
+        """Run the block as two nodes.
 
         Node A is the graph convolution; it returns the raw channel mix.
         Node B, the temporal convolution, runs bn1 and ReLU on that mix as
@@ -213,33 +213,27 @@ class StgcnBlock:
         safe because A's backward never reads its output. B writes the
         rectified result into a zero-bordered buffer that it convolves and
         drops; its backward builds the buffer again. B's epilogue is bn2,
-        dropout, the residual add and ReLU. Evaluation makes the same calls
-        on the same weights, with no dropout and every batch norm on its
-        running statistics, as a frozen layer in training; it records no
-        graph, so each norm writes over its input in place.
+        dropout, the residual add and ReLU; a projection shortcut
+        (subsample, 1x1 convolution, res_bn) runs inside it too, so only
+        res_bn's backward operand outlives the forward. Evaluation makes
+        the same calls on the same weights, with no dropout and every
+        batch norm on its running statistics, as a frozen layer in
+        training; it records no graph, so each norm writes over its input
+        in place.
         """
         with nullcontext() if training else ad.no_grad():
             h = ad.graph_conv(x, adjacency, self.gcn_weights, self.edge_masks)
+            if self.residual == "project":
+                shortcut = ad.Projection(x, self.res_weight, self.res_bn.norm(training),
+                                         self.stride)
+            else:
+                shortcut = x if self.residual == "identity" else None
             return ad.temporal_conv(
                 h, self.tcn_kernel, self.stride, prologue=self.bn1.norm(training),
                 norm=self.bn2.norm(training),
                 dropout=self.dropout if training else 0.0, rng=rng,
-                shortcut=self._shortcut(x, training), relu=True,
+                shortcut=shortcut, relu=True,
             )
-
-    def _shortcut(self, x: Tensor, training: bool) -> Tensor | None:
-        """The residual branch: none, ``x`` itself, or its projection.
-
-        The projection is one pointwise convolution node with res_bn as its
-        epilogue.
-        """
-        if self.residual == "none":
-            return None
-        if self.residual == "identity":
-            return x
-        shortcut = x if self.stride == 1 else ad.temporal_subsample(x, self.stride)
-        return ad.pointwise_conv(shortcut, self.res_weight,
-                                 norm=self.res_bn.norm(training))
 
     def parameters(self) -> list[tuple[str, Tensor]]:
         named: list[tuple[str, Tensor]] = []

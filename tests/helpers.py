@@ -29,7 +29,6 @@ from skelact.autodiff import (
     batch_norm_given,
     dropout,
     graph_conv,
-    pointwise_conv,
     relu,
     temporal_conv,
     temporal_subsample,
@@ -258,6 +257,24 @@ def add_relu(a, b):
     return Tensor(out, parents=(a, b), backward_fn=backward_fn)
 
 
+def pointwise_conv(x, weight):
+    """A 1x1 convolution as one autodiff node, for the oracle chains: the
+    (C, D) ``weight`` mixes the channels of a (C, B, T, V) input with one
+    GEMM, ``W.T @ x`` on the (C, B·T·V) matrix."""
+    if x.data.ndim != 4 or weight.data.ndim != 2:
+        raise ConfigurationError(
+            "pointwise_conv needs a (C, B, T, V) input and a 2D weight")
+    flat = x.data.reshape(len(x.data), -1)
+    out = (weight.data.T @ flat).reshape(-1, *x.data.shape[1:])
+
+    def backward_fn(grad):
+        grad_flat = grad.reshape(len(grad), -1)
+        _accumulate(weight, flat @ grad_flat.T)
+        _accumulate(x, (weight.data @ grad_flat).reshape(x.data.shape))
+
+    return Tensor(out, parents=(x, weight), backward_fn=backward_fn)
+
+
 def oracle_batch_norm(x, gamma, beta, eps, relu, seed):
     """Training batch norm of a (C, B, T, V) input and its gradients by
     the textbook chain rule.
@@ -294,6 +311,44 @@ def oracle_batch_norm(x, gamma, beta, eps, relu, seed):
               + per_channel(grad_mean) / count)
     return (out, mean, var, (grad_out * normalized).sum(axis=axes),
             grad_out.sum(axis=axes), grad_x)
+
+
+def whole_array_batch_norm(x, gamma, beta, eps=1e-5, relu=False):
+    """Training batch norm of a (C, B, T, V) tensor, with a fused ReLU if
+    ``relu``, as one node that runs every step on whole arrays.
+
+    Forward and backward follow the formulas the fused nodes run a few
+    channels at a time, in the same order, so the two must agree bit for
+    bit at any run length: each channel's sum is numpy's sum of one
+    contiguous row, and dx = a * (g - mean(g) - centered * inv_std**2 *
+    mean(g * centered)) is formed as three whole-array terms.
+    """
+    channels = len(x.data)
+    count = x.data[0].size
+    centered = x.data - x.data.mean(axis=(1, 2, 3), keepdims=True)
+    var = (centered * centered).reshape(channels, -1).sum(axis=1) / count
+    inv_std = 1.0 / np.sqrt(var + eps)[:, None, None, None]
+    a = gamma.data[:, None, None, None] * inv_std
+    out = centered * a
+    out += beta.data[:, None, None, None]
+    if relu:
+        np.maximum(out, 0.0, out=out)
+
+    def backward_fn(grad):
+        if relu:
+            grad = grad * (out > 0.0)
+        grad_sum = grad.reshape(channels, -1).sum(axis=1)
+        grad_centered_sum = (grad * centered).reshape(channels, -1).sum(axis=1)
+        _accumulate(beta, grad_sum)
+        _accumulate(gamma, grad_centered_sum * inv_std.reshape(-1))
+        mean_grad = (grad_sum / count)[:, None, None, None]
+        mean_grad_centered = (grad_centered_sum / count)[:, None, None, None]
+        grad_x = centered * (-a * inv_std ** 2 * mean_grad_centered)
+        grad_x -= a * mean_grad
+        grad_x += grad * a
+        _accumulate(x, grad_x)
+
+    return Tensor(out, parents=(x, gamma, beta), backward_fn=backward_fn)
 
 
 def _oracle_norm(bn, y, training, relu=False):

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from skelact import ConfigurationError, StateError
+from skelact import autodiff as ad
 from skelact.autodiff import (
     Norm,
+    Projection,
     Tensor,
     add,
     batch_norm,
@@ -18,7 +20,6 @@ from skelact.autodiff import (
     mean,
     mul,
     no_grad,
-    pointwise_conv,
     reduce_sum,
     relu,
     reshape,
@@ -32,6 +33,8 @@ from helpers import (
     numeric_grad,
     oracle_batch_norm,
     oracle_graph_conv,
+    pointwise_conv,
+    whole_array_batch_norm,
 )
 
 
@@ -60,7 +63,7 @@ def check_grads(build, tensors, tol=1e-5):
 def test_tensor_defaults():
     t = Tensor([[1, 2], [3, 4]])
     assert t.data.dtype == np.float64
-    assert t.shape == (2, 2)
+    assert t.data.shape == (2, 2)
     assert not t.trainable
     assert t.is_leaf
     assert (t.grad == 0.0).all()
@@ -169,7 +172,7 @@ def test_mul_broadcast_gradients():
     a = leaf(rng, (4, 1, 3))
     b = leaf(rng, (2, 3))
     out = mul(a, b)
-    assert out.shape == (4, 2, 3)
+    assert out.data.shape == (4, 2, 3)
     check_grads(lambda: reduce_sum(mul(a, b), (0, 1, 2)), [a, b])
 
 
@@ -246,7 +249,7 @@ def test_matmul_last_batched():
     x = leaf(rng, (2, 3, 4, 5))
     w = leaf(rng, (5, 6))
     out = matmul_last(x, w)
-    assert out.shape == (2, 3, 4, 6)
+    assert out.data.shape == (2, 3, 4, 6)
     assert np.allclose(out.data, x.data @ w.data)
     check_grads(lambda: reduce_sum(mul(matmul_last(x, w), matmul_last(x, w)),
                                    (0, 1, 2, 3)), [x, w])
@@ -263,7 +266,7 @@ def test_transpose_forward_and_grad():
     rng = np.random.default_rng(4)
     x = leaf(rng, (2, 3, 4))
     out = transpose(x, (2, 0, 1))
-    assert out.shape == (4, 2, 3)
+    assert out.data.shape == (4, 2, 3)
     assert np.array_equal(out.data, x.data.transpose(2, 0, 1))
     assert out.data.flags["C_CONTIGUOUS"]
     check_grads(lambda: reduce_sum(mul(transpose(x, (2, 0, 1)),
@@ -274,7 +277,7 @@ def test_reshape_round_trip_grad():
     rng = np.random.default_rng(5)
     x = leaf(rng, (2, 3, 4))
     out = reshape(x, (6, 4))
-    assert out.shape == (6, 4)
+    assert out.data.shape == (6, 4)
     check_grads(lambda: reduce_sum(mul(reshape(x, (6, 4)),
                                        reshape(x, (6, 4))), (0, 1)), [x])
 
@@ -296,9 +299,9 @@ def test_temporal_subsample_picks_every_stride_th_frame():
     rng = np.random.default_rng(7)
     x = leaf(rng, (2, 3, 7, 4))
     out = temporal_subsample(x, 2)
-    assert out.shape == (2, 3, 4, 4)
+    assert out.data.shape == (2, 3, 4, 4)
     assert np.array_equal(out.data, x.data[:, :, ::2, :])
-    out.backward(np.ones(out.shape))
+    out.backward(np.ones(out.data.shape))
     assert (x.grad[:, :, 1::2, :] == 0.0).all()
     assert (x.grad[:, :, ::2, :] == 1.0).all()
     with pytest.raises(ConfigurationError):
@@ -339,7 +342,7 @@ def test_temporal_conv_stride_one_keeps_frame_count():
     rng = np.random.default_rng(9)
     x = leaf(rng, (2, 1, 9, 3))
     kernel = leaf(rng, (2, 5))
-    assert temporal_conv(x, kernel).shape == (2, 1, 9, 3)
+    assert temporal_conv(x, kernel).data.shape == (2, 1, 9, 3)
 
 
 def test_temporal_conv_gradcheck():
@@ -389,7 +392,7 @@ def test_graph_conv_gradcheck(c_in, c_out):
     expected = oracle_graph_conv(
         x.data, adjacency, [w.data for w in weights], [m.data for m in masks]
     )
-    assert out.shape == (c_out, 2, 3, 5)
+    assert out.data.shape == (c_out, 2, 3, 5)
     assert np.allclose(out.data, expected, atol=1e-10)
 
     def build():
@@ -405,7 +408,7 @@ def test_graph_conv_frozen_weight_and_mask_keep_zero_gradients():
     weights[1].trainable = False
     masks[2].trainable = False
     out = graph_conv(x, adjacency, weights, masks)
-    out.backward(rng.uniform(-1.0, 1.0, out.shape))
+    out.backward(rng.uniform(-1.0, 1.0, out.data.shape))
     assert (weights[1].grad == 0.0).all()
     assert (masks[2].grad == 0.0).all()
     for tensor in (x, weights[0], weights[2], masks[0], masks[1]):
@@ -431,7 +434,7 @@ def test_pointwise_conv_gradcheck():
     x = leaf(rng, (3, 2, 4, 5))
     weight = leaf(rng, (3, 6))
     out = pointwise_conv(x, weight)
-    assert out.shape == (6, 2, 4, 5)
+    assert out.data.shape == (6, 2, 4, 5)
     assert np.allclose(out.data, np.einsum("cbtv,cd->dbtv", x.data, weight.data),
                        atol=1e-12)
 
@@ -496,7 +499,7 @@ def test_batch_norm_batch_forward_keeps_one_input_sized_array_besides_its_output
         tracemalloc.stop()
     # x - mu and the output, one input size each, plus the bool ReLU mask
     # (1/8); the variance's product buffer is freed before the output.
-    assert out.shape == x.shape
+    assert out.data.shape == x.data.shape
     assert peak <= 2.2 * x.data.nbytes
 
 
@@ -528,10 +531,10 @@ def test_batch_norm_given_is_a_per_channel_affine_map():
         x.data - mu[:, None, None, None]
     ) + beta.data[:, None, None, None]
     assert np.allclose(out.data, expected, atol=1e-12)
-    out.backward(np.ones(out.shape))
+    out.backward(np.ones(out.data.shape))
     scale = gamma.data / np.sqrt(var + eps)
     assert np.allclose(
-        x.grad, np.broadcast_to(scale[:, None, None, None], x.shape)
+        x.grad, np.broadcast_to(scale[:, None, None, None], x.data.shape)
     )
 
 
@@ -559,7 +562,7 @@ def test_batch_norm_relu_gradcheck_away_from_the_kink(batch_stats, seed, tol):
     beta = Tensor(rng.uniform(-0.5, 0.5, 2), trainable=True)
     mu = rng.uniform(-0.2, 0.2, 2)
     var = rng.uniform(0.5, 2.0, 2)
-    target = rng.uniform(-1.0, 1.0, x.shape)
+    target = rng.uniform(-1.0, 1.0, x.data.shape)
 
     def normalize(relu_out):
         if batch_stats:
@@ -698,8 +701,8 @@ def test_temporal_conv_prologue_on_the_graph_conv_node_gradcheck(batch_stats, se
                          ids=["batch_statistics", "fixed_statistics"])
 def test_temporal_conv_node_fed_by_the_graph_conv_node_gradcheck(batch_stats, seed):
     # Node B runs bn1 and ReLU on node A's output as its prologue, with
-    # dropout and a strided projection shortcut (its own node, batch norm
-    # as epilogue).
+    # dropout and a strided projection shortcut (subsample, 1x1 conv and
+    # batch norm) inside its epilogue.
     rng = np.random.default_rng(seed)
     node, norm_in, leaves = graph_conv_node(rng, 2, 5, batch_stats)
     x = leaves[0]
@@ -709,7 +712,7 @@ def test_temporal_conv_node_fed_by_the_graph_conv_node_gradcheck(batch_stats, se
     res_norm = norm_leaves(rng, 3, batch_stats)
 
     def block(relu_out=True):
-        shortcut = pointwise_conv(temporal_subsample(x, 2), res_weight, norm=res_norm)
+        shortcut = Projection(x, res_weight, res_norm, 2)
         return temporal_conv(node(), kernel, 2, prologue=norm_in, norm=norm,
                              dropout=0.3, rng=np.random.default_rng(64),
                              shortcut=shortcut, relu=relu_out)
@@ -722,6 +725,69 @@ def test_temporal_conv_node_fed_by_the_graph_conv_node_gradcheck(batch_stats, se
     check_grads(lambda: squared_error(block(), target),
                 leaves + [kernel, norm.gamma, norm.beta, res_weight,
                           res_norm.gamma, res_norm.beta], tol=1e-3)
+
+
+# (input channels, stride) of node B's shortcut.
+SHORTCUTS = {"none": (7, 1), "identity": (7, 1), "projection": (4, 1),
+             "strided_projection": (4, 2)}
+
+
+@pytest.mark.parametrize("run", [1, 3, 7], ids=["one_channel", "uneven", "whole"])
+@pytest.mark.parametrize("kind", SHORTCUTS)
+def test_node_b_has_the_bits_of_the_whole_array_batch_norm_at_any_run_length(
+        kind, run, monkeypatch):
+    # Node B on 7 channels with bn1 and ReLU as its prologue, and bn2,
+    # dropout, the residual add (none for "none") and ReLU as its epilogue,
+    # against a chain of separate nodes whose batch norms run on whole
+    # arrays. Runs are ``run`` output channels long: 7 in runs of 3 leaves a
+    # short last run. With stride 2 a channel of the prologue's input is
+    # twice as long, so its runs hold half as many channels, at least one.
+    in_channels, stride = SHORTCUTS[kind]
+    rng = np.random.default_rng(80)
+    values = {"x": rng.uniform(-1.0, 1.0, (in_channels, 2, 6, 5)),
+              "h": rng.uniform(-1.0, 1.0, (7, 2, 6, 5)),
+              "kernel": rng.uniform(-1.0, 1.0, (7, 3)),
+              "weight": rng.uniform(-1.0, 1.0, (in_channels, 7))}
+    for name in ("bn1", "bn2", "res_bn"):
+        values[f"{name}.gamma"] = rng.uniform(0.5, 1.5, 7)
+        values[f"{name}.beta"] = rng.uniform(-0.5, 0.5, 7)
+    seed = rng.uniform(-1.0, 1.0, (7, 2, 6 // stride, 5))
+    monkeypatch.setattr(ad, "_PRODUCT_BYTES", run * seed[0].nbytes)
+
+    def run_node(fused):
+        t = {name: Tensor(v.copy(), trainable=True) for name, v in values.items()}
+        norms = {name: (t[f"{name}.gamma"], t[f"{name}.beta"])
+                 for name in ("bn1", "bn2", "res_bn")}
+        dropout_rng = np.random.default_rng(81)
+        if fused:
+            if kind == "none":
+                shortcut = None
+            elif kind == "identity":
+                shortcut = t["x"]
+            else:
+                shortcut = Projection(t["x"], t["weight"], Norm(*norms["res_bn"]), stride)
+            out = temporal_conv(t["h"], t["kernel"], stride, prologue=Norm(*norms["bn1"]),
+                                norm=Norm(*norms["bn2"]), dropout=0.3, rng=dropout_rng,
+                                shortcut=shortcut, relu=True)
+        else:
+            y = whole_array_batch_norm(t["h"], *norms["bn1"], relu=True)
+            y = whole_array_batch_norm(temporal_conv(y, t["kernel"], stride), *norms["bn2"])
+            y = dropout(y, 0.3, dropout_rng)
+            if kind == "none":
+                out = relu(y)
+            else:
+                out = add_relu(y, t["x"] if kind == "identity" else whole_array_batch_norm(
+                    pointwise_conv(temporal_subsample(t["x"], stride), t["weight"]),
+                    *norms["res_bn"]))
+        out.backward(seed)
+        return out.data, {name: tensor.grad for name, tensor in t.items()}
+
+    out, grads = run_node(fused=True)
+    expected_out, expected = run_node(fused=False)
+    assert out.tobytes() == expected_out.tobytes()
+    for name, grad in grads.items():
+        assert grad.tobytes() == expected[name].tobytes(), name
+    assert 0.2 < (out > 0).mean() < 0.9 and np.abs(grads["h"]).max() > 0.0
 
 
 def test_fused_node_validation():
@@ -823,7 +889,12 @@ def _op_cases():
              norm=Norm(rest[8], rest[7], running=running), dropout=0.4,
              rng=np.random.default_rng(41), shortcut=rest[9], relu=True)),
         ("pointwise_conv_batch_norm", (x4, weights[0], coefficients, coefficients[::-1]),
-         lambda a, w, g, b: pointwise_conv(a, w, norm=Norm(g, b))),
+         lambda a, w, g, b: batch_norm(pointwise_conv(a, w), Norm(g, b))),
+        ("temporal_conv_projection_shortcut",
+         (x4, kernel[:3], weights[0][:, :3], coefficients[:3], coefficients[1:]),
+         lambda a, k, w, g, b: temporal_conv(
+             a, k, 2, norm=Norm(b, g), shortcut=Projection(a, w, Norm(g, b), 2),
+             relu=True)),
         ("batch_norm_batch", (x4, gamma, beta),
          lambda a, g, b: batch_norm_batch(a, g, b)[0]),
         ("batch_norm_batch_relu", (x4, gamma, beta),
@@ -872,7 +943,7 @@ def test_graph_conv_under_no_grad_frees_its_aggregate_before_the_bordered_output
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    assert out.shape == (16, 2, 40, 18)
+    assert out.data.shape == (16, 2, 40, 18)
     assert peak <= 4.5 * x.data.nbytes
 
 
@@ -894,7 +965,7 @@ def test_fixed_statistics_batch_norm_under_no_grad_normalizes_in_place():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    assert out.shape == x.shape
+    assert out.data.shape == x.data.shape
     assert peak <= 1.5 * x.data.nbytes
 
 

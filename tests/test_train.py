@@ -590,7 +590,7 @@ def test_run_training_skips_the_head_when_classes_differ(
         run_config(mode="propagation", source_checkpoint=str(checkpoint)),
     )
     assert net.num_classes == 3
-    assert net.fc_weight.shape == (4, 3)
+    assert net.fc_weight.data.shape == (4, 3)
 
 
 def test_run_training_needs_two_classes(manifest_tree):
