@@ -56,15 +56,24 @@ _VALIDATION_ERRORS = (
 @dataclass
 class RunConfig:
     """A run configuration file: the manifest path plus the ``model`` and
-    ``train`` objects, whose keys are ModelConfig's and TrainConfig's fields."""
+    ``train`` objects, whose keys are ModelConfig's and TrainConfig's fields.
+
+    Each of those checks its own fields; this checks the one setting that
+    spans both, as a window cut longer than the loaded sequences would
+    fail only at the first training batch.
+    """
 
     manifest: str
     model: ModelConfig = field(default_factory=ModelConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
 
     def __post_init__(self):
-        self.model.validate()
-        self.train.validate()
+        augmentation = self.train.augmentation
+        if augmentation.window and augmentation.window_size > self.model.target_frames:
+            raise ConfigurationError(
+                f"train.augmentation.window_size: must not exceed model.target_frames "
+                f"({self.model.target_frames}), got {augmentation.window_size}"
+            )
 
 
 def load_run_config(path: str | Path) -> RunConfig:
@@ -139,6 +148,12 @@ def _float_columns(prefix: str, count: int) -> list[str]:
     return [f"{prefix}{i}" for i in range(count)]
 
 
+def _write_csv(path: Path, rows) -> None:
+    """Write ``rows``, the header row first, as one CSV file (``open_atomic``)."""
+    with open_atomic(path, "w", newline="") as handle:
+        csv.writer(handle).writerows(rows)
+
+
 def cmd_eval(args: argparse.Namespace) -> int:
     config = load_run_config(_require_file(args.config, "config"))
     manifest = DatasetManifest.load(_require_file(config.manifest, "manifest"))
@@ -159,49 +174,35 @@ def cmd_eval(args: argparse.Namespace) -> int:
     class_count = len(split.class_names)
     top5 = top_k_accuracy(logits, dataset.labels, min(5, class_count))
 
-    with open_atomic(out / "predictions.csv", "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(
-            ["sample_id", "label", "prediction"]
-            + _float_columns("confidence_", confidences.shape[1])
-            + _float_columns("logit_", class_count)
-        )
-        for row in range(len(dataset)):
-            writer.writerow(
-                [dataset.sample_ids[row], int(dataset.labels[row]), int(predictions[row])]
-                + [repr(float(v)) for v in confidences[row]]
-                + [repr(float(v)) for v in logits[row]]
-            )
-
-    with open_atomic(out / "metrics.csv", "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["metric", "value"])
-        writer.writerow(["top1", repr(top1)])
-        writer.writerow(["top5", repr(top5)])
-
+    _write_csv(out / "predictions.csv", [
+        ["sample_id", "label", "prediction"]
+        + _float_columns("confidence_", confidences.shape[1])
+        + _float_columns("logit_", class_count),
+        *([dataset.sample_ids[row], int(dataset.labels[row]), int(predictions[row])]
+          + [repr(float(v)) for v in confidences[row]]
+          + [repr(float(v)) for v in logits[row]]
+          for row in range(len(dataset))),
+    ])
+    _write_csv(out / "metrics.csv",
+               [["metric", "value"], ["top1", repr(top1)], ["top5", repr(top5)]])
     matrix = confusion_matrix(predictions, dataset.labels, class_count)
-    with open_atomic(out / "confusion.csv", "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["class"] + list(split.class_names))
-        for index, name in enumerate(split.class_names):
-            writer.writerow([name] + [int(v) for v in matrix[index]])
-
+    _write_csv(out / "confusion.csv", [
+        ["class"] + list(split.class_names),
+        *([name] + [int(v) for v in matrix[index]]
+          for index, name in enumerate(split.class_names)),
+    ])
     table = classwise_table(
         dataset.labels, predictions, confidences, split.class_names
     )
-    with open_atomic(out / "classwise.csv", "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(
-            ["class_index", "class_name", "support", "accuracy"]
-            + _float_columns("confidence_", confidences.shape[1])
-            + ["position"]
-        )
-        for summary in table:
-            writer.writerow(
-                [summary.index, summary.name, summary.support, repr(summary.accuracy)]
-                + [repr(v) for v in summary.confidence]
-                + [summary.position]
-            )
+    _write_csv(out / "classwise.csv", [
+        ["class_index", "class_name", "support", "accuracy"]
+        + _float_columns("confidence_", confidences.shape[1])
+        + ["position"],
+        *([summary.index, summary.name, summary.support, repr(summary.accuracy)]
+          + [repr(v) for v in summary.confidence]
+          + [summary.position]
+          for summary in table),
+    ])
 
     print(f"top-1 {top1:.4f}, top-5 {top5:.4f} on {len(dataset)} samples -> {out}")
     return 0
@@ -294,13 +295,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     }
     with open_atomic(out / "report.json") as handle:
         handle.write(json.dumps(report, indent=2, sort_keys=True))
-    with open_atomic(out / "scatter.csv", "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["class_index", "class_name", "accuracy", "confidence"])
-        for row in table:
-            writer.writerow(
-                [row.index, row.name, repr(row.accuracy), repr(row.confidence[0])]
-            )
+    _write_csv(out / "scatter.csv", [
+        ["class_index", "class_name", "accuracy", "confidence"],
+        *([row.index, row.name, repr(row.accuracy), repr(row.confidence[0])]
+          for row in table),
+    ])
     print(
         f"pearson {pearson_r:.4f}, spearman {spearman_r:.4f} over "
         f"{len(table)} classes -> {out}"

@@ -66,7 +66,11 @@ def _fields(cls) -> dict[str, tuple[str, object, bool]]:
 
 
 def from_document(cls, doc, path: str = ""):
-    """Build dataclass ``cls`` from a JSON object; absent keys keep defaults."""
+    """Build dataclass ``cls`` from a JSON object; absent keys keep defaults.
+
+    ``cls`` checks its own values in ``__post_init__``, naming the field;
+    ``path``, the object's place in the document, goes in front.
+    """
     if not isinstance(doc, dict):
         raise ConfigurationError(f"{path}: expected an object" if path
                                  else "expected an object")
@@ -81,7 +85,10 @@ def from_document(cls, doc, path: str = ""):
             values[name] = _convert(kind, doc[key], prefix + key)
         elif required:
             raise ConfigurationError(f"{prefix}{key}: required field is missing")
-    return cls(**values)
+    try:
+        return cls(**values)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{prefix}{exc}") from exc
 
 
 def _convert(kind, value, path: str):

@@ -53,10 +53,10 @@ LAYOUT_JOINT_COUNT = {
 }
 
 
-def check_layout(layout, field: str) -> None:
-    """Reject an unknown layout tag as a configuration error naming ``field``."""
+def check_layout(layout) -> None:
+    """Reject an unknown layout tag as a configuration error naming ``layout``."""
     if layout not in LAYOUT_JOINT_COUNT:
-        raise ConfigurationError(f"{field}: unknown skeleton layout {layout!r}")
+        raise ConfigurationError(f"layout: unknown skeleton layout {layout!r}")
 
 
 def layout_joint_count(layout: str) -> int:

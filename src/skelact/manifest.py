@@ -65,7 +65,7 @@ class DatasetManifest:
     child_percentage: dict[str, float] | None = None
 
     def __post_init__(self):
-        check_layout(self.layout, "layout")
+        check_layout(self.layout)
         if len(set(self.class_table)) != len(self.class_table):
             raise ConfigurationError("classes: duplicate class name")
         class_set = set(self.class_table)

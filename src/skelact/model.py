@@ -62,46 +62,10 @@ FORMAT_1_BIASES = {"gcn_bias": "bn1", "tcn_bias": "bn2"}
 HEAD_ARRAYS = ("fc.weight", "fc.bias")
 
 
-def check_mode(mode, prefix="") -> None:
-    """Validate a transfer mode; messages start with ``prefix``."""
+def check_mode(mode) -> None:
+    """Reject an unknown transfer mode."""
     if mode not in MODES:
-        raise ConfigurationError(f"{prefix}mode: expected one of {MODES}, got {mode!r}")
-
-
-def _check_network_options(
-    in_channels, person_pool, dropout, zero_confidence, channel_plan, seed, prefix=""
-) -> tuple[tuple[int, int], ...]:
-    """Validate the network options and return the channel plan to build.
-
-    Messages start with ``prefix`` (``"model."`` for a run config).
-    """
-    if in_channels < 1:
-        raise ConfigurationError(f"{prefix}in_channels: must be at least 1")
-    if seed < 0:
-        raise ConfigurationError(f"{prefix}seed: must be non-negative, got {seed}")
-    if person_pool not in PERSON_POOLS:
-        raise ConfigurationError(
-            f"{prefix}person_pool: expected one of {PERSON_POOLS}, "
-            f"got {person_pool!r}"
-        )
-    if not 0.0 <= dropout < 1.0:
-        raise ConfigurationError(f"{prefix}dropout: must lie in [0, 1), got {dropout}")
-    if zero_confidence and in_channels != 3:
-        raise ConfigurationError(
-            f"{prefix}zero_confidence: needs the (x, y, confidence) channel layout"
-        )
-    plan = tuple(
-        (int(c), int(s))
-        for c, s in (channel_plan if channel_plan is not None else DEFAULT_CHANNEL_PLAN)
-    )
-    if not plan:
-        raise ConfigurationError(f"{prefix}channel_plan: needs at least one block")
-    for index, (channels, stride) in enumerate(plan):
-        if channels < 1 or stride < 1:
-            raise ConfigurationError(
-                f"{prefix}channel_plan[{index}]: channels and stride must be positive"
-            )
-    return plan
+        raise ConfigurationError(f"mode: expected one of {MODES}, got {mode!r}")
 
 
 class BatchNorm:
@@ -257,7 +221,7 @@ class StgcnBlock:
 
 
 class StgcnNetwork:
-    """The full classifier network.
+    """The full classifier network, with the options of a ``ModelConfig``.
 
     Weight initialization draws from one seeded generator in construction
     order (blocks in order; within a block the partition weights, then the
@@ -274,38 +238,27 @@ class StgcnNetwork:
     """
 
     def __init__(
-        self,
-        adjacency: PartitionedAdjacency,
-        num_classes: int,
-        in_channels: int = 3,
-        channel_plan=None,
-        person_pool: str = "mean",
-        zero_confidence: bool = False,
-        dropout: float = 0.0,
-        seed: int = 0,
+        self, adjacency: PartitionedAdjacency, num_classes: int, config: ModelConfig
     ):
         if num_classes < 2:
             raise ConfigurationError("num_classes: must be at least 2")
-        plan = _check_network_options(
-            in_channels, person_pool, dropout, zero_confidence, channel_plan, seed
-        )
 
         self.layout = adjacency.layout
         self.vertex_count = adjacency.vertex_count
         self.num_classes = num_classes
-        self.in_channels = in_channels
-        self.channel_plan = plan
-        self.person_pool = person_pool
-        self.zero_confidence = zero_confidence
+        self.in_channels = config.in_channels
+        self.channel_plan = config.channel_plan
+        self.person_pool = config.person_pool
+        self.zero_confidence = config.zero_confidence
         self.mode = "vanilla"
 
         self.adjacency = adjacency.matrices
 
-        rng = np.random.default_rng(seed)
-        self.input_bn = BatchNorm(self.vertex_count * in_channels)
+        rng = np.random.default_rng(config.seed)
+        self.input_bn = BatchNorm(self.vertex_count * self.in_channels)
         self.blocks: list[StgcnBlock] = []
-        previous = in_channels
-        for index, (channels, stride) in enumerate(plan):
+        previous = self.in_channels
+        for index, (channels, stride) in enumerate(self.channel_plan):
             self.blocks.append(
                 StgcnBlock(
                     previous,
@@ -315,11 +268,11 @@ class StgcnNetwork:
                     rng,
                     stride=stride,
                     residual=index > 0,
-                    dropout=dropout,
+                    dropout=config.dropout,
                 )
             )
             previous = channels
-        feature_count = plan[-1][0]
+        feature_count = self.channel_plan[-1][0]
         fc_bound = 1.0 / np.sqrt(feature_count)
         self.fc_weight = Tensor(
             rng.uniform(-fc_bound, fc_bound, (feature_count, num_classes)),
@@ -622,12 +575,13 @@ def load_weights(
 
 @dataclass
 class ModelConfig:
-    """Declarative network and preprocessing settings.
+    """Declarative network and preprocessing settings, checked when built.
 
     ``person_slots`` and ``target_frames`` steer sequence loading rather
     than the network itself; they live here so one object pins the whole
     input contract. ``channel_plan`` overrides the default block layout
-    for small-scale runs.
+    for small-scale runs; it is stored as int pairs, and None stores
+    ``DEFAULT_CHANNEL_PLAN``.
     """
 
     layout: str = COCO18
@@ -640,27 +594,36 @@ class ModelConfig:
     channel_plan: tuple[tuple[int, int], ...] | None = None
     seed: int = 0
 
-    def validate(self) -> None:
-        check_layout(self.layout, "model.layout")
+    def __post_init__(self):
+        check_layout(self.layout)
         if self.person_slots < 1:
-            raise ConfigurationError("model.person_slots: must be at least 1")
+            raise ConfigurationError("person_slots: must be at least 1")
         if self.target_frames < 1:
-            raise ConfigurationError("model.target_frames: must be at least 1")
-        _check_network_options(
-            self.in_channels, self.person_pool, self.dropout,
-            self.zero_confidence, self.channel_plan, self.seed, prefix="model.",
-        )
+            raise ConfigurationError("target_frames: must be at least 1")
+        if self.in_channels < 1:
+            raise ConfigurationError("in_channels: must be at least 1")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed: must be non-negative, got {self.seed}")
+        if self.person_pool not in PERSON_POOLS:
+            raise ConfigurationError(
+                f"person_pool: expected one of {PERSON_POOLS}, got {self.person_pool!r}"
+            )
+        if not 0.0 <= self.dropout < 1.0:
+            raise ConfigurationError(f"dropout: must lie in [0, 1), got {self.dropout}")
+        if self.zero_confidence and self.in_channels != 3:
+            raise ConfigurationError(
+                "zero_confidence: needs the (x, y, confidence) channel layout"
+            )
+        plan = DEFAULT_CHANNEL_PLAN if self.channel_plan is None else self.channel_plan
+        self.channel_plan = tuple((int(c), int(s)) for c, s in plan)
+        if not self.channel_plan:
+            raise ConfigurationError("channel_plan: needs at least one block")
+        for index, (channels, stride) in enumerate(self.channel_plan):
+            if channels < 1 or stride < 1:
+                raise ConfigurationError(
+                    f"channel_plan[{index}]: channels and stride must be positive"
+                )
 
     def build(self, num_classes: int) -> StgcnNetwork:
-        """Build the network of an already validated config."""
         adjacency = partition_spatial(build_graph(self.layout))
-        return StgcnNetwork(
-            adjacency,
-            num_classes,
-            in_channels=self.in_channels,
-            channel_plan=self.channel_plan,
-            person_pool=self.person_pool,
-            zero_confidence=self.zero_confidence,
-            dropout=self.dropout,
-            seed=self.seed,
-        )
+        return StgcnNetwork(adjacency, num_classes, self)

@@ -152,18 +152,17 @@ def pad_sequence(seq: SkeletonSequence, target_frames: int) -> SkeletonSequence:
 PAD_POSITIONS = ("tail", "head")
 
 
-def _check_pad_position(pad_position, name="pad_position") -> None:
+def _check_pad_position(pad_position) -> None:
+    """Reject a window pad position; the message names AugmentConfig's field."""
     if pad_position not in PAD_POSITIONS:
         raise ConfigurationError(
-            f"{name}: expected one of {PAD_POSITIONS}, got {pad_position!r}"
+            f"window_pad_position: expected one of {PAD_POSITIONS}, got {pad_position!r}"
         )
 
 
-def _check_drop_rate(drop_rate, prefix="") -> None:
+def _check_drop_rate(drop_rate) -> None:
     if not 0.0 <= drop_rate < 1.0:
-        raise ConfigurationError(
-            f"{prefix}drop_rate: must lie in [0, 1), got {drop_rate}"
-        )
+        raise ConfigurationError(f"drop_rate: must lie in [0, 1), got {drop_rate}")
 
 
 def random_frame_window(
@@ -193,7 +192,7 @@ def random_frame_window(
 
 @dataclass
 class MoveParams:
-    """Bounds for the simulated camera movement.
+    """Bounds for the simulated camera movement, checked when built.
 
     The rotation angle is drawn from [-rotation, rotation] radians, the
     scale factor from [scale_min, scale_max] (one factor for both axes),
@@ -209,17 +208,15 @@ class MoveParams:
     translation: float = 0.1
     anchors: int = 3
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.rotation < 0.0:
-            raise ConfigurationError("move.rotation: must be non-negative")
+            raise ConfigurationError("rotation: must be non-negative")
         if not 0.0 < self.scale_min <= self.scale_max:
-            raise ConfigurationError(
-                "move.scale: needs 0 < scale_min <= scale_max"
-            )
+            raise ConfigurationError("scale_min: needs 0 < scale_min <= scale_max")
         if self.translation < 0.0:
-            raise ConfigurationError("move.translation: must be non-negative")
+            raise ConfigurationError("translation: must be non-negative")
         if self.anchors < 1:
-            raise ConfigurationError("move.anchors: must be at least 1")
+            raise ConfigurationError("anchors: must be at least 1")
 
 
 def random_move(
@@ -233,7 +230,6 @@ def random_move(
     With zero-width parameter ranges the transform is the identity bit for
     bit.
     """
-    params.validate()
     anchors = params.anchors
     ranges = ((-params.rotation, params.rotation),
               (params.scale_min, params.scale_max),
@@ -287,7 +283,8 @@ def subsample_frames(
 
 @dataclass
 class AugmentConfig:
-    """Which augmentations to apply during training, with their settings."""
+    """Which augmentations to apply during training, with their settings,
+    checked when built."""
 
     window: bool = False
     window_size: int = 150
@@ -297,15 +294,14 @@ class AugmentConfig:
     subsample: bool = False
     drop_rate: float = 0.0
 
+    def __post_init__(self):
+        if self.window_size < 1:
+            raise ConfigurationError("window_size: must be positive")
+        _check_pad_position(self.window_pad_position)
+        _check_drop_rate(self.drop_rate)
+
     def enabled(self) -> bool:
         return self.window or self.move or self.subsample
-
-    def validate(self) -> None:
-        if self.window_size < 1:
-            raise ConfigurationError("augment.window_size: must be positive")
-        _check_pad_position(self.window_pad_position, "augment.window_pad_position")
-        self.move_params.validate()
-        _check_drop_rate(self.drop_rate, prefix="augment.")
 
 
 def split_rng(rng: np.random.Generator, count: int) -> list[np.random.Generator]:
@@ -329,7 +325,6 @@ def augment_combined(
     one child generator derived from ``rng`` whether or not the stage is
     enabled, so enabling one stage never shifts the draws of another.
     With everything disabled, the input is returned unchanged (as a copy).
-    The config is not validated here; each stage checks its own arguments.
     """
     if not config.enabled():
         return seq.copy()

@@ -26,19 +26,17 @@ from .sequence import (
 )
 
 
-def _check_optimizer_options(momentum, weight_decay, prefix="") -> None:
-    """Validate the SGD options; messages start with ``prefix``."""
+def _check_optimizer_options(momentum, weight_decay) -> None:
     if not 0.0 <= momentum < 1.0:
-        raise ConfigurationError(
-            f"{prefix}momentum: must lie in [0, 1), got {momentum}"
-        )
+        raise ConfigurationError(f"momentum: must lie in [0, 1), got {momentum}")
     if weight_decay < 0.0:
-        raise ConfigurationError(f"{prefix}weight_decay: must be non-negative")
+        raise ConfigurationError("weight_decay: must be non-negative")
 
 
 @dataclass
 class TrainConfig:
-    """Everything the training loop needs besides the data and the model."""
+    """Everything the training loop needs besides the data and the model,
+    checked when built."""
 
     mode: str = "vanilla"
     base_lr: float = 0.001
@@ -52,33 +50,28 @@ class TrainConfig:
     source_checkpoint: str | None = None
     augmentation: AugmentConfig = field(default_factory=AugmentConfig)
 
-    def validate(self) -> None:
-        check_mode(self.mode, prefix="train.")
+    def __post_init__(self):
+        check_mode(self.mode)
         if not self.base_lr > 0.0:
-            raise ConfigurationError(
-                f"train.base_lr: must be positive, got {self.base_lr}"
-            )
+            raise ConfigurationError(f"base_lr: must be positive, got {self.base_lr}")
         if not 0.0 < self.decay_factor < 1.0:
             raise ConfigurationError(
-                f"train.decay_factor: must lie in (0, 1), got {self.decay_factor}"
+                f"decay_factor: must lie in (0, 1), got {self.decay_factor}"
             )
         boundaries = tuple(self.decay_boundaries)
         if any(b < 0 for b in boundaries) or list(boundaries) != sorted(set(boundaries)):
             raise ConfigurationError(
-                "train.decay_boundaries: must be strictly increasing and non-negative"
+                "decay_boundaries: must be strictly increasing and non-negative"
             )
         if self.batch_size < 1:
-            raise ConfigurationError("train.batch_size: must be at least 1")
+            raise ConfigurationError("batch_size: must be at least 1")
         if self.epochs < 1:
-            raise ConfigurationError("train.epochs: must be at least 1")
+            raise ConfigurationError("epochs: must be at least 1")
         if self.seed < 0:
-            raise ConfigurationError(f"train.seed: must be non-negative, got {self.seed}")
-        _check_optimizer_options(self.momentum, self.weight_decay, prefix="train.")
+            raise ConfigurationError(f"seed: must be non-negative, got {self.seed}")
+        _check_optimizer_options(self.momentum, self.weight_decay)
         if self.mode != "vanilla" and not self.source_checkpoint:
-            raise ConfigurationError(
-                f"train.source_checkpoint: required for mode {self.mode!r}"
-            )
-        self.augmentation.validate()
+            raise ConfigurationError(f"source_checkpoint: required for mode {self.mode!r}")
 
 
 def lr_schedule(
@@ -292,7 +285,7 @@ def train_loop(
     given, sees the history after each epoch and may end training early.
     The network is left in its final state, not the best one. A NaN or
     infinite loss or gradient raises ``NonFiniteError`` before the step
-    that would apply it. ``config`` must already be validated.
+    that would apply it.
     """
     if len(train_dataset) == 0:
         raise ConfigurationError("training dataset is empty")
@@ -364,8 +357,6 @@ def run_training(
     head excluded when its shape differs) and freeze layers according to
     the mode before the first step.
     """
-    train_config.validate()
-    model_config.validate()
     if len(split.class_names) < 2:
         raise ConfigurationError("split must cover at least 2 classes")
     train_dataset = SequenceDataset.from_manifest(

@@ -17,6 +17,7 @@ from skelact import (
     AugmentConfig,
     DatasetManifest,
     ManifestRecord,
+    ModelConfig,
     MoveParams,
     SGD,
     SkeletonSequence,
@@ -77,8 +78,8 @@ def report(capfd):
 def test_1_gradients_match_finite_differences(report):
     started = time.monotonic()
     adjacency = partition_spatial(path_graph(5, center=0))
-    net = StgcnNetwork(adjacency, 3, channel_plan=((4, 1), (8, 2), (8, 1)),
-                       seed=0)
+    net = StgcnNetwork(adjacency, 3,
+                       ModelConfig(channel_plan=((4, 1), (8, 2), (8, 1)), seed=0))
     rng = np.random.default_rng(1)
     x = rng.uniform(-1.0, 1.0, (2, 3, 8, 5, 1))
     labels = np.array([0, 2])
@@ -147,7 +148,7 @@ def test_4_synthetic_three_class_dataset_is_learned(report):
     train, test = pair_dataset(pairs[:45]), pair_dataset(pairs[45:])
     adjacency = partition_spatial(path_graph(5, center=0))
     net = StgcnNetwork(adjacency, 3,
-                       channel_plan=((16, 1), (32, 2), (32, 1)), seed=0)
+                       ModelConfig(channel_plan=((16, 1), (32, 2), (32, 1)), seed=0))
     config = TrainConfig(base_lr=1e-2, epochs=200, batch_size=4,
                          decay_boundaries=(), momentum=0.9, seed=0)
     history = train_loop(
@@ -179,7 +180,7 @@ def test_5_transfer_modes_freeze_exactly_the_documented_tensors(report):
     }
     failures = []
     for mode, expect in expectations.items():
-        net = StgcnNetwork(adjacency, 3, seed=0)
+        net = StgcnNetwork(adjacency, 3, ModelConfig(seed=0))
         assert len(net.blocks) == 10
         before = {name: tensor.data.copy()
                   for name, tensor in net.named_parameters().items()}

@@ -8,6 +8,7 @@ import pytest
 from skelact import (
     DatasetManifest,
     ManifestRecord,
+    ModelConfig,
     ProtocolSplit,
     StgcnNetwork,
     atomic,
@@ -39,7 +40,7 @@ class HalfWrites:
 
 def write_checkpoint(directory, seed):
     net = StgcnNetwork(partition_spatial(path_graph(5)), 3,
-                       channel_plan=((4, 1),), seed=seed)
+                       ModelConfig(channel_plan=((4, 1),), seed=seed))
     save_weights(net, directory / "net.ckpt")
 
 

@@ -8,7 +8,18 @@ import pytest
 
 import skelact.cli
 import skelact.model
-from skelact import load_run_config, load_split, load_weights, save_weights
+from skelact import (
+    AugmentConfig,
+    ConfigurationError,
+    ModelConfig,
+    MoveParams,
+    RunConfig,
+    TrainConfig,
+    load_run_config,
+    load_split,
+    load_weights,
+    save_weights,
+)
 from skelact.cli import main
 from helpers import build_manifest_tree, rewrite_checkpoint
 
@@ -638,6 +649,104 @@ def test_bad_input_exits_2_naming_the_problem(case, workspace, tmp_path, capsys)
     assert err.startswith("error:")
     assert fragment in err
     assert not (tmp_path / "out").exists()
+
+
+MOVE = "train.augmentation.move_params"
+# Every setting a config dataclass rejects: where its object sits in a run
+# config, the dataclass, the bad values, and the field its message names.
+REJECTED_SETTINGS = {
+    "layout": ("model", ModelConfig, dict(layout="hexapod"), "layout"),
+    "person_slots": ("model", ModelConfig, dict(person_slots=0), "person_slots"),
+    "target_frames": ("model", ModelConfig, dict(target_frames=0), "target_frames"),
+    "in_channels": ("model", ModelConfig, dict(in_channels=0), "in_channels"),
+    "model-seed": ("model", ModelConfig, dict(seed=-1), "seed"),
+    "person_pool": ("model", ModelConfig, dict(person_pool="median"), "person_pool"),
+    "dropout-negative": ("model", ModelConfig, dict(dropout=-0.1), "dropout"),
+    "dropout-one": ("model", ModelConfig, dict(dropout=1.0), "dropout"),
+    "zero_confidence": ("model", ModelConfig, dict(zero_confidence=True, in_channels=2),
+                        "zero_confidence"),
+    "channel_plan-empty": ("model", ModelConfig, dict(channel_plan=()), "channel_plan"),
+    "channel_plan-stride": ("model", ModelConfig, dict(channel_plan=((4, 1), (4, 0))),
+                            "channel_plan[1]"),
+    "mode": ("train", TrainConfig, dict(mode="transfer"), "mode"),
+    "base_lr-zero": ("train", TrainConfig, dict(base_lr=0.0), "base_lr"),
+    "base_lr-negative": ("train", TrainConfig, dict(base_lr=-0.1), "base_lr"),
+    "decay_factor-zero": ("train", TrainConfig, dict(decay_factor=0.0), "decay_factor"),
+    "decay_factor-one": ("train", TrainConfig, dict(decay_factor=1.0), "decay_factor"),
+    "decay_boundaries-repeated": ("train", TrainConfig, dict(decay_boundaries=(10, 10)),
+                                  "decay_boundaries"),
+    "decay_boundaries-descending": ("train", TrainConfig,
+                                    dict(decay_boundaries=(20, 10)), "decay_boundaries"),
+    "decay_boundaries-negative": ("train", TrainConfig, dict(decay_boundaries=(-1, 5)),
+                                  "decay_boundaries"),
+    "batch_size": ("train", TrainConfig, dict(batch_size=0), "batch_size"),
+    "epochs": ("train", TrainConfig, dict(epochs=0), "epochs"),
+    "train-seed": ("train", TrainConfig, dict(seed=-1), "seed"),
+    "momentum-one": ("train", TrainConfig, dict(momentum=1.0), "momentum"),
+    "momentum-negative": ("train", TrainConfig, dict(momentum=-0.1), "momentum"),
+    "weight_decay": ("train", TrainConfig, dict(weight_decay=-0.5), "weight_decay"),
+    "source_checkpoint": ("train", TrainConfig, dict(mode="fine_tune"),
+                          "source_checkpoint"),
+    "window_size": ("train.augmentation", AugmentConfig, dict(window_size=0),
+                    "window_size"),
+    "window_pad_position": ("train.augmentation", AugmentConfig,
+                            dict(window_pad_position="left"), "window_pad_position"),
+    "drop_rate": ("train.augmentation", AugmentConfig, dict(drop_rate=1.5), "drop_rate"),
+    "rotation": (MOVE, MoveParams, dict(rotation=-0.1), "rotation"),
+    "scale_min-zero": (MOVE, MoveParams, dict(scale_min=0.0), "scale_min"),
+    "scale_min-above-scale_max": (MOVE, MoveParams, dict(scale_min=1.2, scale_max=1.1),
+                                  "scale_min"),
+    "translation": (MOVE, MoveParams, dict(translation=-1.0), "translation"),
+    "anchors": (MOVE, MoveParams, dict(anchors=0), "anchors"),
+}
+
+
+def write_run_config(workspace, tmp_path, where, values):
+    """The workspace's run config with ``values`` set in the object at ``where``."""
+    doc = json.loads((workspace / "run.json").read_text())
+    doc["manifest"] = str(workspace / "data" / "manifest.json")
+    section = doc
+    for key in where.split("."):
+        section = section.setdefault(key, {})
+    section.update(values)
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(doc))
+    return config
+
+
+@pytest.mark.parametrize("case", REJECTED_SETTINGS)
+def test_each_rejected_setting_names_its_field_and_exits_2_before_out(
+        case, workspace, tmp_path, capsys):
+    where, cls, values, name = REJECTED_SETTINGS[case]
+    with pytest.raises(ConfigurationError) as built:
+        cls(**values)
+    assert str(built.value).startswith(f"{name}: ")
+    config = write_run_config(workspace, tmp_path, where, values)
+    assert main(["train", "--config", str(config), "--split", str(workspace / "split"),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: config {config}: {where}.{built.value}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_window_longer_than_the_loaded_frames_exits_2_before_out(
+        workspace, tmp_path, capsys):
+    window = dict(window=True, window_size=11)
+    config = write_run_config(workspace, tmp_path, "train.augmentation", window)
+    assert main(["train", "--config", str(config), "--split", str(workspace / "split"),
+                 "--out", str(tmp_path / "out")]) == 2
+    message = ("train.augmentation.window_size: must not exceed model.target_frames "
+               "(10), got 11")
+    assert capsys.readouterr().err == f"error: config {config}: {message}\n"
+    assert not (tmp_path / "out").exists()
+    with pytest.raises(ConfigurationError) as built:
+        RunConfig("m.json", ModelConfig(target_frames=10),
+                  TrainConfig(augmentation=AugmentConfig(**window)))
+    assert str(built.value) == message
+    # A window of every loaded frame is valid, and a disabled one is never cut.
+    for values in (dict(window=True, window_size=10), dict(window=False, window_size=11)):
+        config = write_run_config(workspace, tmp_path, "train.augmentation", values)
+        assert load_run_config(config).train.augmentation.window_size == \
+            values["window_size"]
 
 
 # ------------------------------------------------------------------ allocator

@@ -66,7 +66,7 @@ def small_adjacency():
 
 def small_net(num_classes=3, seed=0, **kwargs):
     return StgcnNetwork(small_adjacency(), num_classes,
-                        channel_plan=PLAN, seed=seed, **kwargs)
+                        ModelConfig(channel_plan=PLAN, seed=seed, **kwargs))
 
 
 def small_input(rng, samples=2, frames=8, slots=2):
@@ -411,7 +411,7 @@ def test_training_forward_of_the_paper_plan_holds_what_backward_needs():
     # One warm training forward at the benchmark's train shape (N=4, T=30,
     # M=2, COCO18, 10-block plan), input batch norm, projections and
     # pooling included. It keeps 73.7 MiB.
-    net = StgcnNetwork(partition_spatial(build_graph(COCO18)), 10, seed=0)
+    net = StgcnNetwork(partition_spatial(build_graph(COCO18)), 10, ModelConfig(seed=0))
     x = np.random.default_rng(40).uniform(-1.0, 1.0, (4, 3, 30, 18, 2))
     rng = np.random.default_rng(41)
     net.forward(x, training=True, rng=rng)
@@ -432,7 +432,7 @@ def test_training_step_of_the_paper_plan_peaks_below_97_mib():
     # time over an array it already owns, so no full-size temporary lifts
     # the peak above what the forward holds plus a few layer-sized arrays:
     # 91.4 MiB.
-    net = StgcnNetwork(partition_spatial(build_graph(COCO18)), 10, seed=0)
+    net = StgcnNetwork(partition_spatial(build_graph(COCO18)), 10, ModelConfig(seed=0))
     optimizer = SGD(net.parameters(), momentum=0.9)
     x = np.random.default_rng(40).uniform(-1.0, 1.0, (4, 3, 30, 18, 2))
     rng = np.random.default_rng(41)
@@ -471,7 +471,7 @@ def test_eval_forward_at_the_paper_shape_keeps_no_graph_and_little_memory():
     # One T=300 sample through the 10-block plan. Recording a graph kept
     # every block's aggregate, padded input and masks alive: a 273 MiB
     # peak. Without one, only a few layer-sized arrays are alive at once.
-    net = StgcnNetwork(partition_spatial(build_graph(COCO18)), 10, seed=0)
+    net = StgcnNetwork(partition_spatial(build_graph(COCO18)), 10, ModelConfig(seed=0))
     x = np.random.default_rng(33).uniform(-1.0, 1.0, (1, 3, 300, 18, 1))
     net.forward(x)
     tracemalloc.start()
@@ -529,7 +529,8 @@ def test_fine_tune_training_forward_keeps_no_array_of_a_frozen_block(monkeypatch
     # Blocks 0 and 1 are frozen. Of every array built before block 2 runs,
     # only block 1's output, the input block 2 trains on, outlives the
     # forward.
-    net = StgcnNetwork(small_adjacency(), 3, channel_plan=((4, 1), (4, 1), (8, 2)))
+    net = StgcnNetwork(small_adjacency(), 3,
+                       ModelConfig(channel_plan=((4, 1), (4, 1), (8, 2))))
     set_trainable(net, "fine_tune")
     built, frozen, trained_input = [], [], []
     init = Tensor.__init__
@@ -566,7 +567,8 @@ def fine_tune_step(path, trainable_input=False):
         accumulated.append((tensor, grad.shape))
         accumulate(tensor, grad)
 
-    net = StgcnNetwork(small_adjacency(), 3, channel_plan=((4, 1), (4, 1), (8, 2)))
+    net = StgcnNetwork(small_adjacency(), 3,
+                       ModelConfig(channel_plan=((4, 1), (4, 1), (8, 2))))
     set_trainable(net, "fine_tune")
     last, inputs = net.blocks[-1], []
 
@@ -641,7 +643,7 @@ def test_parameter_names_for_a_two_block_net():
 
 def test_residual_kinds_follow_channels_and_stride():
     net = StgcnNetwork(small_adjacency(), 2,
-                       channel_plan=((8, 1), (8, 1), (16, 2)))
+                       ModelConfig(channel_plan=((8, 1), (8, 1), (16, 2))))
     assert net.blocks[0].residual == "none"
     assert net.blocks[1].residual == "identity"
     assert net.blocks[2].residual == "project"
@@ -650,18 +652,18 @@ def test_residual_kinds_follow_channels_and_stride():
 def test_constructor_validation():
     adjacency = small_adjacency()
     with pytest.raises(ConfigurationError):
-        StgcnNetwork(adjacency, 1, channel_plan=PLAN)
+        StgcnNetwork(adjacency, 1, ModelConfig(channel_plan=PLAN))
     with pytest.raises(ConfigurationError):
-        StgcnNetwork(adjacency, 3, channel_plan=())
+        StgcnNetwork(adjacency, 3, ModelConfig(channel_plan=()))
     with pytest.raises(ConfigurationError):
-        StgcnNetwork(adjacency, 3, channel_plan=((4, 0),))
+        StgcnNetwork(adjacency, 3, ModelConfig(channel_plan=((4, 0),)))
     with pytest.raises(ConfigurationError):
-        StgcnNetwork(adjacency, 3, channel_plan=PLAN, person_pool="max")
+        StgcnNetwork(adjacency, 3, ModelConfig(channel_plan=PLAN, person_pool="max"))
     with pytest.raises(ConfigurationError):
-        StgcnNetwork(adjacency, 3, channel_plan=PLAN, dropout=1.0)
+        StgcnNetwork(adjacency, 3, ModelConfig(channel_plan=PLAN, dropout=1.0))
     with pytest.raises(ConfigurationError):
-        StgcnNetwork(adjacency, 3, channel_plan=PLAN, in_channels=2,
-                     zero_confidence=True)
+        StgcnNetwork(adjacency, 3, ModelConfig(channel_plan=PLAN, in_channels=2,
+                                               zero_confidence=True))
 
 
 def test_seeded_init_is_deterministic():
@@ -911,7 +913,7 @@ def test_strict_head_controls_class_count_mismatches(tmp_path):
 
 
 def test_structure_mismatch_is_rejected(tmp_path):
-    shallow = StgcnNetwork(small_adjacency(), 3, channel_plan=((4, 1),))
+    shallow = StgcnNetwork(small_adjacency(), 3, ModelConfig(channel_plan=((4, 1),)))
     path = tmp_path / "shallow.ckpt"
     save_weights(shallow, path)
     with pytest.raises(CheckpointError):
@@ -940,7 +942,7 @@ def test_load_weights_rejects_a_checkpoint_of_another_structure(saved, loaded, k
                                                                 tmp_path):
     def build(options):
         options = {"adjacency": small_adjacency(), "channel_plan": PLAN, **options}
-        return StgcnNetwork(options.pop("adjacency"), 3, seed=2, **options)
+        return StgcnNetwork(options.pop("adjacency"), 3, ModelConfig(seed=2, **options))
 
     source, target = build(saved), build(loaded)
     assert {n: a.shape for n, a in source.state_arrays().items()} == \
@@ -1134,34 +1136,6 @@ def test_model_config_builds_a_working_network():
     assert net.num_classes == 3
     out = net.forward(np.zeros((1, 3, 4, 18, 1)))
     assert out.data.shape == (1, 3)
-
-
-def test_model_config_validation():
-    with pytest.raises(ConfigurationError, match=r"model\.layout"):
-        ModelConfig(layout="hexapod").validate()
-    with pytest.raises(ConfigurationError):
-        ModelConfig(person_slots=0).validate()
-    with pytest.raises(ConfigurationError):
-        ModelConfig(target_frames=0).validate()
-    with pytest.raises(ConfigurationError):
-        ModelConfig(dropout=-0.1).validate()
-    with pytest.raises(ConfigurationError):
-        ModelConfig(person_pool="median").validate()
-    with pytest.raises(ConfigurationError):
-        ModelConfig(zero_confidence=True, in_channels=2).validate()
-    ModelConfig().validate()
-
-
-def test_network_and_model_config_share_one_option_check():
-    cases = [dict(in_channels=0), dict(person_pool="max"), dict(dropout=1.0),
-             dict(in_channels=2, zero_confidence=True), dict(channel_plan=()),
-             dict(channel_plan=((4, 0),))]
-    for options in cases:
-        with pytest.raises(ConfigurationError) as direct:
-            StgcnNetwork(small_adjacency(), 3, **options)
-        with pytest.raises(ConfigurationError) as configured:
-            ModelConfig(**options).validate()
-        assert str(configured.value) == "model." + str(direct.value)
 
 
 def test_meta_reports_the_structure():

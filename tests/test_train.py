@@ -18,8 +18,11 @@ from skelact import (
     evaluate,
     lr_schedule,
     partition_spatial,
+    random_frame_window,
     run_training,
     save_weights,
+    set_trainable,
+    subsample_frames,
     to_model_input,
     top_k_accuracy,
     train_loop,
@@ -40,7 +43,7 @@ from helpers import (
 
 def tiny_net(num_classes=3, seed=0, plan=((8, 1), (8, 1))):
     return StgcnNetwork(partition_spatial(path_graph(5, center=0)),
-                        num_classes, channel_plan=plan, seed=seed)
+                        num_classes, ModelConfig(channel_plan=plan, seed=seed))
 
 
 def tiny_datasets(per_class=4, frames=12, seed=3):
@@ -185,14 +188,28 @@ def test_sgd_validation():
         SGD([t], weight_decay=-0.01)
 
 
-def test_sgd_and_train_config_share_one_option_check():
-    for options in (dict(momentum=1.0), dict(momentum=-0.1),
-                    dict(weight_decay=-0.01)):
-        with pytest.raises(ConfigurationError) as direct:
-            SGD([Tensor([1.0], trainable=True)], **options)
-        with pytest.raises(ConfigurationError) as configured:
-            TrainConfig(**options).validate()
-        assert str(configured.value) == "train." + str(direct.value)
+def test_functions_handed_a_bare_value_check_it_as_the_config_does():
+    net = tiny_net()
+    seq = motion_dataset(1, 6, 5, seed=0)[0][0]
+    rng = np.random.default_rng(0)
+    cases = [
+        (lambda: SGD([Tensor([1.0], trainable=True)], momentum=1.0),
+         lambda: TrainConfig(momentum=1.0)),
+        (lambda: SGD([Tensor([1.0], trainable=True)], momentum=-0.1),
+         lambda: TrainConfig(momentum=-0.1)),
+        (lambda: SGD([Tensor([1.0], trainable=True)], weight_decay=-0.01),
+         lambda: TrainConfig(weight_decay=-0.01)),
+        (lambda: set_trainable(net, "transfer"), lambda: TrainConfig(mode="transfer")),
+        (lambda: random_frame_window(seq, 2, rng, pad_position="left"),
+         lambda: AugmentConfig(window_pad_position="left")),
+        (lambda: subsample_frames(seq, 1.5, rng), lambda: AugmentConfig(drop_rate=1.5)),
+    ]
+    for direct, configured in cases:
+        with pytest.raises(ConfigurationError) as bare:
+            direct()
+        with pytest.raises(ConfigurationError) as built:
+            configured()
+        assert str(built.value) == str(bare.value)
 
 
 def test_five_fixed_batch_steps_strictly_reduce_the_loss():
@@ -427,28 +444,6 @@ def test_train_loop_rejects_an_empty_training_set():
         train_loop(tiny_net(), SequenceDataset([], [], []), test, loop_config())
 
 
-def test_train_config_validation():
-    loop_config().validate()
-    cases = [
-        dict(mode="transfer"),
-        dict(base_lr=0.0),
-        dict(base_lr=-0.1),
-        dict(decay_factor=0.0),
-        dict(decay_factor=1.0),
-        dict(decay_boundaries=(10, 10)),
-        dict(decay_boundaries=(20, 10)),
-        dict(decay_boundaries=(-1, 5)),
-        dict(batch_size=0),
-        dict(epochs=0),
-        dict(momentum=1.0),
-        dict(weight_decay=-0.5),
-        dict(augmentation=AugmentConfig(window_size=0)),
-    ]
-    for overrides in cases:
-        with pytest.raises(ConfigurationError):
-            loop_config(**overrides).validate()
-
-
 # ---------------------------------------------------------------- run_training
 
 @pytest.fixture(scope="module")
@@ -497,10 +492,10 @@ def test_run_training_validates_each_config_once_before_reading_keypoints(
         manifest_tree, monkeypatch):
     events = []
     for cls in (ModelConfig, TrainConfig):
-        def counting(self, validate=cls.validate, name=cls.__name__):
+        def counting(self, check=cls.__post_init__, name=cls.__name__):
             events.append(name)
-            validate(self)
-        monkeypatch.setattr(cls, "validate", counting)
+            check(self)
+        monkeypatch.setattr(cls, "__post_init__", counting)
 
     def loading(*args, **kwargs):
         events.append("load")
@@ -513,10 +508,10 @@ def test_run_training_validates_each_config_once_before_reading_keypoints(
     assert set(events[2:]) == {"load"}
 
     del events[:]
-    with pytest.raises(ConfigurationError, match=r"train\.batch_size"):
+    with pytest.raises(ConfigurationError, match=r"^batch_size"):
         run_training(manifest_tree, split, small_model_config(),
                      run_config(batch_size=0))
-    with pytest.raises(ConfigurationError, match=r"model\.person_slots"):
+    with pytest.raises(ConfigurationError, match=r"^person_slots"):
         run_training(manifest_tree, split,
                      ModelConfig(person_slots=0), run_config())
     assert "load" not in events
