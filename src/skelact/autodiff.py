@@ -341,8 +341,9 @@ class Norm(NamedTuple):
 
     With ``running`` None it normalizes with the batch's own mean and
     biased variance and hands them, (C,) each, to ``track``. A
-    ``(mean, var)`` pair of (C,) arrays normalizes with those fixed
-    statistics instead.
+    ``(mean, var)`` pair of (C,) arrays, the running statistics, makes it
+    the constant map ``x * a + b``: it runs over its input in place and
+    takes no gradient, so a backward through it raises ``StateError``.
     """
 
     gamma: Tensor
@@ -376,13 +377,14 @@ class _Epilogue:
     the gradient of the result back to that array, accumulating the batch
     norm and shortcut gradients on the way. The shortcut is a tensor or a
     ``Projection``, which the tail computes for the add and drops. Only
-    what the backward reads is kept: with batch statistics the centered
-    input, with fixed ones the input while gamma trains and a graph is
-    recorded, the dropout mask, and the same for a projection's batch
-    norm. ReLU keeps no mask: the backward reads where the rectified
-    result is > 0, which is where its input was, NaN and both zeros giving
-    False either way. The result is the node's output, so it stays alive,
-    and nothing writes into it once the node has returned.
+    what the backward reads is kept: a batch-statistics norm's centered
+    input, the dropout mask, and the same for a projection's batch norm.
+    A norm on running statistics writes over its input and keeps nothing,
+    since no gradient goes through it. ReLU keeps no mask: the backward
+    reads where the rectified result is > 0, which is where its input was,
+    NaN and both zeros giving False either way. The result is the node's
+    output, so it stays alive, and nothing writes into it once the node
+    has returned.
 
     ``fit``, ``rectify``, ``affine`` and ``normalize_backward`` are the
     batch norm and a ReLU alone, for a prologue.
@@ -392,7 +394,7 @@ class _Epilogue:
                  shortcut: Tensor | Projection | None = None, relu: bool = False):
         self.norm, self.shortcut = norm, shortcut
         self.dropout, self.rng, self.relu = dropout, rng, relu
-        self.centered = self.source = self.keep = self.rectified = None
+        self.centered = self.keep = self.rectified = None
 
     def apply(self, out: np.ndarray) -> np.ndarray:
         """Run the tail on ``out``, the caller's fresh array, and return the result.
@@ -420,9 +422,9 @@ class _Epilogue:
 
     def normalize(self, out: np.ndarray) -> np.ndarray:
         """Batch-normalize ``out`` and return the result: ``out`` itself
-        if the map ran over it in place (see ``fit``), else a new array."""
+        on running statistics (see ``fit``), else a new array."""
         self.fit(out)
-        if self.in_place:
+        if self.centered is None:
             return out
         result = np.multiply(out, self.a)
         result += self.b
@@ -431,14 +433,12 @@ class _Epilogue:
     def fit(self, out: np.ndarray) -> None:
         """Find the batch norm's map ``x * a + b`` for ``out``.
 
-        With batch statistics ``out`` is centered in place, and the map
-        reads it from there. With fixed ones the map runs over ``out`` in
-        place, contiguous (``in_place``), unless the backward reads ``out``
-        because gamma trains in a recorded graph.
+        With batch statistics ``out`` is centered in place and kept as
+        ``centered``, and the map reads it from there. On running
+        statistics the map runs over ``out`` in place.
         """
         norm = self.norm
         gamma, shift = _per_channel(norm.gamma.data), _per_channel(norm.beta.data)
-        self.in_place = False
         if norm.running is None:
             mu = out.mean(axis=_BN_AXES, keepdims=True)
             centered = np.subtract(out, mu, out=out)
@@ -453,22 +453,16 @@ class _Epilogue:
                 norm.track(mu.reshape(-1), var)
             return
         mean, var = (np.asarray(s, dtype=np.float64) for s in norm.running)
-        self.mu = _per_channel(mean)
-        self.inv_std = _per_channel(1.0 / np.sqrt(var + norm.eps))
-        self.a = gamma * self.inv_std
-        self.b = shift - self.mu * self.a
-        if norm.gamma.trainable and _recording.get():
-            self.source = out
-            return
+        self.a = gamma * _per_channel(1.0 / np.sqrt(var + norm.eps))
+        self.b = shift - _per_channel(mean) * self.a
         out *= self.a
         out += self.b
-        self.in_place = True
 
     def affine(self, out: np.ndarray, part: slice, buffer: np.ndarray) -> np.ndarray:
         """The batch norm's result on channels ``part``, from what ``fit``
-        left in ``out``: ``out[part]`` if the map ran in place, else
+        left in ``out``: ``out[part]`` on running statistics, else
         ``out[part] * a + b`` written to ``buffer``."""
-        if self.in_place:
+        if self.centered is None:
             return out[part]
         result = np.multiply(out[part], self.a[part], out=buffer)
         result += self.b[part]
@@ -518,12 +512,15 @@ class _Epilogue:
         result with the shortcut's part taken: one pass per run of whole
         channels applies the ReLU mask ``relu(part, buffer)``, if given, and
         the dropout mask, takes both per-channel sums and writes dx to
-        ``dest`` (``grad`` itself, or a new array if None)."""
-        norm, batch = self.norm, self.centered is not None
+        ``dest`` (``grad`` itself, or a new array if None). A norm on
+        running statistics raises ``StateError``."""
+        norm = self.norm
+        if norm is not None and norm.running is not None:
+            raise StateError("a batch norm on running statistics takes no gradient")
         if norm is None and relu is None and self.keep is None:
             return grad
         dest = np.empty(grad.shape) if dest is None else dest
-        sums = np.empty((2, len(grad)))  # of g and of g times the normalized input
+        sums = np.empty((2, len(grad)))  # of g and of g times the centered input
         for part, buffer in _chunks(grad):
             g = grad[part]
             if relu is not None:
@@ -535,14 +532,6 @@ class _Epilogue:
                 continue
             _row_sum(g, sums[0, part])
             a = self.a[part]
-            if not batch:
-                # Fixed statistics: the map is x * a + b.
-                if self.source is not None:
-                    normalized = np.subtract(self.source[part], self.mu[part], out=buffer)
-                    normalized *= self.inv_std[part]
-                    _row_sum(np.multiply(g, normalized, out=buffer), sums[1, part])
-                np.multiply(g, a, out=dest[part])
-                continue
             centered = self.centered[part]
             _row_sum(np.multiply(g, centered, out=buffer), sums[1, part])
             mean_grad = _per_channel(sums[0, part] / g[0].size)
@@ -554,9 +543,7 @@ class _Epilogue:
             np.add(term, np.multiply(g, a, out=dest[part]), out=dest[part])
         if norm is not None:
             _accumulate(norm.beta, sums[0])
-            if batch or self.source is not None:
-                _accumulate(norm.gamma, sums[1] * self.inv_std.reshape(-1) if batch
-                            else sums[1])
+            _accumulate(norm.gamma, sums[1] * self.inv_std.reshape(-1))
         return dest
 
     def parents(self) -> tuple[Tensor, ...]:
@@ -607,11 +594,11 @@ def temporal_conv(
 
     With ``prologue``, batch norm ``prologue`` and a ReLU run on the input
     before the convolution. The batch norm runs over the input's own
-    array: the batch mean is subtracted in place, and the fixed map
-    ``x * a + b`` runs in place unless gamma trains in a recorded graph.
-    So the input's data must be an array no one reads afterwards, as
-    ``graph_conv``'s output is: that op's backward never reads it, and
-    under ``no_grad`` nothing does.
+    array: the batch mean is subtracted in place, and a norm on running
+    statistics runs its map ``x * a + b`` in place. So the input's data
+    must be an array no one reads afterwards, as ``graph_conv``'s output
+    is: that op's backward never reads it, and under ``no_grad`` nothing
+    does.
 
     The padded input, rectified if there is a prologue, goes to a
     zero-bordered buffer the node owns and drops once it has convolved;
@@ -820,7 +807,8 @@ def batch_norm_given(
     eps: float = 1e-5,
     relu: bool = False,
 ) -> Tensor:
-    """Normalize with fixed (C,) statistics, the evaluation and frozen path."""
+    """Normalize with running (C,) statistics, the evaluation and frozen
+    path: a constant map of ``x``, which takes no gradient (see ``Norm``)."""
     norm = Norm(_as_tensor(gamma), _as_tensor(beta), eps, (running_mean, running_var))
     return batch_norm(x, norm, relu)
 

@@ -2,7 +2,9 @@
 
 Exit codes: 0 on success, 2 for validation problems (bad arguments,
 configuration, files that do not fit together), 3 for failures while
-processing data. All inputs are checked before anything is written.
+processing data. All inputs are checked before anything is written,
+and a command creates its ``--out`` directory right before its first
+write, so a failure leaves none behind.
 """
 from __future__ import annotations
 
@@ -127,12 +129,12 @@ def cmd_train(args: argparse.Namespace) -> int:
     split = load_split(_require_dir(args.split, "split"))
     if config.train.mode != "vanilla":
         _require_file(config.train.source_checkpoint, "checkpoint")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
 
     net, history = run_training(manifest, split, config.model, config.train)
     if history.best_state is not None:
         net.load_state_arrays(history.best_state)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     save_weights(net, out / "checkpoint.ckpt")
     with open_atomic(out / "history.csv") as handle:
         handle.write(history.to_csv())
@@ -160,8 +162,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
     split = load_split(_require_dir(args.split, "split"))
     net = config.model.build(len(split.class_names))
     load_weights(net, _require_file(args.checkpoint, "checkpoint"))
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
 
     dataset = SequenceDataset.from_manifest(
         manifest, split.test_ids, split.class_names, config.model
@@ -174,6 +174,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
     class_count = len(split.class_names)
     top5 = top_k_accuracy(logits, dataset.labels, min(5, class_count))
 
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "predictions.csv", [
         ["sample_id", "label", "prediction"]
         + _float_columns("confidence_", confidences.shape[1])
@@ -266,8 +268,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     labels = labels[keep]
     predictions = predictions[keep]
     confidences = confidences[keep]
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
 
     table = classwise_table(labels, predictions, confidences, split.class_names)
     accuracies = np.array([row.accuracy for row in table])
@@ -293,6 +293,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             for row in table
         ],
     }
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     with open_atomic(out / "report.json") as handle:
         handle.write(json.dumps(report, indent=2, sort_keys=True))
     _write_csv(out / "scatter.csv", [

@@ -38,6 +38,9 @@ from .graph import PartitionedAdjacency, build_graph, partition_spatial
 from .keypoints import COCO18, check_layout
 
 TEMPORAL_KERNEL = 9
+# Input channels per joint: x, y and detector confidence, as every
+# SkeletonSequence holds them.
+IN_CHANNELS = 3
 
 # (out_channels, temporal_stride) per block.
 DEFAULT_CHANNEL_PLAN = (
@@ -75,7 +78,9 @@ class BatchNorm:
     running ones with momentum ``MOMENTUM``. Evaluation, and any frozen
     layer (one whose ``gamma`` is not trainable), normalizes with the
     running statistics and leaves them alone, so a sample's output does
-    not depend on what it is batched with.
+    not depend on what it is batched with. That is a constant map, which
+    takes no gradient: ``set_trainable`` freezes a prefix of the network,
+    so no gradient reaches a frozen layer.
     """
 
     MOMENTUM = 0.1
@@ -102,7 +107,7 @@ class BatchNorm:
 
         Training a layer that is not frozen normalizes with the batch
         statistics and tracks them; evaluation and a frozen layer use the
-        running statistics, the fixed map ``x * a + b``.
+        running statistics, the constant map ``x * a + b``.
         """
         running = None
         if self.frozen or not training:
@@ -221,7 +226,8 @@ class StgcnBlock:
 
 
 class StgcnNetwork:
-    """The full classifier network, with the options of a ``ModelConfig``.
+    """The full classifier network, with the options of a ``ModelConfig``,
+    over inputs of ``IN_CHANNELS`` channels.
 
     Weight initialization draws from one seeded generator in construction
     order (blocks in order; within a block the partition weights, then the
@@ -246,18 +252,16 @@ class StgcnNetwork:
         self.layout = adjacency.layout
         self.vertex_count = adjacency.vertex_count
         self.num_classes = num_classes
-        self.in_channels = config.in_channels
         self.channel_plan = config.channel_plan
         self.person_pool = config.person_pool
         self.zero_confidence = config.zero_confidence
-        self.mode = "vanilla"
 
         self.adjacency = adjacency.matrices
 
         rng = np.random.default_rng(config.seed)
-        self.input_bn = BatchNorm(self.vertex_count * self.in_channels)
+        self.input_bn = BatchNorm(self.vertex_count * IN_CHANNELS)
         self.blocks: list[StgcnBlock] = []
-        previous = self.in_channels
+        previous = IN_CHANNELS
         for index, (channels, stride) in enumerate(self.channel_plan):
             self.blocks.append(
                 StgcnBlock(
@@ -282,21 +286,16 @@ class StgcnNetwork:
         # Initialization is done; the rest of the stream feeds dropout.
         self._forward_rng = rng
 
-    def forward(
-        self,
-        x: np.ndarray,
-        training: bool = False,
-        rng: np.random.Generator | None = None,
-    ) -> Tensor:
+    def forward(self, x: np.ndarray, training: bool = False) -> Tensor:
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 5:
             raise ConfigurationError(
                 f"input must have shape (N, C, T, V, M), got {x.shape}"
             )
         samples, channels, frames, vertices, slots = x.shape
-        if channels != self.in_channels:
+        if channels != IN_CHANNELS:
             raise ConfigurationError(
-                f"input has {channels} channels, network expects {self.in_channels}"
+                f"input has {channels} channels, network expects {IN_CHANNELS}"
             )
         if vertices != self.vertex_count:
             raise ConfigurationError(
@@ -306,8 +305,6 @@ class StgcnNetwork:
             x = x.copy()
             x[:, 2] = 0.0
 
-        if rng is None:
-            rng = self._forward_rng
         # An evaluation forward records nothing, so nothing outlives it
         # but the logits.
         with nullcontext() if training else ad.no_grad():
@@ -320,7 +317,7 @@ class StgcnNetwork:
             h = ad.reshape(h, (vertices, channels, samples * slots, frames))
             h = ad.transpose(h, (1, 2, 3, 0))
             for block in self.blocks:
-                h = block.forward(h, self.adjacency, training, rng)
+                h = block.forward(h, self.adjacency, training, self._forward_rng)
             h = ad.mean(h, axes=(2, 3))
             h = ad.reshape(h, (self.channel_plan[-1][0], samples, slots))
             if self.person_pool == "mean":
@@ -384,7 +381,7 @@ class StgcnNetwork:
             "vertex_count": self.vertex_count,
             "partition_count": len(self.adjacency),
             "num_classes": self.num_classes,
-            "in_channels": self.in_channels,
+            "in_channels": IN_CHANNELS,
             "channel_plan": [list(pair) for pair in self.channel_plan],
             "person_pool": self.person_pool,
             "zero_confidence": self.zero_confidence,
@@ -410,7 +407,6 @@ def set_trainable(net: StgcnNetwork, mode: str) -> None:
         prefixes = ("fc.",)
     for name, tensor in net.named_parameters().items():
         tensor.trainable = prefixes is None or name.startswith(prefixes)
-    net.mode = mode
 
 
 def save_weights(net: StgcnNetwork, path: str | Path) -> None:
@@ -587,7 +583,6 @@ class ModelConfig:
     layout: str = COCO18
     person_slots: int = 2
     target_frames: int = 300
-    in_channels: int = 3
     person_pool: str = "mean"
     zero_confidence: bool = False
     dropout: float = 0.0
@@ -600,8 +595,6 @@ class ModelConfig:
             raise ConfigurationError("person_slots: must be at least 1")
         if self.target_frames < 1:
             raise ConfigurationError("target_frames: must be at least 1")
-        if self.in_channels < 1:
-            raise ConfigurationError("in_channels: must be at least 1")
         if self.seed < 0:
             raise ConfigurationError(f"seed: must be non-negative, got {self.seed}")
         if self.person_pool not in PERSON_POOLS:
@@ -610,10 +603,6 @@ class ModelConfig:
             )
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigurationError(f"dropout: must lie in [0, 1), got {self.dropout}")
-        if self.zero_confidence and self.in_channels != 3:
-            raise ConfigurationError(
-                "zero_confidence: needs the (x, y, confidence) channel layout"
-            )
         plan = DEFAULT_CHANNEL_PLAN if self.channel_plan is None else self.channel_plan
         self.channel_plan = tuple((int(c), int(s)) for c, s in plan)
         if not self.channel_plan:

@@ -353,8 +353,8 @@ def whole_array_batch_norm(x, gamma, beta, eps=1e-5, relu=False):
 
 def _oracle_norm(bn, y, training, relu=False):
     """One batch norm layer as its own node, tracking statistics as
-    documented: momentum 0.1 in training, none when frozen or evaluating."""
-    if bn.frozen or not training:
+    documented: momentum 0.1 in training, none when evaluating."""
+    if not training:
         return batch_norm_given(y, bn.gamma, bn.beta, bn.running_mean,
                                 bn.running_var, bn.EPS, relu)
     out, mu, var = batch_norm_batch(y, bn.gamma, bn.beta, bn.EPS, relu)
@@ -370,8 +370,7 @@ def oracle_block(block, x, adjacency, training, rng=None):
 
     Graph conv, bn1 with ReLU, temporal conv, bn2, dropout (training only),
     then relu(y + shortcut): the chain the fused block must reproduce bit
-    for bit. In evaluation, and for a frozen layer, a batch norm uses its
-    running statistics.
+    for bit. In evaluation a batch norm uses its running statistics.
     """
     y = graph_conv(x, adjacency, block.gcn_weights, block.edge_masks)
     y = _oracle_norm(block.bn1, y, training, relu=True)

@@ -1,5 +1,6 @@
 """Reverse-mode differentiation engine."""
 import tracemalloc
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -531,43 +532,18 @@ def test_batch_norm_given_is_a_per_channel_affine_map():
         x.data - mu[:, None, None, None]
     ) + beta.data[:, None, None, None]
     assert np.allclose(out.data, expected, atol=1e-12)
-    out.backward(np.ones(out.data.shape))
-    scale = gamma.data / np.sqrt(var + eps)
-    assert np.allclose(
-        x.grad, np.broadcast_to(scale[:, None, None, None], x.data.shape)
-    )
 
 
-def test_batch_norm_given_gradcheck():
-    rng = np.random.default_rng(14)
-    x = leaf(rng, (2, 2, 3, 2))
-    gamma = Tensor(rng.uniform(0.5, 1.5, 2), trainable=True)
-    beta = Tensor(rng.uniform(-0.5, 0.5, 2), trainable=True)
-    mu = rng.uniform(-0.2, 0.2, 2)
-    var = rng.uniform(0.5, 2.0, 2)
-
-    def build():
-        out = batch_norm_given(x, gamma, beta, mu, var)
-        return reduce_sum(mul(out, out), (0, 1, 2, 3))
-
-    check_grads(build, [x, gamma, beta])
-
-
-# The tolerances are those of the unfused gradchecks above.
-@pytest.mark.parametrize("batch_stats,seed,tol", [(True, 5, 1e-4), (False, 6, 1e-5)])
-def test_batch_norm_relu_gradcheck_away_from_the_kink(batch_stats, seed, tol):
-    rng = np.random.default_rng(seed)
+# The tolerance is that of the unfused gradcheck above.
+def test_batch_norm_relu_gradcheck_away_from_the_kink():
+    rng = np.random.default_rng(5)
     x = channels_first(leaf(rng, (3, 2, 4, 2)))
     gamma = Tensor(rng.uniform(0.5, 1.5, 2), trainable=True)
     beta = Tensor(rng.uniform(-0.5, 0.5, 2), trainable=True)
-    mu = rng.uniform(-0.2, 0.2, 2)
-    var = rng.uniform(0.5, 2.0, 2)
     target = rng.uniform(-1.0, 1.0, x.data.shape)
 
     def normalize(relu_out):
-        if batch_stats:
-            return batch_norm_batch(x, gamma, beta, relu=relu_out)[0]
-        return batch_norm_given(x, gamma, beta, mu, var, relu=relu_out)
+        return batch_norm_batch(x, gamma, beta, relu=relu_out)[0]
 
     # Every pre-activation is far from zero next to the difference step.
     assert np.abs(normalize(False).data).min() > 0.05
@@ -577,7 +553,7 @@ def test_batch_norm_relu_gradcheck_away_from_the_kink(batch_stats, seed, tol):
         diff = add(normalize(True), Tensor(-target))
         return reduce_sum(mul(diff, diff), (0, 1, 2, 3))
 
-    check_grads(build, [x, gamma, beta], tol=tol)
+    check_grads(build, [x, gamma, beta], tol=1e-4)
 
 
 def test_batch_norm_relu_has_the_bits_of_relu_of_batch_norm():
@@ -590,37 +566,53 @@ def test_batch_norm_relu_has_the_bits_of_relu_of_batch_norm():
     gamma = np.array([-1.0, 0.5, 2.0])
     beta = np.array([-0.0, 0.0, -0.0])
     seed = rng.uniform(-1.0, 1.0, x.shape)
-    # Fixed statistics with a = 1 and b = -0.0 on channel 0: its
-    # pre-activations are its inputs, the edge values of the rule.
-    edges = rng.uniform(-1.0, 1.0, x.shape)
-    edges[0] = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 1e-300, -1e-300, 0.5]
-                        ).reshape(2, 2, 2)
-    running = (np.array([0.0, 0.1, -0.2]), np.array([1.0 - 1e-5, 0.5, 2.0]))
+    runs = []
+    for fused in (True, False):
+        leaves = [Tensor(v, trainable=True) for v in (x, gamma, beta)]
+        out = batch_norm_batch(*leaves, relu=fused)[0]
+        if not fused:
+            out = relu(out)
+        with np.errstate(invalid="raise"):
+            out.backward(seed)
+        runs.append([out.data.tobytes()] + [t.grad.tobytes() for t in leaves])
+    assert runs[0] == runs[1]
+    # Channel 0's pre-activations are zeros of both signs.
+    pre = batch_norm_batch(*map(Tensor, (x, gamma, beta)))[0].data[0]
+    assert (pre == 0.0).all() and np.signbit(pre).any() and not np.signbit(pre).all()
 
-    edge_operands = (edges, np.array([1.0, -0.5, 2.0]), np.array([-0.0, 0.1, -0.3]))
 
-    def batch(*leaves, relu):
-        return batch_norm_batch(*leaves, relu=relu)[0]
-
-    def given(*leaves, relu):
-        return batch_norm_given(*leaves, *running, relu=relu)
-
-    pre = given(*map(Tensor, edge_operands), relu=False).data
-    assert pre[0].tobytes() == edges[0].tobytes()
-    # Only the edge case's backward computes 0 * inf (gamma's gradient at
-    # the infinite pre-activations); the batch case must raise on it.
-    cases = [((x, gamma, beta), batch, "raise"), (edge_operands, given, "ignore")]
-    for operands, normalize, invalid in cases:
-        runs = []
-        for fused in (True, False):
-            leaves = [Tensor(v, trainable=True) for v in operands]
-            out = normalize(*leaves, relu=fused)
-            if not fused:
-                out = relu(out)
-            with np.errstate(invalid=invalid):
-                out.backward(seed)
-            runs.append([out.data.tobytes()] + [t.grad.tobytes() for t in leaves])
-        assert runs[0] == runs[1]
+@pytest.mark.parametrize("shortcut", [False, True], ids=["no_shortcut", "tensor"])
+def test_fused_relu_masks_the_edge_pre_activations_like_relu(shortcut):
+    # With a one-tap unit kernel and a -0.0 shortcut, channel 0's
+    # pre-activations are its inputs, the edge values of the mask rule
+    # x > 0, except -0.0: the convolution's sum starts at +0.0, and
+    # +0.0 + -0.0 is +0.0, so no pre-activation of this node is -0.0.
+    # The batch-statistics test above reaches -0.0.
+    rng = np.random.default_rng(16)
+    edges = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 1e-300, -1e-300, 0.5])
+    x = rng.uniform(-1.0, 1.0, (3, 2, 4, 2))
+    x[0] = np.concatenate([edges, -edges]).reshape(2, 4, 2)
+    kernel = rng.uniform(0.5, 1.5, (3, 1))
+    kernel[0] = 1.0
+    other = np.full(x.shape, -0.0)
+    other[1:] = rng.uniform(-1.0, 1.0, other[1:].shape)
+    seed = rng.uniform(-1.0, 1.0, x.shape)
+    pre = temporal_conv(Tensor(x), Tensor(kernel), shortcut=Tensor(other)).data
+    assert pre[0].tobytes() == (x[0] + 0.0).tobytes()
+    runs = []
+    for fused in (True, False):
+        leaves = [Tensor(v, trainable=True) for v in (x, kernel, other)]
+        residual = leaves[2] if shortcut else None
+        if fused:
+            out = temporal_conv(*leaves[:2], shortcut=residual, relu=True)
+        else:
+            out = temporal_conv(*leaves[:2])
+            out = relu(out if residual is None else add(out, residual))
+        # The kernel's gradient sums the infinite inputs times zeros.
+        with np.errstate(invalid="ignore"):
+            out.backward(seed)
+        runs.append([out.data.tobytes()] + [t.grad.tobytes() for t in leaves])
+    assert runs[0] == runs[1]
 
 
 def test_batch_norm_given_folds_into_one_affine_map():
@@ -650,24 +642,25 @@ def test_batch_norm_rejects_non_4d_input():
 
 # ---------------------------------------------------------------- fused nodes
 
-def norm_leaves(rng, channels, batch_stats):
-    """A trainable batch norm for a prologue or an epilogue, with batch or
-    fixed statistics."""
+def norm_leaves(rng, channels, running=False):
+    """A trainable batch norm for a prologue or an epilogue, on batch
+    statistics or, with ``running``, on running ones."""
     gamma = Tensor(rng.uniform(0.5, 1.5, channels), trainable=True)
     beta = Tensor(rng.uniform(-0.5, 0.5, channels), trainable=True)
-    running = None if batch_stats else (rng.uniform(-0.2, 0.2, channels),
-                                        rng.uniform(0.5, 2.0, channels))
-    return Norm(gamma, beta, running=running)
+    if not running:
+        return Norm(gamma, beta)
+    return Norm(gamma, beta, running=(rng.uniform(-0.2, 0.2, channels),
+                                      rng.uniform(0.5, 2.0, channels)))
 
 
-def graph_conv_node(rng, in_channels, frames, batch_stats):
+def graph_conv_node(rng, in_channels, frames):
     """Node A's operands, a call of it on them, and the batch norm the
     temporal node's prologue runs on A's output before a ReLU."""
     adjacency = rng.uniform(0.0, 1.0, (3, 5, 5))
     x = channels_first(leaf(rng, (2, in_channels, frames, 5)))
     weights = [leaf(rng, (in_channels, 3)) for _ in range(3)]
     masks = [Tensor(rng.uniform(0.5, 1.5, (5, 5)), trainable=True) for _ in range(3)]
-    norm = norm_leaves(rng, 3, batch_stats)
+    norm = norm_leaves(rng, 3)
 
     def node():
         return graph_conv(x, adjacency, weights, masks)
@@ -681,13 +674,11 @@ def squared_error(out, target):
 
 
 # Seeds whose pre-activations all lie at least 0.02 from the ReLU kink.
-@pytest.mark.parametrize("batch_stats,seed", [(True, 60), (False, 62)],
-                         ids=["batch_statistics", "fixed_statistics"])
-def test_temporal_conv_prologue_on_the_graph_conv_node_gradcheck(batch_stats, seed):
+def test_temporal_conv_prologue_on_the_graph_conv_node_gradcheck():
     # The prologue normalizes node A's output in place and rectifies it
     # into a buffer with a one-frame zero border; backward rebuilds it.
-    rng = np.random.default_rng(seed)
-    node, norm, leaves = graph_conv_node(rng, 2, 3, batch_stats)
+    rng = np.random.default_rng(60)
+    node, norm, leaves = graph_conv_node(rng, 2, 3)
     pre = batch_norm(node(), norm).data
     assert pre.shape == (3, 2, 3, 5)
     assert np.abs(pre).min() > 0.02
@@ -697,19 +688,17 @@ def test_temporal_conv_prologue_on_the_graph_conv_node_gradcheck(batch_stats, se
                                       target), leaves + [kernel], tol=1e-3)
 
 
-@pytest.mark.parametrize("batch_stats,seed", [(True, 73), (False, 236)],
-                         ids=["batch_statistics", "fixed_statistics"])
-def test_temporal_conv_node_fed_by_the_graph_conv_node_gradcheck(batch_stats, seed):
+def test_temporal_conv_node_fed_by_the_graph_conv_node_gradcheck():
     # Node B runs bn1 and ReLU on node A's output as its prologue, with
     # dropout and a strided projection shortcut (subsample, 1x1 conv and
     # batch norm) inside its epilogue.
-    rng = np.random.default_rng(seed)
-    node, norm_in, leaves = graph_conv_node(rng, 2, 5, batch_stats)
+    rng = np.random.default_rng(73)
+    node, norm_in, leaves = graph_conv_node(rng, 2, 5)
     x = leaves[0]
     kernel = leaf(rng, (3, 3))
-    norm = norm_leaves(rng, 3, batch_stats)
+    norm = norm_leaves(rng, 3)
     res_weight = leaf(rng, (2, 3))
-    res_norm = norm_leaves(rng, 3, batch_stats)
+    res_norm = norm_leaves(rng, 3)
 
     def block(relu_out=True):
         shortcut = Projection(x, res_weight, res_norm, 2)
@@ -725,6 +714,41 @@ def test_temporal_conv_node_fed_by_the_graph_conv_node_gradcheck(batch_stats, se
     check_grads(lambda: squared_error(block(), target),
                 leaves + [kernel, norm.gamma, norm.beta, res_weight,
                           res_norm.gamma, res_norm.beta], tol=1e-3)
+
+
+def running_statistics_nodes():
+    """Recorded nodes with a batch norm on running statistics at each of
+    its sites: its own node, a temporal conv's prologue, its epilogue
+    next to a projection shortcut, and the projection's own batch norm."""
+    rng = np.random.default_rng(65)
+    x, kernel, weight = leaf(rng, (3, 2, 4, 5)), leaf(rng, (3, 3)), leaf(rng, (3, 3))
+
+    def projection(running):
+        return Projection(x, weight, norm_leaves(rng, 3, running), 1)
+
+    return {
+        "batch_norm": lambda: batch_norm(leaf(rng, x.data.shape),
+                                         norm_leaves(rng, 3, running=True)),
+        "prologue": lambda: temporal_conv(leaf(rng, x.data.shape), kernel,
+                                          prologue=norm_leaves(rng, 3, running=True)),
+        "epilogue": lambda: temporal_conv(x, kernel, norm=norm_leaves(rng, 3, running=True),
+                                          shortcut=projection(False), relu=True),
+        "projection": lambda: temporal_conv(x, kernel, norm=norm_leaves(rng, 3),
+                                            shortcut=projection(True), relu=True),
+    }
+
+
+RUNNING_STATISTICS_NODES = running_statistics_nodes()
+
+
+@pytest.mark.parametrize("site", RUNNING_STATISTICS_NODES)
+def test_backward_through_a_running_statistics_batch_norm_raises(site):
+    # Such a norm is the constant map x * a + b: it takes no gradient,
+    # even with gamma and beta trainable and a graph recorded.
+    out = RUNNING_STATISTICS_NODES[site]()
+    assert not out.is_leaf
+    with pytest.raises(StateError, match="running statistics takes no gradient"):
+        out.backward(np.ones(out.data.shape))
 
 
 # (input channels, stride) of node B's shortcut.
@@ -947,18 +971,18 @@ def test_graph_conv_under_no_grad_frees_its_aggregate_before_the_bordered_output
     assert peak <= 4.5 * x.data.nbytes
 
 
-def test_fixed_statistics_batch_norm_under_no_grad_normalizes_in_place():
-    # A recorded node with a trainable gamma keeps its input for gamma's
-    # gradient, so it writes its output to a second array. Under no_grad
-    # nothing reads the input back: the eval input batch norm's copy of
-    # the batch is normalized in place. The shape is one T=300 COCO18
-    # sample with two person slots, as (V·C, N·M, T, 1).
+@pytest.mark.parametrize("recorded", [False, True], ids=["no_grad", "recorded"])
+def test_running_statistics_batch_norm_normalizes_in_place(recorded):
+    # Nothing reads a running-statistics norm's input back, in a recorded
+    # graph with a trainable gamma as under no_grad: the eval input batch
+    # norm's copy of the batch is normalized in place. The shape is one
+    # T=300 COCO18 sample with two person slots, as (V·C, N·M, T, 1).
     rng = np.random.default_rng(45)
     x = Tensor(rng.uniform(-1.0, 1.0, (54, 2, 300, 1)))
     gamma = Tensor(rng.uniform(0.5, 1.5, 54), trainable=True)
     beta = Tensor(rng.uniform(-0.5, 0.5, 54), trainable=True)
     mu, var = rng.uniform(-0.2, 0.2, 54), rng.uniform(0.5, 2.0, 54)
-    with no_grad():
+    with nullcontext() if recorded else no_grad():
         tracemalloc.start()
         try:
             out = batch_norm_given(x, gamma, beta, mu, var)
@@ -966,6 +990,7 @@ def test_fixed_statistics_batch_norm_under_no_grad_normalizes_in_place():
         finally:
             tracemalloc.stop()
     assert out.data.shape == x.data.shape
+    assert out.is_leaf != recorded
     assert peak <= 1.5 * x.data.nbytes
 
 

@@ -256,14 +256,11 @@ def directory_frame(sample):
     return "000030.json"
 
 
-@pytest.mark.parametrize("breaker, fragment", [
-    (oversized_integer, "person 0, joint 0"),
-    (directory_frame, "000030.json: cannot read keypoint file"),
-])
-def test_train_on_a_broken_frame_exits_3_naming_it(breaker, fragment, workspace,
-                                                    tmp_path, capsys):
+def config_with_a_broken_frame(workspace, tmp_path, sample_id, breaker):
+    """A copy of the workspace's run config whose manifest points sample
+    ``sample_id`` at a copy of its frames broken by ``breaker``; returns
+    the config path and the broken file's name."""
     doc = json.loads((workspace / "data" / "manifest.json").read_text())
-    sample_id = load_split(workspace / "split").train_ids[0]
     for record in doc["records"]:
         if record["sample_id"] == sample_id:
             shutil.copytree(record["keypoint_path"], tmp_path / sample_id)
@@ -273,7 +270,18 @@ def test_train_on_a_broken_frame_exits_3_naming_it(breaker, fragment, workspace,
     config = json.loads((workspace / "run.json").read_text())
     config["manifest"] = str(tmp_path / "manifest.json")
     (tmp_path / "run.json").write_text(json.dumps(config))
-    assert main(["train", "--config", str(tmp_path / "run.json"),
+    return tmp_path / "run.json", broken
+
+
+@pytest.mark.parametrize("breaker, fragment", [
+    (oversized_integer, "person 0, joint 0"),
+    (directory_frame, "000030.json: cannot read keypoint file"),
+])
+def test_train_on_a_broken_frame_exits_3_naming_it(breaker, fragment, workspace,
+                                                    tmp_path, capsys):
+    sample_id = load_split(workspace / "split").train_ids[0]
+    config, broken = config_with_a_broken_frame(workspace, tmp_path, sample_id, breaker)
+    assert main(["train", "--config", str(config),
                  "--split", str(workspace / "split"),
                  "--out", str(tmp_path / "out")]) == 3
     err = capsys.readouterr().err
@@ -281,6 +289,21 @@ def test_train_on_a_broken_frame_exits_3_naming_it(breaker, fragment, workspace,
     assert fragment in err
     assert f"{sample_id}/{broken}" in err
     assert not (tmp_path / "out" / "checkpoint.ckpt").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_a_broken_frame_exits_3_and_leaves_no_out(command, workspace, tmp_path, capsys):
+    # eval reads only the test samples, train both parts.
+    split = load_split(workspace / "split")
+    sample_id = (split.train_ids if command == "train" else split.test_ids)[0]
+    config, broken = config_with_a_broken_frame(workspace, tmp_path, sample_id,
+                                                oversized_integer)
+    checkpoint = ["--checkpoint", str(workspace / "run1" / "checkpoint.ckpt")]
+    assert main([command, "--config", str(config), "--split", str(workspace / "split"),
+                 "--out", str(tmp_path / "out")]
+                + (checkpoint if command == "eval" else [])) == 3
+    assert f"{sample_id}/{broken}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 # ----------------------------------------------------------------------- eval
@@ -518,6 +541,23 @@ def test_analyze_degenerate_correlation_exits_3(workspace, capsys):
     assert "constant" in capsys.readouterr().err
 
 
+def test_analyze_an_undefined_correlation_exits_3_and_leaves_no_out(workspace, tmp_path,
+                                                                    capsys):
+    # Every class at one accuracy: the correlation with confidence is
+    # undefined, which is known only after the predictions are read.
+    split = load_split(workspace / "split")
+    even = write_predictions(
+        tmp_path / "even.csv", split,
+        {"wave": 0.5, "jump": 0.5, "spin": 0.5},
+        {"wave": 0.9, "jump": 0.6, "spin": 0.3},
+    )
+    assert main(["analyze", "--predictions", str(even),
+                 "--split", str(workspace / "split"),
+                 "--out", str(tmp_path / "out")]) == 3
+    assert "constant" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1.5"])
 def test_analyze_rejects_a_confidence_outside_0_1_before_writing(value, workspace,
                                                                  tmp_path, capsys):
@@ -658,13 +698,10 @@ REJECTED_SETTINGS = {
     "layout": ("model", ModelConfig, dict(layout="hexapod"), "layout"),
     "person_slots": ("model", ModelConfig, dict(person_slots=0), "person_slots"),
     "target_frames": ("model", ModelConfig, dict(target_frames=0), "target_frames"),
-    "in_channels": ("model", ModelConfig, dict(in_channels=0), "in_channels"),
     "model-seed": ("model", ModelConfig, dict(seed=-1), "seed"),
     "person_pool": ("model", ModelConfig, dict(person_pool="median"), "person_pool"),
     "dropout-negative": ("model", ModelConfig, dict(dropout=-0.1), "dropout"),
     "dropout-one": ("model", ModelConfig, dict(dropout=1.0), "dropout"),
-    "zero_confidence": ("model", ModelConfig, dict(zero_confidence=True, in_channels=2),
-                        "zero_confidence"),
     "channel_plan-empty": ("model", ModelConfig, dict(channel_plan=()), "channel_plan"),
     "channel_plan-stride": ("model", ModelConfig, dict(channel_plan=((4, 1), (4, 0))),
                             "channel_plan[1]"),

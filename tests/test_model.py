@@ -254,23 +254,19 @@ def test_eval_block_builds_only_its_ops_outputs(kind, monkeypatch):
     assert len(constructed) == EVAL_TENSORS[kind]
 
 
-# (in_channels, stride, residual, frames, frozen batch norms, dropout rate)
+# (in_channels, stride, residual, frames, dropout rate)
 TRAINING_CASES = {
-    "none": (4, 1, False, 6, False, 0.0),
-    "identity": (8, 1, True, 6, False, 0.0),
-    "project": (4, 1, True, 6, False, 0.0),
-    "strided_project": (4, 2, True, 6, False, 0.0),
-    "odd_frames": (4, 2, True, 7, False, 0.0),
-    "frozen": (4, 2, True, 7, True, 0.0),
-    "dropout": (8, 1, True, 6, False, 0.3),
+    "none": (4, 1, False, 6, 0.0),
+    "identity": (8, 1, True, 6, 0.0),
+    "project": (4, 1, True, 6, 0.0),
+    "strided_project": (4, 2, True, 6, 0.0),
+    "odd_frames": (4, 2, True, 7, 0.0),
+    "dropout": (8, 1, True, 6, 0.3),
 }
 
 
-def training_run(block, forward, x_data, frozen):
+def training_run(block, forward, x_data):
     """Outputs, gradients and running statistics of one training step."""
-    if frozen:
-        for _, bn in block.batch_norms():
-            bn.gamma.trainable = bn.beta.trainable = False
     adjacency = small_adjacency().matrices
     x = Tensor(x_data, trainable=True)
     out = forward(block, x, adjacency, True, np.random.default_rng(34))
@@ -281,21 +277,21 @@ def training_run(block, forward, x_data, frozen):
     return out.data, x.grad, grads, stats
 
 
-@pytest.mark.parametrize("in_channels,stride,residual,frames,frozen,rate",
+@pytest.mark.parametrize("in_channels,stride,residual,frames,rate",
                          TRAINING_CASES.values(), ids=TRAINING_CASES.keys())
 def test_training_block_has_the_bits_of_the_unfused_chain(
-        in_channels, stride, residual, frames, frozen, rate):
+        in_channels, stride, residual, frames, rate):
     x = np.random.default_rng(36).uniform(-1.0, 1.0, (in_channels, 2, frames, 5))
     fused = training_run(perturbed_block(in_channels, stride, residual, rate),
-                         StgcnBlock.forward, x, frozen)
+                         StgcnBlock.forward, x)
     chain = training_run(perturbed_block(in_channels, stride, residual, rate),
-                         oracle_block, x, frozen)
+                         oracle_block, x)
     assert_same_training_bits(fused, chain)
     out, _, grads, _ = fused
     assert 0.2 < (out > 0).mean() < 0.9
-    # Gradients reached the convolutions, through frozen batch norms too.
+    # Gradients reached the convolutions and the batch norms.
     assert np.abs(grads["gcn_weight.0"]).max() > 0.0
-    assert (np.abs(grads["bn1.gamma"]).max() == 0.0) == frozen
+    assert np.abs(grads["bn1.gamma"]).max() > 0.0
 
 
 def assert_same_training_bits(fused, chain):
@@ -308,16 +304,16 @@ def assert_same_training_bits(fused, chain):
     assert [a.tobytes() for a in stats] == [a.tobytes() for a in chain[3]]
 
 
-@pytest.mark.parametrize("in_channels,stride,residual,frames,frozen,rate",
+@pytest.mark.parametrize("in_channels,stride,residual,frames,rate",
                          TRAINING_CASES.values(), ids=TRAINING_CASES.keys())
 def test_block_reads_no_uninitialized_memory(in_channels, stride, residual, frames,
-                                             frozen, rate, monkeypatch):
+                                             rate, monkeypatch):
     # The zero borders around the frames are written explicitly; every
     # other element of an np.empty array must be written before it is read.
     x = np.random.default_rng(36).uniform(-1.0, 1.0, (in_channels, 2, frames, 5))
     adjacency = small_adjacency().matrices
     chain = training_run(perturbed_block(in_channels, stride, residual, rate),
-                         oracle_block, x, frozen)
+                         oracle_block, x)
     expected = oracle_block(perturbed_block(in_channels, stride, residual),
                             Tensor(x), adjacency, training=False).data
     empty = np.empty
@@ -331,7 +327,7 @@ def test_block_reads_no_uninitialized_memory(in_channels, stride, residual, fram
     monkeypatch.setattr(ad.np, "empty", nan_filled)
     assert np.isnan(ad.np.empty(3)).all()
     fused = training_run(perturbed_block(in_channels, stride, residual, rate),
-                         StgcnBlock.forward, x, frozen)
+                         StgcnBlock.forward, x)
     evaluated = perturbed_block(in_channels, stride, residual).forward(
         Tensor(x), adjacency, training=False, rng=None).data
     assert_same_training_bits(fused, chain)
@@ -380,14 +376,10 @@ def test_training_block_forward_keeps_the_dropout_mask_as_bools():
     assert held_by_a_training_forward(1, dropout=0.3) <= 3.3
 
 
-@pytest.mark.parametrize("frozen", [False, True], ids=["batch_statistics", "frozen"])
-def test_training_block_keeps_no_bordered_buffer_after_its_forward(frozen, monkeypatch):
+def test_training_block_keeps_no_bordered_buffer_after_its_forward(monkeypatch):
     # Node B writes bn1's rectified output into a zero-bordered buffer,
-    # convolves it and drops it; backward builds it again. With a frozen
-    # bn1 the prologue's fixed map runs over node A's output in place.
+    # convolves it and drops it; backward builds it again.
     block = small_block(4, 8, 2)
-    if frozen:
-        block.bn1.gamma.trainable = block.bn1.beta.trainable = False
     built, shapes = [], []
     bordered = ad._bordered
 
@@ -413,12 +405,11 @@ def test_training_forward_of_the_paper_plan_holds_what_backward_needs():
     # pooling included. It keeps 73.7 MiB.
     net = StgcnNetwork(partition_spatial(build_graph(COCO18)), 10, ModelConfig(seed=0))
     x = np.random.default_rng(40).uniform(-1.0, 1.0, (4, 3, 30, 18, 2))
-    rng = np.random.default_rng(41)
-    net.forward(x, training=True, rng=rng)
+    net.forward(x, training=True)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        logits = net.forward(x, training=True, rng=rng)
+        logits = net.forward(x, training=True)
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
@@ -435,10 +426,9 @@ def test_training_step_of_the_paper_plan_peaks_below_97_mib():
     net = StgcnNetwork(partition_spatial(build_graph(COCO18)), 10, ModelConfig(seed=0))
     optimizer = SGD(net.parameters(), momentum=0.9)
     x = np.random.default_rng(40).uniform(-1.0, 1.0, (4, 3, 30, 18, 2))
-    rng = np.random.default_rng(41)
 
     def step():
-        logits = net.forward(x, training=True, rng=rng)
+        logits = net.forward(x, training=True)
         _, grad = cross_entropy(logits.data, np.arange(4))
         logits.backward(grad)
         del logits
@@ -661,9 +651,6 @@ def test_constructor_validation():
         StgcnNetwork(adjacency, 3, ModelConfig(channel_plan=PLAN, person_pool="max"))
     with pytest.raises(ConfigurationError):
         StgcnNetwork(adjacency, 3, ModelConfig(channel_plan=PLAN, dropout=1.0))
-    with pytest.raises(ConfigurationError):
-        StgcnNetwork(adjacency, 3, ModelConfig(channel_plan=PLAN, in_channels=2,
-                                               zero_confidence=True))
 
 
 def test_seeded_init_is_deterministic():
@@ -741,10 +728,10 @@ def test_previous_step_graph_is_gone_when_the_next_training_forward_starts():
     previous = []
     still_alive = []
 
-    def watched(x, training=False, rng=None):
+    def watched(x, training=False):
         if training and previous:
             still_alive.append(previous[-1]() is not None)
-        logits = forward(x, training, rng)
+        logits = forward(x, training)
         if training:
             previous.append(weakref.ref(logits.data))
         return logits
@@ -791,9 +778,9 @@ def test_mode_vanilla_and_propagation_train_everything():
     net = small_net()
     all_names = set(net.named_parameters())
     for mode in ("vanilla", "propagation"):
+        set_trainable(net, "feature_extraction")
         set_trainable(net, mode)
         assert trainable_names(net) == all_names
-        assert net.mode == mode
         assert not any(bn.frozen for _, bn in net.batch_norm_layers())
 
 

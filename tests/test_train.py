@@ -482,7 +482,7 @@ def test_run_training_vanilla(manifest_tree):
     split = full_split(manifest_tree)
     net, history = run_training(manifest_tree, split, small_model_config(),
                                 run_config())
-    assert net.mode == "vanilla"
+    assert all(tensor.trainable for tensor in net.parameters())
     assert net.num_classes == 3
     assert len(history.records) == 2
     assert history.best_state is not None
@@ -536,7 +536,9 @@ def test_run_training_fine_tune_freezes_early_blocks(manifest_tree, tmp_path):
         manifest_tree, split, small_model_config(seed=9),
         run_config(mode="fine_tune", source_checkpoint=str(checkpoint)),
     )
-    assert net.mode == "fine_tune"
+    assert {name for name, tensor in net.named_parameters().items()
+            if tensor.trainable} == {name for name in net.named_parameters()
+                                     if name.startswith(("blocks.1.", "fc."))}
     state = net.state_arrays()
     for name in state:
         if name.startswith("blocks.0.") or name.startswith("input_bn."):
