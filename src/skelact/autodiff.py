@@ -512,11 +512,9 @@ class _Epilogue:
         result with the shortcut's part taken: one pass per run of whole
         channels applies the ReLU mask ``relu(part, buffer)``, if given, and
         the dropout mask, takes both per-channel sums and writes dx to
-        ``dest`` (``grad`` itself, or a new array if None). A norm on
-        running statistics raises ``StateError``."""
+        ``dest`` (``grad`` itself, or a new array if None). The norm is on
+        batch statistics; ``_check_differentiable`` rejects running ones."""
         norm = self.norm
-        if norm is not None and norm.running is not None:
-            raise StateError("a batch norm on running statistics takes no gradient")
         if norm is None and relu is None and self.keep is None:
             return grad
         dest = np.empty(grad.shape) if dest is None else dest
@@ -553,6 +551,13 @@ class _Epilogue:
         if isinstance(branch, Projection):
             return extra + (branch.x, branch.weight, branch.norm.gamma, branch.norm.beta)
         return extra + (() if branch is None else (branch,))
+
+
+def _check_differentiable(*norms: Norm | None) -> None:
+    """Raise ``StateError``, before a node's backward accumulates anything,
+    if one of the node's batch norms is on running statistics."""
+    if any(norm is not None and norm.running is not None for norm in norms):
+        raise StateError("a batch norm on running statistics takes no gradient")
 
 
 def _tap_windows(padded: np.ndarray, taps: int, stride: int) -> np.ndarray:
@@ -660,6 +665,8 @@ def temporal_conv(
     out_data = epilogue.apply(out_data)
 
     def backward_fn(grad):
+        # A tensor shortcut has no norm; a Projection has one.
+        _check_differentiable(prologue, norm, getattr(shortcut, "norm", None))
         grad = epilogue.backward(grad)
         padded = padded_input()
         windows = _tap_windows(padded, taps, stride)
@@ -684,12 +691,7 @@ def temporal_conv(
                   backward_fn=backward_fn)
 
 
-def graph_conv(
-    x: Tensor,
-    adjacency: np.ndarray,
-    weights: list[Tensor],
-    masks: list[Tensor],
-) -> Tensor:
+def graph_conv(x: Tensor, adjacency: np.ndarray, weight: Tensor, mask: Tensor) -> Tensor:
     """Spatial graph convolution over the joint axis of a (C, B, T, V) tensor.
 
     Partition k aggregates the input over joints with the gated adjacency
@@ -698,38 +700,36 @@ def graph_conv(
 
         y[d, b, t, w] = sum_k sum_v sum_c x[c, b, t, v] (A_k * M_k)[v, w] W_k[c, d]
 
-    ``adjacency`` holds the constant A_k, (K, V, V), which take no gradient.
+    ``adjacency`` holds the constant A_k, (K, V, V), which take no gradient;
+    ``weight`` holds the W_k, (K, C, D), and ``mask`` the edge importance
+    M_k, (K, V, V), as ST-GCN stores them.
 
     One matmul per partition on the (C·B·T, V) input fills a (K·C, B·T·V)
-    aggregate, then one GEMM with the stacked (K·C, D) weight writes the
+    aggregate, then one GEMM with the weight viewed as (K·C, D) writes the
     output, so no activation is transposed and the whole batch is one
     call. Aggregating before mixing is the cheaper order while C <= D. The
-    aggregate, 3x the input for K = 3, and the stacked weight are freed as
-    soon as the output is mixed, and the backward pass builds both again,
-    by the same operations, so with the same bits. The weight and
-    aggregate gradients are one GEMM each over the whole batch; the input
-    gradient, K more products, is computed only if a gradient of the input
-    reaches a trainable tensor.
+    aggregate, 3x the input for K = 3, is freed as soon as the output is
+    mixed, and the backward pass builds it again, by the same operations,
+    so with the same bits. The weight and aggregate gradients are one GEMM
+    each over the whole batch; the input gradient, K more products, is
+    computed only if a gradient of the input reaches a trainable tensor.
 
     The backward pass never reads the output, so the next node may write
     over it, as ``temporal_conv``'s prologue does.
     """
-    x = _as_tensor(x)
-    partitions = len(adjacency)
-    if not partitions == len(weights) == len(masks):
-        raise ConfigurationError(
-            "adjacency, weights and edge_importance must have equal length"
-        )
+    x, weight, mask = _as_tensor(x), _as_tensor(weight), _as_tensor(mask)
     if x.data.ndim != 4:
         raise ConfigurationError("graph_conv expects a (C, B, T, V) input")
     channels, batch, frames, vertices = x.data.shape
-    gated = [a * m.data for a, m in zip(adjacency, masks)]
-    out_channels = weights[0].data.shape[1]
-
+    partitions = len(adjacency)
+    if (weight.data.shape[:-1] != (partitions, channels)
+            or mask.data.shape != adjacency.shape):
+        raise ConfigurationError(
+            f"graph_conv needs a ({partitions}, {channels}, D) weight and a "
+            f"{adjacency.shape} mask, got {weight.data.shape} and {mask.data.shape}")
+    gated = adjacency * mask.data
+    out_channels = weight.data.shape[-1]
     columns = x.data.reshape(channels * batch * frames, vertices)
-
-    def stacked() -> np.ndarray:
-        return np.stack([w.data for w in weights]).reshape(partitions * channels, -1)
 
     def aggregate() -> np.ndarray:
         # Row block k of the (K·C, B·T·V) aggregate holds x @ gated[k].
@@ -738,16 +738,17 @@ def graph_conv(
             np.matmul(columns, gated[k], out=out[k])
         return out.reshape(partitions * channels, batch * frames * vertices)
 
-    out_data = (stacked().T @ aggregate()).reshape(out_channels, batch, frames, vertices)
+    weight_rows = weight.data.reshape(partitions * channels, out_channels)
+    out_data = (weight_rows.T @ aggregate()).reshape(out_channels, batch, frames, vertices)
 
     def backward_fn(grad):
         grad_flat = grad.reshape(out_channels, batch * frames * vertices)
-        grad_stacked = aggregate() @ grad_flat.T
-        grad_aggregated = (stacked() @ grad_flat).reshape(
-            partitions, channels * batch * frames, vertices
-        )
+        _accumulate(weight, (aggregate() @ grad_flat.T).reshape(weight.data.shape))
+        grad_aggregated = (weight_rows @ grad_flat).reshape(
+            partitions, channels * batch * frames, vertices)
         by_channel = columns.reshape(channels, -1, vertices).transpose(0, 2, 1)
         needs_input = _needs_grad(x)
+        grad_gated = np.empty(gated.shape)
         for k in range(partitions):
             slab = grad_aggregated[k]
             if needs_input and k == 0:
@@ -756,14 +757,13 @@ def graph_conv(
                 grad_columns += slab @ gated[k].T
             # One product per input channel, summed: a single (V, C·B·T)
             # @ (C·B·T, V) product runs BLAS at a fraction of its rate.
-            grad_gated = np.matmul(by_channel,
-                                   slab.reshape(channels, -1, vertices)).sum(axis=0)
-            _accumulate(weights[k], grad_stacked[k * channels:(k + 1) * channels])
-            _accumulate(masks[k], grad_gated * adjacency[k])
+            grad_gated[k] = np.matmul(by_channel,
+                                      slab.reshape(channels, -1, vertices)).sum(axis=0)
+        _accumulate(mask, grad_gated * adjacency)
         if needs_input:
             _accumulate(x, grad_columns.reshape(x.data.shape))
 
-    return Tensor(out_data, parents=(x, *weights, *masks), backward_fn=backward_fn)
+    return Tensor(out_data, parents=(x, weight, mask), backward_fn=backward_fn)
 
 
 def batch_norm(x: Tensor, norm: Norm, relu: bool = False) -> Tensor:
@@ -775,6 +775,7 @@ def batch_norm(x: Tensor, norm: Norm, relu: bool = False) -> Tensor:
     out_data = epilogue.apply(x.data.copy())
 
     def backward_fn(grad):
+        _check_differentiable(norm)
         _accumulate(x, epilogue.backward(grad))
 
     return Tensor(out_data, parents=(x,) + epilogue.parents(), backward_fn=backward_fn)

@@ -127,12 +127,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     config = load_run_config(_require_file(args.config, "config"))
     manifest = DatasetManifest.load(_require_file(config.manifest, "manifest"))
     split = load_split(_require_dir(args.split, "split"))
-    if config.train.mode != "vanilla":
-        _require_file(config.train.source_checkpoint, "checkpoint")
-
     net, history = run_training(manifest, split, config.model, config.train)
-    if history.best_state is not None:
-        net.load_state_arrays(history.best_state)
+    net.load_state_arrays(history.best_state)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_weights(net, out / "checkpoint.ckpt")
@@ -167,7 +163,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         manifest, split.test_ids, split.class_names, config.model
     )
     top1, logits = evaluate(net, dataset, config.train.batch_size)
-    predictions = np.argsort(-logits, axis=1, kind="stable")[:, 0]
+    predictions = np.argmax(logits, axis=1)
     confidences = np.stack(
         [sequence_confidence(seq) for seq in dataset.sequences]
     )

@@ -10,7 +10,8 @@ channel mix is one GEMM over the batch and each batch-norm sum one row.
 
 Each block applies a spatial graph convolution (one weight matrix per
 adjacency partition, each partition gated by a learnable edge-importance
-mask), batch normalization, ReLU, a depthwise temporal convolution, batch
+mask: one (K, C, D) weight and one (K, V, V) mask per block), batch
+normalization, ReLU, a depthwise temporal convolution, batch
 normalization, and a residual connection. It runs as two autodiff nodes:
 the graph convolution, and the temporal convolution with the first batch
 norm and ReLU as its prologue and the rest as its epilogue. The prologue
@@ -63,6 +64,9 @@ FORMAT_1_BIASES = {"gcn_bias": "bn1", "tcn_bias": "bn2"}
 # shape disagrees, so a head trained for another class count can be
 # replaced by a fresh one.
 HEAD_ARRAYS = ("fc.weight", "fc.bias")
+# A block's parameters that hold one array per adjacency partition, (K, ...),
+# as ST-GCN stores them; a checkpoint keeps each partition's as its own array.
+PARTITIONED = ("gcn_weight", "edge_mask")
 
 
 def check_mode(mode) -> None:
@@ -133,17 +137,10 @@ class StgcnBlock:
         dropout: float = 0.0,
     ):
         gcn_bound = 1.0 / np.sqrt(in_channels)
-        self.gcn_weights = [
-            Tensor(
-                rng.uniform(-gcn_bound, gcn_bound, (in_channels, out_channels)),
-                trainable=True,
-            )
-            for _ in range(partition_count)
-        ]
-        self.edge_masks = [
-            Tensor(np.ones((vertex_count, vertex_count)), trainable=True)
-            for _ in range(partition_count)
-        ]
+        self.gcn_weight = Tensor(rng.uniform(-gcn_bound, gcn_bound, (
+            partition_count, in_channels, out_channels)), trainable=True)
+        self.edge_mask = Tensor(np.ones((partition_count, vertex_count, vertex_count)),
+                                trainable=True)
         self.bn1 = BatchNorm(out_channels)
         tcn_bound = 1.0 / np.sqrt(TEMPORAL_KERNEL)
         self.tcn_kernel = Tensor(
@@ -191,7 +188,7 @@ class StgcnBlock:
         in place.
         """
         with nullcontext() if training else ad.no_grad():
-            h = ad.graph_conv(x, adjacency, self.gcn_weights, self.edge_masks)
+            h = ad.graph_conv(x, adjacency, self.gcn_weight, self.edge_mask)
             if self.residual == "project":
                 shortcut = ad.Projection(x, self.res_weight, self.res_bn.norm(training),
                                          self.stride)
@@ -205,11 +202,7 @@ class StgcnBlock:
             )
 
     def parameters(self) -> list[tuple[str, Tensor]]:
-        named: list[tuple[str, Tensor]] = []
-        for k, weight in enumerate(self.gcn_weights):
-            named.append((f"gcn_weight.{k}", weight))
-        for k, mask in enumerate(self.edge_masks):
-            named.append((f"edge_mask.{k}", mask))
+        named = [("gcn_weight", self.gcn_weight), ("edge_mask", self.edge_mask)]
         named.extend((f"bn1.{n}", t) for n, t in self.bn1.parameters())
         named.append(("tcn_kernel", self.tcn_kernel))
         named.extend((f"bn2.{n}", t) for n, t in self.bn2.parameters())
@@ -230,8 +223,8 @@ class StgcnNetwork:
     over inputs of ``IN_CHANNELS`` channels.
 
     Weight initialization draws from one seeded generator in construction
-    order (blocks in order; within a block the partition weights, then the
-    temporal kernel, then the projection weight if any), so a seed pins
+    order (blocks in order; within a block the (K, C, D) graph-conv weight,
+    then the temporal kernel, then the projection weight if any), so a seed pins
     every initial value. The classifier bias starts at zero, edge masks at
     one, batch norm at identity. The convolutions have no bias: each feeds
     a batch norm, which would cancel it.
@@ -351,29 +344,26 @@ class StgcnNetwork:
         return layers
 
     def state_arrays(self) -> dict[str, np.ndarray]:
-        """Every persistent array: parameters plus running statistics."""
-        state: dict[str, np.ndarray] = {
-            name: tensor.data for name, tensor in self.named_parameters().items()
-        }
+        """Every persistent array, parameters plus running statistics, in the
+        network's own memory; ``PARTITIONED`` ones as a view per partition, ``<name>.<k>``."""
+        state: dict[str, np.ndarray] = {}
+        for name, tensor in self.named_parameters().items():
+            if name.rpartition(".")[2] in PARTITIONED:
+                state.update((f"{name}.{k}", part) for k, part in enumerate(tensor.data))
+            else:
+                state[name] = tensor.data
         for name, bn in self.batch_norm_layers():
             state[f"{name}.running_mean"] = bn.running_mean
             state[f"{name}.running_var"] = bn.running_var
         return state
 
     def load_state_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        """Copy values into the network's arrays, matched by name.
-
-        Names and shapes must be ones ``state_arrays`` returns; a checkpoint
-        goes through ``load_weights``, which checks them.
-        """
-        named = self.named_parameters()
-        norms = dict(self.batch_norm_layers())
+        """Write values over the network's arrays in place, matched by name;
+        names and shapes must be ones ``state_arrays`` returns, as
+        ``load_weights`` checks."""
+        state = self.state_arrays()
         for name, value in arrays.items():
-            if name in named:
-                named[name].data[...] = value
-            else:
-                layer_name, _, stat = name.rpartition(".")
-                setattr(norms[layer_name], stat, np.array(value, dtype=np.float64))
+            state[name][...] = value
 
     def meta(self) -> dict:
         return {

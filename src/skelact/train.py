@@ -287,8 +287,9 @@ def train_loop(
     infinite loss or gradient raises ``NonFiniteError`` before the step
     that would apply it.
     """
-    if len(train_dataset) == 0:
-        raise ConfigurationError("training dataset is empty")
+    for name, dataset in (("training", train_dataset), ("test", test_dataset)):
+        if len(dataset) == 0:
+            raise ConfigurationError(f"{name} dataset is empty")
     optimizer = SGD(
         net.parameters(),
         momentum=config.momentum,
@@ -351,23 +352,23 @@ def run_training(
     model_config: ModelConfig,
     train_config: TrainConfig,
 ) -> tuple[StgcnNetwork, TrainHistory]:
-    """Build datasets and a network for a split, then train.
+    """Build a network and datasets for a split, then train.
 
     Modes other than vanilla start from ``source_checkpoint`` (classifier
     head excluded when its shape differs) and freeze layers according to
-    the mode before the first step.
+    the mode; the checkpoint is loaded before any keypoint file is read.
     """
     if len(split.class_names) < 2:
         raise ConfigurationError("split must cover at least 2 classes")
+    net = model_config.build(len(split.class_names))
+    if train_config.source_checkpoint:
+        load_weights(net, train_config.source_checkpoint, strict_head=False)
+    set_trainable(net, train_config.mode)
     train_dataset = SequenceDataset.from_manifest(
         manifest, split.train_ids, split.class_names, model_config
     )
     test_dataset = SequenceDataset.from_manifest(
         manifest, split.test_ids, split.class_names, model_config
     )
-    net = model_config.build(len(split.class_names))
-    if train_config.source_checkpoint:
-        load_weights(net, train_config.source_checkpoint, strict_head=False)
-    set_trainable(net, train_config.mode)
     history = train_loop(net, train_dataset, test_dataset, train_config)
     return net, history

@@ -228,7 +228,8 @@ def max_rel_err(a, b, floor=1e-6) -> float:
 
 def oracle_graph_conv(x, adjacency, weights, masks):
     """Partitioned graph convolution on a (C, B, T, V) input as explicit
-    loops over every index."""
+    loops over every index: ``weights[k]``, (C, D), and ``masks[k]``, (V, V),
+    are partition k's."""
     channels, batch, frames, vertices = x.shape
     out = np.zeros((weights[0].shape[1], batch, frames, vertices))
     for k in range(len(adjacency)):
@@ -372,7 +373,7 @@ def oracle_block(block, x, adjacency, training, rng=None):
     then relu(y + shortcut): the chain the fused block must reproduce bit
     for bit. In evaluation a batch norm uses its running statistics.
     """
-    y = graph_conv(x, adjacency, block.gcn_weights, block.edge_masks)
+    y = graph_conv(x, adjacency, block.gcn_weight, block.edge_mask)
     y = _oracle_norm(block.bn1, y, training, relu=True)
     y = temporal_conv(y, block.tcn_kernel, block.stride)
     y = _oracle_norm(block.bn2, y, training)

@@ -378,56 +378,64 @@ def test_temporal_conv_validation():
 # ------------------------------------------------------------- channel mixing
 
 def graph_conv_operands(rng, c_in, c_out, partitions=3, vertices=5):
+    """An input, a (K, V, V) adjacency, a (K, C, D) weight and a (K, V, V)
+    edge importance."""
     x = leaf(rng, (c_in, 2, 3, vertices))
     adjacency = rng.uniform(0.0, 1.0, (partitions, vertices, vertices))
-    weights = [leaf(rng, (c_in, c_out)) for _ in range(partitions)]
-    masks = [leaf(rng, (vertices, vertices), offset=1.0) for _ in range(partitions)]
-    return x, adjacency, weights, masks
+    weight = leaf(rng, (partitions, c_in, c_out))
+    mask = leaf(rng, (partitions, vertices, vertices), offset=1.0)
+    return x, adjacency, weight, mask
 
 
 @pytest.mark.parametrize("c_in,c_out", [(4, 2), (3, 3), (2, 4)])
 def test_graph_conv_gradcheck(c_in, c_out):
     rng = np.random.default_rng(17)
-    x, adjacency, weights, masks = graph_conv_operands(rng, c_in, c_out)
-    out = graph_conv(x, adjacency, weights, masks)
-    expected = oracle_graph_conv(
-        x.data, adjacency, [w.data for w in weights], [m.data for m in masks]
-    )
+    x, adjacency, weight, mask = graph_conv_operands(rng, c_in, c_out)
+    out = graph_conv(x, adjacency, weight, mask)
+    expected = oracle_graph_conv(x.data, adjacency, weight.data, mask.data)
     assert out.data.shape == (c_out, 2, 3, 5)
     assert np.allclose(out.data, expected, atol=1e-10)
 
     def build():
-        out = graph_conv(x, adjacency, weights, masks)
+        out = graph_conv(x, adjacency, weight, mask)
         return reduce_sum(mul(out, out), (0, 1, 2, 3))
 
-    check_grads(build, [x, weights[0], weights[2], masks[0], masks[1]])
+    check_grads(build, [x, weight, mask])
 
 
-def test_graph_conv_frozen_weight_and_mask_keep_zero_gradients():
+@pytest.mark.parametrize("frozen", ["weight", "mask"])
+def test_graph_conv_frozen_weight_or_mask_keeps_a_zero_gradient(frozen):
     rng = np.random.default_rng(19)
-    x, adjacency, weights, masks = graph_conv_operands(rng, 2, 4)
-    weights[1].trainable = False
-    masks[2].trainable = False
-    out = graph_conv(x, adjacency, weights, masks)
+    x, adjacency, weight, mask = graph_conv_operands(rng, 2, 4)
+    operands = {"weight": weight, "mask": mask}
+    operands[frozen].trainable = False
+    out = graph_conv(x, adjacency, weight, mask)
     out.backward(rng.uniform(-1.0, 1.0, out.data.shape))
-    assert (weights[1].grad == 0.0).all()
-    assert (masks[2].grad == 0.0).all()
-    for tensor in (x, weights[0], weights[2], masks[0], masks[1]):
-        assert not (tensor.grad == 0.0).all()
+    assert (operands.pop(frozen).grad == 0.0).all()
+    for tensor in (x, *operands.values()):
+        # Every partition's slice takes a gradient.
+        assert all(not (part == 0.0).all() for part in tensor.grad)
 
 
 def test_graph_conv_rejects_a_non_4d_input():
     rng = np.random.default_rng(20)
-    _, adjacency, weights, masks = graph_conv_operands(rng, 2, 4)
+    _, adjacency, weight, mask = graph_conv_operands(rng, 2, 4)
     with pytest.raises(ConfigurationError):
-        graph_conv(Tensor(np.ones((2, 3, 5))), adjacency, weights, masks)
+        graph_conv(Tensor(np.ones((2, 3, 5))), adjacency, weight, mask)
 
 
-def test_graph_conv_rejects_unequal_operand_lists():
+@pytest.mark.parametrize("operand,shape", [
+    ("weight", (2, 2, 4)), ("weight", (3, 3, 4)), ("weight", (6, 4)),
+    ("mask", (2, 5, 5)), ("mask", (3, 5, 4)), ("mask", (5, 5)),
+], ids=["weight_partitions", "weight_channels", "weight_2d",
+        "mask_partitions", "mask_vertices", "mask_2d"])
+def test_graph_conv_rejects_a_weight_or_mask_of_another_shape(operand, shape):
+    # The adjacency is (3, 5, 5) and the input has 2 channels.
     rng = np.random.default_rng(20)
-    x, adjacency, weights, masks = graph_conv_operands(rng, 2, 4)
-    with pytest.raises(ConfigurationError):
-        graph_conv(x, adjacency, weights[:2], masks)
+    x, adjacency, weight, mask = graph_conv_operands(rng, 2, 4)
+    operands = {"weight": weight, "mask": mask, operand: leaf(rng, shape)}
+    with pytest.raises(ConfigurationError, match="graph_conv needs"):
+        graph_conv(x, adjacency, operands["weight"], operands["mask"])
 
 
 def test_pointwise_conv_gradcheck():
@@ -658,14 +666,14 @@ def graph_conv_node(rng, in_channels, frames):
     temporal node's prologue runs on A's output before a ReLU."""
     adjacency = rng.uniform(0.0, 1.0, (3, 5, 5))
     x = channels_first(leaf(rng, (2, in_channels, frames, 5)))
-    weights = [leaf(rng, (in_channels, 3)) for _ in range(3)]
-    masks = [Tensor(rng.uniform(0.5, 1.5, (5, 5)), trainable=True) for _ in range(3)]
+    weight = leaf(rng, (3, in_channels, 3))
+    mask = Tensor(rng.uniform(0.5, 1.5, (3, 5, 5)), trainable=True)
     norm = norm_leaves(rng, 3)
 
     def node():
-        return graph_conv(x, adjacency, weights, masks)
+        return graph_conv(x, adjacency, weight, mask)
 
-    return node, norm, [x, *weights, *masks, norm.gamma, norm.beta]
+    return node, norm, [x, weight, mask, norm.gamma, norm.beta]
 
 
 def squared_error(out, target):
@@ -744,11 +752,17 @@ RUNNING_STATISTICS_NODES = running_statistics_nodes()
 @pytest.mark.parametrize("site", RUNNING_STATISTICS_NODES)
 def test_backward_through_a_running_statistics_batch_norm_raises(site):
     # Such a norm is the constant map x * a + b: it takes no gradient,
-    # even with gamma and beta trainable and a graph recorded.
+    # even with gamma and beta trainable and a graph recorded. The node
+    # raises before it accumulates anything, so no leaf's gradient moves.
     out = RUNNING_STATISTICS_NODES[site]()
     assert not out.is_leaf
+    leaves = [t for t in out._parents if t.trainable]
+    assert all(t.is_leaf for t in leaves) and len(leaves) >= 3
+    before = [t.grad.copy() for t in leaves]
     with pytest.raises(StateError, match="running statistics takes no gradient"):
         out.backward(np.ones(out.data.shape))
+    for tensor, grad in zip(leaves, before):
+        assert tensor.grad.tobytes() == grad.tobytes()
 
 
 # (input channels, stride) of node B's shortcut.
@@ -873,9 +887,9 @@ def _op_cases():
     other = rng.uniform(-1.0, 1.0, (3, 2, 7, 5))
     gamma, beta = rng.uniform(0.5, 1.5, 3), rng.uniform(-0.5, 0.5, 3)
     mu, var = rng.uniform(-0.2, 0.2, 3), rng.uniform(0.5, 2.0, 3)
-    adjacency = [rng.uniform(0.0, 1.0, (5, 5)) for _ in range(3)]
-    weights = [rng.uniform(-1.0, 1.0, (3, 4)) for _ in range(3)]
-    masks = [rng.uniform(0.5, 1.5, (5, 5)) for _ in range(3)]
+    adjacency = rng.uniform(0.0, 1.0, (3, 5, 5))
+    weight = rng.uniform(-1.0, 1.0, (3, 3, 4))
+    mask = rng.uniform(0.5, 1.5, (3, 5, 5))
     # Batch norm coefficients and statistics, kernel and shortcut of the
     # 4-channel outputs.
     coefficients = rng.uniform(-0.5, 0.5, 4)
@@ -895,27 +909,25 @@ def _op_cases():
         ("temporal_subsample", (x4,), lambda a: temporal_subsample(a, 2)),
         ("temporal_conv", (x4, rng.uniform(-1.0, 1.0, (3, 3))),
          lambda a, k: temporal_conv(a, k, 2)),
-        ("graph_conv", (x4, *weights, *masks),
-         lambda a, *rest: graph_conv(a, adjacency, list(rest[0:3]), list(rest[3:6]))),
-        ("pointwise_conv", (x4, weights[0]), pointwise_conv),
+        ("graph_conv", (x4, weight, mask),
+         lambda a, w, m: graph_conv(a, adjacency, w, m)),
+        ("pointwise_conv", (x4, weight[0]), pointwise_conv),
         # The prologue writes over its input, so each call gets a fresh
         # graph_conv output.
         ("graph_conv_then_temporal_conv_prologue",
-         (x4, *weights, *masks, kernel, coefficients[::-1], coefficients + 0.5),
-         lambda a, *rest: temporal_conv(
-             graph_conv(a, adjacency, list(rest[0:3]), list(rest[3:6])), rest[6],
-             prologue=Norm(rest[7], rest[8]))),
+         (x4, weight, mask, kernel, coefficients[::-1], coefficients + 0.5),
+         lambda a, w, m, k, g, b: temporal_conv(
+             graph_conv(a, adjacency, w, m), k, prologue=Norm(g, b))),
         ("temporal_conv_prologue_and_epilogue",
-         (x4, *weights, *masks, kernel, coefficients, coefficients[::-1], shortcut),
-         lambda a, *rest: temporal_conv(
-             graph_conv(a, adjacency, list(rest[0:3]), list(rest[3:6])), rest[6], 2,
-             prologue=Norm(rest[7], rest[8], running=running),
-             norm=Norm(rest[8], rest[7], running=running), dropout=0.4,
-             rng=np.random.default_rng(41), shortcut=rest[9], relu=True)),
-        ("pointwise_conv_batch_norm", (x4, weights[0], coefficients, coefficients[::-1]),
+         (x4, weight, mask, kernel, coefficients, coefficients[::-1], shortcut),
+         lambda a, w, m, k, g, b, s: temporal_conv(
+             graph_conv(a, adjacency, w, m), k, 2,
+             prologue=Norm(g, b, running=running), norm=Norm(b, g, running=running),
+             dropout=0.4, rng=np.random.default_rng(41), shortcut=s, relu=True)),
+        ("pointwise_conv_batch_norm", (x4, weight[0], coefficients, coefficients[::-1]),
          lambda a, w, g, b: batch_norm(pointwise_conv(a, w), Norm(g, b))),
         ("temporal_conv_projection_shortcut",
-         (x4, kernel[:3], weights[0][:, :3], coefficients[:3], coefficients[1:]),
+         (x4, kernel[:3], weight[0][:, :3], coefficients[:3], coefficients[1:]),
          lambda a, k, w, g, b: temporal_conv(
              a, k, 2, norm=Norm(b, g), shortcut=Projection(a, w, Norm(g, b), 2),
              relu=True)),
@@ -954,15 +966,15 @@ def test_graph_conv_under_no_grad_frees_its_aggregate_before_the_bordered_output
     rng = np.random.default_rng(44)
     x = Tensor(rng.uniform(-1.0, 1.0, (16, 2, 40, 18)))
     adjacency = rng.uniform(0.0, 1.0, (3, 18, 18))
-    weights = [Tensor(rng.uniform(-1.0, 1.0, (16, 16))) for _ in range(3)]
-    masks = [Tensor(np.ones((18, 18))) for _ in range(3)]
+    weight = Tensor(rng.uniform(-1.0, 1.0, (3, 16, 16)))
+    mask = Tensor(np.ones((3, 18, 18)))
     kernel = Tensor(rng.uniform(-1.0, 1.0, (16, 9)))
     norm = Norm(Tensor(np.ones(16)), Tensor(np.zeros(16)),
                 running=(np.zeros(16), np.ones(16)))
     with no_grad():
         tracemalloc.start()
         try:
-            out = temporal_conv(graph_conv(x, adjacency, weights, masks), kernel,
+            out = temporal_conv(graph_conv(x, adjacency, weight, mask), kernel,
                                 prologue=norm)
             peak = tracemalloc.get_traced_memory()[1]
         finally:

@@ -8,6 +8,7 @@ import pytest
 
 import skelact.cli
 import skelact.model
+import skelact.train
 from skelact import (
     AugmentConfig,
     ConfigurationError,
@@ -185,6 +186,47 @@ def test_train_transfer_requires_the_checkpoint_file(workspace, capsys):
     assert "missing.ckpt" in capsys.readouterr().err
 
 
+def test_train_checks_the_source_checkpoint_before_reading_a_keypoint_file(
+        workspace, tmp_path, monkeypatch, capsys):
+    doc = json.loads((workspace / "run.json").read_text())
+    other = ModelConfig(**{**doc["model"], "channel_plan": [[4, 1]]})
+    save_weights(other.build(3), tmp_path / "other.ckpt")
+    doc["manifest"] = str(workspace / doc["manifest"])
+    doc["train"].update(mode="fine_tune", source_checkpoint=str(tmp_path / "other.ckpt"))
+    config = tmp_path / "transfer.json"
+    config.write_text(json.dumps(doc))
+    calls = []
+    load = skelact.train.load_sequence
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return load(*args, **kwargs)
+
+    monkeypatch.setattr(skelact.train, "load_sequence", counting)
+    assert main(["train", "--config", str(config), "--split", str(workspace / "split"),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert "channel_plan" in capsys.readouterr().err
+    assert calls == []
+    assert not (tmp_path / "out").exists()
+
+
+def test_train_rejects_an_empty_test_split_before_the_first_step(
+        workspace, tmp_path, monkeypatch, capsys):
+    split = tmp_path / "split"
+    shutil.copytree(workspace / "split", split)
+    (split / "test.txt").write_text("")
+    summary = json.loads((split / "summary.json").read_text())
+    summary["test_count"] = 0
+    (split / "summary.json").write_text(json.dumps(summary))
+    steps = []
+    monkeypatch.setattr(skelact.train.SGD, "step", lambda self, lr: steps.append(lr))
+    assert main(["train", "--config", str(workspace / "run.json"), "--split", str(split),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert steps == []
+    assert "test dataset is empty" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_train_transfer_mode_without_checkpoint_exits_2(workspace, capsys):
     doc = json.loads((workspace / "run.json").read_text())
     doc["train"]["mode"] = "propagation"
@@ -312,7 +354,7 @@ def test_eval_of_a_nan_checkpoint_exits_3_and_writes_no_scores(workspace, capsys
     config = load_run_config(workspace / "run.json")
     net = config.model.build(3)
     load_weights(net, workspace / "run1" / "checkpoint.ckpt")
-    net.named_parameters()["blocks.0.gcn_weight.0"].data[0, 0] = np.nan
+    net.state_arrays()["blocks.0.gcn_weight.0"][0, 0] = np.nan
     poisoned = workspace / "nan.ckpt"
     save_weights(net, poisoned)
     with np.errstate(all="ignore"):

@@ -1,4 +1,5 @@
 """Network assembly, forward pass, transfer modes, checkpoints."""
+import hashlib
 import json
 import struct
 import tracemalloc
@@ -79,15 +80,10 @@ def test_spatial_graph_conv_matches_loop_oracle():
     rng = np.random.default_rng(0)
     adjacency = small_adjacency()
     x = rng.uniform(-1.0, 1.0, (3, 2, 4, 5))
-    weights = [rng.uniform(-1.0, 1.0, (3, 6)) for _ in range(3)]
-    masks = [rng.uniform(0.5, 1.5, (5, 5)) for _ in range(3)]
-    out = graph_conv(
-        Tensor(x),
-        adjacency.matrices,
-        [Tensor(w) for w in weights],
-        [Tensor(m) for m in masks],
-    )
-    expected = oracle_graph_conv(x, adjacency.matrices, weights, masks)
+    weight = rng.uniform(-1.0, 1.0, (3, 3, 6))
+    mask = rng.uniform(0.5, 1.5, (3, 5, 5))
+    out = graph_conv(Tensor(x), adjacency.matrices, Tensor(weight), Tensor(mask))
+    expected = oracle_graph_conv(x, adjacency.matrices, weight, mask)
     assert out.data.shape == (6, 2, 4, 5)
     assert np.allclose(out.data, expected, atol=1e-10)
 
@@ -96,17 +92,15 @@ def test_spatial_graph_conv_gradcheck():
     rng = np.random.default_rng(1)
     adjacency = small_adjacency().matrices
     x = Tensor(rng.uniform(-1.0, 1.0, (2, 1, 3, 5)), trainable=True)
-    weights = [Tensor(rng.uniform(-1.0, 1.0, (2, 4)), trainable=True)
-               for _ in range(3)]
-    masks = [Tensor(rng.uniform(0.5, 1.5, (5, 5)), trainable=True)
-             for _ in range(3)]
+    weight = Tensor(rng.uniform(-1.0, 1.0, (3, 2, 4)), trainable=True)
+    mask = Tensor(rng.uniform(0.5, 1.5, (3, 5, 5)), trainable=True)
 
     def build():
-        out = graph_conv(x, adjacency, weights, masks)
+        out = graph_conv(x, adjacency, weight, mask)
         return reduce_sum(mul(out, out), (0, 1, 2, 3))
 
     build().backward()
-    for tensor in [x, weights[0], weights[2], masks[1]]:
+    for tensor in [x, weight, mask]:
         estimate = numeric_grad(lambda: float(build().data), tensor)
         assert max_rel_err(tensor.grad, estimate) < 1e-5
         tensor.zero_grad()
@@ -290,7 +284,7 @@ def test_training_block_has_the_bits_of_the_unfused_chain(
     out, _, grads, _ = fused
     assert 0.2 < (out > 0).mean() < 0.9
     # Gradients reached the convolutions and the batch norms.
-    assert np.abs(grads["gcn_weight.0"]).max() > 0.0
+    assert all(np.abs(part).max() > 0.0 for part in grads["gcn_weight"])
     assert np.abs(grads["bn1.gamma"]).max() > 0.0
 
 
@@ -362,11 +356,10 @@ def test_training_block_forward_holds_few_input_sizes(stride, bound):
     # Held: node A's output, which node B's prologue centered in place for
     # bn1, node B's centered conv output for bn2, and the output, which is
     # node B's; with a projection also res_bn's centered input, which
-    # node B's epilogue keeps. The graph conv's aggregate (3x the input)
-    # and stacked weight, the zero-bordered buffer node B convolves and
-    # the projection's subsampled input are rebuilt in backward, the
-    # projection's output is added and dropped, and no ReLU keeps a bool
-    # mask: 3.01x and 5.01x.
+    # node B's epilogue keeps. The graph conv's aggregate (3x the input),
+    # the zero-bordered buffer node B convolves and the projection's
+    # subsampled input are rebuilt in backward, the projection's output is
+    # added and dropped, and no ReLU keeps a bool mask: 3.01x and 5.01x.
     assert held_by_a_training_forward(stride) <= bound
 
 
@@ -617,9 +610,8 @@ def test_default_channel_plan():
 
 def test_parameter_names_for_a_two_block_net():
     net = small_net()
-    block = ["gcn_weight.0", "gcn_weight.1", "gcn_weight.2",
-             "edge_mask.0", "edge_mask.1", "edge_mask.2",
-             "bn1.gamma", "bn1.beta", "tcn_kernel", "bn2.gamma", "bn2.beta"]
+    block = ["gcn_weight", "edge_mask", "bn1.gamma", "bn1.beta", "tcn_kernel",
+             "bn2.gamma", "bn2.beta"]
     expected = ["input_bn.gamma", "input_bn.beta"]
     expected += [f"blocks.0.{n}" for n in block]
     expected += [f"blocks.1.{n}" for n in block]
@@ -629,6 +621,9 @@ def test_parameter_names_for_a_two_block_net():
     assert net.named_parameters()["fc.weight"].data.shape == (8, 3)
     assert net.named_parameters()["blocks.0.tcn_kernel"].data.shape == (4, 9)
     assert net.named_parameters()["input_bn.gamma"].data.shape == (15,)
+    # One (K, C, D) weight and one (K, V, V) edge importance per block.
+    assert net.named_parameters()["blocks.1.gcn_weight"].data.shape == (3, 4, 8)
+    assert net.named_parameters()["blocks.1.edge_mask"].data.shape == (3, 5, 5)
 
 
 def test_residual_kinds_follow_channels_and_stride():
@@ -863,6 +858,38 @@ def test_read_checkpoint_round_trips_every_array(tmp_path):
     for name in state:
         assert np.array_equal(arrays[name], state[name])
     assert meta["vertex_count"] == 5
+
+
+# SHA-256 of ``small_net(seed=7)``'s checkpoint, recorded while each
+# partition's weight and mask were tensors of their own: the stacked
+# (K, ...) parameters draw the same values in the same order and save them
+# under the same names.
+SEED_7_CHECKPOINT = "5c6cd0a12b375e6736adddfe4e3e498ce02a900ddddaab689ca95befd97d1bb2"
+
+
+def test_a_seeded_network_saves_the_recorded_checkpoint_bytes(tmp_path):
+    path = tmp_path / "seed7.ckpt"
+    save_weights(small_net(seed=7), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == SEED_7_CHECKPOINT
+
+
+def test_state_arrays_are_views_and_loading_writes_them_in_place():
+    net = small_net(seed=3)
+    state = net.state_arrays()
+    block = net.blocks[0]
+    for k in range(3):
+        assert np.shares_memory(state[f"blocks.0.gcn_weight.{k}"], block.gcn_weight.data[k])
+        assert np.shares_memory(state[f"blocks.0.edge_mask.{k}"], block.edge_mask.data[k])
+    # Training moves the running statistics off their initial values.
+    source = small_net(seed=4)
+    source.forward(small_input(np.random.default_rng(13)), training=True)
+    net.load_state_arrays(source.state_arrays())
+    loaded = net.state_arrays()
+    for name, array in state.items():
+        assert np.shares_memory(loaded[name], array), name
+        assert np.array_equal(array, source.state_arrays()[name]), name
+    assert net.input_bn.running_mean is state["input_bn.running_mean"]
+    assert not (state["blocks.1.res_bn.running_var"] == 1.0).all()
 
 
 def test_load_restores_state_and_outputs(tmp_path):
