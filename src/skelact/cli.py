@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .atomic import open_atomic
-from .config import read_document, resolve_relative
+from .config import read_document, read_text, resolve_relative
 from .errors import (
     CheckpointError,
     ConfigurationError,
@@ -93,22 +93,8 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
-def _require_file(path: str, label: str) -> Path:
-    resolved = Path(path)
-    if not resolved.is_file():
-        raise ConfigurationError(f"{label} {path} does not exist")
-    return resolved
-
-
-def _require_dir(path: str, label: str) -> Path:
-    resolved = Path(path)
-    if not resolved.is_dir():
-        raise ConfigurationError(f"{label} {path} does not exist")
-    return resolved
-
-
 def cmd_prepare(args: argparse.Namespace) -> int:
-    manifest = DatasetManifest.load(_require_file(args.manifest, "manifest"))
+    manifest = DatasetManifest.load(args.manifest)
     split = build_protocol(
         manifest, args.protocol, seed=args.seed, stratified=not args.no_stratify
     )
@@ -124,9 +110,9 @@ def cmd_prepare(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    config = load_run_config(_require_file(args.config, "config"))
-    manifest = DatasetManifest.load(_require_file(config.manifest, "manifest"))
-    split = load_split(_require_dir(args.split, "split"))
+    config = load_run_config(args.config)
+    manifest = DatasetManifest.load(config.manifest)
+    split = load_split(args.split)
     net, history = run_training(manifest, split, config.model, config.train)
     net.load_state_arrays(history.best_state)
     out = Path(args.out)
@@ -153,11 +139,11 @@ def _write_csv(path: Path, rows) -> None:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    config = load_run_config(_require_file(args.config, "config"))
-    manifest = DatasetManifest.load(_require_file(config.manifest, "manifest"))
-    split = load_split(_require_dir(args.split, "split"))
+    config = load_run_config(args.config)
+    manifest = DatasetManifest.load(config.manifest)
+    split = load_split(args.split)
     net = config.model.build(len(split.class_names))
-    load_weights(net, _require_file(args.checkpoint, "checkpoint"))
+    load_weights(net, args.checkpoint)
 
     dataset = SequenceDataset.from_manifest(
         manifest, split.test_ids, split.class_names, config.model
@@ -206,14 +192,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
-def _read_predictions(path: Path) -> tuple[dict, np.ndarray, np.ndarray, np.ndarray]:
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ConfigurationError(f"{path} is empty") from None
-        rows = list(reader)
+def _read_predictions(path: str) -> tuple[dict, np.ndarray, np.ndarray, np.ndarray]:
+    rows = list(csv.reader(read_text(path, "predictions").splitlines()))
+    if not rows:
+        raise ConfigurationError(f"{path} is empty")
+    header, *rows = rows
     required = ["sample_id", "label", "prediction"]
     if header[:3] != required or "confidence_0" not in header:
         raise ConfigurationError(
@@ -250,9 +233,8 @@ def _read_predictions(path: Path) -> tuple[dict, np.ndarray, np.ndarray, np.ndar
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    predictions_path = _require_file(args.predictions, "predictions")
-    split = load_split(_require_dir(args.split, "split"))
-    row_by_id, labels, predictions, confidences = _read_predictions(predictions_path)
+    row_by_id, labels, predictions, confidences = _read_predictions(args.predictions)
+    split = load_split(args.split)
     missing = [i for i in split.test_ids if i not in row_by_id]
     if missing:
         raise CoverageError(

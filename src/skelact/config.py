@@ -20,13 +20,26 @@ from pathlib import Path
 from .errors import ConfigurationError
 
 
+def read_text(path: str | Path, label: str) -> str:
+    """The text of input file ``path``, the one read of every run config,
+    manifest, split and predictions file. A missing file fails as ``<label>
+    <path> does not exist``, any other as ``<label> <path>: <reason>``."""
+    try:
+        return Path(path).read_text()
+    except FileNotFoundError:
+        raise ConfigurationError(f"{label} {path} does not exist") from None
+    # ValueError covers bytes that do not decode.
+    except (OSError, ValueError) as exc:
+        raise ConfigurationError(f"{label} {path}: {exc}") from exc
+
+
 def read_document(cls, path: str | Path, label: str):
     """Read JSON file ``path`` into dataclass ``cls``. Every error, its
     ``__post_init__``'s too, reads ``<label> <path>: <field path>: <problem>``."""
     try:
-        doc = json.loads(Path(path).read_text(), object_pairs_hook=unique_keys)
-    # ValueError covers bad UTF-8, bad JSON syntax and a repeated key.
-    except (OSError, ValueError) as exc:
+        doc = json.loads(read_text(path, label), object_pairs_hook=unique_keys)
+    # ValueError covers bad JSON syntax and a repeated key.
+    except ValueError as exc:
         raise ConfigurationError(f"{label} {path}: {exc}") from exc
     try:
         return from_document(cls, doc)

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .atomic import open_atomic
-from .config import read_document, resolve_relative
+from .config import read_document, read_text, resolve_relative
 from .errors import ConfigurationError, InsufficientDataError
 from .keypoints import BODY25, check_layout
 
@@ -40,7 +40,7 @@ TRAIN_FRACTION = 0.75
 
 @dataclass(frozen=True)
 class ManifestRecord:
-    """One dataset sample."""
+    """One dataset sample, which checks its performer, image size and fps."""
 
     sample_id: str
     class_name: str
@@ -48,6 +48,18 @@ class ManifestRecord:
     keypoint_path: str
     image_size: tuple[int, int]
     fps: float = 30.0
+
+    def __post_init__(self):
+        if self.performer not in PERFORMERS:
+            raise ConfigurationError(
+                f"performer: expected one of {PERFORMERS}, got {self.performer!r}"
+            )
+        if not all(v > 0 for v in self.image_size):
+            raise ConfigurationError(
+                f"image_size: expected two positive integers, got {self.image_size!r}"
+            )
+        if not 0.0 < self.fps < math.inf:
+            raise ConfigurationError(f"fps: must be positive, got {self.fps}")
 
 
 @dataclass
@@ -80,20 +92,6 @@ class DatasetManifest:
             if record.class_name not in class_set:
                 raise ConfigurationError(
                     f"{where}.class_name: {record.class_name!r} not in class table"
-                )
-            if record.performer not in PERFORMERS:
-                raise ConfigurationError(
-                    f"{where}.performer: "
-                    f"expected one of {PERFORMERS}, got {record.performer!r}"
-                )
-            if not all(v > 0 for v in record.image_size):
-                raise ConfigurationError(
-                    f"{where}.image_size: expected two positive integers, "
-                    f"got {record.image_size!r}"
-                )
-            if not 0.0 < record.fps < math.inf:
-                raise ConfigurationError(
-                    f"{where}.fps: must be positive, got {record.fps}"
                 )
         for name, share in (self.child_percentage or {}).items():
             if name not in class_set:
@@ -286,13 +284,10 @@ def load_split(directory: str | Path) -> ProtocolSplit:
     directory = Path(directory)
     summary_path = directory / "summary.json"
     summary = read_document(_SplitSummary, summary_path, "split")
-    try:
-        train_ids, test_ids = (
-            [line for line in (directory / name).read_text().splitlines() if line]
-            for name in ("train.txt", "test.txt")
-        )
-    except OSError as exc:
-        raise ConfigurationError(f"split {directory}: {exc}") from exc
+    train_ids, test_ids = (
+        [line for line in read_text(directory / name, "split").splitlines() if line]
+        for name in ("train.txt", "test.txt")
+    )
     if len(set(summary.classes)) != len(summary.classes):
         raise ConfigurationError(
             f"split {summary_path}: classes: expected distinct names, "

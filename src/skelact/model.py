@@ -101,10 +101,10 @@ class BatchNorm:
         return not self.gamma.trainable
 
     def _track(self, mu: np.ndarray, var: np.ndarray) -> None:
-        """Fold a training batch's statistics into the running ones."""
+        """Fold a training batch's statistics into the running ones, in place."""
         m = self.MOMENTUM
-        self.running_mean = (1.0 - m) * self.running_mean + m * mu
-        self.running_var = (1.0 - m) * self.running_var + m * var
+        self.running_mean[...] = (1.0 - m) * self.running_mean + m * mu
+        self.running_var[...] = (1.0 - m) * self.running_var + m * var
 
     def norm(self, training: bool) -> ad.Norm:
         """This layer as the epilogue of a convolution node, or as its own node.

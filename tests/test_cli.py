@@ -1,7 +1,11 @@
 """Command line workflows: prepare, train, eval, analyze."""
 import csv
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +23,7 @@ from skelact import (
     load_run_config,
     load_split,
     load_weights,
+    read_checkpoint,
     save_weights,
 )
 from skelact.cli import main
@@ -165,6 +170,33 @@ def test_train_rerun_is_byte_identical(workspace):
     for name in ("checkpoint.ckpt", "history.csv"):
         assert (workspace / "run1" / name).read_bytes() == \
             (workspace / "run2" / name).read_bytes()
+
+
+def test_reruns_are_byte_identical_at_one_blas_thread_count(workspace, tmp_path):
+    # The bits of a matrix product may depend on how many threads share it,
+    # so runs at 1 and 2 OpenBLAS threads need only agree to rounding.
+    config = write_run_config(workspace, tmp_path, "train",
+                              dict(epochs=1, batch_size=9, momentum=0.9))
+    src = str(Path(skelact.cli.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    for threads in (1, 2):
+        env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": str(threads)}
+        for rerun in (0, 1):
+            subprocess.run([sys.executable, "-m", "skelact.cli", "train",
+                            "--config", str(config), "--split", str(workspace / "split"),
+                            "--out", str(tmp_path / f"{threads}-{rerun}")],
+                           env=env, check=True, capture_output=True, timeout=300)
+        for name in ("checkpoint.ckpt", "history.csv"):
+            assert (tmp_path / f"{threads}-0" / name).read_bytes() == \
+                (tmp_path / f"{threads}-1" / name).read_bytes()
+    one, two = (read_checkpoint(tmp_path / f"{threads}-0" / "checkpoint.ckpt")[1]
+                for threads in (1, 2))
+    for name, array in one.items():
+        assert np.abs(two[name] - array).max() <= 1e-12 * np.abs(array).max(), name
+    (_, first), (_, second) = (read_csv(tmp_path / f"{threads}-0" / "history.csv")
+                               for threads in (1, 2))
+    assert len(first) == 1
+    assert abs(float(second[0][2]) - float(first[0][2])) <= 1e-12 * float(first[0][2])
 
 
 def test_train_missing_split_exits_2(workspace, capsys):
@@ -826,6 +858,59 @@ def test_a_window_longer_than_the_loaded_frames_exits_2_before_out(
         config = write_run_config(workspace, tmp_path, "train.augmentation", values)
         assert load_run_config(config).train.augmentation.window_size == \
             values["window_size"]
+
+
+def input_file(name, workspace, tmp_path):
+    """Input ``name`` of a command as a path under ``tmp_path``: the label its
+    messages give it, the path, and the command's argv. The command's other
+    inputs are the workspace's own."""
+    split = tmp_path / "split"
+    shutil.copytree(workspace / "split", split)
+    out = ["--out", str(tmp_path / "out")]
+    config = write_run_config(workspace, tmp_path, "train", {})
+    train = ["train", "--config", str(config), "--split", str(split), *out]
+    manifest = tmp_path / "manifest.json"
+    predictions = tmp_path / "predictions.csv"
+    checkpoint = tmp_path / "checkpoint.ckpt"
+    return {
+        "config": ("config", config, train),
+        "manifest": ("manifest", manifest, ["prepare", "--manifest", str(manifest),
+                                            "--protocol", "KS-Full", *out]),
+        "summary.json": ("split", split / "summary.json", train),
+        "train.txt": ("split", split / "train.txt", train),
+        "test.txt": ("split", split / "test.txt", train),
+        "predictions.csv": ("predictions", predictions,
+                            ["analyze", "--predictions", str(predictions),
+                             "--split", str(split), *out]),
+        "checkpoint": ("cannot read checkpoint", checkpoint,
+                       ["eval", "--config", str(config), "--checkpoint", str(checkpoint),
+                        "--split", str(split), *out]),
+    }[name]
+
+
+TEXT_INPUTS = ("config", "manifest", "summary.json", "train.txt", "test.txt",
+               "predictions.csv")
+
+
+@pytest.mark.parametrize("name, spoil", [
+    *((name, spoil) for name in TEXT_INPUTS
+      for spoil in ("missing", "a-directory", "not-UTF-8")),
+    ("checkpoint", "missing"), ("checkpoint", "a-directory"),
+])
+def test_an_input_file_that_cannot_be_read_exits_2_naming_it_before_out(
+        name, spoil, workspace, tmp_path, capsys):
+    label, path, argv = input_file(name, workspace, tmp_path)
+    path.unlink(missing_ok=True)
+    if spoil == "a-directory":
+        path.mkdir()
+    elif spoil == "not-UTF-8":
+        path.write_bytes(b"\xff\xfe not UTF-8\n")
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {label} {path}")
+    if spoil == "missing" and name != "checkpoint":
+        assert err == f"error: {label} {path} does not exist\n"
+    assert not (tmp_path / "out").exists()
 
 
 # ------------------------------------------------------------------ allocator

@@ -295,9 +295,13 @@ def test_manifest_validation():
         DatasetManifest(records=[record, clone], class_table=["a"])
     with pytest.raises(ConfigurationError):
         DatasetManifest(records=[record], class_table=["b"])
-    bad_performer = ManifestRecord("s2", "a", "robot", "/data/s2", (640, 480))
-    with pytest.raises(ConfigurationError):
-        DatasetManifest(records=[bad_performer], class_table=["a"])
+    # A record checks its own fields, naming each without a records[i] path.
+    for performer, size, fps, message in [
+            ("robot", (640, 480), 30.0, "performer: expected one of"),
+            ("child", (0, 480), 30.0, "image_size: expected two positive integers"),
+            ("child", (640, 480), -3.0, "fps: must be positive, got -3.0")]:
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}"):
+            ManifestRecord("s2", "a", performer, "/data/s2", size, fps)
     with pytest.raises(ConfigurationError):
         DatasetManifest(records=[], class_table=["a", "a"])
     with pytest.raises(ConfigurationError):

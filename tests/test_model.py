@@ -892,6 +892,19 @@ def test_state_arrays_are_views_and_loading_writes_them_in_place():
     assert not (state["blocks.1.res_bn.running_var"] == 1.0).all()
 
 
+def test_a_state_view_taken_before_a_training_step_sees_its_statistics():
+    net = small_net(seed=3)
+    state = net.state_arrays()
+    initial = {name: array.copy() for name, array in state.items()}
+    net.forward(small_input(np.random.default_rng(13)), training=True)
+    after = net.state_arrays()
+    running = [name for name in state if name.endswith((".running_mean", ".running_var"))]
+    assert running
+    for name in running:
+        assert np.shares_memory(state[name], after[name]), name
+        assert not np.array_equal(state[name], initial[name]), name
+
+
 def test_load_restores_state_and_outputs(tmp_path):
     source = small_net(seed=1)
     x = small_input(np.random.default_rng(12))
