@@ -28,7 +28,6 @@ from .keypoints import (
     parse_keypoint_frame,
 )
 from .graph import (
-    PartitionedAdjacency,
     SkeletonGraph,
     build_graph,
     hop_distance,

@@ -41,6 +41,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .config import check_fraction
 from .errors import ConfigurationError, StateError
 
 _recording = ContextVar("recording", default=True)
@@ -319,8 +320,6 @@ def _dropout_mask(shape: tuple[int, ...], rate: float, rng) -> tuple[np.ndarray,
     Multiplying by the mask, then by the scale, has the bits of multiplying
     by 0 or 1 / (1 - rate), signed zeros included.
     """
-    if not 0.0 <= rate < 1.0:
-        raise ConfigurationError(f"dropout rate must lie in [0, 1), got {rate}")
     if rate == 0.0:
         return np.ones(shape, dtype=bool), 1.0
     return rng.random(shape) >= rate, 1.0 / (1.0 - rate)
@@ -632,6 +631,7 @@ def temporal_conv(
         raise ConfigurationError(f"kernel size must be odd, got {taps}")
     if stride < 1:
         raise ConfigurationError(f"stride: must be positive, got {stride}")
+    check_fraction("dropout", dropout)
 
     _, batch, frames, vertices = x.data.shape
     out_shape = (channels, batch, -(-frames // stride), vertices)
@@ -816,6 +816,7 @@ def batch_norm_given(
 
 def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
     """Inverted dropout; scaling keeps the expectation unchanged."""
+    check_fraction("dropout", rate)
     x = _as_tensor(x)
     keep, scale = _dropout_mask(x.data.shape, rate, rng)
     out_data = x.data * keep

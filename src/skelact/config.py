@@ -4,7 +4,9 @@ The accepted keys of each object are the fields of its dataclass (a field
 may name its JSON key with ``metadata={"key": ...}``), and each value is
 checked against the field's annotation, so a new field needs no parser
 change. Unknown keys, missing required keys, wrong types and non-finite
-numbers are rejected with the offending field path.
+numbers are rejected with the offending field path. ``check_count`` and
+``check_fraction`` are range rules that a config field and a function
+handed the bare value both check, with one message.
 """
 from __future__ import annotations
 
@@ -18,6 +20,18 @@ from dataclasses import MISSING, fields, is_dataclass
 from pathlib import Path
 
 from .errors import ConfigurationError
+
+
+def check_count(name: str, value) -> None:
+    """Reject setting ``name`` below 1."""
+    if value < 1:
+        raise ConfigurationError(f"{name}: must be at least 1")
+
+
+def check_fraction(name: str, value) -> None:
+    """Reject setting ``name`` outside [0, 1)."""
+    if not 0.0 <= value < 1.0:
+        raise ConfigurationError(f"{name}: must lie in [0, 1), got {value}")
 
 
 def read_text(path: str | Path, label: str) -> str:

@@ -4,7 +4,9 @@ Every supported layout is an undirected tree over the estimator's joint
 order. The adjacency used by the network is the degree-normalized
 ``(A + I) @ inv(D)`` split into three spatial partitions relative to a
 center joint: same hop distance as the source (root), closer to the center
-(centripetal), farther from it (centrifugal).
+(centripetal), farther from it (centrifugal). ``partition_spatial`` returns
+the three as one ``(3, V, V)`` array; the network calls it on the graph it
+is given.
 """
 from __future__ import annotations
 
@@ -124,24 +126,9 @@ def hop_distance(graph: SkeletonGraph) -> np.ndarray:
     return hops
 
 
-@dataclass(frozen=True)
-class PartitionedAdjacency:
-    """Stack of normalized adjacency partitions, shape ``(K, V, V)``."""
-
-    matrices: np.ndarray
-    layout: str = "custom"
-
-    @property
-    def partition_count(self) -> int:
-        return self.matrices.shape[0]
-
-    @property
-    def vertex_count(self) -> int:
-        return self.matrices.shape[-1]
-
-
-def partition_spatial(graph: SkeletonGraph) -> PartitionedAdjacency:
-    """Split the normalized adjacency into the three spatial partitions.
+def partition_spatial(graph: SkeletonGraph) -> np.ndarray:
+    """Split the normalized adjacency into the three spatial partitions,
+    stacked ``(3, V, V)`` in that order.
 
     Normalization divides each column of ``A + I`` by its degree, so the
     partition stack sums to a column-stochastic matrix. Each nonzero entry
@@ -157,10 +144,9 @@ def partition_spatial(graph: SkeletonGraph) -> PartitionedAdjacency:
     center_hops = hop_distance(graph)[:, graph.center]
     source = center_hops[:, np.newaxis]
     target = center_hops[np.newaxis, :]
-    matrices = np.stack([
+    return np.stack([
         normalized * (target == source),
         normalized * (target < source),
         normalized * (target > source),
     ])
-    return PartitionedAdjacency(matrices, graph.layout)
 

@@ -60,9 +60,8 @@ def check_layout(layout) -> None:
 
 
 def layout_joint_count(layout: str) -> int:
-    """Joint count of a named layout; LayoutMismatchError if it is unknown."""
-    if layout not in LAYOUT_JOINT_COUNT:
-        raise LayoutMismatchError(f"unknown skeleton layout {layout!r}")
+    """Joint count of a named layout; ``check_layout`` rejects an unknown one."""
+    check_layout(layout)
     return LAYOUT_JOINT_COUNT[layout]
 
 

@@ -40,7 +40,7 @@ TRAIN_FRACTION = 0.75
 
 @dataclass(frozen=True)
 class ManifestRecord:
-    """One dataset sample, which checks its performer, image size and fps."""
+    """One dataset sample, which checks its sample id, performer, image size and fps."""
 
     sample_id: str
     class_name: str
@@ -50,6 +50,10 @@ class ManifestRecord:
     fps: float = 30.0
 
     def __post_init__(self):
+        # A split file holds one id per line, as ``str.splitlines`` reads it.
+        if self.sample_id.splitlines() != [self.sample_id]:
+            raise ConfigurationError(
+                f"sample_id: must be one non-empty line, got {self.sample_id!r}")
         if self.performer not in PERFORMERS:
             raise ConfigurationError(
                 f"performer: expected one of {PERFORMERS}, got {self.performer!r}"

@@ -33,9 +33,9 @@ import numpy as np
 from . import autodiff as ad
 from .atomic import open_atomic
 from .autodiff import Tensor
-from .config import unique_keys
+from .config import check_count, check_fraction, unique_keys
 from .errors import CheckpointError, ConfigurationError
-from .graph import PartitionedAdjacency, build_graph, partition_spatial
+from .graph import SkeletonGraph, build_graph, partition_spatial
 from .keypoints import COCO18, check_layout
 
 TEMPORAL_KERNEL = 9
@@ -219,8 +219,9 @@ class StgcnBlock:
 
 
 class StgcnNetwork:
-    """The full classifier network, with the options of a ``ModelConfig``,
-    over inputs of ``IN_CHANNELS`` channels.
+    """The full classifier network over the spatial partitions of ``graph``
+    (``adjacency``), with the options of a ``ModelConfig``, over inputs of
+    ``IN_CHANNELS`` channels.
 
     Weight initialization draws from one seeded generator in construction
     order (blocks in order; within a block the (K, C, D) graph-conv weight,
@@ -229,27 +230,25 @@ class StgcnNetwork:
     one, batch norm at identity. The convolutions have no bias: each feeds
     a batch norm, which would cancel it.
 
-    The network keeps no graph: ``logits.backward(grad)`` runs the backward
-    pass of a training forward, and the graph is freed when the caller
-    drops ``logits``. An evaluation forward runs under ``autodiff.no_grad``
+    The network keeps no autodiff graph: ``logits.backward(grad)`` runs the
+    backward pass of a training forward, and the graph is freed when the
+    caller drops ``logits``. An evaluation forward runs under ``autodiff.no_grad``
     and returns a leaf; its only difference from a training forward is no
     dropout and every batch norm on its running statistics.
     """
 
-    def __init__(
-        self, adjacency: PartitionedAdjacency, num_classes: int, config: ModelConfig
-    ):
+    def __init__(self, graph: SkeletonGraph, num_classes: int, config: ModelConfig):
         if num_classes < 2:
             raise ConfigurationError("num_classes: must be at least 2")
 
-        self.layout = adjacency.layout
-        self.vertex_count = adjacency.vertex_count
+        self.layout = graph.layout
+        self.vertex_count = graph.vertex_count
         self.num_classes = num_classes
         self.channel_plan = config.channel_plan
         self.person_pool = config.person_pool
         self.zero_confidence = config.zero_confidence
 
-        self.adjacency = adjacency.matrices
+        self.adjacency = partition_spatial(graph)
 
         rng = np.random.default_rng(config.seed)
         self.input_bn = BatchNorm(self.vertex_count * IN_CHANNELS)
@@ -261,7 +260,7 @@ class StgcnNetwork:
                     previous,
                     channels,
                     self.vertex_count,
-                    adjacency.partition_count,
+                    len(self.adjacency),
                     rng,
                     stride=stride,
                     residual=index > 0,
@@ -581,18 +580,15 @@ class ModelConfig:
 
     def __post_init__(self):
         check_layout(self.layout)
-        if self.person_slots < 1:
-            raise ConfigurationError("person_slots: must be at least 1")
-        if self.target_frames < 1:
-            raise ConfigurationError("target_frames: must be at least 1")
+        check_count("person_slots", self.person_slots)
+        check_count("target_frames", self.target_frames)
         if self.seed < 0:
             raise ConfigurationError(f"seed: must be non-negative, got {self.seed}")
         if self.person_pool not in PERSON_POOLS:
             raise ConfigurationError(
                 f"person_pool: expected one of {PERSON_POOLS}, got {self.person_pool!r}"
             )
-        if not 0.0 <= self.dropout < 1.0:
-            raise ConfigurationError(f"dropout: must lie in [0, 1), got {self.dropout}")
+        check_fraction("dropout", self.dropout)
         plan = DEFAULT_CHANNEL_PLAN if self.channel_plan is None else self.channel_plan
         self.channel_plan = tuple((int(c), int(s)) for c, s in plan)
         if not self.channel_plan:
@@ -604,5 +600,4 @@ class ModelConfig:
                 )
 
     def build(self, num_classes: int) -> StgcnNetwork:
-        adjacency = partition_spatial(build_graph(self.layout))
-        return StgcnNetwork(adjacency, num_classes, self)
+        return StgcnNetwork(build_graph(self.layout), num_classes, self)

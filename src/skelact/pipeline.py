@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import check_count, check_fraction
 from .errors import ConfigurationError, WindowError
 from .sequence import SkeletonSequence
 
@@ -30,8 +31,7 @@ def select_persons(frames: list[np.ndarray], slots: int) -> np.ndarray:
     order. Unused slots stay all-zero. Returns an array of shape
     ``(T, slots, V, 3)``.
     """
-    if slots < 1:
-        raise ConfigurationError("slots: must be at least 1")
+    check_count("person_slots", slots)
     shape_error = "frames: need (P, V, 3) arrays with one joint count V"
     try:
         people = np.concatenate(frames)
@@ -137,10 +137,7 @@ def pad_sequence(seq: SkeletonSequence, target_frames: int) -> SkeletonSequence:
     Shorter sequences get all-zero frames appended; longer ones lose their
     tail.
     """
-    if target_frames < 1:
-        raise ConfigurationError(
-            f"target_frames: must be positive, got {target_frames}"
-        )
+    check_count("target_frames", target_frames)
     if target_frames <= seq.frame_count:
         return seq.replace_data(seq.data[:target_frames].copy())
     tail = np.zeros(
@@ -158,11 +155,6 @@ def _check_pad_position(pad_position) -> None:
         raise ConfigurationError(
             f"window_pad_position: expected one of {PAD_POSITIONS}, got {pad_position!r}"
         )
-
-
-def _check_drop_rate(drop_rate) -> None:
-    if not 0.0 <= drop_rate < 1.0:
-        raise ConfigurationError(f"drop_rate: must lie in [0, 1), got {drop_rate}")
 
 
 def random_frame_window(
@@ -215,8 +207,7 @@ class MoveParams:
             raise ConfigurationError("scale_min: needs 0 < scale_min <= scale_max")
         if self.translation < 0.0:
             raise ConfigurationError("translation: must be non-negative")
-        if self.anchors < 1:
-            raise ConfigurationError("anchors: must be at least 1")
+        check_count("anchors", self.anchors)
 
 
 def random_move(
@@ -273,7 +264,7 @@ def subsample_frames(
     empty frames so the length never changes. A drop rate of zero keeps
     the sequence identical.
     """
-    _check_drop_rate(drop_rate)
+    check_fraction("drop_rate", drop_rate)
     keep = rng.random(seq.frame_count) >= drop_rate
     data = np.zeros_like(seq.data)
     survivors = seq.data[keep]
@@ -298,7 +289,7 @@ class AugmentConfig:
         if self.window_size < 1:
             raise ConfigurationError("window_size: must be positive")
         _check_pad_position(self.window_pad_position)
-        _check_drop_rate(self.drop_rate)
+        check_fraction("drop_rate", self.drop_rate)
 
     def enabled(self) -> bool:
         return self.window or self.move or self.subsample

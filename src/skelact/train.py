@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import check_count, check_fraction
 from .errors import ConfigurationError, NonFiniteError
 from .manifest import DatasetManifest, ProtocolSplit
 from .metrics import check_logits, top_k_accuracy
@@ -27,8 +28,7 @@ from .sequence import (
 
 
 def _check_optimizer_options(momentum, weight_decay) -> None:
-    if not 0.0 <= momentum < 1.0:
-        raise ConfigurationError(f"momentum: must lie in [0, 1), got {momentum}")
+    check_fraction("momentum", momentum)
     if weight_decay < 0.0:
         raise ConfigurationError("weight_decay: must be non-negative")
 
@@ -63,10 +63,8 @@ class TrainConfig:
             raise ConfigurationError(
                 "decay_boundaries: must be strictly increasing and non-negative"
             )
-        if self.batch_size < 1:
-            raise ConfigurationError("batch_size: must be at least 1")
-        if self.epochs < 1:
-            raise ConfigurationError("epochs: must be at least 1")
+        check_count("batch_size", self.batch_size)
+        check_count("epochs", self.epochs)
         if self.seed < 0:
             raise ConfigurationError(f"seed: must be non-negative, got {self.seed}")
         _check_optimizer_options(self.momentum, self.weight_decay)

@@ -77,8 +77,7 @@ def report(capfd):
 
 def test_1_gradients_match_finite_differences(report):
     started = time.monotonic()
-    adjacency = partition_spatial(path_graph(5, center=0))
-    net = StgcnNetwork(adjacency, 3,
+    net = StgcnNetwork(path_graph(5, center=0), 3,
                        ModelConfig(channel_plan=((4, 1), (8, 2), (8, 1)), seed=0))
     rng = np.random.default_rng(1)
     x = rng.uniform(-1.0, 1.0, (2, 3, 8, 5, 1))
@@ -113,9 +112,9 @@ def test_2_adjacency_invariants_hold_for_every_layout(report):
         graph = build_graph(layout)
         assert graph.vertex_count == vertices
         adjacency = partition_spatial(graph)
-        column_sums = adjacency.matrices.sum(axis=(0, 1))
+        column_sums = adjacency.sum(axis=(0, 1))
         worst_sum = max(worst_sum, float(np.abs(column_sums - 1.0).max()))
-        occupied = (adjacency.matrices != 0.0).sum(axis=0)
+        occupied = (adjacency != 0.0).sum(axis=0)
         exclusive = exclusive and bool((occupied <= 1).all())
     ok = worst_sum < 1e-12 and exclusive
     report(2, "partitioned adjacency invariants hold for all four layouts",
@@ -146,8 +145,7 @@ def test_4_synthetic_three_class_dataset_is_learned(report):
     started = time.monotonic()
     pairs = motion_dataset(per_class=20, frames=24, joints=5, seed=3)
     train, test = pair_dataset(pairs[:45]), pair_dataset(pairs[45:])
-    adjacency = partition_spatial(path_graph(5, center=0))
-    net = StgcnNetwork(adjacency, 3,
+    net = StgcnNetwork(path_graph(5, center=0), 3,
                        ModelConfig(channel_plan=((16, 1), (32, 2), (32, 1)), seed=0))
     config = TrainConfig(base_lr=1e-2, epochs=200, batch_size=4,
                          decay_boundaries=(), momentum=0.9, seed=0)
@@ -169,7 +167,7 @@ def test_4_synthetic_three_class_dataset_is_learned(report):
 # 5 -------------------------------------------------------------- freezing
 
 def test_5_transfer_modes_freeze_exactly_the_documented_tensors(report):
-    adjacency = partition_spatial(path_graph(5, center=0))
+    graph = path_graph(5, center=0)
     rng = np.random.default_rng(11)
     batch = rng.uniform(-1.0, 1.0, (4, 3, 8, 5, 1))
     labels = np.array([0, 1, 2, 0])
@@ -180,7 +178,7 @@ def test_5_transfer_modes_freeze_exactly_the_documented_tensors(report):
     }
     failures = []
     for mode, expect in expectations.items():
-        net = StgcnNetwork(adjacency, 3, ModelConfig(seed=0))
+        net = StgcnNetwork(graph, 3, ModelConfig(seed=0))
         assert len(net.blocks) == 10
         before = {name: tensor.data.copy()
                   for name, tensor in net.named_parameters().items()}

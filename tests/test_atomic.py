@@ -12,7 +12,6 @@ from skelact import (
     ProtocolSplit,
     StgcnNetwork,
     atomic,
-    partition_spatial,
     save_split,
     save_weights,
 )
@@ -39,7 +38,7 @@ class HalfWrites:
 
 
 def write_checkpoint(directory, seed):
-    net = StgcnNetwork(partition_spatial(path_graph(5)), 3,
+    net = StgcnNetwork(path_graph(5), 3,
                        ModelConfig(channel_plan=((4, 1),), seed=seed))
     save_weights(net, directory / "net.ckpt")
 

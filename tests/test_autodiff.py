@@ -373,6 +373,16 @@ def test_temporal_conv_validation():
         temporal_conv(Tensor(np.ones((3, 5, 4))), Tensor(np.ones((3, 3))))
     with pytest.raises(ConfigurationError):
         temporal_conv(x, Tensor(np.ones((3, 3))), stride=0)
+    # A bad dropout rate fails before the prologue normalizes the input in
+    # place and before either norm tracks a batch's statistics.
+    x = Tensor(np.random.default_rng(0).standard_normal((3, 2, 5, 4)), trainable=True)
+    before = x.data.copy()
+    tracked = []
+    norm = Norm(Tensor(np.ones(3)), Tensor(np.zeros(3)), track=lambda *s: tracked.append(s))
+    with pytest.raises(ConfigurationError, match="dropout: must lie in"):
+        temporal_conv(x, Tensor(np.ones((3, 3)), trainable=True), prologue=norm,
+                      norm=norm, dropout=1.0, rng=np.random.default_rng(1))
+    assert np.array_equal(x.data, before) and not tracked
 
 
 # ------------------------------------------------------------- channel mixing

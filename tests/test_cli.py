@@ -132,6 +132,23 @@ def test_prepare_bad_manifest_values_exit_2(workspace, capsys):
     assert ".fps: must be positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("sample_id", ["", "wave\r000", "wave\u2028000"],
+                         ids=["empty", "carriage_return", "line_separator"])
+def test_prepare_rejects_a_sample_id_a_split_file_cannot_hold(workspace, tmp_path,
+                                                              capsys, sample_id):
+    # train.txt and test.txt hold one id per line, read with str.splitlines.
+    doc = json.loads((workspace / "data" / "manifest.json").read_text())
+    doc["records"][0]["sample_id"] = sample_id
+    bad = tmp_path / "manifest.json"
+    bad.write_text(json.dumps(doc))
+    out = tmp_path / "split"
+    assert main(["prepare", "--manifest", str(bad), "--protocol", "KS-Full",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"manifest {bad}: records[0].sample_id: must be one non-empty line" in err
+    assert not out.exists()
+
+
 def test_prepare_non_number_fps_exits_2(workspace, capsys):
     doc = json.loads((workspace / "data" / "manifest.json").read_text())
     doc["records"][0]["fps"] = "30"

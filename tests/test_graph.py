@@ -11,6 +11,7 @@ from skelact import (
     COCO18,
     COCO18_JOINT_NAMES,
     COCO18_MODIFIED,
+    ConfigurationError,
     ConnectivityError,
     LayoutMismatchError,
     SkeletonGraph,
@@ -131,9 +132,8 @@ def test_hop_distance_on_a_path():
 def test_partition_entries_match_per_pair_rule(graph):
     parts = partition_spatial(graph)
     n = graph.vertex_count
-    assert parts.matrices.shape == (3, n, n)
-    assert parts.partition_count == 3
-    assert parts.vertex_count == n
+    assert isinstance(parts, np.ndarray)
+    assert parts.shape == (3, n, n)
 
     linked = graph.adjacency() + np.eye(n)
     degree = linked.sum(axis=0)
@@ -141,7 +141,7 @@ def test_partition_entries_match_per_pair_rule(graph):
     for v in range(n):
         for w in range(n):
             if linked[v, w] == 0.0:
-                assert (parts.matrices[:, v, w] == 0.0).all()
+                assert (parts[:, v, w] == 0.0).all()
                 continue
             if hops[w] == hops[v]:
                 expected_k = 0
@@ -151,24 +151,24 @@ def test_partition_entries_match_per_pair_rule(graph):
                 expected_k = 2
             for k in range(3):
                 expected = 1.0 / degree[w] if k == expected_k else 0.0
-                assert parts.matrices[k, v, w] == pytest.approx(expected, abs=1e-15)
+                assert parts[k, v, w] == pytest.approx(expected, abs=1e-15)
 
 
 @pytest.mark.parametrize("layout", LAYOUTS)
 def test_partition_column_sums_and_exclusivity(layout):
     parts = partition_spatial(build_graph(layout))
-    sums = parts.matrices.sum(axis=(0, 1))
+    sums = parts.sum(axis=(0, 1))
     assert np.abs(sums - 1.0).max() < 1e-12
     # No entry may appear in two partitions.
-    occupied = (parts.matrices != 0.0).sum(axis=0)
+    occupied = (parts != 0.0).sum(axis=0)
     assert occupied.max() <= 1
 
 
 def test_single_vertex_graph_partitions():
     parts = partition_spatial(SkeletonGraph(1, (), 0))
-    assert np.array_equal(parts.matrices[0], [[1.0]])
-    assert np.array_equal(parts.matrices[1], [[0.0]])
-    assert np.array_equal(parts.matrices[2], [[0.0]])
+    assert np.array_equal(parts[0], [[1.0]])
+    assert np.array_equal(parts[1], [[0.0]])
+    assert np.array_equal(parts[2], [[0.0]])
 
 
 def test_triangle_puts_equal_hop_neighbors_in_the_root_partition():
@@ -176,24 +176,24 @@ def test_triangle_puts_equal_hop_neighbors_in_the_root_partition():
     # a root entry even off the diagonal. Every degree is 3.
     parts = partition_spatial(triangle_graph())
     third = 1.0 / 3.0
-    root, centripetal, centrifugal = parts.matrices
+    root, centripetal, centrifugal = parts
     assert root[1, 2] == pytest.approx(third)
     assert root[2, 1] == pytest.approx(third)
     assert centripetal[1, 0] == pytest.approx(third)
     assert centripetal[2, 0] == pytest.approx(third)
     assert centrifugal[0, 1] == pytest.approx(third)
     assert centrifugal[0, 2] == pytest.approx(third)
-    assert parts.matrices.sum(axis=(0, 1)) == pytest.approx(np.ones(3))
+    assert parts.sum(axis=(0, 1)) == pytest.approx(np.ones(3))
 
 
 def test_partition_center_override():
     end = partition_spatial(path_graph(5, 0))
     # With the center at vertex 0 nothing is centripetal seen from 0.
-    assert (end.matrices[1][:, 1:].sum(axis=0) > 0).any()
-    assert end.matrices[2][0, 1] > 0.0
-    assert np.abs(end.matrices.sum(axis=(0, 1)) - 1.0).max() < 1e-12
+    assert (end[1][:, 1:].sum(axis=0) > 0).any()
+    assert end[2][0, 1] > 0.0
+    assert np.abs(end.sum(axis=(0, 1)) - 1.0).max() < 1e-12
     middle = partition_spatial(path_graph(5, 2))
-    assert not np.array_equal(middle.matrices, end.matrices)
+    assert not np.array_equal(middle, end)
     with pytest.raises(LayoutMismatchError):
         path_graph(5, 5)
     with pytest.raises(LayoutMismatchError):
@@ -216,7 +216,7 @@ def test_graph_validation_errors():
         SkeletonGraph(3, ((0, 1), (1, 2)), 3)
     with pytest.raises(LayoutMismatchError):
         SkeletonGraph(0, (), 0)
-    with pytest.raises(LayoutMismatchError):
+    with pytest.raises(ConfigurationError, match="layout: unknown skeleton layout"):
         build_graph("no_such_layout")
 
 

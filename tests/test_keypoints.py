@@ -13,6 +13,7 @@ from skelact import (
     COCO18,
     COCO18_JOINT_NAMES,
     COCO18_MODIFIED,
+    ConfigurationError,
     KeypointParseError,
     LAYOUT_JOINT_COUNT,
     LayoutMismatchError,
@@ -162,7 +163,7 @@ def test_parse_rejects_non_finite_values():
 
 
 def test_parse_rejects_unknown_layout():
-    with pytest.raises(LayoutMismatchError):
+    with pytest.raises(ConfigurationError, match="layout: unknown skeleton layout"):
         parse_keypoint_frame(frame_bytes([]), "coco18")
 
 

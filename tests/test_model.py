@@ -61,12 +61,16 @@ from helpers import (
 PLAN = ((4, 1), (8, 2))
 
 
+def small_graph():
+    return path_graph(5, center=0)
+
+
 def small_adjacency():
-    return partition_spatial(path_graph(5, center=0))
+    return partition_spatial(small_graph())
 
 
 def small_net(num_classes=3, seed=0, **kwargs):
-    return StgcnNetwork(small_adjacency(), num_classes,
+    return StgcnNetwork(small_graph(), num_classes,
                         ModelConfig(channel_plan=PLAN, seed=seed, **kwargs))
 
 
@@ -82,15 +86,15 @@ def test_spatial_graph_conv_matches_loop_oracle():
     x = rng.uniform(-1.0, 1.0, (3, 2, 4, 5))
     weight = rng.uniform(-1.0, 1.0, (3, 3, 6))
     mask = rng.uniform(0.5, 1.5, (3, 5, 5))
-    out = graph_conv(Tensor(x), adjacency.matrices, Tensor(weight), Tensor(mask))
-    expected = oracle_graph_conv(x, adjacency.matrices, weight, mask)
+    out = graph_conv(Tensor(x), adjacency, Tensor(weight), Tensor(mask))
+    expected = oracle_graph_conv(x, adjacency, weight, mask)
     assert out.data.shape == (6, 2, 4, 5)
     assert np.allclose(out.data, expected, atol=1e-10)
 
 
 def test_spatial_graph_conv_gradcheck():
     rng = np.random.default_rng(1)
-    adjacency = small_adjacency().matrices
+    adjacency = small_adjacency()
     x = Tensor(rng.uniform(-1.0, 1.0, (2, 1, 3, 5)), trainable=True)
     weight = Tensor(rng.uniform(-1.0, 1.0, (3, 2, 4)), trainable=True)
     mask = Tensor(rng.uniform(0.5, 1.5, (3, 5, 5)), trainable=True)
@@ -121,7 +125,7 @@ def test_stride_two_projection_matches_a_loop_oracle():
     block.bn2.gamma.data[...] = 0.0
     rng = np.random.default_rng(13)
     x = rng.uniform(-1.0, 1.0, (3, 2, 7, 5))
-    adjacency = small_adjacency().matrices
+    adjacency = small_adjacency()
     out = block.forward(Tensor(x), adjacency, training=False, rng=None)
 
     weight = block.res_weight.data
@@ -182,7 +186,7 @@ def test_folded_eval_block_matches_the_unfused_batch_norm_chain(
     block = perturbed_block(in_channels, stride, residual)
     assert block.residual == {True: "identity" if stride == 1 else "project",
                               False: "none"}[residual]
-    adjacency = small_adjacency().matrices
+    adjacency = small_adjacency()
     x = Tensor(np.random.default_rng(32).uniform(-1.0, 1.0, (in_channels, 2, 7, 5)))
     expected = oracle_block(block, x, adjacency, training=False).data
     out = block.forward(x, adjacency, training=False, rng=None)
@@ -197,7 +201,7 @@ def test_folded_eval_block_matches_the_unfused_batch_norm_chain(
 def test_eval_block_has_the_bits_of_the_folded_chain(in_channels, stride, residual,
                                                      frames):
     block = perturbed_block(in_channels, stride, residual)
-    adjacency = small_adjacency().matrices
+    adjacency = small_adjacency()
     x = Tensor(np.random.default_rng(33).uniform(-1.0, 1.0,
                                                  (in_channels, 2, frames, 5)))
     expected = oracle_block(block, x, adjacency, training=False).data
@@ -215,7 +219,7 @@ def test_frozen_block_trains_with_the_bits_of_its_eval_forward(
     block = perturbed_block(in_channels, stride, residual)
     for _, bn in block.batch_norms():
         bn.gamma.trainable = bn.beta.trainable = False
-    adjacency = small_adjacency().matrices
+    adjacency = small_adjacency()
     x = np.random.default_rng(33).uniform(-1.0, 1.0, (in_channels, 2, frames, 5))
     trained = block.forward(Tensor(x, trainable=True), adjacency, training=True,
                             rng=np.random.default_rng(34))
@@ -233,7 +237,7 @@ EVAL_TENSORS = {"identity": 2, "project": 2, "none": 2}
 def test_eval_block_builds_only_its_ops_outputs(kind, monkeypatch):
     in_channels, stride, residual = RESIDUAL_KINDS[kind]
     block = perturbed_block(in_channels, stride, residual)
-    adjacency = small_adjacency().matrices
+    adjacency = small_adjacency()
     x = Tensor(np.random.default_rng(33).uniform(-1.0, 1.0, (in_channels, 2, 7, 5)))
     constructed = []
     init = Tensor.__init__
@@ -261,7 +265,7 @@ TRAINING_CASES = {
 
 def training_run(block, forward, x_data):
     """Outputs, gradients and running statistics of one training step."""
-    adjacency = small_adjacency().matrices
+    adjacency = small_adjacency()
     x = Tensor(x_data, trainable=True)
     out = forward(block, x, adjacency, True, np.random.default_rng(34))
     out.backward(np.random.default_rng(35).uniform(-1.0, 1.0, out.data.shape))
@@ -305,7 +309,7 @@ def test_block_reads_no_uninitialized_memory(in_channels, stride, residual, fram
     # The zero borders around the frames are written explicitly; every
     # other element of an np.empty array must be written before it is read.
     x = np.random.default_rng(36).uniform(-1.0, 1.0, (in_channels, 2, frames, 5))
-    adjacency = small_adjacency().matrices
+    adjacency = small_adjacency()
     chain = training_run(perturbed_block(in_channels, stride, residual, rate),
                          oracle_block, x)
     expected = oracle_block(perturbed_block(in_channels, stride, residual),
@@ -335,7 +339,7 @@ def held_by_a_training_forward(stride, dropout=0.0):
     block = StgcnBlock(channels, channels * stride, 18, 3,
                        np.random.default_rng(37), stride=stride, dropout=dropout)
     assert block.residual == ("identity" if stride == 1 else "project")
-    adjacency = partition_spatial(build_graph(COCO18)).matrices
+    adjacency = partition_spatial(build_graph(COCO18))
     x = Tensor(np.random.default_rng(38).standard_normal((channels, 8, 30, 18)),
                trainable=True)
     rng = np.random.default_rng(39)
@@ -385,7 +389,7 @@ def test_training_block_keeps_no_bordered_buffer_after_its_forward(monkeypatch):
     monkeypatch.setattr(ad, "_bordered", watched)
     x = Tensor(np.random.default_rng(17).uniform(-1.0, 1.0, (4, 2, 6, 5)),
                trainable=True)
-    out = block.forward(x, small_adjacency().matrices, training=True, rng=None)
+    out = block.forward(x, small_adjacency(), training=True, rng=None)
     assert not out.is_leaf and shapes == [(8, 2, 6 + 8, 5)]
     assert built[0]() is None
     out.backward(np.ones(out.data.shape))
@@ -396,7 +400,7 @@ def test_training_forward_of_the_paper_plan_holds_what_backward_needs():
     # One warm training forward at the benchmark's train shape (N=4, T=30,
     # M=2, COCO18, 10-block plan), input batch norm, projections and
     # pooling included. It keeps 73.7 MiB.
-    net = StgcnNetwork(partition_spatial(build_graph(COCO18)), 10, ModelConfig(seed=0))
+    net = StgcnNetwork(build_graph(COCO18), 10, ModelConfig(seed=0))
     x = np.random.default_rng(40).uniform(-1.0, 1.0, (4, 3, 30, 18, 2))
     net.forward(x, training=True)
     tracemalloc.start()
@@ -416,7 +420,7 @@ def test_training_step_of_the_paper_plan_peaks_below_97_mib():
     # time over an array it already owns, so no full-size temporary lifts
     # the peak above what the forward holds plus a few layer-sized arrays:
     # 91.4 MiB.
-    net = StgcnNetwork(partition_spatial(build_graph(COCO18)), 10, ModelConfig(seed=0))
+    net = StgcnNetwork(build_graph(COCO18), 10, ModelConfig(seed=0))
     optimizer = SGD(net.parameters(), momentum=0.9)
     x = np.random.default_rng(40).uniform(-1.0, 1.0, (4, 3, 30, 18, 2))
 
@@ -454,7 +458,7 @@ def test_eval_forward_at_the_paper_shape_keeps_no_graph_and_little_memory():
     # One T=300 sample through the 10-block plan. Recording a graph kept
     # every block's aggregate, padded input and masks alive: a 273 MiB
     # peak. Without one, only a few layer-sized arrays are alive at once.
-    net = StgcnNetwork(partition_spatial(build_graph(COCO18)), 10, ModelConfig(seed=0))
+    net = StgcnNetwork(build_graph(COCO18), 10, ModelConfig(seed=0))
     x = np.random.default_rng(33).uniform(-1.0, 1.0, (1, 3, 300, 18, 1))
     net.forward(x)
     tracemalloc.start()
@@ -474,7 +478,7 @@ def test_block_forward_builds_two_nodes(in_channels, stride, monkeypatch):
     # projection, strided or not, runs inside node B's epilogue.
     block = small_block(in_channels, 8, stride)
     assert block.residual == ("identity" if in_channels == 8 else "project")
-    adjacency = small_adjacency().matrices
+    adjacency = small_adjacency()
     x = Tensor(np.random.default_rng(14).uniform(-1.0, 1.0, (in_channels, 2, 6, 5)))
     built = []
     init = Tensor.__init__
@@ -512,7 +516,7 @@ def test_fine_tune_training_forward_keeps_no_array_of_a_frozen_block(monkeypatch
     # Blocks 0 and 1 are frozen. Of every array built before block 2 runs,
     # only block 1's output, the input block 2 trains on, outlives the
     # forward.
-    net = StgcnNetwork(small_adjacency(), 3,
+    net = StgcnNetwork(small_graph(), 3,
                        ModelConfig(channel_plan=((4, 1), (4, 1), (8, 2))))
     set_trainable(net, "fine_tune")
     built, frozen, trained_input = [], [], []
@@ -550,7 +554,7 @@ def fine_tune_step(path, trainable_input=False):
         accumulated.append((tensor, grad.shape))
         accumulate(tensor, grad)
 
-    net = StgcnNetwork(small_adjacency(), 3,
+    net = StgcnNetwork(small_graph(), 3,
                        ModelConfig(channel_plan=((4, 1), (4, 1), (8, 2))))
     set_trainable(net, "fine_tune")
     last, inputs = net.blocks[-1], []
@@ -627,7 +631,7 @@ def test_parameter_names_for_a_two_block_net():
 
 
 def test_residual_kinds_follow_channels_and_stride():
-    net = StgcnNetwork(small_adjacency(), 2,
+    net = StgcnNetwork(small_graph(), 2,
                        ModelConfig(channel_plan=((8, 1), (8, 1), (16, 2))))
     assert net.blocks[0].residual == "none"
     assert net.blocks[1].residual == "identity"
@@ -635,17 +639,17 @@ def test_residual_kinds_follow_channels_and_stride():
 
 
 def test_constructor_validation():
-    adjacency = small_adjacency()
+    graph = small_graph()
     with pytest.raises(ConfigurationError):
-        StgcnNetwork(adjacency, 1, ModelConfig(channel_plan=PLAN))
+        StgcnNetwork(graph, 1, ModelConfig(channel_plan=PLAN))
     with pytest.raises(ConfigurationError):
-        StgcnNetwork(adjacency, 3, ModelConfig(channel_plan=()))
+        StgcnNetwork(graph, 3, ModelConfig(channel_plan=()))
     with pytest.raises(ConfigurationError):
-        StgcnNetwork(adjacency, 3, ModelConfig(channel_plan=((4, 0),)))
+        StgcnNetwork(graph, 3, ModelConfig(channel_plan=((4, 0),)))
     with pytest.raises(ConfigurationError):
-        StgcnNetwork(adjacency, 3, ModelConfig(channel_plan=PLAN, person_pool="max"))
+        StgcnNetwork(graph, 3, ModelConfig(channel_plan=PLAN, person_pool="max"))
     with pytest.raises(ConfigurationError):
-        StgcnNetwork(adjacency, 3, ModelConfig(channel_plan=PLAN, dropout=1.0))
+        StgcnNetwork(graph, 3, ModelConfig(channel_plan=PLAN, dropout=1.0))
 
 
 def test_seeded_init_is_deterministic():
@@ -940,17 +944,16 @@ def test_strict_head_controls_class_count_mismatches(tmp_path):
 
 
 def test_structure_mismatch_is_rejected(tmp_path):
-    shallow = StgcnNetwork(small_adjacency(), 3, ModelConfig(channel_plan=((4, 1),)))
+    shallow = StgcnNetwork(small_graph(), 3, ModelConfig(channel_plan=((4, 1),)))
     path = tmp_path / "shallow.ckpt"
     save_weights(shallow, path)
     with pytest.raises(CheckpointError):
         load_weights(small_net(), path)
 
 
-def star_adjacency():
-    """Five joints, like ``small_adjacency``, under another layout name."""
-    return partition_spatial(SkeletonGraph(5, ((0, 1), (0, 2), (0, 3), (0, 4)), 0,
-                                           "star"))
+def star_graph():
+    """Five joints, like ``small_graph``, under another layout name."""
+    return SkeletonGraph(5, ((0, 1), (0, 2), (0, 3), (0, 4)), 0, "star")
 
 
 # Saved and loaded networks whose arrays all have equal shapes, so only the
@@ -959,7 +962,7 @@ META_MISMATCHES = {
     "stride": (dict(channel_plan=((8, 1), (16, 2))),
                dict(channel_plan=((8, 1), (16, 1))), "channel_plan"),
     "pool": (dict(person_pool="sum"), dict(person_pool="mean"), "person_pool"),
-    "layout": (dict(adjacency=star_adjacency()), dict(), "layout"),
+    "layout": (dict(graph=star_graph()), dict(), "layout"),
 }
 
 
@@ -968,8 +971,8 @@ META_MISMATCHES = {
 def test_load_weights_rejects_a_checkpoint_of_another_structure(saved, loaded, key,
                                                                 tmp_path):
     def build(options):
-        options = {"adjacency": small_adjacency(), "channel_plan": PLAN, **options}
-        return StgcnNetwork(options.pop("adjacency"), 3, ModelConfig(seed=2, **options))
+        options = {"graph": small_graph(), "channel_plan": PLAN, **options}
+        return StgcnNetwork(options.pop("graph"), 3, ModelConfig(seed=2, **options))
 
     source, target = build(saved), build(loaded)
     assert {n: a.shape for n, a in source.state_arrays().items()} == \
@@ -1163,6 +1166,19 @@ def test_model_config_builds_a_working_network():
     assert net.num_classes == 3
     out = net.forward(np.zeros((1, 3, 4, 18, 1)))
     assert out.data.shape == (1, 3)
+
+
+def test_the_network_partitions_the_graph_it_is_given(tmp_path):
+    config = ModelConfig(channel_plan=PLAN, seed=3)
+    net = StgcnNetwork(path_graph(5), 3, config)
+    assert isinstance(net.adjacency, np.ndarray)
+    assert np.array_equal(net.adjacency, partition_spatial(path_graph(5)))
+    assert net.meta()["layout"] == "path"
+    # A network built from the named layout's graph is the one the config builds.
+    direct, built = tmp_path / "direct.ckpt", tmp_path / "built.ckpt"
+    save_weights(StgcnNetwork(build_graph(COCO18), 4, config), direct)
+    save_weights(config.build(4), built)
+    assert direct.read_bytes() == built.read_bytes()
 
 
 def test_meta_reports_the_structure():

@@ -102,7 +102,7 @@ def test_load_sequence_error_cases(tmp_path):
     directory = write_frames(tmp_path / "clip", coded_frames(2, 18))
     with pytest.raises(ConfigurationError):
         load_sequence(directory, COCO18, person_slots=0)
-    with pytest.raises(LayoutMismatchError):
+    with pytest.raises(ConfigurationError, match="layout: unknown skeleton layout"):
         load_sequence(directory, "bones")
     with pytest.raises(LayoutMismatchError):
         load_sequence(directory, BODY25)

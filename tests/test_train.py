@@ -17,17 +17,19 @@ from skelact import (
     cross_entropy,
     evaluate,
     lr_schedule,
-    partition_spatial,
+    pad_sequence,
     random_frame_window,
     run_training,
     save_weights,
+    select_persons,
     set_trainable,
     subsample_frames,
     to_model_input,
     top_k_accuracy,
     train_loop,
 )
-from skelact.autodiff import Tensor
+from skelact.autodiff import Tensor, dropout, temporal_conv
+from skelact.keypoints import layout_joint_count
 from skelact.model import StgcnNetwork
 from skelact.train import SGD, EpochRecord, TrainHistory, load_sequence
 from helpers import (
@@ -42,8 +44,8 @@ from helpers import (
 
 
 def tiny_net(num_classes=3, seed=0, plan=((8, 1), (8, 1))):
-    return StgcnNetwork(partition_spatial(path_graph(5, center=0)),
-                        num_classes, ModelConfig(channel_plan=plan, seed=seed))
+    return StgcnNetwork(path_graph(5, center=0), num_classes,
+                        ModelConfig(channel_plan=plan, seed=seed))
 
 
 def tiny_datasets(per_class=4, frames=12, seed=3):
@@ -203,6 +205,13 @@ def test_functions_handed_a_bare_value_check_it_as_the_config_does():
         (lambda: random_frame_window(seq, 2, rng, pad_position="left"),
          lambda: AugmentConfig(window_pad_position="left")),
         (lambda: subsample_frames(seq, 1.5, rng), lambda: AugmentConfig(drop_rate=1.5)),
+        (lambda: select_persons([seq.data[0]], 0), lambda: ModelConfig(person_slots=0)),
+        (lambda: pad_sequence(seq, 0), lambda: ModelConfig(target_frames=0)),
+        (lambda: temporal_conv(Tensor(np.zeros((2, 1, 4, 5))), Tensor(np.zeros((2, 3))),
+                               dropout=1.0),
+         lambda: ModelConfig(dropout=1.0)),
+        (lambda: dropout(Tensor(np.zeros(3)), 1.0, rng), lambda: ModelConfig(dropout=1.0)),
+        (lambda: layout_joint_count("FOO"), lambda: ModelConfig(layout="FOO")),
     ]
     for direct, configured in cases:
         with pytest.raises(ConfigurationError) as bare:
