@@ -74,11 +74,13 @@ from .model import (
 )
 from .train import (
     SGD,
+    RunConfig,
     SequenceDataset,
     TrainConfig,
     TrainHistory,
     cross_entropy,
     evaluate,
+    load_run_config,
     lr_schedule,
     run_training,
     train_loop,
@@ -92,6 +94,5 @@ from .metrics import (
     spearman,
     top_k_accuracy,
 )
-from .cli import RunConfig, load_run_config
 
 __version__ = "0.1.0"

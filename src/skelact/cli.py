@@ -14,13 +14,13 @@ import ctypes
 import json
 import os
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .atomic import open_atomic
-from .config import read_document, read_text, resolve_relative
+from .autodiff import no_grad
+from .config import read_text
 from .errors import (
     CheckpointError,
     ConfigurationError,
@@ -44,8 +44,8 @@ from .metrics import (
     spearman,
     top_k_accuracy,
 )
-from .model import ModelConfig, load_weights, save_weights
-from .train import SequenceDataset, TrainConfig, evaluate, run_training
+from .model import load_weights, save_weights
+from .train import SequenceDataset, evaluate, load_run_config, run_training
 
 _VALIDATION_ERRORS = (
     ConfigurationError,
@@ -53,39 +53,6 @@ _VALIDATION_ERRORS = (
     CheckpointError,
     CoverageError,
 )
-
-
-@dataclass
-class RunConfig:
-    """A run configuration file: the manifest path plus the ``model`` and
-    ``train`` objects, whose keys are ModelConfig's and TrainConfig's fields.
-
-    Each of those checks its own fields; this checks the one setting that
-    spans both, as a window cut longer than the loaded sequences would
-    fail only at the first training batch.
-    """
-
-    manifest: str
-    model: ModelConfig = field(default_factory=ModelConfig)
-    train: TrainConfig = field(default_factory=TrainConfig)
-
-    def __post_init__(self):
-        augmentation = self.train.augmentation
-        if augmentation.window and augmentation.window_size > self.model.target_frames:
-            raise ConfigurationError(
-                f"train.augmentation.window_size: must not exceed model.target_frames "
-                f"({self.model.target_frames}), got {augmentation.window_size}"
-            )
-
-
-def load_run_config(path: str | Path) -> RunConfig:
-    """Parse and validate a run config; its paths resolve from its directory."""
-    config = read_document(RunConfig, path, "config")
-    base = Path(path).parent
-    config.manifest = resolve_relative(base, config.manifest)
-    config.train.source_checkpoint = resolve_relative(
-        base, config.train.source_checkpoint)
-    return config
 
 
 def _fail(message: str, code: int) -> int:
@@ -142,7 +109,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
     config = load_run_config(args.config)
     manifest = DatasetManifest.load(config.manifest)
     split = load_split(args.split)
-    net = config.model.build(len(split.class_names))
+    # Evaluation never runs backward, so no parameter needs a gradient buffer.
+    with no_grad():
+        net = config.model.build(len(split.class_names))
     load_weights(net, args.checkpoint)
 
     dataset = SequenceDataset.from_manifest(

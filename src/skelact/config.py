@@ -22,10 +22,10 @@ from pathlib import Path
 from .errors import ConfigurationError
 
 
-def check_count(name: str, value) -> None:
-    """Reject setting ``name`` below 1."""
+def check_count(name: str, value, error=ConfigurationError) -> None:
+    """Reject setting ``name`` below 1 with ``error``, a ConfigurationError."""
     if value < 1:
-        raise ConfigurationError(f"{name}: must be at least 1")
+        raise error(f"{name}: must be at least 1")
 
 
 def check_fraction(name: str, value) -> None:

@@ -409,13 +409,10 @@ def save_weights(net: StgcnNetwork, path: str | Path) -> None:
     """
     arrays = net.state_arrays()
     entries = []
-    buffers = []
     offset = 0
     for name, array in arrays.items():
-        buffer = np.ascontiguousarray(array, dtype=np.float64).tobytes()
         entries.append({"name": name, "shape": list(array.shape), "offset": offset})
-        buffers.append(buffer)
-        offset += len(buffer)
+        offset += 8 * array.size
     header = {
         "format": CHECKPOINT_FORMAT,
         "meta": net.meta(),
@@ -426,8 +423,8 @@ def save_weights(net: StgcnNetwork, path: str | Path) -> None:
         handle.write(CHECKPOINT_MAGIC)
         handle.write(struct.pack("<Q", len(blob)))
         handle.write(blob)
-        for buffer in buffers:
-            handle.write(buffer)
+        for array in arrays.values():
+            handle.write(np.ascontiguousarray(array, dtype=np.float64))
 
 
 def _entry_layout(path, index: int, entry, offset: int) -> tuple[str, tuple[int, ...]]:
@@ -452,8 +449,11 @@ def read_checkpoint(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
 
     The header's array entries must tile the payload as ``save_weights``
     writes it: unique names, each array starting where the one before
-    ends, the first at 0 and the last ending with the file. A format-1
-    file's conv biases come back folded (``FORMAT_1_BIASES``).
+    ends, the first at 0 and the last ending with the file. Each array is a
+    read-only view into the bytes read, so ``load_weights`` copies each
+    weight once, into the network; any one array kept keeps the whole
+    file's bytes alive. A format-1 file's conv biases come back folded
+    (``FORMAT_1_BIASES``) into new, writable running means.
     """
     try:
         raw = Path(path).read_bytes()
@@ -495,7 +495,7 @@ def read_checkpoint(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
             raise CheckpointError(f"{path} is truncated within array {name!r}")
         arrays[name] = np.frombuffer(
             raw, dtype=np.float64, count=count, offset=payload_start + end
-        ).reshape(shape).copy()
+        ).reshape(shape)
         end += 8 * count
     if end != payload_size:
         raise CheckpointError(

@@ -171,10 +171,9 @@ def random_frame_window(
     """
     total = seq.frame_count
     _check_pad_position(pad_position)
-    if not 1 <= window <= total:
-        raise WindowError(
-            f"window: need 1 <= window <= {total} frames, got {window}"
-        )
+    check_count("window_size", window, WindowError)
+    if window > total:
+        raise WindowError(f"window_size: must not exceed {total} frames, got {window}")
     start = int(rng.integers(0, total - window + 1))
     data = np.zeros_like(seq.data)
     offset = 0 if pad_position == "tail" else total - window
@@ -286,8 +285,7 @@ class AugmentConfig:
     drop_rate: float = 0.0
 
     def __post_init__(self):
-        if self.window_size < 1:
-            raise ConfigurationError("window_size: must be positive")
+        check_count("window_size", self.window_size)
         _check_pad_position(self.window_pad_position)
         check_fraction("drop_rate", self.drop_rate)
 

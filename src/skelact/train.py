@@ -1,4 +1,5 @@
-"""Training loop, optimizer, loss, and the dataset container they share.
+"""Training loop, optimizer, loss, the dataset container they share, and
+the run config that pairs a ModelConfig with a TrainConfig.
 
 Determinism contract: given the same manifest, split, configuration and
 seed, a run touches the same bytes in the same order. Shuffling draws from
@@ -10,10 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
-from .config import check_count, check_fraction
+from .config import check_count, check_fraction, read_document, resolve_relative
 from .errors import ConfigurationError, NonFiniteError
 from .manifest import DatasetManifest, ProtocolSplit
 from .metrics import check_logits, top_k_accuracy
@@ -70,6 +72,39 @@ class TrainConfig:
         _check_optimizer_options(self.momentum, self.weight_decay)
         if self.mode != "vanilla" and not self.source_checkpoint:
             raise ConfigurationError(f"source_checkpoint: required for mode {self.mode!r}")
+
+
+@dataclass
+class RunConfig:
+    """A run configuration file: the manifest path plus the ``model`` and
+    ``train`` objects, whose keys are ModelConfig's and TrainConfig's fields.
+
+    Each of those checks its own fields; this checks the one setting that
+    spans both, as a window cut longer than the loaded sequences would
+    fail only at the first training batch.
+    """
+
+    manifest: str
+    model: ModelConfig = field(default_factory=ModelConfig)
+    train: TrainConfig = field(default_factory=TrainConfig)
+
+    def __post_init__(self):
+        augmentation = self.train.augmentation
+        if augmentation.window and augmentation.window_size > self.model.target_frames:
+            raise ConfigurationError(
+                f"train.augmentation.window_size: must not exceed model.target_frames "
+                f"({self.model.target_frames}), got {augmentation.window_size}"
+            )
+
+
+def load_run_config(path: str | Path) -> RunConfig:
+    """Parse and validate a run config; its paths resolve from its directory."""
+    config = read_document(RunConfig, path, "config")
+    base = Path(path).parent
+    config.manifest = resolve_relative(base, config.manifest)
+    config.train.source_checkpoint = resolve_relative(
+        base, config.train.source_checkpoint)
+    return config
 
 
 def lr_schedule(

@@ -216,6 +216,19 @@ def test_reruns_are_byte_identical_at_one_blas_thread_count(workspace, tmp_path)
     assert abs(float(second[0][2]) - float(first[0][2])) <= 1e-12 * float(first[0][2])
 
 
+def test_the_cli_module_runs_without_a_warning():
+    # The package root must not import skelact.cli, or runpy warns that the
+    # module it is about to run is already in sys.modules.
+    src = str(Path(skelact.cli.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-m", "skelact.cli", "--help"],
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0
+    assert done.stderr == ""
+    assert "usage: skelact" in done.stdout
+
+
 def test_train_missing_split_exits_2(workspace, capsys):
     assert main(["train", "--config", str(workspace / "run.json"),
                  "--split", str(workspace / "no_split"),
@@ -482,6 +495,27 @@ def test_eval_reads_the_checkpoint_once(workspace, tmp_path, monkeypatch):
                  "--split", str(workspace / "split"),
                  "--out", str(tmp_path / "eval")]) == 0
     assert len(calls) == 1
+    assert (tmp_path / "eval" / "predictions.csv").read_bytes() == \
+        (workspace / "eval1" / "predictions.csv").read_bytes()
+
+
+def test_eval_builds_a_network_with_no_gradient_buffers(workspace, tmp_path,
+                                                        monkeypatch):
+    networks = []
+    load = skelact.cli.load_weights
+
+    def spying(net, path):
+        networks.append(net)
+        return load(net, path)
+
+    monkeypatch.setattr(skelact.cli, "load_weights", spying)
+    assert main(["eval", "--config", str(workspace / "run.json"),
+                 "--checkpoint", str(workspace / "run1" / "checkpoint.ckpt"),
+                 "--split", str(workspace / "split"),
+                 "--out", str(tmp_path / "eval")]) == 0
+    (net,) = networks
+    assert [name for name, tensor in net.named_parameters().items()
+            if tensor.grad is not None] == []
     assert (tmp_path / "eval" / "predictions.csv").read_bytes() == \
         (workspace / "eval1" / "predictions.csv").read_bytes()
 

@@ -864,6 +864,39 @@ def test_read_checkpoint_round_trips_every_array(tmp_path):
     assert meta["vertex_count"] == 5
 
 
+def test_read_checkpoint_arrays_are_read_only_and_loading_copies_them(tmp_path):
+    path = tmp_path / "net.ckpt"
+    save_weights(small_net(seed=11), path)
+    _, arrays = read_checkpoint(path)
+    net = small_net(seed=12)
+    load_weights(net, path)
+    state = net.state_arrays()
+    for name, array in arrays.items():
+        assert not array.flags.writeable, name
+        assert state[name].flags.writeable, name
+        assert not np.shares_memory(state[name], array), name
+        assert np.array_equal(state[name], array), name
+
+
+def test_loading_a_paper_plan_checkpoint_peaks_near_its_file_size(tmp_path):
+    # The benchmark's eval network: 4 classes, the 10-block plan. Loading
+    # holds the file's bytes once and writes each weight from them into the
+    # network: 1.02x the file. A copy of each array as it was read made it
+    # 2.01x.
+    path = tmp_path / "paper.ckpt"
+    save_weights(ModelConfig(seed=0).build(4), path)
+    net = ModelConfig(seed=1).build(4)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        load_weights(net, path)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * path.stat().st_size
+    assert np.array_equal(net.fc_weight.data, read_checkpoint(path)[1]["fc.weight"])
+
+
 # SHA-256 of ``small_net(seed=7)``'s checkpoint, recorded while each
 # partition's weight and mask were tensors of their own: the stacked
 # (K, ...) parameters draw the same values in the same order and save them

@@ -204,6 +204,7 @@ def test_functions_handed_a_bare_value_check_it_as_the_config_does():
         (lambda: set_trainable(net, "transfer"), lambda: TrainConfig(mode="transfer")),
         (lambda: random_frame_window(seq, 2, rng, pad_position="left"),
          lambda: AugmentConfig(window_pad_position="left")),
+        (lambda: random_frame_window(seq, 0, rng), lambda: AugmentConfig(window_size=0)),
         (lambda: subsample_frames(seq, 1.5, rng), lambda: AugmentConfig(drop_rate=1.5)),
         (lambda: select_persons([seq.data[0]], 0), lambda: ModelConfig(person_slots=0)),
         (lambda: pad_sequence(seq, 0), lambda: ModelConfig(target_frames=0)),
