@@ -11,8 +11,8 @@ gradient through it reaches a trainable tensor: frozen layers record
 nothing. Only the operations the network actually needs exist here, each
 with an exact analytic gradient; there is no graph optimization, no dtype
 besides float64, and no in-place arithmetic on tracked values but one:
-``temporal_conv``'s prologue normalizes its input over the input's own
-array.
+on batch statistics, ``temporal_conv``'s prologue centers its input over
+the input's own array.
 
 An ST-GCN block is two nodes. ``graph_conv`` returns its raw channel mix.
 ``temporal_conv`` runs bn1 and a ReLU on that mix as its prologue, into a
@@ -22,8 +22,8 @@ computed there too. The prologue may write over its input because
 ``graph_conv``'s backward never reads its output. Between forward and
 backward a block holds only what a backward reads: that output, bn2's
 and a projection's centered inputs, the dropout mask and the node's
-output. Each batch norm's backward runs a few channels at a time
-(``_chunks``), so its only full-size array is dx.
+output. Each batch norm runs a few whole channels at a time
+(``_chunks``), forward and backward; its backward makes only dx full-size.
 
 Leaf gradients accumulate into ``Tensor.grad`` buffers. Leaf tensors
 marked non-trainable (inputs, frozen weights) keep their gradient buffer
@@ -291,22 +291,22 @@ def temporal_subsample(x: Tensor, stride: int) -> Tensor:
     return Tensor(out_data, parents=(x,), backward_fn=backward_fn)
 
 
-_BN_AXES = (1, 2, 3)
 # Bytes of the scratch buffer ``_chunks`` hands out with each run of channels.
 _PRODUCT_BYTES = 1 << 18
 
 
-def _chunks(a: np.ndarray):
+def _chunks(a: np.ndarray, scratch: bool = True):
     """(slice, buffer) for each run of whole channels of a (C, ...) array
     that fits in ``_PRODUCT_BYTES`` (one channel if a channel is larger),
-    with a contiguous scratch buffer of the run's shape. An elementwise
-    chain over a run stays in cache and gives each element the bits of
-    whole-array code; a channel's sum is numpy's sum of one contiguous row."""
+    with a contiguous scratch buffer of the run's shape if ``scratch``, else
+    None. An elementwise chain over a run stays in cache and gives each
+    element the bits of whole-array code; a channel's sum is numpy's sum of
+    one contiguous row."""
     step = max(1, _PRODUCT_BYTES // a[0].nbytes)
-    buffer = np.empty((min(step, len(a)),) + a.shape[1:])
+    buffer = np.empty((min(step, len(a)),) + a.shape[1:]) if scratch else None
     for start in range(0, len(a), step):
         stop = min(start + step, len(a))
-        yield slice(start, stop), buffer[:stop - start]
+        yield slice(start, stop), None if buffer is None else buffer[:stop - start]
 
 
 def _row_sum(a: np.ndarray, out: np.ndarray) -> None:
@@ -341,8 +341,8 @@ class Norm(NamedTuple):
     With ``running`` None it normalizes with the batch's own mean and
     biased variance and hands them, (C,) each, to ``track``. A
     ``(mean, var)`` pair of (C,) arrays, the running statistics, makes it
-    the constant map ``x * a + b``: it runs over its input in place and
-    takes no gradient, so a backward through it raises ``StateError``.
+    the constant map ``x * a + b``: it reads its input without writing to
+    it and takes no gradient, so a backward through it raises ``StateError``.
     """
 
     gamma: Tensor
@@ -372,18 +372,18 @@ class _Epilogue:
     """The elementwise tail of a node: batch norm, dropout, residual add
     and ReLU, in that order, each optional.
 
-    ``apply`` runs it on a fresh (C, B, T, V) array; ``backward`` takes
-    the gradient of the result back to that array, accumulating the batch
-    norm and shortcut gradients on the way. The shortcut is a tensor or a
-    ``Projection``, which the tail computes for the add and drops. Only
-    what the backward reads is kept: a batch-statistics norm's centered
-    input, the dropout mask, and the same for a projection's batch norm.
-    A norm on running statistics writes over its input and keeps nothing,
-    since no gradient goes through it. ReLU keeps no mask: the backward
-    reads where the rectified result is > 0, which is where its input was,
-    NaN and both zeros giving False either way. The result is the node's
-    output, so it stays alive, and nothing writes into it once the node
-    has returned.
+    ``fit`` finds each batch norm's map ``x * a + b``; ``apply`` then runs
+    the whole tail on a fresh (C, B, T, V) array in one pass per run of
+    whole channels. ``backward`` takes the gradient of the result back to
+    that array, accumulating the batch norm and shortcut gradients on the
+    way. The shortcut is a tensor or a ``Projection``, which the tail
+    computes for the add and drops. Only what the backward reads is kept:
+    a batch-statistics norm's centered input, the dropout mask, and the
+    same for a projection's batch norm. A norm on running statistics keeps
+    nothing, since no gradient goes through it. ReLU keeps no mask: the
+    backward reads where the rectified result is > 0, which is where its
+    input was, NaN and both zeros giving False either way. The result is
+    the node's output, so nothing writes into it once the node returns.
 
     ``fit``, ``rectify``, ``affine`` and ``normalize_backward`` are the
     batch norm and a ReLU alone, for a prologue.
@@ -396,76 +396,74 @@ class _Epilogue:
         self.centered = self.keep = self.rectified = None
 
     def apply(self, out: np.ndarray) -> np.ndarray:
-        """Run the tail on ``out``, the caller's fresh array, and return the result.
-
-        The result goes over ``out`` when no backward reads ``out``, and to
-        a new array when one does.
-        """
-        result = out if self.norm is None else self.normalize(out)
+        """Run the tail on ``out``, the caller's fresh array, and return the
+        result: ``out`` itself when no backward reads ``out`` (no norm, or
+        running statistics), else a new array."""
+        if self.norm is not None:
+            self.fit(out)
+        result = out if self.centered is None else np.empty(out.shape)
         if self.dropout:
-            self.keep, self.scale = _dropout_mask(result.shape, self.dropout, self.rng)
-            result *= self.keep
-            result *= self.scale
+            self.keep, self.scale = _dropout_mask(out.shape, self.dropout, self.rng)
         branch = self.shortcut
-        if isinstance(branch, Projection):
+        projected = isinstance(branch, Projection)
+        if projected:
             self.branch = _Epilogue(branch.norm)
             columns = np.ascontiguousarray(branch.x.data[:, :, ::branch.stride])
             mixed = branch.weight.data.T @ columns.reshape(len(columns), -1)
+            mixed = mixed.reshape(out.shape)
             del columns
-            result += self.branch.apply(mixed.reshape(-1, *result.shape[1:]))
-        elif branch is not None:
-            result += branch.data
-        if self.relu:
-            self.rectified = np.maximum(result, 0.0, out=result)
-        return result
-
-    def normalize(self, out: np.ndarray) -> np.ndarray:
-        """Batch-normalize ``out`` and return the result: ``out`` itself
-        on running statistics (see ``fit``), else a new array."""
-        self.fit(out)
-        if self.centered is None:
-            return out
-        result = np.multiply(out, self.a)
-        result += self.b
+            self.branch.fit(mixed)
+        # A projection maps in place unless the backward reads its input.
+        for part, buffer in _chunks(out, projected and self.branch.centered is not None):
+            run = result[part]
+            if self.norm is not None:
+                self.affine(out, part, run)
+            if self.keep is not None:
+                run *= self.keep[part]
+                run *= self.scale
+            if projected:
+                dest = mixed[part] if buffer is None else buffer
+                run += self.branch.affine(mixed, part, dest)
+            elif branch is not None:
+                run += branch.data[part]
+            if self.relu:
+                np.maximum(run, 0.0, out=run)
+        self.rectified = result if self.relu else None
         return result
 
     def fit(self, out: np.ndarray) -> None:
         """Find the batch norm's map ``x * a + b`` for ``out``.
 
-        With batch statistics ``out`` is centered in place and kept as
-        ``centered``, and the map reads it from there. On running
-        statistics the map runs over ``out`` in place.
+        With batch statistics each run of channels takes its row sums and
+        is centered in place, then its squares are summed in a scratch run;
+        ``out`` is kept as ``centered``, which the map reads. On running
+        statistics ``fit`` writes nothing.
         """
         norm = self.norm
         gamma, shift = _per_channel(norm.gamma.data), _per_channel(norm.beta.data)
-        if norm.running is None:
-            mu = out.mean(axis=_BN_AXES, keepdims=True)
-            centered = np.subtract(out, mu, out=out)
-            var = np.empty(len(out))
-            for part, buffer in _chunks(out):
-                _row_sum(np.square(centered[part], out=buffer), var[part])
-            var /= centered[0].size
-            self.inv_std = 1.0 / _per_channel(np.sqrt(var + norm.eps))
-            self.a, self.b = gamma * self.inv_std, shift
-            self.centered = centered
-            if norm.track is not None:
-                norm.track(mu.reshape(-1), var)
+        if norm.running is not None:
+            mean, var = (np.asarray(s, dtype=np.float64) for s in norm.running)
+            self.a = gamma * _per_channel(1.0 / np.sqrt(var + norm.eps))
+            self.b = shift - _per_channel(mean) * self.a
             return
-        mean, var = (np.asarray(s, dtype=np.float64) for s in norm.running)
-        self.a = gamma * _per_channel(1.0 / np.sqrt(var + norm.eps))
-        self.b = shift - _per_channel(mean) * self.a
-        out *= self.a
-        out += self.b
+        mu, var = np.empty(len(out)), np.empty(len(out))
+        for part, buffer in _chunks(out):
+            _row_sum(out[part], mu[part])
+            mu[part] /= out[0].size
+            out[part] -= _per_channel(mu[part])
+            _row_sum(np.square(out[part], out=buffer), var[part])
+        var /= out[0].size
+        self.inv_std = 1.0 / _per_channel(np.sqrt(var + norm.eps))
+        self.a, self.b, self.centered = gamma * self.inv_std, shift, out
+        if norm.track is not None:
+            norm.track(mu, var)
 
-    def affine(self, out: np.ndarray, part: slice, buffer: np.ndarray) -> np.ndarray:
-        """The batch norm's result on channels ``part``, from what ``fit``
-        left in ``out``: ``out[part]`` on running statistics, else
-        ``out[part] * a + b`` written to ``buffer``."""
-        if self.centered is None:
-            return out[part]
-        result = np.multiply(out[part], self.a[part], out=buffer)
-        result += self.b[part]
-        return result
+    def affine(self, out: np.ndarray, part: slice, dest: np.ndarray) -> np.ndarray:
+        """Write the map ``fit`` found, on channels ``part`` of ``out``, to
+        ``dest``, which may be ``out[part]`` itself, and return ``dest``."""
+        np.multiply(out[part], self.a[part], out=dest)
+        dest += self.b[part]
+        return dest
 
     def rectify(self, out: np.ndarray, dest: np.ndarray) -> None:
         """Write the ReLU of the batch norm's result to ``dest``, which may
@@ -597,12 +595,11 @@ def temporal_conv(
     preserved and with stride s it becomes ceil(T / s).
 
     With ``prologue``, batch norm ``prologue`` and a ReLU run on the input
-    before the convolution. The batch norm runs over the input's own
-    array: the batch mean is subtracted in place, and a norm on running
-    statistics runs its map ``x * a + b`` in place. So the input's data
-    must be an array no one reads afterwards, as ``graph_conv``'s output
-    is: that op's backward never reads it, and under ``no_grad`` nothing
-    does.
+    before the convolution. On batch statistics the batch mean is
+    subtracted over the input's own array, so the input's data must be an
+    array no one reads afterwards, as ``graph_conv``'s output is: that
+    op's backward never reads it. A norm on running statistics writes
+    nothing to the input.
 
     The padded input, rectified if there is a prologue, goes to a
     zero-bordered buffer the node owns and drops once it has convolved;

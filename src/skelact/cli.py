@@ -124,6 +124,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
     )
     class_count = len(split.class_names)
     top5 = top_k_accuracy(logits, dataset.labels, min(5, class_count))
+    matrix = confusion_matrix(predictions, dataset.labels, class_count)
+    table = classwise_table(
+        dataset.labels, predictions, confidences, split.class_names
+    )
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -138,15 +142,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
     ])
     _write_csv(out / "metrics.csv",
                [["metric", "value"], ["top1", repr(top1)], ["top5", repr(top5)]])
-    matrix = confusion_matrix(predictions, dataset.labels, class_count)
     _write_csv(out / "confusion.csv", [
         ["class"] + list(split.class_names),
         *([name] + [int(v) for v in matrix[index]]
           for index, name in enumerate(split.class_names)),
     ])
-    table = classwise_table(
-        dataset.labels, predictions, confidences, split.class_names
-    )
     _write_csv(out / "classwise.csv", [
         ["class_index", "class_name", "support", "accuracy"]
         + _float_columns("confidence_", confidences.shape[1])

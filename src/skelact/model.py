@@ -14,10 +14,10 @@ mask: one (K, C, D) weight and one (K, V, V) mask per block), batch
 normalization, ReLU, a depthwise temporal convolution, batch
 normalization, and a residual connection. It runs as two autodiff nodes:
 the graph convolution, and the temporal convolution with the first batch
-norm and ReLU as its prologue and the rest as its epilogue. The prologue
-normalizes the graph convolution's output in place, which that node's
-backward never reads. Channels widen and frames thin out along the stack;
-global average pooling and a linear head produce the class scores.
+norm and ReLU as its prologue and the rest as its epilogue. A prologue
+on batch statistics centers the graph convolution's output in place,
+which that node's backward never reads. Channels widen and frames thin
+out along the stack; average pooling and a linear head give the scores.
 """
 from __future__ import annotations
 
@@ -175,8 +175,8 @@ class StgcnBlock:
 
         Node A is the graph convolution; it returns the raw channel mix.
         Node B, the temporal convolution, runs bn1 and ReLU on that mix as
-        its prologue, normalizing over A's output array in place, which is
-        safe because A's backward never reads its output. B writes the
+        its prologue, centering A's output array in place on batch
+        statistics, safe as A's backward never reads its output. B writes the
         rectified result into a zero-bordered buffer that it convolves and
         drops; its backward builds the buffer again. B's epilogue is bn2,
         dropout, the residual add and ReLU; a projection shortcut
@@ -184,8 +184,8 @@ class StgcnBlock:
         res_bn's backward operand outlives the forward. Evaluation makes
         the same calls on the same weights, with no dropout and every
         batch norm on its running statistics, as a frozen layer in
-        training; it records no graph, so each norm writes over its input
-        in place.
+        training; it records no graph, and each norm's map goes over the
+        node's own output.
         """
         with nullcontext() if training else ad.no_grad():
             h = ad.graph_conv(x, adjacency, self.gcn_weight, self.edge_mask)

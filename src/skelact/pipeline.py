@@ -85,15 +85,17 @@ def track(seq: SkeletonSequence) -> SkeletonSequence:
     consistent sequence passes through unchanged. Frames with no visible
     joints are skipped as references. Cost is exact and exhaustive,
     factorial in the number of slots, which is fine for the usual one or
-    two.
+    two. A one-slot sequence has nothing to match and comes back as a copy.
     """
     data = seq.data.copy()
     slots = seq.person_slots
+    if slots == 1:
+        return seq.replace_data(data)
     reference: np.ndarray | None = None
     permutations = list(itertools.permutations(range(slots)))
     for t in range(seq.frame_count):
         frame = data[t]
-        if reference is not None and slots > 1:
+        if reference is not None:
             best = None
             best_cost = np.inf
             for perm in permutations:

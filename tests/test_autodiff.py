@@ -838,6 +838,85 @@ def test_node_b_has_the_bits_of_the_whole_array_batch_norm_at_any_run_length(
     assert 0.2 < (out > 0).mean() < 0.9 and np.abs(grads["h"]).max() > 0.0
 
 
+def whole_array_map(x, values, name, eps=1e-5):
+    """Batch norm ``name`` on running statistics, ``x * a + b``, over whole arrays."""
+    gamma, beta, mean, var = (values[f"{name}.{key}"][:, None, None, None]
+                              for key in ("gamma", "beta", "mean", "var"))
+    a = gamma * (1.0 / np.sqrt(var + eps))
+    return x * a + (beta - mean * a)
+
+
+def running_norm(values, name):
+    return Norm(Tensor(values[f"{name}.gamma"]), Tensor(values[f"{name}.beta"]),
+                running=(values[f"{name}.mean"], values[f"{name}.var"]))
+
+
+def running_values(rng, shapes, names):
+    values = {name: rng.uniform(-1.0, 1.0, shape) for name, shape in shapes.items()}
+    for name in names:
+        values[f"{name}.gamma"] = rng.uniform(0.5, 1.5, 7)
+        values[f"{name}.beta"] = rng.uniform(-0.5, 0.5, 7)
+        values[f"{name}.mean"] = rng.uniform(-0.2, 0.2, 7)
+        values[f"{name}.var"] = rng.uniform(0.5, 2.0, 7)
+    return values
+
+
+@pytest.mark.parametrize("run", [1, 3, 7], ids=["one_channel", "uneven", "whole"])
+@pytest.mark.parametrize("kind", SHORTCUTS)
+def test_node_b_on_running_statistics_has_the_bits_of_whole_array_maps_at_any_run_length(
+        kind, run, monkeypatch):
+    # The evaluation forward of node B: bn1 and ReLU as its prologue, bn2,
+    # the residual add and ReLU as its epilogue, every norm on running
+    # statistics, against the maps and adds on whole arrays. The prologue
+    # leaves its input as it found it.
+    in_channels, stride = SHORTCUTS[kind]
+    values = running_values(
+        np.random.default_rng(82),
+        {"x": (in_channels, 2, 6, 5), "h": (7, 2, 6, 5), "kernel": (7, 3),
+         "weight": (in_channels, 7)}, ("bn1", "bn2", "res_bn"))
+    # Runs are ``run`` output channels long.
+    monkeypatch.setattr(ad, "_PRODUCT_BYTES", run * np.empty((2, 6 // stride, 5)).nbytes)
+    x, h, kernel = (Tensor(values[name].copy()) for name in ("x", "h", "kernel"))
+    with no_grad():
+        if kind == "none":
+            shortcut = None
+        elif kind == "identity":
+            shortcut = x
+        else:
+            shortcut = Projection(x, Tensor(values["weight"]),
+                                  running_norm(values, "res_bn"), stride)
+        out = temporal_conv(h, kernel, stride, prologue=running_norm(values, "bn1"),
+                            norm=running_norm(values, "bn2"), shortcut=shortcut,
+                            relu=True).data
+        y = np.maximum(whole_array_map(values["h"], values, "bn1"), 0.0)
+        y = temporal_conv(Tensor(y), Tensor(values["kernel"]), stride).data
+        y = whole_array_map(y, values, "bn2")
+    if kind == "identity":
+        y += values["x"]
+    elif kind != "none":
+        mixed = pointwise_conv(Tensor(values["x"][:, :, ::stride]), Tensor(values["weight"]))
+        y += whole_array_map(mixed.data, values, "res_bn")
+    expected = np.maximum(y, 0.0)
+    assert out.tobytes() == expected.tobytes()
+    assert h.data.tobytes() == values["h"].tobytes()
+    assert 0.2 < (out > 0).mean() < 0.9
+
+
+@pytest.mark.parametrize("relu_out", [False, True], ids=["map", "map_relu"])
+@pytest.mark.parametrize("run", [1, 3, 7], ids=["one_channel", "uneven", "whole"])
+def test_batch_norm_node_on_running_statistics_has_the_bits_of_the_whole_array_map(
+        run, relu_out, monkeypatch):
+    values = running_values(np.random.default_rng(83), {"x": (7, 2, 6, 5)}, ("bn",))
+    monkeypatch.setattr(ad, "_PRODUCT_BYTES", run * values["x"][0].nbytes)
+    x = Tensor(values["x"].copy())
+    out = batch_norm(x, running_norm(values, "bn"), relu=relu_out).data
+    expected = whole_array_map(values["x"], values, "bn")
+    if relu_out:
+        expected = np.maximum(expected, 0.0)
+    assert out.tobytes() == expected.tobytes()
+    assert x.data.tobytes() == values["x"].tobytes()
+
+
 def test_fused_node_validation():
     x = Tensor(np.arange(120.0).reshape(3, 2, 4, 5))
     kernel = Tensor(np.ones((3, 5)))

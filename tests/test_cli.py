@@ -560,6 +560,25 @@ def test_eval_rejects_a_format_2_checkpoint_with_a_conv_bias(workspace, tmp_path
     assert not (tmp_path / "eval" / "predictions.csv").exists()
 
 
+def test_eval_of_a_split_whose_test_part_lacks_a_class_exits_2_and_leaves_no_out(
+        workspace, tmp_path, capsys):
+    # The per-class table needs every class in the test part; it is built
+    # before --out is made, so the failure writes no partial scores.
+    split = tmp_path / "split"
+    shutil.copytree(workspace / "split", split)
+    test_ids = [i for i in (split / "test.txt").read_text().splitlines()
+                if not i.startswith("jump_")]
+    (split / "test.txt").write_text("".join(f"{i}\n" for i in test_ids))
+    summary = json.loads((split / "summary.json").read_text())
+    summary["test_count"] = len(test_ids)
+    (split / "summary.json").write_text(json.dumps(summary))
+    assert main(["eval", "--config", str(workspace / "run.json"),
+                 "--checkpoint", str(workspace / "run1" / "checkpoint.ckpt"),
+                 "--split", str(split), "--out", str(tmp_path / "out")]) == 2
+    assert "class 'jump' has no samples" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_eval_missing_checkpoint_exits_2(workspace):
     assert main(["eval", "--config", str(workspace / "run.json"),
                  "--checkpoint", str(workspace / "ghost.ckpt"),

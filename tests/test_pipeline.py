@@ -143,8 +143,10 @@ def test_track_keeps_identity_on_exact_ties():
 def test_track_single_slot_is_identity():
     rng = np.random.default_rng(4)
     data = rng.uniform(0.0, 1.0, (6, 1, 5, 3))
-    tracked = track(SkeletonSequence(data, "synthetic"))
+    seq = SkeletonSequence(data, "synthetic")
+    tracked = track(seq)
     assert np.array_equal(tracked.data, data)
+    assert not np.shares_memory(tracked.data, seq.data)
 
 
 def test_track_swaps_on_disjoint_visibility():
