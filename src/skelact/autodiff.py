@@ -2,7 +2,8 @@
 
 Every operation builds a new Tensor that remembers its parents and a
 closure propagating the output gradient to them. ``Tensor.backward`` walks
-the recorded graph once in reverse topological order. Inside ``no_grad``
+the recorded graph once in reverse topological order and frees each node
+as it goes, so a graph can be walked only once. Inside ``no_grad``
 nothing is recorded: every operation returns a bare leaf with no
 gradient buffer, and the arrays a backward pass would need are freed as
 soon as the operation returns. An operation none of whose operands is a
@@ -25,12 +26,13 @@ and a projection's centered inputs, the dropout mask and the node's
 output. Each batch norm runs a few whole channels at a time
 (``_chunks``), forward and backward; its backward makes only dx full-size.
 
-Leaf gradients accumulate into ``Tensor.grad`` buffers. Leaf tensors
-marked non-trainable (inputs, frozen weights) keep their gradient buffer
-at zero: backward skips them, which is both the freezing semantics and a
-small saving. An interior node's ``grad`` is
-``None`` except while ``backward`` runs: it is set when the first
-contribution arrives and dropped once the node has passed it on.
+Leaf gradients accumulate into ``Tensor.grad`` buffers. A trainable leaf
+built under ``no_grad`` has none until its first gradient arrives, which
+is added to zeros. Leaf tensors marked non-trainable (inputs, frozen
+weights) keep their gradient buffer at zero: backward skips them, which
+is both the freezing semantics and a small saving. An interior node's
+``grad`` is ``None`` except while ``backward`` runs: it is set when the
+first contribution arrives and dropped once the node has passed it on.
 """
 from __future__ import annotations
 
@@ -83,17 +85,23 @@ class Tensor:
 
     @property
     def is_leaf(self) -> bool:
-        return not self._parents
+        return self._backward_fn is None
 
     def zero_grad(self) -> None:
-        self.grad[...] = 0.0
+        if self.grad is not None:
+            self.grad[...] = 0.0
 
     def backward(self, grad=None) -> None:
         """Propagate gradients of this tensor to everything upstream.
 
         ``grad`` seeds the output gradient and must match this tensor's
         shape; it may only be omitted for single-element tensors, where it
-        defaults to one. Repeated calls accumulate into leaf gradients.
+        defaults to one. Each node is freed as soon as its backward has run:
+        it keeps its data and stays a non-leaf, but drops its parents and
+        the closure holding its saved arrays, so those go once no later
+        node reads them. A backward whose graph reaches a node freed this
+        way raises ``StateError`` before it changes any gradient. Leaf
+        gradients accumulate over separate forward/backward pairs.
         """
         if grad is None:
             if self.data.size != 1:
@@ -109,14 +117,21 @@ class Tensor:
             )
 
         order = _topological_order(self)
+        if any(node._backward_fn is _consumed for node in order):
+            raise StateError("backward reaches a node an earlier backward freed")
         _accumulate(self, grad)
-        for node in order:
+        for index, node in enumerate(order):
+            order[index] = None
             if node._backward_fn is not None:
                 node._backward_fn(node.grad)
-                node.grad = None
+                node.grad, node._backward_fn, node._parents = None, _consumed, ()
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, trainable={self.trainable})"
+
+
+def _consumed(grad):
+    """The ``backward_fn`` of a node whose backward has run and been freed."""
 
 
 def _topological_order(root: Tensor) -> list[Tensor]:
@@ -142,7 +157,7 @@ def _topological_order(root: Tensor) -> list[Tensor]:
 
 def _needs_grad(tensor: Tensor) -> bool:
     """Whether a gradient handed to ``tensor`` reaches a trainable leaf."""
-    return tensor.trainable or bool(tensor._parents)
+    return tensor.trainable or tensor._backward_fn is not None
 
 
 def _accumulate(tensor: Tensor, grad: np.ndarray) -> None:
@@ -150,6 +165,8 @@ def _accumulate(tensor: Tensor, grad: np.ndarray) -> None:
     # chain would break.
     if tensor.is_leaf:
         if tensor.trainable:
+            if tensor.grad is None:
+                tensor.grad = np.zeros_like(tensor.data)
             tensor.grad += grad
         return
     # Never add in place: ``add`` hands one array to both parents and

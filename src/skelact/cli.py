@@ -4,7 +4,8 @@ Exit codes: 0 on success, 2 for validation problems (bad arguments,
 configuration, files that do not fit together), 3 for failures while
 processing data. All inputs are checked before anything is written,
 and a command creates its ``--out`` directory right before its first
-write, so a failure leaves none behind.
+write, so a failure leaves none behind. Each command first checks that
+``--out`` is a directory or could be made one, before it reads any data.
 """
 from __future__ import annotations
 
@@ -60,12 +61,24 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
+def _output_directory(path: str) -> Path:
+    """``path`` as a Path, creating nothing; ``ConfigurationError`` if it,
+    or its nearest existing ancestor, is not a directory."""
+    ancestor = Path(path)
+    while not os.path.lexists(ancestor):
+        ancestor = ancestor.parent
+    if not ancestor.is_dir():
+        raise ConfigurationError(f"out {path}: not a directory")
+    return Path(path)
+
+
 def cmd_prepare(args: argparse.Namespace) -> int:
+    out = _output_directory(args.out)
     manifest = DatasetManifest.load(args.manifest)
     split = build_protocol(
         manifest, args.protocol, seed=args.seed, stratified=not args.no_stratify
     )
-    save_split(split, args.out, manifest)
+    save_split(split, out, manifest)
     counts = split_class_counts(split, manifest)
     per_class = ", ".join(f"{name}={count}" for name, count in counts.items())
     print(
@@ -77,12 +90,12 @@ def cmd_prepare(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
+    out = _output_directory(args.out)
     config = load_run_config(args.config)
     manifest = DatasetManifest.load(config.manifest)
     split = load_split(args.split)
     net, history = run_training(manifest, split, config.model, config.train)
     net.load_state_arrays(history.best_state)
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_weights(net, out / "checkpoint.ckpt")
     with open_atomic(out / "history.csv") as handle:
@@ -106,6 +119,7 @@ def _write_csv(path: Path, rows) -> None:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    out = _output_directory(args.out)
     config = load_run_config(args.config)
     manifest = DatasetManifest.load(config.manifest)
     split = load_split(args.split)
@@ -129,7 +143,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
         dataset.labels, predictions, confidences, split.class_names
     )
 
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "predictions.csv", [
         ["sample_id", "label", "prediction"]
@@ -202,6 +215,7 @@ def _read_predictions(path: str) -> tuple[dict, np.ndarray, np.ndarray, np.ndarr
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    out = _output_directory(args.out)
     row_by_id, labels, predictions, confidences = _read_predictions(args.predictions)
     split = load_split(args.split)
     missing = [i for i in split.test_ids if i not in row_by_id]
@@ -240,7 +254,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             for row in table
         ],
     }
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     with open_atomic(out / "report.json") as handle:
         handle.write(json.dumps(report, indent=2, sort_keys=True))

@@ -161,6 +161,8 @@ class SGD:
         for tensor, velocity in zip(self.tensors, self._velocity):
             if tensor.trainable:
                 grad = tensor.grad
+                if grad is None:
+                    grad = np.zeros_like(tensor.data)
                 if self.weight_decay:
                     grad = grad + self.weight_decay * tensor.data
                 if self.momentum:
@@ -298,7 +300,8 @@ def _check_finite(loss: float, net: StgcnNetwork, epoch: int, batch: int) -> Non
     if not math.isfinite(loss):
         raise NonFiniteError(f"epoch {epoch}, batch {batch}: loss is {loss}")
     for name, tensor in net.named_parameters().items():
-        if tensor.trainable and not np.isfinite(tensor.grad).all():
+        if (tensor.trainable and tensor.grad is not None
+                and not np.isfinite(tensor.grad).all()):
             raise NonFiniteError(
                 f"epoch {epoch}, batch {batch}: gradient of {name} is not finite"
             )
@@ -359,7 +362,7 @@ def train_loop(
             loss, loss_grad = cross_entropy(logits.data, labels)
             logits.backward(loss_grad)
             hits += int((np.argmax(logits.data, axis=1) == labels).sum())
-            # The step's graph must be gone before the next forward builds.
+            # Backward freed the step's graph; only the logits are left.
             del logits
             _check_finite(loss, net, epoch, start // config.batch_size)
             optimizer.step(lr)

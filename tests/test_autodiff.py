@@ -98,16 +98,39 @@ def test_explicit_seed_scales_gradients():
     assert np.allclose(x.grad, [2.0, 40.0, 600.0])
 
 
-def test_repeated_backward_accumulates():
+def test_repeated_backward_raises_and_separate_passes_accumulate():
+    # Backward frees each node once its backward has run, so a second pass
+    # from the same root fails before it touches a gradient; two separate
+    # forward/backward pairs still sum into the leaf.
     x = Tensor(2.0, trainable=True)
     y = mul(x, x)
     y.backward()
-    assert y.grad is None
-    y.backward()
-    assert y.grad is None
+    assert y.grad is None and not y.is_leaf
+    with pytest.raises(StateError, match="earlier backward freed"):
+        y.backward()
+    assert x.grad == pytest.approx(4.0)
+    mul(x, x).backward()
     assert x.grad == pytest.approx(8.0)
     x.zero_grad()
     assert x.grad == 0.0
+
+
+def test_backward_through_a_node_another_root_freed_changes_no_gradient():
+    x = Tensor([1.0, 2.0], trainable=True)
+    w = Tensor([3.0, 5.0], trainable=True)
+    shared = mul(x, x)
+    first = reduce_sum(shared, (0,))
+    second = reduce_sum(mul(shared, w), (0,))
+    first.backward()
+    assert not shared.is_leaf and not first.is_leaf
+    with pytest.raises(StateError):
+        second.backward()
+    assert np.array_equal(x.grad, [2.0, 4.0])
+    assert np.array_equal(w.grad, [0.0, 0.0])
+    # An op recorded on a freed node after the pass fails the same way.
+    with pytest.raises(StateError):
+        reduce_sum(relu(shared), (0,)).backward()
+    assert np.array_equal(x.grad, [2.0, 4.0])
 
 
 def test_frozen_leaves_keep_zero_gradients():

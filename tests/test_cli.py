@@ -747,6 +747,47 @@ def test_analyze_full_chain_on_real_eval_output(workspace):
         {"wave", "jump", "spin"}
 
 
+# ----------------------------------------------------------------------- --out
+
+def argv_with_out(command, workspace, out):
+    inputs = {
+        "prepare": ["--manifest", str(workspace / "data" / "manifest.json"),
+                    "--protocol", "KS-Full"],
+        "train": ["--config", str(workspace / "run.json"),
+                  "--split", str(workspace / "split")],
+        "eval": ["--config", str(workspace / "run.json"),
+                 "--checkpoint", str(workspace / "run1" / "checkpoint.ckpt"),
+                 "--split", str(workspace / "split")],
+        "analyze": ["--predictions", str(workspace / "eval1" / "predictions.csv"),
+                    "--split", str(workspace / "split")],
+    }
+    return [command, *inputs[command], "--out", str(out)]
+
+
+@pytest.mark.parametrize("below", [False, True], ids=["a_file", "below_a_file"])
+@pytest.mark.parametrize("command", ["prepare", "train", "eval", "analyze"])
+def test_an_out_that_cannot_be_a_directory_exits_2_before_any_work(
+        command, below, workspace, tmp_path, capsys, monkeypatch):
+    steps = []
+    monkeypatch.setattr(skelact.train.SGD, "step", lambda self, lr: steps.append(lr))
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n")
+    out = taken / "sub" if below else taken
+    assert main(argv_with_out(command, workspace, out)) == 2
+    assert f"error: out {out}: not a directory" in capsys.readouterr().err
+    assert steps == []
+    assert [path.name for path in tmp_path.iterdir()] == ["taken"]
+    assert taken.read_text() == "kept\n"
+
+
+def test_an_out_below_a_missing_directory_is_made_at_the_first_write(
+        workspace, tmp_path):
+    out = tmp_path / "new" / "analysis"
+    assert main(argv_with_out("analyze", workspace, out)) == 0
+    assert sorted(path.name for path in out.iterdir()) == ["report.json",
+                                                           "scatter.csv"]
+
+
 # ------------------------------------------------------- boundary rejections
 
 def train_with(section, key, value):

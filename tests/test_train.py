@@ -28,7 +28,7 @@ from skelact import (
     top_k_accuracy,
     train_loop,
 )
-from skelact.autodiff import Tensor, dropout, temporal_conv
+from skelact.autodiff import Tensor, dropout, no_grad, temporal_conv
 from skelact.keypoints import layout_joint_count
 from skelact.model import StgcnNetwork
 from skelact.train import SGD, EpochRecord, TrainHistory, load_sequence
@@ -178,6 +178,21 @@ def test_sgd_momentum_and_weight_decay_match_a_manual_loop():
         velocity = 0.9 * velocity + step_grad
         data = data - 0.05 * velocity
         assert np.allclose(t.data, data, atol=1e-14)
+
+
+def test_sgd_treats_a_missing_gradient_buffer_as_zeros():
+    # A trainable tensor built under no_grad has no buffer until backward
+    # hands it a gradient; a step before that moves it as a zero gradient.
+    start = np.array([0.5, -1.5])
+    with no_grad():
+        bare = Tensor(start.copy(), trainable=True)
+    zeroed = Tensor(start.copy(), trainable=True)
+    for tensor in (bare, zeroed):
+        optimizer = SGD([tensor], momentum=0.9, weight_decay=0.01)
+        optimizer.step(0.1)
+        optimizer.step(0.1)
+    assert bare.grad is None
+    assert bare.data.tobytes() == zeroed.data.tobytes()
 
 
 def test_sgd_validation():
@@ -367,6 +382,22 @@ def test_train_loop_is_deterministic():
         assert np.array_equal(tensor.data, b[0].named_parameters()[name].data)
     for name, array in a[1].best_state.items():
         assert np.array_equal(array, b[1].best_state[name])
+
+
+def test_a_network_built_under_no_grad_trains_to_the_same_bytes():
+    # Its trainable leaves have no gradient buffer; each gets a zero one
+    # with its first gradient, so the step adds into zeros as usual.
+    train, test = tiny_datasets(per_class=2)
+    config = loop_config(batch_size=len(train), epochs=1, momentum=0.9,
+                         weight_decay=0.01)
+    with no_grad():
+        bare = tiny_net(seed=2)
+    assert all(tensor.grad is None for tensor in bare.parameters())
+    built = tiny_net(seed=2)
+    for net in (bare, built):
+        train_loop(net, train, test, config)
+    for name, array in built.state_arrays().items():
+        assert bare.state_arrays()[name].tobytes() == array.tobytes(), name
 
 
 def test_train_loop_records_and_best_snapshot():
