@@ -22,9 +22,9 @@ residual add and ReLU as its epilogue, with a ``Projection`` shortcut
 computed there too. The prologue may write over its input because
 ``graph_conv``'s backward never reads its output. Between forward and
 backward a block holds only what a backward reads: that output, bn2's
-and a projection's centered inputs, the dropout mask and the node's
-output. Each batch norm runs a few whole channels at a time
-(``_chunks``), forward and backward; its backward makes only dx full-size.
+centered input, the dropout mask and the node's output. Each batch norm
+runs a few whole channels at a time (``_chunks``), forward and backward.
+A backward writes each large result over an array it has finished reading.
 
 Leaf gradients accumulate into ``Tensor.grad`` buffers. A trainable leaf
 built under ``no_grad`` has none until its first gradient arrives, which
@@ -373,7 +373,7 @@ class Projection(NamedTuple):
     """A residual branch run inside a node's epilogue: every ``stride``-th
     frame of ``x``, (C, B, T, V), mixed by a (C, D) ``weight``, then batch
     norm ``norm``. Its input frames and output are temporaries; backward
-    subsamples ``x`` again for the weight gradient."""
+    subsamples ``x`` again and mixes it again for the norm's backward."""
 
     x: Tensor
     weight: Tensor
@@ -383,6 +383,13 @@ class Projection(NamedTuple):
 
 def _per_channel(values: np.ndarray) -> np.ndarray:
     return values[:, None, None, None]
+
+
+def _project(branch: Projection) -> tuple[np.ndarray, np.ndarray]:
+    """Every ``stride``-th frame of the projection's input, (C, B, T, V),
+    and their mix by the weight, (D, B·T·V)."""
+    columns = np.ascontiguousarray(branch.x.data[:, :, ::branch.stride])
+    return columns, branch.weight.data.T @ columns.reshape(len(columns), -1)
 
 
 class _Epilogue:
@@ -395,8 +402,9 @@ class _Epilogue:
     that array, accumulating the batch norm and shortcut gradients on the
     way. The shortcut is a tensor or a ``Projection``, which the tail
     computes for the add and drops. Only what the backward reads is kept:
-    a batch-statistics norm's centered input, the dropout mask, and the
-    same for a projection's batch norm. A norm on running statistics keeps
+    a batch-statistics norm's centered input, the dropout mask, and a
+    projection's batch mean, from which the backward rebuilds its batch
+    norm's centered input. A norm on running statistics keeps
     nothing, since no gradient goes through it. ReLU keeps no mask: the
     backward reads where the rectified result is > 0, which is where its
     input was, NaN and both zeros giving False either way. The result is
@@ -425,13 +433,11 @@ class _Epilogue:
         projected = isinstance(branch, Projection)
         if projected:
             self.branch = _Epilogue(branch.norm)
-            columns = np.ascontiguousarray(branch.x.data[:, :, ::branch.stride])
-            mixed = branch.weight.data.T @ columns.reshape(len(columns), -1)
-            mixed = mixed.reshape(out.shape)
-            del columns
+            mixed = _project(branch)[1].reshape(out.shape)
             self.branch.fit(mixed)
-        # A projection maps in place unless the backward reads its input.
-        for part, buffer in _chunks(out, projected and self.branch.centered is not None):
+            self.branch.centered = None
+        # A projection maps in place: its backward builds its input again.
+        for part, _ in _chunks(out, scratch=False):
             run = result[part]
             if self.norm is not None:
                 self.affine(out, part, run)
@@ -439,8 +445,7 @@ class _Epilogue:
                 run *= self.keep[part]
                 run *= self.scale
             if projected:
-                dest = mixed[part] if buffer is None else buffer
-                run += self.branch.affine(mixed, part, dest)
+                run += self.branch.affine(mixed, part, mixed[part])
             elif branch is not None:
                 run += branch.data[part]
             if self.relu:
@@ -471,7 +476,7 @@ class _Epilogue:
             _row_sum(np.square(out[part], out=buffer), var[part])
         var /= out[0].size
         self.inv_std = 1.0 / _per_channel(np.sqrt(var + norm.eps))
-        self.a, self.b, self.centered = gamma * self.inv_std, shift, out
+        self.a, self.b, self.centered, self.mean = gamma * self.inv_std, shift, out, mu
         if norm.track is not None:
             norm.track(mu, var)
 
@@ -490,9 +495,10 @@ class _Epilogue:
             np.maximum(self.affine(out, part, buffer), 0.0, out=dest[part])
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        """The gradient of the array ``apply`` ran on. ``grad`` may also be
-        a sibling's gradient, so it is never written; the ReLU mask is made
-        whole only if a shortcut reads the masked gradient."""
+        """The gradient of the array ``apply`` ran on, written over it if
+        there is a norm. ``grad`` may also be a sibling's gradient, so it is
+        never written; the ReLU mask is made whole only if a shortcut reads
+        the masked gradient."""
         relu, branch = None, self.shortcut
         if self.rectified is not None and branch is None:
             relu = lambda part, _: self.rectified[part] > 0.0
@@ -502,15 +508,17 @@ class _Epilogue:
             self.project_backward(grad)
         elif branch is not None:
             _accumulate(branch, grad)
-        # Once a projection has read it, the masked copy is this tail's own.
-        own = isinstance(branch, Projection) and self.rectified is not None
-        return self.normalize_backward(grad, grad if own else None, relu)
+        return self.normalize_backward(grad, relu)
 
     def project_backward(self, grad: np.ndarray) -> None:
-        """Accumulate the projection shortcut's gradients; ``grad`` is read only."""
+        """Accumulate the projection shortcut's gradients; ``grad`` is read
+        only. The norm's centered input is made again, by the same operations."""
         branch = self.shortcut
+        columns, mixed = _project(branch)
+        mixed -= self.branch.mean[:, None]
+        self.branch.centered = mixed.reshape(grad.shape)
+        del mixed
         grad_rows = self.branch.backward(grad).reshape(len(grad), -1)
-        columns = np.ascontiguousarray(branch.x.data[:, :, ::branch.stride])
         _accumulate(branch.weight, columns.reshape(len(columns), -1) @ grad_rows.T)
         if not _needs_grad(branch.x):
             return
@@ -520,25 +528,27 @@ class _Epilogue:
             grad_x[:, :, ::branch.stride] = strided
         _accumulate(branch.x, grad_x)
 
-    def normalize_backward(self, grad: np.ndarray, dest: np.ndarray | None,
-                           relu: Callable | None) -> np.ndarray:
+    def normalize_backward(self, grad: np.ndarray, relu: Callable | None) -> np.ndarray:
         """dx of the batch norm from ``grad``, the gradient of the tail's
         result with the shortcut's part taken: one pass per run of whole
         channels applies the ReLU mask ``relu(part, buffer)``, if given, and
-        the dropout mask, takes both per-channel sums and writes dx to
-        ``dest`` (``grad`` itself, or a new array if None). The norm is on
-        batch statistics; ``_check_differentiable`` rejects running ones."""
+        the dropout mask into a scratch run, takes both per-channel sums and
+        writes dx over the centered input (a new array if there is no norm,
+        ``grad`` itself if nothing applies). The norm is on batch
+        statistics; ``_check_differentiable`` rejects running ones."""
         norm = self.norm
         if norm is None and relu is None and self.keep is None:
             return grad
-        dest = np.empty(grad.shape) if dest is None else dest
+        dest = np.empty(grad.shape) if norm is None else self.centered
         sums = np.empty((2, len(grad)))  # of g and of g times the centered input
-        for part, buffer in _chunks(grad):
+        # Two scratch runs: the masked gradient and the products.
+        for (part, buffer), (_, masked) in zip(_chunks(grad), _chunks(grad)):
             g = grad[part]
+            masked = dest[part] if norm is None else masked
             if relu is not None:
-                g = np.multiply(g, relu(part, buffer), out=dest[part])
+                g = np.multiply(g, relu(part, buffer), out=masked)
             if self.keep is not None:
-                g = np.multiply(g, self.keep[part], out=dest[part])
+                g = np.multiply(g, self.keep[part], out=masked)
                 g *= self.scale
             if norm is None:
                 continue
@@ -550,9 +560,9 @@ class _Epilogue:
             mean_grad_centered = _per_channel(sums[1, part] / g[0].size)
             # dx = a * (g - mean(g) - centered * inv_std**2 * mean(g * centered))
             coefficient = -a * self.inv_std[part] ** 2 * mean_grad_centered
-            term = np.multiply(centered, coefficient, out=buffer)
+            term = np.multiply(centered, coefficient, out=centered)
             term -= a * mean_grad
-            np.add(term, np.multiply(g, a, out=dest[part]), out=dest[part])
+            term += np.multiply(g, a, out=buffer)
         if norm is not None:
             _accumulate(norm.beta, sums[0])
             _accumulate(norm.gamma, sums[1] * self.inv_std.reshape(-1))
@@ -579,18 +589,22 @@ def _tap_windows(padded: np.ndarray, taps: int, stride: int) -> np.ndarray:
     return np.moveaxis(sliding_window_view(padded, taps, axis=2)[:, :, ::stride], -1, 2)
 
 
-def _correlate(padded: np.ndarray, kernel: np.ndarray, stride: int) -> np.ndarray:
+def _correlate(padded: np.ndarray, kernel: np.ndarray, stride: int,
+               out: np.ndarray | None = None) -> np.ndarray:
     """out[c, b, t, v] = sum_k kernel[c, k] * padded[c, b, stride * t + k, v].
 
     einsum without ``optimize`` adds the taps in order in one fixed loop, so
-    the result has the bits of a tap-by-tap loop. With stride 1 the
-    (T_out, V) axes fold into one without a copy: one long inner loop.
+    the result has the bits of a tap-by-tap loop, also when it goes to a
+    given stride-1 ``out``. With stride 1 the (T_out, V) axes fold into one
+    without a copy: one long inner loop.
     """
     windows = _tap_windows(padded, kernel.shape[1], stride)
     if stride > 1:
         return np.einsum("ck,cbktv->cbtv", kernel, windows)
-    out = np.einsum("ck,cbkn->cbn", kernel, windows.reshape(*windows.shape[:3], -1))
-    return out.reshape(windows.shape[:2] + windows.shape[3:])
+    shape = windows.shape[:2] + windows.shape[3:]
+    out = np.einsum("ck,cbkn->cbn", kernel, windows.reshape(*windows.shape[:3], -1),
+                    out=None if out is None else out.reshape(*shape[:2], -1))
+    return out.reshape(shape)
 
 
 def temporal_conv(
@@ -624,9 +638,9 @@ def temporal_conv(
     buffer again from what the forward left in the input's array, by the
     same operations, so with the same bits, for the kernel gradient, then
     reuses it for the stride-dilated output gradient. The input gradient
-    is the windowed sum of that buffer with the flipped kernel; the
-    prologue's backward rebuilds its ReLU mask a run of channels at a
-    time and writes dx over that sum.
+    is the windowed sum of that buffer with the flipped kernel, written
+    with stride 1 over bn2's dx; the prologue's backward rebuilds its ReLU
+    mask a run of channels at a time and writes dx over the input's array.
 
     The epilogue runs in this node, in order: batch norm ``norm``,
     inverted dropout at rate ``dropout`` drawn from ``rng``, the
@@ -681,23 +695,26 @@ def temporal_conv(
     def backward_fn(grad):
         # A tensor shortcut has no norm; a Projection has one.
         _check_differentiable(prologue, norm, getattr(shortcut, "norm", None))
-        grad = epilogue.backward(grad)
+        dx = epilogue.backward(grad)
         padded = padded_input()
         windows = _tap_windows(padded, taps, stride)
-        _accumulate(kernel, np.einsum("cbktv,cbtv->ck", windows, grad))
+        _accumulate(kernel, np.einsum("cbktv,cbtv->ck", windows, dx))
         # The buffer becomes the dilated gradient: its border is zero, stride
         # 1 writes every inner frame, and a larger stride leaves gaps that
         # must be zero too.
         if stride > 1:
             padded[:, :, pad:pad + frames] = 0.0
-        padded[:, :, pad:pad + stride * grad.shape[2]:stride] = grad
-        del grad, windows
-        grad_x = _correlate(padded, kernel.data[:, ::-1], 1)
-        del padded
+        padded[:, :, pad:pad + stride * dx.shape[2]:stride] = dx
+        # With stride 1, dx is bn2's centered input, the input's shape and
+        # read by no one else, so the input gradient goes over it.
+        own = stride == 1 and norm is not None
+        grad_x = _correlate(padded, kernel.data[:, ::-1], 1, dx if own else None)
+        del windows, padded, dx
         if entry is not None:
-            # The ReLU mask: where the rectified input was > 0.
-            entry.normalize_backward(
-                grad_x, grad_x, lambda part, buf: entry.affine(x.data, part, buf) > 0.0)
+            # The ReLU mask: where the rectified input was > 0. dx goes over
+            # the input's array, which the prologue centered.
+            grad_x = entry.normalize_backward(
+                grad_x, lambda part, buf: entry.affine(x.data, part, buf) > 0.0)
         _accumulate(x, grad_x)
 
     parents = (x, kernel) + (() if entry is None else entry.parents())
@@ -725,8 +742,9 @@ def graph_conv(x: Tensor, adjacency: np.ndarray, weight: Tensor, mask: Tensor) -
     aggregate, 3x the input for K = 3, is freed as soon as the output is
     mixed, and the backward pass builds it again, by the same operations,
     so with the same bits. The weight and aggregate gradients are one GEMM
-    each over the whole batch; the input gradient, K more products, is
-    computed only if a gradient of the input reaches a trainable tensor.
+    each over the whole batch, the second over the aggregate the first has
+    read; the input gradient, K more products, is computed only if a
+    gradient of the input reaches a trainable tensor.
 
     The backward pass never reads the output, so the next node may write
     over it, as ``temporal_conv``'s prologue does.
@@ -757,8 +775,11 @@ def graph_conv(x: Tensor, adjacency: np.ndarray, weight: Tensor, mask: Tensor) -
 
     def backward_fn(grad):
         grad_flat = grad.reshape(out_channels, batch * frames * vertices)
-        _accumulate(weight, (aggregate() @ grad_flat.T).reshape(weight.data.shape))
-        grad_aggregated = (weight_rows @ grad_flat).reshape(
+        aggregated = aggregate()
+        _accumulate(weight, (aggregated @ grad_flat.T).reshape(weight.data.shape))
+        # The aggregate gradient goes over the aggregate, and each partition's
+        # input gradient product over the slab before it, once both are read.
+        grad_aggregated = np.matmul(weight_rows, grad_flat, out=aggregated).reshape(
             partitions, channels * batch * frames, vertices)
         by_channel = columns.reshape(channels, -1, vertices).transpose(0, 2, 1)
         needs_input = _needs_grad(x)
@@ -768,11 +789,12 @@ def graph_conv(x: Tensor, adjacency: np.ndarray, weight: Tensor, mask: Tensor) -
             if needs_input and k == 0:
                 grad_columns = slab @ gated[k].T
             elif needs_input:
-                grad_columns += slab @ gated[k].T
+                grad_columns += np.matmul(slab, gated[k].T, out=grad_aggregated[k - 1])
             # One product per input channel, summed: a single (V, C·B·T)
             # @ (C·B·T, V) product runs BLAS at a fraction of its rate.
             grad_gated[k] = np.matmul(by_channel,
                                       slab.reshape(channels, -1, vertices)).sum(axis=0)
+        del aggregated, grad_aggregated, slab
         _accumulate(mask, grad_gated * adjacency)
         if needs_input:
             _accumulate(x, grad_columns.reshape(x.data.shape))

@@ -180,12 +180,11 @@ class StgcnBlock:
         rectified result into a zero-bordered buffer that it convolves and
         drops; its backward builds the buffer again. B's epilogue is bn2,
         dropout, the residual add and ReLU; a projection shortcut
-        (subsample, 1x1 convolution, res_bn) runs inside it too, so only
-        res_bn's backward operand outlives the forward. Evaluation makes
-        the same calls on the same weights, with no dropout and every
-        batch norm on its running statistics, as a frozen layer in
-        training; it records no graph, and each norm's map goes over the
-        node's own output.
+        (subsample, 1x1 convolution, res_bn) runs inside it too, and its
+        backward builds res_bn's input again. Evaluation makes the same
+        calls on the same weights, with no dropout and every batch norm on
+        its running statistics, as a frozen layer in training; it records
+        no graph, and each norm's map goes over the node's own output.
         """
         with nullcontext() if training else ad.no_grad():
             h = ad.graph_conv(x, adjacency, self.gcn_weight, self.edge_mask)
@@ -301,9 +300,10 @@ class StgcnNetwork:
         # but the logits.
         with nullcontext() if training else ad.no_grad():
             # Normalize per joint-channel pair over the batch and time. The
-            # input is a constant, so it is rearranged outside the graph.
-            h = Tensor(x.transpose(3, 1, 0, 4, 2).reshape(
-                vertices * channels, samples * slots, frames, 1))
+            # input is a constant: rearranged outside the graph, no gradient.
+            with ad.no_grad():
+                h = Tensor(x.transpose(3, 1, 0, 4, 2).reshape(
+                    vertices * channels, samples * slots, frames, 1))
             h = ad.batch_norm(h, self.input_bn.norm(training))
             # Channels first from here to the pooling: (C, N·M, T, V).
             h = ad.reshape(h, (vertices, channels, samples * slots, frames))

@@ -144,7 +144,8 @@ def cross_entropy(
 class SGD:
     """Stochastic gradient descent with optional momentum and weight decay.
 
-    Only trainable tensors move; every tensor's gradient is cleared after
+    Only trainable tensors move, and only they hold a momentum velocity,
+    zero until their first step; every tensor's gradient is cleared after
     the step, so frozen tensors cannot accumulate stale gradients either.
     """
 
@@ -153,12 +154,13 @@ class SGD:
         self.tensors = list(tensors)
         self.momentum = momentum
         self.weight_decay = weight_decay
-        self._velocity = [np.zeros_like(t.data) for t in self.tensors]
+        self._velocity = [np.zeros_like(t.data) if momentum and t.trainable else None
+                          for t in self.tensors]
 
     def step(self, lr: float) -> None:
         if lr < 0.0:
             raise ConfigurationError(f"lr: must be non-negative, got {lr}")
-        for tensor, velocity in zip(self.tensors, self._velocity):
+        for index, tensor in enumerate(self.tensors):
             if tensor.trainable:
                 grad = tensor.grad
                 if grad is None:
@@ -166,6 +168,9 @@ class SGD:
                 if self.weight_decay:
                     grad = grad + self.weight_decay * tensor.data
                 if self.momentum:
+                    if self._velocity[index] is None:
+                        self._velocity[index] = np.zeros_like(tensor.data)
+                    velocity = self._velocity[index]
                     velocity *= self.momentum
                     velocity += grad
                     grad = velocity

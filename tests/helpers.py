@@ -8,6 +8,7 @@ import json
 import math
 import statistics
 import struct
+import tracemalloc
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -35,6 +36,20 @@ from skelact.autodiff import (
 )
 
 mp.mp.dps = 50
+
+
+def traced_peak(fn):
+    """Call ``fn()`` under tracemalloc and return its result, the bytes the
+    call left allocated and its peak allocation, both counted from the
+    call's start."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, held - before, peak - before
 
 
 # ---------------------------------------------------------------- keypoints

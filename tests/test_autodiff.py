@@ -1,5 +1,4 @@
 """Reverse-mode differentiation engine."""
-import tracemalloc
 from contextlib import nullcontext
 
 import numpy as np
@@ -35,6 +34,7 @@ from helpers import (
     oracle_batch_norm,
     oracle_graph_conv,
     pointwise_conv,
+    traced_peak,
     whole_array_batch_norm,
 )
 
@@ -533,16 +533,27 @@ def test_batch_norm_batch_forward_keeps_one_input_sized_array_besides_its_output
     x = Tensor(rng.standard_normal((64, 8, 30, 18)), trainable=True)
     gamma = Tensor(rng.uniform(0.5, 1.5, 64), trainable=True)
     beta = Tensor(rng.uniform(-0.5, 0.5, 64), trainable=True)
-    tracemalloc.start()
-    try:
-        out, _, _ = batch_norm_batch(x, gamma, beta, relu=True)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    (out, _, _), _, peak = traced_peak(lambda: batch_norm_batch(x, gamma, beta, relu=True))
     # x - mu and the output, one input size each, plus the bool ReLU mask
     # (1/8); the variance's product buffer is freed before the output.
     assert out.data.shape == x.data.shape
     assert peak <= 2.2 * x.data.nbytes
+
+
+@pytest.mark.parametrize("fused_relu", [False, True], ids=["plain", "relu"])
+def test_batch_norm_batch_backward_allocates_no_full_size_array(fused_relu):
+    # dx goes over the centered input the node keeps; the masked gradient
+    # and the products live in two scratch runs of whole channels, about a
+    # quarter of the input here, and the gradient is added into x's buffer.
+    rng = np.random.default_rng(46)
+    x = Tensor(rng.standard_normal((64, 8, 30, 18)), trainable=True)
+    gamma = Tensor(rng.uniform(0.5, 1.5, 64), trainable=True)
+    beta = Tensor(rng.uniform(-0.5, 0.5, 64), trainable=True)
+    out, _, _ = batch_norm_batch(x, gamma, beta, relu=fused_relu)
+    seed = rng.uniform(-1.0, 1.0, x.data.shape)
+    _, _, peak = traced_peak(lambda: out.backward(seed))
+    assert np.abs(x.grad).max() > 0.0
+    assert peak <= 0.5 * x.data.nbytes
 
 
 def test_batch_norm_batch_gradcheck():
@@ -1084,15 +1095,57 @@ def test_graph_conv_under_no_grad_frees_its_aggregate_before_the_bordered_output
     norm = Norm(Tensor(np.ones(16)), Tensor(np.zeros(16)),
                 running=(np.zeros(16), np.ones(16)))
     with no_grad():
-        tracemalloc.start()
-        try:
-            out = temporal_conv(graph_conv(x, adjacency, weight, mask), kernel,
-                                prologue=norm)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        out, _, peak = traced_peak(lambda: temporal_conv(
+            graph_conv(x, adjacency, weight, mask), kernel, prologue=norm))
     assert out.data.shape == (16, 2, 40, 18)
     assert peak <= 4.5 * x.data.nbytes
+
+
+def test_graph_conv_backward_drops_its_aggregate_gradient_before_the_input_sum():
+    # At C = D the aggregate is 3x the input. Its gradient goes over the
+    # rebuilt aggregate, and each partition's input gradient product over
+    # the slab before it, so backward adds one input size, the input
+    # gradient, to the 3x. The input already holds a gradient, as a block
+    # input does from its shortcut: the sum of the two is made once the
+    # aggregate gradient is gone: a 4.1x peak, not 5x.
+    rng = np.random.default_rng(48)
+    x = relu(leaf(rng, (16, 4, 50, 18)))
+    adjacency = rng.uniform(0.0, 1.0, (3, 18, 18))
+    weight = leaf(rng, (3, 16, 16))
+    mask = leaf(rng, (3, 18, 18), 1.0)
+    out = add(graph_conv(x, adjacency, weight, mask), x)
+    seed = rng.uniform(-1.0, 1.0, out.data.shape)
+    _, _, peak = traced_peak(lambda: out.backward(seed))
+    assert np.abs(weight.grad).max() > 0.0
+    assert peak <= 4.4 * x.data.nbytes
+
+
+@pytest.mark.parametrize("normed", [True, False], ids=["bn2", "no_norm"])
+def test_stride_one_temporal_conv_writes_its_input_gradient_over_dx(normed, monkeypatch):
+    # With a norm, dx is its centered input: the input's shape, and read
+    # by no one else once the kernel gradient has, so the input gradient
+    # is correlated into it. Without one, dx is the incoming gradient,
+    # which a sibling may read: it is left as it was.
+    rng = np.random.default_rng(47)
+    x = relu(leaf(rng, (4, 2, 12, 5)))
+    kernel = leaf(rng, (4, 3))
+    norm = Norm(leaf(rng, (4,), 1.0), leaf(rng, (4,))) if normed else None
+    returned = []
+    normalize_backward = ad._Epilogue.normalize_backward
+
+    def watched(self, *args):
+        returned.append(normalize_backward(self, *args))
+        return returned[-1]
+
+    monkeypatch.setattr(ad._Epilogue, "normalize_backward", watched)
+    out = temporal_conv(x, kernel, norm=norm, relu=True)
+    seed = rng.uniform(-1.0, 1.0, out.data.shape)
+    kept = seed.copy()
+    # Only this node's backward: x keeps the array it is handed.
+    out._backward_fn(seed)
+    assert np.shares_memory(x.grad, returned[0]) == normed
+    assert not np.shares_memory(x.grad, seed)
+    assert np.array_equal(seed, kept)
 
 
 @pytest.mark.parametrize("recorded", [False, True], ids=["no_grad", "recorded"])
@@ -1107,12 +1160,7 @@ def test_running_statistics_batch_norm_normalizes_in_place(recorded):
     beta = Tensor(rng.uniform(-0.5, 0.5, 54), trainable=True)
     mu, var = rng.uniform(-0.2, 0.2, 54), rng.uniform(0.5, 2.0, 54)
     with nullcontext() if recorded else no_grad():
-        tracemalloc.start()
-        try:
-            out = batch_norm_given(x, gamma, beta, mu, var)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        out, _, peak = traced_peak(lambda: batch_norm_given(x, gamma, beta, mu, var))
     assert out.data.shape == x.data.shape
     assert out.is_leaf != recorded
     assert peak <= 1.5 * x.data.nbytes

@@ -2,7 +2,6 @@
 import hashlib
 import json
 import struct
-import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -55,6 +54,7 @@ from helpers import (
     pair_dataset,
     path_graph,
     rewrite_checkpoint,
+    traced_peak,
 )
 
 
@@ -344,12 +344,8 @@ def held_by_a_training_forward(stride, dropout=0.0):
                trainable=True)
     rng = np.random.default_rng(39)
     block.forward(x, adjacency, training=True, rng=rng)
-    tracemalloc.start()
-    try:
-        out = block.forward(x, adjacency, training=True, rng=rng)
-        held = tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
+    out, held, _ = traced_peak(
+        lambda: block.forward(x, adjacency, training=True, rng=rng))
     assert not out.is_leaf
     return held / x.data.nbytes
 
@@ -399,29 +395,25 @@ def test_training_block_keeps_no_bordered_buffer_after_its_forward(monkeypatch):
 def test_training_forward_of_the_paper_plan_holds_what_backward_needs():
     # One warm training forward at the benchmark's train shape (N=4, T=30,
     # M=2, COCO18, 10-block plan), input batch norm, projections and
-    # pooling included. It keeps 73.7 MiB.
+    # pooling included. It keeps 69.3 MiB (73.7 MiB when each projection
+    # kept res_bn's centered input instead of rebuilding it in backward).
     net = StgcnNetwork(build_graph(COCO18), 10, ModelConfig(seed=0))
     x = np.random.default_rng(40).uniform(-1.0, 1.0, (4, 3, 30, 18, 2))
     net.forward(x, training=True)
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        logits = net.forward(x, training=True)
-        held = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
+    logits, held, _ = traced_peak(lambda: net.forward(x, training=True))
     assert not logits.is_leaf
-    assert held <= 80.5 * 2**20
+    assert held <= 72 * 2**20
 
 
-def test_training_step_of_the_paper_plan_peaks_below_88_mib():
+def test_training_step_of_the_paper_plan_peaks_below_82_mib():
     # One warm step, forward, backward and SGD, at the same shape. Each
     # batch norm's backward masks, sums and writes dx a few channels at a
-    # time over an array it already owns, so no full-size temporary lifts
-    # the peak above what the forward holds plus a few layer-sized arrays,
-    # and backward frees each node's saved arrays once it has run, so the
-    # later blocks' backward temporaries replace what they free: 85.2 MiB
-    # (90.6 MiB when every node lived to the end of the pass).
+    # time over its centered input, the temporal conv's input gradient
+    # and the graph conv's aggregate gradient go over arrays whose last
+    # reader has run, and backward frees each node's saved arrays once it
+    # has run, so the later blocks' backward temporaries replace what they
+    # free: 78.5 MiB (85.2 MiB when each backward result was a fresh
+    # array, 90.6 MiB when every node lived to the end of the pass).
     net = StgcnNetwork(build_graph(COCO18), 10, ModelConfig(seed=0))
     optimizer = SGD(net.parameters(), momentum=0.9)
     x = np.random.default_rng(40).uniform(-1.0, 1.0, (4, 3, 30, 18, 2))
@@ -434,31 +426,24 @@ def test_training_step_of_the_paper_plan_peaks_below_88_mib():
         optimizer.step(0.1)
 
     step()
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        step()
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
-    assert peak <= 88 * 2**20
+    _, _, peak = traced_peak(step)
+    assert peak <= 82 * 2**20
 
 
 def test_backward_of_the_paper_plan_frees_the_graph_while_the_logits_live():
-    # The 73.7 MiB the forward holds goes during the backward pass itself,
+    # The 69.3 MiB the forward holds goes during the backward pass itself,
     # not when the caller drops the logits.
     net = StgcnNetwork(build_graph(COCO18), 10, ModelConfig(seed=0))
     x = np.random.default_rng(40).uniform(-1.0, 1.0, (4, 3, 30, 18, 2))
     net.forward(x, training=True).backward(np.zeros((4, 10)))
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
+
+    def step():
         logits = net.forward(x, training=True)
         _, grad = cross_entropy(logits.data, np.arange(4))
         logits.backward(grad)
-        held = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
+        return logits
+
+    logits, held, _ = traced_peak(step)
     assert not logits.is_leaf
     assert held < 2**20
 
@@ -482,12 +467,7 @@ def test_eval_forward_at_the_paper_shape_keeps_no_graph_and_little_memory():
     net = StgcnNetwork(build_graph(COCO18), 10, ModelConfig(seed=0))
     x = np.random.default_rng(33).uniform(-1.0, 1.0, (1, 3, 300, 18, 1))
     net.forward(x)
-    tracemalloc.start()
-    try:
-        logits = net.forward(x)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    logits, _, peak = traced_peak(lambda: net.forward(x))
     assert logits.is_leaf and logits.grad is None
     assert peak < 64 * 2**20
 
@@ -907,13 +887,7 @@ def test_loading_a_paper_plan_checkpoint_peaks_near_its_file_size(tmp_path):
     path = tmp_path / "paper.ckpt"
     save_weights(ModelConfig(seed=0).build(4), path)
     net = ModelConfig(seed=1).build(4)
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        load_weights(net, path)
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
+    _, _, peak = traced_peak(lambda: load_weights(net, path))
     assert peak <= 1.25 * path.stat().st_size
     assert np.array_equal(net.fc_weight.data, read_checkpoint(path)[1]["fc.weight"])
 

@@ -39,6 +39,7 @@ from helpers import (
     path_graph,
     person_flat,
     record_entry,
+    traced_peak,
     write_frames,
 )
 
@@ -193,6 +194,30 @@ def test_sgd_treats_a_missing_gradient_buffer_as_zeros():
         optimizer.step(0.1)
     assert bare.grad is None
     assert bare.data.tobytes() == zeroed.data.tobytes()
+
+
+def test_sgd_holds_a_velocity_only_for_what_a_frozen_network_trains():
+    # feature_extraction trains the classifier alone: a momentum SGD holds
+    # its velocity and no trunk-sized zero array.
+    net = ModelConfig(seed=0).build(10)
+    set_trainable(net, "feature_extraction")
+    _, held, _ = traced_peak(lambda: SGD(net.parameters(), momentum=0.9))
+    head = net.fc_weight.data.nbytes + net.fc_bias.data.nbytes
+    assert head <= held <= head + 2**12
+
+
+def test_sgd_gives_a_tensor_made_trainable_later_a_zero_velocity():
+    late, fresh = Tensor([1.0, -2.0]), Tensor([1.0, -2.0], trainable=True)
+    lagging = SGD([late], momentum=0.9, weight_decay=0.01)
+    lagging.step(0.1)
+    late.trainable = True
+    leading = SGD([fresh], momentum=0.9, weight_decay=0.01)
+    for _ in range(3):
+        for tensor in (late, fresh):
+            tensor.grad[...] = [0.5, 0.25]
+        lagging.step(0.1)
+        leading.step(0.1)
+    assert late.data.tobytes() == fresh.data.tobytes()
 
 
 def test_sgd_validation():
