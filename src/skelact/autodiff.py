@@ -21,16 +21,20 @@ zero-bordered buffer it convolves and drops, and bn2, dropout, the
 residual add and ReLU as its epilogue, with a ``Projection`` shortcut
 computed there too. The prologue may write over its input because
 ``graph_conv``'s backward never reads its output. Between forward and
-backward a block holds only what a backward reads: that output, bn2's
-centered input, the dropout mask and the node's output. Each batch norm
-runs a few whole channels at a time (``_chunks``), forward and backward.
-A backward writes each large result over an array it has finished reading.
+backward a block holds two full-size arrays, that output and the node's
+output, plus the dropout mask: bn2's centered input, like a projection's
+mixed input, is built again in backward by the forward's operations and
+centered with the batch mean the forward kept. Each batch norm runs a few
+whole channels at a time (``_chunks``), forward and backward. A backward
+writes each large result over an array it has finished reading.
 
-Leaf gradients accumulate into ``Tensor.grad`` buffers. A trainable leaf
-built under ``no_grad`` has none until its first gradient arrives, which
-is added to zeros. Leaf tensors marked non-trainable (inputs, frozen
-weights) keep their gradient buffer at zero: backward skips them, which
-is both the freezing semantics and a small saving. An interior node's
+Leaf gradients accumulate into ``Tensor.grad`` buffers. Only a trainable
+leaf built while recording starts with one, of zeros; a leaf built under
+``no_grad`` or made trainable later has none until its first gradient
+arrives, which is added to zeros. Leaf tensors marked non-trainable
+(inputs, frozen weights) take no gradient and hold no buffer: backward
+skips them, which is the freezing semantics, and ``model.set_trainable``
+drops the buffer of each tensor it freezes. An interior node's
 ``grad`` is ``None`` except while ``backward`` runs: it is set when the
 first contribution arrives and dropped once the node has passed it on.
 """
@@ -67,9 +71,10 @@ def no_grad():
 class Tensor:
     """A float64 array plus gradient buffer and autodiff bookkeeping.
 
-    Under ``no_grad``, and for an operation output none of whose parents
-    is a trainable leaf or a recorded node, the parents and backward
-    closure are dropped and no gradient buffer is made.
+    Only a trainable leaf built while recording gets a zero gradient
+    buffer up front. Under ``no_grad``, and for an operation output none of
+    whose parents is a trainable leaf or a recorded node, the parents and
+    backward closure are dropped and no gradient buffer is made.
     """
 
     __slots__ = ("data", "grad", "trainable", "_parents", "_backward_fn")
@@ -78,8 +83,9 @@ class Tensor:
         recording = _recording.get() and (
             not parents or any(_needs_grad(p) for p in parents))
         self.data = np.asarray(data, dtype=np.float64)
-        self.grad = np.zeros_like(self.data) if recording and not parents else None
         self.trainable = bool(trainable)
+        self.grad = (np.zeros_like(self.data)
+                     if recording and not parents and self.trainable else None)
         self._parents = tuple(parents) if recording else ()
         self._backward_fn = backward_fn if recording else None
 
@@ -372,8 +378,9 @@ class Norm(NamedTuple):
 class Projection(NamedTuple):
     """A residual branch run inside a node's epilogue: every ``stride``-th
     frame of ``x``, (C, B, T, V), mixed by a (C, D) ``weight``, then batch
-    norm ``norm``. Its input frames and output are temporaries; backward
-    subsamples ``x`` again and mixes it again for the norm's backward."""
+    norm ``norm``. Its input frames and output are temporaries: the norm
+    keeps its batch mean, and backward subsamples ``x`` again, mixes it
+    again and centers the mix with that mean for the norm's backward."""
 
     x: Tensor
     weight: Tensor
@@ -402,13 +409,15 @@ class _Epilogue:
     that array, accumulating the batch norm and shortcut gradients on the
     way. The shortcut is a tensor or a ``Projection``, which the tail
     computes for the add and drops. Only what the backward reads is kept:
-    a batch-statistics norm's centered input, the dropout mask, and a
-    projection's batch mean, from which the backward rebuilds its batch
-    norm's centered input. A norm on running statistics keeps
-    nothing, since no gradient goes through it. ReLU keeps no mask: the
-    backward reads where the rectified result is > 0, which is where its
-    input was, NaN and both zeros giving False either way. The result is
-    the node's output, so nothing writes into it once the node returns.
+    the dropout mask and a batch-statistics norm's centered input or, if
+    the caller builds that input again (``rebuilt``, as ``temporal_conv``
+    does, and always for a projection), only its batch mean, which
+    ``center`` subtracts from the rebuilt array before the backward. A
+    norm on running statistics keeps nothing, since no gradient goes
+    through it. ReLU keeps no mask: the backward reads where the rectified
+    result is > 0, which is where its input was, NaN and both zeros giving
+    False either way. The result is the node's output, so nothing writes
+    into it once the node returns.
 
     ``fit``, ``rectify``, ``affine`` and ``normalize_backward`` are the
     batch norm and a ReLU alone, for a prologue.
@@ -420,12 +429,12 @@ class _Epilogue:
         self.dropout, self.rng, self.relu = dropout, rng, relu
         self.centered = self.keep = self.rectified = None
 
-    def apply(self, out: np.ndarray) -> np.ndarray:
+    def apply(self, out: np.ndarray, rebuilt: bool = False) -> np.ndarray:
         """Run the tail on ``out``, the caller's fresh array, and return the
-        result: ``out`` itself when no backward reads ``out`` (no norm, or
-        running statistics), else a new array."""
+        result: ``out`` itself when no backward reads ``out`` (no norm,
+        running statistics, or ``rebuilt``; see ``fit``), else a new array."""
         if self.norm is not None:
-            self.fit(out)
+            self.fit(out, rebuilt)
         result = out if self.centered is None else np.empty(out.shape)
         if self.dropout:
             self.keep, self.scale = _dropout_mask(out.shape, self.dropout, self.rng)
@@ -434,9 +443,7 @@ class _Epilogue:
         if projected:
             self.branch = _Epilogue(branch.norm)
             mixed = _project(branch)[1].reshape(out.shape)
-            self.branch.fit(mixed)
-            self.branch.centered = None
-        # A projection maps in place: its backward builds its input again.
+            self.branch.fit(mixed, rebuilt=True)
         for part, _ in _chunks(out, scratch=False):
             run = result[part]
             if self.norm is not None:
@@ -453,12 +460,14 @@ class _Epilogue:
         self.rectified = result if self.relu else None
         return result
 
-    def fit(self, out: np.ndarray) -> None:
+    def fit(self, out: np.ndarray, rebuilt: bool = False) -> None:
         """Find the batch norm's map ``x * a + b`` for ``out``.
 
         With batch statistics each run of channels takes its row sums and
         is centered in place, then its squares are summed in a scratch run;
-        ``out`` is kept as ``centered``, which the map reads. On running
+        ``out``, which the map reads, is kept as ``centered`` unless
+        ``rebuilt``: then only the batch mean is kept, and the caller builds
+        ``out`` again for ``center`` before the backward. On running
         statistics ``fit`` writes nothing.
         """
         norm = self.norm
@@ -476,9 +485,17 @@ class _Epilogue:
             _row_sum(np.square(out[part], out=buffer), var[part])
         var /= out[0].size
         self.inv_std = 1.0 / _per_channel(np.sqrt(var + norm.eps))
-        self.a, self.b, self.centered, self.mean = gamma * self.inv_std, shift, out, mu
+        self.a, self.b, self.mean = gamma * self.inv_std, shift, mu
+        self.centered = None if rebuilt else out
         if norm.track is not None:
             norm.track(mu, var)
+
+    def center(self, out: np.ndarray) -> None:
+        """Keep ``out``, the array ``fit`` ran on built again by the same
+        operations, as ``centered``, centered in place by the subtraction
+        ``fit`` made, so with the same bits."""
+        out -= _per_channel(self.mean)
+        self.centered = out
 
     def affine(self, out: np.ndarray, part: slice, dest: np.ndarray) -> np.ndarray:
         """Write the map ``fit`` found, on channels ``part`` of ``out``, to
@@ -515,8 +532,7 @@ class _Epilogue:
         only. The norm's centered input is made again, by the same operations."""
         branch = self.shortcut
         columns, mixed = _project(branch)
-        mixed -= self.branch.mean[:, None]
-        self.branch.centered = mixed.reshape(grad.shape)
+        self.branch.center(mixed.reshape(grad.shape))
         del mixed
         grad_rows = self.branch.backward(grad).reshape(len(grad), -1)
         _accumulate(branch.weight, columns.reshape(len(columns), -1) @ grad_rows.T)
@@ -636,11 +652,15 @@ def temporal_conv(
     zero-bordered buffer the node owns and drops once it has convolved;
     only the prologue's ReLU writes into it. The backward pass builds the
     buffer again from what the forward left in the input's array, by the
-    same operations, so with the same bits, for the kernel gradient, then
-    reuses it for the stride-dilated output gradient. The input gradient
-    is the windowed sum of that buffer with the flipped kernel, written
-    with stride 1 over bn2's dx; the prologue's backward rebuilds its ReLU
-    mask a run of channels at a time and writes dx over the input's array.
+    same operations, so with the same bits, and correlates it again: bn2
+    maps the forward's correlation in place and keeps only its batch mean,
+    which centers the new correlation into bn2's centered input, so the
+    node holds no full-size float array but its output until backward.
+    The buffer then serves the kernel gradient and becomes the
+    stride-dilated output gradient. The input gradient is the windowed sum
+    of that buffer with the flipped kernel, written with stride 1 over
+    bn2's dx; the prologue's backward rebuilds its ReLU mask a run of
+    channels at a time and writes dx over the input's array.
 
     The epilogue runs in this node, in order: batch norm ``norm``,
     inverted dropout at rate ``dropout`` drawn from ``rng``, the
@@ -690,13 +710,16 @@ def temporal_conv(
         entry.fit(x.data)
     out_data = _correlate(padded_input(), kernel.data, stride)
     epilogue = _Epilogue(norm, dropout, rng, shortcut, relu)
-    out_data = epilogue.apply(out_data)
+    out_data = epilogue.apply(out_data, rebuilt=True)
 
     def backward_fn(grad):
         # A tensor shortcut has no norm; a Projection has one.
         _check_differentiable(prologue, norm, getattr(shortcut, "norm", None))
-        dx = epilogue.backward(grad)
         padded = padded_input()
+        if norm is not None:
+            # bn2's centered input, from the forward's own correlation call.
+            epilogue.center(_correlate(padded, kernel.data, stride))
+        dx = epilogue.backward(grad)
         windows = _tap_windows(padded, taps, stride)
         _accumulate(kernel, np.einsum("cbktv,cbtv->ck", windows, dx))
         # The buffer becomes the dilated gradient: its border is zero, stride
@@ -705,8 +728,8 @@ def temporal_conv(
         if stride > 1:
             padded[:, :, pad:pad + frames] = 0.0
         padded[:, :, pad:pad + stride * dx.shape[2]:stride] = dx
-        # With stride 1, dx is bn2's centered input, the input's shape and
-        # read by no one else, so the input gradient goes over it.
+        # With stride 1, dx is over bn2's rebuilt centered input, the input's
+        # shape and read by no one else, so the input gradient goes over it.
         own = stride == 1 and norm is not None
         grad_x = _correlate(padded, kernel.data[:, ::-1], 1, dx if own else None)
         del windows, padded, dx

@@ -385,7 +385,9 @@ def set_trainable(net: StgcnNetwork, mode: str) -> None:
     ``fine_tune`` keeps the last block and the classifier trainable;
     ``feature_extraction`` keeps only the classifier. Batch norm layers
     whose parameters are frozen also stop updating their running
-    statistics and always normalize with them.
+    statistics and always normalize with them. A frozen tensor drops its
+    gradient buffer, which backward never writes; one made trainable
+    again gets a new buffer with its first gradient.
     """
     check_mode(mode)
     if mode in ("vanilla", "propagation"):
@@ -396,6 +398,8 @@ def set_trainable(net: StgcnNetwork, mode: str) -> None:
         prefixes = ("fc.",)
     for name, tensor in net.named_parameters().items():
         tensor.trainable = prefixes is None or name.startswith(prefixes)
+        if not tensor.trainable:
+            tensor.grad = None
 
 
 def save_weights(net: StgcnNetwork, path: str | Path) -> None:

@@ -67,7 +67,8 @@ def test_tensor_defaults():
     assert t.data.shape == (2, 2)
     assert not t.trainable
     assert t.is_leaf
-    assert (t.grad == 0.0).all()
+    assert t.grad is None
+    assert (Tensor([1.0, 2.0], trainable=True).grad == 0.0).all()
 
 
 def test_scalar_backward_seeds_with_one():
@@ -133,13 +134,13 @@ def test_backward_through_a_node_another_root_freed_changes_no_gradient():
     assert np.array_equal(x.grad, [2.0, 4.0])
 
 
-def test_frozen_leaves_keep_zero_gradients():
+def test_frozen_leaves_take_no_gradient():
     x = Tensor([1.0, 2.0], trainable=True)
     c = Tensor([3.0, 4.0], trainable=False)
     loss = reduce_sum(mul(x, c), (0,))
     loss.backward()
     assert np.allclose(x.grad, [3.0, 4.0])
-    assert (c.grad == 0.0).all()
+    assert c.grad is None
 
 
 def test_diamond_graph_accumulates_both_paths():
@@ -1148,6 +1149,31 @@ def test_stride_one_temporal_conv_writes_its_input_gradient_over_dx(normed, monk
     assert np.array_equal(seed, kept)
 
 
+@pytest.mark.parametrize("kind", ["none", "identity", "strided_projection"])
+def test_training_node_b_holds_only_its_output_until_backward(kind):
+    # bn2 maps the correlation in place and keeps its batch mean; backward
+    # correlates the rebuilt padded buffer again and centers that. So
+    # between forward and backward the node holds its output and per-channel
+    # statistics, not also bn2's centered input (2x the output).
+    rng = np.random.default_rng(49)
+    stride = 2 if kind == "strided_projection" else 1
+    h = relu(leaf(rng, (64, 8, 30, 18)))
+    kernel = leaf(rng, (64, 9))
+    if kind == "none":
+        shortcut = None
+    elif kind == "identity":
+        shortcut = relu(leaf(rng, (64, 8, 30, 18)))
+    else:
+        shortcut = Projection(relu(leaf(rng, (32, 8, 30, 18))), leaf(rng, (32, 64)),
+                              norm_leaves(rng, 64), stride)
+    out, held, _ = traced_peak(lambda: temporal_conv(
+        h, kernel, stride, prologue=norm_leaves(rng, 64), norm=norm_leaves(rng, 64),
+        shortcut=shortcut, relu=True))
+    assert held <= 1.1 * out.data.nbytes
+    out.backward(rng.uniform(-1.0, 1.0, out.data.shape))
+    assert np.abs(kernel.grad).max() > 0.0
+
+
 @pytest.mark.parametrize("recorded", [False, True], ids=["no_grad", "recorded"])
 def test_running_statistics_batch_norm_normalizes_in_place(recorded):
     # Nothing reads a running-statistics norm's input back, in a recorded
@@ -1170,7 +1196,9 @@ def test_tensors_built_under_no_grad_have_no_gradient_buffer():
     with no_grad():
         built = Tensor(np.ones((2, 3)), trainable=True)
     assert built.is_leaf and built.grad is None
-    assert (Tensor(np.ones((2, 3))).grad == 0.0).all()
+    # Recorded, only a trainable leaf has one: backward skips frozen leaves.
+    assert (Tensor(np.ones((2, 3)), trainable=True).grad == 0.0).all()
+    assert Tensor(np.ones((2, 3))).grad is None
 
 
 def test_no_grad_nests_and_restores_recording_on_exit_and_on_error():

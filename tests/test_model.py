@@ -395,25 +395,27 @@ def test_training_block_keeps_no_bordered_buffer_after_its_forward(monkeypatch):
 def test_training_forward_of_the_paper_plan_holds_what_backward_needs():
     # One warm training forward at the benchmark's train shape (N=4, T=30,
     # M=2, COCO18, 10-block plan), input batch norm, projections and
-    # pooling included. It keeps 69.3 MiB (73.7 MiB when each projection
-    # kept res_bn's centered input instead of rebuilding it in backward).
+    # pooling included. It keeps 47.7 MiB (69.3 MiB when each node B kept
+    # bn2's centered input, 73.7 MiB when each projection also kept
+    # res_bn's, instead of rebuilding them in backward).
     net = StgcnNetwork(build_graph(COCO18), 10, ModelConfig(seed=0))
     x = np.random.default_rng(40).uniform(-1.0, 1.0, (4, 3, 30, 18, 2))
     net.forward(x, training=True)
     logits, held, _ = traced_peak(lambda: net.forward(x, training=True))
     assert not logits.is_leaf
-    assert held <= 72 * 2**20
+    assert held <= 50 * 2**20
 
 
-def test_training_step_of_the_paper_plan_peaks_below_82_mib():
+def test_training_step_of_the_paper_plan_has_a_bounded_peak():
     # One warm step, forward, backward and SGD, at the same shape. Each
     # batch norm's backward masks, sums and writes dx a few channels at a
     # time over its centered input, the temporal conv's input gradient
     # and the graph conv's aggregate gradient go over arrays whose last
     # reader has run, and backward frees each node's saved arrays once it
     # has run, so the later blocks' backward temporaries replace what they
-    # free: 78.5 MiB (85.2 MiB when each backward result was a fresh
-    # array, 90.6 MiB when every node lived to the end of the pass).
+    # free: 59.5 MiB (78.5 MiB when each node B kept bn2's centered input,
+    # 85.2 MiB when each backward result was also a fresh array, 90.6 MiB
+    # when every node also lived to the end of the pass).
     net = StgcnNetwork(build_graph(COCO18), 10, ModelConfig(seed=0))
     optimizer = SGD(net.parameters(), momentum=0.9)
     x = np.random.default_rng(40).uniform(-1.0, 1.0, (4, 3, 30, 18, 2))
@@ -427,11 +429,11 @@ def test_training_step_of_the_paper_plan_peaks_below_82_mib():
 
     step()
     _, _, peak = traced_peak(step)
-    assert peak <= 82 * 2**20
+    assert peak <= 62 * 2**20
 
 
 def test_backward_of_the_paper_plan_frees_the_graph_while_the_logits_live():
-    # The 69.3 MiB the forward holds goes during the backward pass itself,
+    # The 47.7 MiB the forward holds goes during the backward pass itself,
     # not when the caller drops the logits.
     net = StgcnNetwork(build_graph(COCO18), 10, ModelConfig(seed=0))
     x = np.random.default_rng(40).uniform(-1.0, 1.0, (4, 3, 30, 18, 2))
@@ -804,6 +806,18 @@ def test_mode_feature_extraction_keeps_only_the_head():
     assert all(bn.frozen for _, bn in net.batch_norm_layers())
     set_trainable(net, "vanilla")
     assert trainable_names(net) == set(net.named_parameters())
+
+
+def test_feature_extraction_leaves_gradient_buffers_only_on_the_head():
+    # Built while recording, every parameter has a zero gradient buffer;
+    # freezing drops the trunk's, which backward would never write.
+    net = small_net()
+    assert all(t.grad is not None for t in net.parameters())
+    set_trainable(net, "feature_extraction")
+    holding = {name: t.grad.nbytes for name, t in net.named_parameters().items()
+               if t.grad is not None}
+    assert holding == {"fc.weight": net.fc_weight.data.nbytes,
+                       "fc.bias": net.fc_bias.data.nbytes}
 
 
 def test_mode_validation():

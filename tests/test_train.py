@@ -28,7 +28,7 @@ from skelact import (
     top_k_accuracy,
     train_loop,
 )
-from skelact.autodiff import Tensor, dropout, no_grad, temporal_conv
+from skelact.autodiff import Tensor, dropout, mul, no_grad, reduce_sum, temporal_conv
 from skelact.keypoints import layout_joint_count
 from skelact.model import StgcnNetwork
 from skelact.train import SGD, EpochRecord, TrainHistory, load_sequence
@@ -154,13 +154,17 @@ def test_sgd_step_rejects_negative_lr():
 
 
 def test_sgd_leaves_frozen_tensors_but_clears_their_gradients():
-    frozen = Tensor([3.0], trainable=False)
+    # A tensor frozen by hand keeps the buffer it had; one built frozen has none.
+    frozen = Tensor([3.0], trainable=True)
     frozen.grad[...] = 7.0
+    frozen.trainable = False
+    bare = Tensor([3.0], trainable=False)
     live = Tensor([3.0], trainable=True)
     live.grad[...] = 7.0
-    SGD([frozen, live]).step(0.1)
+    SGD([frozen, bare, live]).step(0.1)
     assert frozen.data[0] == 3.0
     assert frozen.grad[0] == 0.0
+    assert bare.data[0] == 3.0 and bare.grad is None
     assert live.data[0] == pytest.approx(2.3)
 
 
@@ -207,14 +211,17 @@ def test_sgd_holds_a_velocity_only_for_what_a_frozen_network_trains():
 
 
 def test_sgd_gives_a_tensor_made_trainable_later_a_zero_velocity():
+    # The late tensor was built frozen, so it has no gradient buffer until
+    # its first gradient arrives.
     late, fresh = Tensor([1.0, -2.0]), Tensor([1.0, -2.0], trainable=True)
     lagging = SGD([late], momentum=0.9, weight_decay=0.01)
     lagging.step(0.1)
     late.trainable = True
+    assert late.grad is None
     leading = SGD([fresh], momentum=0.9, weight_decay=0.01)
     for _ in range(3):
         for tensor in (late, fresh):
-            tensor.grad[...] = [0.5, 0.25]
+            reduce_sum(mul(tensor, Tensor([0.5, 0.25])), (0,)).backward()
         lagging.step(0.1)
         leading.step(0.1)
     assert late.data.tobytes() == fresh.data.tobytes()
