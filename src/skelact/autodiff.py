@@ -4,16 +4,16 @@ Every operation builds a new Tensor that remembers its parents and a
 closure propagating the output gradient to them. ``Tensor.backward`` walks
 the recorded graph once in reverse topological order and frees each node
 as it goes, so a graph can be walked only once. Inside ``no_grad``
-nothing is recorded: every operation returns a bare leaf with no
-gradient buffer, and the arrays a backward pass would need are freed as
-soon as the operation returns. An operation none of whose operands is a
-trainable leaf or a recorded node returns such a leaf too, since no
-gradient through it reaches a trainable tensor: frozen layers record
-nothing. Only the operations the network actually needs exist here, each
-with an exact analytic gradient; there is no graph optimization, no dtype
-besides float64, and no in-place arithmetic on tracked values but one:
-on batch statistics, ``temporal_conv``'s prologue centers its input over
-the input's own array.
+nothing is recorded: every operation returns a bare leaf, and the arrays
+a backward pass would need are freed as soon as the operation returns.
+An operation none of whose operands is a trainable leaf or a recorded
+node returns such a leaf too, since no gradient through it reaches a
+trainable tensor: frozen layers record nothing. Only the operations the
+network actually needs exist here, each with an exact analytic gradient;
+there is no graph optimization, no dtype besides float64, and no
+in-place arithmetic on tracked values but one: on batch statistics,
+``temporal_conv``'s prologue centers its input over the input's own
+array.
 
 An ST-GCN block is two nodes. ``graph_conv`` returns its raw channel mix.
 ``temporal_conv`` runs bn1 and a ReLU on that mix as its prologue, into a
@@ -28,15 +28,15 @@ centered with the batch mean the forward kept. Each batch norm runs a few
 whole channels at a time (``_chunks``), forward and backward. A backward
 writes each large result over an array it has finished reading.
 
-Leaf gradients accumulate into ``Tensor.grad`` buffers. Only a trainable
-leaf built while recording starts with one, of zeros; a leaf built under
-``no_grad`` or made trainable later has none until its first gradient
-arrives, which is added to zeros. Leaf tensors marked non-trainable
-(inputs, frozen weights) take no gradient and hold no buffer: backward
-skips them, which is the freezing semantics, and ``model.set_trainable``
-drops the buffer of each tensor it freezes. An interior node's
-``grad`` is ``None`` except while ``backward`` runs: it is set when the
-first contribution arrives and dropped once the node has passed it on.
+Leaf gradients accumulate into ``Tensor.grad`` buffers. No tensor is
+built with one: ``_accumulate`` makes a trainable leaf's buffer when its
+first gradient arrives, as zeros plus that gradient, and
+``Tensor.zero_grad``, which ``SGD.step`` calls once it has used the
+buffer, drops it. Leaf tensors marked non-trainable (inputs, frozen
+weights) take no gradient and so never get a buffer: backward skips
+them, which is the freezing semantics. An interior node's ``grad`` is
+``None`` except while ``backward`` runs: it is set when the first
+contribution arrives and dropped once the node has passed it on.
 """
 from __future__ import annotations
 
@@ -57,9 +57,9 @@ _recording = ContextVar("recording", default=True)
 def no_grad():
     """Run operations without recording a graph; contexts nest.
 
-    Each Tensor built inside, an operation's output or a leaf, has no
-    parents, no backward closure and no gradient buffer. The previous
-    state comes back on exit, also when the body raises.
+    Each operation inside returns a leaf, with no parents and no backward
+    closure. The previous state comes back on exit, also when the body
+    raises.
     """
     token = _recording.set(False)
     try:
@@ -71,21 +71,19 @@ def no_grad():
 class Tensor:
     """A float64 array plus gradient buffer and autodiff bookkeeping.
 
-    Only a trainable leaf built while recording gets a zero gradient
-    buffer up front. Under ``no_grad``, and for an operation output none of
-    whose parents is a trainable leaf or a recorded node, the parents and
-    backward closure are dropped and no gradient buffer is made.
+    ``grad`` starts as None, and a trainable leaf's first gradient makes
+    it. Under ``no_grad``, and for an operation output none of whose
+    parents is a trainable leaf or a recorded node, the parents and
+    backward closure are dropped, so the output is a leaf.
     """
 
     __slots__ = ("data", "grad", "trainable", "_parents", "_backward_fn")
 
     def __init__(self, data, trainable=False, parents=(), backward_fn=None):
-        recording = _recording.get() and (
-            not parents or any(_needs_grad(p) for p in parents))
+        recording = _recording.get() and any(_needs_grad(p) for p in parents)
         self.data = np.asarray(data, dtype=np.float64)
         self.trainable = bool(trainable)
-        self.grad = (np.zeros_like(self.data)
-                     if recording and not parents and self.trainable else None)
+        self.grad = None
         self._parents = tuple(parents) if recording else ()
         self._backward_fn = backward_fn if recording else None
 
@@ -94,8 +92,8 @@ class Tensor:
         return self._backward_fn is None
 
     def zero_grad(self) -> None:
-        if self.grad is not None:
-            self.grad[...] = 0.0
+        """Drop the gradient buffer; the next gradient makes a new one."""
+        self.grad = None
 
     def backward(self, grad=None) -> None:
         """Propagate gradients of this tensor to everything upstream.

@@ -20,7 +20,6 @@ from pathlib import Path
 import numpy as np
 
 from .atomic import open_atomic
-from .autodiff import no_grad
 from .config import read_text
 from .errors import (
     CheckpointError,
@@ -123,9 +122,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     config = load_run_config(args.config)
     manifest = DatasetManifest.load(config.manifest)
     split = load_split(args.split)
-    # Evaluation never runs backward, so no parameter needs a gradient buffer.
-    with no_grad():
-        net = config.model.build(len(split.class_names))
+    net = config.model.build(len(split.class_names))
     load_weights(net, args.checkpoint)
 
     dataset = SequenceDataset.from_manifest(

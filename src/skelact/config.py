@@ -4,9 +4,9 @@ The accepted keys of each object are the fields of its dataclass (a field
 may name its JSON key with ``metadata={"key": ...}``), and each value is
 checked against the field's annotation, so a new field needs no parser
 change. Unknown keys, missing required keys, wrong types and non-finite
-numbers are rejected with the offending field path. ``check_count`` and
-``check_fraction`` are range rules that a config field and a function
-handed the bare value both check, with one message.
+numbers are rejected with the offending field path. ``check_count``,
+``check_non_negative`` and ``check_fraction`` are range rules that a config
+field and a function handed the bare value both check, with one message.
 """
 from __future__ import annotations
 
@@ -26,6 +26,12 @@ def check_count(name: str, value, error=ConfigurationError) -> None:
     """Reject setting ``name`` below 1 with ``error``, a ConfigurationError."""
     if value < 1:
         raise error(f"{name}: must be at least 1")
+
+
+def check_non_negative(name: str, value) -> None:
+    """Reject setting ``name`` below 0, or NaN."""
+    if not value >= 0:
+        raise ConfigurationError(f"{name}: must be non-negative, got {value}")
 
 
 def check_fraction(name: str, value) -> None:

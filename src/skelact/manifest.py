@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .atomic import open_atomic
-from .config import read_document, read_text, resolve_relative
+from .config import check_non_negative, read_document, read_text, resolve_relative
 from .errors import ConfigurationError, InsufficientDataError
 from .keypoints import BODY25, check_layout
 
@@ -188,8 +188,7 @@ def build_protocol(
         raise ConfigurationError(
             f"unknown protocol {protocol!r}; expected one of {', '.join(PROTOCOLS)}"
         )
-    if seed < 0:
-        raise ConfigurationError(f"seed: must be non-negative, got {seed}")
+    check_non_negative("seed", seed)
     family, variant = protocol.split("-", 1)
     performer = PERFORMER_ADULT if variant == "Small-A" else PERFORMER_CHILD
     class_names = protocol_class_names(manifest, protocol)

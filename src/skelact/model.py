@@ -33,7 +33,7 @@ import numpy as np
 from . import autodiff as ad
 from .atomic import open_atomic
 from .autodiff import Tensor
-from .config import check_count, check_fraction, unique_keys
+from .config import check_count, check_fraction, check_non_negative, unique_keys
 from .errors import CheckpointError, ConfigurationError
 from .graph import SkeletonGraph, build_graph, partition_spatial
 from .keypoints import COCO18, check_layout
@@ -301,9 +301,8 @@ class StgcnNetwork:
         with nullcontext() if training else ad.no_grad():
             # Normalize per joint-channel pair over the batch and time. The
             # input is a constant: rearranged outside the graph, no gradient.
-            with ad.no_grad():
-                h = Tensor(x.transpose(3, 1, 0, 4, 2).reshape(
-                    vertices * channels, samples * slots, frames, 1))
+            h = Tensor(x.transpose(3, 1, 0, 4, 2).reshape(
+                vertices * channels, samples * slots, frames, 1))
             h = ad.batch_norm(h, self.input_bn.norm(training))
             # Channels first from here to the pooling: (C, N·M, T, V).
             h = ad.reshape(h, (vertices, channels, samples * slots, frames))
@@ -385,9 +384,9 @@ def set_trainable(net: StgcnNetwork, mode: str) -> None:
     ``fine_tune`` keeps the last block and the classifier trainable;
     ``feature_extraction`` keeps only the classifier. Batch norm layers
     whose parameters are frozen also stop updating their running
-    statistics and always normalize with them. A frozen tensor drops its
-    gradient buffer, which backward never writes; one made trainable
-    again gets a new buffer with its first gradient.
+    statistics and always normalize with them. Trainability is all this
+    changes: backward gives no gradient to a frozen tensor, and the next
+    ``SGD.step`` drops any buffer one holds from before.
     """
     check_mode(mode)
     if mode in ("vanilla", "propagation"):
@@ -398,8 +397,6 @@ def set_trainable(net: StgcnNetwork, mode: str) -> None:
         prefixes = ("fc.",)
     for name, tensor in net.named_parameters().items():
         tensor.trainable = prefixes is None or name.startswith(prefixes)
-        if not tensor.trainable:
-            tensor.grad = None
 
 
 def save_weights(net: StgcnNetwork, path: str | Path) -> None:
@@ -586,8 +583,7 @@ class ModelConfig:
         check_layout(self.layout)
         check_count("person_slots", self.person_slots)
         check_count("target_frames", self.target_frames)
-        if self.seed < 0:
-            raise ConfigurationError(f"seed: must be non-negative, got {self.seed}")
+        check_non_negative("seed", self.seed)
         if self.person_pool not in PERSON_POOLS:
             raise ConfigurationError(
                 f"person_pool: expected one of {PERSON_POOLS}, got {self.person_pool!r}"

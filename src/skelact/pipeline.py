@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import check_count, check_fraction
+from .config import check_count, check_fraction, check_non_negative
 from .errors import ConfigurationError, WindowError
 from .sequence import SkeletonSequence
 
@@ -202,12 +202,10 @@ class MoveParams:
     anchors: int = 3
 
     def __post_init__(self):
-        if self.rotation < 0.0:
-            raise ConfigurationError("rotation: must be non-negative")
+        check_non_negative("rotation", self.rotation)
         if not 0.0 < self.scale_min <= self.scale_max:
             raise ConfigurationError("scale_min: needs 0 < scale_min <= scale_max")
-        if self.translation < 0.0:
-            raise ConfigurationError("translation: must be non-negative")
+        check_non_negative("translation", self.translation)
         check_count("anchors", self.anchors)
 
 

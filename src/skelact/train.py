@@ -15,7 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import check_count, check_fraction, read_document, resolve_relative
+from .config import (check_count, check_fraction, check_non_negative, read_document,
+                     resolve_relative)
 from .errors import ConfigurationError, NonFiniteError
 from .manifest import DatasetManifest, ProtocolSplit
 from .metrics import check_logits, top_k_accuracy
@@ -31,8 +32,7 @@ from .sequence import (
 
 def _check_optimizer_options(momentum, weight_decay) -> None:
     check_fraction("momentum", momentum)
-    if weight_decay < 0.0:
-        raise ConfigurationError("weight_decay: must be non-negative")
+    check_non_negative("weight_decay", weight_decay)
 
 
 @dataclass
@@ -67,9 +67,10 @@ class TrainConfig:
             )
         check_count("batch_size", self.batch_size)
         check_count("epochs", self.epochs)
-        if self.seed < 0:
-            raise ConfigurationError(f"seed: must be non-negative, got {self.seed}")
+        check_non_negative("seed", self.seed)
         _check_optimizer_options(self.momentum, self.weight_decay)
+        if self.mode == "vanilla" and self.source_checkpoint:
+            raise ConfigurationError("source_checkpoint: not allowed for mode 'vanilla'")
         if self.mode != "vanilla" and not self.source_checkpoint:
             raise ConfigurationError(f"source_checkpoint: required for mode {self.mode!r}")
 
@@ -144,9 +145,10 @@ def cross_entropy(
 class SGD:
     """Stochastic gradient descent with optional momentum and weight decay.
 
-    Only trainable tensors move, and only they hold a momentum velocity,
-    zero until their first step; every tensor's gradient is cleared after
-    the step, so frozen tensors cannot accumulate stale gradients either.
+    Only trainable tensors move; a tensor's first step makes its momentum
+    velocity from the step's own gradient array. Every gradient buffer is
+    dropped after the step (``Tensor.zero_grad``), so no tensor holds one
+    between steps and frozen tensors cannot keep stale gradients either.
     """
 
     def __init__(self, tensors, momentum: float = 0.0, weight_decay: float = 0.0):
@@ -154,12 +156,10 @@ class SGD:
         self.tensors = list(tensors)
         self.momentum = momentum
         self.weight_decay = weight_decay
-        self._velocity = [np.zeros_like(t.data) if momentum and t.trainable else None
-                          for t in self.tensors]
+        self._velocity: dict[int, np.ndarray] = {}
 
     def step(self, lr: float) -> None:
-        if lr < 0.0:
-            raise ConfigurationError(f"lr: must be non-negative, got {lr}")
+        check_non_negative("lr", lr)
         for index, tensor in enumerate(self.tensors):
             if tensor.trainable:
                 grad = tensor.grad
@@ -168,11 +168,15 @@ class SGD:
                 if self.weight_decay:
                     grad = grad + self.weight_decay * tensor.data
                 if self.momentum:
-                    if self._velocity[index] is None:
-                        self._velocity[index] = np.zeros_like(tensor.data)
-                    velocity = self._velocity[index]
-                    velocity *= self.momentum
-                    velocity += grad
+                    velocity = self._velocity.get(index)
+                    if velocity is None:
+                        # 0 + grad, in the array the tensor drops below:
+                        # + 0.0 turns -0.0 into 0.0 as that sum does.
+                        velocity = self._velocity[index] = grad
+                        velocity += 0.0
+                    else:
+                        velocity *= self.momentum
+                        velocity += grad
                     grad = velocity
                 tensor.data -= lr * grad
             tensor.zero_grad()
@@ -259,6 +263,7 @@ def evaluate(
     training. A NaN or infinite logit raises ``NonFiniteError`` naming
     its batch.
     """
+    check_count("batch_size", batch_size)
     if len(dataset) == 0:
         raise ConfigurationError("cannot evaluate an empty dataset")
     logits = np.zeros((len(dataset), net.num_classes))

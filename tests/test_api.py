@@ -19,6 +19,10 @@ so they are not checked. Calls are matched by the name written at the
 call, not by type: ``x.forward(training=False)`` counts for every public
 ``forward``, and ``cls(...)`` for no class. The benchmark is read with
 ``ast`` and never imported.
+
+The same parse checks that optimizer state has one creation site: only
+``autodiff._accumulate`` writes anything but None to an attribute named
+``grad``, and only ``SGD.step`` writes into ``_velocity``.
 """
 from __future__ import annotations
 
@@ -173,3 +177,78 @@ def test_every_public_name_and_keyword_has_a_caller():
     assert "load_sequence" in uses.calls and "frame_count" in uses.attributes
     missing = _uncalled(uses)
     assert not missing, "no caller outside the tests: " + ", ".join(missing)
+
+
+
+# Attribute -> the one function that gives it state, and what any other
+# code may write to it: None drops a gradient buffer, and an empty
+# container is an optimizer holding no velocity yet.
+CREATION_SITES = {"grad": "autodiff._accumulate", "_velocity": "train.SGD.step"}
+WRITTEN_ELSEWHERE = {"grad": "none", "_velocity": "empty"}
+
+
+def _written(value) -> str:
+    if isinstance(value, ast.Constant) and value.value is None:
+        return "none"
+    if isinstance(value, ast.Dict) and not value.keys or isinstance(
+            value, ast.List) and not value.elts:
+        return "empty"
+    return "value"
+
+
+class _StateWrites(ast.NodeVisitor):
+    """Each write of a ``CREATION_SITES`` attribute, or into it by subscript
+    or augmented assignment, as (enclosing function, attribute, what
+    ``_written`` makes of the value; ``"value"`` for a write into it)."""
+
+    def __init__(self, module: str):
+        self.scope = [module]
+        self.writes: list[tuple[str, str, str]] = []
+
+    def _enter(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_ClassDef = visit_FunctionDef = visit_AsyncFunctionDef = _enter
+
+    def _store(self, target, value):
+        if isinstance(target, (ast.Tuple, ast.List)):
+            paired = (isinstance(value, (ast.Tuple, ast.List))
+                      and len(value.elts) == len(target.elts))
+            for index, element in enumerate(target.elts):
+                self._store(element, value.elts[index] if paired else None)
+            return
+        if isinstance(target, ast.Subscript):
+            target, value = target.value, None
+        if isinstance(target, ast.Attribute) and target.attr in CREATION_SITES:
+            self.writes.append((".".join(self.scope), target.attr, _written(value)))
+
+    def visit_Assign(self, node):
+        for target in node.targets:
+            self._store(target, node.value)
+        self.generic_visit(node)
+
+    def visit_AnnAssign(self, node):
+        if node.value is not None:
+            self._store(node.target, node.value)
+        self.generic_visit(node)
+
+    def visit_AugAssign(self, node):
+        self._store(node.target, None)
+        self.generic_visit(node)
+
+
+def test_gradient_buffers_and_velocities_have_one_creation_site():
+    writes = []
+    for module in MODULES:
+        found = _StateWrites(module)
+        found.visit(ast.parse((SRC / f"{module}.py").read_text()))
+        writes += found.writes
+    # The scan sees both creation sites and the write that drops a buffer.
+    for attribute, site in CREATION_SITES.items():
+        assert (site, attribute, "value") in writes
+    assert ("autodiff.Tensor.zero_grad", "grad", "none") in writes
+    stray = [f"{scope} writes {kind} to {attribute}" for scope, attribute, kind in writes
+             if scope != CREATION_SITES[attribute] and kind != WRITTEN_ELSEWHERE[attribute]]
+    assert not stray, stray

@@ -909,6 +909,8 @@ REJECTED_SETTINGS = {
     "weight_decay": ("train", TrainConfig, dict(weight_decay=-0.5), "weight_decay"),
     "source_checkpoint": ("train", TrainConfig, dict(mode="fine_tune"),
                           "source_checkpoint"),
+    "source_checkpoint-vanilla": ("train", TrainConfig,
+                                  dict(source_checkpoint="base.ckpt"), "source_checkpoint"),
     "window_size": ("train.augmentation", AugmentConfig, dict(window_size=0),
                     "window_size"),
     "window_pad_position": ("train.augmentation", AugmentConfig,

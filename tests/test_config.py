@@ -1,5 +1,6 @@
 """Run configuration file parsing."""
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -10,10 +11,13 @@ from skelact import (
     ConfigurationError,
     ModelConfig,
     MoveParams,
+    Tensor,
     TrainConfig,
+    build_protocol,
     load_run_config,
 )
-from skelact.config import from_document
+from skelact.config import check_non_negative, from_document
+from skelact.train import SGD
 
 
 def write_config(tmp_path, doc, name="run.json"):
@@ -246,6 +250,35 @@ def test_values_are_validated_after_parsing(tmp_path):
     doc["train"] = {"augmentation": {"window_pad_position": "center"}}
     with pytest.raises(ConfigurationError, match=r"window_pad_position"):
         load_run_config(write_config(tmp_path, doc, "c.json"))
+
+
+NON_NEGATIVE_SITES = {
+    "model-seed": ("seed", lambda v: ModelConfig(seed=v)),
+    "train-seed": ("seed", lambda v: TrainConfig(seed=v)),
+    "protocol-seed": ("seed", lambda v: build_protocol(None, "KS-Full", seed=v)),
+    "weight_decay": ("weight_decay", lambda v: SGD([], weight_decay=v)),
+    "lr": ("lr", lambda v: SGD([Tensor([1.0], trainable=True)]).step(v)),
+    "rotation": ("rotation", lambda v: MoveParams(rotation=v)),
+    "translation": ("translation", lambda v: MoveParams(translation=v)),
+}
+
+
+def test_check_non_negative_rejects_a_negative_value_or_nan():
+    for value in (0, 0.0, 5, math.inf):
+        check_non_negative("x", value)
+    for value in (-1, -1e-9, -math.inf, math.nan):
+        with pytest.raises(ConfigurationError) as raised:
+            check_non_negative("x", value)
+        assert str(raised.value) == f"x: must be non-negative, got {value}"
+
+
+@pytest.mark.parametrize("site", NON_NEGATIVE_SITES)
+def test_each_non_negative_setting_rejects_a_negative_value_and_nan(site):
+    name, build = NON_NEGATIVE_SITES[site]
+    for value in (-1, math.nan):
+        with pytest.raises(ConfigurationError) as raised:
+            build(value)
+        assert str(raised.value) == f"{name}: must be non-negative, got {value}"
 
 
 def test_document_level_errors(tmp_path):

@@ -719,7 +719,7 @@ def test_backward_needs_a_forward_first():
     assert not (fc.grad == 0.0).all()
     before = fc.data.copy()
     SGD(net.parameters()).step(0.0)
-    assert (fc.grad == 0.0).all() and np.array_equal(fc.data, before)
+    assert fc.grad is None and np.array_equal(fc.data, before)
 
 
 def test_previous_step_graph_is_gone_when_the_next_training_forward_starts():
@@ -809,11 +809,13 @@ def test_mode_feature_extraction_keeps_only_the_head():
 
 
 def test_feature_extraction_leaves_gradient_buffers_only_on_the_head():
-    # Built while recording, every parameter has a zero gradient buffer;
-    # freezing drops the trunk's, which backward would never write.
+    # No parameter has a gradient buffer before backward gives it one,
+    # and backward gives none to the frozen trunk.
     net = small_net()
-    assert all(t.grad is not None for t in net.parameters())
+    assert all(t.grad is None for t in net.parameters())
     set_trainable(net, "feature_extraction")
+    logits = net.forward(small_input(np.random.default_rng(8)), training=True)
+    logits.backward(np.ones(logits.data.shape))
     holding = {name: t.grad.nbytes for name, t in net.named_parameters().items()
                if t.grad is not None}
     assert holding == {"fc.weight": net.fc_weight.data.nbytes,

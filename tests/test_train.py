@@ -131,18 +131,18 @@ def test_cross_entropy_validation():
 
 def test_sgd_step_moves_against_the_gradient():
     t = Tensor([1.0, 2.0], trainable=True)
-    t.grad[...] = [2.0, -4.0]
+    t.grad = np.array([2.0, -4.0])
     SGD([t]).step(0.1)
     assert np.allclose(t.data, [0.8, 2.4])
-    assert (t.grad == 0.0).all()
+    assert t.grad is None
 
 
 def test_sgd_step_zero_lr_is_a_no_op_that_clears_gradients():
     t = Tensor([1.0], trainable=True)
-    t.grad[...] = 5.0
+    t.grad = np.array([5.0])
     SGD([t]).step(0.0)
     assert t.data[0] == 1.0
-    assert t.grad[0] == 0.0
+    assert t.grad is None
 
 
 def test_sgd_step_rejects_negative_lr():
@@ -153,19 +153,27 @@ def test_sgd_step_rejects_negative_lr():
         opt.step(-1e-9)
 
 
+def test_sgd_step_rejects_a_nan_lr_before_moving_anything():
+    t = Tensor([1.0], trainable=True)
+    t.grad = np.array([5.0])
+    with pytest.raises(ConfigurationError, match="lr: must be non-negative, got nan"):
+        SGD([t]).step(float("nan"))
+    assert t.data[0] == 1.0 and t.grad[0] == 5.0
+
+
 def test_sgd_leaves_frozen_tensors_but_clears_their_gradients():
-    # A tensor frozen by hand keeps the buffer it had; one built frozen has none.
+    # A tensor frozen by hand holds the buffer it had until the step drops it.
     frozen = Tensor([3.0], trainable=True)
-    frozen.grad[...] = 7.0
+    frozen.grad = np.array([7.0])
     frozen.trainable = False
     bare = Tensor([3.0], trainable=False)
     live = Tensor([3.0], trainable=True)
-    live.grad[...] = 7.0
+    live.grad = np.array([7.0])
     SGD([frozen, bare, live]).step(0.1)
     assert frozen.data[0] == 3.0
-    assert frozen.grad[0] == 0.0
+    assert frozen.grad is None
     assert bare.data[0] == 3.0 and bare.grad is None
-    assert live.data[0] == pytest.approx(2.3)
+    assert live.data[0] == pytest.approx(2.3) and live.grad is None
 
 
 def test_sgd_momentum_and_weight_decay_match_a_manual_loop():
@@ -177,12 +185,26 @@ def test_sgd_momentum_and_weight_decay_match_a_manual_loop():
     data = start.copy()
     velocity = np.zeros(3)
     for g in grads:
-        t.grad[...] = g
+        t.grad = g
         opt.step(0.05)
         step_grad = g + 0.01 * data
         velocity = 0.9 * velocity + step_grad
         data = data - 0.05 * velocity
         assert np.allclose(t.data, data, atol=1e-14)
+
+
+def test_a_first_momentum_step_has_the_bits_of_a_zero_velocity():
+    # The first velocity is 0 + grad, which is 0.0 where grad is -0.0, so
+    # the -0.0 weight stays -0.0 (-0.0 - 0.0) rather than becoming 0.0.
+    start, grad = np.array([-0.0, 1.5, -2.0]), np.array([-0.0, 0.25, -0.0])
+    t = Tensor(start.copy(), trainable=True)
+    t.grad = grad.copy()
+    SGD([t], momentum=0.9).step(0.1)
+    velocity = np.zeros(3)
+    velocity *= 0.9
+    velocity += grad
+    assert t.data.tobytes() == (start - 0.1 * velocity).tobytes()
+    assert np.signbit(t.data[0])
 
 
 def test_sgd_treats_a_missing_gradient_buffer_as_zeros():
@@ -202,10 +224,13 @@ def test_sgd_treats_a_missing_gradient_buffer_as_zeros():
 
 def test_sgd_holds_a_velocity_only_for_what_a_frozen_network_trains():
     # feature_extraction trains the classifier alone: a momentum SGD holds
-    # its velocity and no trunk-sized zero array.
+    # nothing before its first step, which makes the classifier's velocity
+    # and no trunk-sized zero array.
     net = ModelConfig(seed=0).build(10)
     set_trainable(net, "feature_extraction")
-    _, held, _ = traced_peak(lambda: SGD(net.parameters(), momentum=0.9))
+    optimizer, built, _ = traced_peak(lambda: SGD(net.parameters(), momentum=0.9))
+    assert built <= 2**12
+    _, held, _ = traced_peak(lambda: optimizer.step(0.1))
     head = net.fc_weight.data.nbytes + net.fc_bias.data.nbytes
     assert head <= held <= head + 2**12
 
@@ -225,6 +250,45 @@ def test_sgd_gives_a_tensor_made_trainable_later_a_zero_velocity():
         lagging.step(0.1)
         leading.step(0.1)
     assert late.data.tobytes() == fresh.data.tobytes()
+
+
+def test_sgd_step_drops_every_gradient_buffer():
+    net = tiny_net()
+    batch = np.stack([to_model_input(s) for s, _ in motion_dataset(1, 12, 5, seed=4)])
+    logits = net.forward(batch, training=True)
+    logits.backward(np.ones(logits.data.shape))
+    assert all(t.grad is not None for t in net.parameters())
+    SGD(net.parameters(), momentum=0.9, weight_decay=0.01).step(0.1)
+    assert all(t.grad is None for t in net.parameters())
+
+
+def test_two_backward_passes_before_one_step_sum():
+    start, weight = np.array([0.5, -1.5]), np.array([0.75, -0.25])
+    t = Tensor(start.copy(), trainable=True)
+    for _ in range(2):
+        reduce_sum(mul(t, Tensor(weight)), (0,)).backward()
+    assert np.array_equal(t.grad, weight + weight)
+    SGD([t]).step(0.1)
+    assert t.data.tobytes() == (start - 0.1 * (weight + weight)).tobytes()
+
+
+def test_no_frozen_tensor_holds_a_gradient_buffer_over_a_fine_tune_step():
+    net = tiny_net(plan=((8, 1), (8, 1), (8, 1)))
+    set_trainable(net, "fine_tune")
+    frozen = [t for t in net.parameters() if not t.trainable]
+    trained = [t for t in net.parameters() if t.trainable]
+    assert frozen and trained
+    optimizer = SGD(net.parameters(), momentum=0.9)
+    batch = np.stack([to_model_input(s) for s, _ in motion_dataset(1, 12, 5, seed=4)])
+    for _ in range(2):
+        assert all(t.grad is None for t in net.parameters())
+        logits = net.forward(batch, training=True)
+        assert all(t.grad is None for t in net.parameters())
+        logits.backward(np.ones(logits.data.shape))
+        assert all(t.grad is None for t in frozen)
+        assert all(t.grad is not None for t in trained)
+        optimizer.step(0.1)
+    assert all(t.grad is None for t in net.parameters())
 
 
 def test_sgd_validation():
@@ -248,6 +312,8 @@ def test_functions_handed_a_bare_value_check_it_as_the_config_does():
          lambda: TrainConfig(momentum=-0.1)),
         (lambda: SGD([Tensor([1.0], trainable=True)], weight_decay=-0.01),
          lambda: TrainConfig(weight_decay=-0.01)),
+        (lambda: SGD([Tensor([1.0], trainable=True)], weight_decay=math.nan),
+         lambda: TrainConfig(weight_decay=math.nan)),
         (lambda: set_trainable(net, "transfer"), lambda: TrainConfig(mode="transfer")),
         (lambda: random_frame_window(seq, 2, rng, pad_position="left"),
          lambda: AugmentConfig(window_pad_position="left")),
@@ -370,6 +436,13 @@ def test_evaluate_returns_logits_in_dataset_order():
     assert np.allclose(logits, single, atol=1e-12)
     again, _ = evaluate(net, train, batch_size=5)
     assert again == acc
+
+
+@pytest.mark.parametrize("batch_size", [0, -1])
+def test_evaluate_rejects_a_batch_size_below_one(batch_size):
+    train, _ = tiny_datasets()
+    with pytest.raises(ConfigurationError, match="^batch_size: must be at least 1$"):
+        evaluate(tiny_net(), train, batch_size)
 
 
 def test_evaluate_rejects_an_empty_dataset():
