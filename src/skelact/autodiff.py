@@ -8,12 +8,13 @@ nothing is recorded: every operation returns a bare leaf, and the arrays
 a backward pass would need are freed as soon as the operation returns.
 An operation none of whose operands is a trainable leaf or a recorded
 node returns such a leaf too, since no gradient through it reaches a
-trainable tensor: frozen layers record nothing. Only the operations the
-network actually needs exist here, each with an exact analytic gradient;
-there is no graph optimization, no dtype besides float64, and no
-in-place arithmetic on tracked values but one: on batch statistics,
-``temporal_conv``'s prologue centers its input over the input's own
-array.
+trainable tensor: frozen layers record nothing. Each operation, and each
+buffer, takes its dtype from its input: a Tensor keeps a float array's
+dtype and makes anything else float64. Only the operations the network
+actually needs exist here, each with an exact analytic gradient; there is
+no graph optimization and no in-place arithmetic on tracked values but
+one: on batch statistics, ``temporal_conv``'s prologue centers its input
+over the input's own array.
 
 An ST-GCN block is two nodes. ``graph_conv`` returns its raw channel mix.
 ``temporal_conv`` runs bn1 and a ReLU on that mix as its prologue, into a
@@ -69,7 +70,7 @@ def no_grad():
 
 
 class Tensor:
-    """A float64 array plus gradient buffer and autodiff bookkeeping.
+    """A float array plus gradient buffer and autodiff bookkeeping.
 
     ``grad`` starts as None, and a trainable leaf's first gradient makes
     it. Under ``no_grad``, and for an operation output none of whose
@@ -81,7 +82,8 @@ class Tensor:
 
     def __init__(self, data, trainable=False, parents=(), backward_fn=None):
         recording = _recording.get() and any(_needs_grad(p) for p in parents)
-        self.data = np.asarray(data, dtype=np.float64)
+        data = np.asarray(data)
+        self.data = data if data.dtype.kind == "f" else data.astype(np.float64)
         self.trainable = bool(trainable)
         self.grad = None
         self._parents = tuple(parents) if recording else ()
@@ -113,7 +115,7 @@ class Tensor:
                     "backward() without a seed needs a single-element tensor"
                 )
             grad = np.ones_like(self.data)
-        grad = np.asarray(grad, dtype=np.float64)
+        grad = np.asarray(grad, dtype=self.data.dtype)
         if grad.shape != self.data.shape:
             raise StateError(
                 f"seed gradient shape {grad.shape} does not match tensor "
@@ -324,7 +326,8 @@ def _chunks(a: np.ndarray, scratch: bool = True):
     element the bits of whole-array code; a channel's sum is numpy's sum of
     one contiguous row."""
     step = max(1, _PRODUCT_BYTES // a[0].nbytes)
-    buffer = np.empty((min(step, len(a)),) + a.shape[1:]) if scratch else None
+    shape = (min(step, len(a)),) + a.shape[1:]
+    buffer = np.empty(shape, dtype=a.dtype) if scratch else None
     for start in range(0, len(a), step):
         stop = min(start + step, len(a))
         yield slice(start, stop), None if buffer is None else buffer[:stop - start]
@@ -346,12 +349,12 @@ def _dropout_mask(shape: tuple[int, ...], rate: float, rng) -> tuple[np.ndarray,
     return rng.random(shape) >= rate, 1.0 / (1.0 - rate)
 
 
-def _bordered(shape: tuple[int, ...], pad: int) -> np.ndarray:
-    """An uninitialized array whose first and last ``pad`` frames, on axis
-    2, are zero: the inner frames are the caller's to write."""
-    out = np.empty(shape)
+def _bordered(a: np.ndarray, pad: int) -> np.ndarray:
+    """An uninitialized array like (C, B, T, V) ``a`` but with ``pad`` more
+    zero frames at each end: the inner frames are the caller's to write."""
+    out = np.empty(a.shape[:2] + (a.shape[2] + 2 * pad,) + a.shape[3:], dtype=a.dtype)
     out[:, :, :pad] = 0.0
-    out[:, :, shape[2] - pad:] = 0.0
+    out[:, :, out.shape[2] - pad:] = 0.0
     return out
 
 
@@ -433,7 +436,7 @@ class _Epilogue:
         running statistics, or ``rebuilt``; see ``fit``), else a new array."""
         if self.norm is not None:
             self.fit(out, rebuilt)
-        result = out if self.centered is None else np.empty(out.shape)
+        result = out if self.centered is None else np.empty(out.shape, dtype=out.dtype)
         if self.dropout:
             self.keep, self.scale = _dropout_mask(out.shape, self.dropout, self.rng)
         branch = self.shortcut
@@ -471,11 +474,11 @@ class _Epilogue:
         norm = self.norm
         gamma, shift = _per_channel(norm.gamma.data), _per_channel(norm.beta.data)
         if norm.running is not None:
-            mean, var = (np.asarray(s, dtype=np.float64) for s in norm.running)
+            mean, var = (np.asarray(s, dtype=out.dtype) for s in norm.running)
             self.a = gamma * _per_channel(1.0 / np.sqrt(var + norm.eps))
             self.b = shift - _per_channel(mean) * self.a
             return
-        mu, var = np.empty(len(out)), np.empty(len(out))
+        mu, var = np.empty(len(out), dtype=out.dtype), np.empty(len(out), dtype=out.dtype)
         for part, buffer in _chunks(out):
             _row_sum(out[part], mu[part])
             mu[part] /= out[0].size
@@ -553,8 +556,8 @@ class _Epilogue:
         norm = self.norm
         if norm is None and relu is None and self.keep is None:
             return grad
-        dest = np.empty(grad.shape) if norm is None else self.centered
-        sums = np.empty((2, len(grad)))  # of g and of g times the centered input
+        dest = np.empty(grad.shape, dtype=grad.dtype) if norm is None else self.centered
+        sums = np.empty((2, len(grad)), dtype=grad.dtype)  # of g and of g * centered
         # Two scratch runs: the masked gradient and the products.
         for (part, buffer), (_, masked) in zip(_chunks(grad), _chunks(grad)):
             g = grad[part]
@@ -696,7 +699,7 @@ def temporal_conv(
     def padded_input() -> np.ndarray:
         # The array the kernel slides over: the input, or its rectified
         # batch norm, inside a zero border.
-        padded = _bordered((channels, batch, frames + 2 * pad, vertices), pad)
+        padded = _bordered(x.data, pad)
         inner = padded[:, :, pad:pad + frames]
         if entry is None:
             inner[...] = x.data
@@ -780,13 +783,14 @@ def graph_conv(x: Tensor, adjacency: np.ndarray, weight: Tensor, mask: Tensor) -
         raise ConfigurationError(
             f"graph_conv needs a ({partitions}, {channels}, D) weight and a "
             f"{adjacency.shape} mask, got {weight.data.shape} and {mask.data.shape}")
+    adjacency = adjacency.astype(x.data.dtype, copy=False)
     gated = adjacency * mask.data
     out_channels = weight.data.shape[-1]
     columns = x.data.reshape(channels * batch * frames, vertices)
 
     def aggregate() -> np.ndarray:
         # Row block k of the (K·C, B·T·V) aggregate holds x @ gated[k].
-        out = np.empty((partitions, channels * batch * frames, vertices))
+        out = np.empty((partitions,) + columns.shape, dtype=columns.dtype)
         for k in range(partitions):
             np.matmul(columns, gated[k], out=out[k])
         return out.reshape(partitions * channels, batch * frames * vertices)
@@ -804,7 +808,7 @@ def graph_conv(x: Tensor, adjacency: np.ndarray, weight: Tensor, mask: Tensor) -
             partitions, channels * batch * frames, vertices)
         by_channel = columns.reshape(channels, -1, vertices).transpose(0, 2, 1)
         needs_input = _needs_grad(x)
-        grad_gated = np.empty(gated.shape)
+        grad_gated = np.empty(gated.shape, dtype=gated.dtype)
         for k in range(partitions):
             slab = grad_aggregated[k]
             if needs_input and k == 0:

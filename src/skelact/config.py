@@ -23,8 +23,8 @@ from .errors import ConfigurationError
 
 
 def check_count(name: str, value, error=ConfigurationError) -> None:
-    """Reject setting ``name`` below 1 with ``error``, a ConfigurationError."""
-    if value < 1:
+    """Reject setting ``name`` below 1, or NaN, with ``error``, a ConfigurationError."""
+    if not value >= 1:
         raise error(f"{name}: must be at least 1")
 
 

@@ -224,10 +224,11 @@ class StgcnNetwork:
 
     Weight initialization draws from one seeded generator in construction
     order (blocks in order; within a block the (K, C, D) graph-conv weight,
-    then the temporal kernel, then the projection weight if any), so a seed pins
-    every initial value. The classifier bias starts at zero, edge masks at
-    one, batch norm at identity. The convolutions have no bias: each feeds
-    a batch norm, which would cancel it.
+    then the temporal kernel, then the projection weight if any), so a seed
+    pins every initial value. The classifier bias starts at zero, edge masks
+    at one, batch norm at identity. The convolutions have no bias: each
+    feeds a batch norm, which would cancel it. Every weight is built
+    float64, and a forward casts its input to the weights' dtype.
 
     The network keeps no autodiff graph: ``logits.backward(grad)`` runs the
     backward pass of a training forward, and the graph is freed when the
@@ -278,7 +279,7 @@ class StgcnNetwork:
         self._forward_rng = rng
 
     def forward(self, x: np.ndarray, training: bool = False) -> Tensor:
-        x = np.asarray(x, dtype=np.float64)
+        x = np.asarray(x, dtype=self.fc_weight.data.dtype)
         if x.ndim != 5:
             raise ConfigurationError(
                 f"input must have shape (N, C, T, V, M), got {x.shape}"

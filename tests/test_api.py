@@ -22,7 +22,10 @@ call, not by type: ``x.forward(training=False)`` counts for every public
 
 The same parse checks that optimizer state has one creation site: only
 ``autodiff._accumulate`` writes anything but None to an attribute named
-``grad``, and only ``SGD.step`` writes into ``_velocity``.
+``grad``, and only ``SGD.step`` writes into ``_velocity``. It also checks
+that the dtype of a forward has one source: ``autodiff`` names float64
+only where a ``Tensor`` is built and passes ``dtype=`` to every array it
+makes from a shape, and ``model`` names float64 only for the checkpoint.
 """
 from __future__ import annotations
 
@@ -252,3 +255,72 @@ def test_gradient_buffers_and_velocities_have_one_creation_site():
     stray = [f"{scope} writes {kind} to {attribute}" for scope, attribute, kind in writes
              if scope != CREATION_SITES[attribute] and kind != WRITTEN_ELSEWHERE[attribute]]
     assert not stray, stray
+
+
+# numpy's constructors of a fresh array from a shape, which default to float64.
+ALLOCATORS = {"empty", "zeros", "ones", "full"}
+
+
+class _DtypeSites(ast.NodeVisitor):
+    """The enclosing function of each place that names float64 (the
+    attribute or name ``float64``, the string ``"float64"``, or
+    ``dtype=float``), and each call of an ``ALLOCATORS`` constructor with
+    whether it passes ``dtype=``."""
+
+    def __init__(self):
+        self.scope: list[str] = []
+        self.float64: list[str] = []
+        self.allocations: list[tuple[str, bool]] = []
+
+    def _enter(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_ClassDef = visit_FunctionDef = visit_AsyncFunctionDef = _enter
+
+    def visit_Attribute(self, node):
+        if node.attr == "float64":
+            self.float64.append(".".join(self.scope))
+        self.generic_visit(node)
+
+    def visit_Name(self, node):
+        if node.id == "float64":
+            self.float64.append(".".join(self.scope))
+
+    def visit_Constant(self, node):
+        if node.value == "float64":
+            self.float64.append(".".join(self.scope))
+
+    def visit_keyword(self, node):
+        value = node.value
+        if node.arg == "dtype" and isinstance(value, ast.Name) and value.id == "float":
+            self.float64.append(".".join(self.scope))
+        self.generic_visit(node)
+
+    def visit_Call(self, node):
+        func = node.func
+        if (isinstance(func, ast.Attribute) and func.attr in ALLOCATORS
+                and isinstance(func.value, ast.Name) and func.value.id == "np"):
+            passes = any(keyword.arg == "dtype" for keyword in node.keywords)
+            self.allocations.append((".".join(self.scope), passes))
+        self.generic_visit(node)
+
+
+def _dtype_sites(module: str) -> _DtypeSites:
+    found = _DtypeSites()
+    found.visit(ast.parse((SRC / f"{module}.py").read_text()))
+    return found
+
+
+def test_the_dtype_of_a_forward_has_one_source():
+    # An autodiff op or buffer takes its dtype from its input, a Tensor
+    # makes a non-float array float64, and the network casts its input to
+    # its weights' dtype: float64 is named only where a Tensor is built
+    # and where a checkpoint, float64 on disk, is written and read.
+    autodiff = _dtype_sites("autodiff")
+    assert set(autodiff.float64) == {"Tensor.__init__"}
+    assert autodiff.allocations
+    untyped = [scope for scope, passes in autodiff.allocations if not passes]
+    assert not untyped, untyped
+    assert set(_dtype_sites("model").float64) == {"save_weights", "read_checkpoint"}

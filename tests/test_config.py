@@ -7,16 +7,25 @@ import numpy as np
 import pytest
 
 from skelact import (
+    COCO18,
     AugmentConfig,
     ConfigurationError,
     ModelConfig,
     MoveParams,
+    SequenceDataset,
+    SkeletonSequence,
+    StgcnNetwork,
     Tensor,
     TrainConfig,
+    build_graph,
     build_protocol,
+    evaluate,
     load_run_config,
+    pad_sequence,
+    random_frame_window,
+    select_persons,
 )
-from skelact.config import check_non_negative, from_document
+from skelact.config import check_count, check_non_negative, from_document
 from skelact.train import SGD
 
 
@@ -279,6 +288,46 @@ def test_each_non_negative_setting_rejects_a_negative_value_and_nan(site):
         with pytest.raises(ConfigurationError) as raised:
             build(value)
         assert str(raised.value) == f"{name}: must be non-negative, got {value}"
+
+
+def four_frames():
+    return SkeletonSequence(np.zeros((4, 1, 18, 3)), COCO18)
+
+
+COUNT_SITES = {
+    "model-person_slots": ("person_slots", lambda v: ModelConfig(person_slots=v)),
+    "model-target_frames": ("target_frames", lambda v: ModelConfig(target_frames=v)),
+    "select_persons": ("person_slots",
+                       lambda v: select_persons([np.zeros((1, 18, 3))], v)),
+    "pad_sequence": ("target_frames", lambda v: pad_sequence(four_frames(), v)),
+    "random_frame_window": ("window_size", lambda v: random_frame_window(
+        four_frames(), v, np.random.default_rng(0))),
+    "anchors": ("anchors", lambda v: MoveParams(anchors=v)),
+    "augment-window_size": ("window_size", lambda v: AugmentConfig(window_size=v)),
+    "train-batch_size": ("batch_size", lambda v: TrainConfig(batch_size=v)),
+    "epochs": ("epochs", lambda v: TrainConfig(epochs=v)),
+    "evaluate-batch_size": ("batch_size", lambda v: evaluate(
+        StgcnNetwork(build_graph(COCO18), 2, ModelConfig(channel_plan=((4, 1),))),
+        SequenceDataset([four_frames()], [0], ["a"]), v)),
+}
+
+
+def test_check_count_rejects_a_value_below_one_or_nan():
+    for value in (1, 2, 1.0, math.inf):
+        check_count("x", value)
+    for value in (0, -1, 0.5, -math.inf, math.nan):
+        with pytest.raises(ConfigurationError) as raised:
+            check_count("x", value)
+        assert str(raised.value) == "x: must be at least 1"
+
+
+@pytest.mark.parametrize("site", COUNT_SITES)
+def test_each_count_setting_rejects_zero_and_nan(site):
+    name, build = COUNT_SITES[site]
+    for value in (0, math.nan):
+        with pytest.raises(ConfigurationError) as raised:
+            build(value)
+        assert str(raised.value) == f"{name}: must be at least 1"
 
 
 def test_document_level_errors(tmp_path):

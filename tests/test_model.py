@@ -413,9 +413,12 @@ def test_training_step_of_the_paper_plan_has_a_bounded_peak():
     # and the graph conv's aggregate gradient go over arrays whose last
     # reader has run, and backward frees each node's saved arrays once it
     # has run, so the later blocks' backward temporaries replace what they
-    # free: 59.5 MiB (78.5 MiB when each node B kept bn2's centered input,
-    # 85.2 MiB when each backward result was also a fresh array, 90.6 MiB
-    # when every node also lived to the end of the pass).
+    # free: 61.8 MiB, 0.2 MiB under the bound. Each trainable leaf's
+    # gradient buffer is made inside the step, from its first gradient to
+    # SGD's use of it: 59.5 MiB when the buffers lived across steps, 78.5
+    # MiB when each node B also kept bn2's centered input, 85.2 MiB when
+    # each backward result was also a fresh array, 90.6 MiB when every
+    # node also lived to the end of the pass.
     net = StgcnNetwork(build_graph(COCO18), 10, ModelConfig(seed=0))
     optimizer = SGD(net.parameters(), momentum=0.9)
     x = np.random.default_rng(40).uniform(-1.0, 1.0, (4, 3, 30, 18, 2))
@@ -448,6 +451,39 @@ def test_backward_of_the_paper_plan_frees_the_graph_while_the_logits_live():
     logits, held, _ = traced_peak(step)
     assert not logits.is_leaf
     assert held < 2**20
+
+
+def test_float32_weights_keep_every_activation_and_gradient_float32(monkeypatch):
+    # The weights alone set the dtype: a float64 input, float64 running
+    # statistics, a float64 adjacency and a float64 seed gradient all
+    # follow the float32 weights, through a projection with stride 2 and
+    # dropout.
+    config = ModelConfig(channel_plan=((8, 1), (16, 2), (16, 1)), dropout=0.5, seed=3)
+    net = StgcnNetwork(build_graph(COCO18), 4, config)
+    assert net.blocks[1].residual == "project"
+    for tensor in net.parameters():
+        tensor.data = tensor.data.astype(np.float32)
+    built, handed = [], []
+    tensor_init, accumulate = Tensor.__init__, ad._accumulate
+
+    def recording_init(self, *args, **kwargs):
+        tensor_init(self, *args, **kwargs)
+        built.append(self.data.dtype.name)
+
+    def recording_accumulate(tensor, grad):
+        handed.append(grad.dtype.name)
+        accumulate(tensor, grad)
+
+    monkeypatch.setattr(Tensor, "__init__", recording_init)
+    monkeypatch.setattr(ad, "_accumulate", recording_accumulate)
+    x = np.random.default_rng(41).uniform(-1.0, 1.0, (3, 3, 12, 18, 2))
+    logits = net.forward(x, training=True)
+    _, grad = cross_entropy(logits.data, np.arange(3))
+    logits.backward(grad)
+    assert built and set(built) == {"float32"}
+    assert handed and set(handed) == {"float32"}
+    assert all(tensor.grad.dtype == np.float32 for tensor in net.parameters())
+    assert net.forward(x).data.dtype == np.float32
 
 
 def test_eval_network_has_the_bits_of_the_unfused_chain():
