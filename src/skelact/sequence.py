@@ -8,11 +8,14 @@ joint is ``(0, 0, 0)``.
 from __future__ import annotations
 
 import os
+import time
+from contextlib import suppress
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .atomic import open_atomic
 from .errors import EmptySequenceError, KeypointParseError, LayoutMismatchError
 from .keypoints import (
     BODY25,
@@ -21,8 +24,17 @@ from .keypoints import (
     COCO18,
     COCO18_MODIFIED,
     LAYOUT_JOINT_COUNT,
+    _check_values,
+    layout_joint_count,
     parse_keypoint_frame,
 )
+
+# The file that keeps a sample directory's parsed frames (README, Data
+# layout), and how much older than a load's start every frame's mtime and
+# ctime must be for the load to write it: a frame rewritten within one
+# timestamp tick of its read can then never match.
+_CACHE_NAME = ".skelact-frames.npz"
+_SETTLE_NS = 2_000_000_000
 
 
 @dataclass
@@ -110,7 +122,8 @@ def load_sequence(
     zero padded or tail truncated to exactly ``target_frames``. Frames
     whose joint count disagrees with ``layout`` raise LayoutMismatchError,
     and a ``.json`` entry that cannot be read or parsed raises
-    KeypointParseError; both name the file.
+    KeypointParseError; both name the file. The parsed frames are kept in
+    the directory and reused while every frame file's name and stat match.
     """
     from .pipeline import pad_sequence, select_persons
 
@@ -118,18 +131,54 @@ def load_sequence(
     if not directory.is_dir():
         raise EmptySequenceError(f"{directory} is not a directory")
     # A bare ".json" has no suffix, as in pathlib.
-    names = sorted(
-        entry.name for entry in os.scandir(directory)
-        if entry.name.endswith(".json") and entry.name != ".json"
-    )
-    if not names:
+    entries = sorted((entry for entry in os.scandir(directory)
+                      if entry.name.endswith(".json") and entry.name != ".json"),
+                     key=lambda entry: entry.name)
+    if not entries:
         raise EmptySequenceError(f"{directory} holds no keypoint files")
 
-    frames = [_load_frame(os.path.join(directory, name), layout) for name in names]
+    joint_count = layout_joint_count(layout)
+    start = time.time_ns()
+    try:
+        stats = np.array([(st.st_size, st.st_mtime_ns, st.st_ctime_ns, st.st_ino)
+                          for st in (entry.stat() for entry in entries)],
+                         dtype=np.int64)
+    except OSError:
+        stats = None
+    cache = os.path.join(directory, _CACHE_NAME)
+    key = {"layout": np.array(layout), "stats": stats,
+           "names": np.array([entry.name for entry in entries])}
+    frames = _read_cache(cache, key, joint_count)
+    if frames is None:
+        frames = [_load_frame(entry.path, layout) for entry in entries]
+        if stats is not None and stats[:, 1:3].max() < start - _SETTLE_NS:
+            # A directory that cannot take the file is parsed on every load.
+            with suppress(OSError), open_atomic(cache, "wb") as handle:
+                np.savez(handle, people=np.concatenate(frames), **key,
+                         counts=np.array([len(f) for f in frames], dtype=np.int64))
     seq = SkeletonSequence(select_persons(frames, person_slots), layout, image_size)
     if target_frames != seq.frame_count:
         seq = pad_sequence(seq, target_frames)
     return seq
+
+
+def _read_cache(path: str, key: dict, joint_count: int) -> list[np.ndarray] | None:
+    """The frames kept in ``path`` if it holds ``key``'s arrays and
+    well-formed, valid people; None otherwise."""
+    try:
+        with open(path, "rb") as handle, np.load(handle) as kept:
+            if not all(np.array_equal(kept[name], key[name]) for name in key):
+                return None
+            counts, people = kept["counts"], kept["people"]
+        if (counts.dtype != np.int64 or counts.shape != key["stats"].shape[:1]
+                or counts.min() < 0 or people.dtype != np.float64
+                or people.shape != (counts.sum(), joint_count, 3)):
+            return None
+        _check_values(people)
+        ends = np.cumsum(counts).tolist()
+        return [people[a:b] for a, b in zip([0] + ends, ends)]
+    except Exception:  # a missing, unreadable or corrupt file is a miss
+        return None
 
 
 def _load_frame(path: str, layout: str) -> np.ndarray:

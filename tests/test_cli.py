@@ -410,6 +410,25 @@ def test_a_broken_frame_exits_3_and_leaves_no_out(command, workspace, tmp_path, 
     assert not (tmp_path / "out").exists()
 
 
+def test_eval_on_a_dangling_symlink_frame_exits_3_naming_it(workspace, tmp_path,
+                                                             capsys):
+    sample_id = load_split(workspace / "split").test_ids[0]
+
+    def dangling_symlink(sample):
+        (sample / "000030.json").symlink_to(sample / "gone.json")
+        return "000030.json"
+
+    config, broken = config_with_a_broken_frame(workspace, tmp_path, sample_id,
+                                                dangling_symlink)
+    assert main(["eval", "--config", str(config), "--split", str(workspace / "split"),
+                 "--checkpoint", str(workspace / "run1" / "checkpoint.ckpt"),
+                 "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert f"{sample_id}/{broken}: cannot read keypoint file" in err
+    assert not (tmp_path / "out").exists()
+
+
 # ----------------------------------------------------------------------- eval
 
 def test_eval_of_a_nan_checkpoint_exits_3_and_writes_no_scores(workspace, capsys):

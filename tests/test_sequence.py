@@ -1,7 +1,12 @@
 """Sequence loading, layout conversion, and model-input reshaping."""
+import json
+import os
+import time
+
 import numpy as np
 import pytest
 
+from skelact import sequence
 from skelact import (
     BODY25,
     BODY25_NO_FEET,
@@ -155,6 +160,160 @@ def test_load_sequence_rejects_an_unreadable_frame_entry(tmp_path):
     with pytest.raises(KeypointParseError, match="000030.json: cannot read"):
         load_sequence(directory, COCO18, target_frames=3)
 
+
+def test_load_sequence_rejects_a_dangling_symlink_frame(tmp_path):
+    directory = write_frames(tmp_path / "clip", coded_frames(3, 18))
+    (directory / "000003.json").symlink_to(tmp_path / "gone.json")
+    with pytest.raises(KeypointParseError,
+                       match="clip/000003.json: cannot read keypoint file"):
+        load_sequence(directory, COCO18, target_frames=4)
+
+
+# ------------------------------------------------------- kept parsed frames
+
+CACHE = ".skelact-frames.npz"
+
+
+@pytest.fixture
+def settled(monkeypatch):
+    """Frames written just now count as settled: ctime cannot be
+    backdated, and waiting out the 2 s margin would slow every test."""
+    monkeypatch.setattr(sequence, "_SETTLE_NS", 0)
+
+
+@pytest.fixture
+def parse_calls(monkeypatch):
+    """A list that grows by one at every frame parse."""
+    calls, parse = [], sequence.parse_keypoint_frame
+
+    def counted(data, layout):
+        calls.append(layout)
+        return parse(data, layout)
+
+    monkeypatch.setattr(sequence, "parse_keypoint_frame", counted)
+    return calls
+
+
+def test_a_settled_directory_is_parsed_once(tmp_path, settled, parse_calls):
+    payload = crowd_frames(np.random.default_rng(4), 20)
+    directory = write_frames(tmp_path / "clip", payload)
+    cold = load_sequence(directory, COCO18, person_slots=2, target_frames=24)
+    assert len(parse_calls) == 20
+    names = [f"{t:06d}.json" for t in range(20)]
+    assert sorted(os.listdir(directory)) == [CACHE] + names
+    warm = load_sequence(directory, COCO18, person_slots=2, target_frames=24)
+    assert len(parse_calls) == 20
+    assert warm.data.tobytes() == cold.data.tobytes()
+    assert cold.data[:20].tobytes() == oracle_select_persons(payload, 2, 18).tobytes()
+
+
+def test_a_frame_rewritten_at_its_size_and_mtime_is_parsed_again(tmp_path, settled,
+                                                                  parse_calls):
+    directory = write_frames(tmp_path / "clip", coded_frames(4, 18))
+    load_sequence(directory, COCO18, target_frames=4)
+    path = directory / "000002.json"
+    before = path.stat()
+    changed = path.read_text().replace("2000.0", "2999.0")
+    # Only the ctime tells the files apart; it moves with the next tick.
+    while path.stat().st_ctime_ns == before.st_ctime_ns:
+        time.sleep(0.001)
+        path.write_text(changed)
+        os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+    after = path.stat()
+    assert (after.st_size, after.st_mtime_ns, after.st_ino) == (
+        before.st_size, before.st_mtime_ns, before.st_ino)
+    seq = load_sequence(directory, COCO18, target_frames=4)
+    assert len(parse_calls) == 8
+    assert (seq.data[2, 0, :, 0] == 2999.0).all()
+
+
+def test_a_directory_changed_within_the_margin_is_parsed_every_time(tmp_path,
+                                                                     parse_calls):
+    directory = write_frames(tmp_path / "clip", coded_frames(3, 18))
+    first = load_sequence(directory, COCO18, target_frames=3)
+    second = load_sequence(directory, COCO18, target_frames=3)
+    assert len(parse_calls) == 6
+    assert second.data.tobytes() == first.data.tobytes()
+    assert sorted(os.listdir(directory)) == [f"{t:06d}.json" for t in range(3)]
+
+
+def truncated(directory):
+    cache = directory / CACHE
+    cache.write_bytes(cache.read_bytes()[:cache.stat().st_size // 2])
+
+
+def holding_a_nan(directory):
+    with np.load(directory / CACHE) as kept:
+        arrays = dict(kept)
+    arrays["people"][0, 0, 0] = np.nan
+    np.savez(directory / CACHE, **arrays)
+
+
+def written_for_another_layout(directory):
+    (directory / CACHE).unlink()
+    load_sequence(directory, COCO18_MODIFIED, target_frames=12)
+
+
+@pytest.mark.parametrize("spoil",
+                         [truncated, holding_a_nan, written_for_another_layout])
+def test_a_spoiled_cache_is_ignored(spoil, tmp_path, settled, parse_calls):
+    payload = crowd_frames(np.random.default_rng(5), 12)
+    directory = write_frames(tmp_path / "clip", payload)
+    cold = load_sequence(directory, COCO18, target_frames=12)
+    spoil(directory)
+    assert (directory / CACHE).is_file()
+    parsed = len(parse_calls)
+    seq = load_sequence(directory, COCO18, target_frames=12)
+    assert len(parse_calls) == parsed + 12
+    assert seq.data.tobytes() == cold.data.tobytes()
+    assert seq.layout == COCO18
+
+
+def test_a_directory_that_cannot_take_the_cache_still_loads(tmp_path, settled,
+                                                            parse_calls, monkeypatch):
+    def refuse(path, mode="w", **kwargs):
+        raise PermissionError(13, "Permission denied", str(path))
+
+    monkeypatch.setattr(sequence, "open_atomic", refuse)
+    directory = write_frames(tmp_path / "clip", coded_frames(5, 18))
+    first = load_sequence(directory, COCO18, target_frames=5)
+    second = load_sequence(directory, COCO18, target_frames=5)
+    assert len(parse_calls) == 10
+    assert second.data.tobytes() == first.data.tobytes()
+    assert not (directory / CACHE).exists()
+
+
+def oversized_integer(directory):
+    path = directory / "000001.json"
+    doc = json.loads(path.read_text())
+    doc["people"][0]["pose_keypoints_2d"][0] = "BIG"
+    path.write_text(json.dumps(doc).replace('"BIG"', "9" * 400))
+
+
+def directory_entry(directory):
+    (directory / "000030.json").mkdir()
+
+
+def dangling_symlink(directory):
+    (directory / "000030.json").symlink_to(directory / "gone.json")
+
+
+@pytest.mark.parametrize("breaker, fragment", [
+    (oversized_integer, "000001.json: person 0, joint 0"),
+    (directory_entry, "000030.json: cannot read keypoint file"),
+    (dangling_symlink, "000030.json: cannot read keypoint file"),
+])
+def test_a_broken_frame_raises_as_it_would_without_a_cache(breaker, fragment, tmp_path,
+                                                            settled):
+    directory = write_frames(tmp_path / "clip", coded_frames(3, 18))
+    load_sequence(directory, COCO18, target_frames=3)
+    breaker(directory)
+    with pytest.raises(KeypointParseError, match=fragment) as stale:
+        load_sequence(directory, COCO18, target_frames=3)
+    (directory / CACHE).unlink()
+    with pytest.raises(KeypointParseError) as cold:
+        load_sequence(directory, COCO18, target_frames=3)
+    assert str(stale.value) == str(cold.value)
 
 def test_convert_body25_to_coco_reindexes_joints():
     rng = np.random.default_rng(1)
